@@ -20,9 +20,9 @@ Layout (one run per checkpoint directory)::
     <dir>/trigger-outcomes.jsonl   incremental: one framed line per report
     <dir>/trigger.json
 
-Incremental files reuse the WAL's line framing (``R <len> <crc>
-<json>``) so a SIGKILL mid-append leaves a torn tail the loader simply
-drops — the same recovery story as ``repro.trace.salvage``.  Stage
+Incremental files are ``R`` lines of the `repro.framing` format
+(``docs/framing.md``), so a SIGKILL mid-append leaves a torn tail the
+loader simply drops — the same recovery story as the WAL.  Stage
 payload files carry their CRC32 in the manifest; damage, stale schema
 versions, and fingerprint mismatches all raise ``CheckpointError``
 (exit 2 in the CLI), never a traceback.
@@ -33,12 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import CheckpointError
+from repro.framing import Damage, atomic_write, crc32, decode_line, encode_line
 from repro.trace.records import TRACE_SCHEMA_VERSION
 from repro.trace.store import Trace
 
@@ -54,10 +54,6 @@ _INCREMENTAL_FILES = {
     "detect": "detect-shards.jsonl",
     "trigger": "trigger-outcomes.jsonl",
 }
-
-
-def _crc(payload: bytes) -> int:
-    return zlib.crc32(payload) & 0xFFFFFFFF
 
 
 def config_fingerprint(benchmark: str, config: "object") -> str:
@@ -113,7 +109,7 @@ def trace_fingerprint(trace: Trace) -> str:
     running = 0
     for _tid, blob in sorted(trace.dump_thread_files().items()):
         for line in sorted(blob.splitlines()):
-            running = zlib.crc32(line.encode(), running) & 0xFFFFFFFF
+            running = crc32(line.encode(), running)
     return f"{running:08x}"
 
 
@@ -132,10 +128,8 @@ class ShardLog:
         self._fh.truncate(valid_bytes)
 
     def append(self, entry: Dict[str, Any]) -> None:
-        from repro.trace.wal import encode_record_line
-
         payload = json.dumps(entry, sort_keys=True).encode()
-        self._fh.write(encode_record_line(payload))
+        self._fh.write(encode_line(b"R", payload))
         # Flush per shard: the unflushed suffix is exactly what a crash
         # loses, and a shard is the unit we promise to lose at most.
         self._fh.flush()
@@ -147,46 +141,26 @@ class ShardLog:
 
 def _scan_shard_file(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Every intact framed line plus the byte length of the valid
-    prefix (just past the last intact, newline-terminated line).  A
-    torn/damaged tail is dropped; torn or corrupt *interior* lines stop
-    the scan (everything after them might be misframed)."""
+    prefix (just past the last intact, newline-terminated line).  The
+    scan stops at the first damaged line: a torn tail is dropped, and
+    everything after a damaged *interior* line might be misframed."""
     entries: List[Dict[str, Any]] = []
     valid_bytes = 0
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         return entries, 0
-    offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline == -1:
-            break  # unterminated tail: the append was cut mid-line
-        line = data[offset:newline]
-        if line:
-            parts = line.split(b" ", 3)
-            if len(parts) != 4 or parts[0] != b"R":
+    with fh:
+        for raw in fh:
+            payload = decode_line(raw, b"R", valid_bytes)
+            if isinstance(payload, Damage):
                 break
             try:
-                length = int(parts[1], 16)
-                crc = int(parts[2], 16)
+                entries.append(json.loads(payload))
             except ValueError:
                 break
-            payload = parts[3]
-            if len(payload) != length or _crc(payload) != crc:
-                break
-            try:
-                entry = json.loads(payload.decode())
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                break
-            entries.append(entry)
-        offset = newline + 1
-        valid_bytes = offset
+            valid_bytes += len(raw)
     return entries, valid_bytes
-
-
-def _read_shard_lines(path: str) -> List[Dict[str, Any]]:
-    return _scan_shard_file(path)[0]
 
 
 @dataclass
@@ -287,13 +261,8 @@ class CheckpointStore:
             )
 
     def _write_manifest(self) -> None:
-        tmp = self._manifest_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._manifest_path)
+        text = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
+        atomic_write(self._manifest_path, text.encode())
 
     # -- stage lifecycle ------------------------------------------------------
 
@@ -314,16 +283,10 @@ class CheckpointStore:
         with obs.span("checkpoint.seal", stage=name):
             blob = json.dumps(payload, sort_keys=True).encode()
             filename = f"{name}.json"
-            path = os.path.join(self.directory, filename)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_write(os.path.join(self.directory, filename), blob)
             entry = self.manifest["stages"].setdefault(name, {})
             entry.update(
-                {"file": filename, "crc": f"{_crc(blob):08x}", "completed": True}
+                {"file": filename, "crc": f"{crc32(blob):08x}", "completed": True}
             )
             self._write_manifest()
         obs.counter(
@@ -346,7 +309,7 @@ class CheckpointStore:
                 raise CheckpointError(
                     f"checkpoint stage file missing: {path}"
                 ) from None
-            if f"{_crc(blob):08x}" != entry.get("crc"):
+            if f"{crc32(blob):08x}" != entry.get("crc"):
                 raise CheckpointError(
                     f"checkpoint stage {name} failed its CRC check "
                     f"({path} is damaged); re-run without --resume"
@@ -386,7 +349,7 @@ class CheckpointStore:
 
     def load_shards(self, stage: str) -> List[Dict[str, Any]]:
         """Intact shard entries written before a crash (torn tail dropped)."""
-        entries = _read_shard_lines(
+        entries, _ = _scan_shard_file(
             os.path.join(self.directory, _INCREMENTAL_FILES[stage])
         )
         if entries:

@@ -31,7 +31,6 @@ import heapq
 import json
 import os
 import time
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
@@ -47,7 +46,8 @@ from typing import (
 from repro import obs
 from repro.analysis.governor import StageBudget, maybe_stall, process_rss_mb
 from repro.detect.races import Candidate, DetectionResult
-from repro.errors import CheckpointError, TraceFormatError
+from repro.errors import CheckpointError
+from repro.framing import Damage, atomic_write, decode_document, encode_document
 from repro.hb.incremental import StreamingHBState
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import OpEvent
@@ -58,6 +58,7 @@ from repro.trace.records import (
     record_to_dict,
 )
 from repro.trace.store import Trace
+from repro.trace.wal import WalStreamReader, require_stream_segments
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -304,151 +305,61 @@ class StreamingDetector:
 # -- WAL segment streaming -------------------------------------------------
 
 
-class _WalStreamReader:
-    """Lazily parse one stream's sealed segments in order.
-
-    Any damage — torn/CRC-bad/malformed record, unsealed or missing
-    segment — truncates the stream at the damage point and is counted,
-    mirroring salvage's taxonomy without holding the file set in memory.
-    """
-
-    def __init__(self, directory: str, node: str, tid: int, damage: Counter):
-        self.node = node
-        self.tid = tid
-        self.directory = directory
-        self.damage = damage
-        self.damaged = False
-
-    def _segment_paths(self) -> Iterator[str]:
-        indexed = []
-        for filename in os.listdir(self.directory):
-            if filename.startswith("seg-") and filename.endswith(".wal"):
-                try:
-                    indexed.append((int(filename[4:-4]), filename))
-                except ValueError:
-                    continue
-        expected = 0
-        for index, filename in sorted(indexed):
-            if index != expected:
-                self.damage["missing_segments"] += 1
-                self.damaged = True
-                return
-            expected = index + 1
-            yield os.path.join(self.directory, filename)
-
-    def __iter__(self) -> Iterator[OpEvent]:
-        for path in self._segment_paths():
-            sealed = False
-            with open(path, "rb") as fh:
-                for raw in fh:
-                    torn = not raw.endswith(b"\n")
-                    line = raw.rstrip(b"\n")
-                    if line.startswith(b"H "):
-                        continue
-                    if line.startswith(b"R "):
-                        head, payload = line[:20], line[20:]
-                        try:
-                            length = int(head[2:10], 16)
-                            crc = int(head[11:19], 16)
-                        except ValueError:
-                            length = crc = -1
-                        if (
-                            torn
-                            or length != len(payload)
-                            or zlib.crc32(payload) & 0xFFFFFFFF != crc
-                        ):
-                            self.damage["damaged_records"] += 1
-                            self.damaged = True
-                            return
-                        try:
-                            yield record_from_dict(json.loads(payload))
-                        except (ValueError, KeyError, TypeError):
-                            self.damage["damaged_records"] += 1
-                            self.damaged = True
-                            return
-                    elif line.startswith(b"S ") and not torn:
-                        sealed = True
-                    elif line:
-                        self.damage["damaged_records"] += 1
-                        self.damaged = True
-                        return
-            if not sealed:
-                self.damage["unsealed_segments"] += 1
-                self.damaged = True
-                return
-
-
-def _wal_stream_readers(
-    wal_dir: str, damage: Counter
-) -> List[_WalStreamReader]:
-    if not os.path.isdir(wal_dir):
-        raise TraceFormatError(f"not a WAL directory: {wal_dir}")
-    readers: List[_WalStreamReader] = []
-    for node in sorted(os.listdir(wal_dir)):
-        node_dir = os.path.join(wal_dir, node)
-        if not os.path.isdir(node_dir):
-            continue
-        for entry in sorted(os.listdir(node_dir)):
-            thread_dir = os.path.join(node_dir, entry)
-            if not os.path.isdir(thread_dir) or not entry.startswith("thread-"):
-                continue
-            try:
-                tid = int(entry[len("thread-") :])
-            except ValueError:
-                continue
-            readers.append(_WalStreamReader(thread_dir, node, tid, damage))
-    if not readers:
-        raise TraceFormatError(f"no WAL streams under {wal_dir}")
-    return readers
-
-
 def iter_wal_records(
     wal_dir: str,
     damage: Optional[Counter] = None,
     on_stream_end: Optional[Callable[[int], None]] = None,
 ) -> Iterator[OpEvent]:
     """Merge a WAL directory's streams into one seq-ordered record
-    stream, reading segments incrementally.  ``on_stream_end`` fires
-    with the stream's tid the moment it is exhausted (that is what lets
-    the detector release the stream's HB state)."""
+    stream, reading segments incrementally.  Any damage — torn /
+    CRC-bad / malformed record, lying seal, unsealed or missing segment
+    — truncates the damaged stream there and is counted in ``damage``
+    (see :class:`repro.trace.wal.WalStreamReader`).  ``on_stream_end``
+    fires with the stream's tid the moment it is exhausted (that is
+    what lets the detector release the stream's HB state)."""
     damage = damage if damage is not None else Counter()
-    readers = _wal_stream_readers(wal_dir, damage)
-    heap: List[Tuple[int, int, OpEvent, Iterator[OpEvent]]] = []
-    for index, reader in enumerate(readers):
-        iterator = iter(reader)
+    # ``index`` breaks seq ties, so entries never compare past it.
+    heap: List[Tuple[int, int, OpEvent, Iterator[OpEvent], int]] = []
+    streams = require_stream_segments(wal_dir)
+    for index, ((_node, tid), paths) in enumerate(streams.items()):
+        iterator = WalStreamReader(damage).stream(paths)
         first = next(iterator, None)
         if first is None:
             if on_stream_end is not None:
-                on_stream_end(reader.tid)
+                on_stream_end(tid)
             continue
-        heap.append((first.seq, index, first, iterator))
+        heap.append((first.seq, index, first, iterator, tid))
     heapq.heapify(heap)
-    tids = [reader.tid for reader in readers]
     while heap:
-        seq, index, event, iterator = heapq.heappop(heap)
+        _seq, index, event, iterator, tid = heapq.heappop(heap)
         yield event
         following = next(iterator, None)
         if following is None:
             if on_stream_end is not None:
-                on_stream_end(tids[index])
+                on_stream_end(tid)
         else:
-            heapq.heappush(heap, (following.seq, index, following, iterator))
+            heapq.heappush(
+                heap, (following.seq, index, following, iterator, tid)
+            )
 
 
 def wal_stream_tids(wal_dir: str) -> List[int]:
     """The stream (tid) set of a WAL directory, discovered upfront."""
-    return [reader.tid for reader in _wal_stream_readers(wal_dir, Counter())]
+    return [tid for _node, tid in require_stream_segments(wal_dir)]
 
 
 # -- checkpoint files ------------------------------------------------------
 
 
-def _save_stream_checkpoint(
+def save_stream_checkpoint(
     path: str,
     detector: StreamingDetector,
     fingerprint: str,
     extra: Optional[Dict[str, object]] = None,
 ) -> None:
+    """Atomically publish the detector's snapshot as a CRC-enveloped
+    document (the detection service checkpoints per-tenant detectors
+    with the same format the offline ``stream`` pass uses)."""
     doc: Dict[str, object] = {
         "format": STREAM_CHECKPOINT_FORMAT,
         "version": STREAM_CHECKPOINT_VERSION,
@@ -460,26 +371,15 @@ def _save_stream_checkpoint(
         # raw-merge watermark here so sampled tenants resume correctly).
         doc["extra"] = extra
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-    framed = b"%08x %s" % (zlib.crc32(payload) & 0xFFFFFFFF, payload)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(framed)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, encode_document(payload))
 
 
 def load_stream_checkpoint(path: str) -> Dict[str, object]:
     """Load and CRC-verify a streaming checkpoint file."""
     with open(path, "rb") as fh:
-        framed = fh.read()
-    try:
-        crc = int(framed[:8], 16)
-        payload = framed[9:]
-    except ValueError:
-        raise CheckpointError(f"{path}: unparseable stream checkpoint framing")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CheckpointError(f"{path}: stream checkpoint CRC mismatch")
+        payload = decode_document(fh.read())
+    if isinstance(payload, Damage):
+        raise CheckpointError(f"{path}: stream checkpoint {payload.detail}")
     doc = json.loads(payload)
     if doc.get("format") != STREAM_CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {STREAM_CHECKPOINT_FORMAT} file")
@@ -491,7 +391,7 @@ def load_stream_checkpoint(path: str) -> Dict[str, object]:
     return doc
 
 
-def _stream_fingerprint(
+def stream_fingerprint(
     model: HBModel, window: int, source: str, sampler: Optional[object] = None
 ) -> str:
     base = f"{model.describe()}|window={window}|source={source}"
@@ -500,12 +400,6 @@ def _stream_fingerprint(
         # silently change which records the detector ever saw.
         base += f"|sampling={sampler.describe()}"
     return base
-
-
-# Public aliases: the detection service checkpoints per-tenant detectors
-# with the same CRC-framed format the offline ``stream`` pass uses.
-save_stream_checkpoint = _save_stream_checkpoint
-stream_fingerprint = _stream_fingerprint
 
 
 def _sampled_stream(stream, sampler):
@@ -563,7 +457,7 @@ def detect_races_streaming(
     damage: Counter = Counter()
     detector: Optional[StreamingDetector] = None
     source = os.path.abspath(wal_dir) if wal_dir is not None else "<records>"
-    fingerprint = _stream_fingerprint(model, window, source, sampler)
+    fingerprint = stream_fingerprint(model, window, source, sampler)
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume=True requires checkpoint_path")
@@ -625,7 +519,7 @@ def detect_races_streaming(
                 checkpoint_path is not None
                 and windows_since_save >= checkpoint_every
             ):
-                _save_stream_checkpoint(checkpoint_path, detector, fingerprint)
+                save_stream_checkpoint(checkpoint_path, detector, fingerprint)
                 windows_since_save = 0
             if budget.exceeded() or (should_stop is not None and should_stop()):
                 stopped_early = True
@@ -643,7 +537,7 @@ def detect_races_streaming(
         rss_high = rss
     rss_gauge.set(round(rss_high, 1))
     if checkpoint_path is not None:
-        _save_stream_checkpoint(checkpoint_path, detector, fingerprint)
+        save_stream_checkpoint(checkpoint_path, detector, fingerprint)
 
     state = detector.state
     confidence = "full"

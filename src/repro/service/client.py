@@ -25,6 +25,7 @@ deadlock-free even when a tenant has more streams than queue credits.
 
 from __future__ import annotations
 
+import json
 import os
 import socket
 import time
@@ -62,20 +63,6 @@ class ShipResult:
         ordered = sorted(self.ingest_latencies_s)
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "segments_shipped": self.segments_shipped,
-            "segments_duplicate": self.segments_duplicate,
-            "records_shipped": self.records_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "backpressure_waits": self.backpressure_waits,
-            "paused_waits": self.paused_waits,
-            "reconnects": self.reconnects,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "ingest_p50_s": round(self.latency_quantile(0.50), 6),
-            "ingest_p99_s": round(self.latency_quantile(0.99), 6),
-        }
 
 
 class ServiceClient:
@@ -137,7 +124,12 @@ class ServiceClient:
         frame = protocol.recv_frame(self._rfile)
         if frame is None:
             raise ConnectionError("server closed the connection")
-        return protocol.raise_for_error(frame[0])
+        response, response_body = frame
+        if response_body:
+            # On the wire "body" is the byte count; hand the caller the
+            # bytes it announced.
+            response["body"] = response_body
+        return protocol.raise_for_error(response)
 
     def request(
         self,
@@ -252,7 +244,7 @@ class ServiceClient:
                 response = self.request(
                     {"verb": "report", "tenant": self.tenant}
                 )
-                return response["report"]  # type: ignore[return-value]
+                return json.loads(response["body"])
             except ServiceError as exc:
                 if exc.code != "not_ready" or time.monotonic() >= deadline:
                     raise

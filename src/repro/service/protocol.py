@@ -1,15 +1,15 @@
 """Wire protocol for the always-on detection service.
 
-The service speaks length+CRC framed JSON over a byte stream — the same
-self-verifying framing discipline the WAL uses on disk (PR-4), applied
-to the socket.  One frame::
+The service speaks framed JSON over a byte stream: one ``F`` line of
+the format `repro.framing` owns (the WAL's on-disk line format, applied
+to the socket; ``docs/framing.md``), optionally followed by a body::
 
     F <len:08x> <crc:08x> <json>\n[body bytes]
 
-``len`` covers the JSON payload, ``crc`` is ``zlib.crc32`` of it; when
-the JSON carries a ``"body"`` byte count, exactly that many raw bytes
-follow the newline (used to ship WAL segment bytes verbatim — the
-segment's own record CRCs then make end-to-end verification free).
+When the JSON carries a ``"body"`` byte count, exactly that many raw
+bytes follow the newline.  Bodies carry what is already self-verifying
+or canonical, verbatim: WAL segment bytes up (the segment's own record
+CRCs make end-to-end verification free) and ``report.json`` bytes down.
 
 Verbs (client -> server), mirroring the verb-tagged ``Message``
 discipline of ``repro.runtime.sockets``:
@@ -26,7 +26,8 @@ discipline of ``repro.runtime.sockets``:
   frame body; ACKed only after the bytes are durably spooled;
 * ``finalize`` — the tenant is done shipping; declares the per-stream
   segment counts so the server can verify completeness;
-* ``report``   — poll for the tenant's finished detection report;
+* ``report``   — poll for the tenant's finished detection report (the
+  canonical ``report.json`` bytes ride in the response body);
 * ``status``   — server-wide snapshot (tenants, overload level);
 * ``shutdown`` — ask the server to stop (operator use).
 
@@ -44,10 +45,10 @@ from __future__ import annotations
 import json
 import re
 import socket
-import zlib
 from typing import BinaryIO, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
+from repro.framing import Damage, decode_line, encode_line
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -69,6 +70,7 @@ RETRYABLE_ERRORS = frozenset(
 )
 
 _MAX_FRAME_JSON = 1 << 20  # 1 MiB of JSON is already a malformed peer
+_MAX_FRAME_LINE = _MAX_FRAME_JSON + len(encode_line(b"F", b""))
 _MAX_FRAME_BODY = 64 << 20  # segments are ~100s of KB; 64 MiB is a cap
 _TENANT_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -95,8 +97,7 @@ def send_frame(
         doc = dict(doc)
         doc["body"] = len(body)
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    wfile.write(b"F %08x %08x %s\n" % (len(payload), crc, payload))
+    wfile.write(encode_line(b"F", payload))
     if body:
         wfile.write(body)
     wfile.flush()
@@ -107,24 +108,14 @@ def recv_frame(
 ) -> Optional[Tuple[Dict[str, object], bytes]]:
     """Read one frame; ``None`` on clean EOF (peer closed between
     frames).  Raises :class:`ProtocolError` on torn/corrupt framing."""
-    header = rfile.read(20)  # b"F " + 8 hex + b" " + 8 hex + b" "
-    if not header:
+    # The bound stops a malformed peer from making us buffer without
+    # limit: a line that long is never terminated, so it decodes torn.
+    raw = rfile.readline(_MAX_FRAME_LINE)
+    if not raw:
         return None
-    if len(header) < 20 or not header.startswith(b"F "):
-        raise ProtocolError("torn or unrecognized frame header")
-    try:
-        length = int(header[2:10], 16)
-        crc = int(header[11:19], 16)
-    except ValueError:
-        raise ProtocolError("unparseable frame header")
-    if length > _MAX_FRAME_JSON:
-        raise ProtocolError(f"frame JSON too large ({length} bytes)")
-    payload = rfile.read(length + 1)  # + trailing newline
-    if len(payload) < length + 1 or payload[length:] != b"\n":
-        raise ProtocolError("torn frame payload")
-    payload = payload[:length]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ProtocolError("frame CRC mismatch")
+    payload = decode_line(raw, b"F")
+    if isinstance(payload, Damage):
+        raise ProtocolError(f"bad frame: {payload.detail}")
     try:
         doc = json.loads(payload)
     except ValueError:

@@ -7,7 +7,7 @@ would have produced.  That only works if the report contains nothing
 nondeterministic — so the canonical doc carries the *detection outcome*
 (candidate seq pairs, record counts, confidence, model, window) and
 deliberately omits timings, RSS, and throughput.  Those live in metrics
-and ``BENCH_service.json`` instead.
+and the perf ledger (``benchmarks/perf/RESULTS.json``) instead.
 
 Both producers — the service's per-tenant pump and the offline
 ``stream --report-out`` pass — funnel through :func:`build_report_doc`

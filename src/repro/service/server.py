@@ -24,8 +24,9 @@ is published when the tenant finalizes.  The moving parts:
   stops issuing credits until pressure drains;
 * **circuit breaker** — per-tenant quarantine after a streak of
   torn/CRC-bad segment uploads, evidence preserved on disk;
-* **crash recovery** — ingestion ACKs only after fsync+rename into the
-  spool; the pump checkpoints its detector with a raw-merge watermark;
+* **crash recovery** — ingestion ACKs only after the segment is
+  atomically published (``repro.framing.atomic_write``) in the spool;
+  the pump checkpoints its detector with a raw-merge watermark;
   on restart every tenant directory is recovered and resumed.  Because
   the merge order is deterministic, ``kill -9`` + restart loses no
   acknowledged segment and re-produces byte-identical reports.
@@ -44,7 +45,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro import obs
 from repro.analysis.governor import (
@@ -52,6 +53,7 @@ from repro.analysis.governor import (
     OVERLOAD_LADDER,
     maybe_stall,
 )
+from repro.framing import atomic_write
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.obs.http import ObsHttpServer
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -153,14 +155,20 @@ class DetectionServer:
         self._threads = [accept, monitor]
         return self
 
-    def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None:
+    def _close_listener(self) -> None:
+        listener, self._listener = self._listener, None
+        if listener is not None:
             try:
-                self._listener.close()
+                # close() alone does not wake a thread blocked in
+                # accept(); shutdown() does.
+                listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            self._listener = None
+            listener.close()
+
+    def stop(self) -> None:
+        self._stopping.set()
+        self._close_listener()
         with self._lock:
             tenants = list(self.tenants.values())
             pumps = list(self._pumps.values())
@@ -183,11 +191,6 @@ class DetectionServer:
     def stopping(self) -> bool:
         return self._stopping.is_set()
 
-    def serve_forever(self) -> None:
-        """Block until :meth:`stop` (used by the CLI ``serve``)."""
-        while not self._stopping.is_set():
-            time.sleep(0.2)
-
     def _write_service_file(self) -> None:
         doc = {
             "format": "repro-service",
@@ -198,11 +201,10 @@ class DetectionServer:
             "http_port": self.http.port if self.http is not None else None,
             "data_dir": self.data_dir,
         }
-        path = os.path.join(self.data_dir, SERVICE_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
+        atomic_write(
+            os.path.join(self.data_dir, SERVICE_FILE),
+            json.dumps(doc, indent=2, sort_keys=True).encode(),
+        )
 
     # -- recovery ----------------------------------------------------------
 
@@ -324,9 +326,10 @@ class DetectionServer:
     # -- connections -------------------------------------------------------
 
     def _accept_loop(self) -> None:
+        listener = self._listener
         while not self._stopping.is_set():
             try:
-                conn, _addr = self._listener.accept()
+                conn, _addr = listener.accept()
             except OSError:
                 return  # listener closed
             conn.settimeout(60.0)
@@ -360,7 +363,7 @@ class DetectionServer:
                     return
                 doc, body = frame
                 started = time.perf_counter()
-                response = self._dispatch(doc, body)
+                response, response_body = self._dispatch(doc, body)
                 obs.histogram(
                     "service_request_seconds",
                     "server-side request handling latency",
@@ -368,16 +371,12 @@ class DetectionServer:
                     time.perf_counter() - started
                 )
                 try:
-                    protocol.send_frame(wfile, response)
+                    protocol.send_frame(wfile, response, response_body)
                 except (OSError, socket.timeout):
                     return
                 if doc.get("verb") == "shutdown" and response.get("ok"):
                     self._stopping.set()
-                    if self._listener is not None:
-                        try:
-                            self._listener.close()
-                        except OSError:
-                            pass
+                    self._close_listener()
                     return
         finally:
             for closer in (rfile.close, wfile.close, conn.close):
@@ -390,7 +389,9 @@ class DetectionServer:
 
     def _dispatch(
         self, doc: Dict[str, object], body: bytes
-    ) -> Dict[str, object]:
+    ) -> Tuple[Dict[str, object], bytes]:
+        """Run one verb; returns the response doc and its body (a
+        handler that has one — only ``report`` — returns the pair)."""
         verb = doc.get("verb")
         handler = {
             "hello": self._handle_hello,
@@ -401,15 +402,16 @@ class DetectionServer:
             "shutdown": lambda d, b: ok_frame(stopping=True),
         }.get(verb)  # type: ignore[arg-type]
         if handler is None:
-            return error_frame("bad_request", f"unknown verb {verb!r}")
+            return error_frame("bad_request", f"unknown verb {verb!r}"), b""
         try:
-            return handler(doc, body)
+            response = handler(doc, body)
         except Exception as exc:  # never kill the connection loop
             obs.counter(
                 "service_handler_errors_total",
                 "unexpected exceptions inside verb handlers",
             ).labels(verb=str(verb)).inc()
-            return error_frame("internal", f"{type(exc).__name__}: {exc}")
+            return error_frame("internal", f"{type(exc).__name__}: {exc}"), b""
+        return response if isinstance(response, tuple) else (response, b"")
 
     def _tenant_or_error(
         self, doc: Dict[str, object]
@@ -616,13 +618,7 @@ class DetectionServer:
             if index < stream.received:  # raced with a duplicate
                 return ok_frame(duplicate=True, **self._session_fields(tenant))
             os.makedirs(stream.directory, exist_ok=True)
-            path = stream.segment_path(index)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_write(stream.segment_path(index), body)
             stream.received = index + 1
         tenant.wakeup.set()
         obs.counter(
@@ -663,7 +659,7 @@ class DetectionServer:
 
     def _handle_report(
         self, doc: Dict[str, object], body: bytes
-    ) -> Dict[str, object]:
+    ) -> Union[Dict[str, object], Tuple[Dict[str, object], bytes]]:
         tenant, err = self._tenant_or_error(doc)
         if err is not None:
             return err
@@ -678,9 +674,11 @@ class DetectionServer:
                 "detection still running",
                 retry_after_s=RETRY_AFTER["not_ready"],
             )
-        with open(tenant.report_path) as fh:
-            report = json.load(fh)
-        return ok_frame(report=report)
+        # The canonical report.json bytes ride as the body, verbatim:
+        # the frame-JSON size cap does not apply to them and nothing is
+        # parsed or re-serialized here.
+        with open(tenant.report_path, "rb") as fh:
+            return ok_frame(), fh.read()
 
     def _handle_status(
         self, doc: Dict[str, object], body: bytes

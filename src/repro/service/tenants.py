@@ -14,8 +14,8 @@ cheap: an offline ``repro stream <tenant>/spool`` pass over the spool
 must produce the same canonical report the service did.
 
 Ingestion is crash-ordered: a segment is ACKed only after its bytes are
-durably in the spool (write-fsync-rename), and everything else —
-``state.json``, the detector checkpoint — is reconstructible from the
+durably in the spool (``repro.framing.atomic_write``), and everything
+else — ``state.json``, the detector checkpoint — is reconstructible from the
 spool plus the deterministic merge.  ``kill -9`` therefore loses
 nothing that was ever acknowledged.
 
@@ -43,13 +43,18 @@ from repro.detect.streaming import (
     save_stream_checkpoint,
     stream_fingerprint,
 )
+from repro.framing import atomic_write
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import OpEvent
 from repro.service.breaker import CircuitBreaker
 from repro.service.report import build_report_doc, render_report
-from repro.trace.records import record_from_dict
 from repro.trace.sampling import Sampler, build_sampler
-from repro.trace.wal import iter_segment_records, list_stream_segments
+from repro.trace.wal import (
+    WalStreamReader,
+    list_stream_segments,
+    segment_name,
+    stream_dir,
+)
 
 __all__ = ["Tenant", "StreamKey", "TENANT_STATE_FORMAT"]
 
@@ -74,10 +79,16 @@ class _SpoolStream:
     """One (node, tid) stream: spooled segment files plus the parse
     cursor feeding the merge."""
 
-    def __init__(self, node: str, tid: int, directory: str) -> None:
+    def __init__(
+        self, node: str, tid: int, directory: str, damage: Counter
+    ) -> None:
         self.node = node
         self.tid = tid
         self.directory = directory
+        #: The same verified, truncate-at-first-damage reader the
+        #: offline ``stream`` pass uses: a segment that rots after its
+        #: ACK ends this stream exactly where offline would end it.
+        self.reader = WalStreamReader(damage)
         #: Segments durably spooled (next expected upload index).
         self.received = 0
         #: Segments fully parsed into the merge buffer.
@@ -92,27 +103,22 @@ class _SpoolStream:
         return (self.node, self.tid)
 
     def segment_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"seg-{index:04d}.wal")
+        return os.path.join(self.directory, segment_name(index))
 
-    def refill(self, damage: Counter) -> None:
+    def refill(self) -> None:
         """Parse spooled segments into the merge buffer until a record
         is available (or the spool cursor catches up)."""
-        while not self.pending and self.consumed_segments < self.received:
+        while not self.pending and self.unparsed:
             path = self.segment_path(self.consumed_segments)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            for raw in iter_segment_records(data):
-                try:
-                    self.pending.append(record_from_dict(raw))
-                except (ValueError, KeyError, TypeError):
-                    # Segment CRC passed at ingest, so this is a schema
-                    # problem, not corruption; count and continue.
-                    damage["damaged_records"] += 1
+            self.pending.extend(self.reader.segment(path))
             self.consumed_segments += 1
 
     @property
     def unparsed(self) -> int:
-        """Spooled segments not yet parsed into the merge buffer."""
+        """Spooled segments still to be parsed into the merge buffer
+        (none once damage has truncated the stream)."""
+        if self.reader.truncated:
+            return 0
         return self.received - self.consumed_segments
 
     @property
@@ -128,11 +134,14 @@ class _SpoolStream:
 
     @property
     def exhausted(self) -> bool:
-        """All declared segments parsed and drained."""
-        return (
-            self.declared is not None
-            and self.consumed_segments >= self.declared
-            and not self.pending
+        """All declared segments parsed (or the stream truncated by
+        damage) and the buffer drained."""
+        return not self.pending and (
+            self.reader.truncated
+            or (
+                self.declared is not None
+                and self.consumed_segments >= self.declared
+            )
         )
 
     @property
@@ -230,12 +239,10 @@ class Tenant:
             "bad_total": self.breaker.bad_total,
             "window": self.window,
         }
-        tmp = self.state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.state_path)
+        atomic_write(
+            self.state_path,
+            json.dumps(doc, sort_keys=True, indent=2).encode(),
+        )
 
     @classmethod
     def recover(cls, tenant_id: str, root: str, **kwargs: object) -> "Tenant":
@@ -261,12 +268,7 @@ class Tenant:
             self._engage_sampler()
         self.breaker.quarantined = bool(doc.get("quarantined"))
         self.breaker.bad_total = int(doc.get("bad_total", 0))
-        spooled = (
-            list_stream_segments(self.spool_dir)
-            if os.path.isdir(self.spool_dir)
-            else {}
-        )
-        for key, paths in spooled.items():
+        for key, paths in list_stream_segments(self.spool_dir).items():
             stream = self.streams.get(key)
             if stream is not None:
                 stream.received = len(paths)
@@ -301,12 +303,8 @@ class Tenant:
                     extra.get("consumed_raw", self.detector.records_consumed)
                 )
                 self._last_checkpoint_raw = self._skip_raw
-                self.damage.update(
-                    {
-                        str(k): int(v)
-                        for k, v in (extra.get("damage") or {}).items()
-                    }
-                )
+                # Damage counts are not checkpointed: the resume replay
+                # re-reads the spool from its start and re-finds them.
                 if self.sampler is not None:
                     for k, v in (extra.get("sampled_dropped") or {}).items():
                         self.sampler.dropped[str(k)] = int(v)
@@ -319,10 +317,9 @@ class Tenant:
             key = (node, tid)
             if key in self.streams:
                 continue
-            directory = os.path.join(
-                self.spool_dir, node, f"thread-{tid}"
+            self.streams[key] = _SpoolStream(
+                node, tid, stream_dir(self.spool_dir, node, tid), self.damage
             )
-            self.streams[key] = _SpoolStream(node, tid, directory)
 
     def stream_keys(self) -> List[StreamKey]:
         return sorted(self.streams)
@@ -330,9 +327,7 @@ class Tenant:
     def pending_segments(self) -> int:
         """Spooled-but-unparsed segments across all streams (the
         tenant's queue depth, governing credits)."""
-        return sum(
-            s.received - s.consumed_segments for s in self.streams.values()
-        )
+        return sum(s.unparsed for s in self.streams.values())
 
     def declare_totals(self, totals: Dict[str, int]) -> Optional[str]:
         """Record final per-stream segment counts announced at hello.
@@ -429,7 +424,7 @@ class Tenant:
             for stream in self.streams.values():
                 if stream.closed:
                     continue
-                stream.refill(self.damage)
+                stream.refill()
                 if stream.exhausted:
                     # Deliver close exactly once, and never during the
                     # resume replay (pre-watermark closes are already
@@ -462,6 +457,7 @@ class Tenant:
                 if not keep:
                     continue
             detector.feed(event)
+        return advanced
 
     def maybe_checkpoint(self, force: bool = False) -> bool:
         """Save the detector checkpoint (with the raw watermark) when
@@ -471,10 +467,7 @@ class Tenant:
         raw = max(self.consumed_raw, self._skip_raw)
         if not force and raw - self._last_checkpoint_raw < self.checkpoint_every:
             return False
-        extra: Dict[str, object] = {
-            "consumed_raw": raw,
-            "damage": dict(self.damage),
-        }
+        extra: Dict[str, object] = {"consumed_raw": raw}
         if self.sampler is not None:
             extra["sampled_dropped"] = dict(self.sampler.dropped)
         save_stream_checkpoint(
@@ -533,12 +526,7 @@ class Tenant:
                 dict(self.sampler.dropped) if self.sampler is not None else {}
             ),
         )
-        tmp = self.report_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(render_report(doc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.report_path)
+        atomic_write(self.report_path, render_report(doc))
         self.done = True
         obs.counter(
             "service_reports_total", "tenant reports published"

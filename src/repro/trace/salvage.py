@@ -7,18 +7,10 @@ into a structured ``SalvageReport`` (what was lost, where, and why), and
 the partial ``Trace`` is handed to the analysis pipeline, which degrades
 to ``confidence: "partial"`` results instead of dying.
 
-What counts as damage:
-
-* **torn record** — an ``R`` line whose payload is shorter than its
-  length prefix (a write interrupted mid-record);
-* **CRC mismatch** — payload present but corrupted;
-* **bad JSON / bad record** — payload decodes but is not a valid record;
-* **garbage line** — a line that is not ``H``/``R``/``S`` framed at all;
-* **unsealed segment** — a segment file with no seal marker: its tail
-  (and any records buffered but never flushed) is gone;
-* **seal mismatch** — a seal whose count/CRC disagrees with the records
-  actually read (silent loss *inside* a sealed segment);
-* **missing segment** — a gap in the segment numbering.
+What counts as damage — torn, CRC-bad and garbage lines, lying seals,
+frames that are not valid records, unsealed and missing segments — is
+defined once, in ``docs/framing.md``; salvage's policy is to quarantine
+each one and carry on.
 
 **Live mode** (``live=True`` / ``dcatch salvage --live``): the WAL is
 still being written — the tracer is running right now.  A growing
@@ -35,13 +27,18 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import TraceFormatError
+from repro.framing import Damage, SegmentScan
 from repro.trace.records import record_from_dict
 from repro.trace.store import Trace
+from repro.trace.wal import (
+    require_stream_segments,
+    segment_index,
+    segment_name,
+)
 
 
 @dataclass
@@ -54,12 +51,7 @@ class QuarantinedRecord:
     reason: str
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "byte_start": self.byte_start,
-            "byte_end": self.byte_end,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -85,16 +77,7 @@ class ThreadSalvage:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "node": self.node,
-            "tid": self.tid,
-            "records_recovered": self.records_recovered,
-            "records_quarantined": self.records_quarantined,
-            "sealed_segments": self.sealed_segments,
-            "unsealed_segments": self.unsealed_segments,
-            "in_progress_segments": self.in_progress_segments,
-            "missing_segments": self.missing_segments,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -197,21 +180,29 @@ def _quarantine(
     report: SalvageReport,
     thread: ThreadSalvage,
     path: str,
-    start: int,
-    end: int,
-    reason: str,
-    kind: str,
+    raw: bytes,
+    damage: Damage,
 ) -> None:
-    report.records_quarantined += 1
-    thread.records_quarantined += 1
-    if kind == "torn":
-        report.torn_records += 1
-    elif kind == "crc":
-        report.crc_mismatches += 1
+    """Record one damaged line.  A lying seal loses no record *line*,
+    so it is tallied apart from the quarantined records."""
+    if damage.kind == "seal":
+        report.seal_mismatches += 1
     else:
-        report.bad_records += 1
+        report.records_quarantined += 1
+        thread.records_quarantined += 1
+        if damage.kind == "torn":
+            report.torn_records += 1
+        elif damage.kind == "crc":
+            report.crc_mismatches += 1
+        else:
+            report.bad_records += 1
     report.quarantined.append(
-        QuarantinedRecord(path=path, byte_start=start, byte_end=end, reason=reason)
+        QuarantinedRecord(
+            path=path,
+            byte_start=damage.offset,
+            byte_end=damage.offset + len(raw.rstrip(b"\n")),
+            reason=damage.detail,
+        )
     )
 
 
@@ -222,99 +213,38 @@ def _salvage_segment(
     records: List[dict],
     live_tail: bool = False,
 ) -> None:
-    """Scan one segment file line by line; recover what verifies.
+    """Scan one segment file line by line; recover what verifies,
+    quarantine every damaged line and carry on.
 
     ``live_tail`` marks the stream's growing last segment during a live
     capture: an unterminated final line and a missing seal are then
     *in progress*, not damage."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    offset = 0
-    count = 0
-    running_crc = 0
-    sealed = False
+    scan = SegmentScan()
     rel = os.path.relpath(path, report.directory)
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        end = len(data) if newline < 0 else newline
-        line = data[offset:end]
-        torn_tail = newline < 0  # no terminator: the write was cut short
-        if torn_tail and live_tail:
-            # The writer is mid-append on this very line; it will be
-            # complete (or sealed over) by the next look.
-            report.records_in_progress += 1
-            offset = end + 1
-            continue
-        if line.startswith(b"H "):
-            pass  # header carries no records
-        elif line.startswith(b"R "):
-            ok = False
-            head, payload = line[:20], line[20:]
-            try:
-                length = int(head[2:10], 16)
-                crc = int(head[11:19], 16)
-            except ValueError:
-                _quarantine(
-                    report, thread, rel, offset, end,
-                    "unparseable record framing", "torn",
-                )
-            else:
-                if torn_tail or len(payload) != length:
-                    _quarantine(
-                        report, thread, rel, offset, end,
-                        f"torn record: {len(payload)} of {length} payload bytes",
-                        "torn",
+    with open(path, "rb") as fh:
+        for raw in fh:
+            if live_tail and not raw.endswith(b"\n"):
+                # The writer is mid-append on this very line; it will be
+                # complete (or sealed over) by the next look.
+                report.records_in_progress += 1
+                continue
+            item = scan.feed(raw)
+            if item is None:
+                continue
+            if isinstance(item, bytes):
+                try:
+                    records.append(json.loads(item))
+                except ValueError:
+                    item = Damage(
+                        "bad", scan.offset - len(raw),
+                        "payload is not valid JSON",
                     )
-                elif zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    _quarantine(
-                        report, thread, rel, offset, end,
-                        "CRC mismatch", "crc",
-                    )
-                else:
-                    try:
-                        records.append(json.loads(payload))
-                        ok = True
-                    except ValueError:
-                        _quarantine(
-                            report, thread, rel, offset, end,
-                            "payload is not valid JSON", "bad",
-                        )
-            if ok:
-                count += 1
-                running_crc = zlib.crc32(payload, running_crc) & 0xFFFFFFFF
-                report.records_recovered += 1
-                thread.records_recovered += 1
-        elif line.startswith(b"S ") and not torn_tail:
-            try:
-                seal_count = int(line[2:10], 16)
-                seal_crc = int(line[11:19], 16)
-            except ValueError:
-                _quarantine(
-                    report, thread, rel, offset, end,
-                    "unparseable seal marker", "torn",
-                )
-            else:
-                sealed = True
-                if seal_count != count or seal_crc != running_crc:
-                    report.seal_mismatches += 1
-                    report.quarantined.append(
-                        QuarantinedRecord(
-                            path=rel,
-                            byte_start=offset,
-                            byte_end=end,
-                            reason=(
-                                f"seal mismatch: sealed {seal_count} records, "
-                                f"read {count}"
-                            ),
-                        )
-                    )
-        elif line:
-            _quarantine(
-                report, thread, rel, offset, end,
-                "unrecognized line framing", "torn" if torn_tail else "bad",
-            )
-        offset = end + 1
-    if sealed:
+            if isinstance(item, Damage):
+                _quarantine(report, thread, rel, raw, item)
+                continue
+            report.records_recovered += 1
+            thread.records_recovered += 1
+    if scan.sealed:
         report.sealed_segments += 1
         thread.sealed_segments += 1
     elif live_tail:
@@ -323,15 +253,6 @@ def _salvage_segment(
     else:
         report.unsealed_segments += 1
         thread.unsealed_segments += 1
-
-
-def _segment_index(filename: str) -> Optional[int]:
-    if filename.startswith("seg-") and filename.endswith(".wal"):
-        try:
-            return int(filename[4:-4])
-        except ValueError:
-            return None
-    return None
 
 
 def salvage_trace(
@@ -348,57 +269,29 @@ def salvage_trace(
     stream's growing tail segment may legitimately be unsealed and end
     mid-record; those are reported as in-progress, not damage, so a
     healthy live capture salvages clean."""
-    if not os.path.isdir(directory):
-        raise TraceFormatError(f"not a WAL directory: {directory}")
+    streams = require_stream_segments(directory)
     report = SalvageReport(directory=directory)
     raw_records: List[dict] = []
-    streams = 0
-    for node in sorted(os.listdir(directory)):
-        node_dir = os.path.join(directory, node)
-        if not os.path.isdir(node_dir):
-            continue
-        for thread_entry in sorted(os.listdir(node_dir)):
-            thread_dir = os.path.join(node_dir, thread_entry)
-            if not os.path.isdir(thread_dir) or not thread_entry.startswith(
-                "thread-"
-            ):
-                continue
-            try:
-                tid = int(thread_entry[len("thread-"):])
-            except ValueError:
-                continue
-            streams += 1
-            thread = ThreadSalvage(node=node, tid=tid)
-            report.threads[f"{node}/thread-{tid}"] = thread
-            indices = sorted(
-                idx
-                for entry in os.listdir(thread_dir)
-                if (idx := _segment_index(entry)) is not None
-            )
-            if indices:
-                # Gaps in the numbering are lost files, not lost tails.
-                have = set(indices)
-                for missing in range(indices[-1] + 1):
-                    if missing not in have:
-                        thread.missing_segments.append(missing)
-                        report.missing_segments.append(
-                            os.path.join(
-                                node, thread_entry, f"seg-{missing:04d}.wal"
-                            )
-                        )
-            for idx in indices:
-                _salvage_segment(
-                    os.path.join(thread_dir, f"seg-{idx:04d}.wal"),
-                    report,
-                    thread,
-                    raw_records,
-                    live_tail=live and idx == indices[-1],
+    for (node, tid), paths in streams.items():
+        thread = ThreadSalvage(node=node, tid=tid)
+        key = f"{node}/thread-{tid}"
+        report.threads[key] = thread
+        # Gaps in the numbering are lost files, not lost tails.
+        have = {segment_index(path) for path in paths}
+        for missing in range(max(have, default=-1) + 1):
+            if missing not in have:
+                thread.missing_segments.append(missing)
+                report.missing_segments.append(
+                    os.path.join(key, segment_name(missing))
                 )
-    if streams == 0:
-        raise TraceFormatError(
-            f"no WAL streams under {directory} "
-            "(expected <node>/thread-<tid>/seg-*.wal)"
-        )
+        for path in paths:
+            _salvage_segment(
+                path,
+                report,
+                thread,
+                raw_records,
+                live_tail=live and path is paths[-1],
+            )
 
     trace = Trace(name)
     decoded = []

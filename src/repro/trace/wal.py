@@ -13,16 +13,10 @@ Layout (under one WAL directory)::
     <dir>/<node>/thread-<tid>/seg-0001.wal
     ...
 
-Each segment file is line-oriented so a reader can resynchronize after
-damage.  Line grammar::
-
-    H <json>                      header: node, tid, segment index, format
-    R <len:08x> <crc:08x> <json>  one record (len/CRC32 of the JSON bytes)
-    S <count:08x> <crc:08x>       seal: record count + running CRC
-
-The length prefix detects torn (partially written) records, the per-line
-CRC detects bit rot, and the seal marker distinguishes a cleanly closed
-segment from one whose tail was lost.  Records are buffered and flushed
+Each segment file is a header line, framed record lines and a seal, in
+the line format `repro.framing` owns (grammar and damage taxonomy:
+``docs/framing.md``); being line-oriented, a reader can resynchronize
+after damage.  Records are buffered and flushed
 every ``flush_every`` appends: the unflushed suffix is exactly what a
 crash loses.  ``abandon()`` models the crash — it drops part of the
 buffer and tears the last write mid-record, which is what the salvage
@@ -31,13 +25,21 @@ path (`repro.trace.salvage`) must recover from.
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import zlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+import re
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.errors import TraceFormatError
+from repro.framing import Damage, SegmentScan, crc32, encode_line, encode_seal
 from repro.runtime.ops import OpEvent
-from repro.trace.records import TRACE_SCHEMA_VERSION, record_to_dict
+from repro.trace.records import (
+    TRACE_SCHEMA_VERSION,
+    record_from_dict,
+    record_to_dict,
+)
 
 #: Fires after a segment seals: ``(node, tid, segment_index, path)``.
 #: This is the hook the detection-service client rides to ship sealed
@@ -56,17 +58,21 @@ DEFAULT_SEGMENT_RECORDS = 256
 DEFAULT_FLUSH_EVERY = 32
 
 
-def _crc(payload: bytes, running: int = 0) -> int:
-    return zlib.crc32(payload, running) & 0xFFFFFFFF
+_SEGMENT_NAME = re.compile(r"seg-(\d+)\.wal")
 
 
-def encode_record_line(payload: bytes) -> bytes:
-    """Frame one JSON payload as an ``R`` line."""
-    return b"R %08x %08x " % (len(payload), _crc(payload)) + payload + b"\n"
+def stream_dir(wal_dir: str, node: str, tid: int) -> str:
+    return os.path.join(wal_dir, node, f"thread-{tid}")
 
 
-def encode_seal_line(count: int, running_crc: int) -> bytes:
-    return b"S %08x %08x\n" % (count, running_crc & 0xFFFFFFFF)
+def segment_name(index: int) -> str:
+    return f"seg-{index:04d}.wal"
+
+
+def segment_index(path: str) -> Optional[int]:
+    """The index in a ``seg-NNNN.wal`` file name, else ``None``."""
+    match = _SEGMENT_NAME.fullmatch(os.path.basename(path))
+    return int(match.group(1)) if match else None
 
 
 class WalWriter:
@@ -81,7 +87,7 @@ class WalWriter:
         flush_every: int = DEFAULT_FLUSH_EVERY,
         on_seal: Optional[SealCallback] = None,
     ) -> None:
-        self.directory = os.path.join(directory, node, f"thread-{tid}")
+        self.directory = stream_dir(directory, node, tid)
         self.node = node
         self.tid = tid
         self.segment_records = max(1, segment_records)
@@ -106,7 +112,7 @@ class WalWriter:
         self._segment_index += 1
         self._segment_count = 0
         self._segment_crc = 0
-        path = os.path.join(self.directory, f"seg-{self._segment_index:04d}.wal")
+        path = os.path.join(self.directory, segment_name(self._segment_index))
         self._segment_path = path
         self._fh = open(path, "wb")
         header = {
@@ -132,7 +138,7 @@ class WalWriter:
 
     def _seal_segment(self) -> None:
         self._drain_buffer()
-        line = encode_seal_line(self._segment_count, self._segment_crc)
+        line = encode_seal(self._segment_count, self._segment_crc)
         self._fh.write(line)
         self._fh.flush()
         self.bytes_written += len(line)
@@ -149,10 +155,10 @@ class WalWriter:
         if self.closed:
             return
         payload = json.dumps(data, sort_keys=True).encode()
-        self._buffer.append(encode_record_line(payload))
+        self._buffer.append(encode_line(b"R", payload))
         self._buffered += 1
         self._segment_count += 1
-        self._segment_crc = _crc(payload, self._segment_crc)
+        self._segment_crc = crc32(payload, self._segment_crc)
         self.records_written += 1
         if self._buffered >= self.flush_every:
             self._drain_buffer()
@@ -286,12 +292,11 @@ class WalSink:
             )
 
 
-# -- segment framing helpers -------------------------------------------------
+# -- reading segments ----------------------------------------------------------
 #
-# The segment file format doubles as the detection service's wire unit:
-# a client ships whole sealed segment files, the server re-verifies the
-# same length/CRC/seal framing before spooling.  These helpers are the
-# single implementation both sides (and salvage-adjacent tooling) share.
+# The segment file doubles as the detection service's wire unit: a client
+# ships whole sealed segment files and the server re-verifies them before
+# spooling.  Every reader is a damage policy over ``framing.SegmentScan``.
 
 
 def verify_segment_bytes(data: bytes) -> Tuple[int, bool, Optional[str]]:
@@ -304,64 +309,75 @@ def verify_segment_bytes(data: bytes) -> Tuple[int, bool, Optional[str]]:
     segment returns ``(count, False, None)`` — whether that is damage is
     the caller's policy (a growing live tail is fine, a shipped segment
     must be sealed)."""
-    count = 0
-    running_crc = 0
-    sealed = False
-    offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        end = len(data) if newline < 0 else newline
-        line = data[offset:end]
-        torn = newline < 0
-        if line.startswith(b"H "):
-            pass
-        elif line.startswith(b"R "):
-            head, payload = line[:20], line[20:]
-            try:
-                length = int(head[2:10], 16)
-                crc = int(head[11:19], 16)
-            except ValueError:
-                return count, sealed, f"unparseable record framing at byte {offset}"
-            if torn or len(payload) != length:
-                return count, sealed, (
-                    f"torn record at byte {offset}: "
-                    f"{len(payload)} of {length} payload bytes"
-                )
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return count, sealed, f"record CRC mismatch at byte {offset}"
-            count += 1
-            running_crc = _crc(payload, running_crc)
-        elif line.startswith(b"S ") and not torn:
-            try:
-                seal_count = int(line[2:10], 16)
-                seal_crc = int(line[11:19], 16)
-            except ValueError:
-                return count, sealed, f"unparseable seal marker at byte {offset}"
-            sealed = True
-            if seal_count != count or seal_crc != running_crc:
-                return count, True, (
-                    f"seal mismatch: sealed {seal_count} records, read {count}"
-                )
-        elif line:
-            return count, sealed, f"unrecognized line framing at byte {offset}"
-        offset = end + 1
-    return count, sealed, None
+    scan = SegmentScan()
+    for raw in io.BytesIO(data):
+        item = scan.feed(raw)
+        if isinstance(item, Damage):
+            return scan.count, scan.sealed, f"{item.detail} at byte {item.offset}"
+    return scan.count, scan.sealed, None
 
 
 def iter_segment_records(data: bytes) -> Iterable[Dict[str, Any]]:
-    """Decode the record payloads of verified segment bytes.
+    """Decode the payloads of a segment's intact record lines (damaged
+    lines are skipped: ``verify_segment_bytes`` is what reports them).
+    Raises ``ValueError`` on an intact frame that is not JSON."""
+    scan = SegmentScan()
+    for raw in io.BytesIO(data):
+        payload = scan.feed(raw)
+        if isinstance(payload, bytes):
+            yield json.loads(payload)
 
-    Assumes ``verify_segment_bytes`` reported no damage; raises
-    ``ValueError`` on malformed JSON (the caller should have verified
-    first)."""
-    for raw in data.split(b"\n"):
-        if raw.startswith(b"R "):
-            yield json.loads(raw[20:])
+
+class WalStreamReader:
+    """Decode one ``(node, tid)`` stream's segment files into events,
+    line by line, **truncating the stream at the first damage** and
+    counting it in ``damage`` (``damaged_records``, ``unsealed_segments``
+    or ``missing_segments``).  The reader of every consumer that feeds
+    a detector as it reads — offline ``stream`` and the service's
+    tenant pump — which cannot order later records of a stream against
+    a lost one."""
+
+    def __init__(self, damage: Counter) -> None:
+        self.damage = damage
+        self.truncated = False
+
+    def _truncate(self, key: str) -> None:
+        self.damage[key] += 1
+        self.truncated = True
+
+    def segment(self, path: str) -> Iterator[OpEvent]:
+        """The events of one segment file, up to its first damage."""
+        scan = SegmentScan()
+        with open(path, "rb") as fh:
+            for raw in fh:
+                item = scan.feed(raw)
+                if item is None:
+                    continue
+                if isinstance(item, Damage):
+                    return self._truncate("damaged_records")
+                try:
+                    event = record_from_dict(json.loads(item))
+                except (ValueError, TraceFormatError):
+                    return self._truncate("damaged_records")
+                yield event
+        if not scan.sealed:
+            self._truncate("unsealed_segments")
+
+    def stream(self, paths: List[str]) -> Iterator[OpEvent]:
+        """The events of a whole stream (``list_stream_segments``
+        order); a gap in the segment numbering ends it."""
+        for expected, path in enumerate(paths):
+            if segment_index(path) != expected:
+                return self._truncate("missing_segments")
+            yield from self.segment(path)
+            if self.truncated:
+                return
 
 
 def list_stream_segments(wal_dir: str) -> Dict[Tuple[str, int], List[str]]:
     """Map every ``(node, tid)`` stream of a WAL directory to its
-    segment file paths, ordered by segment index."""
+    segment file paths, ordered by segment index.  The only walk of the
+    ``<node>/thread-<tid>/seg-NNNN.wal`` tree."""
     streams: Dict[Tuple[str, int], List[str]] = {}
     if not os.path.isdir(wal_dir):
         return streams
@@ -377,9 +393,24 @@ def list_stream_segments(wal_dir: str) -> Dict[Tuple[str, int], List[str]]:
                 tid = int(entry[len("thread-"):])
             except ValueError:
                 continue
-            paths = []
-            for filename in sorted(os.listdir(thread_dir)):
-                if filename.startswith("seg-") and filename.endswith(".wal"):
-                    paths.append(os.path.join(thread_dir, filename))
-            streams[(node, tid)] = paths
+            paths = [
+                os.path.join(thread_dir, filename)
+                for filename in os.listdir(thread_dir)
+                if segment_index(filename) is not None
+            ]
+            streams[(node, tid)] = sorted(paths, key=segment_index)
+    return streams
+
+
+def require_stream_segments(wal_dir: str) -> Dict[Tuple[str, int], List[str]]:
+    """``list_stream_segments`` for readers that cannot proceed without
+    a WAL: raises ``TraceFormatError`` when there is none."""
+    if not os.path.isdir(wal_dir):
+        raise TraceFormatError(f"not a WAL directory: {wal_dir}")
+    streams = list_stream_segments(wal_dir)
+    if not streams:
+        raise TraceFormatError(
+            f"no WAL streams under {wal_dir} "
+            "(expected <node>/thread-<tid>/seg-*.wal)"
+        )
     return streams

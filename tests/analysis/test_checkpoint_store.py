@@ -9,7 +9,7 @@ from repro.analysis.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
     ShardLog,
-    _read_shard_lines,
+    _scan_shard_file,
 )
 from repro.errors import CheckpointError
 
@@ -123,7 +123,7 @@ def test_shard_log_roundtrip_and_torn_tail(tmp_path):
     # a SIGKILL mid-append leaves a torn tail: must be dropped silently
     with open(path, "ab") as fh:
         fh.write(b"R 000000ff 00000000 {\"torn")
-    entries = _read_shard_lines(path)
+    entries = _scan_shard_file(path)[0]
     assert [e["index"] for e in entries] == [0, 1]
 
 
@@ -140,11 +140,11 @@ def test_shard_log_reopen_truncates_torn_tail(tmp_path):
     log = ShardLog(path)
     log.append({"index": 1})
     log.close()
-    assert [e["index"] for e in _read_shard_lines(path)] == [0, 1]
+    assert [e["index"] for e in _scan_shard_file(path)[0]] == [0, 1]
 
 
 def test_shard_log_missing_file_is_empty(tmp_path):
-    assert _read_shard_lines(str(tmp_path / "absent.jsonl")) == []
+    assert _scan_shard_file(str(tmp_path / "absent.jsonl"))[0] == []
 
 
 def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):

@@ -26,6 +26,7 @@ from repro.hb.model import FULL_MODEL
 from repro.ids import CallStack
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace.store import Trace
+from repro.trace.wal import list_stream_segments
 from repro.workload import generate_workload
 
 #: The model streaming actually runs: everything except the families
@@ -221,6 +222,47 @@ def test_damaged_wal_degrades_to_partial(tmp_path):
     assert result.confidence == "partial"
     assert result.damage
     assert result.records_consumed < generated.records
+
+
+def _drop_seal(lines):
+    return [l for l in lines if not l.startswith(b"S ")]
+
+
+def _drop_record(lines):
+    victim = next(i for i, l in enumerate(lines) if l.startswith(b"R "))
+    return lines[:victim] + lines[victim + 1:]
+
+
+def _tear_tail(lines):
+    return lines[:-2] + [lines[-2][: len(lines[-2]) // 2]]
+
+
+@pytest.mark.parametrize(
+    "edit, damage",
+    [
+        (_drop_seal, {"unsealed_segments": 1}),
+        (_tear_tail, {"damaged_records": 1}),
+        # Only the seal's count/CRC can tell a whole line went missing;
+        # the reader used to accept any S line and report "full".
+        (_drop_record, {"damaged_records": 1}),
+        (None, {"missing_segments": 1}),
+    ],
+)
+def test_wal_damage_taxonomy(tmp_path, edit, damage):
+    generated = generate_workload(
+        "minimr", "small", 3, str(tmp_path / "g"), segment_records=16
+    )
+    paths = max(list_stream_segments(generated.wal_dir).values(), key=len)
+    if edit is None:
+        os.remove(paths[0])
+    else:
+        with open(paths[0], "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        with open(paths[0], "wb") as fh:
+            fh.write(b"".join(edit(lines)))
+    result = detect_races_streaming(wal_dir=generated.wal_dir)
+    assert result.confidence == "partial"
+    assert result.damage == damage
 
 
 def test_exactly_one_source_required():

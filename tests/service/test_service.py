@@ -4,7 +4,9 @@ breaker.  Uses real TCP on an ephemeral localhost port."""
 
 import json
 import os
+import shutil
 import threading
+import time
 
 import pytest
 
@@ -13,8 +15,14 @@ from repro.analysis.governor import FleetBudget
 from repro.detect.streaming import detect_races_streaming
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.report import render_report, report_from_stream_result
-from repro.service.server import DetectionServer, load_service_file
+from repro.framing import atomic_write
+from repro.service.report import (
+    build_report_doc,
+    render_report,
+    report_from_stream_result,
+)
+from repro.service.server import PUMP_BATCH, DetectionServer, load_service_file
+from repro.service.tenants import Tenant, stream_key_str
 from repro.trace.wal import list_stream_segments
 from repro.workload import generate_workload
 
@@ -104,6 +112,109 @@ class TestShipAndReport:
         doc = load_service_file(server.data_dir)
         assert doc["port"] == server.port
         assert doc["pid"] == os.getpid()
+
+
+class TestLifecycle:
+    def test_stop_wakes_the_accept_thread(self, tmp_path):
+        """Closing the listener does not wake a blocked accept(); stop()
+        used to wait out its 5 s join timeout on every server."""
+        srv = DetectionServer(str(tmp_path / "data"), http_port=None).start()
+        accept = srv._threads[0]
+        started = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept.is_alive()
+
+    def test_report_over_the_frame_json_cap_is_fetchable(self, tmp_path):
+        """A finished tenant with >=100k candidate pairs: its report is
+        several MiB of JSON, beyond the 1 MiB frame-JSON cap, and rides
+        as the frame body."""
+        root = tmp_path / "data" / "tenants" / "big"
+        root.mkdir(parents=True)
+        tenant = Tenant("big", str(root), window=WINDOW)
+        tenant.declare_streams([("n1", 1)])
+        tenant.save_state()
+        doc = build_report_doc(
+            tenant="big", model="m", window=WINDOW, records=200_000,
+            streams=1, pairs=[(i, i + 1) for i in range(120_000)],
+            confidence="full", damage={}, sampled_dropped={},
+        )
+        published = render_report(doc)
+        assert len(published) > 1 << 20
+        atomic_write(tenant.report_path, published)
+        srv = DetectionServer(
+            str(tmp_path / "data"), window=WINDOW, http_port=None
+        ).start()
+        try:
+            with _client(srv, "big") as client:
+                report = client.wait_report(timeout_s=10)
+        finally:
+            srv.stop()
+        assert report == doc
+        assert render_report(report) == published
+
+
+def _prefilled_tenant(wal_dir, root, **kwargs):
+    """A finalized tenant over a spool that already holds ``wal_dir``."""
+    segments = list_stream_segments(wal_dir)
+    totals = {stream_key_str(k): len(p) for k, p in segments.items()}
+    os.makedirs(root)
+    tenant = Tenant("t", root, window=WINDOW, **kwargs)
+    tenant.declare_streams(sorted(segments))
+    tenant.declare_totals(totals)
+    tenant.save_state()
+    shutil.copytree(wal_dir, tenant.spool_dir)
+    tenant = Tenant.recover("t", root, **kwargs)
+    assert tenant.finalize(totals) is None
+    return tenant
+
+
+class TestTenantPump:
+    def test_pump_returns_the_count_when_it_stops_on_limit(
+        self, tmp_path, wal_dir
+    ):
+        """It used to fall off its loop and return None on a full
+        batch, so the server never slept ``pump_delay_s`` under load."""
+        tenant = _prefilled_tenant(wal_dir, str(tmp_path / "t"))
+        assert tenant.pump(limit=7) == 7
+        assert tenant.consumed_raw == 7
+        while not tenant.drained:
+            assert tenant.pump(limit=PUMP_BATCH) or tenant.drained
+
+    def test_damaged_spool_survives_recovery_without_double_counting(
+        self, tmp_path, wal_dir
+    ):
+        """A spooled segment rots after its ACK; the server is then
+        killed and recovered mid-merge.  The replay re-reads the spool,
+        so the damage must be counted once, and the report must be the
+        offline pass over the same spool."""
+        damaged = str(tmp_path / "wal")
+        shutil.copytree(wal_dir, damaged)
+        streams = list_stream_segments(damaged)
+        victim = streams[max(streams, key=lambda k: len(streams[k]))][0]
+        with open(victim, "rb") as fh:
+            data = bytearray(fh.read())
+        data[data.index(b"\nR ") + 30] ^= 0xFF
+        with open(victim, "wb") as fh:
+            fh.write(bytes(data))
+
+        root = str(tmp_path / "t")
+        tenant = _prefilled_tenant(damaged, root, checkpoint_every=50)
+        assert tenant.pump(limit=120) == 120
+        assert tenant.maybe_checkpoint()
+        assert tenant.damage == {"damaged_records": 1}
+        # kill -9 here; a new process recovers from disk.
+        tenant = Tenant.recover("t", root, checkpoint_every=50)
+        tenant.finalize(
+            {stream_key_str(k): len(p) for k, p in streams.items()},
+            persist=False,
+        )
+        while not tenant.drained:
+            assert tenant.pump(limit=PUMP_BATCH) or tenant.drained
+        report = tenant.write_report()
+        assert report["confidence"] == "partial"
+        assert report["damage"] == {"damaged_records": 1}
+        assert render_report(report) == _offline_report(tenant.spool_dir, "t")
 
 
 class TestStructuredErrors:

@@ -6,10 +6,10 @@ import os
 import pytest
 
 from repro.errors import TraceFormatError
+from repro.framing import encode_line
 from repro.ids import CallStack
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import WalSink, WalWriter, salvage_trace
-from repro.trace.wal import encode_record_line
 
 
 def _event(seq, node="n1", tid=0):
@@ -126,7 +126,7 @@ class TestDamage:
         with open(path, "rb") as fh:
             data = fh.read()
         seal_at = data.rindex(b"S ")
-        injected = b"not a wal line\n" + encode_record_line(b"{broken json")
+        injected = b"not a wal line\n" + encode_line(b"R", b"{broken json")
         with open(path, "wb") as fh:
             fh.write(data[:seal_at] + injected + data[seal_at:])
         trace, report = salvage_trace(str(tmp_path))
@@ -195,7 +195,7 @@ class TestLiveSalvage:
 
         payload = json.dumps(record_to_dict(_event(7))).encode()
         with open(tail, "ab") as fh:
-            line = encode_record_line(payload)
+            line = encode_line(b"R", payload)
             fh.write(line[: len(line) // 2])  # writer cut mid-append
         return sink
 

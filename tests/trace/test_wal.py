@@ -6,10 +6,10 @@ import zlib
 
 import pytest
 
+from repro.framing import encode_line, encode_seal
 from repro.ids import CallStack
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import Tracer, WalSink, WalWriter
-from repro.trace.wal import encode_record_line, encode_seal_line
 
 
 def _event(seq, node="n1", tid=0, kind=OpKind.MEM_WRITE):
@@ -33,7 +33,7 @@ def _read(directory, node, tid, segment):
 class TestFraming:
     def test_record_line_layout(self):
         payload = b'{"a": 1}'
-        line = encode_record_line(payload)
+        line = encode_line(b"R", payload)
         assert line.startswith(b"R ")
         assert line.endswith(payload + b"\n")
         length = int(line[2:10], 16)
@@ -42,7 +42,7 @@ class TestFraming:
         assert crc == zlib.crc32(payload) & 0xFFFFFFFF
 
     def test_seal_line_layout(self):
-        line = encode_seal_line(3, 0xDEADBEEF)
+        line = encode_seal(3, 0xDEADBEEF)
         assert line == b"S 00000003 deadbeef\n"
 
 
