@@ -81,7 +81,7 @@ def main() -> int:
     print("=== act 4: resource pressure degrades instead of dying ===")
     governed = DCatch(
         workload_by_id(BUG),
-        PipelineConfig(trigger=False, detect_workers=2, memory_budget_mb=1),
+        PipelineConfig(trigger=False, memory_budget_mb=1),
     ).run()
     print(f"degradation ladder rungs engaged: {governed.degradation}")
     print(f"candidates found anyway: "

@@ -59,9 +59,8 @@ _INCREMENTAL_FILES = {
 def config_fingerprint(benchmark: str, config: "object") -> str:
     """Hash of every config knob that changes analysis *results*.
 
-    Performance knobs (worker counts, observability) are deliberately
-    excluded: resuming with a different worker count is safe because
-    any worker count produces identical candidates."""
+    Knobs that only change cost (observability, the streaming window)
+    are deliberately excluded: resuming under a different one is safe."""
     model = config.model
     fields = {
         "benchmark": benchmark,
@@ -474,9 +473,7 @@ def detection_payload(detection: "object") -> Dict[str, Any]:
         "truncated_locations": [
             list(loc) for loc in detection.truncated_locations
         ],
-        "workers": detection.workers,
         "stopped_early": detection.stopped_early,
-        "auto_decision": detection.auto_decision,
         "confidence": detection.confidence,
         "analysis_seconds": detection.analysis_seconds,
         "sp_pairs": (
@@ -512,9 +509,7 @@ def restore_detection(
         truncated_locations=[
             tuple(loc) for loc in payload.get("truncated_locations", [])
         ],
-        workers=payload.get("workers", 1),
         stopped_early=payload.get("stopped_early", False),
-        auto_decision=payload.get("auto_decision"),
         confidence=payload.get("confidence", "full"),
         sp_pairs=(
             {(a, b) for a, b in payload["sp_pairs"]}

@@ -16,21 +16,13 @@ from typing import Dict, Optional, Tuple
 #: Where ``write_bench_json`` puts its artifact by default.
 REPO_ROOT = Path(__file__).resolve().parents[3]
 BENCH_JSON_PATH = REPO_ROOT / "BENCH_pipeline.json"
-BENCH_DETECT_JSON_PATH = REPO_ROOT / "BENCH_detect.json"
 
 #: One representative benchmark per mini system, Table 3 order.
 BENCH_REPRESENTATIVES = ("CA-1011", "HB-4539", "MR-3274", "ZK-1144")
 
-#: System vocabulary and seed for the ``--stream`` workload benchmark.
+#: System vocabulary and seed of the ``--sampling`` generated workload.
 STREAM_BENCH_SYSTEM = "minimr"
 STREAM_BENCH_SEED = 0
-#: The streaming mode runs under this fixed RSS budget — proving the
-#: single-pass detector stays bounded even on million-record traces.
-STREAM_BENCH_MEMORY_BUDGET_MB = 512
-#: Whole-graph memory budget for the stream bench's serial baseline —
-#: an xl backbone needs a ~19 GB reachability bit matrix, which is the
-#: point of the comparison (streaming/chunked stay bounded).
-STREAM_SERIAL_BUDGET = 64 * 1024 * 1024 * 1024
 
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import ReportSet
@@ -537,9 +529,6 @@ def bench_sampling_data(
     }
 
 
-# -- machine-readable detection benchmark ------------------------------------------
-
-
 def _timed(fn):
     """(result, wall_seconds, cpu_seconds) of one call."""
     wall = time.perf_counter()
@@ -552,403 +541,13 @@ def _timed(fn):
     )
 
 
-def _candidate_set(detection):
-    return {(c.first.seq, c.second.seq) for c in detection.candidates}
-
-
-def _bench_detect_one(bug_id: str, workers: int) -> Dict[str, object]:
-    """Serial / parallel / compressed detection timings on one full
-    (unselective, Table-8-style) trace."""
-    from repro.detect.chunked import detect_races_chunked
-    from repro.detect.parallel import derive_chunk_geometry
-
-    workload = workload_by_id(bug_id)
-    cluster = workload.cluster(0)
-    tracer = Tracer(scope=FullScope(), name=f"{bug_id}-detect-bench")
-    tracer.bind(cluster)
-    cluster.run()
-    trace = tracer.trace
-
-    from repro.analysis.governor import process_rss_mb
-
-    modes: Dict[str, Dict[str, object]] = {}
-
-    def record(name, detection, wall, cpu, graph=None, extra=None):
-        graph = graph if graph is not None else detection.graph
-        entry = {
-            "wall_seconds": wall,
-            "cpu_seconds": cpu,
-            "candidates": len(detection.candidates),
-            "static_pairs": detection.static_count(),
-            "records_per_second": round(len(trace) / max(wall, 1e-9), 1),
-            "rss_high_water_mb": round(process_rss_mb(), 1),
-            "reach": graph.reach_stats() if graph is not None else None,
-        }
-        entry.update(extra or {})
-        modes[name] = entry
-        return detection
-
-    # Whole-graph, segment-compressed backbone (the production default).
-    serial = record(
-        "serial", *_timed(lambda: detect_races(trace)), extra={"workers": 1}
-    )
-    sharded = record(
-        "sharded",
-        *_timed(lambda: detect_races(trace, workers=workers)),
-        extra={"workers": workers},
-    )
-
-    # The sync-preserving tier: the same candidate list plus the sound
-    # subset — wall cost is the closure graph and one reachability
-    # query per candidate on top of serial detection.
-    from repro.detect.syncpres import detect_races_sync_preserving
-
-    sp, sp_wall, sp_cpu = _timed(lambda: detect_races_sync_preserving(trace))
-    record(
-        "sp",
-        sp,
-        sp_wall,
-        sp_cpu,
-        extra={
-            "workers": 1,
-            "sp_candidates": len(sp.sp_pairs),
-            "tiers": {
-                "sp-sound": len(sp.sp_pairs),
-                "hb-predicted": len(sp.candidates) - len(sp.sp_pairs),
-            },
-        },
-    )
-
-    # workers="auto": serial under the record-count threshold (pool
-    # startup dominates tiny traces), the full pool above it.
-    auto, auto_wall, auto_cpu = _timed(
-        lambda: detect_races(trace, workers="auto")
-    )
-    record(
-        "auto",
-        auto,
-        auto_wall,
-        auto_cpu,
-        extra={"workers": auto.workers, "decision": auto.auto_decision},
-    )
-
-    # The paper's per-vertex graph (compress_mem=False): bit matrix vs
-    # the chain-compressed backend, same vertex set.
-    full_bitset = record(
-        "full_bitset",
-        *_timed(
-            lambda: detect_races(
-                trace,
-                graph=HBGraph(trace, compress_mem=False),
-            )
-        ),
-        extra={"workers": 1},
-    )
-    full_chain = record(
-        "full_chain",
-        *_timed(
-            lambda: detect_races(
-                trace,
-                graph=HBGraph(
-                    trace, compress_mem=False, reach_backend="chain"
-                ),
-            )
-        ),
-        extra={"workers": 1},
-    )
-
-    # Chunked detection (the OOM fallback), serial vs process pool.
-    # Geometry is derived from the trace size and worker count
-    # (``derive_chunk_geometry``) instead of a fixed fan-out; both
-    # modes share it so the equality check isolates parallelism.
-    chunk_size, chunk_overlap = derive_chunk_geometry(len(trace), workers)
-    chunked_serial, wall, cpu = _timed(
-        lambda: detect_races_chunked(
-            trace, chunk_size, chunk_overlap, compress_mem=False
-        )
-    )
-    modes["chunked_serial"] = {
-        "wall_seconds": wall,
-        "cpu_seconds": cpu,
-        "candidates": len(chunked_serial.candidates),
-        "records_per_second": round(len(trace) / max(wall, 1e-9), 1),
-        "rss_high_water_mb": round(process_rss_mb(), 1),
-        "chunks": chunked_serial.chunks,
-        "chunk_size": chunked_serial.chunk_size,
-        "chunk_overlap": chunked_serial.overlap,
-        "workers": 1,
-    }
-    chunked_parallel, wall, cpu = _timed(
-        lambda: detect_races_chunked(
-            trace,
-            chunk_size,
-            chunk_overlap,
-            compress_mem=False,
-            workers=workers,
-        )
-    )
-    modes["chunked_parallel"] = {
-        "wall_seconds": wall,
-        "cpu_seconds": cpu,
-        "candidates": len(chunked_parallel.candidates),
-        "records_per_second": round(len(trace) / max(wall, 1e-9), 1),
-        "rss_high_water_mb": round(process_rss_mb(), 1),
-        "chunks": chunked_parallel.chunks,
-        "chunk_size": chunked_parallel.chunk_size,
-        "chunk_overlap": chunked_parallel.overlap,
-        "workers": workers,
-    }
-
-    chunked_equal = {
-        (c.first.seq, c.second.seq) for c in chunked_serial.candidates
-    } == {(c.first.seq, c.second.seq) for c in chunked_parallel.candidates}
-    equal = {
-        "sharded_matches_serial": _candidate_set(sharded)
-        == _candidate_set(serial),
-        "sp_matches_serial": _candidate_set(sp) == _candidate_set(serial),
-        "sp_subset_of_serial": sp.sp_pairs <= _candidate_set(serial),
-        "auto_matches_serial": _candidate_set(auto) == _candidate_set(serial),
-        "chain_matches_bitset": _candidate_set(full_chain)
-        == _candidate_set(full_bitset),
-        "full_graph_matches_compressed": _candidate_set(full_bitset)
-        == _candidate_set(serial),
-        "chunked_parallel_matches_chunked_serial": chunked_equal,
-    }
-    return {
-        "bug_id": bug_id,
-        "system": workload.info.system,
-        "trace": {
-            "records": len(trace),
-            "backbone": len(serial.graph.backbone),
-            "full_vertices": len(full_bitset.graph.backbone),
-        },
-        "modes": modes,
-        "equal": equal,
-        "speedup": {
-            "chunked_parallel_vs_serial": round(
-                modes["chunked_serial"]["wall_seconds"]
-                / max(modes["chunked_parallel"]["wall_seconds"], 1e-9),
-                3,
-            ),
-            "chain_memory_ratio": round(
-                modes["full_bitset"]["reach"]["bytes"]
-                / max(modes["full_chain"]["reach"]["bytes"], 1),
-                3,
-            ),
-        },
-    }
-
-
-# -- generated-workload streaming benchmark ----------------------------------------
-
-
-def _bench_stream_one(preset: str, workers: int) -> Dict[str, object]:
-    """Streaming vs batch vs chunked on one generated workload.
-
-    Streaming runs first (single WAL pass, before the batch modes
-    inflate process RSS), then the whole-graph serial baseline, then
-    the chunked modes.  Every mode is scored against the generator's
-    planted-race ground truth.
-    """
-    import gc
-    import shutil
-    import tempfile
-
-    from repro.analysis.governor import process_rss_mb
-    from repro.detect.chunked import detect_races_chunked
-    from repro.detect.streaming import detect_races_streaming
-    from repro.trace.salvage import salvage_trace
-    from repro.workload import generate_workload
-
-    out_dir = tempfile.mkdtemp(prefix=f"dcatch-bench-stream-{preset}-")
-    try:
-        generated = generate_workload(
-            STREAM_BENCH_SYSTEM, preset, STREAM_BENCH_SEED, out_dir
-        )
-        planted = {
-            frozenset((race["first_seq"], race["second_seq"]))
-            for race in generated.planted_races
-        }
-
-        def recall(seq_pairs) -> float:
-            if not planted:
-                return 1.0
-            found = {frozenset(pair) for pair in seq_pairs}
-            return round(len(planted & found) / len(planted), 4)
-
-        modes: Dict[str, Dict[str, object]] = {}
-
-        stream, wall, cpu = _timed(
-            lambda: detect_races_streaming(
-                wal_dir=generated.wal_dir,
-                memory_budget_mb=STREAM_BENCH_MEMORY_BUDGET_MB,
-            )
-        )
-        modes["streaming"] = {
-            "wall_seconds": wall,
-            "cpu_seconds": cpu,
-            "memory_budget_mb": STREAM_BENCH_MEMORY_BUDGET_MB,
-            "stopped_early": stream.stopped_early,
-            "candidates": len(stream.candidates),
-            "records_per_second": round(stream.records_per_second, 1),
-            "rss_high_water_mb": round(stream.rss_high_water_mb, 1),
-            "evictions": stream.evictions,
-            "compactions": stream.compactions,
-            "active_high_water": stream.active_high_water,
-            "planted_recall": recall(stream.candidate_seq_pairs()),
-            "workers": 1,
-        }
-        stream_pairs = stream.candidate_seq_pairs()
-        del stream
-
-        trace, _report = salvage_trace(generated.wal_dir)
-        records = len(trace)
-
-        def batch_entry(detection, wall, cpu, extra=None):
-            entry = {
-                "wall_seconds": wall,
-                "cpu_seconds": cpu,
-                "candidates": len(detection.candidates),
-                "records_per_second": round(records / max(wall, 1e-9), 1),
-                "rss_high_water_mb": round(process_rss_mb(), 1),
-                "planted_recall": recall(
-                    (c.first.seq, c.second.seq) for c in detection.candidates
-                ),
-            }
-            entry.update(extra or {})
-            return entry
-
-        serial, wall, cpu = _timed(
-            lambda: detect_races(trace, memory_budget=STREAM_SERIAL_BUDGET)
-        )
-        modes["serial"] = batch_entry(serial, wall, cpu, {"workers": 1})
-        serial_pairs = {(c.first.seq, c.second.seq) for c in serial.candidates}
-        # Free the whole-trace graph (GBs on xl) before the chunked modes.
-        del serial
-        gc.collect()
-
-        chunked_serial, wall, cpu = _timed(
-            lambda: detect_races_chunked(trace)
-        )
-        modes["chunked_serial"] = batch_entry(
-            chunked_serial,
-            wall,
-            cpu,
-            {
-                "chunks": chunked_serial.chunks,
-                "chunk_size": chunked_serial.chunk_size,
-                "chunk_overlap": chunked_serial.overlap,
-                "workers": 1,
-            },
-        )
-        del chunked_serial
-        gc.collect()
-
-        chunked_parallel, wall, cpu = _timed(
-            lambda: detect_races_chunked(trace, workers=workers)
-        )
-        modes["chunked_parallel"] = batch_entry(
-            chunked_parallel,
-            wall,
-            cpu,
-            {
-                "chunks": chunked_parallel.chunks,
-                "chunk_size": chunked_parallel.chunk_size,
-                "chunk_overlap": chunked_parallel.overlap,
-                "workers": workers,
-            },
-        )
-        del chunked_parallel
-        gc.collect()
-
-        serial_wall = modes["serial"]["wall_seconds"]
-        return {
-            "preset": preset,
-            "system": STREAM_BENCH_SYSTEM,
-            "seed": STREAM_BENCH_SEED,
-            "trace": {
-                "records": records,
-                "streams": generated.streams,
-                "planted_races": len(planted),
-            },
-            "modes": modes,
-            "equal": {
-                "streaming_matches_serial": {
-                    frozenset(p) for p in stream_pairs
-                }
-                == {frozenset(p) for p in serial_pairs},
-            },
-            "speedup": {
-                name + "_vs_serial": round(
-                    serial_wall / max(modes[name]["wall_seconds"], 1e-9), 3
-                )
-                for name in ("streaming", "chunked_serial", "chunked_parallel")
-            },
-        }
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
-
-
-def bench_detect_data(
-    bug_ids=BENCH_REPRESENTATIVES,
-    workers: Optional[int] = None,
-    stream_presets=None,
-) -> Dict[str, object]:
-    """The ``BENCH_detect.json`` document."""
-    import os
-    import platform
-    import sys
-
-    if workers is None:
-        workers = min(4, max(2, os.cpu_count() or 1))
-    document = {
-        "format": "repro-bench-detect",
-        "version": 2,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count() or 1,
-        "workers": workers,
-        "chunk_geometry": "derived",
-        "benchmarks": [
-            _guarded(
-                bug_id,
-                lambda bug_id=bug_id: _bench_detect_one(bug_id, workers),
-            )
-            for bug_id in bug_ids
-        ],
-    }
-    if stream_presets:
-        document["stream_benchmarks"] = [
-            _guarded(
-                f"stream-{preset}",
-                lambda preset=preset: _bench_stream_one(preset, workers),
-            )
-            for preset in stream_presets
-        ]
-    return document
-
-
-def write_bench_detect_json(
-    path=BENCH_DETECT_JSON_PATH,
-    bug_ids=BENCH_REPRESENTATIVES,
-    workers: Optional[int] = None,
-    stream_presets=None,
-) -> Path:
-    import json
-
-    path = Path(path)
-    document = bench_detect_data(bug_ids, workers, stream_presets)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.runner",
         description="run one pipeline per mini system and write "
-        "BENCH_pipeline.json (or BENCH_detect.json with --detect)",
+        "BENCH_pipeline.json",
     )
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument(
@@ -958,33 +557,11 @@ def main(argv=None) -> int:
         help="benchmark ids to time",
     )
     parser.add_argument(
-        "--detect",
-        action="store_true",
-        help="benchmark serial/parallel/compressed detection instead of "
-        "the end-to-end pipeline",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the detect bench's parallel modes "
-        "(default: min(4, cpu_count))",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         metavar="DIR",
         help="also measure durable (write-ahead logged) tracing overhead, "
-        "writing WALs under DIR (pipeline bench only)",
-    )
-    parser.add_argument(
-        "--stream",
-        nargs="+",
-        default=None,
-        choices=("small", "medium", "xl"),
-        metavar="PRESET",
-        help="also benchmark streaming vs batch vs chunked detection on "
-        "generated workloads of these sizes (detect bench only)",
+        "writing WALs under DIR",
     )
     parser.add_argument(
         "--sampling",
@@ -994,23 +571,15 @@ def main(argv=None) -> int:
         metavar="PRESET",
         help="also benchmark sampled tracing (overhead + planted-race "
         "recall at rates 1.0/0.1/0.01) on generated workloads of these "
-        "sizes (pipeline bench only)",
+        "sizes",
     )
     args = parser.parse_args(argv)
-    if args.detect:
-        path = write_bench_detect_json(
-            args.out or BENCH_DETECT_JSON_PATH,
-            args.bugs,
-            args.workers,
-            args.stream,
-        )
-    else:
-        path = write_bench_json(
-            args.out or BENCH_JSON_PATH,
-            args.bugs,
-            args.trace_dir,
-            args.sampling,
-        )
+    path = write_bench_json(
+        args.out or BENCH_JSON_PATH,
+        args.bugs,
+        args.trace_dir,
+        args.sampling,
+    )
     print(f"bench results written to {path}")
     return 0
 

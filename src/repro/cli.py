@@ -42,18 +42,6 @@ from repro.errors import (
 )
 
 
-def _parse_workers(raw: str) -> "object":
-    """--workers N | 0 | auto (auto sizes from the trace)."""
-    if raw == "auto":
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {raw!r}"
-        ) from None
-
-
 def _resolve(args: argparse.Namespace):
     """Resolve ``<bug-id>`` or ``<system> <workload>`` to a workload."""
     from repro.systems import resolve_workload
@@ -90,7 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scope="full" if args.full_scope else "selective",
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
-        detect_workers=args.workers,
         reach_backend=args.reach_backend,
         trace_dir=args.trace_dir,
         trigger_max_wait=args.trigger_max_wait,
@@ -271,7 +258,6 @@ def _run_profiled(args: argparse.Namespace):
     config = PipelineConfig(
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
-        detect_workers=getattr(args, "workers", 1),
         reach_backend=getattr(args, "reach_backend", "bitset"),
     )
     with obs.use_registry(registry), obs.use_tracer(tracer):
@@ -575,15 +561,6 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     """Trace-analysis knobs shared by ``run``/``profile``/``metrics``."""
-    parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        metavar="N",
-        help="worker processes for candidate enumeration "
-        "(1 = serial, 0 = one per CPU, auto = serial on small traces; "
-        "same candidates either way)",
-    )
     parser.add_argument(
         "--reach-backend",
         choices=("bitset", "chain"),

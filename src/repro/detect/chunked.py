@@ -15,26 +15,43 @@ LCbug literature the paper cites:
 * HB edges that span chunks are also missed, which can make intra-chunk
   pairs spuriously concurrent (false positives).  A modest overlap
   between consecutive chunks softens both effects.
-
-Chunks are fully independent (each builds its own graph), so they also
-parallelize: ``workers=N`` fans the chunks out over a process pool and
-merges the per-chunk candidate sets in chunk order, producing exactly
-the serial result.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.detect.races import Candidate, DetectionResult, detect_races
-from repro.errors import TraceAnalysisOOM
+from repro.detect.races import Candidate, detect_races
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import Location
 from repro.trace.store import Trace
+
+#: Derived geometry never grows a chunk past this many records — the
+#: per-chunk HB graph + reachability is what bounds analysis memory.
+MAX_CHUNK_RECORDS = 25_000
+
+
+def _default_overlap(chunk_size: int) -> int:
+    """A tenth of a chunk is re-analyzed as backward overlap so
+    cross-chunk pairs near the boundary are still seen."""
+    return chunk_size // 10
+
+
+def derive_chunk_geometry(records: int) -> Tuple[int, int]:
+    """Size chunked detection from the trace: ``(chunk_size, overlap)``
+    for the fewest equal chunks that each stay under
+    ``MAX_CHUNK_RECORDS``.  A trace that fits yields one whole-trace
+    chunk."""
+    if records <= 0:
+        return 1, 0
+    chunks = -(-records // MAX_CHUNK_RECORDS)
+    chunk_size = -(-records // chunks)
+    return chunk_size, _default_overlap(chunk_size)
 
 
 @dataclass
@@ -50,8 +67,6 @@ class ChunkedDetectionResult:
     per_chunk_counts: List[int] = field(default_factory=list)
     #: Locations truncated by ``max_pairs_per_location`` in any chunk.
     truncated_locations: List[Location] = field(default_factory=list)
-    #: Worker processes used (1 = serial, in-process).
-    workers: int = 1
 
     def static_count(self) -> int:
         return len({c.static_pair for c in self.candidates})
@@ -92,93 +107,56 @@ def detect_races_chunked(
     compress_mem: bool = True,
     reach_backend: str = "bitset",
     max_pairs_per_location: int = 200_000,
-    workers: Optional[int] = None,
 ) -> ChunkedDetectionResult:
     """Run detection chunk by chunk and merge the candidate sets.
 
-    ``workers`` runs chunks in a process pool (``None``/``1`` = serial,
-    ``0`` = one per CPU); the merged candidate set is identical for any
-    worker count.  When ``chunk_size`` is omitted the geometry is
-    derived from the trace size and the resolved worker count
-    (``derive_chunk_geometry``) instead of a fixed fan-out; an explicit
-    ``chunk_size`` with no ``overlap`` gets the derived overlap
-    fraction.
+    When ``chunk_size`` is omitted the geometry is derived from the
+    trace size (``derive_chunk_geometry``); an explicit ``chunk_size``
+    with no ``overlap`` gets the same tenth-of-a-chunk overlap.
     """
-    from repro.detect.parallel import (
-        derive_chunk_geometry,
-        resolve_workers,
-        run_chunks,
-    )
-
     started = time.perf_counter()
     seen: Dict[tuple, Candidate] = {}
     per_chunk: List[int] = []
     truncated: Dict[Location, None] = {}  # ordered, deduplicated
-    resolved_workers = resolve_workers(workers, records=len(trace.records))
     if chunk_size is None:
-        chunk_size, derived_overlap = derive_chunk_geometry(
-            len(trace.records), resolved_workers
-        )
-        if overlap is None:
-            overlap = derived_overlap
-    elif overlap is None:
-        overlap = max(0, min(chunk_size - 1, chunk_size // 10))
+        chunk_size, _ = derive_chunk_geometry(len(trace.records))
+    if overlap is None:
+        overlap = _default_overlap(chunk_size)
     chunks = chunk_trace(trace, chunk_size, overlap)
-    effective_workers = min(resolved_workers, max(1, len(chunks)))
-    with obs.span(
-        "detect.chunked",
-        chunks=len(chunks),
-        chunk_size=chunk_size,
-        workers=effective_workers,
-    ):
+    if trace.partial:
+        print(
+            "warning: chunked detection ran on a partial trace (salvage "
+            "lost records); pairs involving lost records are missing",
+            file=sys.stderr,
+        )
+    with obs.span("detect.chunked", chunks=len(chunks), chunk_size=chunk_size):
         obs.counter(
             "detect_chunks_total", "trace chunks analyzed independently"
         ).inc(len(chunks))
-        obs.gauge(
-            "detect_chunk_workers", "processes used by the last chunked run"
-        ).set(effective_workers)
-        if effective_workers > 1:
-            by_seq = {r.seq: r for r in trace.records}
-            chunk_results = run_chunks(
-                chunks,
-                model,
-                memory_budget,
-                compress_mem,
-                reach_backend,
-                max_pairs_per_location,
-                effective_workers,
+        for chunk in chunks:
+            # A boundary cutting a send from its recv is the documented
+            # cost of chunking, not trace damage: chunk graphs stay quiet.
+            graph = HBGraph(
+                chunk,
+                model=model,
+                memory_budget=memory_budget,
+                compress_mem=compress_mem,
+                reach_backend=reach_backend,
+                warn_partial=False,
             )
-            for seq_pairs, _pairs, chunk_truncated in chunk_results:
-                per_chunk.append(len(seq_pairs))
-                for location in chunk_truncated:
-                    truncated.setdefault(location)
-                for first_seq, second_seq in seq_pairs:
-                    seen.setdefault(
-                        (first_seq, second_seq),
-                        Candidate(by_seq[first_seq], by_seq[second_seq]),
-                    )
-        else:
-            for chunk in chunks:
-                graph = HBGraph(
-                    chunk,
-                    model=model,
-                    memory_budget=memory_budget,
-                    compress_mem=compress_mem,
-                    reach_backend=reach_backend,
-                )
-                detection = detect_races(
-                    chunk,
-                    model=model,
-                    memory_budget=memory_budget,
-                    graph=graph,
-                    max_pairs_per_location=max_pairs_per_location,
-                )
-                per_chunk.append(len(detection.candidates))
-                for location in detection.truncated_locations:
-                    truncated.setdefault(location)
-                for candidate in detection.candidates:
-                    key = (candidate.first.seq, candidate.second.seq)
-                    seen.setdefault(key, candidate)
+            detection = detect_races(
+                chunk,
+                model=model,
+                memory_budget=memory_budget,
+                graph=graph,
+                max_pairs_per_location=max_pairs_per_location,
+            )
+            per_chunk.append(len(detection.candidates))
+            for location in detection.truncated_locations:
+                truncated.setdefault(location)
+            for candidate in detection.candidates:
+                key = (candidate.first.seq, candidate.second.seq)
+                seen.setdefault(key, candidate)
     return ChunkedDetectionResult(
         trace=trace,
         chunk_size=chunk_size,
@@ -188,5 +166,4 @@ def detect_races_chunked(
         analysis_seconds=time.perf_counter() - started,
         per_chunk_counts=per_chunk,
         truncated_locations=list(truncated),
-        workers=effective_workers,
     )

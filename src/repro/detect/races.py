@@ -7,11 +7,6 @@ pairs (which program order always orders) are excluded wholesale
 instead of being skipped one pair at a time, so a location dominated by
 one hot handler loop costs O(cross-segment pairs), not O(accesses²).
 The HB graph answers the surviving pairs in constant time per query.
-
-Locations are independent, so enumeration can also be sharded across a
-process pool (``workers=``); the shards run this module's own
-enumeration code and the results are merged in location order, making
-the parallel candidate list identical to the serial one.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import time
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
@@ -84,14 +79,9 @@ class DetectionResult:
     #: non-empty list is also warned about on stderr and counted on the
     #: ``detect_truncated_locations_total`` metric.
     truncated_locations: List[Location] = field(default_factory=list)
-    #: Worker processes used for enumeration (1 = in-process serial).
-    workers: int = 1
     #: True when enumeration stopped early (wall-clock deadline):
     #: locations after the stop point were never examined.
     stopped_early: bool = False
-    #: ``"serial"``/``"parallel"`` when ``workers="auto"`` chose the
-    #: path, None when the caller fixed the worker count.
-    auto_decision: Optional[str] = None
     #: ``"full"`` when the trace was complete; ``"partial"`` when the HB
     #: graph was built from a damaged/salvaged trace — candidates are
     #: still sound for the records that survived, but pairs involving
@@ -193,7 +183,6 @@ def detect_races(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
     max_pairs_per_location: int = 200_000,
-    workers: "Union[int, str, None]" = None,
     reach_backend: str = "bitset",
     on_shard: Optional[Callable[[int, list, int, bool], None]] = None,
     completed_shards: Optional[Dict[int, tuple]] = None,
@@ -201,12 +190,8 @@ def detect_races(
 ) -> DetectionResult:
     """Run trace analysis: build the HB graph, enumerate candidates.
 
-    ``workers`` shards per-location enumeration across a process pool
-    (``None``/``1`` = serial, ``0`` = one worker per CPU, ``"auto"`` =
-    serial on small traces, one per CPU on large ones); the candidate
-    list is identical for every worker count.  ``reach_backend`` selects
-    the reachability engine when the graph is built here (ignored when a
-    prebuilt ``graph`` is passed).
+    ``reach_backend`` selects the reachability engine when the graph is
+    built here (ignored when a prebuilt ``graph`` is passed).
 
     The last three knobs support checkpointed pipelines: ``on_shard``
     receives each location's ``(index, seq_pairs, pairs, truncated)`` as
@@ -238,76 +223,46 @@ def detect_races(
     ]
 
     from repro.analysis.governor import maybe_stall
-    from repro.detect.parallel import resolve_workers, run_location_shards
 
-    auto_decision = None
-    resolved = resolve_workers(workers, records=len(trace.records))
-    if workers == "auto":
-        auto_decision = "serial" if resolved == 1 else "parallel"
-        obs.counter(
-            "detect_auto_workers_total",
-            'worker-count decisions made by workers="auto"',
-        ).labels(decision=auto_decision).inc()
-    effective_workers = min(resolved, max(1, len(work)))
-
-    completed = completed_shards or {}
+    # One ``(found, pairs, truncated)`` triple per location, in work
+    # order; None = not enumerated (stopped early).  Checkpointed shards
+    # arrive as seq pairs and are the only ones mapped back to events.
     results: List[Optional[tuple]] = [None] * len(work)
-    for index, triple in completed.items():
-        if 0 <= index < len(work):
-            results[index] = triple
-    pending = [i for i in range(len(work)) if results[i] is None]
+    if completed_shards:
+        by_seq = {r.seq: r for r in trace.records}
+        for index, (seq_pairs, pairs, truncated) in completed_shards.items():
+            if 0 <= index < len(work):
+                found = [(by_seq[a], by_seq[b]) for a, b in seq_pairs]
+                results[index] = (found, pairs, truncated)
 
     stopped_early = False
-    with obs.span(
-        "detect.enumerate",
-        locations=len(by_location),
-        workers=effective_workers,
-    ):
-        if effective_workers > 1 and pending:
-            # Finish the reachability structure first so forked workers
-            # inherit it instead of each recomputing it.
-            graph.reach_stats()
-            shard_results, stopped_early = run_location_shards(
-                graph,
-                work,
-                max_pairs_per_location,
-                effective_workers,
-                indices=pending,
-                on_result=on_shard,
-                should_stop=should_stop,
+    with obs.span("detect.enumerate", locations=len(by_location)):
+        for index, (_location, accesses) in enumerate(work):
+            if results[index] is not None:
+                continue
+            if should_stop is not None and should_stop():
+                stopped_early = True
+                break
+            found, pairs, truncated = _conflicting_pairs_at(
+                accesses, graph, max_pairs_per_location
             )
-            for index in pending:
-                results[index] = shard_results[index]
-        else:
-            for index in pending:
-                if should_stop is not None and should_stop():
-                    stopped_early = True
-                    break
-                _location, accesses = work[index]
-                found, pairs, truncated = _conflicting_pairs_at(
-                    accesses, graph, max_pairs_per_location
-                )
+            results[index] = (found, pairs, truncated)
+            if on_shard is not None:
                 seq_pairs = [(a.seq, b.seq) for a, b in found]
-                results[index] = (seq_pairs, pairs, truncated)
-                if on_shard is not None:
-                    on_shard(index, seq_pairs, pairs, truncated)
-                maybe_stall("detect_shard")
+                on_shard(index, seq_pairs, pairs, truncated)
+            maybe_stall("detect_shard")
 
-    # Merge in work order — identical output for serial, parallel,
-    # and checkpoint-resumed enumeration.
-    by_seq = {r.seq: r for r in trace.records}
     candidates: List[Candidate] = []
     truncated_locations: List[Location] = []
     examined = 0
-    for index, triple in enumerate(results):
+    for (location, _accesses), triple in zip(work, results):
         if triple is None:
             continue  # stopped early before reaching this location
-        seq_pairs, pairs, truncated = triple
+        found, pairs, truncated = triple
         examined += pairs
         if truncated:
-            truncated_locations.append(work[index][0])
-        for first_seq, second_seq in seq_pairs:
-            candidates.append(Candidate(by_seq[first_seq], by_seq[second_seq]))
+            truncated_locations.append(location)
+        candidates.extend(Candidate(a, b) for a, b in found)
 
     obs.counter("detect_pairs_examined_total", "access pairs HB-checked").inc(
         examined
@@ -315,9 +270,6 @@ def detect_races(
     obs.counter(
         "detect_candidates_total", "concurrent conflicting pairs found"
     ).inc(len(candidates))
-    obs.gauge("detect_workers", "processes used by the last detection").set(
-        effective_workers
-    )
     if truncated_locations:
         obs.counter(
             "detect_truncated_locations_total",
@@ -342,9 +294,7 @@ def detect_races(
         analysis_seconds=elapsed,
         pairs_examined=examined,
         truncated_locations=truncated_locations,
-        workers=effective_workers,
         stopped_early=stopped_early,
-        auto_decision=auto_decision,
         # "sampled" wins over "partial": deliberate, rate-bounded loss is
         # the weaker (and more specific) claim, and it is what the
         # operator asked for with --sampling.

@@ -133,9 +133,7 @@ class StreamResult:
             analysis_seconds=self.analysis_seconds,
             pairs_examined=self.pairs_examined,
             truncated_locations=[],
-            workers=1,
             stopped_early=self.stopped_early,
-            auto_decision=None,
             confidence=self.confidence,
         )
 

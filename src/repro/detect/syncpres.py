@@ -187,7 +187,6 @@ def detect_races_sync_preserving(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
     max_pairs_per_location: int = 200_000,
-    workers=None,
     reach_backend: str = "bitset",
     on_shard=None,
     completed_shards=None,
@@ -205,7 +204,6 @@ def detect_races_sync_preserving(
         memory_budget=memory_budget,
         graph=graph,
         max_pairs_per_location=max_pairs_per_location,
-        workers=workers,
         reach_backend=reach_backend,
         on_shard=on_shard,
         completed_shards=completed_shards,

@@ -118,9 +118,7 @@ class TraceAnalysisOOM(ReproError):
 
     def __reduce__(self):
         # Default exception pickling replays __init__ with self.args
-        # (just the message) and would drop the byte counts — this
-        # exception crosses process boundaries when a parallel chunk
-        # worker overruns its memory budget.
+        # (just the message) and would drop the byte counts.
         return (
             type(self),
             (self.args[0], self.required_bytes, self.budget_bytes),

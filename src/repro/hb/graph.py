@@ -55,6 +55,7 @@ class HBGraph:
         compress_mem: bool = True,
         reach_backend: str = "bitset",
         extra_backbone: Optional[Set[int]] = None,
+        warn_partial: bool = True,
     ) -> None:
         """``compress_mem=False`` runs the paper's original algorithm —
         a reachability bit set for *every* vertex including memory
@@ -69,7 +70,11 @@ class HBGraph:
         ``extra_backbone`` promotes additional record seqs onto the
         backbone so edges can attach to them (used by the
         sync-preserving backend to thread lock acquire/release records,
-        which are not HB operations, into the order)."""
+        which are not HB operations, into the order).
+
+        ``warn_partial=False`` skips the stderr warning for a partial
+        graph (chunk graphs: a boundary cutting a send from its recv
+        looks like damage but is the documented cost of chunking)."""
         if reach_backend not in REACH_BACKENDS:
             raise ValueError(
                 f"unknown reach_backend {reach_backend!r}; "
@@ -139,7 +144,8 @@ class HBGraph:
                 self._build_edges()
                 self._scan_lock_balance()
         self._publish_build_metrics()
-        self._warn_if_partial()
+        if warn_partial:
+            self._warn_if_partial()
 
     # -- checkpointing ----------------------------------------------------------
 

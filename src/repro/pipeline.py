@@ -21,7 +21,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.analysis.astutil import SourceIndex
@@ -65,12 +65,6 @@ class PipelineConfig:
     #: Table 8's blow-up — which is where the degradation ladder's
     #: bitset→chain rung earns its keep.
     compress_mem: bool = True
-    #: Worker processes for candidate enumeration: 1 = serial (the
-    #: default), 0 = one per CPU, N = exactly N, ``"auto"`` = serial on
-    #: small traces where pool overhead dominates, scaled by record
-    #: count (capped at the CPU count) on large ones.  Any value returns
-    #: the same candidates.
-    detect_workers: "Union[int, str]" = 1
     #: ``"batch"`` builds the whole-trace HB graph + reachability
     #: closure before detection (the paper's offline algorithm);
     #: ``"streaming"`` runs the single-pass bounded-memory detector
@@ -140,7 +134,7 @@ class PipelineConfig:
     #: Overall memory budget (MB) enforced by the ``ResourceGovernor``:
     #: tightens the reachability byte budget and, when process RSS
     #: exceeds it, engages the degradation ladder
-    #: (bitset→chain, parallel→serial, pair truncation).
+    #: (bitset→chain, pair truncation).
     memory_budget_mb: Optional[int] = None
 
 
@@ -458,7 +452,6 @@ class DCatch:
         budget,
         stage_status: Dict[str, str],
         timings: Dict[str, float],
-        governor: ResourceGovernor,
     ) -> DetectionResult:
         """Streaming-mode analysis: skip the whole-trace HB graph and
         reachability closure entirely; one bounded-memory pass over the
@@ -584,7 +577,7 @@ class DCatch:
                 if config.detect_mode == "streaming":
                     detection = self._run_streaming_analysis(
                         config, trace, store, restore, budget,
-                        stage_status, timings, governor
+                        stage_status, timings
                     )
                 else:
                     if store is not None and store.stage_completed("hb"):
@@ -635,28 +628,16 @@ class DCatch:
                             else "ok"
                         )
 
-                    # Ladder rungs 2 and 3: under RSS pressure shrink the
-                    # worker pool (forked workers multiply RSS), then
-                    # tighten the per-location pair cap.
-                    from repro.detect.parallel import resolve_workers
-
-                    workers = config.detect_workers
+                    # Ladder rung 2: under RSS pressure tighten the
+                    # per-location pair cap.
                     max_pairs = config.max_pairs_per_location
                     if governor.memory_pressure():
-                        if resolve_workers(workers, len(trace.records)) > 1:
-                            governor.degrade(
-                                "detect_serial",
-                                "detect",
-                                "process RSS above memory_budget_mb",
-                            )
-                            workers = 1
-                        if governor.memory_pressure():
-                            governor.degrade(
-                                "truncate_pairs",
-                                "detect",
-                                "process RSS above memory_budget_mb",
-                            )
-                            max_pairs = min(max_pairs, TRUNCATED_MAX_PAIRS)
+                        governor.degrade(
+                            "truncate_pairs",
+                            "detect",
+                            "process RSS above memory_budget_mb",
+                        )
+                        max_pairs = min(max_pairs, TRUNCATED_MAX_PAIRS)
 
                     if store is not None and store.stage_completed("detect"):
                         payload = restore("detect")
@@ -711,7 +692,6 @@ class DCatch:
                             memory_budget=reach_budget,
                             graph=graph,
                             max_pairs_per_location=max_pairs,
-                            workers=workers,
                             reach_backend=config.reach_backend,
                             on_shard=on_shard,
                             completed_shards=completed_shards,

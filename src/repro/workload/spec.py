@@ -4,8 +4,8 @@ A :class:`WorkloadSpec` describes the *shape* of a generated cluster run:
 how many worker nodes participate, how many coordination phases they go
 through, and how much memory traffic each phase produces.  Three named
 presets (``small``/``medium``/``xl``) scale the same scenario from a
-few hundred records (unit tests) to over a million (the streaming /
-parallel-detection benchmarks the ROADMAP asks for).
+few hundred records (unit tests) to over a million (the streaming
+benchmarks the ROADMAP asks for).
 
 The generated scenario is a phase-barrier protocol, the common skeleton
 of all four mini systems (a ZooKeeper quorum round, an HBase region

@@ -18,7 +18,6 @@ from repro.analysis.governor import (
 def test_ladder_order_and_truncation_cap():
     assert DEGRADATION_LADDER == (
         "reach_chain",
-        "detect_serial",
         "truncate_pairs",
         "abandoned",
     )
@@ -89,11 +88,11 @@ def test_degrade_appends_and_counts():
 
 def test_governor_summary_shape():
     governor = ResourceGovernor(max_stage_seconds=5, memory_budget_mb=64)
-    governor.degrade("detect_serial", "detect")
+    governor.degrade("truncate_pairs", "detect")
     summary = governor.summary()
     assert summary["max_stage_seconds"] == 5
     assert summary["memory_budget_mb"] == 64
-    assert summary["degradations"] == ["detect_serial"]
+    assert summary["degradations"] == ["truncate_pairs"]
 
 
 def test_maybe_stall_ignores_other_points(monkeypatch):

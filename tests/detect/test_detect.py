@@ -1,5 +1,8 @@
 """Race detection: candidates, dedup counts, report sets."""
 
+import pytest
+
+from repro import obs
 from repro.detect import ReportSet, Verdict, detect_races
 from repro.hb import FULL_MODEL
 from repro.runtime import Cluster, sleep
@@ -158,3 +161,83 @@ def test_pull_pruning_reduces_candidates():
     with_pull = detect_races(trace, model=FULL_MODEL)
     without_pull = detect_races(trace, model=FULL_MODEL.without("pull"))
     assert len(with_pull.candidates) < len(without_pull.candidates)
+
+
+def _racy_trace(seed=0, writers=3):
+    """Several threads racing on two shared variables (two locations)."""
+
+    def build(cluster):
+        node = cluster.add_node("n")
+        x = node.shared_var("x", 0)
+        y = node.shared_var("y", 0)
+
+        def make_body(i):
+            def body():
+                x.set(i)
+                y.get()
+                y.set(i)
+
+            return body
+
+        for i in range(writers):
+            node.spawn(make_body(i), name=f"w{i}")
+
+    return run_traced(build, seed=seed)
+
+
+def _seq_pairs(detection):
+    return [(c.first.seq, c.second.seq) for c in detection.candidates]
+
+
+def test_truncation_is_recorded_counted_and_warned(capsys):
+    trace = _racy_trace(writers=4)
+    registry = obs.MetricsRegistry(name="trunc")
+    with obs.use_registry(registry):
+        result = detect_races(trace, max_pairs_per_location=1)
+    assert result.truncated_locations  # the cap really bit
+    counter = registry.counter("detect_truncated_locations_total")
+    assert counter.value == len(result.truncated_locations)
+    err = capsys.readouterr().err
+    assert "truncated" in err
+    assert str(len(result.truncated_locations)) in err
+    # The complete run examines more pairs and is not truncated.
+    full = detect_races(trace)
+    assert not full.truncated_locations
+    assert full.pairs_examined > result.pairs_examined
+
+
+def test_detection_with_chain_backend_matches_bitset():
+    trace = _racy_trace()
+    bitset = detect_races(trace)
+    chain = detect_races(trace, reach_backend="chain")
+    assert _seq_pairs(chain) == _seq_pairs(bitset)
+    assert chain.graph.reach_stats()["backend"] == "chain"
+
+
+@pytest.mark.parametrize("max_pairs", [200_000, 2])
+def test_resumed_shards_match_uninterrupted(max_pairs):
+    """Per-location shards replayed from a checkpoint log (seq pairs)
+    merge to exactly the uninterrupted result — order, counts and
+    truncation included — and only the missing locations are
+    enumerated."""
+    for seed in (0, 1):
+        trace = _racy_trace(seed=seed, writers=4)
+        logged = {}
+        whole = detect_races(
+            trace,
+            max_pairs_per_location=max_pairs,
+            on_shard=lambda i, pairs, n, cut: logged.update({i: (pairs, n, cut)}),
+        )
+        assert whole.candidates and len(logged) == 2
+        assert bool(whole.truncated_locations) == (max_pairs == 2)
+        redone = []
+        resumed = detect_races(
+            trace,
+            max_pairs_per_location=max_pairs,
+            completed_shards={0: logged[0]},
+            on_shard=lambda i, *_rest: redone.append(i),
+        )
+        assert redone == [1]
+        assert _seq_pairs(resumed) == _seq_pairs(whole)
+        assert resumed.pairs_examined == whole.pairs_examined
+        assert resumed.truncated_locations == whole.truncated_locations

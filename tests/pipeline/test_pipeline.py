@@ -74,3 +74,32 @@ def test_monitored_seed_override():
     config = PipelineConfig(trigger=False, monitored_seed=3)
     result = DCatch(workload_by_id("ZK-1144"), config).run()
     assert result.monitored_result.seed == 3
+
+
+def test_docs_quick_reference_matches_pipeline_config():
+    """The ``PipelineConfig(...)`` block in docs/pipeline.md names every
+    field, in order, with the code's default."""
+    import ast
+    import dataclasses
+    from pathlib import Path
+
+    from repro.hb.model import FULL_MODEL
+
+    text = (
+        Path(__file__).resolve().parents[2] / "docs" / "pipeline.md"
+    ).read_text()
+    section = text.split("## Configuration quick reference", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (call,) = [
+        node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.Call)
+    ]
+    documented = {
+        kw.arg: eval(
+            compile(ast.Expression(kw.value), "pipeline.md", "eval"),
+            {"FULL_MODEL": FULL_MODEL},
+        )
+        for kw in call.keywords
+    }
+    fields = dataclasses.fields(PipelineConfig)
+    assert list(documented) == [f.name for f in fields]
+    assert documented == {f.name: f.default for f in fields}

@@ -154,28 +154,16 @@ def test_trace_stats_flag(capsys):
 def test_analysis_flags_parse_and_default():
     parser = build_parser()
     args = parser.parse_args(["run", "ZK-1144"])
-    assert args.workers == 1
     assert args.reach_backend == "bitset"
-    args = parser.parse_args(
-        ["run", "ZK-1144", "--workers", "2", "--reach-backend", "chain"]
-    )
-    assert args.workers == 2
+    args = parser.parse_args(["run", "ZK-1144", "--reach-backend", "chain"])
     assert args.reach_backend == "chain"
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "ZK-1144", "--reach-backend", "sparse"])
 
 
-def test_run_with_chain_backend_and_workers(capsys):
+def test_run_with_chain_backend(capsys):
     assert main(
-        [
-            "run",
-            "ZK-1270",
-            "--no-trigger",
-            "--workers",
-            "2",
-            "--reach-backend",
-            "chain",
-        ]
+        ["run", "ZK-1270", "--no-trigger", "--reach-backend", "chain"]
     ) == 0
     out = capsys.readouterr().out
     assert "DCatch on ZK-1270" in out
@@ -279,14 +267,14 @@ def test_run_checkpoint_flags_parse():
     assert args.resume is False
 
 
-def test_workers_auto_parses():
-    parser = build_parser()
-    args = parser.parse_args(["run", "ZK-1144", "--workers", "auto"])
-    assert args.workers == "auto"
-    args = parser.parse_args(["run", "ZK-1144", "--workers", "3"])
-    assert args.workers == 3
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", "ZK-1144", "--workers", "fast"])
+def test_workers_flag_is_unknown(capsys):
+    """Detection is in-process only: the retired ``--workers`` knob is
+    rejected like any other unknown flag."""
+    for command in ("run", "profile", "metrics"):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "ZK-1144", "--workers", "2"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_resume_missing_checkpoint_dir_exits_2(tmp_path, capsys):
