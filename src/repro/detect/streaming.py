@@ -20,9 +20,11 @@ Input is either a WAL directory (segments are parsed incrementally and
 merged by ``seq`` across streams; damage truncates the damaged stream
 and degrades ``confidence`` to ``"partial"``, matching salvage
 semantics) or any in-memory iterable of records (the pipeline's
-``detect_mode="streaming"``).  Progress checkpoints — the stream offset
-plus the HB state — make a million-record pass resumable the same way
-PR-5 made the batch stages resumable.
+``detect_mode="streaming"``).
+
+How per-thread streams become one resumable, optionally sampled pass is
+decided here once, for the offline ``stream`` command and the detection
+service's tenants alike: :func:`merge_by_seq` and :class:`StreamSession`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -64,11 +68,14 @@ __all__ = [
     "DEFAULT_WINDOW",
     "STREAM_CHECKPOINT_FORMAT",
     "STREAM_CHECKPOINT_VERSION",
+    "STARVED",
     "StreamResult",
+    "StreamSession",
     "StreamingDetector",
     "detect_races_streaming",
     "iter_wal_records",
     "load_stream_checkpoint",
+    "merge_by_seq",
     "save_stream_checkpoint",
     "stream_fingerprint",
 ]
@@ -99,19 +106,19 @@ class StreamResult:
     evictions: int
     compactions: int
     active_high_water: int
-    rss_high_water_mb: float
-    stopped_early: bool
     confidence: str
     model: str
     window: int
     streams_seen: int
-    unmatched: Dict[str, int] = field(default_factory=dict)
+    #: Both measured by the offline driver, not the session.
+    rss_high_water_mb: float = 0.0
+    stopped_early: bool = False
     damage: Dict[str, int] = field(default_factory=dict)
-    #: Records dropped by the sampling filter, by record kind (empty
-    #: when no sampler was attached).
+    #: Records dropped by the sampling filter, by record kind;
+    #: ``records_consumed`` plus these is every record merged.
     sampled_dropped: Dict[str, int] = field(default_factory=dict)
-    #: Record offset the pass resumed from (0 = started fresh) — lets
-    #: callers assert already-retired windows were not reprocessed.
+    #: Raw-record watermark the pass resumed from (0 = started fresh) —
+    #: lets callers assert already-retired windows were not reprocessed.
     resumed_at: int = 0
 
     @property
@@ -300,7 +307,44 @@ class StreamingDetector:
         return self
 
 
-# -- WAL segment streaming -------------------------------------------------
+# -- the seq merge ---------------------------------------------------------
+
+#: A cursor's answer while its stream is open but has nothing buffered.
+STARVED = object()
+
+
+def merge_by_seq(
+    cursors: Iterable[Tuple[int, Callable[[], object]]],
+    on_stream_end: Optional[Callable[[int], None]] = None,
+) -> Iterator[Optional[OpEvent]]:
+    """K-way merge of ``(tid, poll)`` stream cursors into global ``seq``
+    order.  ``poll()`` answers the stream's next record, ``None`` once
+    it has ended (``on_stream_end(tid)`` then fires, exactly once, so
+    the detector can release the stream's HB state) or :data:`STARVED`.
+    A record is popped only while every open stream has its head in the
+    heap, so the order is the total ``seq`` order whatever the arrival
+    timing; while a cursor is starved the merge yields ``None`` instead,
+    and the next ``next()`` polls it again."""
+    # ``index`` breaks seq ties, so entries never compare past it.
+    heap: List[Tuple[int, int, OpEvent, Tuple[int, Callable[[], object]]]] = []
+    unpolled = list(enumerate(cursors))
+    while unpolled or heap:
+        polling, unpolled = unpolled, []
+        for index, cursor in polling:
+            head = cursor[1]()
+            if head is STARVED:
+                unpolled.append((index, cursor))
+            elif head is None:
+                if on_stream_end is not None:
+                    on_stream_end(cursor[0])
+            else:
+                heapq.heappush(heap, (head.seq, index, head, cursor))
+        if unpolled:
+            yield None
+        elif heap:
+            _seq, index, event, cursor = heapq.heappop(heap)
+            unpolled.append((index, cursor))
+            yield event
 
 
 def iter_wal_records(
@@ -312,33 +356,16 @@ def iter_wal_records(
     stream, reading segments incrementally.  Any damage — torn /
     CRC-bad / malformed record, lying seal, unsealed or missing segment
     — truncates the damaged stream there and is counted in ``damage``
-    (see :class:`repro.trace.wal.WalStreamReader`).  ``on_stream_end``
-    fires with the stream's tid the moment it is exhausted (that is
-    what lets the detector release the stream's HB state)."""
+    (see :class:`repro.trace.wal.WalStreamReader`).  The cursors are
+    whole-stream iterators, which end but never starve."""
     damage = damage if damage is not None else Counter()
-    # ``index`` breaks seq ties, so entries never compare past it.
-    heap: List[Tuple[int, int, OpEvent, Iterator[OpEvent], int]] = []
-    streams = require_stream_segments(wal_dir)
-    for index, ((_node, tid), paths) in enumerate(streams.items()):
-        iterator = WalStreamReader(damage).stream(paths)
-        first = next(iterator, None)
-        if first is None:
-            if on_stream_end is not None:
-                on_stream_end(tid)
-            continue
-        heap.append((first.seq, index, first, iterator, tid))
-    heapq.heapify(heap)
-    while heap:
-        _seq, index, event, iterator, tid = heapq.heappop(heap)
-        yield event
-        following = next(iterator, None)
-        if following is None:
-            if on_stream_end is not None:
-                on_stream_end(tid)
-        else:
-            heapq.heappush(
-                heap, (following.seq, index, following, iterator, tid)
-            )
+    return merge_by_seq(
+        [
+            (tid, partial(next, WalStreamReader(damage).stream(paths), None))
+            for (_node, tid), paths in require_stream_segments(wal_dir).items()
+        ],
+        on_stream_end,
+    )
 
 
 def wal_stream_tids(wal_dir: str) -> List[int]:
@@ -356,8 +383,8 @@ def save_stream_checkpoint(
     extra: Optional[Dict[str, object]] = None,
 ) -> None:
     """Atomically publish the detector's snapshot as a CRC-enveloped
-    document (the detection service checkpoints per-tenant detectors
-    with the same format the offline ``stream`` pass uses)."""
+    document.  ``extra`` is the session's sidecar state: the raw-record
+    watermark and what the sampler had dropped by then."""
     doc: Dict[str, object] = {
         "format": STREAM_CHECKPOINT_FORMAT,
         "version": STREAM_CHECKPOINT_VERSION,
@@ -365,8 +392,6 @@ def save_stream_checkpoint(
         "snapshot": detector.to_snapshot(),
     }
     if extra:
-        # Caller-owned sidecar state (the detection service stores its
-        # raw-merge watermark here so sampled tenants resume correctly).
         doc["extra"] = extra
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
     atomic_write(path, encode_document(payload))
@@ -400,24 +425,161 @@ def stream_fingerprint(
     return base
 
 
-def _sampled_stream(stream, sampler):
-    """Apply a ``repro.trace.sampling.Sampler`` to a record stream.
-
-    Pure filter: HB/lock records always pass, memory accesses pass when
-    the policy admits them.  Reservoir *evictions* cannot be honoured
-    here — an already-fed record is part of the detector state — so a
-    reservoir policy degrades to admit-only in streaming mode (first-K
-    plus probabilistic later admits).  Decisions are deterministic in
-    ``(policy, seed)``, which is what makes checkpoint resume (which
-    replays the raw stream through the same sampler) reproducible.
-    """
-    for event in stream:
-        keep, _evictions = sampler.observe(event)
-        if keep:
-            yield event
+# -- the stream session ----------------------------------------------------
 
 
-# -- driver ----------------------------------------------------------------
+class StreamSession:
+    """One resumable, optionally sampled detector pass over merged
+    records: what the offline ``stream`` pass and a service tenant both
+    run, differing in where the records come from and in what they do
+    about a checkpoint :meth:`resume` refuses.
+
+    ``consumed_raw`` counts every merged record, kept or sampled away.
+    A checkpoint records that watermark and a resume replays up to it
+    (deterministic, as the merge order is); replayed records advance
+    the sampler's policy state and nothing else."""
+
+    def __init__(
+        self,
+        model: HBModel,
+        window: int,
+        source: str,
+        checkpoint_path: Optional[str],
+        checkpoint_every: int,
+        sampler: Optional[object] = None,
+    ) -> None:
+        self.model = model
+        self.window = window
+        self.fingerprint = stream_fingerprint(model, window, source, sampler)
+        self.checkpoint_path = checkpoint_path
+        self.checkpoint_every = checkpoint_every  # raw records between saves
+        #: A ``repro.trace.sampling.Sampler``, used as a pure filter:
+        #: an already-fed record is detector state, so a reservoir's
+        #: evictions are ignored (it degrades to admit-only).
+        self.sampler = sampler
+        #: Whether live records go through the sampler (the service
+        #: clears it while its overload ladder reads ``full``).
+        self.thinning = True
+        self.damage: Counter = Counter()  # counted by the segment readers
+        self.detector: Optional[StreamingDetector] = None
+        self.consumed_raw = 0
+        self.resumed_at = 0  # raw watermark restored by resume()
+        self._saved_raw = 0
+        self.sampled_dropped: Dict[str, int] = {}
+        self._started = time.perf_counter()
+
+    def resume(self) -> None:
+        """Restore detector, raw watermark and drop counts from the
+        file at ``checkpoint_path``, if any.  :class:`CheckpointError`
+        (CRC, format, version, fingerprint) leaves the session fresh."""
+        path = self.checkpoint_path
+        if not os.path.exists(path):
+            return
+        doc = load_stream_checkpoint(path)
+        if doc.get("fingerprint") != self.fingerprint:
+            raise CheckpointError(
+                f"{path}: checkpoint was written for a different "
+                "source/model/window/sampling; refusing to resume "
+                "(delete it to start over)"
+            )
+        extra = doc.get("extra") or {}
+        if "consumed_raw" not in extra and self.sampler is not None:
+            raise CheckpointError(
+                f"{path}: sampled checkpoint written before the raw "
+                "watermark was recorded; re-run without --resume"
+            )
+        self.detector = StreamingDetector.from_snapshot(
+            doc["snapshot"], self.model
+        )
+        self.resumed_at = self._saved_raw = int(
+            extra.get("consumed_raw", self.detector.records_consumed)
+        )
+        self.sampled_dropped = dict(extra.get("sampled_dropped") or {})
+
+    def open(
+        self, expected_streams: Optional[Iterable[int]] = None
+    ) -> StreamingDetector:
+        """The detector, built on first use unless resumed."""
+        if self.detector is None:
+            self.detector = StreamingDetector(
+                self.model, self.window, expected_streams
+            )
+        return self.detector
+
+    def pump(
+        self, merged: Iterator[Optional[OpEvent]], limit: Optional[int] = None
+    ) -> int:
+        """Consume ``merged`` until it ends or starves (yields ``None``)
+        or ``limit`` raw records; returns how many were consumed."""
+        start = raw = self.consumed_raw
+        for event in islice(merged, limit):
+            if event is None:
+                break
+            raw += 1
+            replaying = raw <= self.resumed_at
+            if self.sampler is not None and (replaying or self.thinning):
+                keep, _evictions = self.sampler.observe(event)
+                if not keep and not replaying:
+                    kind = event.kind.value
+                    self.sampled_dropped[kind] = (
+                        self.sampled_dropped.get(kind, 0) + 1
+                    )
+                    continue
+            if not replaying:
+                self.detector.feed(event)
+        self.consumed_raw = raw
+        return raw - start
+
+    def maybe_checkpoint(self, force: bool = False) -> bool:
+        """Save the checkpoint when ``checkpoint_every`` raw records
+        have gone by since the last save (``force``: any at all)."""
+        if self.checkpoint_path is None or self.detector is None:
+            return False
+        due = 1 if force else self.checkpoint_every
+        if self.consumed_raw - self._saved_raw < due:
+            return False
+        extra: Dict[str, object] = {"consumed_raw": self.consumed_raw}
+        if self.sampled_dropped:
+            extra["sampled_dropped"] = dict(self.sampled_dropped)
+        save_stream_checkpoint(
+            self.checkpoint_path, self.detector, self.fingerprint, extra
+        )
+        self._saved_raw = self.consumed_raw
+        return True
+
+    def finish(self) -> StreamResult:
+        """Final compaction, a last checkpoint, and the outcome."""
+        detector = self.open()
+        detector.finish()
+        self.maybe_checkpoint(force=True)
+        state = detector.state
+        confidence = "full"
+        if self.damage or state.rootless_segments:
+            confidence = "partial"
+        # "sampled" iff records were actually dropped (deliberate loss
+        # wins over accidental): a sampler that was engaged but thinned
+        # nothing must not taint a complete report.
+        if self.sampled_dropped:
+            confidence = "sampled"
+        return StreamResult(
+            candidates=detector.candidates,
+            records_consumed=detector.records_consumed,
+            analysis_seconds=time.perf_counter() - self._started,
+            pairs_examined=detector.pairs_examined,
+            evictions=detector.evictions,
+            compactions=detector.compactions,
+            active_high_water=detector.active_high_water,
+            confidence=confidence,
+            model=state.model.describe(),
+            window=detector.window,
+            streams_seen=state.stats()["streams_started"],
+            damage=dict(self.damage),
+            sampled_dropped=dict(self.sampled_dropped),
+            resumed_at=self.resumed_at,
+        )
+
+
+# -- the offline driver ----------------------------------------------------
 
 
 def detect_races_streaming(
@@ -430,7 +592,7 @@ def detect_races_streaming(
     memory_budget_mb: Optional[int] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 8,
+    checkpoint_every: Optional[int] = None,
     resume: bool = False,
     sampler: Optional[object] = None,
 ) -> StreamResult:
@@ -438,127 +600,64 @@ def detect_races_streaming(
 
     Exactly one of ``records`` (an in-memory seq-ordered iterable) or
     ``wal_dir`` (a PR-4 WAL directory, parsed incrementally) must be
-    given.  ``max_seconds``/``should_stop`` stop the pass early
+    given.  Every ``window`` raw records the pass probes:
+    ``max_seconds``/``should_stop`` stop it early
     (``stopped_early=True``, candidates found so far are kept);
     ``memory_budget_mb`` forces an extra compaction whenever process
     RSS crosses 90% of the budget — the detector degrades by compacting
-    harder, never by abandoning.  ``checkpoint_path`` (with
-    ``checkpoint_every`` windows between saves) makes the pass
-    resumable via ``resume=True``.  ``sampler`` (a
-    ``repro.trace.sampling.Sampler``) thins the memory-access stream
-    before it reaches the detector — the streaming analog of sampled
-    tracing; results then carry ``confidence="sampled"``.
+    harder, never by abandoning.  ``checkpoint_path`` (saved every
+    ``checkpoint_every`` raw records, by default eight windows' worth)
+    makes the pass resumable via ``resume=True``; a checkpoint the
+    session refuses is an error here (``CheckpointError``).  ``sampler``
+    (a ``repro.trace.sampling.Sampler``) thins the memory accesses — the
+    streaming analog of sampled tracing; the result reads
+    ``confidence="sampled"`` once anything was dropped.
     """
     if (records is None) == (wal_dir is None):
         raise ValueError("pass exactly one of records= or wal_dir=")
+    if resume and checkpoint_path is None:
+        raise CheckpointError("resume=True requires checkpoint_path")
 
-    damage: Counter = Counter()
-    detector: Optional[StreamingDetector] = None
-    source = os.path.abspath(wal_dir) if wal_dir is not None else "<records>"
-    fingerprint = stream_fingerprint(model, window, source, sampler)
+    session = StreamSession(
+        model,
+        window,
+        os.path.abspath(wal_dir) if wal_dir is not None else "<records>",
+        checkpoint_path,
+        checkpoint_every or 8 * window,
+        sampler=sampler,
+    )
     if resume:
-        if checkpoint_path is None:
-            raise CheckpointError("resume=True requires checkpoint_path")
-        if os.path.exists(checkpoint_path):
-            doc = load_stream_checkpoint(checkpoint_path)
-            if doc.get("fingerprint") != fingerprint:
-                raise CheckpointError(
-                    f"{checkpoint_path}: checkpoint was written for a "
-                    "different source/model/window; refusing to resume "
-                    "(delete it to start over)"
-                )
-            detector = StreamingDetector.from_snapshot(doc["snapshot"], model)
-
-    if detector is None:
-        if wal_dir is not None and expected_streams is None:
-            expected_streams = wal_stream_tids(wal_dir)
-        detector = StreamingDetector(
-            model=model, window=window, expected_streams=expected_streams
-        )
-    resumed_at = detector.records_consumed
-    skip = detector.records_consumed
-
+        session.resume()
     if wal_dir is not None:
-        stream = iter_wal_records(
-            wal_dir, damage=damage, on_stream_end=detector.close_stream
-        )
+        # A resume re-delivers closes the snapshot holds: idempotent.
+        detector = session.open(expected_streams or wal_stream_tids(wal_dir))
+        stream = iter_wal_records(wal_dir, session.damage, detector.close_stream)
     else:
+        detector = session.open(expected_streams)
         stream = iter(records)
-    if sampler is not None:
-        stream = _sampled_stream(stream, sampler)
 
     budget = StageBudget("stream", time.perf_counter(), max_seconds)
     rss_gauge = obs.gauge(_METRIC_RSS, "Streaming detector RSS high water")
     rss_high = process_rss_mb()
-    pressure_threshold = (
-        memory_budget_mb * 0.9 if memory_budget_mb is not None else None
-    )
     stopped_early = False
-    started = time.perf_counter()
-    windows_since_save = 0
-    next_probe = detector.records_consumed + detector.window
-
-    for event in stream:
-        if skip > 0:
-            skip -= 1
-            continue
-        detector.feed(event)
-        if detector.records_consumed >= next_probe:
-            next_probe = detector.records_consumed + detector.window
-            maybe_stall("stream_window")
-            rss = process_rss_mb()
-            if rss > rss_high:
-                rss_high = rss
-                rss_gauge.set(round(rss_high, 1))
-            if pressure_threshold is not None and rss > pressure_threshold:
-                detector.compact()
-            windows_since_save += 1
-            if (
-                checkpoint_path is not None
-                and windows_since_save >= checkpoint_every
-            ):
-                save_stream_checkpoint(checkpoint_path, detector, fingerprint)
-                windows_since_save = 0
-            if budget.exceeded() or (should_stop is not None and should_stop()):
-                stopped_early = True
-                break
-    if skip > 0:
+    while session.pump(stream, limit=window) == window:
+        maybe_stall("stream_window")
+        rss = process_rss_mb()
+        rss_high = max(rss_high, rss)
+        if memory_budget_mb is not None and rss > memory_budget_mb * 0.9:
+            detector.compact()
+        session.maybe_checkpoint()
+        if budget.exceeded() or (should_stop is not None and should_stop()):
+            stopped_early = True
+            break
+    if session.consumed_raw < session.resumed_at and not stopped_early:
         raise CheckpointError(
-            f"stream ended {skip} records before the checkpoint offset; "
-            "the source shrank since the checkpoint was written"
+            f"stream ended {session.resumed_at - session.consumed_raw} "
+            "records before the checkpoint watermark; the source shrank "
+            "since the checkpoint was written"
         )
-
-    detector.finish()
-    elapsed = time.perf_counter() - started
-    rss = process_rss_mb()
-    if rss > rss_high:
-        rss_high = rss
-    rss_gauge.set(round(rss_high, 1))
-    if checkpoint_path is not None:
-        save_stream_checkpoint(checkpoint_path, detector, fingerprint)
-
-    state = detector.state
-    confidence = "full"
-    if damage or state.rootless_segments:
-        confidence = "partial"
-    if sampler is not None and sampler.can_drop:
-        confidence = "sampled"  # deliberate loss wins over accidental
-    return StreamResult(
-        candidates=detector.candidates,
-        records_consumed=detector.records_consumed,
-        analysis_seconds=elapsed,
-        pairs_examined=detector.pairs_examined,
-        evictions=detector.evictions,
-        compactions=detector.compactions,
-        active_high_water=detector.active_high_water,
-        rss_high_water_mb=round(rss_high, 1),
-        stopped_early=stopped_early,
-        confidence=confidence,
-        model=state.model.describe(),
-        window=detector.window,
-        streams_seen=state.stats()["streams_started"],
-        unmatched=dict(state.unmatched),
-        damage=dict(damage),
-        sampled_dropped=dict(sampler.dropped) if sampler is not None else {},
-        resumed_at=resumed_at,
-    )
+    result = session.finish()
+    result.stopped_early = stopped_early
+    result.rss_high_water_mb = round(max(rss_high, process_rss_mb()), 1)
+    rss_gauge.set(result.rss_high_water_mb)
+    return result

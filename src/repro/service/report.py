@@ -10,8 +10,9 @@ deliberately omits timings, RSS, and throughput.  Those live in metrics
 and the perf ledger (``benchmarks/perf/RESULTS.json``) instead.
 
 Both producers — the service's per-tenant pump and the offline
-``stream --report-out`` pass — funnel through :func:`build_report_doc`
-so the field set cannot drift.  Serialization is
+``stream --report-out`` pass — hand their stream session's result to
+:func:`report_from_stream_result` so the field set cannot drift.
+Serialization is
 ``json.dumps(..., sort_keys=True, indent=2)`` + one trailing newline;
 two equal docs are equal bytes.
 """
@@ -65,9 +66,8 @@ def build_report_doc(
 
 
 def report_from_stream_result(tenant: str, result) -> Dict[str, object]:
-    """Build the canonical doc from an offline
-    :class:`repro.detect.streaming.StreamResult` (the ``stream
-    --report-out`` path)."""
+    """Build the canonical doc from a finished stream session's
+    :class:`repro.detect.streaming.StreamResult`."""
     return build_report_doc(
         tenant=tenant,
         model=result.model,

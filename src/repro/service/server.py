@@ -695,8 +695,8 @@ class DetectionServer:
                         s.received for s in t.streams.values()
                     ),
                     "records_consumed": (
-                        t.detector.records_consumed
-                        if t.detector is not None
+                        t.session.detector.records_consumed
+                        if t.session.detector is not None
                         else 0
                     ),
                 }

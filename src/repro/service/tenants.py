@@ -4,7 +4,7 @@ Each admitted tenant owns a directory under ``<data_dir>/tenants/<id>``::
 
     state.json            durable session state (streams, finalize, mode)
     spool/<node>/thread-<tid>/seg-NNNN.wal    ingested segment bytes
-    stream.ckpt           CRC-framed detector checkpoint (PR-7 format)
+    stream.ckpt           the stream session's checkpoint (an optimisation)
     report.json           canonical detection report, written once
     quarantine/           evidence bytes kept by the circuit breaker
 
@@ -19,13 +19,13 @@ else — ``state.json``, the detector checkpoint — is reconstructible from the
 spool plus the deterministic merge.  ``kill -9`` therefore loses
 nothing that was ever acknowledged.
 
-The merge is the correctness heart: :class:`StreamingDetector` requires
-records in global ``seq`` order, but segments arrive interleaved across
-streams.  :meth:`Tenant.pump` pops the min-``seq`` lookahead **only
-when every open stream has one buffered** — so the pop order is the
-total ``seq`` order regardless of arrival timing, which makes the
-consumed prefix deterministic, which is what lets a raw-record-count
-watermark in the checkpoint resume byte-identically after a crash.
+The detector pass — merge by ``seq``, sampler, raw-record watermark,
+checkpoint, replay on resume, confidence — is the offline ``stream``
+pass's: one :class:`repro.detect.streaming.StreamSession` over
+:func:`~repro.detect.streaming.merge_by_seq`.  The tenant feeds it
+:class:`_SpoolStream` cursors, which *starve* (segments arrive
+interleaved across streams); the merge then stalls rather than pop out
+of order, so the consumed prefix is deterministic whatever the timing.
 """
 
 from __future__ import annotations
@@ -34,21 +34,23 @@ import json
 import os
 import threading
 from collections import Counter, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
 from repro.detect.streaming import (
-    StreamingDetector,
-    load_stream_checkpoint,
-    save_stream_checkpoint,
-    stream_fingerprint,
+    DEFAULT_WINDOW,
+    STARVED,
+    StreamSession,
+    merge_by_seq,
 )
+from repro.errors import CheckpointError
 from repro.framing import atomic_write
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import OpEvent
 from repro.service.breaker import CircuitBreaker
-from repro.service.report import build_report_doc, render_report
-from repro.trace.sampling import Sampler, build_sampler
+from repro.service.report import render_report, report_from_stream_result
+from repro.trace.sampling import build_sampler
 from repro.trace.wal import (
     WalStreamReader,
     list_stream_segments,
@@ -82,8 +84,8 @@ class _SpoolStream:
     def __init__(
         self, node: str, tid: int, directory: str, damage: Counter
     ) -> None:
-        self.node = node
         self.tid = tid
+        self.key: StreamKey = (node, tid)
         self.directory = directory
         #: The same verified, truncate-at-first-damage reader the
         #: offline ``stream`` pass uses: a segment that rots after its
@@ -96,22 +98,10 @@ class _SpoolStream:
         #: Final segment count, set by ``finalize``.
         self.declared: Optional[int] = None
         self.pending: Deque[OpEvent] = deque()
-        self.closed = False  # close_stream() delivered to the detector
-
-    @property
-    def key(self) -> StreamKey:
-        return (self.node, self.tid)
+        self.closed = False  # the merge has seen this stream end
 
     def segment_path(self, index: int) -> str:
         return os.path.join(self.directory, segment_name(index))
-
-    def refill(self) -> None:
-        """Parse spooled segments into the merge buffer until a record
-        is available (or the spool cursor catches up)."""
-        while not self.pending and self.unparsed:
-            path = self.segment_path(self.consumed_segments)
-            self.pending.extend(self.reader.segment(path))
-            self.consumed_segments += 1
 
     @property
     def unparsed(self) -> int:
@@ -123,32 +113,32 @@ class _SpoolStream:
 
     @property
     def hungry(self) -> bool:
-        """Nothing buffered and nothing spooled to parse: the k-way
-        merge may be starved on this stream, so backpressure must
-        *never* refuse its next segment.  Without this carve-out a
-        tenant with more streams than queue credits deadlocks — the
-        credits fill with segments parked behind non-empty buffers
-        while the merge starves on streams that were never allowed to
-        ship, and the backlog can then never drain."""
+        """Nothing buffered (but the head the merge may hold) and
+        nothing spooled to parse: the k-way merge is starved on this
+        stream, or one pop from it, so backpressure must *never* refuse
+        its next segment.  Without this carve-out a tenant with more
+        streams than queue credits deadlocks — the credits fill with
+        segments parked behind non-empty buffers while the merge starves
+        on streams that were never allowed to ship, and the backlog can
+        then never drain."""
         return not self.pending and self.unparsed == 0 and not self.closed
 
-    @property
-    def exhausted(self) -> bool:
-        """All declared segments parsed (or the stream truncated by
-        damage) and the buffer drained."""
-        return not self.pending and (
-            self.reader.truncated
-            or (
-                self.declared is not None
-                and self.consumed_segments >= self.declared
-            )
-        )
-
-    @property
-    def starved(self) -> bool:
-        """Open (more data may come) but nothing buffered — the merge
-        must stall rather than pop out of seq order."""
-        return not self.pending and not self.exhausted
+    def poll(self) -> object:
+        """The merge's cursor: the next record (parsing the next spooled
+        segment when the buffer is empty), ``STARVED`` while more may
+        come, ``None`` at the declared total or the first damage."""
+        while not self.pending and self.unparsed:
+            path = self.segment_path(self.consumed_segments)
+            self.pending.extend(self.reader.segment(path))
+            self.consumed_segments += 1
+        if self.pending:
+            return self.pending.popleft()
+        if not self.reader.truncated and (
+            self.declared is None or self.consumed_segments < self.declared
+        ):
+            return STARVED
+        self.closed = True
+        return None
 
 
 class Tenant:
@@ -164,30 +154,24 @@ class Tenant:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         sampling_seed: int = 0,
     ) -> None:
-        from repro.detect.streaming import DEFAULT_WINDOW
-
         self.tenant_id = tenant_id
         self.root = root
-        self.model = model
         self.window = window if window is not None else DEFAULT_WINDOW
-        self.checkpoint_every = checkpoint_every
         self.sampling_seed = sampling_seed
         self.streams: Dict[StreamKey, _SpoolStream] = {}
         self.finalized = False
         self.done = False
         #: Ingestion rung for this tenant ("full" | "sampled" | "paused").
         self.mode = "full"
-        #: Sticky: the tenant's report must say "sampled" if the ladder
-        #: ever thinned its stream, even if pressure later recovered.
-        self.ever_sampled = False
-        self.sampler: Optional[Sampler] = None
-        self.damage: Counter = Counter()
-        #: Raw merged records popped (kept *and* sampled-away) — the
-        #: checkpoint watermark the deterministic merge resumes from.
-        self.consumed_raw = 0
-        self._skip_raw = 0
-        self._last_checkpoint_raw = 0
-        self.detector: Optional[StreamingDetector] = None
+        self.session = StreamSession(
+            model,
+            self.window,
+            f"service:{tenant_id}",
+            self.checkpoint_path,
+            checkpoint_every,
+        )
+        self.damage = self.session.damage
+        self.session.thinning = False  # follows ``mode``; see set_mode
         self.breaker = CircuitBreaker(
             tenant=tenant_id,
             quarantine_dir=os.path.join(root, "quarantine"),
@@ -215,10 +199,14 @@ class Tenant:
     def report_path(self) -> str:
         return os.path.join(self.root, "report.json")
 
-    def _fingerprint(self) -> str:
-        return stream_fingerprint(
-            self.model, self.window, f"service:{self.tenant_id}"
-        )
+    @property
+    def ever_sampled(self) -> bool:
+        """Sticky: the session keeps the sampler the ladder engaged."""
+        return self.session.sampler is not None
+
+    @property
+    def consumed_raw(self) -> int:
+        return self.session.consumed_raw
 
     # -- durable state -----------------------------------------------------
 
@@ -252,19 +240,21 @@ class Tenant:
         quarantine, sampling history); the **spool is the source of
         truth** for what was durably ingested — received counts are
         re-derived by listing it, never trusted from state.  The
-        detector checkpoint, when present and fingerprint-matched, is
-        loaded so resume skips already-retired work."""
+        session checkpoint only saves already-retired work: one that
+        cannot be used is discarded (and counted) and the spool is
+        replayed from record 0.  ``window=None`` means the window in
+        ``state.json``."""
         with open(os.path.join(root, "state.json")) as fh:
             doc = json.load(fh)
         if doc.get("format") != TENANT_STATE_FORMAT:
             raise ValueError(f"{root}: not a tenant state file")
-        kwargs.setdefault("window", doc.get("window"))
+        if kwargs.get("window") is None:
+            kwargs["window"] = doc.get("window")
         self = cls(tenant_id, root, **kwargs)  # type: ignore[arg-type]
         self.declare_streams(
             [(str(n), int(t)) for n, t in doc.get("streams", [])]
         )
-        self.ever_sampled = bool(doc.get("ever_sampled"))
-        if self.ever_sampled:
+        if doc.get("ever_sampled"):
             self._engage_sampler()
         self.breaker.quarantined = bool(doc.get("quarantined"))
         self.breaker.bad_total = int(doc.get("bad_total", 0))
@@ -291,23 +281,15 @@ class Tenant:
             )
         if os.path.exists(self.report_path):
             self.done = True
-        elif os.path.exists(self.checkpoint_path):
-            ckpt = load_stream_checkpoint(self.checkpoint_path)
-            if ckpt.get("fingerprint") == self._fingerprint():
-                self.detector = StreamingDetector.from_snapshot(
-                    ckpt["snapshot"], self.model
-                )
-                extra = ckpt.get("extra") or {}
-                self.consumed_raw = 0
-                self._skip_raw = int(
-                    extra.get("consumed_raw", self.detector.records_consumed)
-                )
-                self._last_checkpoint_raw = self._skip_raw
-                # Damage counts are not checkpointed: the resume replay
-                # re-reads the spool from its start and re-finds them.
-                if self.sampler is not None:
-                    for k, v in (extra.get("sampled_dropped") or {}).items():
-                        self.sampler.dropped[str(k)] = int(v)
+        else:
+            try:
+                self.session.resume()
+            except CheckpointError as exc:
+                obs.counter(
+                    "service_checkpoints_discarded_total",
+                    "unusable tenant checkpoints discarded at recovery",
+                ).labels(tenant=tenant_id).inc()
+                print(f"service: tenant {tenant_id} checkpoint discarded: {exc}")
         return self
 
     # -- session -----------------------------------------------------------
@@ -377,11 +359,9 @@ class Tenant:
     # -- overload ladder ---------------------------------------------------
 
     def _engage_sampler(self) -> None:
-        if self.sampler is None:
-            self.sampler = build_sampler(
-                OVERLOAD_SAMPLING_SPEC, seed=self.sampling_seed
-            )
-        self.ever_sampled = True
+        self.session.sampler = build_sampler(
+            OVERLOAD_SAMPLING_SPEC, seed=self.sampling_seed
+        )
 
     def set_mode(self, mode: str) -> bool:
         """Apply an overload-ladder rung; returns True on a change."""
@@ -390,6 +370,10 @@ class Tenant:
                 return False
             previous = self.mode
             self.mode = mode
+            # "paused" is a superset of "sampled": the ladder is
+            # monotone, so anything above the soft rung keeps the
+            # detector on the sampler while it drains the backlog.
+            self.session.thinning = mode != "full"
             if mode != "full" and not self.ever_sampled:
                 self._engage_sampler()
                 self.save_state()  # ever_sampled is report-affecting
@@ -403,84 +387,30 @@ class Tenant:
 
     # -- the pump ----------------------------------------------------------
 
-    def _ensure_detector(self) -> StreamingDetector:
-        if self.detector is None:
-            self.detector = StreamingDetector(
-                model=self.model,
-                window=self.window,
-                expected_streams=[tid for _, tid in self.streams],
-            )
-        return self.detector
+    @cached_property
+    def _merged(self) -> Iterator[Optional[OpEvent]]:
+        """Built on the first pump: every stream is declared by then."""
+        detector = self.session.open([tid for _, tid in self.streams])
+        return merge_by_seq(
+            [(s.tid, s.poll) for s in self.streams.values()],
+            detector.close_stream,
+        )
 
     def pump(self, limit: Optional[int] = None) -> int:
-        """Drain the merge into the detector as far as seq order
+        """Drain the merge into the session as far as seq order
         allows, up to ``limit`` raw records (keeps the pump
         preemptible).  Returns the number of raw records advanced
         (0 means the merge is starved — waiting on more segments)."""
-        detector = self._ensure_detector()
-        advanced = 0
-        while limit is None or advanced < limit:
-            best: Optional[_SpoolStream] = None
-            for stream in self.streams.values():
-                if stream.closed:
-                    continue
-                stream.refill()
-                if stream.exhausted:
-                    # Deliver close exactly once, and never during the
-                    # resume replay (pre-watermark closes are already
-                    # in the checkpoint snapshot).
-                    if self.consumed_raw >= self._skip_raw:
-                        detector.close_stream(stream.tid)
-                    stream.closed = True
-                    continue
-                if stream.starved:
-                    return advanced  # cannot pop without risking order
-                head = stream.pending[0]
-                if best is None or head.seq < best.pending[0].seq:
-                    best = stream
-            if best is None:
-                return advanced
-            event = best.pending.popleft()
-            self.consumed_raw += 1
-            advanced += 1
-            if self.consumed_raw <= self._skip_raw:
-                # Resume replay: advance sampler state only; the
-                # detector already holds this prefix.
-                if self.sampler is not None:
-                    self.sampler.observe(event)
-                continue
-            # "paused" is a superset of "sampled": the ladder is
-            # monotone, so anything above the soft rung keeps the
-            # detector on the sampler while it drains the backlog.
-            if self.mode != "full" and self.sampler is not None:
-                keep, _evictions = self.sampler.observe(event)
-                if not keep:
-                    continue
-            detector.feed(event)
-        return advanced
+        return self.session.pump(self._merged, limit)
 
     def maybe_checkpoint(self, force: bool = False) -> bool:
-        """Save the detector checkpoint (with the raw watermark) when
-        the cadence says so."""
-        if self.detector is None:
-            return False
-        raw = max(self.consumed_raw, self._skip_raw)
-        if not force and raw - self._last_checkpoint_raw < self.checkpoint_every:
-            return False
-        extra: Dict[str, object] = {"consumed_raw": raw}
-        if self.sampler is not None:
-            extra["sampled_dropped"] = dict(self.sampler.dropped)
-        save_stream_checkpoint(
-            self.checkpoint_path,
-            self.detector,
-            self._fingerprint(),
-            extra=extra,
-        )
-        self._last_checkpoint_raw = raw
-        obs.counter(
-            "service_checkpoints_total", "per-tenant detector checkpoints"
-        ).labels(tenant=self.tenant_id).inc()
-        return True
+        """Save the session checkpoint when its cadence says so."""
+        saved = self.session.maybe_checkpoint(force)
+        if saved:
+            obs.counter(
+                "service_checkpoints_total", "per-tenant detector checkpoints"
+            ).labels(tenant=self.tenant_id).inc()
+        return saved
 
     @property
     def drained(self) -> bool:
@@ -490,45 +420,16 @@ class Tenant:
         )
 
     def write_report(self) -> Dict[str, object]:
-        """Finish the detector and atomically publish the canonical
+        """Finish the session and atomically publish the canonical
         report.  Idempotent: an existing report is returned as-is."""
         if os.path.exists(self.report_path):
             with open(self.report_path) as fh:
                 return json.load(fh)
-        detector = self._ensure_detector()
-        for stream in self.streams.values():
-            if stream.closed:
-                # Idempotent: re-deliver closes the resume replay may
-                # have skipped (they were already in the snapshot).
-                detector.close_stream(stream.tid)
-        detector.finish()
-        self.maybe_checkpoint(force=True)
-        confidence = "full"
-        if self.damage or detector.state.rootless_segments:
-            confidence = "partial"
-        # Honesty cuts both ways: "sampled" iff records were actually
-        # dropped.  A transient ladder flap that engaged the sampler
-        # but thinned nothing must not taint a complete report.
-        if self.sampler is not None and sum(self.sampler.dropped.values()):
-            confidence = "sampled"
-        doc = build_report_doc(
-            tenant=self.tenant_id,
-            model=detector.state.model.describe(),
-            window=detector.window,
-            records=detector.records_consumed,
-            streams=detector.state.stats()["streams_started"],
-            pairs=[
-                (c.first.seq, c.second.seq) for c in detector.candidates
-            ],
-            confidence=confidence,
-            damage=dict(self.damage),
-            sampled_dropped=(
-                dict(self.sampler.dropped) if self.sampler is not None else {}
-            ),
-        )
+        result = self.session.finish()
+        doc = report_from_stream_result(self.tenant_id, result)
         atomic_write(self.report_path, render_report(doc))
         self.done = True
         obs.counter(
             "service_reports_total", "tenant reports published"
-        ).labels(tenant=self.tenant_id, confidence=confidence).inc()
+        ).labels(tenant=self.tenant_id, confidence=result.confidence).inc()
         return doc

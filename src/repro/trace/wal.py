@@ -347,6 +347,8 @@ class WalStreamReader:
 
     def segment(self, path: str) -> Iterator[OpEvent]:
         """The events of one segment file, up to its first damage."""
+        if not os.path.exists(path):
+            return self._truncate("missing_segments")
         scan = SegmentScan()
         with open(path, "rb") as fh:
             for raw in fh:

@@ -132,4 +132,4 @@ class TestSampledHonesty:
         tenant.save_state()
         recovered = Tenant.recover("t", root, window=WINDOW)
         assert recovered.ever_sampled is True
-        assert recovered.sampler is not None  # re-engaged for the replay
+        assert recovered.session.sampler is not None  # re-engaged for the replay

@@ -35,8 +35,9 @@ from repro.framing import (
     encode_seal,
 )
 from repro.service.report import render_report, report_from_stream_result
-from repro.service.tenants import Tenant, stream_key_str
+from repro.service.tenants import OVERLOAD_SAMPLING_SPEC, Tenant, stream_key_str
 from repro.trace.salvage import salvage_trace
+from repro.trace.sampling import build_sampler
 from repro.trace.wal import list_stream_segments, verify_segment_bytes
 from repro.workload import generate_workload
 
@@ -327,3 +328,127 @@ def test_missing_segment_is_partial_offline_and_in_salvage(workload, tmp_path):
     assert result.damage == {"missing_segments": 1}
     _trace, salvage = salvage_trace(wal_dir)
     assert salvage.threads[f"{key[0]}/thread-{key[1]}"].missing_segments == [index]
+
+
+# -- one session, two drivers ----------------------------------------------------
+#
+# The offline ``stream`` pass and the tenant pump run the same stream
+# session over the same merge, so over the same spool they publish the
+# same bytes: whatever the damage, sampled or not, and wherever either
+# of them is interrupted and resumed.
+
+
+def _lying_seal(lines):
+    seal = next(i for i, l in enumerate(lines) if l.startswith(b"S "))
+    return lines[:seal] + [encode_seal(999, 0)] + lines[seal + 1:]
+
+
+def _flip_crc(lines):
+    line = lines[4]  # "R <len> <crc> <payload>": change one CRC digit
+    digit = b"0" if line[12:13] != b"0" else b"1"
+    return lines[:4] + [line[:12] + digit + line[13:]] + lines[5:]
+
+
+_DAMAGE = {
+    "intact": None,
+    "torn-tail": lambda lines: lines[:-2] + [lines[-2][: len(lines[-2]) // 2]],
+    "crc-flipped": _flip_crc,
+    "lying-seal": _lying_seal,
+    "missing-segment": "remove",
+}
+
+
+def _spool_tenant(spool, root, seed, recover=False):
+    """A finalized tenant over ``spool``; with a ``seed`` it is on the
+    overload sampler from record 0 (as the ladder would re-apply it)."""
+    kwargs = {} if seed is None else {"sampling_seed": seed}
+    segments = list_stream_segments(spool)
+    totals = {stream_key_str(k): len(p) for k, p in segments.items()}
+    if recover:
+        tenant = Tenant.recover("t", root, **kwargs)
+    else:
+        os.makedirs(root)
+        tenant = Tenant("t", root, window=WINDOW, checkpoint_every=70, **kwargs)
+        tenant.declare_streams(sorted(segments))
+        os.symlink(spool, tenant.spool_dir)
+        for key, paths in segments.items():
+            tenant.streams[key].received = len(paths)
+    if seed is not None:
+        tenant.set_mode("sampled")
+    assert tenant.finalize(totals) is None
+    return tenant
+
+
+def _drained_report(tenant, batch):
+    while not tenant.drained:
+        assert tenant.pump(limit=batch) or tenant.drained
+        tenant.maybe_checkpoint()
+    return render_report(tenant.write_report())
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+@pytest.mark.parametrize("seed", [None, 0, 7])
+@settings(max_examples=15, deadline=None)
+@given(batch=st.integers(1, 90), kill_after=st.integers(0, 12))
+def test_offline_pass_and_tenant_publish_the_same_bytes(
+    workload, damage, seed, batch, kill_after
+):
+    def sampler():
+        if seed is not None:
+            return build_sampler(OVERLOAD_SAMPLING_SPEC, seed)
+
+    with tempfile.TemporaryDirectory() as scratch:
+        spool = os.path.join(scratch, "wal")
+        shutil.copytree(workload.wal_dir, spool)
+        edit = _DAMAGE[damage]
+        if edit == "remove":
+            key, index = _victim(spool)
+            os.remove(list_stream_segments(spool)[key][index])
+        elif edit is not None:
+            _rewrite_victim(spool, edit)
+
+        offline = detect_races_streaming(
+            wal_dir=spool, window=WINDOW, sampler=sampler()
+        )
+        oracle = render_report(report_from_stream_result("t", offline))
+        assert (offline.confidence == "partial") == (
+            damage != "intact" and not offline.sampled_dropped
+        )
+        merged = sum(1 for _ in iter_wal_records(spool))
+        assert (
+            offline.records_consumed + sum(offline.sampled_dropped.values())
+            == merged
+        )
+
+        # The tenant, uninterrupted.
+        steady = _spool_tenant(spool, os.path.join(scratch, "steady"), seed)
+        assert _drained_report(steady, batch) == oracle
+
+        # The tenant, killed after ``kill_after`` pump batches (its
+        # checkpoint, if it got to one, is some batches old) and recovered.
+        root = os.path.join(scratch, "killed")
+        killed = _spool_tenant(spool, root, seed)
+        for _ in range(kill_after):
+            killed.pump(limit=batch)
+            killed.maybe_checkpoint()
+        recovered = _spool_tenant(spool, root, seed, recover=True)
+        assert recovered.session.resumed_at <= killed.consumed_raw
+        assert _drained_report(recovered, batch) == oracle
+        assert recovered.consumed_raw == merged
+
+        # The offline pass, interrupted at a window probe and resumed.
+        ckpt = os.path.join(scratch, "stream.ckpt")
+        probes = iter(range(kill_after + 1))
+        first = detect_races_streaming(
+            wal_dir=spool, window=WINDOW, sampler=sampler(),
+            checkpoint_path=ckpt, checkpoint_every=1,
+            should_stop=lambda: next(probes) == kill_after,
+        )
+        resumed = detect_races_streaming(
+            wal_dir=spool, window=WINDOW, sampler=sampler(),
+            checkpoint_path=ckpt, resume=True,
+        )
+        assert resumed.resumed_at == first.records_consumed + sum(
+            first.sampled_dropped.values()
+        )
+        assert render_report(report_from_stream_result("t", resumed)) == oracle
