@@ -72,9 +72,12 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "trigger": config.trigger,
         "trigger_seeds": list(config.trigger_seeds),
         "trigger_max_wait": config.trigger_max_wait,
-        "reach_backend": config.reach_backend,
+        # This key and "compress_mem" are constants: both options are
+        # gone, the keys stay so checkpoints written while they existed
+        # (at these defaults) still resume.
+        "reach_backend": "bitset",
         "detect_mode": getattr(config, "detect_mode", "batch"),
-        "compress_mem": getattr(config, "compress_mem", True),
+        "compress_mem": True,
         "max_pairs_per_location": getattr(
             config, "max_pairs_per_location", 200_000
         ),

@@ -15,9 +15,8 @@ eats all memory takes the tenant fleet down with it.  The
   to ``resource.getrusage``).
 
 On pressure the pipeline degrades along an explicit ladder (see
-``repro.pipeline``): bitset → chain reachability,
-``max_pairs_per_location`` truncation, and finally a ``degraded``
-stage status instead of an exception.  "Dynamic Race
+``repro.pipeline``): ``max_pairs_per_location`` truncation, and
+finally a ``degraded`` stage status instead of an exception.  "Dynamic Race
 Detection with O(1) Samples" (PAPERS.md) is the theoretical license:
 detection quality survives deliberately shedding work.
 
@@ -38,7 +37,6 @@ from repro import obs
 
 #: The degradation ladder, in the order rungs are engaged.
 DEGRADATION_LADDER = (
-    "reach_chain",      # bitset -> chain-compressed reachability
     "truncate_pairs",   # engage aggressive max_pairs_per_location
     "abandoned",        # give up: stage marked degraded, partial result kept
 )

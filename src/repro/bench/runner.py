@@ -10,19 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Optional, Tuple
-
-#: Where ``write_bench_json`` puts its artifact by default.
-REPO_ROOT = Path(__file__).resolve().parents[3]
-BENCH_JSON_PATH = REPO_ROOT / "BENCH_pipeline.json"
-
-#: One representative benchmark per mini system, Table 3 order.
-BENCH_REPRESENTATIVES = ("CA-1011", "HB-4539", "MR-3274", "ZK-1144")
-
-#: System vocabulary and seed of the ``--sampling`` generated workload.
-STREAM_BENCH_SYSTEM = "minimr"
-STREAM_BENCH_SEED = 0
 
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import ReportSet
@@ -148,443 +136,3 @@ CACHE = BenchCache()
 
 def all_bug_ids():
     return [w.info.bug_id for w in all_workloads()]
-
-
-# -- machine-readable pipeline benchmark ------------------------------------------
-
-
-def _stage_spans(tracer) -> Dict[str, Dict[str, float]]:
-    stages: Dict[str, Dict[str, float]] = {}
-    for span in tracer.roots():
-        if not span.name.startswith("pipeline."):
-            continue
-        stage = span.name.split(".", 1)[1]
-        stages[stage] = {
-            "wall_seconds": round(span.wall_seconds, 6),
-            "cpu_seconds": round(span.cpu_seconds, 6),
-        }
-    return stages
-
-
-def _bench_durable(bug_id: str, trace_dir: str, baseline_tracing: float):
-    """Re-run the monitored stage with the WAL on; report the overhead
-    of durable tracing relative to the in-memory tracing stage, plus
-    what salvage recovers from the written log."""
-    import os
-
-    from repro import obs
-    from repro.trace.salvage import salvage_trace
-
-    workload = workload_by_id(bug_id)
-    registry = obs.MetricsRegistry(name=f"{bug_id}-durable")
-    tracer = obs.SpanTracer(name=f"{bug_id}-durable")
-    with obs.use_registry(registry), obs.use_tracer(tracer):
-        result = DCatch(
-            workload, PipelineConfig(trigger=False, trace_dir=trace_dir)
-        ).run()
-    durable_tracing = _stage_spans(tracer).get("tracing", {}).get(
-        "wall_seconds", 0.0
-    )
-    wal_dir = os.path.join(
-        trace_dir, bug_id, f"seed-{result.monitored_result.seed}"
-    )
-    _, report = salvage_trace(wal_dir)
-    snapshot = registry.snapshot()
-
-    def metric(name):
-        return int(snapshot.get(name, {}).get("value", 0))
-
-    return {
-        "wall_seconds": durable_tracing,
-        "overhead_seconds": round(durable_tracing - baseline_tracing, 6),
-        "overhead_ratio": round(
-            durable_tracing / baseline_tracing, 3
-        ) if baseline_tracing > 0 else None,
-        "wal_records": metric("wal_records_written_total"),
-        "wal_segments_sealed": metric("wal_segments_sealed_total"),
-        "wal_bytes": metric("wal_bytes_written_total"),
-        "salvage": {
-            "damaged": report.damaged,
-            "records_recovered": report.records_recovered,
-            "records_quarantined": report.records_quarantined,
-        },
-    }
-
-
-def _bench_checkpoint(bug_id: str, plain_wall: float) -> Dict[str, object]:
-    """Checkpointing overhead and resume speedup: a checkpointed run,
-    then a full ``resume=True`` pass over it.
-
-    Overhead is the summed wall time of the ``checkpoint.seal`` spans —
-    the instrumented cost of serializing stage payloads — rather than a
-    wall-clock delta between two runs, which on these sub-second
-    benchmarks is dominated by run-to-run noise."""
-    import shutil
-    import tempfile
-
-    from repro import obs
-
-    workload = workload_by_id(bug_id)
-    ckdir = tempfile.mkdtemp(prefix=f"dcatch-bench-ck-{bug_id}-")
-    registry = obs.MetricsRegistry(name=f"{bug_id}-checkpoint")
-    tracer = obs.SpanTracer(name=f"{bug_id}-checkpoint")
-    try:
-        with obs.use_registry(registry), obs.use_tracer(tracer):
-            _, ck_wall, _ = _timed(
-                lambda: DCatch(
-                    workload, PipelineConfig(checkpoint_dir=ckdir)
-                ).run()
-            )
-        seal_seconds = sum(
-            span.wall_seconds for span in tracer.by_name("checkpoint.seal")
-        )
-        snapshot = registry.snapshot()
-        resumed, resume_wall, _ = _timed(
-            lambda: DCatch(
-                workload,
-                PipelineConfig(checkpoint_dir=ckdir, resume=True),
-            ).run()
-        )
-        return {
-            "wall_seconds": ck_wall,
-            "plain_wall_seconds": plain_wall,
-            "overhead_seconds": round(seal_seconds, 6),
-            "overhead_ratio": round(seal_seconds / ck_wall, 4)
-            if ck_wall > 0
-            else None,
-            "bytes_written": int(
-                snapshot.get("checkpoint_bytes_written_total", {}).get(
-                    "value", 0
-                )
-            ),
-            "resume_wall_seconds": resume_wall,
-            "resume_speedup": round(ck_wall / max(resume_wall, 1e-9), 3),
-            "stages_skipped": list(resumed.stages_skipped),
-        }
-    finally:
-        shutil.rmtree(ckdir, ignore_errors=True)
-
-
-def _bench_one(bug_id: str, trace_dir: Optional[str] = None) -> Dict[str, object]:
-    """Per-stage wall/CPU time plus trace size for one benchmark."""
-    from repro import obs
-    from repro.trace.stats import compute_stats
-
-    workload = workload_by_id(bug_id)
-    registry = obs.MetricsRegistry(name=bug_id)
-    tracer = obs.SpanTracer(name=bug_id)
-    with obs.use_registry(registry), obs.use_tracer(tracer):
-        result, plain_wall, _ = _timed(
-            lambda: DCatch(workload, PipelineConfig()).run()
-        )
-
-    stages = _stage_spans(tracer)
-    stats = compute_stats(result.trace)
-    entry = {
-        "bug_id": bug_id,
-        "system": workload.info.system,
-        "stages": stages,
-        "trace": {
-            "records": stats.total,
-            "size_bytes": stats.size_bytes,
-            "records_by_category": dict(sorted(stats.categories.items())),
-            "bytes_by_category": dict(sorted(stats.bytes_by_category.items())),
-        },
-        "reports": len(result.reports) if result.reports is not None else 0,
-        "checkpoint": _bench_checkpoint(bug_id, plain_wall),
-    }
-    if trace_dir is not None:
-        entry["durable_tracing"] = _bench_durable(
-            bug_id,
-            trace_dir,
-            stages.get("tracing", {}).get("wall_seconds", 0.0),
-        )
-    return entry
-
-
-def _guarded(bug_id: str, fn) -> Dict[str, object]:
-    """One crashed benchmark case becomes an ``error`` entry instead of
-    sinking the whole artifact."""
-    import sys
-    import traceback
-
-    try:
-        return fn()
-    except Exception as exc:  # noqa: BLE001 - the guard is the point
-        traceback.print_exc(file=sys.stderr)
-        print(f"bench: {bug_id} failed: {exc}", file=sys.stderr)
-        return {"bug_id": bug_id, "error": f"{type(exc).__name__}: {exc}"}
-
-
-def bench_pipeline_data(
-    bug_ids=BENCH_REPRESENTATIVES,
-    trace_dir: Optional[str] = None,
-    sampling_presets=None,
-) -> Dict[str, object]:
-    """The ``BENCH_pipeline.json`` document: one entry per mini system."""
-    import platform
-    import sys
-
-    document = {
-        "format": "repro-bench-pipeline",
-        "version": 1,
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "benchmarks": [
-            _guarded(bug_id, lambda bug_id=bug_id: _bench_one(bug_id, trace_dir))
-            for bug_id in bug_ids
-        ],
-    }
-    if sampling_presets:
-        document["sampling"] = bench_sampling_data(sampling_presets)
-    return document
-
-
-def write_bench_json(
-    path=BENCH_JSON_PATH,
-    bug_ids=BENCH_REPRESENTATIVES,
-    trace_dir: Optional[str] = None,
-    sampling_presets=None,
-) -> Path:
-    import json
-
-    path = Path(path)
-    document = bench_pipeline_data(bug_ids, trace_dir, sampling_presets)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-# -- sampled-tracing benchmark ------------------------------------------------
-
-#: Sample rates the ``--sampling`` bench sweeps, highest first.
-SAMPLING_BENCH_RATES = (1.0, 0.1, 0.01)
-SAMPLING_BENCH_SEED = 0
-#: Replay timings take the best of this many repeats — the replay is a
-#: tight single-process loop, so min-of-N is the low-noise estimator.
-SAMPLING_BENCH_REPEATS = 3
-
-
-def _sampling_replay(records, sampler):
-    """The tracer hot path on a pre-loaded record list: consult the
-    sampler, honour reservoir evictions, and serialize every kept
-    record (the WAL write path minus the disk).  Returns the serialized
-    lines so the rate-1.0 run can be byte-compared against the
-    unsampled output."""
-    import json
-
-    from repro.trace.records import record_to_dict
-
-    kept = {}
-    for event in records:
-        if sampler is not None:
-            keep, evictions = sampler.observe(event)
-            for seq in evictions:
-                kept.pop(seq, None)
-            if not keep:
-                continue
-        kept[event.seq] = event
-    return [
-        json.dumps(record_to_dict(event), sort_keys=True)
-        for event in kept.values()
-    ]
-
-
-def _bench_sampling_one(
-    preset: str, rates=SAMPLING_BENCH_RATES, seed: int = SAMPLING_BENCH_SEED
-) -> Dict[str, object]:
-    """Tracing overhead and planted-race recall across sample rates on
-    one generated workload.
-
-    Overhead is the replay wall time (filter + serialize, best of
-    repeats): keeping fewer records means serializing fewer, so the
-    wall times should fall monotonically with the rate.  Recall is
-    scored by running the streaming detector over the same WAL through
-    a fresh sampler and matching candidates against the generator's
-    planted-race ground truth.  At rate 1.0 the sampler is a no-op
-    (``KeepAll``) and the replay output must be byte-identical to the
-    unsampled one.
-    """
-    import gc
-    import shutil
-    import tempfile
-
-    from repro.detect.streaming import detect_races_streaming
-    from repro.trace.salvage import salvage_trace
-    from repro.trace.sampling import build_sampler
-    from repro.workload import generate_workload
-
-    out_dir = tempfile.mkdtemp(prefix=f"dcatch-bench-sampling-{preset}-")
-    try:
-        generated = generate_workload(
-            STREAM_BENCH_SYSTEM, preset, STREAM_BENCH_SEED, out_dir
-        )
-        planted = {
-            frozenset((race["first_seq"], race["second_seq"]))
-            for race in generated.planted_races
-        }
-        trace, _report = salvage_trace(generated.wal_dir)
-        records = list(trace.records)
-
-        def recall(seq_pairs) -> float:
-            if not planted:
-                return 1.0
-            found = {frozenset(pair) for pair in seq_pairs}
-            return round(len(planted & found) / len(planted), 4)
-
-        gc.collect()
-        baseline_lines, baseline_wall, _ = _timed(
-            lambda: _sampling_replay(records, None)
-        )
-
-        entries = []
-        identity_at_rate_1 = None
-        for rate in rates:
-            spec = f"{rate:g}"
-            best_wall = None
-            lines: list = []
-            sampler = None
-            for _ in range(SAMPLING_BENCH_REPEATS):
-                candidate = build_sampler(spec, seed)
-                # Collect before each repeat: the previous repeat's
-                # ~100k-line list otherwise triggers GC mid-timing.
-                gc.collect()
-                result, wall, _cpu = _timed(
-                    lambda candidate=candidate: _sampling_replay(
-                        records, candidate
-                    )
-                )
-                if best_wall is None or wall < best_wall:
-                    best_wall, lines, sampler = wall, result, candidate
-            if rate >= 1.0:
-                identity_at_rate_1 = lines == baseline_lines
-            detect_sampler = build_sampler(spec, seed)
-            stream, detect_wall, _cpu = _timed(
-                lambda: detect_races_streaming(
-                    wal_dir=generated.wal_dir, sampler=detect_sampler
-                )
-            )
-            entries.append(
-                {
-                    "rate": rate,
-                    "policy": sampler.describe(),
-                    "records_kept": len(lines),
-                    "kept_ratio": round(len(lines) / max(len(records), 1), 4),
-                    "sampled_dropped": dict(sampler.dropped),
-                    "tracing": {
-                        "wall_seconds": best_wall,
-                        "records_per_second": round(
-                            len(records) / max(best_wall, 1e-9), 1
-                        ),
-                        "repeats": SAMPLING_BENCH_REPEATS,
-                    },
-                    "detection": {
-                        "wall_seconds": detect_wall,
-                        "candidates": len(stream.candidates),
-                        "confidence": stream.confidence,
-                        "planted_recall": recall(stream.candidate_seq_pairs()),
-                    },
-                }
-            )
-        walls = [entry["tracing"]["wall_seconds"] for entry in entries]
-        return {
-            "preset": preset,
-            "system": STREAM_BENCH_SYSTEM,
-            "seed": STREAM_BENCH_SEED,
-            "sampling_seed": seed,
-            "trace": {
-                "records": len(records),
-                "streams": generated.streams,
-                "planted_races": len(planted),
-            },
-            "baseline": {
-                "wall_seconds": baseline_wall,
-                "records": len(baseline_lines),
-            },
-            "identity_at_rate_1": identity_at_rate_1,
-            # rates sweep highest-first, so walls should be decreasing
-            "overhead_monotone_decreasing": all(
-                walls[i] >= walls[i + 1] for i in range(len(walls) - 1)
-            ),
-            "rates": entries,
-        }
-    finally:
-        shutil.rmtree(out_dir, ignore_errors=True)
-
-
-def bench_sampling_data(
-    presets, rates=SAMPLING_BENCH_RATES, seed: int = SAMPLING_BENCH_SEED
-) -> Dict[str, object]:
-    """The ``sampling`` block of ``BENCH_pipeline.json``."""
-    return {
-        "system": STREAM_BENCH_SYSTEM,
-        "seed": seed,
-        "rates": list(rates),
-        "presets": [
-            _guarded(
-                f"sampling-{preset}",
-                lambda preset=preset: _bench_sampling_one(preset, rates, seed),
-            )
-            for preset in presets
-        ],
-    }
-
-
-def _timed(fn):
-    """(result, wall_seconds, cpu_seconds) of one call."""
-    wall = time.perf_counter()
-    cpu = time.process_time()
-    result = fn()
-    return (
-        result,
-        round(time.perf_counter() - wall, 6),
-        round(time.process_time() - cpu, 6),
-    )
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.runner",
-        description="run one pipeline per mini system and write "
-        "BENCH_pipeline.json",
-    )
-    parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument(
-        "--bugs",
-        nargs="*",
-        default=list(BENCH_REPRESENTATIVES),
-        help="benchmark ids to time",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="also measure durable (write-ahead logged) tracing overhead, "
-        "writing WALs under DIR",
-    )
-    parser.add_argument(
-        "--sampling",
-        nargs="+",
-        default=None,
-        choices=("small", "medium", "xl"),
-        metavar="PRESET",
-        help="also benchmark sampled tracing (overhead + planted-race "
-        "recall at rates 1.0/0.1/0.01) on generated workloads of these "
-        "sizes",
-    )
-    args = parser.parse_args(argv)
-    path = write_bench_json(
-        args.out or BENCH_JSON_PATH,
-        args.bugs,
-        args.trace_dir,
-        args.sampling,
-    )
-    print(f"bench results written to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

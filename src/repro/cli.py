@@ -78,7 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scope="full" if args.full_scope else "selective",
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
-        reach_backend=args.reach_backend,
         trace_dir=args.trace_dir,
         trigger_max_wait=args.trigger_max_wait,
         checkpoint_dir=args.checkpoint_dir,
@@ -258,7 +257,6 @@ def _run_profiled(args: argparse.Namespace):
     config = PipelineConfig(
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
-        reach_backend=getattr(args, "reach_backend", "bitset"),
     )
     with obs.use_registry(registry), obs.use_tracer(tracer):
         result = DCatch(workload, config).run()
@@ -559,18 +557,6 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
-    """Trace-analysis knobs shared by ``run``/``profile``/``metrics``."""
-    parser.add_argument(
-        "--reach-backend",
-        choices=("bitset", "chain"),
-        default="bitset",
-        dest="reach_backend",
-        help="reachability engine: bit matrix (default) or "
-        "segment-chain compression (lower memory)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcatch",
@@ -678,7 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         "passes (memory knob; candidates are window-independent)",
     )
     _add_sampling_flags(run)
-    _add_analysis_flags(run)
     run.set_defaults(fn=_cmd_run)
 
     table = sub.add_parser("table", help="regenerate an evaluation table")
@@ -784,7 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a chrome://tracing trace-event file",
     )
-    _add_analysis_flags(profile)
     profile.set_defaults(fn=_cmd_profile)
 
     metrics = sub.add_parser(
@@ -804,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="prom",
         help="Prometheus text exposition (default) or JSON",
     )
-    _add_analysis_flags(metrics)
     metrics.set_defaults(fn=_cmd_metrics)
 
     generate = sub.add_parser(

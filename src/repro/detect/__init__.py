@@ -1,10 +1,5 @@
 """DCbug candidate detection and reporting (paper Section 3.2)."""
 
-from repro.detect.chunked import (
-    ChunkedDetectionResult,
-    chunk_trace,
-    detect_races_chunked,
-)
 from repro.detect.export import (
     dump_reports,
     load_reports,
@@ -54,9 +49,6 @@ __all__ = [
     "LocksetIndex",
     "LocksetSplit",
     "split_by_lockset",
-    "ChunkedDetectionResult",
-    "chunk_trace",
-    "detect_races_chunked",
     "StreamingDetector",
     "StreamResult",
     "detect_races_streaming",

@@ -90,7 +90,7 @@ class DetectionResult:
     #: ``(first.seq, second.seq)`` of candidates still concurrent under
     #: the sync-preserving order (``repro.detect.syncpres``) — always a
     #: subset of the candidate pairs.  None when SP annotation did not
-    #: run (batch/streaming/chunked modes).
+    #: run (batch/streaming modes).
     sp_pairs: Optional[set] = None
 
     def candidate_soundness(self, candidate: Candidate) -> str:
@@ -183,15 +183,11 @@ def detect_races(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
     max_pairs_per_location: int = 200_000,
-    reach_backend: str = "bitset",
     on_shard: Optional[Callable[[int, list, int, bool], None]] = None,
     completed_shards: Optional[Dict[int, tuple]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> DetectionResult:
     """Run trace analysis: build the HB graph, enumerate candidates.
-
-    ``reach_backend`` selects the reachability engine when the graph is
-    built here (ignored when a prebuilt ``graph`` is passed).
 
     The last three knobs support checkpointed pipelines: ``on_shard``
     receives each location's ``(index, seq_pairs, pairs, truncated)`` as
@@ -204,12 +200,7 @@ def detect_races(
     """
     started = time.perf_counter()
     if graph is None:
-        graph = HBGraph(
-            trace,
-            model=model,
-            memory_budget=memory_budget,
-            reach_backend=reach_backend,
-        )
+        graph = HBGraph(trace, model=model, memory_budget=memory_budget)
 
     by_location: Dict[Location, List[OpEvent]] = defaultdict(list)
     for record in trace.records:

@@ -112,8 +112,6 @@ def build_sp_graph(
     trace: Trace,
     model: HBModel = FULL_MODEL,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    compress_mem: bool = True,
-    reach_backend: str = "bitset",
 ) -> HBGraph:
     """The SP order as a graph: all HB edges plus the closure edges.
 
@@ -127,8 +125,6 @@ def build_sp_graph(
         trace,
         model=model,
         memory_budget=memory_budget,
-        compress_mem=compress_mem,
-        reach_backend=reach_backend,
         extra_backbone=promoted,
     )
     for release_seq, acquire_seq in closure:
@@ -140,7 +136,6 @@ def annotate_sync_preserving(
     detection: DetectionResult,
     model: HBModel = FULL_MODEL,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    reach_backend: str = "bitset",
     sp_graph: Optional[HBGraph] = None,
 ) -> DetectionResult:
     """Replay the HB candidate set against the SP order and record which
@@ -155,10 +150,7 @@ def annotate_sync_preserving(
     with obs.span("detect.sync_preserving", candidates=len(detection.candidates)):
         if sp_graph is None:
             sp_graph = build_sp_graph(
-                detection.trace,
-                model=model,
-                memory_budget=memory_budget,
-                reach_backend=reach_backend,
+                detection.trace, model=model, memory_budget=memory_budget
             )
         sp_pairs = {
             (c.first.seq, c.second.seq)
@@ -187,7 +179,6 @@ def detect_races_sync_preserving(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
     max_pairs_per_location: int = 200_000,
-    reach_backend: str = "bitset",
     on_shard=None,
     completed_shards=None,
     should_stop=None,
@@ -204,14 +195,10 @@ def detect_races_sync_preserving(
         memory_budget=memory_budget,
         graph=graph,
         max_pairs_per_location=max_pairs_per_location,
-        reach_backend=reach_backend,
         on_shard=on_shard,
         completed_shards=completed_shards,
         should_stop=should_stop,
     )
     return annotate_sync_preserving(
-        detection,
-        model=model,
-        memory_budget=memory_budget,
-        reach_backend=reach_backend,
+        detection, model=model, memory_budget=memory_budget
     )

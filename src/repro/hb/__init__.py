@@ -6,19 +6,11 @@ from repro.hb.export import graph_to_dot
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.hb.model import FULL_MODEL, NO_PULL_MODEL, HBModel
 from repro.hb.pull import PullEdge, infer_pull_edges
-from repro.hb.reach import (
-    REACH_BACKENDS,
-    BitsetReachability,
-    ChainReachability,
-    build_reachability,
-)
+from repro.hb.reach import BitsetReachability
 from repro.hb.reference import NaiveReachability, VectorClockEngine
 
 __all__ = [
-    "REACH_BACKENDS",
     "BitsetReachability",
-    "ChainReachability",
-    "build_reachability",
     "HBModel",
     "FULL_MODEL",
     "NO_PULL_MODEL",

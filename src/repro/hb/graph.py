@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro import obs
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.hb.pull import PullEdge, infer_pull_edges
-from repro.hb.reach import REACH_BACKENDS, build_reachability
+from repro.hb.reach import BitsetReachability
 from repro.runtime.ops import HB_KINDS, OpEvent, OpKind
 from repro.trace.store import Trace
 
@@ -53,9 +53,7 @@ class HBGraph:
         model: HBModel = FULL_MODEL,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
         compress_mem: bool = True,
-        reach_backend: str = "bitset",
         extra_backbone: Optional[Set[int]] = None,
-        warn_partial: bool = True,
     ) -> None:
         """``compress_mem=False`` runs the paper's original algorithm —
         a reachability bit set for *every* vertex including memory
@@ -63,28 +61,14 @@ class HBGraph:
         traces (Table 8).  The default compresses memory accesses to
         segment positions.
 
-        ``reach_backend`` selects the reachability engine: ``"bitset"``
-        (the paper's O(n²/8)-byte bit matrix) or ``"chain"`` (segment-
-        chain compression, O(n·chains) — see ``repro.hb.reach``).
-
         ``extra_backbone`` promotes additional record seqs onto the
         backbone so edges can attach to them (used by the
         sync-preserving backend to thread lock acquire/release records,
-        which are not HB operations, into the order).
-
-        ``warn_partial=False`` skips the stderr warning for a partial
-        graph (chunk graphs: a boundary cutting a send from its recv
-        looks like damage but is the documented cost of chunking)."""
-        if reach_backend not in REACH_BACKENDS:
-            raise ValueError(
-                f"unknown reach_backend {reach_backend!r}; "
-                f"expected one of {REACH_BACKENDS}"
-            )
+        which are not HB operations, into the order)."""
         self.trace = trace
         self.model = model
         self.memory_budget = memory_budget
         self.compress_mem = compress_mem
-        self.reach_backend = reach_backend
         self.edge_counts: Dict[str, int] = defaultdict(int)
         #: Unmatched HB endpoints, counted per pattern (e.g. a
         #: ``thread_end_without_join``).  Many patterns are normal — an
@@ -130,7 +114,7 @@ class HBGraph:
                 r.seq: i for i, r in enumerate(self.backbone)
             }
             self._succ: List[Set[int]] = [set() for _ in self.backbone]
-            self._reach = None  # lazily built backend (repro.hb.reach)
+            self._reach = None  # lazily built (repro.hb.reach)
 
             # Per-segment backbone positions, for nearest-backbone lookups.
             self._seg_backbone_pos: Dict[int, List[int]] = defaultdict(list)
@@ -144,8 +128,7 @@ class HBGraph:
                 self._build_edges()
                 self._scan_lock_balance()
         self._publish_build_metrics()
-        if warn_partial:
-            self._warn_if_partial()
+        self._warn_if_partial()
 
     # -- checkpointing ----------------------------------------------------------
 
@@ -174,21 +157,14 @@ class HBGraph:
         snapshot: Dict[str, object],
         model: HBModel = FULL_MODEL,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        reach_backend: str = "bitset",
     ) -> "HBGraph":
         """Rebuild a graph from ``to_snapshot`` output without re-running
         pull inference or the HB rule modules."""
-        if reach_backend not in REACH_BACKENDS:
-            raise ValueError(
-                f"unknown reach_backend {reach_backend!r}; "
-                f"expected one of {REACH_BACKENDS}"
-            )
         self = cls.__new__(cls)
         self.trace = trace
         self.model = model
         self.memory_budget = memory_budget
         self.compress_mem = bool(snapshot["compress_mem"])
-        self.reach_backend = reach_backend
         self.edge_counts = defaultdict(int)
         self.edge_counts.update(snapshot.get("edge_counts", {}))
         self.unmatched = Counter(snapshot.get("unmatched", {}))
@@ -239,12 +215,8 @@ class HBGraph:
 
     def restore_reach(self, snapshot: Dict[str, object]) -> None:
         """Install a checkpointed reachability structure, skipping the
-        recompute.  Also aligns ``reach_backend`` with the snapshot so
-        later rebuilds (if any) stay consistent."""
-        from repro.hb.reach import restore_reachability
-
-        self._reach = restore_reachability(self, snapshot)
-        self.reach_backend = self._reach.backend
+        recompute."""
+        self._reach = BitsetReachability.from_snapshot(snapshot)
 
     # -- construction -----------------------------------------------------------
 
@@ -381,23 +353,17 @@ class HBGraph:
             with obs.span(
                 "hb.reach",
                 backbone=len(self.backbone),
-                backend=self.reach_backend,
+                backend=BitsetReachability.backend,
             ):
-                self._reach = build_reachability(self)
-                stats = self._reach.stats()
+                self._reach = BitsetReachability(self)
                 obs.gauge(
                     "hb_reach_matrix_bytes",
                     "reachability structure size (bytes)",
-                ).set(stats["bytes"])
-                if "chains" in stats:
-                    obs.gauge(
-                        "hb_reach_chains",
-                        "chains in the compressed reachability structure",
-                    ).set(stats["chains"])
+                ).set(self._reach.required_bytes)
         return self._reach
 
     def reach_stats(self) -> Dict[str, int]:
-        """Size statistics of the (built-on-demand) reachability backend."""
+        """Size statistics of the (built-on-demand) reachability matrix."""
         return self._ensure_reach().stats()
 
     def backbone_reaches(self, i: int, j: int) -> bool:

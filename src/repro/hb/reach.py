@@ -1,56 +1,22 @@
-"""Pluggable reachability backends for the happens-before graph.
+"""Bit-set reachability for the happens-before graph.
 
-``HBGraph`` answers ``backbone_reaches(i, j)`` through one of two
-engines, selected by its ``reach_backend`` option:
+``HBGraph`` answers ``backbone_reaches(i, j)`` through the paper's
+Section 3.2.2 design: one reachable-set bit vector per backbone vertex,
+computed in reverse topological order.  Queries are a single bit test;
+memory is O(n²/8) bytes, which is what Table 8's unselective traces
+blow up.
 
-* ``"bitset"`` (default) — the paper's Section 3.2.2 design: one
-  reachable-set bit vector per backbone vertex, computed in reverse
-  topological order.  Queries are a single bit test; memory is
-  O(n²/8) bytes, which is what Table 8's unselective traces blow up.
-
-* ``"chain"`` — segment-chain compression.  Backbone vertices are
-  decomposed into *chains* (paths in the graph: every element has an
-  edge to the next).  Program-order edges make each segment's backbone
-  a natural chain, and a greedy pass merges segments end-to-end across
-  fork/enqueue/RPC edges, so the chain count is usually far below the
-  segment count.  Each vertex then stores only the **earliest reachable
-  position per chain** (an ``array('i')`` of chain minima): if vertex
-  ``u`` reaches position ``p`` of chain ``c``, the chain's internal
-  edges carry it to every later position, so one integer per chain
-  captures the whole reachable set.  Memory is O(n · chains) at four
-  bytes per entry — on unselective traces this fits budgets the bit
-  matrix cannot (see ``tests/hb/test_reach_backends.py``).
-
-Both backends enforce the graph's memory budget and raise
-``TraceAnalysisOOM`` before allocating past it, so the Table 8
-experiment exercises whichever backend is configured.
+The graph's memory budget is enforced here: ``TraceAnalysisOOM`` is
+raised before allocating past it, which is the Table 8 experiment.  A
+trace whose closure does not fit is analysed by the single-pass
+streaming detector instead (``repro.detect.streaming``).
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List
+from typing import Dict
 
-from repro.errors import TraceAnalysisOOM
-
-#: Sentinel chain position meaning "reaches nothing in this chain".
-#: Must fit a signed 32-bit array slot.
-_UNREACHED = 2**31 - 1
-
-#: Bytes per chain-vector entry (``array('i')`` item size).
-CHAIN_ENTRY_BYTES = array("i").itemsize
-
-REACH_BACKENDS = ("bitset", "chain")
-
-
-def _check_budget(required: int, budget: int, backend: str, detail: str) -> None:
-    if required > budget:
-        raise TraceAnalysisOOM(
-            f"{backend} reachability needs ~{required // (1024 * 1024)} MB "
-            f"({detail}), budget is {budget // (1024 * 1024)} MB",
-            required_bytes=required,
-            budget_bytes=budget,
-        )
+from repro.errors import CheckpointError, TraceAnalysisOOM
 
 
 class BitsetReachability:
@@ -63,12 +29,15 @@ class BitsetReachability:
         n = len(graph.backbone)
         self.vertices = n
         self.required_bytes = (n * n) // 8
-        _check_budget(
-            self.required_bytes,
-            graph.memory_budget,
-            self.backend,
-            f"{n} backbone vertices",
-        )
+        if self.required_bytes > graph.memory_budget:
+            raise TraceAnalysisOOM(
+                f"bitset reachability needs "
+                f"~{self.required_bytes // (1024 * 1024)} MB "
+                f"({n} backbone vertices), budget is "
+                f"{graph.memory_budget // (1024 * 1024)} MB",
+                required_bytes=self.required_bytes,
+                budget_bytes=graph.memory_budget,
+            )
         reach = [0] * n
         succ = graph._succ
         for i in range(n - 1, -1, -1):
@@ -99,146 +68,17 @@ class BitsetReachability:
         }
 
     @classmethod
-    def from_snapshot(
-        cls, graph: "object", snapshot: Dict[str, object]
-    ) -> "BitsetReachability":
+    def from_snapshot(cls, snapshot: Dict[str, object]) -> "BitsetReachability":
+        """Rebuild from ``to_snapshot`` output (no recompute).  A payload
+        sealed by another engine cannot be used and says so."""
+        backend = snapshot.get("backend")
+        if backend != cls.backend:
+            raise CheckpointError(
+                f"reach checkpoint was written by the removed {backend!r} "
+                f"backend; re-run without --resume"
+            )
         self = cls.__new__(cls)
         self.vertices = int(snapshot["vertices"])
         self.required_bytes = (self.vertices * self.vertices) // 8
         self._reach = [int(row, 16) for row in snapshot["rows_hex"]]
         return self
-
-
-class ChainReachability:
-    """Chain-compressed reachable sets: one ``array('i')`` of per-chain
-    minima per backbone vertex."""
-
-    backend = "chain"
-
-    def __init__(self, graph: "object") -> None:
-        succ = graph._succ
-        n = len(graph.backbone)
-        self.vertices = n
-
-        # -- greedy path cover -------------------------------------------------
-        # Process vertices in sequence order (which is topological).  A
-        # vertex extends a chain whose current tail has a direct edge to
-        # it; otherwise it starts a new chain.  Program-order edges make
-        # every segment's backbone one path, and cross-segment edges
-        # (fork, enqueue, RPC, serial) splice those paths together.
-        preds: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in succ[i]:
-                preds[j].append(i)
-        chain_id = [0] * n
-        chain_pos = [0] * n
-        tail_chain: Dict[int, int] = {}  # current tail vertex -> chain
-        chain_len: List[int] = []
-        for v in range(n):
-            chosen = -1
-            for p in sorted(preds[v]):
-                chain = tail_chain.get(p)
-                if chain is not None:
-                    chosen = chain
-                    del tail_chain[p]
-                    break
-            if chosen < 0:
-                chosen = len(chain_len)
-                chain_len.append(0)
-            chain_id[v] = chosen
-            chain_pos[v] = chain_len[chosen]
-            chain_len[chosen] += 1
-            tail_chain[v] = chosen
-        self.chains = len(chain_len)
-        self._chain_id = chain_id
-        self._chain_pos = chain_pos
-
-        self.required_bytes = n * self.chains * CHAIN_ENTRY_BYTES
-        _check_budget(
-            self.required_bytes,
-            graph.memory_budget,
-            self.backend,
-            f"{n} backbone vertices x {self.chains} chains",
-        )
-
-        # -- reverse-topological accumulation ---------------------------------
-        # row[c] = earliest position in chain c strictly reachable from
-        # this vertex (the chain's forward edges cover everything later).
-        template = array("i", [_UNREACHED]) * max(1, self.chains)
-        rows: List[array] = [template] * n  # placeholder; filled below
-        for i in range(n - 1, -1, -1):
-            row = template[:]
-            for j in succ[i]:
-                row = array("i", map(min, row, rows[j]))
-                cj = chain_id[j]
-                if chain_pos[j] < row[cj]:
-                    row[cj] = chain_pos[j]
-            rows[i] = row
-        self._rows = rows
-
-    def reaches(self, i: int, j: int) -> bool:
-        return self._rows[i][self._chain_id[j]] <= self._chain_pos[j]
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "backend": self.backend,
-            "bytes": self.required_bytes,
-            "vertices": self.vertices,
-            "chains": self.chains,
-        }
-
-    # -- checkpointing --------------------------------------------------------
-
-    def to_snapshot(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "vertices": self.vertices,
-            "chains": self.chains,
-            "chain_id": list(self._chain_id),
-            "chain_pos": list(self._chain_pos),
-            "rows": [list(row) for row in self._rows],
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls, graph: "object", snapshot: Dict[str, object]
-    ) -> "ChainReachability":
-        self = cls.__new__(cls)
-        self.vertices = int(snapshot["vertices"])
-        self.chains = int(snapshot["chains"])
-        self._chain_id = list(snapshot["chain_id"])
-        self._chain_pos = list(snapshot["chain_pos"])
-        self._rows = [array("i", row) for row in snapshot["rows"]]
-        self.required_bytes = self.vertices * self.chains * CHAIN_ENTRY_BYTES
-        return self
-
-
-_BACKENDS = {
-    "bitset": BitsetReachability,
-    "chain": ChainReachability,
-}
-
-
-def build_reachability(graph: "object"):
-    """Construct the backend named by ``graph.reach_backend``."""
-    try:
-        cls = _BACKENDS[graph.reach_backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown reach_backend {graph.reach_backend!r}; "
-            f"expected one of {REACH_BACKENDS}"
-        ) from None
-    return cls(graph)
-
-
-def restore_reachability(graph: "object", snapshot: Dict[str, object]):
-    """Rebuild a backend from its checkpointed snapshot (no recompute)."""
-    backend = snapshot.get("backend")
-    try:
-        cls = _BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown reachability snapshot backend {backend!r}; "
-            f"expected one of {REACH_BACKENDS}"
-        ) from None
-    return cls.from_snapshot(graph, snapshot)

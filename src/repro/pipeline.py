@@ -57,14 +57,6 @@ class PipelineConfig:
     scope: str = "selective"  # or "full" (Table 8's alternative design)
     model: HBModel = FULL_MODEL
     memory_budget: int = DEFAULT_MEMORY_BUDGET
-    #: Reachability engine for trace analysis: "bitset" (the paper's
-    #: bit matrix) or "chain" (segment-chain compression, lower memory).
-    reach_backend: str = "bitset"
-    #: Compress memory accesses to segment positions in the HB backbone
-    #: (the paper's design).  False keeps every record on the backbone —
-    #: Table 8's blow-up — which is where the degradation ladder's
-    #: bitset→chain rung earns its keep.
-    compress_mem: bool = True
     #: ``"batch"`` builds the whole-trace HB graph + reachability
     #: closure before detection (the paper's offline algorithm);
     #: ``"streaming"`` runs the single-pass bounded-memory detector
@@ -133,8 +125,7 @@ class PipelineConfig:
     max_stage_seconds: Optional[float] = None
     #: Overall memory budget (MB) enforced by the ``ResourceGovernor``:
     #: tightens the reachability byte budget and, when process RSS
-    #: exceeds it, engages the degradation ladder
-    #: (bitset→chain, pair truncation).
+    #: exceeds it, engages the degradation ladder (pair truncation).
     memory_budget_mb: Optional[int] = None
 
 
@@ -565,9 +556,10 @@ class DCatch:
             ).labels(stage=stage).inc()
 
         # -- trace analysis: HB graph, reachability, detection ----------------
-        # The governor may tighten the reachability byte budget, and the
-        # degradation ladder responds to OOM/RSS pressure one rung at a
-        # time instead of giving up on the first failed allocation.
+        # The governor may tighten the reachability byte budget.  RSS
+        # pressure sheds work along the degradation ladder; a closure
+        # that does not fit the budget ends the analysis (``abandoned``),
+        # because nothing below it can run without one.
         reach_budget = governor.reach_budget(config.memory_budget)
         try:
             started = time.perf_counter()
@@ -586,7 +578,6 @@ class DCatch:
                             restore("hb"),
                             model=config.model,
                             memory_budget=reach_budget,
-                            reach_backend=config.reach_backend,
                         )
                     else:
                         maybe_stall("hb_build")
@@ -594,8 +585,6 @@ class DCatch:
                             trace,
                             model=config.model,
                             memory_budget=reach_budget,
-                            compress_mem=config.compress_mem,
-                            reach_backend=config.reach_backend,
                         )
                         if store is not None:
                             store.seal_stage("hb", graph.to_snapshot())
@@ -604,31 +593,16 @@ class DCatch:
                     if store is not None and store.stage_completed("reach"):
                         graph.restore_reach(restore("reach"))
                     else:
-                        # Ladder rung 1: a bitset OOM retries with the
-                        # chain-compressed backend before giving up.
-                        while True:
-                            try:
-                                graph.reach_stats()
-                                break
-                            except TraceAnalysisOOM as exc:
-                                if graph.reach_backend == "bitset":
-                                    governor.degrade(
-                                        "reach_chain", "reach", str(exc)
-                                    )
-                                    graph.reach_backend = "chain"
-                                    graph._reach = None
-                                    continue
-                                governor.degrade("abandoned", "reach", str(exc))
-                                raise
+                        try:
+                            graph.reach_stats()
+                        except TraceAnalysisOOM as exc:
+                            governor.degrade("abandoned", "reach", str(exc))
+                            raise
                         if store is not None:
                             store.seal_stage("reach", graph.reach_snapshot())
-                        stage_status["reach"] = (
-                            "degraded"
-                            if "reach_chain" in governor.degradations
-                            else "ok"
-                        )
+                        stage_status["reach"] = "ok"
 
-                    # Ladder rung 2: under RSS pressure tighten the
+                    # Ladder rung 1: under RSS pressure tighten the
                     # per-location pair cap.
                     max_pairs = config.max_pairs_per_location
                     if governor.memory_pressure():
@@ -660,7 +634,6 @@ class DCatch:
                                 detection,
                                 model=config.model,
                                 memory_budget=reach_budget,
-                                reach_backend=config.reach_backend,
                             )
                     else:
                         on_shard = None
@@ -692,7 +665,6 @@ class DCatch:
                             memory_budget=reach_budget,
                             graph=graph,
                             max_pairs_per_location=max_pairs,
-                            reach_backend=config.reach_backend,
                             on_shard=on_shard,
                             completed_shards=completed_shards,
                             should_stop=budget.exceeded,
@@ -709,7 +681,6 @@ class DCatch:
                                 detection,
                                 model=config.model,
                                 memory_budget=reach_budget,
-                                reach_backend=config.reach_backend,
                             )
                         if store is not None and not detection.stopped_early:
                             # A deadline-truncated detection stays unsealed
@@ -731,8 +702,8 @@ class DCatch:
         except (PipelineInterrupted, CheckpointError):
             raise
         except TraceAnalysisOOM as exc:
-            # The whole ladder was exhausted: record the OOM and mark the
-            # stage degraded instead of raising.
+            # The closure did not fit: record the OOM and mark the
+            # stage failed instead of raising.
             oom = exc
             stage_failed("analysis", exc)
         except Exception as exc:  # noqa: BLE001 - degrade, don't die

@@ -126,8 +126,10 @@ class SimThread:
 
     def _bootstrap(self) -> None:
         _current.thread = self
-        self._await_grant()
         try:
+            # Inside the try: a thread torn down before its first grant
+            # ends DONE like any other killed thread.
+            self._await_grant()
             self.target()
             self.state = ThreadState.DONE
         except ThreadKilled:

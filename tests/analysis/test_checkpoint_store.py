@@ -211,3 +211,21 @@ def test_config_fingerprint_tracks_sampling_policy():
         sampling="0.1", sampling_seed=2
     )
     assert fp(sampling="0.1") == fp(sampling="0.1")
+
+
+def test_config_fingerprint_matches_parent_checkpoints():
+    """The reachability selector and the backbone-compression switch
+    left ``PipelineConfig`` but stay in the fingerprint as constants:
+    these literals were computed at the commit that still had both
+    fields, so a checkpoint written there resumes here."""
+    from repro.analysis.checkpoint import config_fingerprint
+    from repro.pipeline import PipelineConfig
+
+    assert config_fingerprint("ZK-1144", PipelineConfig()) == "d146ada3e7e313c9"
+    assert config_fingerprint("CA-1011", PipelineConfig()) == "46d617b25efc4016"
+    assert (
+        config_fingerprint(
+            "ZK-1144", PipelineConfig(detect_mode="streaming", trigger=False)
+        )
+        == "9fd52fe97a1390af"
+    )

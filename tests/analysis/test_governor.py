@@ -16,11 +16,7 @@ from repro.analysis.governor import (
 
 
 def test_ladder_order_and_truncation_cap():
-    assert DEGRADATION_LADDER == (
-        "reach_chain",
-        "truncate_pairs",
-        "abandoned",
-    )
+    assert DEGRADATION_LADDER == ("truncate_pairs", "abandoned")
     assert 0 < TRUNCATED_MAX_PAIRS < 200_000
 
 
@@ -78,12 +74,12 @@ def test_degrade_appends_and_counts():
     registry = obs.MetricsRegistry(name="gov")
     governor = ResourceGovernor()
     with obs.use_registry(registry):
-        governor.degrade("reach_chain", "reach", "too big")
         governor.degrade("truncate_pairs", "detect", "rss")
-    assert governor.degradations == ["reach_chain", "truncate_pairs"]
+        governor.degrade("abandoned", "reach", "too big")
+    assert governor.degradations == ["truncate_pairs", "abandoned"]
     snapshot = registry.snapshot()["governor_degradations_total"]
     assert snapshot["value"] == 2.0
-    assert "rung=reach_chain,stage=reach" in snapshot["series"]
+    assert "rung=abandoned,stage=reach" in snapshot["series"]
 
 
 def test_governor_summary_shape():

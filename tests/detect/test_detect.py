@@ -206,14 +206,6 @@ def test_truncation_is_recorded_counted_and_warned(capsys):
     assert full.pairs_examined > result.pairs_examined
 
 
-def test_detection_with_chain_backend_matches_bitset():
-    trace = _racy_trace()
-    bitset = detect_races(trace)
-    chain = detect_races(trace, reach_backend="chain")
-    assert _seq_pairs(chain) == _seq_pairs(bitset)
-    assert chain.graph.reach_stats()["backend"] == "chain"
-
-
 @pytest.mark.parametrize("max_pairs", [200_000, 2])
 def test_resumed_shards_match_uninterrupted(max_pairs):
     """Per-location shards replayed from a checkpoint log (seq pairs)

@@ -7,7 +7,6 @@ lock-free and one lock-heavy benchmark."""
 import pytest
 
 from repro.detect import detect_races, detect_races_sync_preserving
-from repro.detect.chunked import detect_races_chunked
 from repro.hb import HBGraph
 from repro.systems import workload_by_id
 from repro.trace import FullScope, Tracer
@@ -26,13 +25,8 @@ def test_detection_modes_agree_on_full_scope_trace(bug_id):
 
     compressed = detect_races(trace)
     assert compressed.candidates
-    full_bitset = detect_races(trace, graph=HBGraph(trace, compress_mem=False))
-    full_chain = detect_races(
-        trace,
-        graph=HBGraph(trace, compress_mem=False, reach_backend="chain"),
-    )
-    assert _pairs(full_chain) == _pairs(full_bitset)
-    assert _pairs(full_bitset) == _pairs(compressed)
+    per_vertex = detect_races(trace, graph=HBGraph(trace, compress_mem=False))
+    assert _pairs(per_vertex) == _pairs(compressed)
 
     sp = detect_races_sync_preserving(trace)
     assert _pairs(sp) == _pairs(compressed)
@@ -40,7 +34,3 @@ def test_detection_modes_agree_on_full_scope_trace(bug_id):
     if bug_id == "MR-3274":
         # Lock-protected candidates: reported, but not in the sound tier.
         assert 1 <= len(sp.sp_pairs) < len(sp.candidates)
-
-    one_chunk = detect_races_chunked(trace, chunk_size=len(trace))
-    assert one_chunk.chunks == 1
-    assert _pairs(one_chunk) == _pairs(compressed)

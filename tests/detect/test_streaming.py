@@ -147,6 +147,43 @@ def test_wal_streaming_finds_planted_races(small_workload):
     assert result.records_per_second > 0
 
 
+def test_streaming_completes_where_whole_graph_ooms():
+    """The paper's §7.2 scenario on the engine that answers it here: on
+    an unselective trace the per-vertex closure blows the Table 8
+    budget, while the single pass completes and — having no chunk
+    boundaries to lose pairs at — equals whole-graph detection under
+    the same model, pair for pair."""
+    from repro.bench.runner import FULL_TRACING_BUDGET
+    from repro.errors import TraceAnalysisOOM
+    from repro.hb import HBGraph
+    from repro.systems import workload_by_id
+    from repro.trace import FullScope, Tracer
+
+    cluster = workload_by_id("CA-1011").cluster(0)  # churn on: the big trace
+    tracer = Tracer(scope=FullScope()).bind(cluster)
+    cluster.run()
+    trace = tracer.trace
+
+    graph = HBGraph(
+        trace, memory_budget=FULL_TRACING_BUDGET, compress_mem=False
+    )
+    with pytest.raises(TraceAnalysisOOM) as info:
+        detect_races(trace, graph=graph)
+    assert info.value.required_bytes > FULL_TRACING_BUDGET
+
+    streamed = detect_races_streaming(
+        records=trace.records, expected_streams=trace.per_thread.keys()
+    )
+    # The root-cause race of CA-1011.
+    assert any("tokens" in c.variable for c in streamed.candidates)
+    whole = detect_races(
+        trace, model=FULL_MODEL.without(*STREAM_UNSUPPORTED_FAMILIES)
+    )
+    assert sorted(streamed.candidate_seq_pairs()) == sorted(
+        (c.first.seq, c.second.seq) for c in whole.candidates
+    )
+
+
 def test_checkpoint_resume_equals_single_pass(small_workload, tmp_path):
     ckpt = str(tmp_path / "stream.ckpt")
     full = detect_races_streaming(wal_dir=small_workload.wal_dir, window=32)

@@ -1,12 +1,12 @@
-"""Unified differential harness: five engines, one HB relation, SP ⊆ HB.
+"""Unified differential harness: four engines, one HB relation, SP ⊆ HB.
 
 Random valid schedules (``tests/hb/conftest.py``: threads, exactly-once
 messages, well-nested locks) drive every reachability engine the
-detector can use — the bit-set graph, the chain-compressed graph, the
-naive DFS, vector clocks, and the streaming segment-clock state — plus
-the sync-preserving order on top.  The invariants:
+detector can use — the bit-set graph, the naive DFS, vector clocks,
+and the streaming segment-clock state — plus the sync-preserving order
+on top.  The invariants:
 
-* all five engines agree on ``happens_before`` for every record pair
+* all four engines agree on ``happens_before`` for every record pair
   (on lock-free schedules, where the SP order adds nothing);
 * the SP order *contains* the HB order, so SP-concurrent ⇒
   HB-concurrent: the sound tier can only shrink the candidate set;
@@ -47,11 +47,10 @@ HARNESS_MODEL = FULL_MODEL.without(*STREAM_UNSUPPORTED_FAMILIES)
 @settings(max_examples=200, deadline=None)
 @given(recipe=STEPS)
 def test_five_engines_agree_on_shared_relation(recipe):
-    """bitset == chain == naive DFS == vector clocks == streaming
-    clocks == SP graph, pairwise, on lock-free schedules."""
+    """bitset == naive DFS == vector clocks == streaming clocks ==
+    SP graph, pairwise, on lock-free schedules."""
     trace = build_trace(lockfree(recipe))
-    bitset = HBGraph(trace, model=HARNESS_MODEL, reach_backend="bitset")
-    chain = HBGraph(trace, model=HARNESS_MODEL, reach_backend="chain")
+    bitset = HBGraph(trace, model=HARNESS_MODEL)
     naive = NaiveReachability(bitset)
     vc = VectorClockEngine(bitset)
     sp = build_sp_graph(trace, model=HARNESS_MODEL)  # no locks: SP == HB
@@ -59,7 +58,6 @@ def test_five_engines_agree_on_shared_relation(recipe):
     for x, y in itertools.permutations(trace.records, 2):
         expected = naive.happens_before(x, y)
         assert bitset.happens_before(x, y) == expected, (x.seq, y.seq)
-        assert chain.happens_before(x, y) == expected, (x.seq, y.seq)
         assert vc.happens_before(x, y) == expected, (x.seq, y.seq)
         assert sp.happens_before(x, y) == expected, (x.seq, y.seq)
 

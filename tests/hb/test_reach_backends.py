@@ -1,13 +1,7 @@
-"""Reachability backends: bitset vs chain compression (repro.hb.reach)."""
+"""The bit-set reachability engine (repro.hb.reach)."""
 
-import itertools
-
-import pytest
-
-from repro.errors import TraceAnalysisOOM
 from repro.hb import HBGraph, NaiveReachability
 from repro.hb.model import HBModel
-from repro.hb.reach import CHAIN_ENTRY_BYTES
 from repro.ids import CallStack
 from repro.runtime import Cluster, sleep
 from repro.runtime.ops import OpEvent, OpKind
@@ -49,91 +43,15 @@ def _mixed_trace(seed=0):
     return tracer.trace
 
 
-def test_chain_backend_matches_bitset_on_mixed_workload():
-    for seed in (0, 1, 2):
-        trace = _mixed_trace(seed)
-        bitset = HBGraph(trace, reach_backend="bitset")
-        chain = HBGraph(trace, reach_backend="chain")
-        records = trace.records
-        sample = records[:: max(1, len(records) // 120)]
-        for x, y in itertools.combinations(sample, 2):
-            assert bitset.happens_before(x, y) == chain.happens_before(x, y)
-            assert bitset.happens_before(y, x) == chain.happens_before(y, x)
-            assert bitset.concurrent(x, y) == chain.concurrent(x, y)
-
-
-def test_chain_backend_exhaustive_on_backbone():
-    trace = _mixed_trace(0)
-    bitset = HBGraph(trace, reach_backend="bitset")
-    chain = HBGraph(trace, reach_backend="chain")
-    n = len(bitset.backbone)
-    assert n == len(chain.backbone)
-    for i in range(n):
-        for j in range(n):
-            assert bitset.backbone_reaches(i, j) == chain.backbone_reaches(
-                i, j
-            ), (i, j)
-
-
 def test_reach_stats_shapes():
     trace = _mixed_trace(0)
-    bitset = HBGraph(trace, reach_backend="bitset")
-    chain = HBGraph(trace, reach_backend="chain")
-    bs = bitset.reach_stats()
-    cs = chain.reach_stats()
-    n = len(bitset.backbone)
-    assert bs["backend"] == "bitset"
-    assert bs["vertices"] == n
-    assert bs["bytes"] == (n * n) // 8
-    assert cs["backend"] == "chain"
-    assert cs["vertices"] == n
-    assert 1 <= cs["chains"] <= n
-    assert cs["bytes"] == n * cs["chains"] * CHAIN_ENTRY_BYTES
-
-
-def test_unknown_backend_rejected():
-    trace = _mixed_trace(0)
-    with pytest.raises(ValueError, match="reach_backend"):
-        HBGraph(trace, reach_backend="sparse")
-
-
-def test_chain_backend_fits_where_bitset_ooms():
-    """The Table 8 scenario with the compressed backend: on an
-    unselective trace the bit matrix blows the budget but the chain
-    vectors fit, and the surviving analysis gives the same answers."""
-    from repro.bench.runner import FULL_TRACING_BUDGET
-    from repro.systems import workload_by_id
-
-    workload = workload_by_id("CA-1011")
-    cluster = workload.cluster(0)  # churn on: the big trace
-    tracer = Tracer(scope=FullScope()).bind(cluster)
-    cluster.run()
-    trace = tracer.trace
-
-    bitset = HBGraph(
-        trace,
-        memory_budget=FULL_TRACING_BUDGET,
-        compress_mem=False,
-        reach_backend="bitset",
-    )
-    with pytest.raises(TraceAnalysisOOM) as info:
-        bitset.reach_stats()
-    assert info.value.required_bytes > FULL_TRACING_BUDGET
-
-    chain = HBGraph(
-        trace,
-        memory_budget=FULL_TRACING_BUDGET,
-        compress_mem=False,
-        reach_backend="chain",
-    )
-    stats = chain.reach_stats()
-    assert stats["bytes"] <= FULL_TRACING_BUDGET
-    # Cross-check against an uncompressed reference graph that has
-    # enough budget for the full bit matrix.
-    reference = HBGraph(trace, compress_mem=False, reach_backend="bitset")
-    records = trace.records[:: max(1, len(trace.records) // 40)]
-    for x, y in itertools.combinations(records, 2):
-        assert chain.happens_before(x, y) == reference.happens_before(x, y)
+    graph = HBGraph(trace)
+    n = len(graph.backbone)
+    assert graph.reach_stats() == {
+        "backend": "bitset",
+        "vertices": n,
+        "bytes": (n * n) // 8,
+    }
 
 
 def _chain_trace(length):
@@ -175,9 +93,3 @@ def test_naive_reachability_survives_long_chains():
     assert naive.backbone_reaches(0, length - 1)
     assert not naive.backbone_reaches(length - 1, 0)
     assert graph.backbone_reaches(0, length - 1)
-    # The chain backend agrees and compresses the whole segment to one
-    # chain: 4 bytes per vertex instead of length/8.
-    chain = HBGraph(_chain_trace(length), model=model, reach_backend="chain")
-    assert chain.reach_stats()["chains"] == 1
-    assert chain.backbone_reaches(0, length - 1)
-    assert not chain.backbone_reaches(1, 0)

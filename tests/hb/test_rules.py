@@ -1,5 +1,7 @@
 """Each MTEP rule establishes the ordering the paper specifies."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TraceAnalysisOOM
@@ -372,3 +374,14 @@ def test_memory_budget_oom():
     a, b = trace.mem_accesses()[:2]
     with pytest.raises(TraceAnalysisOOM):
         graph.happens_before(a, b)
+
+
+def test_oom_error_survives_pickling():
+    """The three-argument constructor must round-trip through pickle
+    with its byte counts."""
+    original = TraceAnalysisOOM("too big", required_bytes=10, budget_bytes=5)
+    clone = pickle.loads(pickle.dumps(original))
+    assert isinstance(clone, TraceAnalysisOOM)
+    assert str(clone) == "too big"
+    assert clone.required_bytes == 10
+    assert clone.budget_bytes == 5

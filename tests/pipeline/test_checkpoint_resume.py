@@ -6,11 +6,8 @@ import pytest
 
 from repro.detect.export import dump_reports
 from repro.errors import CheckpointError
-from repro.hb.graph import HBGraph
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
-from repro.trace.scope import FullScope
-from repro.trace.tracer import Tracer
 
 
 def _reports_json(result):
@@ -177,71 +174,14 @@ def test_checkpoint_overhead_files_on_disk(tmp_path):
     assert (ckdir / "detect-shards.jsonl").exists()
 
 
-def _uncompressed_budget(bug_id):
-    """A byte budget the chain backend fits but the bit matrix does not
-    (the Table 8 blow-up, reproduced deliberately)."""
-    workload = workload_by_id(bug_id)
-    cluster = workload.cluster(0)
-    tracer = Tracer(scope=FullScope()).bind(cluster)
-    cluster.run()
-    trace = tracer.trace
-    n = len(trace.records)
-    chain = HBGraph(
-        trace, memory_budget=10**12, compress_mem=False, reach_backend="chain"
-    )
-    chain_bytes = chain.reach_stats()["bytes"]
-    bitset_bytes = (n * n) // 8
-    assert chain_bytes < bitset_bytes
-    return (chain_bytes + bitset_bytes) // 2
-
-
-def test_bitset_oom_degrades_to_chain_and_completes():
-    """The ladder's first rung: a bitset OOM retries with the chain
-    backend instead of abandoning analysis."""
-    budget = _uncompressed_budget("ZK-1270")
-    config = PipelineConfig(
-        scope="full",
-        compress_mem=False,
-        memory_budget=budget,
-        monitored_seed=0,
-        trigger=False,
-        prune=False,
-    )
-    result = DCatch(workload_by_id("ZK-1270"), config).run()
-    assert result.oom is None
-    assert result.detection is not None
-    assert result.degradation == ["reach_chain"]
-    assert result.degraded
-    assert result.stage_status["reach"] == "degraded"
-    assert "reach_chain" in result.summary()
-    series = result.metrics["governor_degradations_total"]["series"]
-    assert "rung=reach_chain,stage=reach" in series
-    # the surviving analysis matches an unconstrained chain run
-    reference = DCatch(
-        workload_by_id("ZK-1270"),
-        PipelineConfig(
-            scope="full",
-            compress_mem=False,
-            reach_backend="chain",
-            monitored_seed=0,
-            trigger=False,
-            prune=False,
-        ),
-    ).run()
-    assert len(result.detection.candidates) == len(
-        reference.detection.candidates
-    )
-
-
 def test_whole_ladder_exhausted_still_reports_oom():
-    """When even the chain backend cannot fit, the stage is degraded and
-    the OOM is recorded — never raised."""
+    """When the reachability closure cannot fit, analysis is abandoned
+    and the OOM is recorded — never raised."""
     config = PipelineConfig(trigger=False, scope="full", memory_budget=1)
     result = DCatch(workload_by_id("ZK-1270"), config).run()
     assert result.oom is not None
     assert result.detection is None
-    assert "reach_chain" in result.degradation
-    assert "abandoned" in result.degradation
+    assert result.degradation == ["abandoned"]
     assert result.stage_failures.get("analysis") == 1
     assert "OUT OF MEMORY" in result.summary()
 

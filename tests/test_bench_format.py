@@ -51,68 +51,3 @@ def test_value_formatting():
 def test_check_mark():
     assert check_mark(True) == "X"
     assert check_mark(False) == "-"
-
-
-def test_bench_guard_turns_crash_into_error_entry(capsys):
-    from repro.bench.runner import _guarded
-
-    def boom():
-        raise RuntimeError("kaput")
-
-    entry = _guarded("XX-0000", boom)
-    assert entry == {"bug_id": "XX-0000", "error": "RuntimeError: kaput"}
-    assert "XX-0000 failed" in capsys.readouterr().err
-
-
-def test_bench_pipeline_entry_has_checkpoint_block():
-    from repro.bench.runner import bench_pipeline_data
-
-    document = bench_pipeline_data(bug_ids=("CA-1011",))
-    (entry,) = document["benchmarks"]
-    assert "error" not in entry
-    checkpoint = entry["checkpoint"]
-    assert set(checkpoint) >= {
-        "overhead_seconds",
-        "overhead_ratio",
-        "resume_wall_seconds",
-        "resume_speedup",
-        "stages_skipped",
-    }
-    assert checkpoint["resume_speedup"] > 1
-    # the seal spans are a tiny slice of the analysis wall time
-    assert checkpoint["overhead_ratio"] is not None
-    assert checkpoint["overhead_ratio"] <= 0.10
-    assert checkpoint["bytes_written"] > 0
-    assert set(checkpoint["stages_skipped"]) == {
-        "trace",
-        "hb",
-        "reach",
-        "detect",
-        "prune",
-        "trigger",
-    }
-
-
-def test_sampling_bench_block_shape():
-    """The ``sampling`` block of BENCH_pipeline.json: per-preset rate
-    sweep with recall, kept counts, and the rate-1.0 identity check."""
-    from repro.bench.runner import bench_sampling_data
-
-    doc = bench_sampling_data(["small"], rates=(1.0, 0.5))
-    assert doc["rates"] == [1.0, 0.5]
-    assert doc["system"] == "minimr"
-    (preset,) = doc["presets"]
-    assert preset["preset"] == "small"
-    assert preset["identity_at_rate_1"] is True
-    assert preset["trace"]["planted_races"] > 0
-    assert len(preset["rates"]) == 2
-    full, half = preset["rates"]
-    assert full["rate"] == 1.0
-    assert full["detection"]["planted_recall"] == 1.0
-    assert full["detection"]["confidence"] == "full"
-    assert full["records_kept"] == preset["trace"]["records"]
-    assert half["records_kept"] <= full["records_kept"]
-    assert half["detection"]["confidence"] == "sampled"
-    for entry in preset["rates"]:
-        assert entry["tracing"]["wall_seconds"] > 0
-        assert 0.0 <= entry["detection"]["planted_recall"] <= 1.0

@@ -151,25 +151,6 @@ def test_trace_stats_flag(capsys):
     assert "hb ops:" in out
 
 
-def test_analysis_flags_parse_and_default():
-    parser = build_parser()
-    args = parser.parse_args(["run", "ZK-1144"])
-    assert args.reach_backend == "bitset"
-    args = parser.parse_args(["run", "ZK-1144", "--reach-backend", "chain"])
-    assert args.reach_backend == "chain"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", "ZK-1144", "--reach-backend", "sparse"])
-
-
-def test_run_with_chain_backend(capsys):
-    assert main(
-        ["run", "ZK-1270", "--no-trigger", "--reach-backend", "chain"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "DCatch on ZK-1270" in out
-    assert "DCatch reports" in out
-
-
 def test_trace_load_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "trace"
     assert main(["trace", "ZK-1144", "--out", str(out_dir)]) == 0
@@ -331,6 +312,35 @@ def test_resume_config_fingerprint_mismatch_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fingerprint mismatch" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_resume_reach_payload_from_removed_backend_exits_2(tmp_path, capsys):
+    """A checkpoint whose reach stage was sealed by the removed chain
+    backend passes the fingerprint check (the ladder, not the config,
+    chose chain) and must be refused in one line — not swallowed into a
+    degraded result with no detection."""
+    from repro.analysis.checkpoint import CheckpointStore, config_fingerprint
+    from repro.pipeline import PipelineConfig
+
+    ckdir = str(tmp_path / "ck")
+    args = ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", ckdir]
+    assert main(args) == 0
+    capsys.readouterr()
+    store = CheckpointStore(
+        directory=ckdir,
+        benchmark="ZK-1144",
+        config_fp=config_fingerprint("ZK-1144", PipelineConfig(trigger=False)),
+        resume=True,
+    )
+    store.seal_stage("reach", {"backend": "chain", "vertices": 0, "rows": []})
+    store.seal()
+    assert main(args + ["--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        "error: reach checkpoint was written by the removed 'chain' "
+        "backend; re-run without --resume"
+    )
+    assert "DCatch reports" not in captured.out
 
 
 def test_run_resume_round_trip_via_cli(tmp_path, capsys):
