@@ -54,7 +54,7 @@ from repro.errors import CheckpointError
 from repro.framing import Damage, atomic_write, decode_document, encode_document
 from repro.hb.incremental import StreamingHBState
 from repro.hb.model import FULL_MODEL, HBModel
-from repro.runtime.ops import OpEvent
+from repro.runtime.ops import MEM_READ, MEM_WRITE, OpEvent
 from repro.trace.records import (
     _jsonable,
     _untuple,
@@ -186,17 +186,18 @@ class StreamingDetector:
     def feed(self, event: OpEvent) -> None:
         """Consume the next record (must arrive in global seq order)."""
         seg, count = self.state.observe(event)
-        if event.is_mem and event.location is not None:
+        kind = event.kind
+        if (kind is MEM_WRITE or kind is MEM_READ) and event.location is not None:
             accesses = self._active.get(event.location)
             if accesses is None:
                 accesses = []
                 self._active[event.location] = accesses
-            event_is_write = event.is_write
+            event_is_write = kind is MEM_WRITE
             for a_seg, a_count, a_event in accesses:
-                if not (event_is_write or a_event.is_write):
-                    continue
                 if a_seg == seg:
                     continue  # program order
+                if not (event_is_write or a_event.kind is MEM_WRITE):
+                    continue
                 self.pairs_examined += 1
                 if not self.state.ordered_before(a_seg, a_count, seg):
                     self.candidates.append(Candidate(a_event, event))

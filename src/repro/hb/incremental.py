@@ -53,32 +53,25 @@ STREAM_UNSUPPORTED_FAMILIES = ("eserial", "pull")
 #: Frontier value meaning "no live clock can still race with anything".
 _NO_LIVE_CLOCKS = 1 << 62
 
-#: source kind -> (pairing channel, model family)
-_SOURCES = {
-    OpKind.THREAD_CREATE: ("fork", "fork_join"),
-    OpKind.THREAD_END: ("thread_join", "fork_join"),
-    OpKind.EVENT_CREATE: ("event", "event"),
-    OpKind.RPC_CREATE: ("rpc", "rpc"),
-    OpKind.RPC_END: ("rpc_join", "rpc"),
-    OpKind.SOCK_SEND: ("sock", "socket"),
-    OpKind.ZK_UPDATE: ("zk", "push"),
+#: kind -> (channel it is a sink of, channel it is a source of, model
+#: family, whether it ends its segment: no further record uses its clock)
+_ROLES = {
+    OpKind.THREAD_CREATE: (None, "fork", "fork_join", False),
+    OpKind.THREAD_BEGIN: ("fork", None, "fork_join", False),
+    OpKind.THREAD_END: (None, "thread_join", "fork_join", True),
+    OpKind.THREAD_JOIN: ("thread_join", None, "fork_join", False),
+    OpKind.EVENT_CREATE: (None, "event", "event", False),
+    OpKind.EVENT_BEGIN: ("event", None, "event", False),
+    OpKind.EVENT_END: (None, None, "event", True),
+    OpKind.RPC_CREATE: (None, "rpc", "rpc", False),
+    OpKind.RPC_BEGIN: ("rpc", None, "rpc", False),
+    OpKind.RPC_END: (None, "rpc_join", "rpc", True),
+    OpKind.RPC_JOIN: ("rpc_join", None, "rpc", False),
+    OpKind.SOCK_SEND: (None, "sock", "socket", False),
+    OpKind.SOCK_RECV: ("sock", None, "socket", False),
+    OpKind.ZK_UPDATE: (None, "zk", "push", False),
+    OpKind.ZK_PUSHED: ("zk", None, "push", False),
 }
-
-#: sink kind -> (pairing channel, model family)
-_SINKS = {
-    OpKind.THREAD_BEGIN: ("fork", "fork_join"),
-    OpKind.THREAD_JOIN: ("thread_join", "fork_join"),
-    OpKind.EVENT_BEGIN: ("event", "event"),
-    OpKind.RPC_BEGIN: ("rpc", "rpc"),
-    OpKind.RPC_JOIN: ("rpc_join", "rpc"),
-    OpKind.SOCK_RECV: ("sock", "socket"),
-    OpKind.ZK_PUSHED: ("zk", "push"),
-}
-
-#: Kinds that end their segment (no further records will use its clock).
-_SEGMENT_CLOSERS = frozenset(
-    (OpKind.THREAD_END, OpKind.EVENT_END, OpKind.RPC_END)
-)
 
 
 class StreamingHBState:
@@ -95,6 +88,16 @@ class StreamingHBState:
                 "clocks assume in-segment ordering)"
             )
         self.model = model.without(*STREAM_UNSUPPORTED_FAMILIES)
+        #: kind -> (sink channel, source channel, ends its segment):
+        #: ``_ROLES`` for every kind with the model applied once, so
+        #: ``observe`` makes one lookup per record (``Enum.__hash__``
+        #: runs in Python).  A family switched off pairs nothing; its
+        #: kinds still end their segments.
+        self._roles = {kind: (None, None, False) for kind in OpKind}
+        for kind, (sink, source, family, ends) in _ROLES.items():
+            if not getattr(self.model, family):
+                sink = source = None
+            self._roles[kind] = (sink, source, ends)
         #: segment -> sparse clock {segment: count} (includes own count).
         self._clocks: Dict[int, Dict[int, int]] = {}
         #: (channel, tag) -> clock snapshot of the source, pending a sink.
@@ -138,17 +141,20 @@ class StreamingHBState:
         self._started.add(tid)
 
         kind = event.kind
-        sink = _SINKS.get(kind)
+        sink, source, ends_segment = self._roles[kind]
         joined = False
-        if sink is not None and getattr(self.model, sink[1]):
-            snapshot = self._pending.pop((sink[0], event.obj_id), None)
+        if sink is not None:
+            snapshot = self._pending.pop((sink, event.obj_id), None)
             if snapshot is None:
                 self.unmatched[f"{kind.value}_without_source"] += 1
             else:
                 joined = True
-                for s, c in snapshot.items():
-                    if clock.get(s, 0) < c:
-                        clock[s] = c
+                if clock:
+                    for s, c in snapshot.items():
+                        if clock.get(s, 0) < c:
+                            clock[s] = c
+                else:
+                    clock.update(snapshot)
         if (
             fresh
             and not joined
@@ -168,14 +174,13 @@ class StreamingHBState:
         count = clock.get(seg, 0) + 1
         clock[seg] = count
 
-        source = _SOURCES.get(kind)
-        if source is not None and getattr(self.model, source[1]):
-            key = (source[0], event.obj_id)
+        if source is not None:
+            key = (source, event.obj_id)
             if key in self._pending:
                 self.unmatched[f"{kind.value}_replaced_pending"] += 1
             self._pending[key] = dict(clock)
 
-        if kind in _SEGMENT_CLOSERS:
+        if ends_segment:
             self._close_segment(tid, seg)
         return seg, count
 

@@ -65,6 +65,10 @@ HB_KINDS = frozenset(
 )
 
 MEM_KINDS = frozenset((OpKind.MEM_READ, OpKind.MEM_WRITE))
+#: The two of them by name, for per-record identity tests: ``kind in
+#: MEM_KINDS`` hashes the enum in Python and ``OpKind.MEM_READ`` is a
+#: metaclass attribute lookup.
+MEM_READ, MEM_WRITE = OpKind.MEM_READ, OpKind.MEM_WRITE
 LOCK_KINDS = frozenset((OpKind.LOCK_ACQUIRE, OpKind.LOCK_RELEASE))
 
 #: A memory location: (heap object uid, field).  Keyed containers use the
@@ -72,9 +76,10 @@ LOCK_KINDS = frozenset((OpKind.LOCK_ACQUIRE, OpKind.LOCK_RELEASE))
 Location = Tuple[int, str]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpEvent:
-    """One dynamic operation, in executed order."""
+    """One dynamic operation, in executed order.  Slotted: a whole
+    trace of these is resident on the whole-graph path."""
 
     seq: int
     kind: OpKind
@@ -91,11 +96,12 @@ class OpEvent:
 
     @property
     def is_write(self) -> bool:
-        return self.kind is OpKind.MEM_WRITE
+        return self.kind is MEM_WRITE
 
     @property
     def is_mem(self) -> bool:
-        return self.kind in MEM_KINDS
+        kind = self.kind
+        return kind is MEM_READ or kind is MEM_WRITE
 
     @property
     def site(self) -> Optional[Site]:

@@ -14,6 +14,7 @@ This module adds:
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Dict, Iterable, List
 
 from repro.errors import TraceFormatError
@@ -80,6 +81,33 @@ def record_to_dict(event: OpEvent) -> Dict[str, Any]:
     }
 
 
+#: Wire string -> kind (``OpKind(value)`` goes through ``EnumMeta.__call__``).
+_KIND_BY_WIRE = {kind.value: kind for kind in OpKind}
+
+#: Decoded records of one site share one ``CallStack`` (and its
+#: frames), keyed by the wire frames.  Bounded: cleared when full.
+_STACK_CACHE_MAX = 4096
+_stack_cache: Dict[Any, CallStack] = {}
+
+
+def _intern_stack(frames: Any) -> CallStack:
+    try:
+        key = tuple(map(tuple, frames))
+        stack = _stack_cache.get(key)
+    except TypeError:  # a frame that is no sequence, or holds a list
+        key = stack = None
+    if stack is None:
+        stack = CallStack(Frame(p, f, l) for p, f, l in frames)
+        # Only int line numbers are cached: ``True == 1 == 1.0`` as a
+        # key, and a hand-made record must not plant its look-alike
+        # under the key of a real site.
+        if key is not None and all(type(f.line) is int for f in stack):
+            if len(_stack_cache) >= _STACK_CACHE_MAX:
+                _stack_cache.clear()
+            _stack_cache[key] = stack
+    return stack
+
+
 def record_from_dict(data: Dict[str, Any]) -> OpEvent:
     if not isinstance(data, dict):
         raise TraceFormatError(f"trace record is not an object: {data!r}")
@@ -90,19 +118,32 @@ def record_from_dict(data: Dict[str, Any]) -> OpEvent:
             f"(this reader understands version {TRACE_SCHEMA_VERSION})"
         )
     try:
+        seq = data["seq"]
+        kind = data["kind"]
+        # By wire string; ``OpKind(kind)`` words the error for the rest.
+        kind = (type(kind) is str and _KIND_BY_WIRE.get(kind)) or OpKind(kind)
+        obj_id = _untuple(data["obj_id"])
+        node = data["node"]
+        tid = data["tid"]
+        thread = data["thread"]
+        segment = data["segment"]
+        callstack = _intern_stack(data["stack"])
+        location = data["location"]
+        # Names are interned when they are strings; nothing here checks
+        # that they are, so a record with other types decodes as it did.
         return OpEvent(
-            seq=data["seq"],
-            kind=OpKind(data["kind"]),
-            obj_id=_untuple(data["obj_id"]),
-            node=data["node"],
-            tid=data["tid"],
-            thread_name=data["thread"],
-            segment=data["segment"],
-            callstack=CallStack(Frame(p, f, l) for p, f, l in data["stack"]),
-            location=tuple(data["location"]) if data["location"] else None,
-            observed_write=data["observed_write"],
-            in_handler=data.get("in_handler", False),
-            extra=data.get("extra", {}),
+            seq,
+            kind,
+            obj_id,
+            sys.intern(node) if type(node) is str else node,
+            tid,
+            sys.intern(thread) if type(thread) is str else thread,
+            segment,
+            callstack,
+            tuple(location) if location else None,
+            data["observed_write"],
+            data.get("in_handler", False),
+            data.get("extra", {}),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceFormatError(

@@ -25,16 +25,16 @@ damage, live or not.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import TraceFormatError
 from repro.framing import Damage, SegmentScan
-from repro.trace.records import record_from_dict
+from repro.runtime.ops import OpEvent
 from repro.trace.store import Trace
 from repro.trace.wal import (
+    decode_record,
     require_stream_segments,
     segment_index,
     segment_name,
@@ -210,17 +210,19 @@ def _salvage_segment(
     path: str,
     report: SalvageReport,
     thread: ThreadSalvage,
-    records: List[dict],
+    records: List[OpEvent],
     live_tail: bool = False,
 ) -> None:
-    """Scan one segment file line by line; recover what verifies,
-    quarantine every damaged line and carry on.
+    """Scan one segment file line by line; recover what verifies and
+    decodes (``decode_record``), quarantine every other line where it
+    is read and carry on.
 
     ``live_tail`` marks the stream's growing last segment during a live
     capture: an unterminated final line and a missing seal are then
     *in progress*, not damage."""
     scan = SegmentScan()
     rel = os.path.relpath(path, report.directory)
+    recovered = 0
     with open(path, "rb") as fh:
         for raw in fh:
             if live_tail and not raw.endswith(b"\n"):
@@ -229,21 +231,18 @@ def _salvage_segment(
                 report.records_in_progress += 1
                 continue
             item = scan.feed(raw)
-            if item is None:
-                continue
             if isinstance(item, bytes):
                 try:
-                    records.append(json.loads(item))
-                except ValueError:
-                    item = Damage(
-                        "bad", scan.offset - len(raw),
-                        "payload is not valid JSON",
-                    )
-            if isinstance(item, Damage):
+                    records.append(decode_record(item))
+                    recovered += 1
+                    continue
+                except TraceFormatError as exc:
+                    # The frame verifies and still holds no record.
+                    item = Damage("bad", scan.offset - len(raw), str(exc))
+            if item is not None:
                 _quarantine(report, thread, rel, raw, item)
-                continue
-            report.records_recovered += 1
-            thread.records_recovered += 1
+    report.records_recovered += recovered
+    thread.records_recovered += recovered
     if scan.sealed:
         report.sealed_segments += 1
         thread.sealed_segments += 1
@@ -271,7 +270,7 @@ def salvage_trace(
     healthy live capture salvages clean."""
     streams = require_stream_segments(directory)
     report = SalvageReport(directory=directory)
-    raw_records: List[dict] = []
+    records: List[OpEvent] = []
     for (node, tid), paths in streams.items():
         thread = ThreadSalvage(node=node, tid=tid)
         key = f"{node}/thread-{tid}"
@@ -289,21 +288,13 @@ def salvage_trace(
                 path,
                 report,
                 thread,
-                raw_records,
+                records,
                 live_tail=live and path is paths[-1],
             )
 
     trace = Trace(name)
-    decoded = []
-    for data in raw_records:
-        try:
-            decoded.append(record_from_dict(data))
-        except TraceFormatError:
-            report.records_quarantined += 1
-            report.bad_records += 1
-            report.records_recovered -= 1
-    decoded.sort(key=lambda r: r.seq)
-    for record in decoded:
+    records.sort(key=lambda r: r.seq)
+    for record in records:
         trace.append(record)
     trace.partial = report.damaged
     trace.salvage_report = report

@@ -44,7 +44,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.runtime.ops import MEM_KINDS, OpEvent
+from repro.runtime.ops import MEM_READ, MEM_WRITE, OpEvent
 
 #: Per-location always-keep budget used by the bare-rate shorthand.
 DEFAULT_LOCATION_BUDGET = 8
@@ -278,7 +278,8 @@ class Sampler:
 
     def observe(self, event: OpEvent) -> Tuple[bool, List[int]]:
         """(keep?, seqs of previously-kept records to evict)."""
-        if event.kind not in MEM_KINDS:
+        kind = event.kind
+        if kind is not MEM_READ and kind is not MEM_WRITE:
             return True, []
         keep = self.policy.admit(event)
         evictions = self.policy.pop_evictions()

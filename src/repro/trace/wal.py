@@ -60,6 +60,10 @@ DEFAULT_FLUSH_EVERY = 32
 
 _SEGMENT_NAME = re.compile(r"seg-(\d+)\.wal")
 
+#: The canonical payload encoding, built once (``json.dumps`` with
+#: options builds an encoder per call).
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
 
 def stream_dir(wal_dir: str, node: str, tid: int) -> str:
     return os.path.join(wal_dir, node, f"thread-{tid}")
@@ -123,7 +127,7 @@ class WalWriter:
             "tid": self.tid,
             "segment": self._segment_index,
         }
-        line = b"H " + json.dumps(header, sort_keys=True).encode() + b"\n"
+        line = b"H " + _encode_json(header).encode() + b"\n"
         self._fh.write(line)
         self.bytes_written += len(line)
 
@@ -154,7 +158,7 @@ class WalWriter:
     def append(self, data: Dict[str, Any]) -> None:
         if self.closed:
             return
-        payload = json.dumps(data, sort_keys=True).encode()
+        payload = _encode_json(data).encode()
         self._buffer.append(encode_line(b"R", payload))
         self._buffered += 1
         self._segment_count += 1
@@ -296,7 +300,39 @@ class WalSink:
 #
 # The segment file doubles as the detection service's wire unit: a client
 # ships whole sealed segment files and the server re-verifies them before
-# spooling.  Every reader is a damage policy over ``framing.SegmentScan``.
+# spooling.  Every reader is a damage policy over ``framing.SegmentScan``,
+# and ``decode_record`` is the one place a verified payload becomes a
+# record.
+
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_json(payload: bytes) -> Any:
+    """``json.loads(payload)``.  A record payload is one JSON value and
+    nothing else, which the bare scanner decodes without the wrapper's
+    encoding detection and whitespace matching; whatever it does not
+    consume whole goes to ``json.loads``, so that alone decides what is
+    accepted and what is raised."""
+    try:
+        text = payload.decode()
+        data, end = _scan_json(text, 0)
+        if end == len(text):
+            return data
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(payload)
+
+
+def decode_record(payload: bytes) -> OpEvent:
+    """The record a verified payload carries: what ``json.loads``
+    accepts and then ``record_from_dict`` accepts.  Anything else — a
+    frame can verify and still hold no record — is ``TraceFormatError``,
+    the reader's to treat like any other damaged line."""
+    try:
+        data = _decode_json(payload)
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError("payload is not valid JSON") from exc
+    return record_from_dict(data)
 
 
 def verify_segment_bytes(data: bytes) -> Tuple[int, bool, Optional[str]]:
@@ -325,15 +361,18 @@ def iter_segment_records(data: bytes) -> Iterable[Dict[str, Any]]:
     for raw in io.BytesIO(data):
         payload = scan.feed(raw)
         if isinstance(payload, bytes):
-            yield json.loads(payload)
+            yield _decode_json(payload)
 
 
 class WalStreamReader:
-    """Decode one ``(node, tid)`` stream's segment files into events,
-    line by line, **truncating the stream at the first damage** and
-    counting it in ``damage`` (``damaged_records``, ``unsealed_segments``
-    or ``missing_segments``).  The reader of every consumer that feeds
-    a detector as it reads — offline ``stream`` and the service's
+    """Decode one ``(node, tid)`` stream's segment files into events —
+    ``decode_record`` is the one place a payload becomes a record —
+    **truncating the stream at the first damage** and counting it in
+    ``damage`` (``damaged_records``, ``unsealed_segments`` or
+    ``missing_segments``).  Line by line on purpose: the offline merge
+    holds every stream open at once, so anything read ahead is
+    multiplied by the stream count.  The reader of every consumer that
+    feeds a detector as it reads — offline ``stream`` and the service's
     tenant pump — which cannot order later records of a stream against
     a lost one."""
 
@@ -353,15 +392,14 @@ class WalStreamReader:
         with open(path, "rb") as fh:
             for raw in fh:
                 item = scan.feed(raw)
-                if item is None:
-                    continue
-                if isinstance(item, Damage):
+                if isinstance(item, bytes):
+                    try:
+                        event = decode_record(item)
+                    except TraceFormatError:
+                        return self._truncate("damaged_records")
+                    yield event
+                elif item is not None:
                     return self._truncate("damaged_records")
-                try:
-                    event = record_from_dict(json.loads(item))
-                except (ValueError, TraceFormatError):
-                    return self._truncate("damaged_records")
-                yield event
         if not scan.sealed:
             self._truncate("unsealed_segments")
 

@@ -7,8 +7,10 @@ model — for ANY compaction window, including window=1 (compact after
 every record).  The window is a memory knob, never a soundness knob.
 """
 
+import hashlib
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.detect.races import detect_races
 from repro.detect.streaming import (
     StreamingDetector,
     detect_races_streaming,
+    iter_wal_records,
     load_stream_checkpoint,
 )
 from repro.errors import CheckpointError
@@ -27,7 +30,7 @@ from repro.ids import CallStack
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace.store import Trace
 from repro.trace.wal import list_stream_segments
-from repro.workload import generate_workload
+from repro.workload import WorkloadSpec, generate_workload
 
 #: The model streaming actually runs: everything except the families
 #: that need the whole trace at once.
@@ -145,6 +148,53 @@ def test_wal_streaming_finds_planted_races(small_workload):
     assert result.records_consumed == small_workload.records
     assert result.confidence == "full"
     assert result.records_per_second > 0
+
+
+@pytest.mark.parametrize(
+    "window, compactions, active_high_water", [(64, 8, 60), (8192, 1, 168)]
+)
+def test_detector_counters_are_pinned(
+    tmp_path, window, compactions, active_high_water
+):
+    """Literals taken before the reader and the hot loops were rewritten
+    (decode once, per-kind role table, reordered pair loop): the work
+    the detector does for a trace is not allowed to move with them."""
+    generated = generate_workload("minimr", "small", 0, str(tmp_path))
+    result = detect_races_streaming(wal_dir=generated.wal_dir, window=window)
+    assert result.records_consumed == 456
+    assert result.pairs_examined == 32
+    assert result.evictions == 168
+    assert result.compactions == compactions
+    assert result.active_high_water == active_high_water
+    digest = hashlib.sha256(repr(result.candidate_seq_pairs()).encode())
+    assert digest.hexdigest() == (
+        "388bf24230fcdc99446018d19691bcf19a45c41ff8ba756f834912cec676e1bb"
+    )
+
+
+def test_offline_merge_reads_ahead_one_buffer_per_stream(tmp_path):
+    """Every stream of the k-way merge is open at once, so what the
+    reader holds per stream is multiplied by the stream count.  Line by
+    line that is one OS buffer each; a segment at a time it is the
+    whole WAL twice over (its bytes and their lines)."""
+    spec = WorkloadSpec(
+        preset="wide", workers=64, phases=24, local_ops=6, chain_len=3,
+        segment_records=4096,
+    )
+    generated = generate_workload("minimr", spec, 0, str(tmp_path))
+    streams = list_stream_segments(generated.wal_dir)
+    assert len(streams) >= 64
+    assert all(len(paths) == 1 for paths in streams.values())
+    wal_bytes = sum(os.path.getsize(p) for ps in streams.values() for p in ps)
+
+    tracemalloc.start()
+    try:
+        records = sum(1 for _ in iter_wal_records(generated.wal_dir))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records == generated.records
+    assert peak < wal_bytes / 2, (peak, wal_bytes)
 
 
 def test_streaming_completes_where_whole_graph_ooms():

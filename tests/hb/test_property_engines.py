@@ -36,6 +36,9 @@ from repro.hb.incremental import (
     StreamingHBState,
 )
 from repro.hb.model import FULL_MODEL
+from repro.ids import CallStack
+from repro.runtime.ops import OpEvent, OpKind
+from repro.trace.store import Trace
 from repro.workload import generate_workload
 
 #: Whole-trace inference rules (eserial, pull) are out: the streaming
@@ -61,11 +64,15 @@ def test_five_engines_agree_on_shared_relation(recipe):
         assert vc.happens_before(x, y) == expected, (x.seq, y.seq)
         assert sp.happens_before(x, y) == expected, (x.seq, y.seq)
 
-    # The streaming engine answers online: right after a record arrives,
-    # ordered_before(pos(x), seg(new)) must match the offline graph for
-    # every earlier record x.
+    _assert_streaming_clocks_match(trace, bitset, HARNESS_MODEL)
+
+
+def _assert_streaming_clocks_match(trace, graph, model):
+    """The streaming engine answers online: right after a record
+    arrives, ordered_before(pos(x), seg(new)) must match the offline
+    graph for every earlier record x."""
     state = StreamingHBState(
-        model=HARNESS_MODEL,
+        model=model,
         expected_streams={r.tid for r in trace.records},
     )
     positions = {}
@@ -77,11 +84,79 @@ def test_five_engines_agree_on_shared_relation(recipe):
             a_seg, a_count = positions[earlier.seq]
             assert state.ordered_before(
                 a_seg, a_count, record.segment
-            ) == bitset.happens_before(earlier, record), (
+            ) == graph.happens_before(earlier, record), (
                 earlier.seq,
                 record.seq,
             )
         positions[record.seq] = pos
+
+
+@pytest.mark.parametrize("family", ["socket", "fork_join"])
+@settings(max_examples=100, deadline=None)
+@given(recipe=STEPS)
+def test_streaming_clocks_honour_a_switched_off_family(family, recipe):
+    """``observe`` reads a per-kind role table with the model applied
+    when the state is built; it must drop exactly the edges the batch
+    rules drop under the same model (``socket`` off leaves these
+    schedules with program order only, ``fork_join`` off leaves them
+    whole)."""
+    model = HARNESS_MODEL.without(family)
+    trace = build_trace(lockfree(recipe))
+    _assert_streaming_clocks_match(trace, HBGraph(trace, model=model), model)
+
+
+#: family -> the (source, sink) kinds whose edge is the only thing
+#: ordering one pair of writes in ``_one_edge_per_family``.
+_FAMILY_EDGES = {
+    "fork_join": (OpKind.THREAD_CREATE, OpKind.THREAD_BEGIN),
+    "event": (OpKind.EVENT_CREATE, OpKind.EVENT_BEGIN),
+    "rpc": (OpKind.RPC_CREATE, OpKind.RPC_BEGIN),
+    "socket": (OpKind.SOCK_SEND, OpKind.SOCK_RECV),
+    "push": (OpKind.ZK_UPDATE, OpKind.ZK_PUSHED),
+}
+
+
+def _one_edge_per_family():
+    """Per family, two segments: write x; source || sink; write x."""
+    trace = Trace(name="families")
+    writes = {}
+    for index, (family, (source, sink)) in enumerate(_FAMILY_EDGES.items()):
+        steps = [
+            (2 * index, OpKind.MEM_WRITE, family),
+            (2 * index, source, f"tag-{family}"),
+            (2 * index + 1, sink, f"tag-{family}"),
+            (2 * index + 1, OpKind.MEM_WRITE, family),
+        ]
+        for segment, kind, obj in steps:
+            seq = len(trace.records)
+            mem = kind is OpKind.MEM_WRITE
+            trace.append(
+                OpEvent(
+                    seq=seq, kind=kind, obj_id=obj, node="n", tid=segment,
+                    thread_name=f"t{segment}", segment=segment,
+                    callstack=CallStack(),
+                    location=(index, family) if mem else None,
+                )
+            )
+            if mem:
+                writes.setdefault(family, []).append(seq)
+    return trace, {family: tuple(seqs) for family, seqs in writes.items()}
+
+
+@pytest.mark.parametrize("off", [None, *_FAMILY_EDGES])
+def test_each_family_switch_removes_its_own_edge_and_no_other(off):
+    trace, writes = _one_edge_per_family()
+    model = HARNESS_MODEL if off is None else HARNESS_MODEL.without(off)
+    expected = set() if off is None else {writes[off]}
+    assert pair_set(detect_races(trace, model=model).candidates) == expected
+    stream = detect_races_streaming(
+        records=trace.records,
+        model=model,
+        window=3,
+        expected_streams={r.tid for r in trace.records},
+    )
+    assert pair_set(stream.candidates) == expected
+    _assert_streaming_clocks_match(trace, HBGraph(trace, model=model), model)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,9 +10,14 @@ duplicated / swapped / deleted lines, garbage between frames):
   ``salvage_trace``, the live stream reader and the service's tenant
   spool reader — agree on whether the segment is damaged and on which
   of its records are intact.
+
+And one over intact frames around arbitrary payloads: the readers that
+decode agree with ``json.loads`` + ``record_from_dict`` on which of them
+hold a record.
 """
 
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -20,10 +25,11 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.detect.streaming import detect_races_streaming, iter_wal_records
+from repro.errors import TraceFormatError
 from repro.framing import (
     Damage,
     SegmentScan,
@@ -36,9 +42,17 @@ from repro.framing import (
 )
 from repro.service.report import render_report, report_from_stream_result
 from repro.service.tenants import OVERLOAD_SAMPLING_SPEC, Tenant, stream_key_str
+from repro.ids import CallStack, Frame
+from repro.runtime.ops import OpEvent, OpKind
+from repro.trace.records import record_from_dict, record_to_dict
 from repro.trace.salvage import salvage_trace
 from repro.trace.sampling import build_sampler
-from repro.trace.wal import list_stream_segments, verify_segment_bytes
+from repro.trace.wal import (
+    WalStreamReader,
+    iter_segment_records,
+    list_stream_segments,
+    verify_segment_bytes,
+)
 from repro.workload import generate_workload
 
 WINDOW = 64
@@ -452,3 +466,110 @@ def test_offline_pass_and_tenant_publish_the_same_bytes(
             first.sampled_dropped.values()
         )
         assert render_report(report_from_stream_result("t", resumed)) == oracle
+
+
+# -- what decodes ----------------------------------------------------------------
+#
+# A frame that verifies need not hold a record.  Every reader that turns
+# payloads into records does it through ``decode_record``, which accepts
+# what ``json.loads`` and then ``record_from_dict`` accept: its bare
+# scanner must take nothing ``json.loads`` refuses (trailing bytes) and
+# refuse nothing it takes (leading whitespace, a BOM).
+
+_WIRE = record_to_dict(
+    OpEvent(
+        seq=1, kind=OpKind.MEM_WRITE, obj_id="n.x", node="n", tid=0,
+        thread_name="n.main", segment=0,
+        callstack=CallStack([Frame("repro/systems/x/a.py", "f", 7)]),
+        location=(3, "x"), extra={"etype": "é"},
+    )
+)
+
+
+def _payload(**changes):
+    return json.dumps({**_WIRE, **changes}, sort_keys=True).encode()
+
+
+_RECORD = _payload()
+
+#: payload -> does it hold a record?
+_ODD_PAYLOADS = {
+    _RECORD: True,
+    _RECORD + b" ": True,
+    b"  " + _RECORD: True,
+    b"\xef\xbb\xbf" + _RECORD: True,  # a BOM: ``json.loads`` skips it
+    _RECORD + b"{}": False,
+    b"1": False,
+    b"[]": False,
+    b"{}": False,
+    b'{"v": 1}': False,
+    _payload(v=99): False,
+    _payload(kind=["mem_write"]): False,
+    b"\xff\xfe" + _RECORD: False,  # not UTF-8
+    b"": False,
+    b"[" * 100_000: False,  # RecursionError, not ValueError
+}
+
+
+def _decodes_to(payload):
+    """The oracle: the event, or ``None`` for a payload that is none."""
+    try:
+        return record_from_dict(json.loads(payload))
+    except (ValueError, RecursionError, TraceFormatError):
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    payloads=st.lists(
+        st.one_of(
+            st.sampled_from(sorted(_ODD_PAYLOADS)),
+            st.binary(max_size=40).map(lambda b: b.replace(b"\n", b" ")),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(payloads=list(_ODD_PAYLOADS))
+def test_readers_accept_exactly_what_json_loads_then_record_from_dict_accept(
+    payloads,
+):
+    data = _segment_bytes(payloads)
+    assert verify_segment_bytes(data) == (len(payloads), True, None)
+    expected = [_decodes_to(payload) for payload in payloads]
+    for payload, event in zip(payloads, expected):
+        assert _ODD_PAYLOADS.get(payload, False) == (event is not None), payload
+    accepted = [event for event in expected if event is not None]
+    first_bad = expected.index(None) if None in expected else len(expected)
+
+    # The JSON half on its own: dicts, until the first frame that is
+    # not JSON raises what ``json.loads`` raises.
+    dicts = iter(iter_segment_records(data))
+    for payload in payloads:
+        try:
+            want = json.loads(payload)
+        except (ValueError, RecursionError) as exc:
+            with pytest.raises(type(exc)):
+                next(dicts)
+            break
+        assert repr(next(dicts)) == repr(want)  # repr: NaN != NaN
+
+    with tempfile.TemporaryDirectory() as wal_dir:
+        path = os.path.join(wal_dir, "n", "thread-0", "seg-0000.wal")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+        trace, report = salvage_trace(wal_dir)
+        thread = report.threads["n/thread-0"]
+        assert trace.records == accepted
+        assert report.records_recovered == thread.records_recovered == len(accepted)
+        lost = len(payloads) - len(accepted)
+        assert report.records_quarantined == thread.records_quarantined == lost
+        assert report.bad_records == len(report.quarantined) == lost
+        assert report.seal_mismatches == 0 and report.sealed_segments == 1
+
+        damage = Counter()
+        live = list(WalStreamReader(damage).stream([path]))
+        assert live == expected[:first_bad]
+        assert damage == ({"damaged_records": 1} if lost else {})

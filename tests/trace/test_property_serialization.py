@@ -1,11 +1,20 @@
 """Property-based tests: trace record serialization round-trips."""
 
+import copy
+import json
+import pickle
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceFormatError
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import Trace, dump_records, load_records, record_from_dict, record_to_dict
+from repro.trace import records as records_module
+from repro.trace.records import TRACE_SCHEMA_VERSION, _untuple
 
 _kinds = st.sampled_from(list(OpKind))
 _obj_ids = st.one_of(
@@ -69,7 +78,7 @@ def test_single_record_roundtrip(event):
 def test_record_stream_roundtrip(events):
     # Make seqs unique so ordering is well defined.
     events = [
-        OpEvent(**{**e.__dict__, "seq": i + 1}) for i, e in enumerate(events)
+        replace(e, seq=i + 1) for i, e in enumerate(events)
     ]
     restored = load_records(dump_records(events))
     assert [r.seq for r in restored] == [e.seq for e in events]
@@ -80,7 +89,7 @@ def test_record_stream_roundtrip(events):
 @given(events=st.lists(_events, max_size=30))
 def test_trace_keeps_seq_order_regardless_of_insertion(events):
     events = [
-        OpEvent(**{**e.__dict__, "seq": i + 1}) for i, e in enumerate(events)
+        replace(e, seq=i + 1) for i, e in enumerate(events)
     ]
     trace = Trace()
     # Insert in a scrambled but deterministic order.
@@ -103,7 +112,7 @@ _unicode_obj_ids = st.one_of(
 def test_roundtrip_preserves_unicode_and_tuple_obj_ids(event, obj_id):
     from repro.trace import TRACE_SCHEMA_VERSION, record_from_dict, record_to_dict
 
-    event = OpEvent(**{**event.__dict__, "obj_id": obj_id})
+    event = replace(event, obj_id=obj_id)
     data = record_to_dict(event)
     assert data["v"] == TRACE_SCHEMA_VERSION
     restored = record_from_dict(data)
@@ -148,7 +157,7 @@ def test_wal_roundtrip_equals_direct_roundtrip(tmp_path_factory, events):
     from repro.trace import WalSink, salvage_trace
 
     events = [
-        OpEvent(**{**e.__dict__, "seq": i + 1, "node": "n", "tid": 0})
+        replace(e, seq=i + 1, node="n", tid=0)
         for i, e in enumerate(events)
     ]
     directory = str(tmp_path_factory.mktemp("wal"))
@@ -164,3 +173,140 @@ def test_wal_roundtrip_equals_direct_roundtrip(tmp_path_factory, events):
         assert restored.obj_id == original.obj_id
         assert restored.callstack == original.callstack
         assert restored.extra == original.extra
+
+
+# -- lean records --------------------------------------------------------------
+#
+# A whole trace of decoded events is resident on the whole-graph path,
+# so an event carries no ``__dict__`` and shares what its site shares.
+
+
+def _off_the_wire(event):
+    """Decoded as a reader decodes it: through JSON text, so that equal
+    strings arrive as distinct objects."""
+    return record_from_dict(json.loads(json.dumps(record_to_dict(event))))
+
+
+def _at_site(seq, line=31):
+    return OpEvent(
+        seq=seq, kind=OpKind.MEM_WRITE, obj_id="x", node="worker-0007", tid=3,
+        thread_name="worker-0007.main", segment=3,
+        callstack=CallStack([Frame("repro/systems/x/a.py", "local_write", line)]),
+        location=(9, "x"),
+    )
+
+
+def test_events_have_no_instance_dict():
+    event = _off_the_wire(_at_site(1))
+    assert not hasattr(event, "__dict__")
+    with pytest.raises(AttributeError):
+        event.scratch = 1
+
+
+def test_records_of_one_site_share_one_stack_and_one_node_string():
+    first, second = _off_the_wire(_at_site(1)), _off_the_wire(_at_site(2))
+    assert first.callstack == _at_site(1).callstack
+    assert first.callstack is second.callstack
+    assert first.node is second.node
+    assert first.thread_name is second.thread_name
+    assert _off_the_wire(_at_site(3, line=32)).callstack is not first.callstack
+
+
+def test_stack_cache_stays_under_its_cap():
+    cap = records_module._STACK_CACHE_MAX
+    for line in range(1, cap + 100):
+        assert _off_the_wire(_at_site(line, line=line)).callstack[0].line == line
+        assert len(records_module._stack_cache) <= cap
+
+
+def test_a_look_alike_line_number_is_not_planted_under_a_real_site():
+    # True == 1 (and hashes alike): caching the hand-made stack would
+    # hand ``line=True`` to every later record of the real site.
+    wire = record_to_dict(_at_site(1, line=1))
+    wire["stack"] = [["repro/systems/x/lookalike.py", "f", True]]
+    assert record_from_dict(wire).callstack[0].line is True
+    wire["stack"] = [["repro/systems/x/lookalike.py", "f", 1]]
+    assert type(record_from_dict(wire).callstack[0].line) is int
+
+
+@settings(max_examples=50, deadline=None)
+@given(event=_events)
+def test_replace_pickle_and_copy_roundtrip(event):
+    assert replace(event) == event
+    assert replace(event, seq=event.seq + 1).seq == event.seq + 1
+    assert pickle.loads(pickle.dumps(event)) == event
+    shallow = copy.copy(event)
+    assert shallow == event and shallow.extra is event.extra
+    assert copy.deepcopy(event) == event
+
+
+def _reference_record_from_dict(data):
+    """``record_from_dict`` as it was before it was table-driven: the
+    statement of what is accepted and what each rejection says."""
+    if not isinstance(data, dict):
+        raise TraceFormatError(f"trace record is not an object: {data!r}")
+    version = data.get("v", 1)
+    if version != TRACE_SCHEMA_VERSION:
+        raise TraceFormatError(
+            f"unknown trace schema version {version!r} "
+            f"(this reader understands version {TRACE_SCHEMA_VERSION})"
+        )
+    try:
+        return OpEvent(
+            seq=data["seq"],
+            kind=OpKind(data["kind"]),
+            obj_id=_untuple(data["obj_id"]),
+            node=data["node"],
+            tid=data["tid"],
+            thread_name=data["thread"],
+            segment=data["segment"],
+            callstack=CallStack(Frame(p, f, l) for p, f, l in data["stack"]),
+            location=tuple(data["location"]) if data["location"] else None,
+            observed_write=data["observed_write"],
+            in_handler=data.get("in_handler", False),
+            extra=data.get("extra", {}),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise TraceFormatError(
+            f"malformed trace record ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+_junk = st.sampled_from(
+    [None, True, 0, 1.5, "", "mem_read", "x", [], {}, [1, 2], "abc",
+     [[1, 2, 3]], [["a", "b", True]], [["a", "b"]], [[["a"], "b", 3]], [5],
+     {"__tuple__": [1, "a"]}, 99]
+)
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["v", "seq", "kind", "obj_id", "node", "tid", "thread", "segment",
+             "stack", "location", "observed_write", "in_handler", "extra"]
+        ),
+        st.one_of(st.just("<delete>"), _junk),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(event=_events, edits=_edits, whole=st.one_of(st.none(), _junk))
+def test_table_driven_decode_accepts_and_rejects_what_the_reference_does(
+    event, edits, whole
+):
+    data = json.loads(json.dumps(record_to_dict(event)))
+    for key, value in edits:
+        if value == "<delete>":
+            data.pop(key, None)
+        else:
+            data[key] = value
+    if whole is not None:
+        data = whole
+    try:
+        expected = _reference_record_from_dict(data)
+    except TraceFormatError as exc:
+        with pytest.raises(TraceFormatError) as caught:
+            record_from_dict(data)
+        assert str(caught.value) == str(exc)
+    else:
+        assert record_from_dict(data) == expected

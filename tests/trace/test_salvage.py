@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.framing import encode_line
 from repro.ids import CallStack
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import WalSink, WalWriter, salvage_trace
+from repro.trace.records import record_to_dict
+from repro.trace.wal import WalStreamReader
 
 
 def _event(seq, node="n1", tid=0):
@@ -137,6 +140,40 @@ class TestDamage:
         assert any("not valid JSON" in r for r in reasons)
         assert any("unrecognized" in r for r in reasons)
 
+    def test_frame_that_is_no_record_is_quarantined_where_it_is_read(
+        self, tmp_path
+    ):
+        """A frame can verify (length, CRC, seal count) and parse as JSON
+        and still hold no record.  It used to be dropped by a second
+        loop that patched the report totals only: no byte range, the
+        thread tallied it as recovered and was never named."""
+        writer = WalWriter(str(tmp_path), "n1", 0)
+        writer.append(record_to_dict(_event(1)))
+        writer.append({"seq": 2, "v": 99})
+        writer.close()
+        path = _segment_path(tmp_path)
+
+        trace, report = salvage_trace(str(tmp_path))
+        thread = report.threads["n1/thread-0"]
+        assert [r.seq for r in trace.records] == [1]
+        assert trace.partial and report.damaged and thread.damaged
+        assert (report.records_recovered, thread.records_recovered) == (1, 1)
+        assert (report.records_quarantined, thread.records_quarantined) == (1, 1)
+        assert (report.bad_records, report.seal_mismatches) == (1, 0)
+        assert report.sealed_segments == 1
+        [region] = report.quarantined
+        line = encode_line(b"R", b'{"seq": 2, "v": 99}')
+        start = open(path, "rb").read().index(line)
+        assert (region.byte_start, region.byte_end) == (start, start + len(line) - 1)
+        assert "schema version 99" in region.reason
+        assert "n1/thread-0: 1 recovered, 1 quarantined" in report.render()
+
+        # The truncating reader always stopped there.
+        damage = Counter()
+        events = list(WalStreamReader(damage).stream([path]))
+        assert [e.seq for e in events] == [1]
+        assert damage == {"damaged_records": 1}
+
     def test_empty_trace_from_fully_torn_wal(self, tmp_path):
         stream_dir = tmp_path / "n1" / "thread-0"
         stream_dir.mkdir(parents=True)
@@ -191,8 +228,6 @@ class TestLiveSalvage:
         )
         # seg-0000 sealed with 4 records; seg-0001 has 2 and no seal.
         tail = _segment_path(tmp_path, segment=1)
-        from repro.trace.records import record_to_dict
-
         payload = json.dumps(record_to_dict(_event(7))).encode()
         with open(tail, "ab") as fh:
             line = encode_line(b"R", payload)

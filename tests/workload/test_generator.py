@@ -6,6 +6,7 @@ ground-truth manifest, so generated corpora are cacheable and
 benchmark runs are reproducible without shipping gigabytes of traces.
 """
 
+import hashlib
 import json
 import os
 
@@ -38,6 +39,21 @@ def test_same_seed_is_byte_identical(tmp_path):
     assert _wal_bytes(a.wal_dir) == _wal_bytes(b.wal_dir)
     assert open(a.ground_truth_path).read() == open(b.ground_truth_path).read()
     assert a.planted_races == b.planted_races
+
+
+def test_wal_bytes_are_pinned(tmp_path):
+    """The write side's byte-identity gate: a digest taken before the
+    writer's encoder was hoisted out of ``append``.  It moves only in a
+    change that means to re-encode the WAL."""
+    generated = generate_workload("minimr", "small", 0, str(tmp_path))
+    digest = hashlib.sha256()
+    files = _wal_bytes(generated.wal_dir)
+    for name in sorted(files):
+        digest.update(name.encode() + b"\0" + files[name])
+    assert len(files) == 9 and generated.records == 456
+    assert digest.hexdigest() == (
+        "2bb821771d4afd19758c31aa68f0424ce8402e14e84aa2d405a1f1622054eac3"
+    )
 
 
 def test_different_seed_differs(tmp_path):
