@@ -536,15 +536,26 @@ def _cmd_ship(args: argparse.Namespace) -> int:
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
     """Memory-access sampling knobs shared by ``run``/``trace``/``stream``."""
+
+    def spec(text: str) -> str:
+        from repro.trace import build_sampler
+
+        try:
+            build_sampler(text)
+        except ValueError as exc:
+            # Not parser.error(): one line, like every other exit 2.
+            parser.exit(2, f"error: {exc}\n")
+        return text
+
     parser.add_argument(
         "--sampling",
-        metavar="RATE|POLICY",
+        metavar="RATE|SPEC",
+        type=spec,
         default=None,
         help="sample the memory-access stream: a rate (0.1 = per-location "
-        "budget of 8 plus 10%% hash-rate keep) or a policy spec "
-        "(rate:R, budget:N, epoch:N:M, reservoir:K, composable with +). "
-        "HB/lock records are always kept; results carry "
-        "confidence=sampled",
+        "budget of 8 plus 10%% hash-rate keep) or a spec (all, rate:R, "
+        "budget:N, budget:N+rate:R).  HB/lock records are always kept; "
+        "results carry confidence=sampled",
     )
     parser.add_argument(
         "--sampling-seed",

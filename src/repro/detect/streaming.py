@@ -438,7 +438,7 @@ class StreamSession:
     ``consumed_raw`` counts every merged record, kept or sampled away.
     A checkpoint records that watermark and a resume replays up to it
     (deterministic, as the merge order is); replayed records advance
-    the sampler's policy state and nothing else."""
+    the sampler's per-location counts and nothing else."""
 
     def __init__(
         self,
@@ -454,9 +454,7 @@ class StreamSession:
         self.fingerprint = stream_fingerprint(model, window, source, sampler)
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every  # raw records between saves
-        #: A ``repro.trace.sampling.Sampler``, used as a pure filter:
-        #: an already-fed record is detector state, so a reservoir's
-        #: evictions are ignored (it degrades to admit-only).
+        #: A ``repro.trace.sampling.Sampler``, or None.
         self.sampler = sampler
         #: Whether live records go through the sampler (the service
         #: clears it while its overload ladder reads ``full``).
@@ -519,7 +517,7 @@ class StreamSession:
             raw += 1
             replaying = raw <= self.resumed_at
             if self.sampler is not None and (replaying or self.thinning):
-                keep, _evictions = self.sampler.observe(event)
+                keep = self.sampler.observe(event)[0]
                 if not keep and not replaying:
                     kind = event.kind.value
                     self.sampled_dropped[kind] = (

@@ -93,13 +93,13 @@ class PipelineConfig:
     #: so a node crashed mid-run leaves a salvageable prefix on disk.
     #: None (default) keeps tracing purely in memory — zero overhead.
     trace_dir: Optional[str] = None
-    #: Memory-access sampling policy for the monitored run
+    #: Memory-access sampling for the monitored run
     #: (``repro.trace.sampling`` spec: a bare rate like ``"0.1"`` for
-    #: the budgeted-rate composite, or ``"budget:N"``/``"rate:R"``/
-    #: ``"epoch:N:M"``/``"reservoir:K"``, composable with ``+``).  HB
-    #: and lock records are always kept; downstream results carry
-    #: ``confidence: "sampled"``.  None (default) traces every in-scope
-    #: access, byte-identical to the pre-sampling tracer.
+    #: ``"budget:8+rate:0.1"``, or ``"budget:N"``, ``"rate:R"``,
+    #: ``"budget:N+rate:R"``, ``"all"``).  HB and lock records are
+    #: always kept; downstream results carry ``confidence: "sampled"``.
+    #: None (default) traces every in-scope access, byte-identical to
+    #: the pre-sampling tracer.
     sampling: Optional[str] = None
     #: Seed for the sampling policy's deterministic hashing — same
     #: ``(sampling, sampling_seed)`` means the same kept set, and both
@@ -280,11 +280,8 @@ class DCatch:
                 f"unknown detect_mode {self.config.detect_mode!r}; "
                 f"expected one of {self.DETECT_MODES}"
             )
-        if self.config.sampling is not None:
-            from repro.trace.sampling import parse_policy
-
-            # Fail fast on a bad spec, before any stage has run.
-            parse_policy(self.config.sampling, self.config.sampling_seed)
+        # Fail fast on a bad spec, before any stage has run.
+        self._make_sampler()
 
     def _make_sampler(self):
         from repro.trace.sampling import build_sampler

@@ -16,18 +16,7 @@ from repro.trace.records import (
     record_to_dict,
 )
 from repro.trace.salvage import SalvageReport, salvage_trace
-from repro.trace.sampling import (
-    Composite,
-    HashRate,
-    KeepAll,
-    PerEpochBudget,
-    PerLocationBudget,
-    Reservoir,
-    Sampler,
-    SamplingPolicy,
-    build_sampler,
-    parse_policy,
-)
+from repro.trace.sampling import Sampler, build_sampler
 from repro.trace.scope import (
     FullScope,
     SelectiveScope,
@@ -52,15 +41,7 @@ __all__ = [
     "compute_stats",
     "publish_stats",
     "Tracer",
-    "SamplingPolicy",
     "Sampler",
-    "KeepAll",
-    "HashRate",
-    "PerLocationBudget",
-    "PerEpochBudget",
-    "Reservoir",
-    "Composite",
-    "parse_policy",
     "build_sampler",
     "TracingScope",
     "FullScope",

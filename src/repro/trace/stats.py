@@ -51,8 +51,7 @@ class TraceStats:
     #: Nominal hash-rate of the sampling policy (None when purely
     #: budgeted or when sampling is off).
     sampling_rate: Optional[float] = None
-    #: Sampler drops by record kind (plus ``evicted`` for reservoir
-    #: replacements).
+    #: Sampler drops by record kind.
     sampled_dropped: Dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:

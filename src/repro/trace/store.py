@@ -38,8 +38,8 @@ class Trace:
         #: Nominal hash-rate of the sampling policy (None when purely
         #: budgeted, or when sampling is off).
         self.sampling_rate: Optional[float] = None
-        #: Drops by record kind (plus ``evicted``) from the sampler —
-        #: shared with ``Sampler.dropped`` when a sampler is attached.
+        #: Accesses the sampler rejected, by record kind (tallied by
+        #: the tracer).
         self.sampled_dropped: Dict[str, int] = {}
         #: Memory accesses rejected by the scope policy (selective
         #: tracing loss — distinct from sampling loss).
@@ -74,25 +74,6 @@ class Trace:
     def of_kind(self, *kinds: OpKind) -> List[OpEvent]:
         wanted = set(kinds)
         return [r for r in self.records if r.kind in wanted]
-
-    def remove_seq(self, seq: int) -> Optional[OpEvent]:
-        """Drop a previously-appended record (reservoir eviction).
-
-        Returns the removed record, or None if ``seq`` is not present.
-        An attached WAL is *not* rewritten — the on-disk log stays a
-        superset of the in-memory sample.
-        """
-        index = bisect.bisect_left(self.records, seq, key=lambda r: r.seq)
-        if index >= len(self.records) or self.records[index].seq != seq:
-            return None
-        record = self.records.pop(index)
-        thread = self._by_thread.get(record.tid)
-        if thread is not None:
-            try:
-                thread.remove(record)
-            except ValueError:
-                pass
-        return record
 
     def by_seq(self, seq: int) -> Optional[OpEvent]:
         lo, hi = 0, len(self.records) - 1

@@ -6,8 +6,8 @@ An ``Interceptor`` installed on a cluster.  It records:
 * lock/unlock operations (needed by the trigger module, Section 5.2);
 * memory accesses *subject to the scope policy* — selective by default —
   and, when a :class:`repro.trace.sampling.Sampler` is attached, further
-  thinned by the sampling policy (``scope`` and ``sampler`` compose:
-  scope decides *eligibility*, the sampler decides *budget*).
+  thinned by it (``scope`` and ``sampler`` compose: scope decides
+  *eligibility*, the sampler decides *budget*).
 
 Nodes marked untraced (the coordination-service substrate) contribute no
 records at all, mirroring the paper's uninstrumented ZooKeeper.  Events
@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.runtime.ops import Interceptor, LOCK_KINDS, MEM_KINDS, OpEvent
+from repro.runtime.ops import Interceptor, MEM_KINDS, OpEvent
 from repro.trace.sampling import Sampler
 from repro.trace.scope import FullScope, TracingScope
 from repro.trace.store import Trace
@@ -48,14 +48,13 @@ class Tracer(Interceptor):
         #: on disk, so a crash leaves a salvageable prefix.  None (the
         #: default) is the pure in-memory path with zero extra work.
         self.wal = wal
-        #: Optional memory-access sampler.  The drop-counter dict is
-        #: shared with the trace so stats computed from the trace alone
-        #: (after checkpoints, across process boundaries) still see it.
+        #: Optional memory-access sampler.  What it rejects is tallied
+        #: on the trace, so stats computed from the trace alone (after
+        #: checkpoints, across process boundaries) still see it.
         self.sampler = sampler
         if sampler is not None and sampler.can_drop:
             self.trace.sampled = True
-            self.trace.sampling_rate = sampler.nominal_rate()
-            self.trace.sampled_dropped = sampler.dropped
+            self.trace.sampling_rate = sampler.rate
         self._nodes: dict = {}
 
     @property
@@ -84,12 +83,11 @@ class Tracer(Interceptor):
                 if not self.scope.should_trace_mem(event):
                     self.trace.dropped_mem += 1
                     return
-                if self.sampler is not None:
-                    keep, evictions = self.sampler.observe(event)
-                    for seq in evictions:
-                        self.trace.remove_seq(seq)
-                    if not keep:
-                        return
+                if self.sampler is not None and not self.sampler.observe(event)[0]:
+                    dropped = self.trace.sampled_dropped
+                    kind = event.kind.value
+                    dropped[kind] = dropped.get(kind, 0) + 1
+                    return
             self.trace.append(event)
             if self.wal is not None:
                 self.wal.append(event)
@@ -105,10 +103,6 @@ class Tracer(Interceptor):
         """Seal the surviving WAL streams (end of the monitored run)."""
         if self.wal is not None:
             self.wal.close()
-
-    def _node_traced(self, event: OpEvent) -> bool:
-        node = self._nodes.get(event.node)
-        return bool(node is not None and node.traced)
 
     def bind(self, cluster: "object") -> "Tracer":
         """Attach to a cluster (learns which nodes are traced).

@@ -23,8 +23,6 @@ SPECS = st.sampled_from(
     [
         "rate:0.4",
         "budget:2",
-        "epoch:2:4",
-        "reservoir:2",
         "budget:1+rate:0.2",
         "0.3",
     ]

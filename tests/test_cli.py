@@ -362,3 +362,18 @@ def test_run_resume_round_trip_via_cli(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "resumed: skipped trace, hb, reach, detect" in second
     assert "DCatch reports" in first and "DCatch reports" in second
+
+
+@pytest.mark.parametrize(
+    "spec", ["bogus", "reservoir:8", "epoch:1:2", "rate:2", "budget:0"]
+)
+def test_bad_sampling_spec_exits_2(spec, capsys):
+    """Rejected where argparse reads it: one line, before anything runs."""
+    for command in (["run", "ZK-1144"], ["trace", "ZK-1144"], ["stream", "wal"]):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--sampling", spec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad sampling spec {spec!r}")
+        assert "supported: R, all, rate:R, budget:N, budget:N+rate:R" in err
+        assert len(err.strip().splitlines()) == 1

@@ -1,60 +1,50 @@
-"""Sampling policies and the sampled tracer (production tracing)."""
+"""The sampling decision and the sampled tracer (production tracing)."""
+
+import zlib
+from types import SimpleNamespace
 
 import pytest
 
 from repro.ids import CallStack
 from repro.runtime import Cluster, OpKind, sleep
-from repro.runtime.ops import MEM_KINDS, OpEvent
-from repro.trace import (
-    Composite,
-    FullScope,
-    HashRate,
-    KeepAll,
-    PerEpochBudget,
-    PerLocationBudget,
-    Reservoir,
-    Trace,
-    Tracer,
-    build_sampler,
-    parse_policy,
-)
+from repro.runtime.ops import OpEvent
+from repro.trace import FullScope, Tracer, build_sampler
 
 
-def _mem(seq, loc="x", kind=OpKind.MEM_WRITE, tid=0):
+def _event(seq, kind, location=None, tid=0):
     return OpEvent(
         seq=seq,
         kind=kind,
-        obj_id=loc,
+        obj_id="o",
         node="n",
         tid=tid,
         thread_name=f"t{tid}",
         segment=tid,
         callstack=CallStack(),
-        location=(1, loc),
+        location=location,
     )
+
+
+def _mem(seq, loc="x", kind=OpKind.MEM_WRITE, tid=0):
+    return _event(seq, kind, (1, loc), tid)
 
 
 def _lock(seq, tid=0):
-    return OpEvent(
-        seq=seq,
-        kind=OpKind.LOCK_ACQUIRE,
-        obj_id="l",
-        node="n",
-        tid=tid,
-        thread_name=f"t{tid}",
-        segment=tid,
-        callstack=CallStack(),
-    )
+    return _event(seq, OpKind.LOCK_ACQUIRE, tid=tid)
 
 
-# -- policy unit behavior -----------------------------------------------------
+def _kept(sampler, events):
+    return [sampler.observe(e)[0] for e in events]
+
+
+# -- the decision -------------------------------------------------------------
 
 
 def test_hash_rate_deterministic_and_seed_sensitive():
     events = [_mem(i, loc=f"x{i % 7}") for i in range(200)]
-    first = [HashRate(0.3, seed=1).admit(e) for e in events]
-    second = [HashRate(0.3, seed=1).admit(e) for e in events]
-    other_seed = [HashRate(0.3, seed=2).admit(e) for e in events]
+    first = _kept(build_sampler("rate:0.3", seed=1), events)
+    second = _kept(build_sampler("rate:0.3", seed=1), events)
+    other_seed = _kept(build_sampler("rate:0.3", seed=2), events)
     assert first == second
     assert first != other_seed
     # Rough proportionality: keeps a minority, not none.
@@ -63,99 +53,144 @@ def test_hash_rate_deterministic_and_seed_sensitive():
 
 def test_hash_rate_bounds():
     with pytest.raises(ValueError):
-        HashRate(1.5)
+        build_sampler("rate:1.5")
     with pytest.raises(ValueError):
-        HashRate(-0.1)
-    assert not any(HashRate(0.0).admit(_mem(i)) for i in range(50))
+        build_sampler("rate:-0.1")
+    assert not any(_kept(build_sampler("rate:0.0"), map(_mem, range(50))))
 
 
 def test_per_location_budget_keeps_prefix_per_location():
-    policy = PerLocationBudget(2)
-    hot = [policy.admit(_mem(i, loc="hot")) for i in range(5)]
-    cold = [policy.admit(_mem(100 + i, loc="cold")) for i in range(2)]
+    sampler = build_sampler("budget:2")
+    hot = _kept(sampler, [_mem(i, loc="hot") for i in range(5)])
+    cold = _kept(sampler, [_mem(100 + i, loc="cold") for i in range(2)])
     assert hot == [True, True, False, False, False]
     assert cold == [True, True]
 
 
-def test_per_epoch_budget_resets_each_epoch():
-    policy = PerEpochBudget(budget=2, epoch_records=4)
-    decisions = [policy.admit(_mem(i)) for i in range(8)]
-    assert decisions == [True, True, False, False, True, True, False, False]
-
-
-def test_reservoir_caps_sample_and_reports_evictions():
-    policy = Reservoir(capacity=2, seed=0)
-    kept = set()
-    for i in range(20):
-        if policy.admit(_mem(i, loc="hot")):
-            kept.add(i)
-        for seq in policy.pop_evictions():
-            kept.remove(seq)
-    assert len(kept) == 2
-    # Replacement means the sample is not simply the first two.
-    assert kept != {0, 1}
-    # Determinism: the same run again picks the same sample.
-    again = set()
-    policy2 = Reservoir(capacity=2, seed=0)
-    for i in range(20):
-        if policy2.admit(_mem(i, loc="hot")):
-            again.add(i)
-        for seq in policy2.pop_evictions():
-            again.remove(seq)
-    assert again == kept
-
-
-def test_composite_is_union_and_pins_against_eviction():
-    # budget admits seqs 0-1; the reservoir would later evict its early
-    # picks, but those admitted by the budget are pinned.
-    policy = Composite([PerLocationBudget(2), Reservoir(1, seed=0)])
-    kept = set()
-    for i in range(30):
-        if policy.admit(_mem(i, loc="hot")):
-            kept.add(i)
-        for seq in policy.pop_evictions():
-            kept.discard(seq)
-    assert 0 in kept and 1 in kept  # budget sample survives whole
-
-
 def test_keep_all_cannot_drop():
-    assert KeepAll().can_drop is False
-    assert Composite([KeepAll()]).can_drop is False
-    assert Composite([KeepAll(), HashRate(0.5)]).can_drop is True
+    assert build_sampler("all").can_drop is False
+    assert build_sampler("rate:0.5").can_drop is True
+    # A union with keep-all never drops, whatever else it names.
+    for spec in ("all+rate:0.5", "rate:0.5+all", "budget:4+rate:1.0"):
+        sampler = build_sampler(spec)
+        assert sampler.can_drop is False
+        assert sampler.describe() == "rate:1.0@seed=0"
+        assert all(_kept(sampler, map(_mem, range(50))))
+
+
+def test_state_is_one_count_per_location():
+    """50,000 accesses over 10 locations, about half admitted: what the
+    sampler holds must not grow with the records it has admitted."""
+    sampler = build_sampler("0.5")
+    events = [_mem(seq, loc=seq % 10) for seq in range(50_000)]
+    assert 20_000 < sum(_kept(sampler, events)) < 30_000
+    held, stack, visited = 0, [sampler], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in visited:
+            continue
+        visited.add(id(obj))
+        if isinstance(obj, dict):
+            held += len(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            held += len(obj)
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    assert held <= 10
+
+
+def test_observe_allocates_nothing():
+    sampler = build_sampler("budget:1+rate:0.0")
+    keep = sampler.observe(_lock(0))
+    assert keep == (True, ())
+    assert sampler.observe(_lock(1)) is keep
+    assert sampler.observe(_mem(2)) is keep  # within the budget
+    drop = sampler.observe(_mem(3))
+    assert drop == (False, ())
+    assert sampler.observe(_mem(4, kind=OpKind.MEM_READ)) is drop
+
+
+#: (spec, seed) -> (kept count, crc32 of the kept seqs, describe()),
+#: computed with the policy classes this module replaced: the kept set
+#: and the checkpoint fingerprint of every surviving spec are theirs.
+GOLDENS = [
+    ("0.01", 0, 8379, 0x01960718, "budget:8+rate:0.01@seed=0"),
+    ("0.5", 7, 14127, 0xD9B04AD1, "budget:8+rate:0.5@seed=7"),
+    ("rate:0.3", 0, 10643, 0x250611CA, "rate:0.3@seed=0"),
+    ("budget:4", 0, 7466, 0x27FB76A5, "budget:4@seed=0"),
+    ("budget:8+rate:0.1", 3, 9430, 0xA0C60A4B, "budget:8+rate:0.1@seed=3"),
+    ("1.0", 0, 20000, 0xF3989F0E, "rate:1.0@seed=0"),
+]
+
+
+@pytest.mark.parametrize("spec,seed,count,digest,described", GOLDENS)
+def test_kept_sets_match_the_policy_classes(spec, seed, count, digest, described):
+    sampler = build_sampler(spec, seed)
+    kinds = (OpKind.MEM_READ, OpKind.MEM_WRITE, OpKind.SOCK_SEND)
+    kept = []
+    for seq in range(20_000):
+        kind = kinds[seq % 3]
+        location = (
+            None
+            if kind is OpKind.SOCK_SEND
+            else ((seq * 7919) % 300, "ab"[seq % 2])
+        )
+        if sampler.observe(_event(seq, kind, location))[0]:
+            kept.append(seq)
+    assert len(kept) == count
+    assert zlib.crc32(",".join(map(str, kept)).encode()) == digest
+    assert sampler.describe() == described
 
 
 # -- spec parsing -------------------------------------------------------------
 
 
 def test_bare_rate_builds_budgeted_composite():
-    policy = parse_policy("0.1", seed=3)
-    assert isinstance(policy, Composite)
-    kinds = [p.kind for p in policy.policies]
-    assert kinds == ["budget", "rate"]
-    assert policy.describe() == "budget:8+rate:0.1"
+    sampler = build_sampler("0.1", seed=3)
+    assert (sampler.budget, sampler.rate) == (8, 0.1)
+    assert sampler.describe() == "budget:8+rate:0.1@seed=3"
 
 
 def test_rate_one_is_keep_all():
-    assert isinstance(parse_policy("1.0"), KeepAll)
-    assert isinstance(parse_policy("rate:1"), KeepAll)
-    assert isinstance(parse_policy("all"), KeepAll)
+    for spec in ("1.0", "rate:1", "all"):
+        sampler = build_sampler(spec)
+        assert (sampler.budget, sampler.rate) == (None, 1.0)
 
 
 def test_term_grammar():
-    assert parse_policy("rate:0.25").describe() == "rate:0.25"
-    assert parse_policy("budget:16").describe() == "budget:16"
-    assert parse_policy("epoch:500:8192").describe() == "epoch:500:8192"
-    assert parse_policy("reservoir:8").describe() == "reservoir:8"
-    composed = parse_policy("budget:4+rate:0.05")
-    assert composed.describe() == "budget:4+rate:0.05"
+    assert build_sampler("rate:0.25").describe() == "rate:0.25@seed=0"
+    assert build_sampler("budget:16").describe() == "budget:16@seed=0"
+    # Canonical whatever the order the terms were written in.
+    for spec in ("budget:4+rate:0.05", "rate:0.05 + budget:4"):
+        assert build_sampler(spec).describe() == "budget:4+rate:0.05@seed=0"
 
 
 @pytest.mark.parametrize(
-    "spec", ["", "2.0", "-0.5", "bogus", "rate:x", "epoch:5", "budget:0"]
+    "spec",
+    [
+        pytest.param(" ", id=""),  # "" itself is "sampling off", below
+        "2.0",
+        "-0.5",
+        "nan",
+        "bogus",
+        "rate:x",
+        "rate:2",
+        "budget:0",
+        "budget:1.5",
+        "all:1",
+        "epoch:5",
+        "epoch:500:8192",
+        "reservoir:8",
+        "rate:0.1+rate:0.2",
+        "budget:4+budget:8",
+        "budget:4+",
+    ],
 )
 def test_bad_specs_rejected(spec):
-    with pytest.raises(ValueError):
-        parse_policy(spec)
+    with pytest.raises(ValueError, match="supported: R, all, rate:R, budget:N"):
+        build_sampler(spec)
 
 
 def test_build_sampler_off_for_empty_spec():
@@ -166,28 +201,29 @@ def test_build_sampler_off_for_empty_spec():
     assert sampler.describe() == "budget:8+rate:0.5@seed=7"
 
 
-# -- sampler wrapper ----------------------------------------------------------
-
-
-def test_sampler_passes_non_mem_and_counts_drops():
-    sampler = build_sampler("rate:0.0")
-    keep, evictions = sampler.observe(_lock(0))
-    assert keep and not evictions
-    keep, _ = sampler.observe(_mem(1, kind=OpKind.MEM_READ))
-    assert not keep
-    keep, _ = sampler.observe(_mem(2, kind=OpKind.MEM_WRITE))
-    assert not keep
-    assert sampler.dropped == {"mem_read": 1, "mem_write": 1}
-    assert sampler.kept == 0
-
-
 def test_nominal_rate_surfaces_hash_component():
-    assert build_sampler("0.1").nominal_rate() == 0.1
-    assert build_sampler("1.0").nominal_rate() == 1.0
-    assert build_sampler("budget:8").nominal_rate() is None
+    assert build_sampler("0.1").rate == 0.1
+    assert build_sampler("1.0").rate == 1.0
+    assert build_sampler("budget:8").rate is None
 
 
 # -- tracer integration -------------------------------------------------------
+
+
+def test_sampler_passes_non_mem_and_counts_drops():
+    """The tracer, which loses the record, is what counts it."""
+    tracer = Tracer(scope=FullScope(), sampler=build_sampler("rate:0.0"))
+    tracer.bind(
+        SimpleNamespace(
+            nodes={"n": SimpleNamespace(traced=True)},
+            add_interceptor=lambda interceptor: None,
+        )
+    )
+    tracer.after(_lock(0))
+    tracer.after(_mem(1, kind=OpKind.MEM_READ))
+    tracer.after(_mem(2, kind=OpKind.MEM_WRITE))
+    assert [r.seq for r in tracer.trace.records] == [0]
+    assert tracer.trace.sampled_dropped == {"mem_read": 1, "mem_write": 1}
 
 
 def _run_workload(sampler=None, seed=0):
@@ -235,31 +271,3 @@ def test_fixed_policy_and_seed_reproduce_identical_traces():
     first = _run_workload(sampler=build_sampler("0.3", seed=5))
     second = _run_workload(sampler=build_sampler("0.3", seed=5))
     assert first.trace.dump_thread_files() == second.trace.dump_thread_files()
-
-
-def test_reservoir_evictions_removed_from_trace():
-    sampler = build_sampler("reservoir:1")
-    tracer = _run_workload(sampler=sampler)
-    trace = tracer.trace
-    per_loc = {}
-    for record in trace.mem_accesses():
-        per_loc.setdefault(record.location, []).append(record.seq)
-    assert per_loc  # something survived
-    assert all(len(seqs) == 1 for seqs in per_loc.values())
-    assert trace.sampled_dropped.get("evicted", 0) >= 1
-    # The evicted seqs are gone from the per-thread views too.
-    files = trace.dump_thread_files()
-    total = sum(
-        len([line for line in text.splitlines() if line])
-        for text in files.values()
-    )
-    assert total == len(trace)
-
-
-def test_remove_seq_unknown_is_noop():
-    trace = Trace(name="t")
-    trace.append(_mem(3))
-    assert trace.remove_seq(99) is None
-    removed = trace.remove_seq(3)
-    assert removed is not None and removed.seq == 3
-    assert len(trace) == 0
