@@ -1,19 +1,20 @@
-"""Resumable analysis: kill a pipeline mid-stage, resume it bit-perfectly.
+"""Resumable analysis: kill a pipeline mid-trigger, resume it bit-perfectly.
 
 Long analyses die for boring reasons — OOM killers, preemptions,
-Ctrl-C.  With ``checkpoint_dir`` set, every completed stage is sealed
-under a CRC-checked manifest, detection checkpoints shard by shard, and
-a later ``resume=True`` run skips everything that already finished.
-This example shows the whole story:
+Ctrl-C.  With ``checkpoint_dir`` set, the two things that cost a
+re-execution of the workload are persisted under a CRC-checked
+manifest — the monitored run's trace and, report by report, the trigger
+verdicts — and a later ``resume=True`` run restores both and recomputes
+the (millisecond) analysis in between.  This example shows the whole
+story:
 
-1. *A checkpointed run* of the ZooKeeper ZK-1144 workload: each stage
-   seals its output as it completes.
+1. *A checkpointed run* of the ZooKeeper ZK-1144 workload: the trace
+   and the trigger stage seal as they complete.
 2. *A simulated crash*: a second checkpoint directory is built holding
-   only the stages a mid-detection SIGKILL would have left behind
-   (trace, HB graph, reachability, plus one detect shard in the
-   incremental shard log).
-3. *Resume*: the pipeline skips the sealed stages, merges the surviving
-   shard, re-enumerates only the missing ones, and produces reports
+   only what a SIGKILL after the first trigger verdict would have left
+   behind (the sealed trace plus one line of the verdict log).
+3. *Resume*: the pipeline restores the trace and the surviving verdict,
+   re-executes only the remaining reports, and produces reports
    **byte-identical** to the uninterrupted run.
 4. *Degradation, not death*: the same workload under an absurd memory
    budget completes by walking the degradation ladder instead of
@@ -44,9 +45,9 @@ def main() -> int:
     oracle = dump_reports(full.reports)
 
     print()
-    print("=== act 2: simulate a SIGKILL mid-detection ===")
-    # Rebuild what a crashed run leaves on disk: trace/hb/reach sealed,
-    # detect incomplete with one shard already in the incremental log.
+    print("=== act 2: simulate a SIGKILL after the first trigger verdict ===")
+    # Rebuild what a crashed run leaves on disk: the trace sealed, the
+    # trigger stage incomplete with one verdict already in its log.
     crashed_dir = tempfile.mkdtemp(prefix="dcatch-ck-crashed-")
     fingerprint = config_fingerprint(BUG, config)
     sealed = CheckpointStore(
@@ -55,14 +56,12 @@ def main() -> int:
     crashed = CheckpointStore(
         directory=crashed_dir, benchmark=BUG, config_fp=fingerprint
     )
-    for stage in ("trace", "hb", "reach"):
-        crashed.seal_stage(stage, sealed.load_stage(stage))
-    crashed.set_trace_fingerprint(sealed.manifest["trace_fingerprint"])
-    shards = sealed.load_shards("detect")
-    crashed.shard_log("detect").append(shards[0])
+    crashed.seal_stage("trace", sealed.load_stage("trace"))
+    verdicts = sealed.load_shards("trigger")
+    crashed.shard_log("trigger").append(verdicts[0])
     crashed.seal()
-    print(f"crashed checkpoint: 3 stages sealed, "
-          f"1 of {len(shards)} detect shards survived")
+    print(f"crashed checkpoint: trace sealed, "
+          f"1 of {len(verdicts)} trigger verdicts survived")
 
     print()
     print("=== act 3: resume from the wreckage ===")
@@ -71,9 +70,17 @@ def main() -> int:
         PipelineConfig(checkpoint_dir=crashed_dir, resume=True),
     ).run()
     print(f"stages skipped: {resumed.stages_skipped}")
-    shards_resumed = resumed.metrics["checkpoint_shards_resumed_total"]
-    print(f"detect shards merged from the log: "
-          f"{int(shards_resumed['value'])}")
+    restored = resumed.metrics["checkpoint_shards_resumed_total"]
+    print(f"verdicts restored from the log: {int(restored['value'])}")
+    print(f"trigger re-executions: "
+          f"{int(resumed.metrics['trigger_runs_total']['value'])} "
+          f"(uninterrupted run: "
+          f"{int(full.metrics['trigger_runs_total']['value'])})")
+    assert restored["value"] == 1
+    assert (
+        resumed.metrics["trigger_runs_total"]["value"]
+        < full.metrics["trigger_runs_total"]["value"]
+    )
     assert dump_reports(resumed.reports) == oracle
     print("resumed reports are byte-identical to the uninterrupted run")
 

@@ -1,26 +1,22 @@
 """Stage-level checkpoint/resume for the analysis pipeline.
 
 The tracing side has been crash-tolerant since the WAL (PR 4); this
-module is the analysis-side twin.  After each pipeline stage completes,
-its outputs are serialized into a checkpoint directory; ``dcatch run
---resume`` validates the manifest against config + trace fingerprints
-and skips every completed stage, so a killed analyzer loses at most the
-stage (for detection: the *shard*; for triggering: the *report*) that
-was in flight.
+module is the analysis-side twin.  It persists the two artefacts that
+cost a re-execution of the workload to rebuild — the monitored run's
+trace and the trigger verdicts — and nothing else: HB graph, closure,
+detection and pruning take milliseconds and are recomputed from the
+restored trace.  ``dcatch run --resume`` validates the manifest against
+config + trace fingerprints and skips the completed stages, so a killed
+analyzer loses at most the trigger *report* that was in flight.
 
 Layout (one run per checkpoint directory)::
 
     <dir>/manifest.json            schema-versioned, atomically replaced
-    <dir>/trace.json               stage payloads, CRC32-checked
-    <dir>/hb.json
-    <dir>/reach.json
-    <dir>/detect-shards.jsonl      incremental: one framed line per shard
-    <dir>/detect.json
-    <dir>/prune.json
+    <dir>/trace.json               stage payload, CRC32-checked
     <dir>/trigger-outcomes.jsonl   incremental: one framed line per report
-    <dir>/trigger.json
+    <dir>/trigger.json             stage seal (report count, seconds)
 
-Incremental files are ``R`` lines of the `repro.framing` format
+The incremental file is ``R`` lines of the `repro.framing` format
 (``docs/framing.md``), so a SIGKILL mid-append leaves a torn tail the
 loader simply drops — the same recovery story as the WAL.  Stage
 payload files carry their CRC32 in the manifest; damage, stale schema
@@ -45,15 +41,11 @@ from repro.trace.store import Trace
 CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
 
-#: Pipeline stages in execution order.  ``detect`` and ``trigger`` also
-#: keep incremental shard files so a mid-stage crash only loses the
-#: in-flight unit of work.
-STAGES = ("trace", "hb", "reach", "detect", "prune", "trigger")
+#: Checkpointed stages in execution order.  ``trigger`` also keeps an
+#: incremental file so a mid-stage crash only loses the in-flight report.
+STAGES = ("trace", "trigger")
 
-_INCREMENTAL_FILES = {
-    "detect": "detect-shards.jsonl",
-    "trigger": "trigger-outcomes.jsonl",
-}
+_INCREMENTAL_FILES = {"trigger": "trigger-outcomes.jsonl"}
 
 
 def config_fingerprint(benchmark: str, config: "object") -> str:
@@ -101,15 +93,16 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def trace_fingerprint(trace: Trace) -> str:
-    """CRC of the serialized trace — ties analysis checkpoints to the
-    exact record stream they were computed from.
+def trace_fingerprint(thread_files: Dict[Any, str]) -> str:
+    """CRC of the serialized trace (``Trace.dump_thread_files()``, or
+    the ``thread_files`` of a trace payload, whose tids are strings) —
+    ties a checkpoint to the exact record stream it was computed from.
 
     Lines are sorted within each thread file: a live trace may append
     records out of ``seq`` order while a restored one is seq-sorted, and
     the fingerprint must depend on content, not append order."""
     running = 0
-    for _tid, blob in sorted(trace.dump_thread_files().items()):
+    for _tid, blob in sorted((int(t), b) for t, b in thread_files.items()):
         for line in sorted(blob.splitlines()):
             running = crc32(line.encode(), running)
     return f"{running:08x}"
@@ -202,12 +195,13 @@ class CheckpointStore:
         A fresh (non-resume) run owns the directory.  ShardLog appends
         and ``load_shards`` reads whatever file is present, so without
         this sweep a reused directory — exactly what "re-run without
-        --resume to rebuild" advises — would silently merge shard
-        results computed from a different trace or config into this
-        run's candidates."""
-        names = [f"{stage}.json" for stage in STAGES]
+        --resume to rebuild" advises — would silently restore verdicts
+        computed from a different trace or config."""
+        # Left by versions that checkpointed the analysis stages too.
+        legacy = ("hb", "reach", "detect", "prune")
+        names = [f"{stage}.json" for stage in STAGES + legacy]
         names += [f"{name}.tmp" for name in names]
-        names += list(_INCREMENTAL_FILES.values())
+        names += [*_INCREMENTAL_FILES.values(), "detect-shards.jsonl"]
         for name in names:
             try:
                 os.remove(os.path.join(self.directory, name))
@@ -281,7 +275,9 @@ class CheckpointStore:
 
     def seal_stage(self, name: str, payload: Dict[str, Any]) -> None:
         """Write one stage's payload and mark it completed (atomic:
-        payload file first, then manifest replace)."""
+        payload file first, then manifest replace).  The trace's
+        fingerprint rides the same manifest write: a kill can never
+        leave a completed ``trace`` stage without one."""
         with obs.span("checkpoint.seal", stage=name):
             blob = json.dumps(payload, sort_keys=True).encode()
             filename = f"{name}.json"
@@ -290,6 +286,10 @@ class CheckpointStore:
             entry.update(
                 {"file": filename, "crc": f"{crc32(blob):08x}", "completed": True}
             )
+            if name == "trace":
+                self.manifest["trace_fingerprint"] = trace_fingerprint(
+                    payload["thread_files"]
+                )
             self._write_manifest()
         obs.counter(
             "checkpoint_stages_sealed_total", "pipeline stages checkpointed"
@@ -319,10 +319,6 @@ class CheckpointStore:
             return json.loads(blob.decode())
 
     # -- trace fingerprint ----------------------------------------------------
-
-    def set_trace_fingerprint(self, fingerprint: str) -> None:
-        self.manifest["trace_fingerprint"] = fingerprint
-        self._write_manifest()
 
     def check_trace_fingerprint(self, fingerprint: str) -> None:
         stored = self.manifest.get("trace_fingerprint")
@@ -467,109 +463,19 @@ def restore_trace_stage(
     )
 
 
-def detection_payload(detection: "object") -> Dict[str, Any]:
-    return {
-        "candidates": [
-            [c.first.seq, c.second.seq] for c in detection.candidates
-        ],
-        "pairs_examined": detection.pairs_examined,
-        "truncated_locations": [
-            list(loc) for loc in detection.truncated_locations
-        ],
-        "stopped_early": detection.stopped_early,
-        "confidence": detection.confidence,
-        "analysis_seconds": detection.analysis_seconds,
-        "sp_pairs": (
-            sorted([a, b] for a, b in detection.sp_pairs)
-            if detection.sp_pairs is not None
-            else None
-        ),
-    }
-
-
-def restore_detection(
-    payload: Dict[str, Any], trace: Trace, graph: "object"
-) -> "object":
-    from repro.detect.races import Candidate, DetectionResult
-
-    by_seq = {record.seq: record for record in trace.records}
-    try:
-        candidates = [
-            Candidate(by_seq[first], by_seq[second])
-            for first, second in payload["candidates"]
-        ]
-    except KeyError as exc:
-        raise CheckpointError(
-            f"detect checkpoint references seq {exc.args[0]} missing from "
-            f"the trace; re-run without --resume"
-        ) from None
-    return DetectionResult(
-        trace=trace,
-        graph=graph,
-        candidates=candidates,
-        analysis_seconds=payload.get("analysis_seconds", 0.0),
-        pairs_examined=payload.get("pairs_examined", 0),
-        truncated_locations=[
-            tuple(loc) for loc in payload.get("truncated_locations", [])
-        ],
-        stopped_early=payload.get("stopped_early", False),
-        confidence=payload.get("confidence", "full"),
-        sp_pairs=(
-            {(a, b) for a, b in payload["sp_pairs"]}
-            if payload.get("sp_pairs") is not None
-            else None
-        ),
-    )
-
-
-def prune_payload(prune_result: "object") -> Dict[str, Any]:
-    return {
-        "decisions": [
-            {
-                "report_id": decision.report.report_id,
-                "keep": decision.keep,
-                "reasons": list(decision.reasons),
-            }
-            for decision in prune_result.decisions
-        ],
-        "seconds": prune_result.seconds,
-    }
-
-
-def restore_prune(payload: Dict[str, Any], reports_pre: "object") -> "object":
-    from repro.analysis.pruner import PruneDecision, PruneResult, rank_reports
-    from repro.detect.report import ReportSet
-
-    by_id = {report.report_id: report for report in reports_pre}
-    decisions = []
-    for entry in payload.get("decisions", []):
-        report = by_id.get(entry["report_id"])
-        if report is None:
-            raise CheckpointError(
-                f"prune checkpoint references report #{entry['report_id']} "
-                f"missing from detection; re-run without --resume"
-            )
-        decisions.append(
-            PruneDecision(
-                report=report,
-                keep=entry["keep"],
-                reasons=list(entry.get("reasons", [])),
-            )
-        )
-    return PruneResult(
-        # Same trigger-queue ranking as a fresh StaticPruner.apply, so a
-        # resumed pipeline's reports stay byte-identical to a clean run.
-        kept=ReportSet(rank_reports(d.report for d in decisions if d.keep)),
-        pruned=ReportSet([d.report for d in decisions if not d.keep]),
-        decisions=decisions,
-        seconds=payload.get("seconds", 0.0),
-    )
+def outcome_pair(report: "object") -> List[int]:
+    """``[first.seq, second.seq]`` of the report's representative: names
+    a logged verdict by content — ``report_id`` is only an ordinal into
+    a detection that every resume recomputes."""
+    first, second = report.representative.accesses()
+    return [first.seq, second.seq]
 
 
 def outcome_to_dict(outcome: "object") -> Dict[str, Any]:
     """Serialize one ``TriggerOutcome`` (per-report checkpoint unit)."""
     return {
         "report_id": outcome.report.report_id,
+        "pair": outcome_pair(outcome.report),
         "verdict": outcome.verdict.value,
         "detail": outcome.detail,
         "plan": outcome.plan.describe() if outcome.plan is not None else "",

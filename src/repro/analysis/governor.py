@@ -6,7 +6,7 @@ eats all memory takes the tenant fleet down with it.  The
 ``ResourceGovernor`` bounds both axes:
 
 * **wall-clock deadlines** — each stage gets ``max_stage_seconds``;
-  cooperative checkpoints (between detect shards, between trigger
+  cooperative checks (between detect locations, between trigger
   reports) observe the deadline and stop early, marking the stage
   *degraded* rather than wedging the process;
 * **memory budget** — ``memory_budget_mb`` caps both the reachability

@@ -13,8 +13,8 @@ Subcommands::
     dcatch trace --load DIR --stats # statistics of a saved trace
     dcatch run MR-3274 --trace-dir ./wal  # durable write-ahead tracing
     dcatch salvage ./wal/MR-3274/seed-0   # recover a trace from a WAL
-    dcatch run MR-3274 --checkpoint-dir ./ckpt   # checkpoint each stage
-    dcatch run MR-3274 --checkpoint-dir ./ckpt --resume  # skip done stages
+    dcatch run MR-3274 --checkpoint-dir ./ckpt   # checkpoint trace + verdicts
+    dcatch run MR-3274 --checkpoint-dir ./ckpt --resume  # re-run only what is missing
     dcatch profile minimr 3274      # per-stage span table + exports
     dcatch metrics ZK-1144          # metrics registry after one run
     dcatch generate minimr --preset xl --out ./gen  # million-record WAL
@@ -627,14 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         dest="checkpoint_dir",
-        help="checkpoint each completed stage under DIR; a killed run "
-        "restarts from the last sealed stage with --resume",
+        help="checkpoint the trace and each trigger verdict under DIR; a "
+        "killed run re-executes only what is missing with --resume",
     )
     run.add_argument(
         "--resume",
         action="store_true",
-        help="resume from --checkpoint-dir: skip completed stages, "
-        "continue from the first incomplete shard",
+        help="resume from --checkpoint-dir: restore the trace and the "
+        "logged verdicts, recompute the analysis, trigger what is left",
     )
     run.add_argument(
         "--max-stage-seconds",

@@ -183,20 +183,13 @@ def detect_races(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
     max_pairs_per_location: int = 200_000,
-    on_shard: Optional[Callable[[int, list, int, bool], None]] = None,
-    completed_shards: Optional[Dict[int, tuple]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> DetectionResult:
     """Run trace analysis: build the HB graph, enumerate candidates.
 
-    The last three knobs support checkpointed pipelines: ``on_shard``
-    receives each location's ``(index, seq_pairs, pairs, truncated)`` as
-    it is enumerated, ``completed_shards`` maps work indices to triples
-    restored from a checkpoint (those locations are merged, not
-    re-enumerated), and ``should_stop`` is polled between locations —
-    returning true stops enumeration early (``stopped_early`` on the
-    result).  The merged candidate list stays in work order, so a
-    resumed detection is byte-identical to an uninterrupted one.
+    ``should_stop`` is polled between locations — returning true stops
+    enumeration early (``stopped_early`` on the result), which is how a
+    stage deadline cuts detection short.
     """
     started = time.perf_counter()
     if graph is None:
@@ -206,30 +199,17 @@ def detect_races(
     for record in trace.records:
         if record.is_mem and record.location is not None:
             by_location[record.location].append(record)
-    # Only locations with at least one write can produce candidates.
-    work: List[Tuple[Location, List[OpEvent]]] = [
-        (location, accesses)
-        for location, accesses in by_location.items()
-        if any(a.kind is OpKind.MEM_WRITE for a in accesses)
-    ]
 
     from repro.analysis.governor import maybe_stall
 
-    # One ``(found, pairs, truncated)`` triple per location, in work
-    # order; None = not enumerated (stopped early).  Checkpointed shards
-    # arrive as seq pairs and are the only ones mapped back to events.
-    results: List[Optional[tuple]] = [None] * len(work)
-    if completed_shards:
-        by_seq = {r.seq: r for r in trace.records}
-        for index, (seq_pairs, pairs, truncated) in completed_shards.items():
-            if 0 <= index < len(work):
-                found = [(by_seq[a], by_seq[b]) for a, b in seq_pairs]
-                results[index] = (found, pairs, truncated)
-
+    candidates: List[Candidate] = []
+    truncated_locations: List[Location] = []
+    examined = 0
     stopped_early = False
     with obs.span("detect.enumerate", locations=len(by_location)):
-        for index, (_location, accesses) in enumerate(work):
-            if results[index] is not None:
+        for location, accesses in by_location.items():
+            # Only locations with at least one write can produce candidates.
+            if not any(a.kind is OpKind.MEM_WRITE for a in accesses):
                 continue
             if should_stop is not None and should_stop():
                 stopped_early = True
@@ -237,23 +217,11 @@ def detect_races(
             found, pairs, truncated = _conflicting_pairs_at(
                 accesses, graph, max_pairs_per_location
             )
-            results[index] = (found, pairs, truncated)
-            if on_shard is not None:
-                seq_pairs = [(a.seq, b.seq) for a, b in found]
-                on_shard(index, seq_pairs, pairs, truncated)
+            examined += pairs
+            if truncated:
+                truncated_locations.append(location)
+            candidates.extend(Candidate(a, b) for a, b in found)
             maybe_stall("detect_shard")
-
-    candidates: List[Candidate] = []
-    truncated_locations: List[Location] = []
-    examined = 0
-    for (location, _accesses), triple in zip(work, results):
-        if triple is None:
-            continue  # stopped early before reaching this location
-        found, pairs, truncated = triple
-        examined += pairs
-        if truncated:
-            truncated_locations.append(location)
-        candidates.extend(Candidate(a, b) for a, b in found)
 
     obs.counter("detect_pairs_examined_total", "access pairs HB-checked").inc(
         examined

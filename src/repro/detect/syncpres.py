@@ -179,8 +179,6 @@ def detect_races_sync_preserving(
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
     max_pairs_per_location: int = 200_000,
-    on_shard=None,
-    completed_shards=None,
     should_stop=None,
 ) -> DetectionResult:
     """HB detection plus SP annotation in one call.
@@ -195,8 +193,6 @@ def detect_races_sync_preserving(
         memory_budget=memory_budget,
         graph=graph,
         max_pairs_per_location=max_pairs_per_location,
-        on_shard=on_shard,
-        completed_shards=completed_shards,
         should_stop=should_stop,
     )
     return annotate_sync_preserving(

@@ -130,94 +130,6 @@ class HBGraph:
         self._publish_build_metrics()
         self._warn_if_partial()
 
-    # -- checkpointing ----------------------------------------------------------
-
-    def to_snapshot(self) -> Dict[str, object]:
-        """JSON-serializable structure: backbone, edges, partiality.
-
-        Everything a checkpointed resume needs to skip rule application
-        (the expensive half of construction); segment structure is
-        recomputed from the trace, which is cheap."""
-        return {
-            "compress_mem": self.compress_mem,
-            "backbone": [r.seq for r in self.backbone],
-            "succ": [sorted(s) for s in self._succ],
-            "edge_counts": dict(self.edge_counts),
-            "unmatched": dict(self.unmatched),
-            "damage_patterns": sorted(self._damage_patterns),
-            "pull_edges": [
-                [e.write_seq, e.read_seq, e.kind] for e in self.pull_edges
-            ],
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        trace: Trace,
-        snapshot: Dict[str, object],
-        model: HBModel = FULL_MODEL,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    ) -> "HBGraph":
-        """Rebuild a graph from ``to_snapshot`` output without re-running
-        pull inference or the HB rule modules."""
-        self = cls.__new__(cls)
-        self.trace = trace
-        self.model = model
-        self.memory_budget = memory_budget
-        self.compress_mem = bool(snapshot["compress_mem"])
-        self.edge_counts = defaultdict(int)
-        self.edge_counts.update(snapshot.get("edge_counts", {}))
-        self.unmatched = Counter(snapshot.get("unmatched", {}))
-        self._damage_patterns = set(snapshot.get("damage_patterns", []))
-
-        self._segments = defaultdict(list)
-        self._position = {}
-        for record in trace.records:
-            seg = self._segments[record.segment]
-            self._position[record.seq] = (record.segment, len(seg))
-            seg.append(record)
-
-        from repro.hb.pull import PullEdge
-
-        self.pull_edges = [
-            PullEdge(write_seq=w, read_seq=r, kind=k)
-            for w, r, k in snapshot.get("pull_edges", [])
-        ]
-
-        by_seq = {r.seq: r for r in trace.records}
-        try:
-            self.backbone = [by_seq[seq] for seq in snapshot["backbone"]]
-        except KeyError as exc:
-            from repro.errors import CheckpointError
-
-            raise CheckpointError(
-                f"HB snapshot references seq {exc.args[0]} missing from "
-                f"the trace; the checkpoint does not match this trace"
-            ) from None
-        self._bidx = {r.seq: i for i, r in enumerate(self.backbone)}
-        self._succ = [set(s) for s in snapshot["succ"]]
-        self._reach = None
-
-        self._seg_backbone_pos = defaultdict(list)
-        self._seg_backbone_idx = defaultdict(list)
-        for record in self.backbone:
-            segment, pos = self._position[record.seq]
-            self._seg_backbone_pos[segment].append(pos)
-            self._seg_backbone_idx[segment].append(self._bidx[record.seq])
-        obs.counter(
-            "hb_graphs_restored_total", "HB graphs rebuilt from checkpoints"
-        ).inc()
-        return self
-
-    def reach_snapshot(self) -> Dict[str, object]:
-        """Serializable state of the (built-on-demand) reachability."""
-        return self._ensure_reach().to_snapshot()
-
-    def restore_reach(self, snapshot: Dict[str, object]) -> None:
-        """Install a checkpointed reachability structure, skipping the
-        recompute."""
-        self._reach = BitsetReachability.from_snapshot(snapshot)
-
     # -- construction -----------------------------------------------------------
 
     def note_unmatched(self, pattern: str, record: OpEvent, damage: bool = False) -> None:

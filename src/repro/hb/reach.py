@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.errors import CheckpointError, TraceAnalysisOOM
+from repro.errors import TraceAnalysisOOM
 
 
 class BitsetReachability:
@@ -56,29 +56,3 @@ class BitsetReachability:
             "bytes": self.required_bytes,
             "vertices": self.vertices,
         }
-
-    # -- checkpointing --------------------------------------------------------
-
-    def to_snapshot(self) -> Dict[str, object]:
-        """JSON-serializable state (reachable sets as hex strings)."""
-        return {
-            "backend": self.backend,
-            "vertices": self.vertices,
-            "rows_hex": [format(row, "x") for row in self._reach],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, object]) -> "BitsetReachability":
-        """Rebuild from ``to_snapshot`` output (no recompute).  A payload
-        sealed by another engine cannot be used and says so."""
-        backend = snapshot.get("backend")
-        if backend != cls.backend:
-            raise CheckpointError(
-                f"reach checkpoint was written by the removed {backend!r} "
-                f"backend; re-run without --resume"
-            )
-        self = cls.__new__(cls)
-        self.vertices = int(snapshot["vertices"])
-        self.required_bytes = (self.vertices * self.vertices) // 8
-        self._reach = [int(row, 16) for row in snapshot["rows_hex"]]
-        return self

@@ -110,17 +110,18 @@ class PipelineConfig:
     #: every instrumentation point hits the no-op registry/tracer and the
     #: result carries an empty ``metrics`` snapshot and no profile.
     observe: bool = True
-    #: Checkpoint/resume: when set, every completed stage is serialized
-    #: under this directory (manifest + CRC-checked payloads; detection
-    #: and triggering also keep incremental shard files), and SIGINT/
-    #: SIGTERM seal the checkpoint before exiting.
+    #: Checkpoint/resume: when set, the two stages that cost a
+    #: re-execution of the workload — the trace and the trigger verdicts
+    #: (one log line per report) — are serialized under this directory
+    #: (manifest + CRC-checked payloads), and SIGINT/SIGTERM seal the
+    #: checkpoint before exiting.
     checkpoint_dir: Optional[str] = None
     #: Resume from ``checkpoint_dir``: validate the manifest against
-    #: this config and the trace, skip completed stages, and continue
-    #: from the first incomplete shard.
+    #: this config and the trace, restore the trace and every logged
+    #: verdict, recompute the analysis, and trigger what is left.
     resume: bool = False
     #: Wall-clock deadline per stage (seconds).  Cooperative: detection
-    #: checks it between location shards, triggering between reports; an
+    #: checks it between locations, triggering between reports; an
     #: overrunning stage stops early and is marked degraded.
     max_stage_seconds: Optional[float] = None
     #: Overall memory budget (MB) enforced by the ``ResourceGovernor``:
@@ -161,7 +162,7 @@ class PipelineResult:
     #: reason) per entry of ``degradation``; what the CLI summary prints
     #: so operators see *why* a result is degraded.
     degradation_events: List["object"] = field(default_factory=list)
-    #: Stages restored from the checkpoint instead of recomputed.
+    #: Stages restored from the checkpoint instead of re-run.
     stages_skipped: List[str] = field(default_factory=list)
     #: Where this run checkpointed, when it did.
     checkpoint_dir: Optional[str] = None
@@ -372,8 +373,8 @@ class DCatch:
         run the stages.  SIGINT/SIGTERM (installed only when a
         checkpoint directory is configured — otherwise there is nothing
         to seal) raise ``PipelineInterrupted`` at the next bytecode
-        boundary; the checkpoint's incremental files are flushed
-        per-shard and its manifest is replaced atomically, so whatever
+        boundary; the checkpoint's trigger log is flushed per report
+        and its manifest is replaced atomically, so whatever
         the signal lands on, the directory stays resumable."""
         config = self.config
         governor = ResourceGovernor(
@@ -435,27 +436,16 @@ class DCatch:
         self,
         config: PipelineConfig,
         trace: Trace,
-        store: "object",
-        restore,
         budget,
         stage_status: Dict[str, str],
-        timings: Dict[str, float],
     ) -> DetectionResult:
         """Streaming-mode analysis: skip the whole-trace HB graph and
         reachability closure entirely; one bounded-memory pass over the
-        records (``repro.detect.streaming``).  The detect stage seals
-        into the same checkpoint slot as batch mode, so ``--resume``
-        restores it identically; ``detection.graph`` is None and
-        downstream stages degrade gracefully (placement falls back to
-        non-graph gating)."""
-        from repro.analysis import checkpoint as ckpt
+        records (``repro.detect.streaming``).  ``detection.graph`` is
+        None and downstream stages degrade gracefully (placement falls
+        back to non-graph gating)."""
         from repro.detect.streaming import detect_races_streaming
 
-        if store is not None and store.stage_completed("detect"):
-            payload = restore("detect")
-            detection = ckpt.restore_detection(payload, trace, None)
-            timings["analysis_seconds"] = payload.get("analysis_seconds", 0.0)
-            return detection
         maybe_stall("stream_detect")
         stream = detect_races_streaming(
             records=trace.records,
@@ -470,8 +460,6 @@ class DCatch:
             detection.confidence = "partial"
         if getattr(trace, "sampled", False):
             detection.confidence = "sampled"
-        if store is not None and not detection.stopped_early:
-            store.seal_stage("detect", ckpt.detection_payload(detection))
         stage_status["detect"] = (
             "degraded" if detection.stopped_early else "ok"
         )
@@ -501,7 +489,9 @@ class DCatch:
             trace, base_result, monitored_result = ckpt.restore_trace_stage(
                 payload
             )
-            store.check_trace_fingerprint(ckpt.trace_fingerprint(trace))
+            store.check_trace_fingerprint(
+                ckpt.trace_fingerprint(trace.dump_thread_files())
+            )
             timings.update(payload.get("timings", {}))
         else:
             with governor.stage("trace"):
@@ -532,7 +522,6 @@ class DCatch:
                     for key in ("base_seconds", "tracing_seconds")
                 }
                 store.seal_stage("trace", payload)
-                store.set_trace_fingerprint(ckpt.trace_fingerprint(trace))
             stage_status["trace"] = "ok"
 
         detection = None
@@ -565,39 +554,20 @@ class DCatch:
             ) as budget:
                 if config.detect_mode == "streaming":
                     detection = self._run_streaming_analysis(
-                        config, trace, store, restore, budget,
-                        stage_status, timings
+                        config, trace, budget, stage_status
                     )
                 else:
-                    if store is not None and store.stage_completed("hb"):
-                        graph = HBGraph.from_snapshot(
-                            trace,
-                            restore("hb"),
-                            model=config.model,
-                            memory_budget=reach_budget,
-                        )
-                    else:
-                        maybe_stall("hb_build")
-                        graph = HBGraph(
-                            trace,
-                            model=config.model,
-                            memory_budget=reach_budget,
-                        )
-                        if store is not None:
-                            store.seal_stage("hb", graph.to_snapshot())
-                        stage_status["hb"] = "ok"
-
-                    if store is not None and store.stage_completed("reach"):
-                        graph.restore_reach(restore("reach"))
-                    else:
-                        try:
-                            graph.reach_stats()
-                        except TraceAnalysisOOM as exc:
-                            governor.degrade("abandoned", "reach", str(exc))
-                            raise
-                        if store is not None:
-                            store.seal_stage("reach", graph.reach_snapshot())
-                        stage_status["reach"] = "ok"
+                    maybe_stall("hb_build")
+                    graph = HBGraph(
+                        trace, model=config.model, memory_budget=reach_budget
+                    )
+                    stage_status["hb"] = "ok"
+                    try:
+                        graph.reach_stats()
+                    except TraceAnalysisOOM as exc:
+                        governor.degrade("abandoned", "reach", str(exc))
+                        raise
+                    stage_status["reach"] = "ok"
 
                     # Ladder rung 1: under RSS pressure tighten the
                     # per-location pair cap.
@@ -610,92 +580,30 @@ class DCatch:
                         )
                         max_pairs = min(max_pairs, TRUNCATED_MAX_PAIRS)
 
-                    if store is not None and store.stage_completed("detect"):
-                        payload = restore("detect")
-                        detection = ckpt.restore_detection(payload, trace, graph)
-                        timings["analysis_seconds"] = payload.get(
-                            "analysis_seconds", 0.0
+                    detection = detect_races(
+                        trace,
+                        model=config.model,
+                        memory_budget=reach_budget,
+                        graph=graph,
+                        max_pairs_per_location=max_pairs,
+                        should_stop=budget.exceeded,
+                    )
+                    if config.detect_mode == "sync-preserving":
+                        from repro.detect.syncpres import (
+                            annotate_sync_preserving,
                         )
-                        if (
-                            config.detect_mode == "sync-preserving"
-                            and detection.sp_pairs is None
-                        ):
-                            # Checkpoint predates the SP annotation (or
-                            # was sealed without it): recompute — cheap
-                            # next to the restored enumeration.
-                            from repro.detect.syncpres import (
-                                annotate_sync_preserving,
-                            )
 
-                            annotate_sync_preserving(
-                                detection,
-                                model=config.model,
-                                memory_budget=reach_budget,
-                            )
-                    else:
-                        on_shard = None
-                        completed_shards = None
-                        if store is not None:
-                            completed_shards = {
-                                entry["index"]: (
-                                    entry["pairs"],
-                                    entry["examined"],
-                                    entry["truncated"],
-                                )
-                                for entry in store.load_shards("detect")
-                            }
-                            shard_log = store.shard_log("detect")
-
-                            def on_shard(index, seq_pairs, pairs, truncated):
-                                shard_log.append(
-                                    {
-                                        "index": index,
-                                        "pairs": [list(p) for p in seq_pairs],
-                                        "examined": pairs,
-                                        "truncated": truncated,
-                                    }
-                                )
-
-                        detection = detect_races(
-                            trace,
+                        annotate_sync_preserving(
+                            detection,
                             model=config.model,
                             memory_budget=reach_budget,
-                            graph=graph,
-                            max_pairs_per_location=max_pairs,
-                            on_shard=on_shard,
-                            completed_shards=completed_shards,
-                            should_stop=budget.exceeded,
                         )
-                        if config.detect_mode == "sync-preserving":
-                            # Annotate before sealing so sp_pairs ride
-                            # the detect checkpoint and a resumed run
-                            # restores them instead of recomputing.
-                            from repro.detect.syncpres import (
-                                annotate_sync_preserving,
-                            )
-
-                            annotate_sync_preserving(
-                                detection,
-                                model=config.model,
-                                memory_budget=reach_budget,
-                            )
-                        if store is not None and not detection.stopped_early:
-                            # A deadline-truncated detection stays unsealed
-                            # (completed: false): --resume then re-enters the
-                            # stage and enumerates the remaining locations
-                            # from the shard log, instead of skipping a
-                            # permanently partial result.
-                            store.seal_stage(
-                                "detect", ckpt.detection_payload(detection)
-                            )
-                        stage_status["detect"] = (
-                            "degraded" if detection.stopped_early else "ok"
-                        )
+                    stage_status["detect"] = (
+                        "degraded" if detection.stopped_early else "ok"
+                    )
                 reports_pre = ReportSet.from_detection(detection)
             reports = reports_pre
-            timings.setdefault(
-                "analysis_seconds", time.perf_counter() - started
-            )
+            timings["analysis_seconds"] = time.perf_counter() - started
         except (PipelineInterrupted, CheckpointError):
             raise
         except TraceAnalysisOOM as exc:
@@ -708,123 +616,109 @@ class DCatch:
 
         # -- static pruning ---------------------------------------------------
         if reports is not None and config.prune:
-            if store is not None and store.stage_completed("prune"):
-                payload = restore("prune")
-                prune_result = ckpt.restore_prune(payload, reports_pre)
+            try:
+                started = time.perf_counter()
+                with obs.span("pipeline.pruning"):
+                    index = SourceIndex.from_modules(self.workload.modules())
+                    pruner = StaticPruner.for_trace(
+                        index,
+                        trace,
+                        interprocedural_depth=config.interprocedural_depth,
+                    )
+                    # detection may be graph-less (streaming mode);
+                    # the pruner tolerates that — ranking context
+                    # comes from the reports' soundness tiers.
+                    prune_result = pruner.apply(
+                        reports_pre, detection=detection
+                    )
                 reports = prune_result.kept
-                timings["pruning_seconds"] = payload.get("seconds", 0.0)
-            else:
-                try:
-                    started = time.perf_counter()
-                    with obs.span("pipeline.pruning"):
-                        index = SourceIndex.from_modules(
-                            self.workload.modules()
-                        )
-                        pruner = StaticPruner.for_trace(
-                            index,
-                            trace,
-                            interprocedural_depth=config.interprocedural_depth,
-                        )
-                        # detection may be graph-less (streaming mode);
-                        # the pruner tolerates that — ranking context
-                        # comes from the reports' soundness tiers.
-                        prune_result = pruner.apply(
-                            reports_pre, detection=detection
-                        )
-                    reports = prune_result.kept
-                    timings["pruning_seconds"] = time.perf_counter() - started
-                    if store is not None:
-                        store.seal_stage(
-                            "prune", ckpt.prune_payload(prune_result)
-                        )
-                    stage_status["prune"] = "ok"
-                except (PipelineInterrupted, CheckpointError):
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    # Pruning is an optimization: fall back to the
-                    # unpruned set.
-                    stage_failed("pruning", exc)
-                    reports = reports_pre
+                timings["pruning_seconds"] = time.perf_counter() - started
+                stage_status["prune"] = "ok"
+            except (PipelineInterrupted, CheckpointError):
+                raise
+            except Exception as exc:  # noqa: BLE001
+                # Pruning is an optimization: fall back to the
+                # unpruned set.
+                stage_failed("pruning", exc)
+                reports = reports_pre
 
         # -- triggering -------------------------------------------------------
         if reports is not None and detection is not None and config.trigger:
-            if store is not None and store.stage_completed("trigger"):
-                payload = restore("trigger")
-                done = {
-                    entry["report_id"]: entry
-                    for entry in store.load_shards("trigger")
-                }
-                for report in reports:
-                    if report.report_id in done:
-                        outcomes.append(
-                            ckpt.outcome_from_dict(
-                                done[report.report_id], report
+            started = time.perf_counter()
+            with obs.span(
+                "pipeline.trigger", reports=len(reports)
+            ), governor.stage("trigger") as budget:
+                done = {}
+                trigger_log = None
+                validated = False
+                if store is not None:
+                    done = {
+                        entry["report_id"]: entry
+                        for entry in store.load_shards("trigger")
+                    }
+                    trigger_log = store.shard_log("trigger")
+                try:
+                    placement = PlacementAnalyzer(trace, detection.graph)
+                    module = TriggerModule(
+                        self.workload.factory(),
+                        seeds=config.trigger_seeds,
+                        max_wait=config.trigger_max_wait,
+                    )
+                except (PipelineInterrupted, CheckpointError):
+                    raise
+                except Exception as exc:  # noqa: BLE001
+                    stage_failed("trigger", exc)
+                else:
+                    stage_status.setdefault("trigger", "ok")
+                    # Strongest-evidence-first: under a deadline the
+                    # reports left UNKNOWN are the weakest tier.
+                    for report in prioritize_reports(reports):
+                        entry = done.get(report.report_id)
+                        # ``report_id`` is an ordinal into a detection
+                        # just recomputed: a verdict logged for another
+                        # pair is not this report's (logs from before
+                        # ``pair`` was written are taken on the id).
+                        if entry is not None and entry.get("pair") in (
+                            None,
+                            ckpt.outcome_pair(report),
+                        ):
+                            outcomes.append(
+                                ckpt.outcome_from_dict(entry, report)
                             )
-                        )
-                timings["trigger_seconds"] = payload.get("seconds", 0.0)
-            else:
-                started = time.perf_counter()
-                with obs.span(
-                    "pipeline.trigger", reports=len(reports)
-                ), governor.stage("trigger") as budget:
-                    done = {}
-                    trigger_log = None
-                    if store is not None:
-                        done = {
-                            entry["report_id"]: entry
-                            for entry in store.load_shards("trigger")
-                        }
-                        trigger_log = store.shard_log("trigger")
-                    try:
-                        placement = PlacementAnalyzer(trace, detection.graph)
-                        module = TriggerModule(
-                            self.workload.factory(),
-                            seeds=config.trigger_seeds,
-                            max_wait=config.trigger_max_wait,
-                        )
-                    except (PipelineInterrupted, CheckpointError):
-                        raise
-                    except Exception as exc:  # noqa: BLE001
-                        stage_failed("trigger", exc)
-                    else:
-                        stage_status.setdefault("trigger", "ok")
-                        # Strongest-evidence-first: under a deadline the
-                        # reports left UNKNOWN are the weakest tier.
-                        for report in prioritize_reports(reports):
-                            if report.report_id in done:
-                                outcomes.append(
-                                    ckpt.outcome_from_dict(
-                                        done[report.report_id], report
-                                    )
-                                )
-                                continue
-                            if budget.exceeded():
-                                # Deadline: remaining reports stay
-                                # UNKNOWN; the shard log keeps what ran.
-                                stage_status["trigger"] = "degraded"
-                                break
-                            maybe_stall("trigger_report")
-                            # Each report's re-runs are isolated: one
-                            # hung or crashed trigger execution is that
-                            # report's outcome, not the pipeline's.
-                            try:
-                                outcome = module.validate_report(
-                                    report, placement
-                                )
-                            except (PipelineInterrupted, CheckpointError):
-                                raise
-                            except Exception as exc:  # noqa: BLE001
-                                stage_failed("trigger", exc)
-                                continue
-                            if outcome is None:
-                                continue
-                            outcomes.append(outcome)
-                            if trigger_log is not None:
-                                trigger_log.append(
-                                    ckpt.outcome_to_dict(outcome)
-                                )
-                timings["trigger_seconds"] = time.perf_counter() - started
-                if store is not None and stage_status.get("trigger") == "ok":
+                            continue
+                        if budget.exceeded():
+                            # Deadline: remaining reports stay
+                            # UNKNOWN; the shard log keeps what ran.
+                            stage_status["trigger"] = "degraded"
+                            break
+                        maybe_stall("trigger_report")
+                        # Each report's re-runs are isolated: one
+                        # hung or crashed trigger execution is that
+                        # report's outcome, not the pipeline's.
+                        try:
+                            outcome = module.validate_report(
+                                report, placement
+                            )
+                        except (PipelineInterrupted, CheckpointError):
+                            raise
+                        except Exception as exc:  # noqa: BLE001
+                            stage_failed("trigger", exc)
+                            continue
+                        if outcome is None:
+                            continue
+                        outcomes.append(outcome)
+                        validated = True
+                        if trigger_log is not None:
+                            trigger_log.append(ckpt.outcome_to_dict(outcome))
+            timings["trigger_seconds"] = time.perf_counter() - started
+            if store is not None and stage_status.get("trigger") == "ok":
+                if store.stage_completed("trigger") and not validated:
+                    # Every verdict came from the log: the stage was not
+                    # re-run, so it keeps the time the original took.
+                    timings["trigger_seconds"] = restore("trigger").get(
+                        "seconds", 0.0
+                    )
+                else:
                     store.seal_stage(
                         "trigger",
                         {

@@ -10,6 +10,7 @@ from repro.analysis.checkpoint import (
     CheckpointStore,
     ShardLog,
     _scan_shard_file,
+    trace_fingerprint,
 )
 from repro.errors import CheckpointError
 
@@ -108,8 +109,10 @@ def test_load_incomplete_stage_raises(tmp_path):
 
 def test_trace_fingerprint_mismatch_raises(tmp_path):
     store = _store(tmp_path)
-    store.set_trace_fingerprint("00000001")
-    store.check_trace_fingerprint("00000001")  # matching: fine
+    store.seal_stage("trace", {"thread_files": {"1": "a record"}})
+    fingerprint = trace_fingerprint({1: "a record"})
+    assert store.manifest["trace_fingerprint"] == fingerprint
+    store.check_trace_fingerprint(fingerprint)  # matching: fine
     with pytest.raises(CheckpointError, match="trace fingerprint"):
         store.check_trace_fingerprint("deadbeef")
 
@@ -152,16 +155,20 @@ def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):
     payloads and shard files from the previous run must not leak into
     (or be merged with) the new run's results."""
     store = _store(tmp_path)
-    store.seal_stage("hb", {"edges": [1, 2]})
-    store.shard_log("detect").append({"index": 7})
+    store.seal_stage("trace", {"thread_files": {}})
     store.shard_log("trigger").append({"report_id": 3})
     store.seal()
+    # what a run before the analysis became recompute-only left behind
+    legacy = ["hb.json", "reach.json", "detect.json", "prune.json"]
+    legacy += [f"{name}.tmp" for name in legacy] + ["detect-shards.jsonl"]
+    for name in legacy:
+        with open(os.path.join(store.directory, name), "w") as fh:
+            fh.write("stale")
 
     fresh = _store(tmp_path)  # same directory, resume=False
-    assert not fresh.stage_completed("hb")
-    assert fresh.load_shards("detect") == []
+    assert not fresh.stage_completed("trace")
     assert fresh.load_shards("trigger") == []
-    assert not os.path.exists(os.path.join(fresh.directory, "hb.json"))
+    assert os.listdir(fresh.directory) == ["manifest.json"]
 
 
 def test_config_fingerprint_tracks_fault_plan_content():
@@ -187,11 +194,11 @@ def test_config_fingerprint_tracks_fault_plan_content():
 
 def test_shard_log_registered_incomplete_in_manifest(tmp_path):
     store = _store(tmp_path)
-    store.shard_log("detect").append({"index": 0})
+    store.shard_log("trigger").append({"index": 0})
     store.seal()
-    assert not store.stage_completed("detect")
+    assert not store.stage_completed("trigger")
     resumed = _store(tmp_path, resume=True)
-    assert [e["index"] for e in resumed.load_shards("detect")] == [0]
+    assert [e["index"] for e in resumed.load_shards("trigger")] == [0]
 
 
 def test_config_fingerprint_tracks_sampling_policy():

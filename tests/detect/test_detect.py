@@ -1,7 +1,5 @@
 """Race detection: candidates, dedup counts, report sets."""
 
-import pytest
-
 from repro import obs
 from repro.detect import ReportSet, Verdict, detect_races
 from repro.hb import FULL_MODEL
@@ -185,10 +183,6 @@ def _racy_trace(seed=0, writers=3):
     return run_traced(build, seed=seed)
 
 
-def _seq_pairs(detection):
-    return [(c.first.seq, c.second.seq) for c in detection.candidates]
-
-
 def test_truncation_is_recorded_counted_and_warned(capsys):
     trace = _racy_trace(writers=4)
     registry = obs.MetricsRegistry(name="trunc")
@@ -204,32 +198,3 @@ def test_truncation_is_recorded_counted_and_warned(capsys):
     full = detect_races(trace)
     assert not full.truncated_locations
     assert full.pairs_examined > result.pairs_examined
-
-
-@pytest.mark.parametrize("max_pairs", [200_000, 2])
-def test_resumed_shards_match_uninterrupted(max_pairs):
-    """Per-location shards replayed from a checkpoint log (seq pairs)
-    merge to exactly the uninterrupted result — order, counts and
-    truncation included — and only the missing locations are
-    enumerated."""
-    for seed in (0, 1):
-        trace = _racy_trace(seed=seed, writers=4)
-        logged = {}
-        whole = detect_races(
-            trace,
-            max_pairs_per_location=max_pairs,
-            on_shard=lambda i, pairs, n, cut: logged.update({i: (pairs, n, cut)}),
-        )
-        assert whole.candidates and len(logged) == 2
-        assert bool(whole.truncated_locations) == (max_pairs == 2)
-        redone = []
-        resumed = detect_races(
-            trace,
-            max_pairs_per_location=max_pairs,
-            completed_shards={0: logged[0]},
-            on_shard=lambda i, *_rest: redone.append(i),
-        )
-        assert redone == [1]
-        assert _seq_pairs(resumed) == _seq_pairs(whole)
-        assert resumed.pairs_examined == whole.pairs_examined
-        assert resumed.truncated_locations == whole.truncated_locations

@@ -29,19 +29,20 @@ def test_resume_skips_all_stages_and_reports_are_byte_identical(tmp_path):
         PipelineConfig(checkpoint_dir=ckdir, resume=True),
     ).run()
     assert _reports_json(resumed) == _reports_json(plain)
-    assert set(resumed.stages_skipped) == {
-        "trace",
-        "hb",
-        "reach",
-        "detect",
-        "prune",
-        "trigger",
+    # the two stages that cost a re-execution are restored; the analysis
+    # is recomputed from the restored trace
+    assert set(resumed.stages_skipped) == {"trace", "trigger"}
+    assert resumed.stage_status == {
+        "trace": "skipped",
+        "hb": "ok",
+        "reach": "ok",
+        "detect": "ok",
+        "prune": "ok",
+        "trigger": "skipped",
     }
-    assert all(
-        status == "skipped" for status in resumed.stage_status.values()
-    )
     skipped = resumed.metrics["checkpoint_stages_skipped_total"]
-    assert skipped["value"] >= 6
+    assert skipped["value"] == 2
+    assert "trigger_runs_total" not in resumed.metrics
     # restored trigger outcomes carry their verdicts
     assert resumed.verdict_counts() == plain.verdict_counts()
     assert [o.verdict for o in resumed.outcomes] == [
@@ -49,93 +50,230 @@ def test_resume_skips_all_stages_and_reports_are_byte_identical(tmp_path):
     ]
 
 
-def test_resume_after_partial_detect_merges_checkpointed_shards(tmp_path):
-    """Pre-seed the detect shard log with a prefix of the real results:
-    resume must merge them without re-enumerating, byte-identically."""
+def _store(ckdir, bug, config, resume=True):
     from repro.analysis.checkpoint import CheckpointStore, config_fingerprint
 
+    return CheckpointStore(
+        directory=ckdir,
+        benchmark=bug,
+        config_fp=config_fingerprint(bug, config),
+        resume=resume,
+    )
+
+
+def test_resume_ignores_legacy_stage_files(tmp_path):
+    """A directory written while ``hb``, ``reach``, ``detect`` and
+    ``prune`` were also sealed resumes from its trace and verdicts:
+    those entries are never opened, so neither a payload from the
+    removed chain backend, nor a detect payload that disagrees with the
+    trace (and carries the old ``workers`` / ``auto_decision`` keys),
+    nor a junk shard log can block or bend the result."""
+    import os
+
     ckdir = str(tmp_path / "ck")
     config = PipelineConfig(checkpoint_dir=ckdir)
     full = DCatch(workload_by_id("ZK-1144"), config).run()
 
-    # build a second checkpoint with trace+hb+reach sealed and only the
-    # first detect shard present (simulating a crash after one shard)
-    crashed = str(tmp_path / "crashed")
-    store = CheckpointStore(
-        directory=crashed,
-        benchmark="ZK-1144",
-        config_fp=config_fingerprint("ZK-1144", config),
+    store = _store(ckdir, "ZK-1144", config)
+    store.seal_stage(
+        "hb", {"compress_mem": True, "backbone": [10**9], "succ": [[]]}
     )
-    old = CheckpointStore(
-        directory=ckdir,
-        benchmark="ZK-1144",
-        config_fp=config_fingerprint("ZK-1144", config),
-        resume=True,
+    store.seal_stage("reach", {"backend": "chain", "vertices": 0, "rows": []})
+    store.seal_stage(
+        "detect",
+        {
+            "candidates": [[1, 2], [10**9, 3]],
+            "pairs_examined": 7,
+            "truncated_locations": [],
+            "workers": 2,
+            "stopped_early": False,
+            "auto_decision": "parallel",
+            "confidence": "full",
+            "analysis_seconds": 0.25,
+            "sp_pairs": None,
+        },
     )
-    for stage in ("trace", "hb", "reach"):
-        store.seal_stage(stage, old.load_stage(stage))
-    store.set_trace_fingerprint(old.manifest["trace_fingerprint"])
-    shards = old.load_shards("detect")
-    assert shards, "full run should have checkpointed detect shards"
-    store.shard_log("detect").append(shards[0])
+    store.seal_stage(
+        "prune",
+        {
+            "decisions": [{"report_id": 99, "keep": True, "reasons": []}],
+            "seconds": 1.0,
+        },
+    )
     store.seal()
+    with open(os.path.join(ckdir, "detect-shards.jsonl"), "wb") as fh:
+        fh.write(b"not a framed line\n")
 
-    config2 = PipelineConfig(checkpoint_dir=crashed, resume=True)
-    resumed = DCatch(workload_by_id("ZK-1144"), config2).run()
-    assert _reports_json(resumed) == _reports_json(full)
-    assert set(resumed.stages_skipped) == {"trace", "hb", "reach"}
-    restored = resumed.metrics["checkpoint_shards_resumed_total"]
-    assert restored["value"] >= 1
-
-
-def test_resume_restores_parent_format_detect_payload(tmp_path):
-    """Checkpoints written before detection became in-process carry
-    ``workers`` / ``auto_decision`` in the detect payload: they restore
-    with the keys ignored, and new payloads do not write them."""
-    from repro.analysis import checkpoint as ckpt
-
-    ckdir = str(tmp_path / "ck")
-    config = PipelineConfig(checkpoint_dir=ckdir)
-    full = DCatch(workload_by_id("ZK-1144"), config).run()
-    current = ckpt.detection_payload(full.detection)
-    assert "workers" not in current and "auto_decision" not in current
-
-    old_format = {
-        "candidates": [
-            [c.first.seq, c.second.seq] for c in full.detection.candidates
-        ],
-        "pairs_examined": full.detection.pairs_examined,
-        "truncated_locations": [],
-        "workers": 2,
-        "stopped_early": False,
-        "auto_decision": "parallel",
-        "confidence": "full",
-        "analysis_seconds": 0.25,
-        "sp_pairs": None,
-    }
-    restored = ckpt.restore_detection(old_format, full.trace, None)
-    assert restored.candidates == full.detection.candidates
-    assert not hasattr(restored, "workers")
-    assert ckpt.detection_payload(restored) == {
-        key: value
-        for key, value in old_format.items()
-        if key not in ("workers", "auto_decision")
-    }
-
-    store = ckpt.CheckpointStore(
-        directory=ckdir,
-        benchmark="ZK-1144",
-        config_fp=ckpt.config_fingerprint("ZK-1144", config),
-        resume=True,
-    )
-    store.seal_stage("detect", old_format)
-    store.seal()
     resumed = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(checkpoint_dir=ckdir, resume=True),
     ).run()
-    assert "detect" in resumed.stages_skipped
+    assert resumed.stages_skipped == ["trace", "trigger"]
+    assert not resumed.degraded
     assert _reports_json(resumed) == _reports_json(full)
+    assert resumed.detection.pairs_examined == full.detection.pairs_examined
+    # a resumed run reports its own analysis time, not a stored one
+    assert resumed.timings["analysis_seconds"] != 0.25
+    assert resumed.timings["pruning_seconds"] != 1.0
+
+
+@pytest.mark.parametrize("bug", ["CA-1011", "ZK-1144"])
+@pytest.mark.parametrize("mode", ["batch", "sync-preserving", "streaming"])
+def test_resume_equals_clean_run_in_every_detect_mode(tmp_path, bug, mode):
+    ckdir = str(tmp_path / "ck")
+    clean = DCatch(workload_by_id(bug), PipelineConfig(detect_mode=mode)).run()
+    DCatch(
+        workload_by_id(bug),
+        PipelineConfig(detect_mode=mode, checkpoint_dir=ckdir),
+    ).run()
+    resumed = DCatch(
+        workload_by_id(bug),
+        PipelineConfig(detect_mode=mode, checkpoint_dir=ckdir, resume=True),
+    ).run()
+    assert resumed.stages_skipped == ["trace", "trigger"]
+    assert _reports_json(resumed) == _reports_json(clean)
+    assert [(o.report.report_id, o.verdict) for o in resumed.outcomes] == [
+        (o.report.report_id, o.verdict) for o in clean.outcomes
+    ]
+    assert resumed.detection.sp_pairs == clean.detection.sp_pairs
+    assert "trigger_runs_total" not in resumed.metrics  # no re-execution
+
+
+def _rewrite_trigger_log(ckdir, config, mutate):
+    """Pass a finished ZK-1144 checkpoint's logged verdicts through
+    ``mutate`` and write them back as intact framed lines."""
+    import os
+
+    from repro.analysis.checkpoint import ShardLog
+
+    store = _store(ckdir, "ZK-1144", config)
+    entries = store.load_shards("trigger")
+    store.seal()
+    mutate(entries)
+    log_path = os.path.join(ckdir, "trigger-outcomes.jsonl")
+    os.remove(log_path)
+    log = ShardLog(log_path)
+    for entry in entries:
+        log.append(entry)
+    log.close()
+
+
+def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
+    """``report_id`` is an ordinal into a detection that every resume
+    recomputes.  A logged verdict whose recorded pair is not the
+    recomputed report's representative belongs to some other report:
+    that report is re-validated, the rest are restored."""
+    from repro.analysis.checkpoint import RestoredGatePlan
+
+    ckdir = str(tmp_path / "ck")
+    config = PipelineConfig(checkpoint_dir=ckdir)
+    clean = DCatch(workload_by_id("ZK-1144"), config).run()
+    assert len(clean.outcomes) == 3
+    victim = clean.outcomes[1].report
+
+    def tamper(entries):
+        (entry,) = [e for e in entries if e["report_id"] == victim.report_id]
+        first, second = victim.representative.accesses()
+        entry["pair"] = [first.seq, second.seq + 1]
+        # flip the verdict too: attaching it would change the bytes
+        entry["verdict"] = (
+            "benign" if victim.verdict.value == "harmful" else "harmful"
+        )
+
+    _rewrite_trigger_log(ckdir, config, tamper)
+    resumed = DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(checkpoint_dir=ckdir, resume=True),
+    ).run()
+    assert _reports_json(resumed) == _reports_json(clean)
+    # exactly the victim re-ran; the other two were restored
+    reruns = resumed.metrics["trigger_runs_total"]["value"]
+    assert 0 < reruns < clean.metrics["trigger_runs_total"]["value"]
+    fresh = [
+        o.report.report_id
+        for o in resumed.outcomes
+        if not isinstance(o.plan, RestoredGatePlan)
+    ]
+    assert fresh == [victim.report_id]
+    # the re-validated verdict is logged again and the stage re-sealed:
+    # a second resume restores all three
+    again = DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(checkpoint_dir=ckdir, resume=True),
+    ).run()
+    assert again.stages_skipped == ["trace", "trigger"]
+    assert "trigger_runs_total" not in again.metrics
+    assert _reports_json(again) == _reports_json(clean)
+
+
+def test_outcomes_logged_without_a_pair_are_restored_by_id(tmp_path):
+    """Logs written before ``pair`` existed carry only ``report_id``."""
+    ckdir = str(tmp_path / "ck")
+    config = PipelineConfig(checkpoint_dir=ckdir)
+    clean = DCatch(workload_by_id("ZK-1144"), config).run()
+
+    def strip(entries):
+        by_id = {r.report_id: r for r in clean.reports}
+        for entry in entries:
+            first, second = by_id[entry["report_id"]].representative.accesses()
+            assert entry.pop("pair") == [first.seq, second.seq]
+
+    _rewrite_trigger_log(ckdir, config, strip)
+    resumed = DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(checkpoint_dir=ckdir, resume=True),
+    ).run()
+    assert resumed.stages_skipped == ["trace", "trigger"]
+    assert "trigger_runs_total" not in resumed.metrics
+    assert _reports_json(resumed) == _reports_json(clean)
+
+
+def test_trace_is_never_completed_without_its_fingerprint(
+    tmp_path, monkeypatch
+):
+    """Every manifest revision that lists ``trace`` completed carries
+    the trace fingerprint: a kill between two manifest writes used to
+    leave a sealed trace whose fingerprint check passes vacuously."""
+    from repro.analysis import checkpoint as ckpt
+
+    revisions = []
+    real_write = ckpt.CheckpointStore._write_manifest
+
+    def recording_write(self):
+        revisions.append(json.loads(json.dumps(self.manifest)))
+        real_write(self)
+
+    monkeypatch.setattr(
+        ckpt.CheckpointStore, "_write_manifest", recording_write
+    )
+    ckdir = str(tmp_path / "ck")
+    DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(trigger=False, checkpoint_dir=ckdir),
+    ).run()
+    sealed = [
+        m for m in revisions if m["stages"].get("trace", {}).get("completed")
+    ]
+    assert sealed
+    assert all(m["trace_fingerprint"] for m in sealed)
+    assert sealed[-1]["trace_fingerprint"] == json.load(
+        open(tmp_path / "ck" / "manifest.json")
+    )["trace_fingerprint"]
+
+
+def test_parent_manifest_with_null_trace_fingerprint_still_resumes(tmp_path):
+    ckdir = tmp_path / "ck"
+    config = PipelineConfig(trigger=False, checkpoint_dir=str(ckdir))
+    first = DCatch(workload_by_id("ZK-1144"), config).run()
+    manifest = json.load(open(ckdir / "manifest.json"))
+    manifest["trace_fingerprint"] = None
+    (ckdir / "manifest.json").write_text(json.dumps(manifest))
+    resumed = DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(trigger=False, checkpoint_dir=str(ckdir), resume=True),
+    ).run()
+    assert resumed.stages_skipped == ["trace"]
+    assert _reports_json(resumed) == _reports_json(first)
 
 
 def test_trace_fingerprint_is_append_order_independent():
@@ -150,7 +288,13 @@ def test_trace_fingerprint_is_append_order_independent():
         json.dumps(ckpt.trace_stage_payload(trace, base, monitored))
     )
     restored, _, _ = ckpt.restore_trace_stage(payload)
-    assert ckpt.trace_fingerprint(restored) == ckpt.trace_fingerprint(trace)
+    assert ckpt.trace_fingerprint(
+        restored.dump_thread_files()
+    ) == ckpt.trace_fingerprint(trace.dump_thread_files())
+    # a payload's JSON keys are strings: same fingerprint
+    assert ckpt.trace_fingerprint(
+        payload["thread_files"]
+    ) == ckpt.trace_fingerprint(trace.dump_thread_files())
 
 
 def test_resume_without_checkpoint_dir_raises():
@@ -163,15 +307,21 @@ def test_checkpoint_overhead_files_on_disk(tmp_path):
     ckdir = tmp_path / "ck"
     DCatch(
         workload_by_id("ZK-1144"),
-        PipelineConfig(checkpoint_dir=str(ckdir), trigger=False),
+        PipelineConfig(checkpoint_dir=str(ckdir)),
     ).run()
     manifest = json.load(open(ckdir / "manifest.json"))
     assert manifest["format"] == "repro-checkpoint"
-    for stage in ("trace", "hb", "reach", "detect"):
+    assert sorted(manifest["stages"]) == ["trace", "trigger"]
+    for stage in ("trace", "trigger"):
         assert manifest["stages"][stage]["completed"] is True
         # CRC recorded for every sealed payload
         assert len(manifest["stages"][stage]["crc"]) == 8
-    assert (ckdir / "detect-shards.jsonl").exists()
+    assert sorted(p.name for p in ckdir.iterdir()) == [
+        "manifest.json",
+        "trace.json",
+        "trigger-outcomes.jsonl",
+        "trigger.json",
+    ]
 
 
 def test_whole_ladder_exhausted_still_reports_oom():
@@ -222,10 +372,10 @@ def test_deadline_detect_stops_early():
 
 
 def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
-    """A detection truncated by the wall-clock deadline must not seal as
-    a completed stage: resuming with a fresh budget re-enters detection
-    and enumerates the remaining locations instead of skipping a
-    permanently partial result."""
+    """A detection truncated by the wall-clock deadline is never
+    persisted: resuming with a fresh budget enumerates every location
+    from the restored trace instead of skipping a permanently partial
+    result."""
     import os
 
     ckdir = str(tmp_path / "ck")
@@ -253,8 +403,7 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
         ),
     ).run()
     assert not resumed.detection.stopped_early
-    assert "detect" not in resumed.stages_skipped
-    assert {"trace", "hb", "reach"} <= set(resumed.stages_skipped)
+    assert resumed.stages_skipped == ["trace"]
     assert _reports_json(resumed) == _reports_json(reference)
 
 
@@ -262,14 +411,24 @@ def test_fresh_run_ignores_stale_checkpoint_directory(tmp_path):
     """Re-running *without* --resume in a used checkpoint directory —
     exactly what the mismatch errors advise — must rebuild from scratch,
     not merge shard results computed from a different trace/config."""
+    import os
+
     ckdir = str(tmp_path / "ck")
+    os.makedirs(ckdir)
+    # what a run before the analysis became recompute-only left behind
+    legacy = ["hb.json", "reach.json", "detect.json", "prune.json"]
+    legacy += [f"{name}.tmp" for name in legacy] + ["detect-shards.jsonl"]
+    for name in legacy:
+        with open(os.path.join(ckdir, name), "w") as fh:
+            fh.write("stale")
     reference = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir),
     ).run()
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace.json"]
 
-    # different benchmark, same directory: its shards reference seqs
-    # that do not exist in ZK-1144's trace
+    # different benchmark, same directory: its trace and verdicts do not
+    # belong to ZK-1144
     DCatch(
         workload_by_id("CA-1011"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir),

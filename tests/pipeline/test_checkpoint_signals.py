@@ -1,7 +1,8 @@
 """Crash and signal semantics of the checkpointed pipeline, exercised
 through real subprocesses: SIGINT seals the checkpoint and exits 130;
 SIGKILL mid-stage leaves a resumable directory; ``--resume`` reproduces
-the uninterrupted run byte for byte."""
+the uninterrupted run byte for byte, re-executing only the trigger
+reports whose verdict had not reached the log."""
 
 import json
 import os
@@ -26,9 +27,9 @@ def _env(stall=None):
     return env
 
 
-def _run_cli(*args, stall=None, wait=True):
+def _run_cli(*args, stall=None, wait=True, bug=BUG):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "run", BUG, *args],
+        [sys.executable, "-m", "repro.cli", "run", bug, *args],
         env=_env(stall),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -106,28 +107,24 @@ def test_sigkill_mid_detect_resumes_byte_identical(tmp_path, clean_reports):
         "--checkpoint-dir", ckdir, stall="detect_shard:60", wait=False
     )
     try:
-        # first detect shard lands in the WAL, then the run stalls
-        shards = os.path.join(ckdir, "detect-shards.jsonl")
-        assert _wait_for(
-            lambda: os.path.exists(shards) and os.path.getsize(shards) > 0
-        )
+        # the trace is sealed, then the run stalls after the first
+        # location: nothing of the analysis is on disk to resume from
+        assert _wait_for(lambda: _stage_completed(ckdir, "trace"))
         proc.kill()  # SIGKILL: no handler, no chance to seal
         proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
             proc.kill()
 
-    manifest = _manifest(ckdir)
-    for stage in ("trace", "hb", "reach"):
-        assert manifest["stages"][stage]["completed"] is True
-    assert not manifest["stages"].get("detect", {}).get("completed", False)
+    assert list(_manifest(ckdir)["stages"]) == ["trace"]
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace.json"]
 
     saved = str(tmp_path / "reports.json")
     code, out, err = _run_cli(
         "--checkpoint-dir", ckdir, "--resume", "--save-reports", saved
     )
     assert code == 0, err
-    assert "resumed: skipped trace, hb, reach" in out
+    assert "resumed: skipped trace (" in out
     assert open(saved).read() == clean_reports
 
 
@@ -137,7 +134,11 @@ def test_sigint_during_trigger_resumes_verdicts(tmp_path, clean_reports):
         "--checkpoint-dir", ckdir, stall="trigger_report:60", wait=False
     )
     try:
-        assert _wait_for(lambda: _stage_completed(ckdir, "prune"))
+        # the trigger log is registered (completed: false) when the
+        # stage opens it, just before the first report stalls
+        assert _wait_for(
+            lambda: "trigger" in (_manifest(ckdir) or {"stages": {}})["stages"]
+        )
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=60)
     finally:
@@ -152,3 +153,52 @@ def test_sigint_during_trigger_resumes_verdicts(tmp_path, clean_reports):
     assert code == 0, err
     assert "resumed: skipped" in out
     assert open(saved).read() == clean_reports
+
+
+def test_sigkill_after_first_verdict_reruns_only_the_rest(tmp_path):
+    """The kill that matters: triggering is where the seconds go.  A
+    run killed once its first verdict is in the log resumes with that
+    verdict restored and re-executes only the unfinished reports."""
+    from repro.detect.export import dump_reports
+    from repro.pipeline import DCatch, PipelineConfig
+    from repro.systems import workload_by_id
+
+    clean = DCatch(workload_by_id("ZK-1144"), PipelineConfig()).run()
+    assert len(clean.outcomes) == 3
+
+    ckdir = str(tmp_path / "ck")
+    log = os.path.join(ckdir, "trigger-outcomes.jsonl")
+    proc = _run_cli(
+        "--checkpoint-dir",
+        ckdir,
+        stall="trigger_report:5",
+        wait=False,
+        bug="ZK-1144",
+    )
+    try:
+        assert _wait_for(
+            lambda: os.path.exists(log) and os.path.getsize(log) > 0
+        )
+        proc.kill()
+        proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert not _stage_completed(ckdir, "trigger")
+
+    resumed = DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(checkpoint_dir=ckdir, resume=True),
+    ).run()
+    assert resumed.stages_skipped == ["trace"]
+    restored = resumed.metrics["checkpoint_shards_resumed_total"]["series"][
+        "stage=trigger"
+    ]["value"]
+    assert 1 <= restored < len(clean.outcomes)
+    assert (
+        0
+        < resumed.metrics["trigger_runs_total"]["value"]
+        < clean.metrics["trigger_runs_total"]["value"]
+    )
+    assert dump_reports(resumed.reports) == dump_reports(clean.reports)
+    assert _stage_completed(ckdir, "trigger")

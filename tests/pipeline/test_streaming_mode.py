@@ -2,8 +2,8 @@
 
 Streaming skips the whole-trace HB graph; its candidate set equals
 batch detection under the streaming-expressible model (everything but
-the whole-trace inference families), and the detect stage checkpoints
-and resumes exactly like batch mode.
+the whole-trace inference families), and a checkpointed run resumes
+from the trace exactly like batch mode.
 """
 
 import pytest
@@ -71,7 +71,7 @@ def test_streaming_checkpoint_resume(tmp_path, streaming_result):
             resume=True,
         ),
     ).run()
-    assert "detect" in resumed.stages_skipped
+    assert resumed.stages_skipped == ["trace"]
     assert _pairs(resumed) == _pairs(first)
     assert _pairs(resumed) == _pairs(streaming_result)
 

@@ -89,7 +89,7 @@ def test_sp_checkpoint_resume_restores_tier(tmp_path):
             resume=True,
         ),
     ).run()
-    assert "detect" in resumed.stages_skipped
+    assert resumed.stages_skipped == ["trace"]
     assert resumed.detection.sp_pairs == first.detection.sp_pairs
     assert [r.soundness for r in resumed.reports] == [
         r.soundness for r in first.reports

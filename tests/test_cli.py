@@ -314,35 +314,6 @@ def test_resume_config_fingerprint_mismatch_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_resume_reach_payload_from_removed_backend_exits_2(tmp_path, capsys):
-    """A checkpoint whose reach stage was sealed by the removed chain
-    backend passes the fingerprint check (the ladder, not the config,
-    chose chain) and must be refused in one line — not swallowed into a
-    degraded result with no detection."""
-    from repro.analysis.checkpoint import CheckpointStore, config_fingerprint
-    from repro.pipeline import PipelineConfig
-
-    ckdir = str(tmp_path / "ck")
-    args = ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", ckdir]
-    assert main(args) == 0
-    capsys.readouterr()
-    store = CheckpointStore(
-        directory=ckdir,
-        benchmark="ZK-1144",
-        config_fp=config_fingerprint("ZK-1144", PipelineConfig(trigger=False)),
-        resume=True,
-    )
-    store.seal_stage("reach", {"backend": "chain", "vertices": 0, "rows": []})
-    store.seal()
-    assert main(args + ["--resume"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.strip() == (
-        "error: reach checkpoint was written by the removed 'chain' "
-        "backend; re-run without --resume"
-    )
-    assert "DCatch reports" not in captured.out
-
-
 def test_run_resume_round_trip_via_cli(tmp_path, capsys):
     ckdir = str(tmp_path / "ck")
     assert main(
@@ -360,7 +331,7 @@ def test_run_resume_round_trip_via_cli(tmp_path, capsys):
         ]
     ) == 0
     second = capsys.readouterr().out
-    assert "resumed: skipped trace, hb, reach, detect" in second
+    assert "resumed: skipped trace (" in second
     assert "DCatch reports" in first and "DCatch reports" in second
 
 
