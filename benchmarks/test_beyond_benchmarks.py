@@ -6,6 +6,7 @@ equivalents live in ``repro.systems.extra`` and this bench confirms the
 detector finds and triggers them end to end.
 """
 
+import pytest
 from conftest import run_once
 
 from repro.bench import TableResult
@@ -40,6 +41,9 @@ def beyond_benchmarks() -> TableResult:
     )
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: MR-SPEC classed benign"
+)
 def test_beyond_benchmarks(benchmark, save_table):
     table = run_once(benchmark, beyond_benchmarks)
     save_table(table)

@@ -16,9 +16,12 @@ story:
 3. *Resume*: the pipeline restores the trace and the surviving verdict,
    re-executes only the remaining reports, and produces reports
    **byte-identical** to the uninterrupted run.
-4. *Degradation, not death*: the same workload under an absurd memory
-   budget completes by walking the degradation ladder instead of
-   raising, with every rung on the record.
+4. *Bounded, not dead*: the two knobs that bound a run.  A zero
+   ``max_stage_seconds`` cuts every stage short — the stages read
+   ``degraded`` and the run still returns its report set; a zero
+   ``memory_budget_mb`` leaves no room for the reachability closure —
+   the run records the paper's "Out of Memory" and its summary still
+   says everything else it knows.
 
 Run with::
 
@@ -85,20 +88,26 @@ def main() -> int:
     print("resumed reports are byte-identical to the uninterrupted run")
 
     print()
-    print("=== act 4: resource pressure degrades instead of dying ===")
-    governed = DCatch(
-        workload_by_id(BUG),
-        PipelineConfig(trigger=False, memory_budget_mb=1),
+    print("=== act 4: one deadline, one memory budget ===")
+    late = DCatch(
+        workload_by_id(BUG), PipelineConfig(max_stage_seconds=0.0)
     ).run()
-    print(f"degradation ladder rungs engaged: {governed.degradation}")
-    print(f"candidates found anyway: "
-          f"{len(governed.detection.candidates)}")
-    assert governed.oom is None
-    assert governed.degradation, "the 1 MB budget must engage the ladder"
-    assert governed.detection.candidates
+    print(f"max_stage_seconds=0.0 -> stage status: {late.stage_status}")
+    assert late.degraded and late.detection.stopped_early
+    assert late.stage_status["trigger"] == "degraded"
+    assert late.reports is not None and not late.outcomes
+
+    tight = DCatch(
+        workload_by_id(BUG), PipelineConfig(memory_budget_mb=0)
+    ).run()
+    print("memory_budget_mb=0 ->")
+    print(tight.summary())
+    assert tight.oom is not None and tight.detection is None
+    assert "partial failures: analysis: 1" in tight.summary()
+    assert "tracing_seconds" in tight.summary()
 
     print()
-    print("crash -> resume -> identical reports; pressure -> ladder: OK")
+    print("crash -> resume -> identical reports; over budget -> reported: OK")
     return 0
 
 

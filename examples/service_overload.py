@@ -39,13 +39,16 @@ from repro.workload import generate_workload
 WINDOW = 512
 
 
-def serve(data_dir: str, *extra: str) -> subprocess.Popen:
-    """Start ``dcatch serve`` and wait for its service.json."""
+def serve(data_dir: str, *extra: str, pump_stall="0") -> subprocess.Popen:
+    """Start ``dcatch serve`` and wait for its service.json.
+    ``pump_stall`` seconds are slept after every pump batch that
+    advanced (``DCATCH_STALL=service_pump:<s>``)."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve", data_dir,
             "--window", str(WINDOW), "--no-http", *extra,
         ],
+        env=dict(os.environ, DCATCH_STALL=f"service_pump:{pump_stall}"),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -74,8 +77,8 @@ def main() -> int:
     server = serve(
         hot_dir,
         "--queue-segments", "4",      # tiny ingest queue
-        "--pump-delay-s", "0.2",      # detection deliberately slow
         "--overload-poll-s", "0.05",
+        pump_stall="0.2",             # detection deliberately slow
     )
     try:
         doc = load_service_file(hot_dir)
@@ -107,13 +110,13 @@ def main() -> int:
         )
     )
     cold_dir = os.path.join(workdir, "cold")
-    # Pace ingest (small queue, tiny pump delay, ladder parked) so the
+    # Pace ingest (small queue, tiny pump stall, ladder parked) so the
     # kill reliably lands mid-ship.
     server = serve(
         cold_dir,
         "--queue-segments", "1",
-        "--pump-delay-s", "0.1",
         "--overload-poll-s", "3600",
+        pump_stall="0.1",
     )
     doc = load_service_file(cold_dir)
     spool_glob = os.path.join(cold_dir, "tenants", "alpha", "spool", "**", "*.wal")

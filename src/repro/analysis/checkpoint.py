@@ -59,20 +59,18 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "scope": config.scope,
         "model": model.describe(),
         "monitored_seed": config.monitored_seed,
-        "interprocedural_depth": config.interprocedural_depth,
         "prune": config.prune,
         "trigger": config.trigger,
         "trigger_seeds": list(config.trigger_seeds),
         "trigger_max_wait": config.trigger_max_wait,
-        # This key and "compress_mem" are constants: both options are
-        # gone, the keys stay so checkpoints written while they existed
-        # (at these defaults) still resume.
-        "reach_backend": "bitset",
         "detect_mode": getattr(config, "detect_mode", "batch"),
+        # These four keys are constants: the options are gone, the keys
+        # stay so checkpoints written while they existed (at these
+        # defaults) still resume.
+        "reach_backend": "bitset",
         "compress_mem": True,
-        "max_pairs_per_location": getattr(
-            config, "max_pairs_per_location", 200_000
-        ),
+        "max_pairs_per_location": 200000,
+        "interprocedural_depth": 1,
         # The plan's *content*, not just its presence: resuming after an
         # edited fault plan must invalidate the checkpointed trace.
         "fault_plan": (

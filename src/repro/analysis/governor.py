@@ -1,48 +1,33 @@
-"""Resource governance for the analysis pipeline.
+"""Resource bounds for the analysis pipeline and the detection service.
 
-The north-star deployment is a long-running detection service chewing on
-unbounded WAL streams; there, an analysis stage that runs forever or
-eats all memory takes the tenant fleet down with it.  The
-``ResourceGovernor`` bounds both axes:
+A ``dcatch run`` is bounded by two knobs an operator can reason about:
 
-* **wall-clock deadlines** — each stage gets ``max_stage_seconds``;
-  cooperative checks (between detect locations, between trigger
-  reports) observe the deadline and stop early, marking the stage
-  *degraded* rather than wedging the process;
-* **memory budget** — ``memory_budget_mb`` caps both the reachability
-  structure's byte accounting (the existing ``TraceAnalysisOOM`` path)
-  and the process RSS, polled from ``/proc/self/statm`` (falling back
-  to ``resource.getrusage``).
+* **one deadline** — ``max_stage_seconds``: each stage (trace, analysis,
+  trigger) gets a ``StageBudget``; detection polls it once per access of
+  a write-bearing location, triggering once per report, and an
+  overrunning stage stops early with what it has and is marked
+  *degraded* rather than wedging the process
+  (``governor_deadline_exceeded_total{stage=}``);
+* **one memory budget** — ``memory_budget_mb``: the reachability
+  closure's byte budget in batch and sync-preserving mode (a closure
+  that does not fit is the paper's Table 8 "Out of Memory":
+  ``TraceAnalysisOOM``, reported, not raised), and the RSS level that
+  forces an extra frontier compaction in streaming mode.
 
-On pressure the pipeline degrades along an explicit ladder (see
-``repro.pipeline``): ``max_pairs_per_location`` truncation, and
-finally a ``degraded`` stage status instead of an exception.  "Dynamic Race
-Detection with O(1) Samples" (PAPERS.md) is the theoretical license:
-detection quality survives deliberately shedding work.
-
-Every decision is observable: ``governor_degradations_total{rung=}``,
-``governor_deadline_exceeded_total{stage=}``, and the
-``governor_rss_mb`` gauge.
+The long-running service bounds the *sum* over its tenants with
+``FleetBudget`` and the overload ladder below.  Shedding accesses under
+pressure ("Dynamic Race Detection with O(1) Samples", PAPERS.md) is
+``repro.trace.sampling``'s job, not this module's.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro import obs
-
-#: The degradation ladder, in the order rungs are engaged.
-DEGRADATION_LADDER = (
-    "truncate_pairs",   # engage aggressive max_pairs_per_location
-    "abandoned",        # give up: stage marked degraded, partial result kept
-)
-
-#: ``max_pairs_per_location`` once the ``truncate_pairs`` rung engages.
-TRUNCATED_MAX_PAIRS = 5_000
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -105,93 +90,6 @@ class StageBudget:
                 "pipeline stages that overran max_stage_seconds",
             ).labels(stage=self.name).inc()
         return self.deadline_hit
-
-
-@dataclass
-class DegradationEvent:
-    """One rung of the ladder being engaged, with the operator-facing
-    *why* (surfaced by the ``run``/``stream`` CLI summaries)."""
-
-    rung: str
-    stage: str
-    reason: str = ""
-
-    def describe(self) -> str:
-        why = f": {self.reason}" if self.reason else ""
-        return f"{self.rung} [{self.stage}{why}]"
-
-
-@dataclass
-class ResourceGovernor:
-    """Per-run budgets plus the record of every degradation taken."""
-
-    max_stage_seconds: Optional[float] = None
-    memory_budget_mb: Optional[int] = None
-    #: Rungs engaged this run, in order (also on
-    #: ``PipelineResult.degradation``).
-    degradations: List[str] = field(default_factory=list)
-    #: Structured (rung, stage, reason) record of each engagement —
-    #: parallel to ``degradations``.
-    degradation_events: List[DegradationEvent] = field(default_factory=list)
-    #: Stages whose wall-clock deadline fired.
-    deadline_stages: List[str] = field(default_factory=list)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[StageBudget]:
-        budget = StageBudget(
-            name=name,
-            started=time.perf_counter(),
-            max_seconds=self.max_stage_seconds,
-        )
-        try:
-            yield budget
-        finally:
-            if budget.exceeded() and name not in self.deadline_stages:
-                self.deadline_stages.append(name)
-
-    # -- memory ---------------------------------------------------------------
-
-    def reach_budget(self, configured_bytes: int) -> int:
-        """The reachability byte budget: the configured analysis budget,
-        tightened by the governor's overall memory budget when set."""
-        if self.memory_budget_mb is None:
-            return configured_bytes
-        return min(configured_bytes, self.memory_budget_mb * 1024 * 1024)
-
-    def memory_pressure(self) -> bool:
-        """True when process RSS is above the governor's budget."""
-        if self.memory_budget_mb is None:
-            return False
-        rss = process_rss_mb()
-        obs.gauge("governor_rss_mb", "process RSS at the last poll (MB)").set(
-            round(rss, 1)
-        )
-        return rss > self.memory_budget_mb
-
-    # -- degradation ----------------------------------------------------------
-
-    def degrade(self, rung: str, stage: str, reason: str = "") -> None:
-        """Record one rung of the ladder being engaged."""
-        self.degradations.append(rung)
-        self.degradation_events.append(
-            DegradationEvent(rung=rung, stage=stage, reason=reason)
-        )
-        obs.counter(
-            "governor_degradations_total",
-            "degradation-ladder rungs engaged under resource pressure",
-        ).labels(rung=rung, stage=stage).inc()
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "max_stage_seconds": self.max_stage_seconds,
-            "memory_budget_mb": self.memory_budget_mb,
-            "degradations": list(self.degradations),
-            "degradation_events": [
-                {"rung": e.rung, "stage": e.stage, "reason": e.reason}
-                for e in self.degradation_events
-            ],
-            "deadline_stages": list(self.deadline_stages),
-        }
 
 
 # -- multi-tenant fleet budgets ----------------------------------------------
@@ -284,10 +182,3 @@ class FleetBudget:
             if fraction > engage - OVERLOAD_RECOVER_MARGIN:
                 return current
         return OVERLOAD_LADDER[target]
-
-    def tenant_memory_share_mb(self, active_tenants: int) -> Optional[int]:
-        """An even per-tenant slice of the fleet memory budget (used to
-        cap each tenant's streaming-detector compaction budget)."""
-        if self.memory_budget_mb is None:
-            return None
-        return max(16, self.memory_budget_mb // max(1, active_tenants))

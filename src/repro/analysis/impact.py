@@ -42,6 +42,10 @@ from repro.analysis.pdg import transitive_control_dependence
 from repro.ids import Site
 from repro.runtime.ops import OpKind
 
+#: Caller/callee levels the local analysis follows: the paper fixes
+#: static pruning at "one-level inter-procedural" (Section 4.2).
+INTERPROCEDURAL_DEPTH = 1
+
 
 @dataclass
 class Impact:
@@ -97,7 +101,6 @@ class ImpactAnalyzer:
         index: SourceIndex,
         spec: FailureSpec = DEFAULT_FAILURE_SPEC,
         rpc_links: Sequence[RpcLink] = (),
-        interprocedural_depth: int = 1,
         observed_functions: Optional[Set[str]] = None,
     ) -> None:
         """``observed_functions`` — names of functions that actually ran
@@ -108,7 +111,6 @@ class ImpactAnalyzer:
         self.index = index
         self.spec = spec
         self.rpc_links = list(rpc_links)
-        self.depth = interprocedural_depth
         self.observed_functions = observed_functions
         self._cache: Dict[Site, Impact] = {}
         self._field_readers: Dict[str, List[FunctionInfo]] = {}
@@ -147,7 +149,7 @@ class ImpactAnalyzer:
         impact = self._impact_of_sources(
             fn,
             sources,
-            self.depth,
+            INTERPROCEDURAL_DEPTH,
             via=str(site),
             seed_names=seed_names,
             seed_attrs=seed_attrs,

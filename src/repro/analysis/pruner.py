@@ -66,14 +66,12 @@ class StaticPruner:
         index: SourceIndex,
         spec: FailureSpec = DEFAULT_FAILURE_SPEC,
         rpc_links: Sequence[RpcLink] = (),
-        interprocedural_depth: int = 1,
         observed_functions=None,
     ) -> None:
         self.analyzer = ImpactAnalyzer(
             index,
             spec=spec,
             rpc_links=rpc_links,
-            interprocedural_depth=interprocedural_depth,
             observed_functions=observed_functions,
         )
 
@@ -83,7 +81,6 @@ class StaticPruner:
         index: SourceIndex,
         trace: "object",
         spec: FailureSpec = DEFAULT_FAILURE_SPEC,
-        interprocedural_depth: int = 1,
     ) -> "StaticPruner":
         observed = {
             frame.func
@@ -94,7 +91,6 @@ class StaticPruner:
             index,
             spec=spec,
             rpc_links=rpc_links_from_trace(trace),
-            interprocedural_depth=interprocedural_depth,
             observed_functions=observed,
         )
 

@@ -455,7 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         window=args.window,
         max_bad_segments=args.max_bad_segments,
         checkpoint_every=args.checkpoint_every,
-        pump_delay_s=args.pump_delay_s,
         overload_poll_s=args.overload_poll_s,
         http_port=None if args.no_http else args.http_port,
     ).start()
@@ -642,8 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         dest="max_stage_seconds",
-        help="wall-clock deadline per stage; an overrunning stage stops "
-        "early and is marked degraded instead of wedging",
+        help="wall-clock deadline per stage (trace, analysis, trigger); "
+        "detection polls it per access, triggering per report, and an "
+        "overrunning stage stops early, keeps what it has and is marked "
+        "degraded",
     )
     run.add_argument(
         "--memory-budget-mb",
@@ -651,8 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         dest="memory_budget_mb",
-        help="overall memory budget; under pressure the pipeline sheds "
-        "work along the degradation ladder instead of dying",
+        help="the run's memory budget: in batch and sync-preserving mode "
+        "the reachability closure's byte budget (a closure that does not "
+        "fit is reported as OUT OF MEMORY; default 512 MB), in streaming "
+        "mode the RSS that forces an early frontier compaction",
     )
     run.add_argument(
         "--detect-mode",
@@ -981,15 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="no_http",
         help="disable the /healthz /readyz /metrics endpoint",
-    )
-    serve.add_argument(
-        "--pump-delay-s",
-        type=float,
-        default=0.0,
-        dest="pump_delay_s",
-        metavar="SECONDS",
-        help="inject a per-batch detection delay (overload demos: makes "
-        "ingest outrun detection so the ladder engages)",
     )
     serve.add_argument(
         "--overload-poll-s",

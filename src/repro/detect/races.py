@@ -11,11 +11,10 @@ The HB graph answers the surviving pairs in constant time per query.
 
 from __future__ import annotations
 
-import sys
 import time
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -73,14 +72,9 @@ class DetectionResult:
     candidates: List[Candidate]
     analysis_seconds: float
     pairs_examined: int
-    #: Locations whose pair enumeration hit ``max_pairs_per_location``
-    #: and was cut short — their remaining pairs were NOT examined.
-    #: Empty means the candidate list is complete.  Never silent: a
-    #: non-empty list is also warned about on stderr and counted on the
-    #: ``detect_truncated_locations_total`` metric.
-    truncated_locations: List[Location] = field(default_factory=list)
-    #: True when enumeration stopped early (wall-clock deadline):
-    #: locations after the stop point were never examined.
+    #: True when enumeration stopped early (wall-clock deadline): pairs
+    #: after the stop point — the rest of that location and every later
+    #: one — were never examined.
     stopped_early: bool = False
     #: ``"full"`` when the trace was complete; ``"partial"`` when the HB
     #: graph was built from a damaged/salvaged trace — candidates are
@@ -128,7 +122,7 @@ class DetectionResult:
 def _conflicting_pairs_at(
     accesses: List[OpEvent],
     graph: HBGraph,
-    max_pairs: int,
+    should_stop: Optional[Callable[[], bool]],
 ) -> Tuple[List[Tuple[OpEvent, OpEvent]], int, bool]:
     """Enumerate one location's conflicting concurrent pairs.
 
@@ -136,10 +130,10 @@ def _conflicting_pairs_at(
     exactly like the original nested loop, but the inner loop only ever
     touches *eligible* partners: accesses in other segments, writes
     only when ``a`` is a read.  Hot single-segment loops therefore cost
-    nothing per skipped pair.  Returns ``(found, pairs, truncated)``
-    where ``pairs`` counts eligible pairs (examined plus the one that
-    tripped the cap) and ``truncated`` reports whether the cap cut
-    enumeration short.
+    nothing per skipped pair.  ``should_stop`` is polled once per
+    outer access, so a deadline cuts *inside* a hot location.  Returns
+    ``(found, pairs, stopped)`` where ``pairs`` counts the eligible
+    pairs examined.
     """
     by_segment_all: Dict[int, List[int]] = defaultdict(list)
     by_segment_writes: Dict[int, List[int]] = defaultdict(list)
@@ -150,8 +144,9 @@ def _conflicting_pairs_at(
 
     found: List[Tuple[OpEvent, OpEvent]] = []
     pairs = 0
-    truncated = False
     for i, a in enumerate(accesses):
+        if should_stop is not None and should_stop():
+            return found, pairs, True
         groups = (
             by_segment_writes
             if a.kind is OpKind.MEM_READ
@@ -164,17 +159,12 @@ def _conflicting_pairs_at(
             k = bisect_right(indices, i)
             eligible.extend(indices[k:])
         eligible.sort()
+        pairs += len(eligible)
         for j in eligible:
-            pairs += 1
-            if pairs > max_pairs:
-                truncated = True
-                break
             b = accesses[j]
             if graph.concurrent(a, b):
                 found.append((a, b))
-        if truncated:
-            break
-    return found, pairs, truncated
+    return found, pairs, False
 
 
 def detect_races(
@@ -182,14 +172,14 @@ def detect_races(
     model: HBModel = FULL_MODEL,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
-    max_pairs_per_location: int = 200_000,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> DetectionResult:
     """Run trace analysis: build the HB graph, enumerate candidates.
 
-    ``should_stop`` is polled between locations — returning true stops
-    enumeration early (``stopped_early`` on the result), which is how a
-    stage deadline cuts detection short.
+    ``should_stop`` is polled once per access of every write-bearing
+    location — returning true stops enumeration early (``stopped_early``
+    on the result, pairs found so far kept), which is how a stage
+    deadline cuts detection short.
     """
     started = time.perf_counter()
     if graph is None:
@@ -203,24 +193,20 @@ def detect_races(
     from repro.analysis.governor import maybe_stall
 
     candidates: List[Candidate] = []
-    truncated_locations: List[Location] = []
     examined = 0
     stopped_early = False
     with obs.span("detect.enumerate", locations=len(by_location)):
-        for location, accesses in by_location.items():
+        for accesses in by_location.values():
             # Only locations with at least one write can produce candidates.
             if not any(a.kind is OpKind.MEM_WRITE for a in accesses):
                 continue
-            if should_stop is not None and should_stop():
-                stopped_early = True
-                break
-            found, pairs, truncated = _conflicting_pairs_at(
-                accesses, graph, max_pairs_per_location
+            found, pairs, stopped_early = _conflicting_pairs_at(
+                accesses, graph, should_stop
             )
             examined += pairs
-            if truncated:
-                truncated_locations.append(location)
             candidates.extend(Candidate(a, b) for a, b in found)
+            if stopped_early:
+                break
             maybe_stall("detect_shard")
 
     obs.counter("detect_pairs_examined_total", "access pairs HB-checked").inc(
@@ -229,17 +215,6 @@ def detect_races(
     obs.counter(
         "detect_candidates_total", "concurrent conflicting pairs found"
     ).inc(len(candidates))
-    if truncated_locations:
-        obs.counter(
-            "detect_truncated_locations_total",
-            "locations whose pair enumeration hit max_pairs_per_location",
-        ).inc(len(truncated_locations))
-        print(
-            f"warning: detection truncated {len(truncated_locations)} "
-            f"location(s) at {max_pairs_per_location} pairs each; "
-            "see DetectionResult.truncated_locations",
-            file=sys.stderr,
-        )
     if stopped_early:
         obs.counter(
             "detect_stopped_early_total",
@@ -252,7 +227,6 @@ def detect_races(
         candidates=candidates,
         analysis_seconds=elapsed,
         pairs_examined=examined,
-        truncated_locations=truncated_locations,
         stopped_early=stopped_early,
         # "sampled" wins over "partial": deliberate, rate-bounded loss is
         # the weaker (and more specific) claim, and it is what the

@@ -139,7 +139,6 @@ class StreamResult:
             candidates=list(self.candidates),
             analysis_seconds=self.analysis_seconds,
             pairs_examined=self.pairs_examined,
-            truncated_locations=[],
             stopped_early=self.stopped_early,
             confidence=self.confidence,
         )

@@ -178,7 +178,6 @@ def detect_races_sync_preserving(
     model: HBModel = FULL_MODEL,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
-    max_pairs_per_location: int = 200_000,
     should_stop=None,
 ) -> DetectionResult:
     """HB detection plus SP annotation in one call.
@@ -192,7 +191,6 @@ def detect_races_sync_preserving(
         model=model,
         memory_budget=memory_budget,
         graph=graph,
-        max_pairs_per_location=max_pairs_per_location,
         should_stop=should_stop,
     )
     return annotate_sync_preserving(

@@ -25,11 +25,7 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.analysis.astutil import SourceIndex
-from repro.analysis.governor import (
-    TRUNCATED_MAX_PAIRS,
-    ResourceGovernor,
-    maybe_stall,
-)
+from repro.analysis.governor import StageBudget, maybe_stall
 from repro.analysis.pruner import PruneResult, StaticPruner
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import ReportSet, Verdict
@@ -56,7 +52,6 @@ class PipelineConfig:
 
     scope: str = "selective"  # or "full" (Table 8's alternative design)
     model: HBModel = FULL_MODEL
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
     #: ``"batch"`` builds the whole-trace HB graph + reachability
     #: closure before detection (the paper's offline algorithm);
     #: ``"streaming"`` runs the single-pass bounded-memory detector
@@ -71,10 +66,6 @@ class PipelineConfig:
     #: eviction passes).  Memory/CPU knob only: the candidate set is
     #: identical for every window size.
     stream_window: int = 8192
-    #: Cap on eligible pairs enumerated per memory location (the
-    #: governor's ``truncate_pairs`` rung tightens this under pressure).
-    max_pairs_per_location: int = 200_000
-    interprocedural_depth: int = 1
     prune: bool = True
     trigger: bool = True
     trigger_seeds: tuple = (0, 1)
@@ -121,12 +112,15 @@ class PipelineConfig:
     #: verdict, recompute the analysis, and trigger what is left.
     resume: bool = False
     #: Wall-clock deadline per stage (seconds).  Cooperative: detection
-    #: checks it between locations, triggering between reports; an
-    #: overrunning stage stops early and is marked degraded.
+    #: polls it once per access of a write-bearing location, triggering
+    #: between reports; an overrunning stage stops early, keeps what it
+    #: found and is marked degraded.
     max_stage_seconds: Optional[float] = None
-    #: Overall memory budget (MB) enforced by the ``ResourceGovernor``:
-    #: tightens the reachability byte budget and, when process RSS
-    #: exceeds it, engages the degradation ladder (pair truncation).
+    #: The run's one memory budget (MB).  Batch and sync-preserving
+    #: mode: the reachability closure's byte budget (None = the paper's
+    #: ``DEFAULT_MEMORY_BUDGET``); a closure that does not fit is
+    #: ``result.oom``.  Streaming mode: the process RSS above which the
+    #: detector compacts its frontier early.
     memory_budget_mb: Optional[int] = None
 
 
@@ -152,16 +146,9 @@ class PipelineResult:
     stage_failures: Dict[str, int] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     #: Per-stage outcome: ``"ok"``, ``"skipped"`` (restored from a
-    #: checkpoint), ``"degraded"`` (completed under the ladder or cut
-    #: short by a deadline), or ``"failed"``.
+    #: checkpoint), ``"degraded"`` (cut short by, or finished past, the
+    #: stage deadline), or ``"failed"``.
     stage_status: Dict[str, str] = field(default_factory=dict)
-    #: Degradation-ladder rungs engaged this run, in order (see
-    #: ``repro.analysis.governor.DEGRADATION_LADDER``).
-    degradation: List[str] = field(default_factory=list)
-    #: Structured ladder record — one ``DegradationEvent`` (rung, stage,
-    #: reason) per entry of ``degradation``; what the CLI summary prints
-    #: so operators see *why* a result is degraded.
-    degradation_events: List["object"] = field(default_factory=list)
     #: Stages restored from the checkpoint instead of re-run.
     stages_skipped: List[str] = field(default_factory=list)
     #: Where this run checkpointed, when it did.
@@ -176,12 +163,10 @@ class PipelineResult:
 
     @property
     def degraded(self) -> bool:
-        """True when some stage failed, was cut short, or completed only
-        by shedding work along the degradation ladder."""
+        """True when some stage failed or was cut short by a deadline."""
         return (
             bool(self.stage_failures)
             or self.oom is not None
-            or bool(self.degradation)
             or "degraded" in self.stage_status.values()
         )
 
@@ -202,13 +187,12 @@ class PipelineResult:
     def summary(self) -> str:
         lines = [f"== DCatch on {self.workload.info.bug_id} =="]
         lines.append(f"monitored run: {self.monitored_result.summary()}")
-        if self.oom is not None:
-            lines.append(f"trace analysis: OUT OF MEMORY ({self.oom})")
-            return "\n".join(lines)
         lines.append(
             f"trace: {len(self.trace)} records, "
             f"{self.trace.size_bytes() / 1024:.1f} KB"
         )
+        if self.oom is not None:
+            lines.append(f"trace analysis: OUT OF MEMORY ({self.oom})")
         if self.detection is not None:
             tag = (
                 ""
@@ -248,13 +232,6 @@ class PipelineResult:
                 f"{stage}: {count}" for stage, count in sorted(self.stage_failures.items())
             )
             lines.append(f"partial failures: {parts}")
-        if self.degradation_events:
-            lines.append(
-                "degraded: "
-                + " -> ".join(e.describe() for e in self.degradation_events)
-            )
-        elif self.degradation:
-            lines.append(f"degraded: {' -> '.join(self.degradation)}")
         if self.stages_skipped:
             lines.append(
                 f"resumed: skipped {', '.join(self.stages_skipped)} "
@@ -369,18 +346,14 @@ class DCatch:
         return result
 
     def _run_stages(self) -> PipelineResult:
-        """Set up governance, checkpointing, and signal handling, then
-        run the stages.  SIGINT/SIGTERM (installed only when a
+        """Set up checkpointing and signal handling, then run the
+        stages.  SIGINT/SIGTERM (installed only when a
         checkpoint directory is configured — otherwise there is nothing
         to seal) raise ``PipelineInterrupted`` at the next bytecode
         boundary; the checkpoint's trigger log is flushed per report
         and its manifest is replaced atomically, so whatever
         the signal lands on, the directory stays resumable."""
         config = self.config
-        governor = ResourceGovernor(
-            max_stage_seconds=config.max_stage_seconds,
-            memory_budget_mb=config.memory_budget_mb,
-        )
         store = None
         if config.resume and not config.checkpoint_dir:
             raise CheckpointError(
@@ -419,7 +392,7 @@ class DCatch:
                     pass
 
         try:
-            return self._run_stages_governed(governor, store)
+            return self._run_stages_governed(store)
         except PipelineInterrupted:
             obs.counter(
                 "pipeline_interrupted_total",
@@ -465,12 +438,13 @@ class DCatch:
         )
         return detection
 
-    def _run_stages_governed(
-        self, governor: ResourceGovernor, store: "object"
-    ) -> PipelineResult:
+    def _run_stages_governed(self, store: "object") -> PipelineResult:
         config = self.config
         timings: Dict[str, float] = {}
         stage_status: Dict[str, str] = {}
+        #: One per stage that ran; each is polled a last time as its
+        #: stage ends, so ``deadline_hit`` says which ones overran.
+        budgets: List[StageBudget] = []
         obs.counter("pipeline_runs_total", "DCatch pipeline executions").inc()
 
         if store is not None:
@@ -494,25 +468,22 @@ class DCatch:
             )
             timings.update(payload.get("timings", {}))
         else:
-            with governor.stage("trace"):
-                started = time.perf_counter()
-                with obs.span(
-                    "pipeline.base", workload=self.workload.info.bug_id
-                ):
-                    base_result = self.run_base()
-                timings["base_seconds"] = time.perf_counter() - started
+            started = time.perf_counter()
+            budget = StageBudget("trace", started, config.max_stage_seconds)
+            budgets.append(budget)
+            with obs.span("pipeline.base", workload=self.workload.info.bug_id):
+                base_result = self.run_base()
+            timings["base_seconds"] = time.perf_counter() - started
 
-                started = time.perf_counter()
-                with obs.span("pipeline.tracing", scope=config.scope):
-                    monitored_result, trace = self.run_traced()
-                    if obs.enabled():
-                        from repro.trace.stats import (
-                            compute_stats,
-                            publish_stats,
-                        )
+            started = time.perf_counter()
+            with obs.span("pipeline.tracing", scope=config.scope):
+                monitored_result, trace = self.run_traced()
+                if obs.enabled():
+                    from repro.trace.stats import compute_stats, publish_stats
 
-                        publish_stats(compute_stats(trace))
-                timings["tracing_seconds"] = time.perf_counter() - started
+                    publish_stats(compute_stats(trace))
+            timings["tracing_seconds"] = time.perf_counter() - started
+            budget.exceeded()
             if store is not None:
                 payload = ckpt.trace_stage_payload(
                     trace, base_result, monitored_result
@@ -542,16 +513,18 @@ class DCatch:
             ).labels(stage=stage).inc()
 
         # -- trace analysis: HB graph, reachability, detection ----------------
-        # The governor may tighten the reachability byte budget.  RSS
-        # pressure sheds work along the degradation ladder; a closure
-        # that does not fit the budget ends the analysis (``abandoned``),
-        # because nothing below it can run without one.
-        reach_budget = governor.reach_budget(config.memory_budget)
+        # A closure that does not fit the budget ends the analysis
+        # (``result.oom``): nothing below it can run without one.
+        reach_budget = (
+            DEFAULT_MEMORY_BUDGET
+            if config.memory_budget_mb is None
+            else config.memory_budget_mb * 1024 * 1024
+        )
+        started = time.perf_counter()
+        budget = StageBudget("analysis", started, config.max_stage_seconds)
+        budgets.append(budget)
         try:
-            started = time.perf_counter()
-            with obs.span("pipeline.analysis"), governor.stage(
-                "analysis"
-            ) as budget:
+            with obs.span("pipeline.analysis"):
                 if config.detect_mode == "streaming":
                     detection = self._run_streaming_analysis(
                         config, trace, budget, stage_status
@@ -562,30 +535,13 @@ class DCatch:
                         trace, model=config.model, memory_budget=reach_budget
                     )
                     stage_status["hb"] = "ok"
-                    try:
-                        graph.reach_stats()
-                    except TraceAnalysisOOM as exc:
-                        governor.degrade("abandoned", "reach", str(exc))
-                        raise
+                    graph.reach_stats()
                     stage_status["reach"] = "ok"
-
-                    # Ladder rung 1: under RSS pressure tighten the
-                    # per-location pair cap.
-                    max_pairs = config.max_pairs_per_location
-                    if governor.memory_pressure():
-                        governor.degrade(
-                            "truncate_pairs",
-                            "detect",
-                            "process RSS above memory_budget_mb",
-                        )
-                        max_pairs = min(max_pairs, TRUNCATED_MAX_PAIRS)
-
                     detection = detect_races(
                         trace,
                         model=config.model,
                         memory_budget=reach_budget,
                         graph=graph,
-                        max_pairs_per_location=max_pairs,
                         should_stop=budget.exceeded,
                     )
                     if config.detect_mode == "sync-preserving":
@@ -613,6 +569,7 @@ class DCatch:
             stage_failed("analysis", exc)
         except Exception as exc:  # noqa: BLE001 - degrade, don't die
             stage_failed("analysis", exc)
+        budget.exceeded()
 
         # -- static pruning ---------------------------------------------------
         if reports is not None and config.prune:
@@ -620,11 +577,7 @@ class DCatch:
                 started = time.perf_counter()
                 with obs.span("pipeline.pruning"):
                     index = SourceIndex.from_modules(self.workload.modules())
-                    pruner = StaticPruner.for_trace(
-                        index,
-                        trace,
-                        interprocedural_depth=config.interprocedural_depth,
-                    )
+                    pruner = StaticPruner.for_trace(index, trace)
                     # detection may be graph-less (streaming mode);
                     # the pruner tolerates that — ranking context
                     # comes from the reports' soundness tiers.
@@ -645,9 +598,9 @@ class DCatch:
         # -- triggering -------------------------------------------------------
         if reports is not None and detection is not None and config.trigger:
             started = time.perf_counter()
-            with obs.span(
-                "pipeline.trigger", reports=len(reports)
-            ), governor.stage("trigger") as budget:
+            budget = StageBudget("trigger", started, config.max_stage_seconds)
+            budgets.append(budget)
+            with obs.span("pipeline.trigger", reports=len(reports)):
                 done = {}
                 trigger_log = None
                 validated = False
@@ -711,6 +664,7 @@ class DCatch:
                         if trigger_log is not None:
                             trigger_log.append(ckpt.outcome_to_dict(outcome))
             timings["trigger_seconds"] = time.perf_counter() - started
+            budget.exceeded()
             if store is not None and stage_status.get("trigger") == "ok":
                 if store.stage_completed("trigger") and not validated:
                     # Every verdict came from the log: the stage was not
@@ -727,11 +681,14 @@ class DCatch:
                         },
                     )
 
-        for stage in governor.deadline_stages:
+        for budget in budgets:
             # A deadline overrun degrades the stage even when its loop
             # happened to finish; "failed" stays the stronger signal.
-            if stage_status.get(stage) in (None, "ok"):
-                stage_status[stage] = "degraded"
+            if budget.deadline_hit and stage_status.get(budget.name) in (
+                None,
+                "ok",
+            ):
+                stage_status[budget.name] = "degraded"
 
         return PipelineResult(
             workload=self.workload,
@@ -749,8 +706,6 @@ class DCatch:
             stage_failures=stage_failures,
             errors=errors,
             stage_status=stage_status,
-            degradation=list(governor.degradations),
-            degradation_events=list(governor.degradation_events),
             stages_skipped=list(store.stages_skipped) if store else [],
             checkpoint_dir=store.directory if store else None,
         )

@@ -71,8 +71,9 @@ RETRY_AFTER = {"over_capacity": 1.0, "over_queue": 0.1, "paused": 0.2,
                "not_ready": 0.1}
 
 #: Raw records one pump() call may advance before yielding (keeps the
-#: pump preemptible for checkpoints and, with ``pump_delay_s``, gives
-#: the overload benchmark a way to make ingest outrun detection).
+#: pump preemptible for checkpoints and, with
+#: ``DCATCH_STALL=service_pump:<s>``, gives the overload demos a way to
+#: make ingest outrun detection).
 PUMP_BATCH = 4096
 
 
@@ -95,7 +96,6 @@ class DetectionServer:
         max_bad_segments: int = 3,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         overload_poll_s: float = 0.1,
-        pump_delay_s: float = 0.0,
         http_port: Optional[int] = None,
     ) -> None:
         self.data_dir = os.path.abspath(data_dir)
@@ -107,9 +107,6 @@ class DetectionServer:
         self.max_bad_segments = max_bad_segments
         self.checkpoint_every = checkpoint_every
         self.overload_poll_s = overload_poll_s
-        #: Artificial per-batch pump delay — the overload benchmark's
-        #: "detection is slower than ingest" injection knob.
-        self.pump_delay_s = pump_delay_s
         self.http_port = http_port
         self.overload_level = "full"
         self.tenants: Dict[str, Tenant] = {}
@@ -261,9 +258,8 @@ class DetectionServer:
                 advanced = tenant.pump(limit=PUMP_BATCH)
                 tenant.maybe_checkpoint()
                 drained = tenant.drained
-            maybe_stall("service_pump")
-            if self.pump_delay_s and advanced:
-                time.sleep(self.pump_delay_s)
+            if advanced:
+                maybe_stall("service_pump")
             if drained:
                 with tenant.lock:
                     tenant.write_report()

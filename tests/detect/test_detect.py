@@ -1,6 +1,5 @@
 """Race detection: candidates, dedup counts, report sets."""
 
-from repro import obs
 from repro.detect import ReportSet, Verdict, detect_races
 from repro.hb import FULL_MODEL
 from repro.runtime import Cluster, sleep
@@ -161,40 +160,31 @@ def test_pull_pruning_reduces_candidates():
     assert len(with_pull.candidates) < len(without_pull.candidates)
 
 
-def _racy_trace(seed=0, writers=3):
-    """Several threads racing on two shared variables (two locations)."""
+def test_deadline_cuts_inside_a_hot_location():
+    """One location written from many segments: a ``should_stop`` that
+    turns true after its first poll stops enumeration *inside* that
+    location (it used to be read only between locations, so a single
+    hot location ran to the end whatever the deadline said)."""
 
     def build(cluster):
         node = cluster.add_node("n")
-        x = node.shared_var("x", 0)
-        y = node.shared_var("y", 0)
+        var = node.shared_var("x", 0)
+        for i in range(8):
+            node.spawn(lambda i=i: var.set(i), name=f"w{i}")
 
-        def make_body(i):
-            def body():
-                x.set(i)
-                y.get()
-                y.set(i)
-
-            return body
-
-        for i in range(writers):
-            node.spawn(make_body(i), name=f"w{i}")
-
-    return run_traced(build, seed=seed)
-
-
-def test_truncation_is_recorded_counted_and_warned(capsys):
-    trace = _racy_trace(writers=4)
-    registry = obs.MetricsRegistry(name="trunc")
-    with obs.use_registry(registry):
-        result = detect_races(trace, max_pairs_per_location=1)
-    assert result.truncated_locations  # the cap really bit
-    counter = registry.counter("detect_truncated_locations_total")
-    assert counter.value == len(result.truncated_locations)
-    err = capsys.readouterr().err
-    assert "truncated" in err
-    assert str(len(result.truncated_locations)) in err
-    # The complete run examines more pairs and is not truncated.
+    trace = run_traced(build)
     full = detect_races(trace)
-    assert not full.truncated_locations
-    assert full.pairs_examined > result.pairs_examined
+    assert not full.stopped_early and full.pairs_examined == 8 * 7 // 2
+
+    polls = []
+
+    def after_first_poll():
+        polls.append(None)
+        return len(polls) > 1
+
+    cut = detect_races(trace, should_stop=after_first_poll)
+    assert cut.stopped_early
+    assert 0 < cut.pairs_examined < full.pairs_examined
+    # what was examined before the stop is kept, not thrown away
+    assert cut.candidates == full.candidates[: len(cut.candidates)]
+    assert cut.candidates

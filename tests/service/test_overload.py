@@ -77,12 +77,6 @@ class TestAdmission:
         refusal = budget.admit_tenant(2)
         assert refusal is not None and "2/2" in refusal
 
-    def test_memory_share_splits_evenly_with_a_floor(self):
-        budget = FleetBudget(memory_budget_mb=1024)
-        assert budget.tenant_memory_share_mb(4) == 256
-        assert budget.tenant_memory_share_mb(1000) == 16
-        assert FleetBudget().tenant_memory_share_mb(4) is None
-
 
 class TestSampledHonesty:
     def test_sampled_tenant_report_says_sampled(self, tmp_path, wal_dir):

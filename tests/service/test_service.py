@@ -174,7 +174,8 @@ class TestTenantPump:
         self, tmp_path, wal_dir
     ):
         """It used to fall off its loop and return None on a full
-        batch, so the server never slept ``pump_delay_s`` under load."""
+        batch, so the server's ``service_pump`` stall (taken only when
+        the pump advanced) never fired under load."""
         tenant = _prefilled_tenant(wal_dir, str(tmp_path / "t"))
         assert tenant.pump(limit=7) == 7
         assert tenant.consumed_raw == 7
@@ -299,13 +300,13 @@ class TestBackpressure:
         return generated.wal_dir
 
     def test_full_queue_defers_and_still_completes(
-        self, tmp_path, chunked_wal_dir
+        self, tmp_path, chunked_wal_dir, monkeypatch
     ):
+        monkeypatch.setenv("DCATCH_STALL", "service_pump:0.05")
         srv = DetectionServer(
             str(tmp_path / "data"),
             limits=FleetBudget(queue_segments=1),
             window=WINDOW,
-            pump_delay_s=0.05,
             overload_poll_s=3600,  # backpressure only; no ladder
             http_port=None,
         ).start()
@@ -321,18 +322,18 @@ class TestBackpressure:
             srv.stop()
 
     def test_more_streams_than_credits_does_not_deadlock(
-        self, tmp_path, wal_dir
+        self, tmp_path, wal_dir, monkeypatch
     ):
         """Regression: the small workload has 9 streams; with only 2
         queue credits the merge used to starve on streams the client
         was never allowed to ship, freezing the tenant forever.  The
         starvation-relief carve-out must keep it live — and with no
         records actually dropped the report stays byte-identical."""
+        monkeypatch.setenv("DCATCH_STALL", "service_pump:0.02")
         srv = DetectionServer(
             str(tmp_path / "data"),
             limits=FleetBudget(queue_segments=2),
             window=WINDOW,
-            pump_delay_s=0.02,
             overload_poll_s=3600,
             http_port=None,
         ).start()
