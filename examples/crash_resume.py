@@ -34,6 +34,7 @@ from repro.analysis.checkpoint import CheckpointStore, config_fingerprint
 from repro.detect.export import dump_reports
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
+from repro.trace import Trace
 
 BUG = "ZK-1144"
 
@@ -59,7 +60,9 @@ def main() -> int:
     crashed = CheckpointStore(
         directory=crashed_dir, benchmark=BUG, config_fp=fingerprint
     )
-    crashed.seal_stage("trace", sealed.load_stage("trace"))
+    crashed.seal_stage(
+        "trace", sealed.load_stage("trace"), Trace.load(sealed.trace_dir)
+    )
     verdicts = sealed.load_shards("trigger")
     crashed.shard_log("trigger").append(verdicts[0])
     crashed.seal()

@@ -6,22 +6,22 @@ cost a re-execution of the workload to rebuild — the monitored run's
 trace and the trigger verdicts — and nothing else: HB graph, closure,
 detection and pruning take milliseconds and are recomputed from the
 restored trace.  ``dcatch run --resume`` validates the manifest against
-config + trace fingerprints and skips the completed stages, so a killed
+the config fingerprint and skips the completed stages, so a killed
 analyzer loses at most the trigger *report* that was in flight.
 
 Layout (one run per checkpoint directory)::
 
     <dir>/manifest.json            schema-versioned, atomically replaced
-    <dir>/trace.json               stage payload, CRC32-checked
+    <dir>/trace/                   the trace, as ``Trace.save`` writes it
+    <dir>/trace.json               run results + timings, CRC32-checked
     <dir>/trigger-outcomes.jsonl   incremental: one framed line per report
     <dir>/trigger.json             stage seal (report count, seconds)
 
-The incremental file is ``R`` lines of the `repro.framing` format
-(``docs/framing.md``), so a SIGKILL mid-append leaves a torn tail the
-loader simply drops — the same recovery story as the WAL.  Stage
-payload files carry their CRC32 in the manifest; damage, stale schema
-versions, and fingerprint mismatches all raise ``CheckpointError``
-(exit 2 in the CLI), never a traceback.
+The trace is read by the strict ``Trace.load``; the log is ``R`` lines
+of `repro.framing` (``docs/framing.md``), so a SIGKILL mid-append
+leaves a torn tail the loader drops.  Damage, stale schema versions and
+fingerprint mismatches raise ``CheckpointError`` (exit 2), never a
+traceback.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, TraceFormatError
 from repro.framing import Damage, atomic_write, crc32, decode_line, encode_line
-from repro.trace.records import TRACE_SCHEMA_VERSION
 from repro.trace.store import Trace
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Checkpointed stages in execution order.  ``trigger`` also keeps an
 #: incremental file so a mid-stage crash only loses the in-flight report.
@@ -63,14 +63,7 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "trigger": config.trigger,
         "trigger_seeds": list(config.trigger_seeds),
         "trigger_max_wait": config.trigger_max_wait,
-        "detect_mode": getattr(config, "detect_mode", "batch"),
-        # These four keys are constants: the options are gone, the keys
-        # stay so checkpoints written while they existed (at these
-        # defaults) still resume.
-        "reach_backend": "bitset",
-        "compress_mem": True,
-        "max_pairs_per_location": 200000,
-        "interprocedural_depth": 1,
+        "detect_mode": config.detect_mode,
         # The plan's *content*, not just its presence: resuming after an
         # edited fault plan must invalidate the checkpointed trace.
         "fault_plan": (
@@ -78,32 +71,13 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
             if config.fault_plan is not None
             else None
         ),
-        "trace_schema": TRACE_SCHEMA_VERSION,
+        # Sampling thins the traced record stream itself, so resuming a
+        # sampled checkpoint under a different policy/seed is refused.
+        "sampling": config.sampling,
+        "sampling_seed": config.sampling_seed,
     }
-    # Sampling thins the traced record stream itself, so resuming a
-    # sampled checkpoint under a different policy/seed must be refused.
-    # Keys are added only when sampling is on, so fingerprints of
-    # unsampled runs (and their existing checkpoints) are unchanged.
-    if getattr(config, "sampling", None) is not None:
-        fields["sampling"] = config.sampling
-        fields["sampling_seed"] = getattr(config, "sampling_seed", 0)
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def trace_fingerprint(thread_files: Dict[Any, str]) -> str:
-    """CRC of the serialized trace (``Trace.dump_thread_files()``, or
-    the ``thread_files`` of a trace payload, whose tids are strings) —
-    ties a checkpoint to the exact record stream it was computed from.
-
-    Lines are sorted within each thread file: a live trace may append
-    records out of ``seq`` order while a restored one is seq-sorted, and
-    the fingerprint must depend on content, not append order."""
-    running = 0
-    for _tid, blob in sorted((int(t), b) for t, b in thread_files.items()):
-        for line in sorted(blob.splitlines()):
-            running = crc32(line.encode(), running)
-    return f"{running:08x}"
 
 
 class ShardLog:
@@ -171,6 +145,7 @@ class CheckpointStore:
 
     def __post_init__(self) -> None:
         self._manifest_path = os.path.join(self.directory, "manifest.json")
+        self.trace_dir = os.path.join(self.directory, "trace")
         if self.resume:
             self.manifest = self._load_manifest()
             self._validate_manifest()
@@ -182,24 +157,22 @@ class CheckpointStore:
                 "version": CHECKPOINT_VERSION,
                 "benchmark": self.benchmark,
                 "config_fingerprint": self.config_fp,
-                "trace_fingerprint": None,
                 "stages": {},
             }
             self._write_manifest()
 
     def _clear_previous_run(self) -> None:
-        """Delete stage payloads and shard files left by an earlier run.
+        """Delete the trace, stage payloads and shard files of an earlier run.
 
         A fresh (non-resume) run owns the directory.  ShardLog appends
         and ``load_shards`` reads whatever file is present, so without
         this sweep a reused directory — exactly what "re-run without
         --resume to rebuild" advises — would silently restore verdicts
         computed from a different trace or config."""
-        # Left by versions that checkpointed the analysis stages too.
-        legacy = ("hb", "reach", "detect", "prune")
-        names = [f"{stage}.json" for stage in STAGES + legacy]
+        shutil.rmtree(self.trace_dir, ignore_errors=True)
+        names = [f"{stage}.json" for stage in STAGES]
         names += [f"{name}.tmp" for name in names]
-        names += [*_INCREMENTAL_FILES.values(), "detect-shards.jsonl"]
+        names += _INCREMENTAL_FILES.values()
         for name in names:
             try:
                 os.remove(os.path.join(self.directory, name))
@@ -271,12 +244,16 @@ class CheckpointStore:
             "completed stages skipped by --resume",
         ).labels(stage=name).inc()
 
-    def seal_stage(self, name: str, payload: Dict[str, Any]) -> None:
+    def seal_stage(
+        self, name: str, payload: Dict[str, Any], trace: Optional[Trace] = None
+    ) -> None:
         """Write one stage's payload and mark it completed (atomic:
-        payload file first, then manifest replace).  The trace's
-        fingerprint rides the same manifest write: a kill can never
-        leave a completed ``trace`` stage without one."""
+        ``trace`` into :attr:`trace_dir` and the payload file first,
+        then the manifest replace): a kill can never leave a completed
+        ``trace`` stage without its trace on disk."""
         with obs.span("checkpoint.seal", stage=name):
+            if trace is not None:
+                trace.save(self.trace_dir)
             blob = json.dumps(payload, sort_keys=True).encode()
             filename = f"{name}.json"
             atomic_write(os.path.join(self.directory, filename), blob)
@@ -284,10 +261,6 @@ class CheckpointStore:
             entry.update(
                 {"file": filename, "crc": f"{crc32(blob):08x}", "completed": True}
             )
-            if name == "trace":
-                self.manifest["trace_fingerprint"] = trace_fingerprint(
-                    payload["thread_files"]
-                )
             self._write_manifest()
         obs.counter(
             "checkpoint_stages_sealed_total", "pipeline stages checkpointed"
@@ -315,17 +288,6 @@ class CheckpointStore:
                     f"({path} is damaged); re-run without --resume"
                 )
             return json.loads(blob.decode())
-
-    # -- trace fingerprint ----------------------------------------------------
-
-    def check_trace_fingerprint(self, fingerprint: str) -> None:
-        stored = self.manifest.get("trace_fingerprint")
-        if stored is not None and stored != fingerprint:
-            raise CheckpointError(
-                f"checkpoint trace fingerprint mismatch "
-                f"({stored} != {fingerprint}): the trace this checkpoint "
-                f"was computed from has changed; re-run without --resume"
-            )
 
     # -- incremental shards ---------------------------------------------------
 
@@ -421,39 +383,24 @@ def run_result_from_dict(data: Dict[str, Any]) -> "object":
 
 
 def trace_stage_payload(
-    trace: Trace, base_result: "object", monitored_result: "object"
+    trace: Trace, base_result: "object", monitored_result: "object", timings: Dict
 ) -> Dict[str, Any]:
+    """``trace.json``: what the trace directory does not hold."""
     return {
         "name": trace.name,
-        "partial": bool(getattr(trace, "partial", False)),
-        "sampled": bool(getattr(trace, "sampled", False)),
-        "sampling_rate": getattr(trace, "sampling_rate", None),
-        "sampled_dropped": dict(getattr(trace, "sampled_dropped", {}) or {}),
-        "dropped_mem": int(getattr(trace, "dropped_mem", 0)),
-        "skipped_unbound": int(getattr(trace, "skipped_unbound", 0)),
-        "skipped_untraced": int(getattr(trace, "skipped_untraced", 0)),
-        "thread_files": {
-            str(tid): blob for tid, blob in trace.dump_thread_files().items()
-        },
         "base_result": run_result_to_dict(base_result),
         "monitored_result": run_result_to_dict(monitored_result),
+        "timings": timings,
     }
 
 
 def restore_trace_stage(
-    payload: Dict[str, Any],
+    store: CheckpointStore, payload: Dict[str, Any]
 ) -> Tuple[Trace, "object", "object"]:
-    files = {
-        int(tid): blob for tid, blob in payload["thread_files"].items()
-    }
-    trace = Trace.from_thread_files(files, name=payload.get("name", "trace"))
-    trace.partial = bool(payload.get("partial", False))
-    trace.sampled = bool(payload.get("sampled", False))
-    trace.sampling_rate = payload.get("sampling_rate")
-    trace.sampled_dropped = dict(payload.get("sampled_dropped", {}) or {})
-    trace.dropped_mem = int(payload.get("dropped_mem", 0))
-    trace.skipped_unbound = int(payload.get("skipped_unbound", 0))
-    trace.skipped_untraced = int(payload.get("skipped_untraced", 0))
+    try:
+        trace = Trace.load(store.trace_dir, name=payload["name"])
+    except TraceFormatError as exc:
+        raise CheckpointError(f"{exc}; re-run without --resume") from None
     return (
         trace,
         run_result_from_dict(payload["base_result"]),

@@ -8,7 +8,8 @@ Subcommands::
     dcatch run minimr 3274          # same, system + workload spelling
     dcatch table table4             # regenerate one evaluation table
     dcatch table all                # regenerate everything
-    dcatch trace ZK-1144 --out DIR  # save the monitored run's trace files
+    dcatch trace ZK-1144 --out DIR  # save the monitored run's trace as a WAL
+    dcatch stream DIR               # ... and stream-detect the saved trace
     dcatch trace ZK-1144 --stats    # per-category trace statistics
     dcatch trace --load DIR --stats # statistics of a saved trace
     dcatch run MR-3274 --trace-dir ./wal  # durable write-ahead tracing
@@ -22,8 +23,8 @@ Subcommands::
     dcatch run MR-3274 --detect-mode streaming  # bounded-memory detection
     dcatch run ZK-1144 --detect-mode sync-preserving  # sound SP tier
 
-Unknown benchmark/system/workload names — and malformed/corrupt trace
-files — exit with status 2 and a one-line error on stderr instead of a
+Unknown benchmark/system/workload names — and damaged saved traces —
+exit with status 2 and a one-line error on stderr instead of a
 traceback.
 """
 
@@ -174,9 +175,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace import Trace, Tracer, compute_stats, selective_scope_for
 
     if args.load:
-        # Operate on saved trace files instead of running a benchmark.
-        # Malformed/corrupt JSON exits 2 via the TraceFormatError catch
-        # in main() — not an uncaught traceback.
+        # A saved trace instead of a benchmark run.  Any damage exits 2
+        # via the TraceFormatError catch in main(), not a traceback.
         trace = Trace.load(args.load)
         print(f"loaded {len(trace)} records from {args.load}")
         if args.stats:
@@ -706,7 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="save a monitored run's trace")
     trace.add_argument("bug_id", nargs="?", default=None)
     trace.add_argument("--seed", type=int, default=None)
-    trace.add_argument("--out", default="./dcatch-trace")
+    trace.add_argument(
+        "--out", metavar="DIR", help="save the trace as a WAL ('stream DIR' reads it)"
+    )
     trace.add_argument(
         "--stats",
         action="store_true",
@@ -716,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--load",
         metavar="DIR",
         default=None,
-        help="load a saved trace directory instead of running a benchmark",
+        help="load a saved trace instead of running a benchmark (strict)",
     )
     _add_sampling_flags(trace)
     trace.set_defaults(fn=_cmd_trace)
@@ -736,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="DIR",
         default=None,
-        help="save the recovered trace as per-thread JSONL files",
+        help="save the recovered trace as a clean, sealed WAL directory",
     )
     salvage.add_argument(
         "--stats",
@@ -842,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-pass streaming detection over a WAL directory",
     )
     stream.add_argument(
-        "wal_dir", help="WAL trace directory (e.g. from 'generate')"
+        "wal_dir", help="WAL trace directory (e.g. from 'generate', 'trace --out')"
     )
     stream.add_argument(
         "--ground-truth",

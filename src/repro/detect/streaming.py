@@ -61,7 +61,7 @@ from repro.trace.records import (
     record_from_dict,
     record_to_dict,
 )
-from repro.trace.store import Trace
+from repro.trace.store import Trace, read_meta
 from repro.trace.wal import WalStreamReader, require_stream_segments
 
 __all__ = [
@@ -597,8 +597,9 @@ def detect_races_streaming(
     """One single-pass streaming detection run.
 
     Exactly one of ``records`` (an in-memory seq-ordered iterable) or
-    ``wal_dir`` (a PR-4 WAL directory, parsed incrementally) must be
-    given.  Every ``window`` raw records the pass probes:
+    ``wal_dir`` (a WAL directory, parsed incrementally; a saved trace's
+    ``meta.json`` adds the loss it was saved with) must be given.  Every
+    ``window`` raw records the pass probes:
     ``max_seconds``/``should_stop`` stop it early
     (``stopped_early=True``, candidates found so far are kept);
     ``memory_budget_mb`` forces an extra compaction whenever process
@@ -655,6 +656,11 @@ def detect_races_streaming(
             "since the checkpoint was written"
         )
     result = session.finish()
+    meta = read_meta(wal_dir) if wal_dir is not None else None
+    if meta and meta["partial"] and result.confidence == "full":
+        result.confidence = "partial"
+    if meta and meta["sampled_dropped"]:  # as in ``finish``: if any dropped
+        result.confidence = "sampled"
     result.stopped_early = stopped_early
     result.rss_high_water_mb = round(max(rss_high, process_rss_mb()), 1)
     rss_gauge.set(result.rss_high_water_mb)

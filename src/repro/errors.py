@@ -52,11 +52,11 @@ class HangError(ReproError):
 
 
 class TraceFormatError(ReproError):
-    """A serialized trace (JSON lines or WAL) could not be decoded.
+    """A trace on disk (a WAL directory) could not be decoded.
 
-    Raised for malformed JSON, records with missing fields, and unknown
-    schema versions.  The CLI catches it and exits with a one-line error
-    (status 2), matching the ``UnknownBenchmarkError`` convention.  The
+    Raised for malformed records, unknown schema versions and, by the
+    strict ``Trace.load``, any damage (named by file and byte offset).
+    The CLI catches it and exits with a one-line error (status 2).  The
     WAL *salvage* path never raises it — damaged records are quarantined
     into the ``SalvageReport`` instead.
     """
@@ -66,9 +66,9 @@ class CheckpointError(ReproError):
     """A checkpoint directory could not be used for resume.
 
     Raised for a missing/unreadable manifest, a stale checkpoint schema
-    version, a config- or trace-fingerprint mismatch, and payload CRC
-    damage.  The CLI catches it and exits with a one-line error
-    (status 2), matching the ``TraceFormatError`` convention.
+    version, a config-fingerprint mismatch, payload CRC damage, and a
+    damaged checkpointed trace.  The CLI catches it and exits with a
+    one-line error (status 2), matching the ``TraceFormatError`` convention.
     """
 
 

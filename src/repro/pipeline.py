@@ -104,12 +104,12 @@ class PipelineConfig:
     #: Checkpoint/resume: when set, the two stages that cost a
     #: re-execution of the workload — the trace and the trigger verdicts
     #: (one log line per report) — are serialized under this directory
-    #: (manifest + CRC-checked payloads), and SIGINT/SIGTERM seal the
-    #: checkpoint before exiting.
+    #: (manifest, the trace as a WAL directory, CRC-checked payloads),
+    #: and SIGINT/SIGTERM seal the checkpoint before exiting.
     checkpoint_dir: Optional[str] = None
-    #: Resume from ``checkpoint_dir``: validate the manifest against
-    #: this config and the trace, restore the trace and every logged
-    #: verdict, recompute the analysis, and trigger what is left.
+    #: Resume from ``checkpoint_dir``: validate the manifest against this
+    #: config, restore the trace and every logged verdict, recompute the
+    #: analysis, and trigger what is left.
     resume: bool = False
     #: Wall-clock deadline per stage (seconds).  Cooperative: detection
     #: polls it once per access of a write-bearing location, triggering
@@ -461,12 +461,9 @@ class DCatch:
         if store is not None and store.stage_completed("trace"):
             payload = restore("trace")
             trace, base_result, monitored_result = ckpt.restore_trace_stage(
-                payload
+                store, payload
             )
-            store.check_trace_fingerprint(
-                ckpt.trace_fingerprint(trace.dump_thread_files())
-            )
-            timings.update(payload.get("timings", {}))
+            timings.update(payload["timings"])
         else:
             started = time.perf_counter()
             budget = StageBudget("trace", started, config.max_stage_seconds)
@@ -486,13 +483,9 @@ class DCatch:
             budget.exceeded()
             if store is not None:
                 payload = ckpt.trace_stage_payload(
-                    trace, base_result, monitored_result
+                    trace, base_result, monitored_result, timings
                 )
-                payload["timings"] = {
-                    key: timings[key]
-                    for key in ("base_seconds", "tracing_seconds")
-                }
-                store.seal_stage("trace", payload)
+                store.seal_stage("trace", payload, trace)
             stage_status["trace"] = "ok"
 
         detection = None
@@ -606,7 +599,7 @@ class DCatch:
                 validated = False
                 if store is not None:
                     done = {
-                        entry["report_id"]: entry
+                        tuple(entry["pair"]): entry
                         for entry in store.load_shards("trigger")
                     }
                     trigger_log = store.shard_log("trigger")
@@ -626,15 +619,10 @@ class DCatch:
                     # Strongest-evidence-first: under a deadline the
                     # reports left UNKNOWN are the weakest tier.
                     for report in prioritize_reports(reports):
-                        entry = done.get(report.report_id)
-                        # ``report_id`` is an ordinal into a detection
-                        # just recomputed: a verdict logged for another
-                        # pair is not this report's (logs from before
-                        # ``pair`` was written are taken on the id).
-                        if entry is not None and entry.get("pair") in (
-                            None,
-                            ckpt.outcome_pair(report),
-                        ):
+                        # Verdicts are logged under their pair: ``report_id``
+                        # is an ordinal into a detection just recomputed.
+                        entry = done and done.get(tuple(ckpt.outcome_pair(report)))
+                        if entry:
                             outcomes.append(
                                 ckpt.outcome_from_dict(entry, report)
                             )
@@ -669,9 +657,7 @@ class DCatch:
                 if store.stage_completed("trigger") and not validated:
                     # Every verdict came from the log: the stage was not
                     # re-run, so it keeps the time the original took.
-                    timings["trigger_seconds"] = restore("trigger").get(
-                        "seconds", 0.0
-                    )
+                    timings["trigger_seconds"] = restore("trigger")["seconds"]
                 else:
                     store.seal_stage(
                         "trigger",

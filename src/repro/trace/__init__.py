@@ -11,7 +11,6 @@ from repro.trace.records import (
     TRACE_SCHEMA_VERSION,
     category_of,
     dump_records,
-    load_records,
     record_from_dict,
     record_to_dict,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
     "dump_records",
-    "load_records",
     "CATEGORY_MEM",
     "CATEGORY_RPC",
     "CATEGORY_SOCKET",

@@ -7,15 +7,15 @@ This module adds:
 
 * category classification (Table 7's breakdown: Mem / RPC / Socket /
   Event / Thread / Lock / Push);
-* JSON-lines serialization so traces behave like the paper's per-thread
-  trace *files* (and so Table 6 can report trace sizes in bytes).
+* the record's JSON form, which the WAL frames (``repro.trace.wal``) and
+  whose size Table 6 reports as the trace size.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 from repro.errors import TraceFormatError
 from repro.ids import CallStack, Frame
@@ -164,23 +164,6 @@ def _untuple(value: Any) -> Any:
 
 
 def dump_records(records: Iterable[OpEvent]) -> str:
-    """Serialize records as JSON lines (one trace 'file')."""
+    """Records as JSON lines: the byte count behind Table 6's trace
+    size, and a stable text to compare two traces by."""
     return "\n".join(json.dumps(record_to_dict(r)) for r in records)
-
-
-def load_records(text: str) -> List[OpEvent]:
-    records: List[OpEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"line {lineno}: malformed trace JSON ({exc.msg})"
-            ) from exc
-        try:
-            records.append(record_from_dict(data))
-        except TraceFormatError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return records

@@ -2,19 +2,25 @@
 
 The paper writes one trace file per thread of every process of every node
 (Section 3.1); the analyzer then merges them.  ``Trace`` keeps both views:
-``per_thread`` preserves the file structure (and serializes to JSON lines
-per thread), while ``records`` is the merged, seq-ordered stream the HB
-analysis consumes.
+``per_thread`` preserves the file structure, while ``records`` is the
+merged, seq-ordered stream the HB analysis consumes.  On disk a trace is
+a WAL directory (``repro.trace.wal``): one segment stream per thread.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
+import os
+import shutil
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
+from repro.errors import TraceFormatError
+from repro.framing import Damage, atomic_write, decode_document, encode_document
 from repro.runtime.ops import MEM_KINDS, OpEvent, OpKind
-from repro.trace.records import category_of, dump_records, load_records
+from repro.trace.records import category_of, dump_records
+from repro.trace.wal import WalSink, list_stream_segments, segment_header, stream_dir
 
 
 class Trace:
@@ -76,16 +82,9 @@ class Trace:
         return [r for r in self.records if r.kind in wanted]
 
     def by_seq(self, seq: int) -> Optional[OpEvent]:
-        lo, hi = 0, len(self.records) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            value = self.records[mid].seq
-            if value == seq:
-                return self.records[mid]
-            if value < seq:
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        i = bisect.bisect_left(self.records, seq, key=lambda r: r.seq)
+        if i < len(self.records) and self.records[i].seq == seq:
+            return self.records[i]
         return None
 
     # -- statistics (Tables 6 and 7) ------------------------------------------
@@ -105,63 +104,90 @@ class Trace:
 
     # -- serialization ---------------------------------------------------------
 
-    def dump_thread_files(self) -> Dict[int, str]:
-        """One JSON-lines blob per thread, like the paper's trace files."""
-        return {tid: dump_records(recs) for tid, recs in self._by_thread.items()}
-
-    @classmethod
-    def from_thread_files(cls, files: Dict[int, str], name: str = "trace") -> "Trace":
-        trace = cls(name)
-        merged: List[OpEvent] = []
-        for blob in files.values():
-            merged.extend(load_records(blob))
-        merged.sort(key=lambda r: r.seq)
-        for record in merged:
-            trace.append(record)
-        return trace
-
     def save(self, directory: str) -> None:
-        import json
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        for tid, blob in self.dump_thread_files().items():
-            with open(os.path.join(directory, f"thread-{tid}.jsonl"), "w") as fh:
-                fh.write(blob)
-        # Loss metadata lives beside the records: the counters are not
-        # derivable from the surviving records, and stats computed from
-        # a reloaded trace must match the original.
-        meta = {
-            "sampled": self.sampled,
-            "sampling_rate": self.sampling_rate,
-            "sampled_dropped": self.sampled_dropped,
-            "dropped_mem": self.dropped_mem,
-            "skipped_unbound": self.skipped_unbound,
-            "skipped_untraced": self.skipped_untraced,
-        }
-        with open(os.path.join(directory, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+        """Write the trace as a WAL directory, one sealed segment per
+        stream, plus ``meta.json`` (loss counters, records per stream),
+        replacing any trace in ``directory``; all of it is fsynced."""
+        for node, tid in list_stream_segments(directory):
+            shutil.rmtree(stream_dir(directory, node, tid))
+        sink = WalSink(directory, len(self.records) + 1, on_seal=_fsync)
+        for record in self.records:
+            sink.append(record)
+        sink.close()
+        meta = {key: getattr(self, key) for key in _META}
+        meta["streams"] = Counter(f"{r.node}/thread-{r.tid}" for r in self.records)
+        blob = encode_document(json.dumps(meta, sort_keys=True).encode())
+        atomic_write(os.path.join(directory, "meta.json"), blob)
 
     @classmethod
     def load(cls, directory: str, name: str = "trace") -> "Trace":
-        import json
-        import os
+        """Read a trace :meth:`save` wrote.  Strict: any damage, a missing
+        file included, raises ``TraceFormatError`` naming the file and
+        byte offset; ``salvage_trace`` is the tolerant reader."""
+        from repro.trace.salvage import salvage_trace
 
-        files = {}
-        for entry in sorted(os.listdir(directory)):
-            if entry.startswith("thread-") and entry.endswith(".jsonl"):
-                tid = int(entry[len("thread-"):-len(".jsonl")])
-                with open(os.path.join(directory, entry)) as fh:
-                    files[tid] = fh.read()
-        trace = cls.from_thread_files(files, name)
-        meta_path = os.path.join(directory, "meta.json")
-        if os.path.exists(meta_path):  # pre-sampling saves have no meta
-            with open(meta_path) as fh:
-                meta = json.load(fh)
-            trace.sampled = bool(meta.get("sampled", False))
-            trace.sampling_rate = meta.get("sampling_rate")
-            trace.sampled_dropped = dict(meta.get("sampled_dropped", {}))
-            trace.dropped_mem = int(meta.get("dropped_mem", 0))
-            trace.skipped_unbound = int(meta.get("skipped_unbound", 0))
-            trace.skipped_untraced = int(meta.get("skipped_untraced", 0))
+        meta = read_meta(directory) or {}
+        streams = list_stream_segments(directory)
+        trace, report = cls(name), None
+        if streams:  # an empty trace is a bare meta.json
+            trace, report = salvage_trace(directory, name)
+        damage = _first_damage(directory, streams, report, meta.get("streams"))
+        if damage is not None:
+            raise TraceFormatError(f"damaged trace {directory}: {damage}")
+        for key in _META:
+            setattr(trace, key, meta[key])
         return trace
+
+
+#: Loss counters no record can tell; ``save`` keeps them beside the streams.
+_META = ("partial", "sampled", "sampling_rate", "sampled_dropped",
+         "dropped_mem", "skipped_unbound", "skipped_untraced")
+
+
+def read_meta(directory: str) -> Optional[Dict[str, Any]]:
+    """A saved trace's loss counters and records per stream; None when a
+    WAL has none (the tracer's).  ``TraceFormatError`` if damaged."""
+    path = os.path.join(directory, "meta.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        payload = decode_document(fh.read())
+    if isinstance(payload, Damage):
+        raise TraceFormatError(
+            f"damaged trace {directory}: meta.json byte 0: {payload.detail}"
+        )
+    return json.loads(payload)
+
+
+def _fsync(_node: str, _tid: int, _index: int, path: str) -> None:
+    with open(path, "rb") as fh:
+        os.fsync(fh.fileno())
+
+
+def _first_damage(directory: str, streams: Dict, report, expected) -> Optional[str]:
+    """Where a strict reader stops: a quarantined line, no ``meta.json``,
+    a stream that is not one sealed ``seg-0000.wal`` under its own
+    header, or streams and record counts other than ``meta.json``'s."""
+    if report is not None and report.quarantined:
+        first = report.quarantined[0]
+        return f"{first.path} byte {first.byte_start}: {first.reason}"
+    if expected is None:
+        return "meta.json byte 0: no such file"
+    for (node, tid), paths in streams.items():
+        key = f"{node}/thread-{tid}"
+        thread = report.threads[key]
+        if len(paths) != 1 or thread.missing_segments:
+            return f"{key} byte 0: not one segment seg-0000.wal"
+        where = os.path.relpath(paths[0], directory)
+        if thread.unsealed_segments:
+            return f"{where} byte {os.path.getsize(paths[0])}: segment is not sealed"
+        header = segment_header(node, tid, 0)
+        with open(paths[0], "rb") as fh:
+            if fh.read(len(header)) != header:
+                return f"{where} byte 0: not this segment's header"
+        listed = expected.pop(key, 0)
+        if thread.records_recovered != listed:
+            return f"{where} byte 0: not the {listed} records meta.json lists"
+    if expected:
+        return f"{min(expected)} byte 0: missing stream meta.json lists"
+    return None

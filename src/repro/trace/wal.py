@@ -79,6 +79,19 @@ def segment_index(path: str) -> Optional[int]:
     return int(match.group(1)) if match else None
 
 
+def segment_header(node: str, tid: int, index: int) -> bytes:
+    """The ``H`` line that opens segment ``index`` of a stream."""
+    header = {
+        "format": WAL_FORMAT,
+        "wal_version": WAL_VERSION,
+        "record_version": TRACE_SCHEMA_VERSION,
+        "node": node,
+        "tid": tid,
+        "segment": index,
+    }
+    return b"H " + _encode_json(header).encode() + b"\n"
+
+
 class WalWriter:
     """Append-only segmented log for one (node, thread) stream."""
 
@@ -119,15 +132,7 @@ class WalWriter:
         path = os.path.join(self.directory, segment_name(self._segment_index))
         self._segment_path = path
         self._fh = open(path, "wb")
-        header = {
-            "format": WAL_FORMAT,
-            "wal_version": WAL_VERSION,
-            "record_version": TRACE_SCHEMA_VERSION,
-            "node": self.node,
-            "tid": self.tid,
-            "segment": self._segment_index,
-        }
-        line = b"H " + _encode_json(header).encode() + b"\n"
+        line = segment_header(self.node, self.tid, self._segment_index)
         self._fh.write(line)
         self.bytes_written += len(line)
 

@@ -19,8 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
-from repro.trace.records import record_to_dict
-from repro.trace.wal import WalWriter
+from repro.trace.wal import WalSink
 from repro.workload.spec import (
     PRESETS,
     SYSTEM_FLAVORS,
@@ -94,17 +93,15 @@ class GeneratedWorkload:
 
 
 class _Emitter:
-    """Allocates global sequence numbers and routes records to per-stream
-    WAL writers."""
+    """Allocates global sequence numbers and hands records to the WAL
+    sink, which routes them to one writer per stream."""
 
     def __init__(self, wal_dir: str, segment_records: int, source: str) -> None:
-        self.wal_dir = wal_dir
-        self.segment_records = segment_records
+        self.sink = WalSink(wal_dir, segment_records, flush_every=256)
         self.source = source
         self.seq = 0
         self.hb_records = 0
         self.mem_records = 0
-        self._writers: Dict[Tuple[str, int], WalWriter] = {}
         self._stacks: Dict[str, CallStack] = {}
 
     def _stack(self, role: str) -> CallStack:
@@ -142,24 +139,8 @@ class _Emitter:
             self.mem_records += 1
         else:
             self.hb_records += 1
-        key = (node, tid)
-        writer = self._writers.get(key)
-        if writer is None:
-            writer = WalWriter(
-                self.wal_dir,
-                node,
-                tid,
-                segment_records=self.segment_records,
-                flush_every=256,
-            )
-            self._writers[key] = writer
-        writer.append(record_to_dict(event))
+        self.sink.append(event)
         return self.seq
-
-    def close(self) -> int:
-        for writer in self._writers.values():
-            writer.close()
-        return len(self._writers)
 
 
 def generate_workload(
@@ -334,7 +315,7 @@ def generate_workload(
                 }
             )
 
-    streams = emitter.close()
+    emitter.sink.close()
     result = GeneratedWorkload(
         system=system,
         preset=spec.preset,
@@ -346,7 +327,7 @@ def generate_workload(
         records=emitter.seq,
         hb_records=emitter.hb_records,
         mem_records=emitter.mem_records,
-        streams=streams,
+        streams=spec.workers + 1,  # the coordinator's and one per worker
         planted_races=planted,
         ordered_pairs=ordered,
     )

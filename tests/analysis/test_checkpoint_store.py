@@ -10,7 +10,6 @@ from repro.analysis.checkpoint import (
     CheckpointStore,
     ShardLog,
     _scan_shard_file,
-    trace_fingerprint,
 )
 from repro.errors import CheckpointError
 
@@ -107,16 +106,6 @@ def test_load_incomplete_stage_raises(tmp_path):
         store.load_stage("detect")
 
 
-def test_trace_fingerprint_mismatch_raises(tmp_path):
-    store = _store(tmp_path)
-    store.seal_stage("trace", {"thread_files": {"1": "a record"}})
-    fingerprint = trace_fingerprint({1: "a record"})
-    assert store.manifest["trace_fingerprint"] == fingerprint
-    store.check_trace_fingerprint(fingerprint)  # matching: fine
-    with pytest.raises(CheckpointError, match="trace fingerprint"):
-        store.check_trace_fingerprint("deadbeef")
-
-
 def test_shard_log_roundtrip_and_torn_tail(tmp_path):
     path = str(tmp_path / "shards.jsonl")
     log = ShardLog(path)
@@ -151,19 +140,25 @@ def test_shard_log_missing_file_is_empty(tmp_path):
 
 
 def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):
-    """A non-resume run reusing a checkpoint directory owns it: stage
-    payloads and shard files from the previous run must not leak into
-    (or be merged with) the new run's results."""
+    """A non-resume run reusing a checkpoint directory owns it: the
+    trace, stage payloads and shard files from the previous run must
+    not leak into (or be merged with) the new run's results."""
+    from repro.ids import CallStack
+    from repro.runtime.ops import OpEvent, OpKind
+    from repro.trace import Trace
+
+    trace = Trace()
+    trace.append(
+        OpEvent(seq=1, kind=OpKind.MEM_READ, obj_id="x", node="n", tid=0,
+                thread_name="t", segment=0, callstack=CallStack([]))
+    )
     store = _store(tmp_path)
-    store.seal_stage("trace", {"thread_files": {}})
+    store.seal_stage("trace", {"name": "trace"}, trace)
     store.shard_log("trigger").append({"report_id": 3})
     store.seal()
-    # what a run before the analysis became recompute-only left behind
-    legacy = ["hb.json", "reach.json", "detect.json", "prune.json"]
-    legacy += [f"{name}.tmp" for name in legacy] + ["detect-shards.jsonl"]
-    for name in legacy:
-        with open(os.path.join(store.directory, name), "w") as fh:
-            fh.write("stale")
+    assert sorted(os.listdir(store.directory)) == [
+        "manifest.json", "trace", "trace.json", "trigger-outcomes.jsonl"
+    ]
 
     fresh = _store(tmp_path)  # same directory, resume=False
     assert not fresh.stage_completed("trace")
@@ -203,8 +198,7 @@ def test_shard_log_registered_incomplete_in_manifest(tmp_path):
 
 def test_config_fingerprint_tracks_sampling_policy():
     """Resuming a sampled run under a different policy/seed would feed
-    the detector a different record set; sampling off must keep the
-    pre-sampling fingerprint so old checkpoints stay resumable."""
+    the detector a different record set."""
     from repro.analysis.checkpoint import config_fingerprint
     from repro.pipeline import PipelineConfig
 
@@ -218,21 +212,3 @@ def test_config_fingerprint_tracks_sampling_policy():
         sampling="0.1", sampling_seed=2
     )
     assert fp(sampling="0.1") == fp(sampling="0.1")
-
-
-def test_config_fingerprint_matches_parent_checkpoints():
-    """The reachability selector and the backbone-compression switch
-    left ``PipelineConfig`` but stay in the fingerprint as constants:
-    these literals were computed at the commit that still had both
-    fields, so a checkpoint written there resumes here."""
-    from repro.analysis.checkpoint import config_fingerprint
-    from repro.pipeline import PipelineConfig
-
-    assert config_fingerprint("ZK-1144", PipelineConfig()) == "d146ada3e7e313c9"
-    assert config_fingerprint("CA-1011", PipelineConfig()) == "46d617b25efc4016"
-    assert (
-        config_fingerprint(
-            "ZK-1144", PipelineConfig(detect_mode="streaming", trigger=False)
-        )
-        == "9fd52fe97a1390af"
-    )

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.ops import MEM_KINDS
-from repro.trace import FullScope, Tracer, build_sampler
+from repro.trace import FullScope, Tracer, build_sampler, dump_records
 
 SPECS = st.sampled_from(
     [
@@ -66,7 +66,7 @@ def test_fixed_policy_and_seed_are_byte_identical(recipe, spec, seed):
     full = build_trace(recipe)
     first = _replay(full, build_sampler(spec, seed))
     second = _replay(full, build_sampler(spec, seed))
-    assert first.dump_thread_files() == second.dump_thread_files()
+    assert dump_records(first.records) == dump_records(second.records)
 
 
 @given(recipe=STEPS)
@@ -76,4 +76,4 @@ def test_rate_one_is_byte_identical_to_unsampled(recipe):
     plain = _replay(full)
     sampled = _replay(full, build_sampler("1.0"))
     assert sampled.sampled is False
-    assert sampled.dump_thread_files() == plain.dump_thread_files()
+    assert dump_records(sampled.records) == dump_records(plain.records)

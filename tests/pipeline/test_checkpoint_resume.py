@@ -8,6 +8,7 @@ from repro.detect.export import dump_reports
 from repro.errors import CheckpointError
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
+from repro.trace import record_to_dict
 
 
 def _reports_json(result):
@@ -59,62 +60,6 @@ def _store(ckdir, bug, config, resume=True):
         config_fp=config_fingerprint(bug, config),
         resume=resume,
     )
-
-
-def test_resume_ignores_legacy_stage_files(tmp_path):
-    """A directory written while ``hb``, ``reach``, ``detect`` and
-    ``prune`` were also sealed resumes from its trace and verdicts:
-    those entries are never opened, so neither a payload from the
-    removed chain backend, nor a detect payload that disagrees with the
-    trace (and carries the old ``workers`` / ``auto_decision`` keys),
-    nor a junk shard log can block or bend the result."""
-    import os
-
-    ckdir = str(tmp_path / "ck")
-    config = PipelineConfig(checkpoint_dir=ckdir)
-    full = DCatch(workload_by_id("ZK-1144"), config).run()
-
-    store = _store(ckdir, "ZK-1144", config)
-    store.seal_stage(
-        "hb", {"compress_mem": True, "backbone": [10**9], "succ": [[]]}
-    )
-    store.seal_stage("reach", {"backend": "chain", "vertices": 0, "rows": []})
-    store.seal_stage(
-        "detect",
-        {
-            "candidates": [[1, 2], [10**9, 3]],
-            "pairs_examined": 7,
-            "truncated_locations": [],
-            "workers": 2,
-            "stopped_early": False,
-            "auto_decision": "parallel",
-            "confidence": "full",
-            "analysis_seconds": 0.25,
-            "sp_pairs": None,
-        },
-    )
-    store.seal_stage(
-        "prune",
-        {
-            "decisions": [{"report_id": 99, "keep": True, "reasons": []}],
-            "seconds": 1.0,
-        },
-    )
-    store.seal()
-    with open(os.path.join(ckdir, "detect-shards.jsonl"), "wb") as fh:
-        fh.write(b"not a framed line\n")
-
-    resumed = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(checkpoint_dir=ckdir, resume=True),
-    ).run()
-    assert resumed.stages_skipped == ["trace", "trigger"]
-    assert not resumed.degraded
-    assert _reports_json(resumed) == _reports_json(full)
-    assert resumed.detection.pairs_examined == full.detection.pairs_examined
-    # a resumed run reports its own analysis time, not a stored one
-    assert resumed.timings["analysis_seconds"] != 0.25
-    assert resumed.timings["pruning_seconds"] != 1.0
 
 
 @pytest.mark.parametrize("bug", ["CA-1011", "ZK-1144"])
@@ -206,95 +151,33 @@ def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
     assert _reports_json(again) == _reports_json(clean)
 
 
-def test_outcomes_logged_without_a_pair_are_restored_by_id(tmp_path):
-    """Logs written before ``pair`` existed carry only ``report_id``."""
-    ckdir = str(tmp_path / "ck")
-    config = PipelineConfig(checkpoint_dir=ckdir)
-    clean = DCatch(workload_by_id("ZK-1144"), config).run()
-
-    def strip(entries):
-        by_id = {r.report_id: r for r in clean.reports}
-        for entry in entries:
-            first, second = by_id[entry["report_id"]].representative.accesses()
-            assert entry.pop("pair") == [first.seq, second.seq]
-
-    _rewrite_trigger_log(ckdir, config, strip)
-    resumed = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(checkpoint_dir=ckdir, resume=True),
-    ).run()
-    assert resumed.stages_skipped == ["trace", "trigger"]
-    assert "trigger_runs_total" not in resumed.metrics
-    assert _reports_json(resumed) == _reports_json(clean)
-
-
-def test_trace_is_never_completed_without_its_fingerprint(
+def test_trace_is_never_completed_without_a_loadable_trace_dir(
     tmp_path, monkeypatch
 ):
-    """Every manifest revision that lists ``trace`` completed carries
-    the trace fingerprint: a kill between two manifest writes used to
-    leave a sealed trace whose fingerprint check passes vacuously."""
+    """Every manifest revision that lists ``trace`` completed has a
+    ``trace/`` directory the strict ``Trace.load`` accepts: the trace is
+    saved (and fsynced) before the manifest says so."""
     from repro.analysis import checkpoint as ckpt
+    from repro.trace import Trace
 
-    revisions = []
+    ckdir = tmp_path / "ck"
+    loaded = []
     real_write = ckpt.CheckpointStore._write_manifest
 
-    def recording_write(self):
-        revisions.append(json.loads(json.dumps(self.manifest)))
+    def checking_write(self):
+        if self.manifest["stages"].get("trace", {}).get("completed"):
+            loaded.append(len(Trace.load(str(ckdir / "trace"))))
         real_write(self)
 
     monkeypatch.setattr(
-        ckpt.CheckpointStore, "_write_manifest", recording_write
+        ckpt.CheckpointStore, "_write_manifest", checking_write
     )
-    ckdir = str(tmp_path / "ck")
-    DCatch(
+    result = DCatch(
         workload_by_id("ZK-1144"),
-        PipelineConfig(trigger=False, checkpoint_dir=ckdir),
+        PipelineConfig(checkpoint_dir=str(ckdir)),
     ).run()
-    sealed = [
-        m for m in revisions if m["stages"].get("trace", {}).get("completed")
-    ]
-    assert sealed
-    assert all(m["trace_fingerprint"] for m in sealed)
-    assert sealed[-1]["trace_fingerprint"] == json.load(
-        open(tmp_path / "ck" / "manifest.json")
-    )["trace_fingerprint"]
-
-
-def test_parent_manifest_with_null_trace_fingerprint_still_resumes(tmp_path):
-    ckdir = tmp_path / "ck"
-    config = PipelineConfig(trigger=False, checkpoint_dir=str(ckdir))
-    first = DCatch(workload_by_id("ZK-1144"), config).run()
-    manifest = json.load(open(ckdir / "manifest.json"))
-    manifest["trace_fingerprint"] = None
-    (ckdir / "manifest.json").write_text(json.dumps(manifest))
-    resumed = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(trigger=False, checkpoint_dir=str(ckdir), resume=True),
-    ).run()
-    assert resumed.stages_skipped == ["trace"]
-    assert _reports_json(resumed) == _reports_json(first)
-
-
-def test_trace_fingerprint_is_append_order_independent():
-    """HB-4539's live trace appends records out of seq order; the
-    restored (seq-sorted) trace must still match its fingerprint."""
-    from repro.analysis import checkpoint as ckpt
-
-    dcatch = DCatch(workload_by_id("HB-4539"), PipelineConfig(trigger=False))
-    base = dcatch.run_base()
-    monitored, trace = dcatch.run_traced()
-    payload = json.loads(
-        json.dumps(ckpt.trace_stage_payload(trace, base, monitored))
-    )
-    restored, _, _ = ckpt.restore_trace_stage(payload)
-    assert ckpt.trace_fingerprint(
-        restored.dump_thread_files()
-    ) == ckpt.trace_fingerprint(trace.dump_thread_files())
-    # a payload's JSON keys are strings: same fingerprint
-    assert ckpt.trace_fingerprint(
-        payload["thread_files"]
-    ) == ckpt.trace_fingerprint(trace.dump_thread_files())
+    # the trace seal, the trigger log's registration, the trigger seal
+    assert loaded == [len(result.trace)] * 3
 
 
 def test_resume_without_checkpoint_dir_raises():
@@ -318,6 +201,7 @@ def test_checkpoint_overhead_files_on_disk(tmp_path):
         assert len(manifest["stages"][stage]["crc"]) == 8
     assert sorted(p.name for p in ckdir.iterdir()) == [
         "manifest.json",
+        "trace",
         "trace.json",
         "trigger-outcomes.jsonl",
         "trigger.json",
@@ -435,22 +319,27 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
 def test_fresh_run_ignores_stale_checkpoint_directory(tmp_path):
     """Re-running *without* --resume in a used checkpoint directory —
     exactly what the mismatch errors advise — must rebuild from scratch,
-    not merge shard results computed from a different trace/config."""
+    not merge a trace or verdicts from a different run.  HB-4539 goes
+    first: its twelve streams outnumber ZK-1144's, so any stream left
+    behind would merge into the next trace."""
     import os
 
+    from repro.trace import Trace
+
     ckdir = str(tmp_path / "ck")
-    os.makedirs(ckdir)
-    # what a run before the analysis became recompute-only left behind
-    legacy = ["hb.json", "reach.json", "detect.json", "prune.json"]
-    legacy += [f"{name}.tmp" for name in legacy] + ["detect-shards.jsonl"]
-    for name in legacy:
-        with open(os.path.join(ckdir, name), "w") as fh:
-            fh.write("stale")
+    DCatch(
+        workload_by_id("HB-4539"),
+        PipelineConfig(trigger=False, checkpoint_dir=ckdir),
+    ).run()
     reference = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir),
     ).run()
-    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace.json"]
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace", "trace.json"]
+    saved = Trace.load(os.path.join(ckdir, "trace"))
+    assert [record_to_dict(r) for r in saved.records] == [
+        record_to_dict(r) for r in reference.trace.records
+    ]
 
     # different benchmark, same directory: its trace and verdicts do not
     # belong to ZK-1144
@@ -465,3 +354,9 @@ def test_fresh_run_ignores_stale_checkpoint_directory(tmp_path):
     ).run()
     assert again.stages_skipped == []
     assert _reports_json(again) == _reports_json(reference)
+    resumed = DCatch(
+        workload_by_id("ZK-1144"),
+        PipelineConfig(trigger=False, checkpoint_dir=ckdir, resume=True),
+    ).run()
+    assert resumed.stages_skipped == ["trace"]
+    assert _reports_json(resumed) == _reports_json(reference)

@@ -117,7 +117,7 @@ def test_sigkill_mid_detect_resumes_byte_identical(tmp_path, clean_reports):
             proc.kill()
 
     assert list(_manifest(ckdir)["stages"]) == ["trace"]
-    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace.json"]
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace", "trace.json"]
 
     saved = str(tmp_path / "reports.json")
     code, out, err = _run_cli(

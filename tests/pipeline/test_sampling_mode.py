@@ -10,6 +10,7 @@ import pytest
 
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
+from repro.trace import dump_records
 
 
 def _run(**kwargs):
@@ -35,13 +36,17 @@ def test_rate_one_sampling_matches_unsampled_run():
     assert sampled.trace.sampled is False
     assert sampled.detection.confidence == plain.detection.confidence
     assert _pairs(sampled) == _pairs(plain)
-    assert sampled.trace.dump_thread_files() == plain.trace.dump_thread_files()
+    assert dump_records(sampled.trace.records) == dump_records(
+        plain.trace.records
+    )
 
 
 def test_sampled_runs_are_reproducible():
     first = _run(sampling="0.3", sampling_seed=4)
     second = _run(sampling="0.3", sampling_seed=4)
-    assert first.trace.dump_thread_files() == second.trace.dump_thread_files()
+    assert dump_records(first.trace.records) == dump_records(
+        second.trace.records
+    )
     assert _pairs(first) == _pairs(second)
 
 

@@ -1,5 +1,7 @@
 """The dcatch command-line interface."""
 
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,8 +38,7 @@ def test_trace_command(tmp_path, capsys):
     assert main(["trace", "ZK-1270", "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert "saved" in out
-    files = list(out_dir.glob("thread-*.jsonl"))
-    assert files
+    assert list(out_dir.glob("*/thread-*/seg-0000.wal"))
 
     from repro.trace import Trace
 
@@ -143,12 +144,14 @@ def test_metrics_command_json(capsys):
     assert snapshot["pipeline_runs_total"]["value"] == 1
 
 
-def test_trace_stats_flag(capsys):
-    assert main(["trace", "ZK-1270", "--stats", "--out", ""]) == 0
+def test_trace_stats_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "ZK-1270", "--stats"]) == 0
     out = capsys.readouterr().out
     assert "by category:" in out
     assert "bytes by category:" in out
     assert "hb ops:" in out
+    assert list(tmp_path.iterdir()) == []  # nothing saved without --out
 
 
 def test_trace_load_roundtrip(tmp_path, capsys):
@@ -162,14 +165,69 @@ def test_trace_load_roundtrip(tmp_path, capsys):
 
 
 def test_trace_load_malformed_json_exits_2(tmp_path, capsys):
-    bad = tmp_path / "broken"
-    bad.mkdir()
-    (bad / "thread-0.jsonl").write_text('{"seq": 1, "kind": "mem_read"\nnot json\n')
-    assert main(["trace", "--load", str(bad)]) == 2
+    """A frame whose CRC holds but whose payload is not a record."""
+    from repro.framing import crc32, encode_line, encode_seal
+    from repro.trace.wal import segment_header
+
+    stream = tmp_path / "broken" / "n" / "thread-0"
+    stream.mkdir(parents=True)
+    header = segment_header("n", 0, 0)
+    line = encode_line(b"R", b"not json")
+    seal = encode_seal(1, crc32(b"not json"))
+    (stream / "seg-0000.wal").write_bytes(header + line + seal)
+    assert main(["trace", "--load", str(tmp_path / "broken")]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
-    assert "line 1" in err  # points at the malformed line
+    # points at the file and the byte offset of the malformed line
+    where = f"n/thread-0/seg-0000.wal byte {len(header)}"
+    assert f"{where}: payload is not valid JSON" in err
+
+
+def test_saved_trace_streams_with_its_sampled_confidence(tmp_path, capsys):
+    out_dir = str(tmp_path / "trace")
+    assert main(
+        ["trace", "ZK-1144", "--sampling", "0.1", "--out", out_dir]
+    ) == 0
+    capsys.readouterr()
+    assert main(["stream", out_dir]) == 0
+    assert "  confidence: sampled" in capsys.readouterr().out
+
+
+def test_saved_trace_that_sampling_thinned_nothing_streams_full(
+    tmp_path, capsys
+):
+    """A budget no location exceeds drops no record: the saved trace is
+    marked ``sampled`` (the sampler could drop) but streams as complete."""
+    out_dir = str(tmp_path / "trace")
+    assert main(
+        ["trace", "ZK-1144", "--sampling", "budget:100000", "--out", out_dir]
+    ) == 0
+    capsys.readouterr()
+    assert main(["stream", out_dir]) == 0
+    assert "  confidence: full" in capsys.readouterr().out
+
+
+def test_salvaged_trace_streams_with_its_partial_confidence(
+    tmp_path, capsys
+):
+    from repro.trace.wal import list_stream_segments
+
+    wal_root = tmp_path / "wal"
+    assert main(
+        ["run", "ZK-1270", "--no-trigger", "--trace-dir", str(wal_root)]
+    ) == 0
+    wal_dir = str(wal_root / "ZK-1270" / "seed-0")
+    paths = next(iter(list_stream_segments(wal_dir).values()))
+    with open(paths[-1], "r+b") as fh:  # tear the seal off one stream
+        fh.truncate(fh.seek(0, 2) - 5)
+    out_dir = str(tmp_path / "salvaged")
+    assert main(["salvage", wal_dir, "--out", out_dir]) == 0
+    assert "DAMAGED" in capsys.readouterr().out
+    assert main(["stream", out_dir]) == 0
+    out = capsys.readouterr().out
+    assert "  confidence: partial" in out
+    assert "damage:" not in out  # the saved WAL itself is clean
 
 
 def test_salvage_command_end_to_end(tmp_path, capsys):
@@ -287,6 +345,75 @@ def test_resume_stale_schema_version_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "stale checkpoint schema version 99" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
+    """A version-1 directory (the trace inside ``trace.json``) is
+    refused in one line; there is no reader for it."""
+    import json as _json
+
+    ckdir = tmp_path / "ck"
+    assert main(
+        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
+    ) == 0
+    capsys.readouterr()
+    path = ckdir / "manifest.json"
+    manifest = _json.loads(path.read_text())
+    manifest.update(version=1, trace_fingerprint="0badf00d")
+    path.write_text(_json.dumps(manifest))
+    code = main(
+        ["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stale checkpoint schema version 1 ")
+    assert "re-run without --resume" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _flip_a_byte(trace_dir):
+    segment = next(trace_dir.glob("*/thread-*/seg-0000.wal"))
+    data = bytearray(segment.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    segment.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _flip_a_byte,
+        lambda trace_dir: shutil.rmtree(next(trace_dir.glob("*/thread-*"))),
+        lambda trace_dir: next(trace_dir.glob("*/thread-*/seg-0000.wal")).unlink(),
+        lambda trace_dir: (trace_dir / "meta.json").unlink(),
+    ],
+    ids=["flipped-byte", "thread-dir-deleted", "segment-deleted", "meta-deleted"],
+)
+def test_resume_with_a_damaged_checkpointed_trace_exits_2(
+    tmp_path, capsys, damage
+):
+    """A checkpointed trace that lost a byte, a stream, a segment or its
+    ``meta.json`` is refused, never resumed as a smaller trace."""
+    ckdir = tmp_path / "ck"
+    assert main(
+        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
+    ) == 0
+    capsys.readouterr()
+    damage(ckdir / "trace")
+    code = main(
+        [
+            "run",
+            "ZK-1144",
+            "--no-trigger",
+            "--checkpoint-dir",
+            str(ckdir),
+            "--resume",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: damaged trace {ckdir / 'trace'}: ")
+    assert err.rstrip().endswith("; re-run without --resume")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -6,13 +6,13 @@ import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
-from repro.trace import Trace, dump_records, load_records, record_from_dict, record_to_dict
+from repro.trace import Trace, record_from_dict, record_to_dict
 from repro.trace import records as records_module
 from repro.trace.records import TRACE_SCHEMA_VERSION, _untuple
 
@@ -74,15 +74,38 @@ def test_single_record_roundtrip(event):
 
 
 @settings(max_examples=40, deadline=None)
-@given(events=st.lists(_events, max_size=20))
-def test_record_stream_roundtrip(events):
+@example(events=[], sampled_dropped={}, partial=True, dropped_mem=1)
+@given(
+    events=st.lists(_events, max_size=20),
+    sampled_dropped=st.dictionaries(
+        st.sampled_from(["mem_read", "mem_write"]), st.integers(1, 99)
+    ),
+    partial=st.booleans(),
+    dropped_mem=st.integers(0, 9),
+)
+def test_record_stream_roundtrip(
+    tmp_path_factory, events, sampled_dropped, partial, dropped_mem
+):
+    """``Trace.load(Trace.save(t))`` is ``t``, record for record and in
+    every loss field."""
     # Make seqs unique so ordering is well defined.
     events = [
         replace(e, seq=i + 1) for i, e in enumerate(events)
     ]
-    restored = load_records(dump_records(events))
-    assert [r.seq for r in restored] == [e.seq for e in events]
-    assert [r.kind for r in restored] == [e.kind for e in events]
+    trace = Trace()
+    for event in reversed(events):
+        trace.append(event)
+    trace.partial, trace.dropped_mem = partial, dropped_mem
+    trace.sampled = bool(sampled_dropped)
+    trace.sampled_dropped = sampled_dropped
+    directory = str(tmp_path_factory.mktemp("saved"))
+    trace.save(directory)
+    restored = Trace.load(directory)
+    assert [record_to_dict(r) for r in restored] == [
+        record_to_dict(e) for e in events
+    ]
+    for name in ("partial", "sampled", "sampled_dropped", "dropped_mem"):
+        assert getattr(restored, name) == getattr(trace, name)
 
 
 @settings(max_examples=30, deadline=None)

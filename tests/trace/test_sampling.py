@@ -8,7 +8,7 @@ import pytest
 from repro.ids import CallStack
 from repro.runtime import Cluster, OpKind, sleep
 from repro.runtime.ops import OpEvent
-from repro.trace import FullScope, Tracer, build_sampler
+from repro.trace import FullScope, Tracer, build_sampler, dump_records
 
 
 def _event(seq, kind, location=None, tid=0):
@@ -264,10 +264,14 @@ def test_rate_one_tracer_output_byte_identical():
     plain = _run_workload(sampler=None)
     sampled = _run_workload(sampler=build_sampler("1.0"))
     assert sampled.trace.sampled is False
-    assert sampled.trace.dump_thread_files() == plain.trace.dump_thread_files()
+    assert dump_records(sampled.trace.records) == dump_records(
+        plain.trace.records
+    )
 
 
 def test_fixed_policy_and_seed_reproduce_identical_traces():
     first = _run_workload(sampler=build_sampler("0.3", seed=5))
     second = _run_workload(sampler=build_sampler("0.3", seed=5))
-    assert first.trace.dump_thread_files() == second.trace.dump_thread_files()
+    assert dump_records(first.trace.records) == dump_records(
+        second.trace.records
+    )

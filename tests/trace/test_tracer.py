@@ -145,14 +145,14 @@ def test_selective_scope_keeps_comm_function_extent():
     assert "silent" not in funcs
 
 
-def test_trace_roundtrip_serialization():
+def test_trace_roundtrip_serialization(tmp_path):
     cluster, tracer = _traced_cluster()
     node = cluster.add_node("n")
     var = node.shared_var("x")
     node.spawn(lambda: var.set(5), name="w")
     cluster.run()
-    files = tracer.trace.dump_thread_files()
-    restored = Trace.from_thread_files(files)
+    tracer.trace.save(str(tmp_path))
+    restored = Trace.load(str(tmp_path))
     assert len(restored) == len(tracer.trace)
     assert [r.seq for r in restored] == [r.seq for r in tracer.trace]
     kinds = [r.kind for r in restored]
