@@ -7,17 +7,39 @@ closure grows quadratically with trace length.  This module keeps HB
 state *per open segment* instead, in the style of Roemer & Bond's
 online set-based engine:
 
-* every segment carries a sparse vector clock ``{segment: count}`` —
-  its knowledge of how far into each other segment it is ordered after;
+* every segment carries a vector clock — its knowledge of how far into
+  each other segment it is ordered after — stored copy-on-write so a
+  record costs what changes, not how wide the clock is: the segment's
+  own count is a scalar, and the other segments' counts are a shared,
+  never-mutated *base* plus a small private *delta* of the entries
+  that exceed it.  A base remembers the segment that *folded* it (its
+  origin) and when (its version);
 * an HB *source* op (sock send, thread create/end, rpc create/end,
   zk update, event create) files a snapshot of its segment's clock
-  under its pairing tag; the matching *sink* op (recv, begin, join,
-  pushed) joins that snapshot into its own segment's clock;
+  under its pairing tag: the own count, a reference to the base and a
+  copy of the delta (folded into a new base first once the delta has
+  outgrown ``FOLD_THRESHOLD`` entries);
+* the matching *sink* op (recv, begin, join, pushed) joins that
+  snapshot into its own segment's clock.  When the snapshot's base is
+  empty, is the sink's own base or an older fold from the same origin,
+  or was folded by the sink's segment itself, the sink already knows
+  it and applies only the snapshot's delta and own count; when the
+  sink's base is empty or an older fold from the snapshot base's
+  origin, the sink adopts the snapshot's base and keeps the delta
+  entries that exceed it.  Only a join across two unrelated non-empty
+  bases (say two hubs feeding each other) still costs O(width): the
+  sink then adopts the snapshot's base and carries its own excess in
+  the delta until its next fold;
 * a *frontier* — the componentwise minimum over every live segment
   clock and every unconsumed snapshot — bounds what any future record
   can still be concurrent with.  Accesses at-or-below the frontier can
-  be retired and clock entries at the frontier pruned, which is what
-  keeps memory bounded on unbounded streams.
+  be retired and clock entries at the frontier pruned (each shared
+  base once), which is what keeps memory bounded on unbounded streams.
+
+Every query, the statistics and the checkpoint see the *logical* clock
+— the pointwise maximum of base, delta and own count — so the sharing
+never shows outside this module; a resumed state starts unshared and
+shares again from its next fold.
 
 Two deliberate restrictions versus the batch graph (both recorded on
 the state and surfaced by the streaming detector):
@@ -53,6 +75,10 @@ STREAM_UNSUPPORTED_FAMILIES = ("eserial", "pull")
 #: Frontier value meaning "no live clock can still race with anything".
 _NO_LIVE_CLOCKS = 1 << 62
 
+#: A source whose private delta has more entries than this folds it
+#: into a new shared base before filing its snapshot.
+FOLD_THRESHOLD = 32
+
 #: kind -> (channel it is a sink of, channel it is a source of, model
 #: family, whether it ends its segment: no further record uses its clock)
 _ROLES = {
@@ -72,6 +98,66 @@ _ROLES = {
     OpKind.ZK_UPDATE: (None, "zk", "push", False),
     OpKind.ZK_PUSHED: ("zk", None, "push", False),
 }
+
+
+class _Base(dict):
+    """A shared clock base ``{segment: count}``; never mutated once
+    published.  ``origin`` is the uid of the clock that folded it (a
+    fresh uid no clock has for a base rebuilt from a checkpoint) and
+    ``version`` orders the folds: a later fold from the same origin
+    dominates an earlier one pointwise, since clocks only grow (and
+    pruning shrinks every clock and base alike)."""
+
+    __slots__ = ("origin", "version")
+
+    def __init__(self, entries: Dict[int, int], origin: int, version: int):
+        super().__init__(entries)
+        self.origin = origin
+        self.version = version
+
+
+_EMPTY = _Base({}, 0, 0)
+
+
+class _Clock:
+    """One open segment's clock: logically ``{**base, **delta, own
+    segment: own}``.  Invariant: every delta entry exceeds the base's
+    entry for its segment, and the delta never holds the own segment
+    (``own`` dominates any base entry for it)."""
+
+    __slots__ = ("uid", "own", "base", "delta")
+
+    def __init__(self, uid: int, own: int = 0, base: _Base = _EMPTY) -> None:
+        self.uid = uid
+        self.own = own
+        self.base = base
+        self.delta: Dict[int, int] = {}
+
+
+#: A pending source snapshot: (source segment, its count then — 0 once
+#: pruned, or for one rebuilt from a checkpoint —, base, private delta).
+_Snapshot = Tuple[Optional[int], int, _Base, Dict[int, int]]
+
+
+def _entries(own_seg: Optional[int], own: int, base: _Base, delta) -> int:
+    """Size of the logical clock ``{**base, **delta, own_seg: own}``."""
+    size = len(base) + sum(1 for s in delta if s not in base)
+    if own and own_seg not in base:
+        size += 1
+    return size
+
+
+def _logical(own_seg, own: int, base: _Base, delta) -> Dict[int, int]:
+    clock = dict(base)
+    clock.update(delta)
+    if own:
+        clock[own_seg] = own
+    return clock
+
+
+def _prune_delta(delta: Dict[int, int], frontier: Dict[int, int]) -> None:
+    for s in [s for s, v in delta.items() if s in frontier and v <= frontier[s]]:
+        del delta[s]
 
 
 class StreamingHBState:
@@ -98,10 +184,15 @@ class StreamingHBState:
             if not getattr(self.model, family):
                 sink = source = None
             self._roles[kind] = (sink, source, ends)
-        #: segment -> sparse clock {segment: count} (includes own count).
-        self._clocks: Dict[int, Dict[int, int]] = {}
+        #: segment -> its clock.
+        self._clocks: Dict[int, _Clock] = {}
         #: (channel, tag) -> clock snapshot of the source, pending a sink.
-        self._pending: Dict[Tuple[str, object], Dict[int, int]] = {}
+        self._pending: Dict[Tuple[str, object], _Snapshot] = {}
+        #: Clock uids and base versions (0 is the empty base's).
+        self._uids = 0
+        self._folds = 0
+        #: Sinks that took the O(width) join across unrelated bases.
+        self.general_joins = 0
         #: stream (tid) -> its currently open segments.
         self._open: Dict[int, Set[int]] = {}
         self._started: Set[int] = set()
@@ -118,6 +209,14 @@ class StreamingHBState:
         self.records_observed = 0
         self._retirement_begun = False
 
+    def _uid(self) -> int:
+        self._uids += 1
+        return self._uids
+
+    def _fold(self, entries: Dict[int, int], origin: int) -> _Base:
+        self._folds += 1
+        return _Base(entries, origin, self._folds)
+
     # -- ingestion ---------------------------------------------------------
 
     def observe(self, event: OpEvent) -> Tuple[int, int]:
@@ -132,7 +231,7 @@ class StreamingHBState:
         started_prior = tid in self._started
         clock = self._clocks.get(seg)
         if clock is None:
-            clock = {}
+            clock = _Clock(self._uid())
             self._clocks[seg] = clock
             self._open.setdefault(tid, set()).add(seg)
             fresh = True
@@ -149,12 +248,7 @@ class StreamingHBState:
                 self.unmatched[f"{kind.value}_without_source"] += 1
             else:
                 joined = True
-                if clock:
-                    for s, c in snapshot.items():
-                        if clock.get(s, 0) < c:
-                            clock[s] = c
-                else:
-                    clock.update(snapshot)
+                self._join(clock, seg, snapshot)
         if (
             fresh
             and not joined
@@ -171,18 +265,59 @@ class StreamingHBState:
             # concurrent with it.  Surfaced as reduced confidence.
             self.rootless_segments += 1
 
-        count = clock.get(seg, 0) + 1
-        clock[seg] = count
+        count = clock.own + 1
+        clock.own = count
 
         if source is not None:
             key = (source, event.obj_id)
             if key in self._pending:
                 self.unmatched[f"{kind.value}_replaced_pending"] += 1
-            self._pending[key] = dict(clock)
+            delta = clock.delta
+            if len(delta) > FOLD_THRESHOLD:
+                entries = dict(clock.base)
+                entries.update(delta)
+                clock.base = self._fold(entries, clock.uid)
+                delta = clock.delta = {}
+            self._pending[key] = (seg, count, clock.base, dict(delta))
 
         if ends_segment:
             self._close_segment(tid, seg)
         return seg, count
+
+    def _join(self, clock: _Clock, seg: int, snapshot: _Snapshot) -> None:
+        """``clock`` := pointwise max(clock, snapshot)."""
+        src, src_count, sbase, sdelta = snapshot
+        base = clock.base
+        if not (
+            sbase is base
+            or not sbase
+            or sbase.origin == clock.uid
+            or (sbase.origin == base.origin and sbase.version <= base.version)
+        ):
+            # The sink does not already know the snapshot's base, so it
+            # adopts it.  Cheap when its own base is empty or an older
+            # fold of the same origin (dominated by the new base);
+            # otherwise every entry of the old base is compared.
+            if base and sbase.origin != base.origin:
+                self.general_joins += 1
+                old = dict(base)
+                old.update(clock.delta)
+            else:
+                old = clock.delta
+            clock.delta = {s: v for s, v in old.items() if v > sbase.get(s, 0)}
+            clock.base = base = sbase
+            own = base.get(seg, 0)
+            if own > clock.own:
+                clock.own = own
+        delta = clock.delta
+        for s, v in sdelta.items():
+            if v > (delta.get(s) or base.get(s, 0)):
+                delta[s] = v
+        if src_count > (delta.get(src) or base.get(src, 0)):
+            delta[src] = src_count
+        own = delta.pop(seg, 0)
+        if own > clock.own:
+            clock.own = own
 
     def _close_segment(self, tid: int, seg: int) -> None:
         open_segs = self._open.get(tid)
@@ -213,7 +348,7 @@ class StreamingHBState:
         clock = self._clocks.get(b_event_seg)
         if clock is None:
             return False
-        return clock.get(a_seg, 0) >= a_count
+        return (clock.delta.get(a_seg) or clock.base.get(a_seg, 0)) >= a_count
 
     def frontier(self, segments: Iterable[int]) -> Dict[int, int]:
         """Componentwise-minimum clock over everything still live, for
@@ -224,20 +359,25 @@ class StreamingHBState:
             # A stream we know about has not produced its first record:
             # it could still be concurrent with everything.
             return {s: self._floor.get(s, 0) for s in segments}
-        live: List[Dict[int, int]] = []
+        live: List[_Snapshot] = []
         for tid, open_segs in self._open.items():
             if tid in self._closed_streams:
                 continue
             for seg in open_segs:
                 clock = self._clocks.get(seg)
                 if clock is not None:
-                    live.append(clock)
+                    live.append((seg, clock.own, clock.base, clock.delta))
         live.extend(self._pending.values())
         out: Dict[int, int] = {}
         for s in segments:
             floor = self._floor.get(s, 0)
             if live:
-                m = min(c.get(s, floor) for c in live)
+                m = min(
+                    (own or floor)
+                    if s == own_seg
+                    else (delta.get(s) or base.get(s) or floor)
+                    for own_seg, own, base, delta in live
+                )
                 if m < floor:
                     m = floor
             else:
@@ -252,31 +392,51 @@ class StreamingHBState:
         """Drop clock entries at-or-below the frontier (only entries for
         segments the frontier was computed over).  Returns entries
         removed."""
+        # id(base) -> (base, its pruned copy): each shared base once.
+        pruned: Dict[int, Tuple[_Base, _Base]] = {}
+
+        def prune_base(base: _Base) -> _Base:
+            hit = pruned.get(id(base))
+            if hit is not None:
+                return hit[1]
+            drop = [
+                s for s, v in base.items() if s in frontier and v <= frontier[s]
+            ]
+            new = base
+            if drop:
+                new = _Base(base, base.origin, base.version)
+                for s in drop:
+                    del new[s]
+            pruned[id(base)] = (base, new)
+            return new
+
         removed = 0
         for seg, clock in self._clocks.items():
-            for s in [
-                s
-                for s, v in clock.items()
-                if s != seg and s in frontier and v <= frontier[s]
-            ]:
-                del clock[s]
-                removed += 1
-        for snapshot in self._pending.values():
-            for s in [
-                s
-                for s, v in snapshot.items()
-                if s in frontier and v <= frontier[s]
-            ]:
-                del snapshot[s]
-                removed += 1
+            removed += _entries(seg, clock.own, clock.base, clock.delta)
+            clock.base = prune_base(clock.base)
+            _prune_delta(clock.delta, frontier)
+            removed -= _entries(seg, clock.own, clock.base, clock.delta)
+        for key, (src, count, base, delta) in list(self._pending.items()):
+            removed += _entries(src, count, base, delta)
+            if count and src in frontier and count <= frontier[src]:
+                count = 0
+            base = prune_base(base)
+            _prune_delta(delta, frontier)
+            removed -= _entries(src, count, base, delta)
+            self._pending[key] = (src, count, base, delta)
         return removed
 
     def stats(self) -> Dict[str, int]:
         return {
             "segments_live": len(self._clocks),
-            "clock_entries": sum(len(c) for c in self._clocks.values()),
+            "clock_entries": sum(
+                _entries(seg, c.own, c.base, c.delta)
+                for seg, c in self._clocks.items()
+            ),
             "pending_snapshots": len(self._pending),
-            "pending_entries": sum(len(c) for c in self._pending.values()),
+            "pending_entries": sum(
+                _entries(*snap) for snap in self._pending.values()
+            ),
             "streams_started": len(self._started),
             "streams_closed": len(self._closed_streams),
             "rootless_segments": self.rootless_segments,
@@ -289,11 +449,20 @@ class StreamingHBState:
         return {
             "model": self.model.describe(),
             "clocks": {
-                str(seg): {str(s): c for s, c in clock.items()}
+                str(seg): {
+                    str(s): c
+                    for s, c in _logical(
+                        seg, clock.own, clock.base, clock.delta
+                    ).items()
+                }
                 for seg, clock in self._clocks.items()
             },
             "pending": [
-                [channel, _jsonable(tag), {str(s): c for s, c in snap.items()}]
+                [
+                    channel,
+                    _jsonable(tag),
+                    {str(s): c for s, c in _logical(*snap).items()},
+                ]
                 for (channel, tag), snap in self._pending.items()
             ],
             "open": {
@@ -314,15 +483,22 @@ class StreamingHBState:
     def from_snapshot(
         cls, snapshot: Dict[str, object], model: HBModel = FULL_MODEL
     ) -> "StreamingHBState":
+        """Rebuild a state from :meth:`to_snapshot`.  Nothing is shared:
+        each clock is its own fold and each pending snapshot a base of
+        its own, until the next folds share again."""
         self = cls(model=model)
-        self._clocks = {
-            int(seg): {int(s): c for s, c in clock.items()}
-            for seg, clock in snapshot["clocks"].items()
-        }
-        self._pending = {
-            (channel, _untuple(tag)): {int(s): c for s, c in snap.items()}
-            for channel, tag, snap in snapshot["pending"]
-        }
+        for seg, entries in snapshot["clocks"].items():
+            seg = int(seg)
+            uid = self._uid()
+            entries = {int(s): c for s, c in entries.items()}
+            self._clocks[seg] = _Clock(
+                uid, entries.get(seg, 0), self._fold(entries, uid)
+            )
+        for channel, tag, entries in snapshot["pending"]:
+            entries = {int(s): c for s, c in entries.items()}
+            self._pending[(channel, _untuple(tag))] = (
+                None, 0, self._fold(entries, self._uid()), {},
+            )
         self._open = {
             int(tid): set(segs) for tid, segs in snapshot["open"].items()
         }

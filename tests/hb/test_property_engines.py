@@ -32,6 +32,7 @@ from repro.detect.streaming import detect_races_streaming
 from repro.detect.syncpres import annotate_sync_preserving
 from repro.hb import HBGraph, NaiveReachability, VectorClockEngine
 from repro.hb.incremental import (
+    FOLD_THRESHOLD,
     STREAM_UNSUPPORTED_FAMILIES,
     StreamingHBState,
 )
@@ -89,6 +90,30 @@ def _assert_streaming_clocks_match(trace, graph, model):
                 record.seq,
             )
         positions[record.seq] = pos
+    return state
+
+
+def _star_recipe(workers, phases):
+    """Segment 0 opens each phase with a message to every worker, each
+    worker writes and reports back, segment 0 collects the reports."""
+    recipe = []
+    for _ in range(phases):
+        recipe += [(0, "send", 0)] * workers
+        for w in range(1, workers + 1):
+            recipe += [(w, "recv", 0), (w, "write", w % 2), (w, "send", 0)]
+        recipe += [(0, "recv", 0)] * workers
+    return recipe
+
+
+@pytest.mark.parametrize("workers", [3, 40])
+def test_streaming_clocks_on_a_star_barrier(workers):
+    """Wider than ``FOLD_THRESHOLD`` (40 workers), the hub folds its
+    delta into a shared base every phase and the workers adopt it: the
+    shared clocks must still answer exactly as the graph does."""
+    trace = build_trace(_star_recipe(workers, phases=3))
+    graph = HBGraph(trace, model=HARNESS_MODEL)
+    state = _assert_streaming_clocks_match(trace, graph, HARNESS_MODEL)
+    assert (state._folds > 0) == (workers > FOLD_THRESHOLD)
 
 
 @pytest.mark.parametrize("family", ["socket", "fork_join"])
