@@ -14,28 +14,3 @@ Public API highlights:
 """
 
 __version__ = "1.0.0"
-
-from repro.errors import (
-    DeadlockError,
-    HangError,
-    NoNodeError,
-    NodeExistsError,
-    ReproError,
-    RpcError,
-    SimAbort,
-    SimFailure,
-    TraceAnalysisOOM,
-)
-
-__all__ = [
-    "ReproError",
-    "SimFailure",
-    "SimAbort",
-    "RpcError",
-    "NoNodeError",
-    "NodeExistsError",
-    "DeadlockError",
-    "HangError",
-    "TraceAnalysisOOM",
-    "__version__",
-]

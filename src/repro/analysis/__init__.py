@@ -1,74 +1,28 @@
 """Static pruning: program analysis over system sources (paper Section 4)."""
 
-from repro.analysis.astutil import (
-    ACCESS_METHODS,
-    READ_METHODS,
-    WRITE_METHODS,
-    CallSite,
-    FunctionInfo,
-    SourceIndex,
-    access_calls_at_line,
-)
-from repro.analysis.cfg import CFG, CFGNode, build_cfg
-from repro.analysis.dataflow import TaintAnalysis, TaintResult
+from repro.analysis.astutil import SourceIndex, access_calls_at_line
+from repro.analysis.cfg import build_cfg
+from repro.analysis.dataflow import TaintAnalysis
 from repro.analysis.failures import (
     DEFAULT_FAILURE_SPEC,
     FailureClass,
-    FailureInstruction,
-    FailureSpec,
     find_failure_instructions,
 )
-from repro.analysis.impact import (
-    Impact,
-    ImpactAnalyzer,
-    RpcLink,
-    rpc_links_from_trace,
-)
-from repro.analysis.pdg import (
-    control_dependence,
-    dominator_sets,
-    postdominator_sets,
-    transitive_control_dependence,
-)
-from repro.analysis.pruner import PruneDecision, PruneResult, StaticPruner
-from repro.analysis.reaching import (
-    ReachingDefinitions,
-    compute_reaching_definitions,
-    definitions_in,
-    uses_in,
-)
+from repro.analysis.impact import ImpactAnalyzer, RpcLink
+from repro.analysis.pdg import control_dependence, postdominator_sets
+from repro.analysis.pruner import StaticPruner
 
 __all__ = [
     "SourceIndex",
-    "FunctionInfo",
-    "CallSite",
     "access_calls_at_line",
-    "ACCESS_METHODS",
-    "READ_METHODS",
-    "WRITE_METHODS",
-    "CFG",
-    "CFGNode",
     "build_cfg",
     "TaintAnalysis",
-    "TaintResult",
-    "FailureSpec",
     "FailureClass",
-    "FailureInstruction",
     "DEFAULT_FAILURE_SPEC",
     "find_failure_instructions",
-    "Impact",
     "ImpactAnalyzer",
     "RpcLink",
-    "rpc_links_from_trace",
     "postdominator_sets",
-    "dominator_sets",
     "control_dependence",
-    "transitive_control_dependence",
     "StaticPruner",
-    "PruneDecision",
-    "PruneResult",
-    "ReachingDefinitions",
-    "compute_reaching_definitions",
-    "definitions_in",
-    "uses_in",
 ]

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import ast
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import ModuleType
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 #: Heap accessor method names, split by effect.  These identify "the
 #: memory access expression" at a traced line.
@@ -205,15 +205,6 @@ def access_calls_at_line(fn: FunctionInfo, line: int) -> List[ast.Call]:
             and node.func.attr in ACCESS_METHODS
         ):
             result.append(node)
-    return result
-
-
-def names_used(node: ast.AST) -> List[str]:
-    """All variable names read inside ``node`` (including attr roots)."""
-    result = []
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-            result.append(child.id)
     return result
 
 

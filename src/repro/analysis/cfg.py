@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 KIND_ENTRY = "entry"
 KIND_EXIT = "exit"
@@ -58,18 +58,8 @@ class CFG:
             self.nodes[src].succs.append(dst)
             self.nodes[dst].preds.append(src)
 
-    def nodes_at_line(self, line: int) -> List[CFGNode]:
-        return [n for n in self.nodes if n.line == line]
-
     def statement_nodes(self) -> List[CFGNode]:
         return [n for n in self.nodes if n.kind in (KIND_STMT, KIND_COND)]
-
-    def loop_condition_nodes(self) -> List[CFGNode]:
-        return [
-            n
-            for n in self.nodes
-            if n.kind == KIND_COND and isinstance(n.stmt, (ast.While, ast.For))
-        ]
 
 
 class _LoopContext:

@@ -14,36 +14,6 @@ from typing import Dict, List, Set
 from repro.analysis.cfg import CFG
 
 
-def dominator_sets(cfg: CFG) -> List[Set[int]]:
-    """``dom[n]`` = nodes that dominate ``n`` (inclusive of n).
-
-    The forward dual of ``postdominator_sets``; not used by the pruner
-    itself but part of the analysis toolkit (e.g. loop-header checks).
-    """
-    n = len(cfg.nodes)
-    all_nodes = set(range(n))
-    dom: List[Set[int]] = [set(all_nodes) for _ in range(n)]
-    dom[cfg.entry.nid] = {cfg.entry.nid}
-    changed = True
-    while changed:
-        changed = False
-        for node in cfg.nodes:
-            if node.nid == cfg.entry.nid:
-                continue
-            preds = node.preds
-            if preds:
-                new: Set[int] = set(dom[preds[0]])
-                for p in preds[1:]:
-                    new &= dom[p]
-            else:
-                new = set()
-            new.add(node.nid)
-            if new != dom[node.nid]:
-                dom[node.nid] = new
-                changed = True
-    return dom
-
-
 def postdominator_sets(cfg: CFG) -> List[Set[int]]:
     """``pdom[n]`` = nodes that postdominate ``n`` (inclusive of n)."""
     n = len(cfg.nodes)

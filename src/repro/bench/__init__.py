@@ -1,7 +1,7 @@
 """Evaluation harness: regenerates every table and figure of the paper."""
 
 from repro.bench.format import TableResult, check_mark
-from repro.bench.runner import CACHE, BenchCache, FullTracingResult, all_bug_ids
+from repro.bench.runner import CACHE, all_bug_ids
 from repro.bench.tables import (
     ALL_TABLES,
     figure1_mr_hang,
@@ -21,8 +21,6 @@ __all__ = [
     "TableResult",
     "check_mark",
     "CACHE",
-    "BenchCache",
-    "FullTracingResult",
     "all_bug_ids",
     "ALL_TABLES",
     "table1_mechanisms",

@@ -18,7 +18,7 @@ pre-SP exports had no sound evidence recorded).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.detect.report import (
     CONFIDENCE_LEVELS,
@@ -113,8 +113,3 @@ def load_reports(text: str) -> ReportSet:
 def save_reports(reports: ReportSet, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(dump_reports(reports))
-
-
-def load_reports_file(path: str) -> ReportSet:
-    with open(path) as fh:
-        return load_reports(fh.read())

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro import obs
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.hb.model import FULL_MODEL, HBModel
-from repro.ids import CallStack, Site
 from repro.runtime.ops import Location, OpEvent, OpKind
 from repro.trace.store import Trace
 
@@ -96,9 +95,6 @@ class DetectionResult:
         ):
             return "sp-sound"
         return "hb-predicted"
-
-    def sp_candidate_count(self) -> int:
-        return len(self.sp_pairs) if self.sp_pairs is not None else 0
 
     def static_pairs(self) -> Dict[frozenset, List[Candidate]]:
         grouped: Dict[frozenset, List[Candidate]] = defaultdict(list)

@@ -130,17 +130,6 @@ class ChainExplainer:
             )
         return "\n".join(lines)
 
-    def rules_used(self, a: OpEvent, b: OpEvent) -> List[str]:
-        """The distinct rule families along one path from a to b."""
-        hops = self.explain(a, b)
-        if hops is None:
-            return []
-        seen = []
-        for hop in hops:
-            if hop.rule not in seen:
-                seen.append(hop.rule)
-        return seen
-
     # -- internals -----------------------------------------------------------
 
     def _bfs(self, start: int, goal: int) -> Optional[List[int]]:

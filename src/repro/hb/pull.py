@@ -45,9 +45,6 @@ class PullEdge:
     read_seq: int  # the final poll read, or the final RPC Join
     kind: str  # "local-loop" or "rpc-loop"
 
-    def as_tuple(self) -> Tuple[int, int]:
-        return (self.write_seq, self.read_seq)
-
 
 def infer_pull_edges(trace: Trace) -> List[PullEdge]:
     """All Rule-Mpull edges supported by the trace."""

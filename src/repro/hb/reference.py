@@ -16,7 +16,6 @@ checked against two independent implementations:
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 from repro.hb.graph import HBGraph
@@ -89,21 +88,16 @@ class VectorClockEngine:
 
     The encoding assumes each segment's backbone is a chain (later
     vertices inherit earlier ones' clocks), which only program-order
-    edges guarantee.  Constructing the engine on a graph whose model
-    disables program order is therefore rejected by default; pass
-    ``strict=False`` to get the (possibly unsound) engine plus a
-    ``UserWarning`` — the ablation benches do this deliberately.
+    edges guarantee, so a graph whose model disables program order is
+    rejected with ``ValueError``.
     """
 
-    def __init__(self, graph: HBGraph, strict: bool = True) -> None:
+    def __init__(self, graph: HBGraph) -> None:
         if not graph.model.program_order:
-            message = (
+            raise ValueError(
                 "VectorClockEngine is only exact when program-order edges "
                 "are enabled; this graph's model disables program_order"
             )
-            if strict:
-                raise ValueError(message)
-            warnings.warn(message, UserWarning, stacklevel=2)
         self.graph = graph
         self._segment_ids = sorted(graph._seg_backbone_idx.keys())
         self._component = {seg: k for k, seg in enumerate(self._segment_ids)}

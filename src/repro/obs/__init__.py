@@ -37,7 +37,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_json,
 )
-from repro.obs.http import ObsHttpServer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -48,43 +47,30 @@ from repro.obs.metrics import (
     NullRegistry,
     get_registry,
     metrics_enabled,
-    set_registry,
     use_registry,
 )
 from repro.obs.spans import (
     NULL_TRACER,
-    NullTracer,
-    Span,
     SpanTracer,
     get_tracer,
-    set_tracer,
     span,
     tracing_enabled,
     use_tracer,
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "NullTracer",
     "NULL_TRACER",
-    "ObsHttpServer",
-    "Span",
     "SpanTracer",
     "DEFAULT_BUCKETS",
     "counter",
     "gauge",
     "histogram",
     "get_registry",
-    "set_registry",
     "use_registry",
-    "metrics_enabled",
     "get_tracer",
-    "set_tracer",
     "use_tracer",
     "tracing_enabled",
     "span",

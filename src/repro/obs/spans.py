@@ -55,10 +55,6 @@ class Span:
             return 0.0
         return self.end_cpu - self.start_cpu
 
-    @property
-    def depth_root(self) -> bool:
-        return self.parent_id is None
-
     def set(self, **attrs: object) -> "Span":
         """Attach attributes to the span (shown in both exports)."""
         self.attrs.update(attrs)

@@ -7,125 +7,44 @@ FIFO event queues, synchronous RPC, asynchronous sockets, a ZooKeeper-like
 coordination service with watches, shared-memory heap objects and locks.
 """
 
-from repro.runtime.api import me, sleep, yield_now
-from repro.runtime.cluster import Cluster, RunResult, TimeoutRegistry
-from repro.runtime.events import Event, EventQueue
-from repro.runtime.failures import FailureEvent, FailureKind, FailureLog
+from repro.runtime.api import sleep
+from repro.runtime.cluster import Cluster
+from repro.runtime.failures import FailureKind
 from repro.runtime.faults import (
-    CampaignResult,
-    CampaignRun,
     FaultAction,
     FaultCampaign,
-    FaultInjector,
     FaultKind,
     FaultPlan,
-    SoundnessReport,
     verify_fault_soundness,
 )
-from repro.runtime.heap import (
-    SharedCounter,
-    SharedDict,
-    SharedList,
-    SharedObject,
-    SharedSet,
-    SharedVar,
-)
-from repro.runtime.locks import SimCondition, SimLock, SimSemaphore, synchronized
+from repro.runtime.locks import SimCondition, SimSemaphore
 from repro.runtime.network import (
     Delivery,
     FlakyNetwork,
     NetworkPolicy,
     ReliableNetwork,
 )
-from repro.runtime.node import Node, NodeBehavior
-from repro.runtime.replay import RecordingStrategy, ReplayStrategy
-from repro.runtime.ops import HB_KINDS, Interceptor, Location, MEM_KINDS, OpEvent, OpKind
-from repro.runtime.rpc import RpcProxy, RpcServer, call_rpc, call_with_retry
-from repro.runtime.scheduler import (
-    PreferredThreadStrategy,
-    RandomStrategy,
-    RoundRobinStrategy,
-    Scheduler,
-    SchedulingStrategy,
-    SimThread,
-    ThreadState,
-    current_sim_thread,
-)
-from repro.runtime.sockets import Message, SocketManager
-from repro.runtime.zookeeper import (
-    NODE_CHILDREN_CHANGED,
-    NODE_CREATED,
-    NODE_DATA_CHANGED,
-    NODE_DELETED,
-    CoordinationService,
-    WatchEvent,
-    ZkClient,
-)
+from repro.runtime.node import NodeBehavior
+from repro.runtime.ops import OpKind
+from repro.runtime.scheduler import RandomStrategy, current_sim_thread
 
 __all__ = [
     "Cluster",
-    "RunResult",
-    "TimeoutRegistry",
-    "Node",
     "NodeBehavior",
     "FaultKind",
     "FaultAction",
     "FaultPlan",
-    "FaultInjector",
     "FaultCampaign",
-    "CampaignRun",
-    "CampaignResult",
-    "SoundnessReport",
     "verify_fault_soundness",
-    "Event",
-    "EventQueue",
-    "FailureEvent",
     "FailureKind",
-    "FailureLog",
-    "SharedCounter",
-    "SharedDict",
-    "SharedList",
-    "SharedObject",
-    "SharedSet",
-    "SharedVar",
-    "SimLock",
     "SimCondition",
     "SimSemaphore",
-    "synchronized",
     "NetworkPolicy",
     "ReliableNetwork",
     "FlakyNetwork",
     "Delivery",
-    "Interceptor",
-    "OpEvent",
     "OpKind",
-    "Location",
-    "HB_KINDS",
-    "MEM_KINDS",
-    "RpcProxy",
-    "RpcServer",
-    "call_rpc",
-    "call_with_retry",
-    "Scheduler",
-    "SchedulingStrategy",
     "RandomStrategy",
-    "RoundRobinStrategy",
-    "RecordingStrategy",
-    "ReplayStrategy",
-    "PreferredThreadStrategy",
-    "SimThread",
-    "ThreadState",
     "current_sim_thread",
-    "Message",
-    "SocketManager",
-    "CoordinationService",
-    "ZkClient",
-    "WatchEvent",
-    "NODE_CREATED",
-    "NODE_DELETED",
-    "NODE_DATA_CHANGED",
-    "NODE_CHILDREN_CHANGED",
     "sleep",
-    "yield_now",
-    "me",
 ]

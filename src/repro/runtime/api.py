@@ -9,13 +9,3 @@ def sleep(ticks: int) -> None:
     """Sleep for ``ticks`` logical clock units (discrete-event semantics)."""
     thread = current_sim_thread()
     thread.sleep_until(thread.scheduler.clock + max(1, int(ticks)))
-
-
-def yield_now() -> None:
-    """Explicit scheduling point (rarely needed; runtime ops all yield)."""
-    current_sim_thread().yield_control()
-
-
-def me() -> str:
-    """Name of the current simulated thread."""
-    return current_sim_thread().name

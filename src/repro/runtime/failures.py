@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import List
 
 from repro.errors import SimAbort
 from repro.ids import CallStack, capture_stack
@@ -72,9 +72,6 @@ class FailureLog:
         """True when any *severe* failure was recorded; noisy error-log
         events alone do not make a run harmful."""
         return any(e.kind.severe for e in self.events)
-
-    def severe_events(self) -> List[FailureEvent]:
-        return [e for e in self.events if e.kind.severe]
 
     def kinds(self) -> List[FailureKind]:
         return [e.kind for e in self.events]

@@ -23,7 +23,7 @@ of a synchronization loop happens-before the loop exit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.ops import Location, OpKind
 
@@ -183,9 +183,6 @@ class SharedDict(SharedObject):
 
     def peek(self, key: Any, default: Any = None) -> Any:
         return self._data.get(key, default)
-
-    def peek_len(self) -> int:
-        return len(self._data)
 
 
 class SharedList(SharedObject):

@@ -53,9 +53,6 @@ class SimLock:
         self._depth = 0
         self._owner = None
 
-    def held_by_me(self) -> bool:
-        return self._owner is current_sim_thread()
-
     def __enter__(self) -> "SimLock":
         self.acquire()
         return self

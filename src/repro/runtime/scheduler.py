@@ -143,7 +143,6 @@ class SimThread:
             self.exc = exc
             self.scheduler._on_thread_failure(self, exc)
         finally:
-            self.scheduler._on_thread_exit(self)
             self.scheduler._done.set()
 
     def _await_grant(self) -> None:
@@ -202,39 +201,6 @@ class RandomStrategy(SchedulingStrategy):
         return runnable[self._rng.randrange(len(runnable))]
 
 
-class RoundRobinStrategy(SchedulingStrategy):
-    """Deterministic round-robin; useful for reproducible examples."""
-
-    def __init__(self) -> None:
-        self._last_tid = -1
-
-    def pick(self, runnable: List[SimThread], step: int) -> SimThread:
-        for t in runnable:
-            if t.tid > self._last_tid:
-                self._last_tid = t.tid
-                return t
-        self._last_tid = runnable[0].tid
-        return runnable[0]
-
-
-class PreferredThreadStrategy(SchedulingStrategy):
-    """Run a preferred thread whenever runnable; else fall back.
-
-    Used by tests and by the trigger explorer to bias schedules.
-    """
-
-    def __init__(self, preferred: List[str], fallback: SchedulingStrategy):
-        self.preferred = list(preferred)
-        self.fallback = fallback
-
-    def pick(self, runnable: List[SimThread], step: int) -> SimThread:
-        for name in self.preferred:
-            for t in runnable:
-                if t.name == name:
-                    return t
-        return self.fallback.pick(runnable, step)
-
-
 class Scheduler:
     """Owns all simulated threads of one cluster run."""
 
@@ -254,7 +220,6 @@ class Scheduler:
         self._next_segment = 0
         self._done = threading.Event()
         self._failure_handlers: List[Callable[[SimThread, BaseException], None]] = []
-        self._exit_handlers: List[Callable[[SimThread], None]] = []
         self._idle_handlers: List[Callable[[], None]] = []
         self._wake_hints: List[Callable[[], Optional[int]]] = []
         self._finished = False
@@ -301,9 +266,6 @@ class Scheduler:
     ) -> None:
         self._failure_handlers.append(handler)
 
-    def on_thread_exit(self, handler: Callable[[SimThread], None]) -> None:
-        self._exit_handlers.append(handler)
-
     def on_idle(self, handler: Callable[[], None]) -> None:
         """Called when only blocked threads remain, before deadlock checks.
 
@@ -320,10 +282,6 @@ class Scheduler:
     def _on_thread_failure(self, thread: SimThread, exc: BaseException) -> None:
         for h in self._failure_handlers:
             h(thread, exc)
-
-    def _on_thread_exit(self, thread: SimThread) -> None:
-        for h in self._exit_handlers:
-            h(thread)
 
     # -- the main loop ------------------------------------------------------
 

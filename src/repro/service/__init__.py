@@ -18,25 +18,3 @@ publishes a canonical detection report per tenant.  The pieces:
 ``repro serve`` / ``repro ship`` are the CLI faces; see
 ``docs/service.md`` for the operational story.
 """
-
-from __future__ import annotations
-
-from repro.service.client import ServiceClient, ShipResult
-from repro.service.report import (
-    REPORT_FORMAT,
-    build_report_doc,
-    render_report,
-    report_from_stream_result,
-)
-from repro.service.server import DetectionServer, load_service_file
-
-__all__ = [
-    "DetectionServer",
-    "REPORT_FORMAT",
-    "ServiceClient",
-    "ShipResult",
-    "build_report_doc",
-    "load_service_file",
-    "render_report",
-    "report_from_stream_result",
-]

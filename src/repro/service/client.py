@@ -233,9 +233,6 @@ class ServiceClient:
     def status(self) -> Dict[str, object]:
         return self.request({"verb": "status"})
 
-    def shutdown_server(self) -> Dict[str, object]:
-        return self.request({"verb": "shutdown"})
-
     def wait_report(self, timeout_s: float = 120.0) -> Dict[str, object]:
         """Poll ``report`` until the tenant's detection finishes."""
         deadline = time.monotonic() + timeout_s

@@ -1,29 +1,17 @@
 """The four mini cloud systems and seven benchmark workloads (Table 3)."""
 
-from repro.systems.base import BenchmarkInfo, Workload
-from repro.systems.extra import EXTRA_WORKLOAD_CLASSES, extra_workloads
+from repro.systems.extra import extra_workloads
 from repro.systems.registry import (
-    SYSTEM_ALIASES,
     WORKLOAD_CLASSES,
     all_workloads,
-    canonical_system,
     resolve_workload,
-    systems,
     workload_by_id,
-    workloads_of_system,
 )
 
 __all__ = [
-    "Workload",
-    "BenchmarkInfo",
-    "SYSTEM_ALIASES",
     "WORKLOAD_CLASSES",
     "all_workloads",
-    "canonical_system",
     "resolve_workload",
     "workload_by_id",
-    "workloads_of_system",
-    "systems",
     "extra_workloads",
-    "EXTRA_WORKLOAD_CLASSES",
 ]

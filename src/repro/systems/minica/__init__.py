@@ -14,9 +14,3 @@ Seeded bug (Table 3):
   write is not replicated to the bootstrap backup (data backup failure,
   distributed explicit error, atomicity violation).
 """
-
-from repro.systems.minica.bootstrap import BootstrapNode
-from repro.systems.minica.gossip import SeedNode
-from repro.systems.minica.workloads import CA1011Workload
-
-__all__ = ["SeedNode", "BootstrapNode", "CA1011Workload"]

@@ -21,9 +21,3 @@ Seeded bugs (Table 3):
   znode delete throw and crash the master (system master crash,
   atomicity violation).
 """
-
-from repro.systems.minihb.master import HMaster
-from repro.systems.minihb.regionserver import HRegionServer
-from repro.systems.minihb.workloads import HB4539Workload, HB4729Workload
-
-__all__ = ["HMaster", "HRegionServer", "HB4539Workload", "HB4729Workload"]

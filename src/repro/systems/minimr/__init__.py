@@ -15,18 +15,3 @@ Seeded bugs (Table 3):
   completion removed the job record; the status-update handler throws and
   crashes the job master (local explicit error, order violation).
 """
-
-from repro.systems.minimr.app_master import AppMaster
-from repro.systems.minimr.job_client import JobClient
-from repro.systems.minimr.node_manager import NodeManager
-from repro.systems.minimr.resource_manager import ResourceManager
-from repro.systems.minimr.workloads import MR3274Workload, MR4637Workload
-
-__all__ = [
-    "AppMaster",
-    "NodeManager",
-    "ResourceManager",
-    "JobClient",
-    "MR3274Workload",
-    "MR4637Workload",
-]

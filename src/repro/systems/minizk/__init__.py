@@ -17,16 +17,3 @@ Seeded bugs (Table 3):
   clear is lost and never re-sent, so the election never converges
   (service unavailable, local hang, order violation).
 """
-
-from repro.systems.minizk.election import ElectionNode, VoterNode
-from repro.systems.minizk.quorum import FollowerNode, LeaderNode
-from repro.systems.minizk.workloads import ZK1144Workload, ZK1270Workload
-
-__all__ = [
-    "LeaderNode",
-    "FollowerNode",
-    "ElectionNode",
-    "VoterNode",
-    "ZK1144Workload",
-    "ZK1270Workload",
-]

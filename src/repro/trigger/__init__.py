@@ -1,19 +1,10 @@
 """DCbug triggering and validation (paper Section 5)."""
 
 from repro.trigger.controller import OrderController
-from repro.trigger.explorer import (
-    ClusterFactory,
-    TriggerModule,
-    TriggerOutcome,
-    TriggerRun,
-)
+from repro.trigger.explorer import TriggerModule
 from repro.trigger.gates import GateSpec, TriggerInterceptor
-from repro.trigger.naive import NaiveOutcome, NaiveSleepTrigger, SleepInjector
-from repro.trigger.placement import (
-    DEFAULT_INSTANCE_THRESHOLD,
-    GatePlan,
-    PlacementAnalyzer,
-)
+from repro.trigger.naive import NaiveSleepTrigger
+from repro.trigger.placement import GatePlan, PlacementAnalyzer
 
 __all__ = [
     "OrderController",
@@ -21,12 +12,6 @@ __all__ = [
     "TriggerInterceptor",
     "GatePlan",
     "PlacementAnalyzer",
-    "DEFAULT_INSTANCE_THRESHOLD",
     "TriggerModule",
-    "TriggerOutcome",
-    "TriggerRun",
-    "ClusterFactory",
     "NaiveSleepTrigger",
-    "NaiveOutcome",
-    "SleepInjector",
 ]

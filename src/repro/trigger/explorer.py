@@ -14,12 +14,11 @@ paper's categories (Section 7.1):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.detect.report import BugReport, ReportSet, Verdict
+from repro.detect.report import BugReport, Verdict
 from repro.runtime.cluster import Cluster, RunResult
 from repro.runtime.failures import FailureEvent, FailureKind, FailureLog
 from repro.trigger.controller import OrderController
@@ -221,17 +220,6 @@ class TriggerModule:
             report.verdict_detail = best.detail
             _confirm_soundness(report, best.verdict)
         return best
-
-    def validate_all(
-        self, reports: ReportSet, plans: Dict[int, GatePlan]
-    ) -> List[TriggerOutcome]:
-        outcomes = []
-        for report in reports:
-            plan = plans.get(report.report_id)
-            if plan is None:
-                continue
-            outcomes.append(self.validate(report, plan))
-        return outcomes
 
     # -- internals ----------------------------------------------------------
 

@@ -6,19 +6,10 @@ segment form with planted-race ground truth (see
 :mod:`repro.workload.spec` for the scenario and its guarantees).
 """
 
-from repro.workload.generator import (
-    GROUND_TRUTH_FORMAT,
-    GROUND_TRUTH_VERSION,
-    GeneratedWorkload,
-    generate_workload,
-    load_ground_truth,
-)
+from repro.workload.generator import generate_workload, load_ground_truth
 from repro.workload.spec import PRESETS, SYSTEM_FLAVORS, WorkloadSpec, resolve_spec
 
 __all__ = [
-    "GROUND_TRUTH_FORMAT",
-    "GROUND_TRUTH_VERSION",
-    "GeneratedWorkload",
     "generate_workload",
     "load_ground_truth",
     "PRESETS",

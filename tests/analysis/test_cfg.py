@@ -89,39 +89,6 @@ def test_try_except_edges():
     assert handler.preds  # reachable from the try body
 
 
-def test_dominators_linear():
-    from repro.analysis.pdg import dominator_sets
-
-    cfg = build_cfg(_fn("def f():\n    a = 1\n    b = 2\n"))
-    dom = dominator_sets(cfg)
-    a = cfg.statement_nodes()[0]
-    b = cfg.statement_nodes()[1]
-    assert a.nid in dom[b.nid]
-    assert b.nid not in dom[a.nid]
-    assert cfg.entry.nid in dom[a.nid]
-
-
-def test_dominators_branch_join():
-    from repro.analysis.pdg import dominator_sets
-
-    cfg = build_cfg(
-        _fn(
-            "def f(x):\n"
-            "    if x:\n"
-            "        a = 1\n"
-            "    else:\n"
-            "        a = 2\n"
-            "    b = a\n"
-        )
-    )
-    dom = dominator_sets(cfg)
-    cond = [n for n in cfg.nodes if n.kind == KIND_COND][0]
-    then_stmt = [n for n in cfg.statement_nodes() if n.label == "Assign"][0]
-    join_stmt = [n for n in cfg.statement_nodes() if n.label == "Assign"][2]
-    assert cond.nid in dom[join_stmt.nid]  # the branch dominates the join
-    assert then_stmt.nid not in dom[join_stmt.nid]  # one arm does not
-
-
 def test_postdominators_linear():
     cfg = build_cfg(_fn("def f():\n    a = 1\n    b = 2\n"))
     pdom = postdominator_sets(cfg)

@@ -10,7 +10,6 @@ from repro.detect.export import (
     REPORTS_SCHEMA_VERSION,
     dump_reports,
     load_reports,
-    load_reports_file,
     save_reports,
 )
 from repro.errors import TraceFormatError
@@ -47,7 +46,7 @@ def test_file_roundtrip(tmp_path):
     reports = _reports()
     path = tmp_path / "reports.json"
     save_reports(reports, str(path))
-    restored = load_reports_file(str(path))
+    restored = load_reports(path.read_text())
     assert len(restored) == len(reports)
 
 

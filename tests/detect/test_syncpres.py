@@ -138,7 +138,6 @@ def test_annotate_publishes_tier_metrics():
     with obs.use_registry(registry):
         detection = annotate_sync_preserving(detect_races(trace))
     assert detection.sp_pairs == {(6, 7)}
-    assert detection.sp_candidate_count() == 1
     snap = registry.snapshot()
     assert snap["detect_sp_candidates_total"]["value"] == 1
     tiers = snap["detect_soundness_tier_total"]["series"]

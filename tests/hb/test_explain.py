@@ -1,7 +1,7 @@
 """HB chain explanation: labeled paths between ordered operations."""
 
 from repro.hb import ChainExplainer, HBGraph
-from repro.runtime import Cluster, sleep
+from repro.runtime import Cluster
 from repro.trace import FullScope, Tracer
 
 
@@ -37,7 +37,7 @@ def test_fork_chain_explained():
     explainer = ChainExplainer(graph)
     write = _mem(trace, "n.x", True)[0]
     read = _mem(trace, "n.x", False)[0]
-    rules = explainer.rules_used(write, read)
+    rules = [hop.rule for hop in explainer.explain(write, read)]
     assert "Tfork" in rules
     text = explainer.render(write, read)
     assert "=Tfork=>" in text
@@ -60,7 +60,7 @@ def test_rpc_chain_explained():
     explainer = ChainExplainer(HBGraph(trace))
     write = _mem(trace, "server.x", True)[0]
     read = _mem(trace, "server.x", False)[0]
-    rules = explainer.rules_used(write, read)
+    rules = [hop.rule for hop in explainer.explain(write, read)]
     assert "Mrpc" in rules
 
 
@@ -104,7 +104,7 @@ def test_figure3_chain_uses_all_rule_families():
         and r.site
         and "on_region_state_change" in r.site.func
     )
-    rules = explainer.rules_used(write, read)
+    rules = [hop.rule for hop in explainer.explain(write, read)]
     for family in ("Tfork", "Mrpc", "Eenq", "Mpush"):
         assert family in rules, f"{family} missing from chain {rules}"
 

@@ -79,14 +79,11 @@ def test_vector_clock_dimensions_grow_with_handlers():
 def test_vector_clocks_require_program_order():
     """The vector-clock encoding assumes per-segment chains, which only
     program-order edges guarantee: constructing it on an ablated graph
-    must fail loudly (or warn, when explicitly opted into)."""
+    must fail loudly."""
     trace = _trace(0)
     graph = HBGraph(trace, model=HBModel(program_order=False))
     with pytest.raises(ValueError, match="program.order"):
         VectorClockEngine(graph)
-    with pytest.warns(UserWarning, match="program.order"):
-        vc = VectorClockEngine(graph, strict=False)
-    assert vc.dimensions >= 1  # the unsound engine is still usable
 
 
 def test_hb_is_a_strict_partial_order():

@@ -1,11 +1,6 @@
 """Scheduling strategies."""
 
-from repro.runtime import (
-    Cluster,
-    PreferredThreadStrategy,
-    RandomStrategy,
-    RoundRobinStrategy,
-)
+from repro.runtime import Cluster, RandomStrategy
 
 
 def _run_with(strategy, seed=0):
@@ -26,23 +21,6 @@ def _run_with(strategy, seed=0):
     node.spawn(worker("c"), name="c")
     cluster.run()
     return order
-
-
-def test_round_robin_is_fair_and_deterministic():
-    first = _run_with(RoundRobinStrategy())
-    second = _run_with(RoundRobinStrategy())
-    assert first == second
-    # Every thread appears; no thread starves to the end.
-    assert set(first) == {"a", "b", "c"}
-
-
-def test_preferred_thread_runs_first():
-    strategy = PreferredThreadStrategy(
-        preferred=["n.c"], fallback=RoundRobinStrategy()
-    )
-    order = _run_with(strategy)
-    # The preferred thread finishes all its work before anyone else.
-    assert order[:3] == ["c", "c", "c"]
 
 
 def test_random_strategy_seed_determinism():
