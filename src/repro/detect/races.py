@@ -24,7 +24,7 @@ from repro.runtime.ops import Location, OpEvent, OpKind
 from repro.trace.store import Trace
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Candidate:
     """One dynamic pair of conflicting concurrent accesses."""
 

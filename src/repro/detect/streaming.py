@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -159,6 +160,10 @@ class StreamingDetector:
         self.state = StreamingHBState(model, expected_streams=expected_streams)
         #: location -> [(segment, count, record), ...] still able to race.
         self._active: Dict[Tuple[int, str], List[Tuple[int, int, OpEvent]]] = {}
+        #: location -> the one segment all its live accesses are in, from
+        #: its first live access until another segment's arrives; a
+        #: location missing here is paired like one that spans segments.
+        self._solo: Dict[Tuple[int, str], int] = {}
         self._active_size = 0
         self.candidates: List[Candidate] = []
         self.records_consumed = 0
@@ -186,22 +191,28 @@ class StreamingDetector:
         """Consume the next record (must arrive in global seq order)."""
         seg, count = self.state.observe(event)
         kind = event.kind
-        if (kind is MEM_WRITE or kind is MEM_READ) and event.location is not None:
-            accesses = self._active.get(event.location)
-            if accesses is None:
-                accesses = []
-                self._active[event.location] = accesses
-            event_is_write = kind is MEM_WRITE
-            for a_seg, a_count, a_event in accesses:
-                if a_seg == seg:
-                    continue  # program order
-                if not (event_is_write or a_event.kind is MEM_WRITE):
-                    continue
-                self.pairs_examined += 1
-                if not self.state.ordered_before(a_seg, a_count, seg):
-                    self.candidates.append(Candidate(a_event, event))
-                    self._candidates_metric.inc()
-            accesses.append((seg, count, event))
+        location = event.location
+        if (kind is MEM_WRITE or kind is MEM_READ) and location is not None:
+            accesses = self._active.get(location)
+            if accesses:
+                # Every live access in this record's own segment is
+                # ordered by program order: only another segment's can
+                # pair, so a private location makes no query.
+                if self._solo.get(location) != seg:
+                    self._solo.pop(location, None)
+                    found, examined = self.state.concurrent_accesses(
+                        seg, accesses, kind is MEM_WRITE
+                    )
+                    self.pairs_examined += examined
+                    if found:
+                        self.candidates.extend(
+                            [Candidate(a, event) for a in found]
+                        )
+                        self._candidates_metric.inc(len(found))
+                accesses.append((seg, count, event))
+            else:
+                self._active[location] = [(seg, count, event)]
+                self._solo[location] = seg
             self._active_size += 1
             if self._active_size > self.active_high_water:
                 self.active_high_water = self._active_size
@@ -239,6 +250,7 @@ class StreamingDetector:
                 self._active[location] = kept
             else:
                 del self._active[location]
+                self._solo.pop(location, None)
         self._active_size -= retired
         self.state.prune(frontier)
         self.evictions += retired
@@ -251,7 +263,10 @@ class StreamingDetector:
     def finish(self) -> None:
         """Final compaction; candidates are then stable and sorted."""
         self.compact()
-        self.candidates.sort(key=lambda c: (c.first.seq, c.second.seq))
+        # Two stable sorts on int keys order by (first.seq, second.seq)
+        # in under half the time of one sort on that tuple.
+        self.candidates.sort(key=attrgetter("second.seq"))
+        self.candidates.sort(key=attrgetter("first.seq"))
 
     # -- checkpointing -----------------------------------------------------
 
@@ -286,6 +301,8 @@ class StreamingDetector:
     ) -> "StreamingDetector":
         self = cls(model=model, window=int(snapshot["window"]))
         self.state = StreamingHBState.from_snapshot(snapshot["state"], model)
+        # ``_solo`` starts empty: a restored location is paired through
+        # the query until it is retired, which answers the same.
         self._active = {}
         self._active_size = 0
         for location, accesses in snapshot["active"]:

@@ -64,7 +64,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.hb.model import FULL_MODEL, HBModel
-from repro.runtime.ops import OpEvent, OpKind
+from repro.runtime.ops import MEM_WRITE, OpEvent, OpKind
 from repro.trace.records import _jsonable, _untuple
 
 __all__ = ["StreamingHBState", "STREAM_UNSUPPORTED_FAMILIES"]
@@ -339,16 +339,38 @@ class StreamingHBState:
 
     # -- queries -----------------------------------------------------------
 
-    def ordered_before(self, a_seg: int, a_count: int, b_event_seg: int) -> bool:
-        """Was position ``(a_seg, a_count)`` ordered before the record
-        most recently observed in ``b_event_seg``?  Call immediately
-        after ``observe`` for that record."""
-        if a_seg == b_event_seg:
-            return True  # program order: a_count < current count
-        clock = self._clocks.get(b_event_seg)
+    def concurrent_accesses(
+        self,
+        seg: int,
+        accesses: List[Tuple[int, int, OpEvent]],
+        is_write: bool,
+    ) -> Tuple[List[OpEvent], int]:
+        """The accesses, of one location's ``(segment, count, record)``
+        list, that conflict with and are concurrent with the record most
+        recently observed in ``seg`` (a write iff ``is_write``): call
+        immediately after ``observe`` for that record.  Returns them in
+        list order, plus the number of conflicting pairs examined —
+        every entry in another segment, and a write unless ``is_write``
+        (same-segment entries are ordered by program order).  The
+        segment's clock is looked up once; each pair is then one probe,
+        and with no clock every examined pair is concurrent."""
+        clock = self._clocks.get(seg)
         if clock is None:
-            return False
-        return (clock.delta.get(a_seg) or clock.base.get(a_seg, 0)) >= a_count
+            dget = bget = _EMPTY.get
+        else:
+            dget, bget = clock.delta.get, clock.base.get
+        if is_write:
+            examined = [a for a in accesses if a[0] != seg]
+        else:
+            examined = [
+                a for a in accesses if a[0] != seg and a[2].kind is MEM_WRITE
+            ]
+        found = [
+            a_event
+            for a_seg, a_count, a_event in examined
+            if (dget(a_seg) or bget(a_seg, 0)) < a_count
+        ]
+        return found, len(examined)
 
     def frontier(self, segments: Iterable[int]) -> Dict[int, int]:
         """Componentwise-minimum clock over everything still live, for

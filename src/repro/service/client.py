@@ -41,6 +41,10 @@ __all__ = ["ServiceClient", "ShipResult"]
 #: Wall-clock seconds per backoff_delay step for client retries.
 _BACKOFF_STEP_S = 0.05
 
+#: Share of the socket timeout a ``report`` may ask the server to hold
+#: its answer for, so the reply lands before the socket gives up.
+_REPORT_WAIT_SHARE = 0.5
+
 
 class ShipResult:
     """Outcome of ``ship_wal_dir``: what went over the wire, how fast,
@@ -136,16 +140,20 @@ class ServiceClient:
         doc: Dict[str, object],
         body: bytes = b"",
         retry_transient: bool = True,
+        deadline: Optional[float] = None,
     ) -> Dict[str, object]:
         """One verb round-trip with reconnect + full-jitter retry.
 
         Transport errors redial (surviving server restarts); transient
         structured errors honour the server's ``retry_after_s`` plus a
-        jittered spread.  Gives up after ``retry_deadline_s``.  With
-        ``retry_transient=False`` transient refusals raise immediately
-        (transport errors still redial) — the shipping loop uses this
-        to move on to another stream instead of blocking on one."""
-        deadline = time.monotonic() + self.retry_deadline_s
+        jittered spread.  Gives up after ``retry_deadline_s``, or at
+        ``deadline`` (a ``time.monotonic()`` instant) if that is
+        sooner.  With ``retry_transient=False`` transient refusals
+        raise immediately (transport errors still redial) — the
+        shipping loop uses this to move on to another stream instead
+        of blocking on one."""
+        give_up = time.monotonic() + self.retry_deadline_s
+        deadline = give_up if deadline is None else min(deadline, give_up)
         attempt = 0
         while True:
             try:
@@ -234,18 +242,32 @@ class ServiceClient:
         return self.request({"verb": "status"})
 
     def wait_report(self, timeout_s: float = 120.0) -> Dict[str, object]:
-        """Poll ``report`` until the tenant's detection finishes."""
+        """The tenant's report, once its detection finishes.  Each
+        ``report`` asks the server to hold the answer until the report
+        is published (``wait_s``: what is left of ``timeout_s``, capped
+        below the socket timeout), so it arrives as soon as it exists.
+        A ``not_ready`` answer is asked again until ``timeout_s`` has
+        gone by; then it, or the transport error that ended the last
+        redial, is raised."""
         deadline = time.monotonic() + timeout_s
         while True:
+            wait_s = min(
+                deadline - time.monotonic(), self.timeout * _REPORT_WAIT_SHARE
+            )
             try:
                 response = self.request(
-                    {"verb": "report", "tenant": self.tenant}
+                    {
+                        "verb": "report",
+                        "tenant": self.tenant,
+                        "wait_s": round(max(0.0, wait_s), 3),
+                    },
+                    retry_transient=False,
+                    deadline=deadline,
                 )
                 return json.loads(response["body"])
             except ServiceError as exc:
                 if exc.code != "not_ready" or time.monotonic() >= deadline:
                     raise
-                time.sleep(exc.retry_after_s or 0.1)
 
     # -- shipping ----------------------------------------------------------
 

@@ -26,8 +26,12 @@ discipline of ``repro.runtime.sockets``:
   frame body; ACKed only after the bytes are durably spooled;
 * ``finalize`` — the tenant is done shipping; declares the per-stream
   segment counts so the server can verify completeness;
-* ``report``   — poll for the tenant's finished detection report (the
-  canonical ``report.json`` bytes ride in the response body);
+* ``report``   — the tenant's finished detection report (the canonical
+  ``report.json`` bytes ride in the response body).  With
+  ``wait_s: <seconds>`` the server holds the answer until the report
+  is published, the tenant is quarantined or the server stops, for at
+  most ``wait_s`` (capped server-side); without it, an unfinished
+  report is ``not_ready`` at once;
 * ``status``   — server-wide snapshot (tenants, overload level);
 * ``shutdown`` — ask the server to stop (operator use).
 
@@ -35,7 +39,8 @@ Every response is ``{"ok": true, ...}`` or a **structured error**
 ``{"ok": false, "error": <code>, "message": ..., "retry_after_s": ...}``.
 Transient codes (``over_capacity``, ``over_queue``, ``paused``,
 ``not_ready``) carry ``retry_after_s`` and are retried by the client's
-full-jitter backoff; terminal codes (``quarantined``, ``bad_segment``,
+full-jitter backoff (``wait_report`` re-asks ``not_ready`` with
+``wait_s`` instead); terminal codes (``quarantined``, ``bad_segment``,
 ``out_of_order``, ``unknown_stream``, ``bad_request``) propagate as
 :class:`repro.errors.ServiceError`.
 """

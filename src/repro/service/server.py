@@ -70,6 +70,10 @@ SERVICE_FILE = "service.json"
 RETRY_AFTER = {"over_capacity": 1.0, "over_queue": 0.1, "paused": 0.2,
                "not_ready": 0.1}
 
+#: Longest a ``report`` carrying ``wait_s`` is held, seconds; a client
+#: still waiting then asks again.
+REPORT_WAIT_CAP_S = 30.0
+
 #: Raw records one pump() call may advance before yielding (keeps the
 #: pump preemptible for checkpoints and, with
 #: ``DCATCH_STALL=service_pump:<s>``, gives the overload demos a way to
@@ -171,6 +175,7 @@ class DetectionServer:
             pumps = list(self._pumps.values())
         for tenant in tenants:
             tenant.wakeup.set()
+            tenant.settled.set()  # releases every held ``report``
         for pump in pumps:
             pump.join(timeout=10)
         for tenant in tenants:
@@ -601,6 +606,7 @@ class DetectionServer:
             if tripped:
                 tenant.save_state()
                 tenant.wakeup.set()
+                tenant.settled.set()
                 return error_frame(
                     "quarantined",
                     f"tenant {tenant.tenant_id} quarantined after "
@@ -659,6 +665,17 @@ class DetectionServer:
         tenant, err = self._tenant_or_error(doc)
         if err is not None:
             return err
+        wait_s = doc.get("wait_s")
+        if (
+            isinstance(wait_s, (int, float))
+            and wait_s > 0
+            and not (tenant.done or tenant.breaker.quarantined)
+            and not self._stopping.is_set()
+        ):
+            # Hold the answer until the report is published (or the
+            # tenant is quarantined, or the server stops) rather than
+            # have the client poll for it.
+            tenant.settled.wait(min(wait_s, REPORT_WAIT_CAP_S))
         if tenant.breaker.quarantined:
             return error_frame(
                 "quarantined",

@@ -180,6 +180,10 @@ class Tenant:
         self.lock = threading.RLock()
         #: Pump wakeup: set on new segments / finalize / shutdown.
         self.wakeup = threading.Event()
+        #: Set once ``report`` has its final answer — the report is
+        #: published or the tenant quarantined — or the server is
+        #: stopping; a ``report`` carrying ``wait_s`` waits on it.
+        self.settled = threading.Event()
 
     # -- paths -------------------------------------------------------------
 
@@ -281,6 +285,7 @@ class Tenant:
             )
         if os.path.exists(self.report_path):
             self.done = True
+            self.settled.set()
         else:
             try:
                 self.session.resume()
@@ -429,6 +434,7 @@ class Tenant:
         doc = report_from_stream_result(self.tenant_id, result)
         atomic_write(self.report_path, render_report(doc))
         self.done = True
+        self.settled.set()
         obs.counter(
             "service_reports_total", "tenant reports published"
         ).labels(tenant=self.tenant_id, confidence=result.confidence).inc()

@@ -6,7 +6,8 @@ representation :class:`repro.hb.incremental.StreamingHBState` had
 before its clocks became copy-on-write; the differential tests in
 ``test_segment_clocks.py`` hold the production engine's *logical*
 clocks, pending snapshots, statistics and checkpoint to it after every
-step.  Obviously correct, O(width) per source and per sink.
+step, and its batch pair query to the per-pair ``ordered_before``
+here.  Obviously correct, O(width) per source and per sink.
 """
 
 from collections import Counter

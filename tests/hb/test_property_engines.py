@@ -70,26 +70,32 @@ def test_five_engines_agree_on_shared_relation(recipe):
 
 def _assert_streaming_clocks_match(trace, graph, model):
     """The streaming engine answers online: right after a record
-    arrives, ordered_before(pos(x), seg(new)) must match the offline
-    graph for every earlier record x."""
+    arrives, ``concurrent_accesses`` over every earlier record x (at
+    its streamed position) must return exactly the conflicting x in
+    other segments the offline graph does not order before the new
+    record, in seq order, and count every conflicting x examined."""
     state = StreamingHBState(
         model=model,
         expected_streams={r.tid for r in trace.records},
     )
-    positions = {}
+    earlier = []  # (segment, count, record) of every record so far
     for record in trace.records:
-        pos = state.observe(record)
-        for earlier in trace.records:
-            if earlier.seq >= record.seq:
-                break
-            a_seg, a_count = positions[earlier.seq]
-            assert state.ordered_before(
-                a_seg, a_count, record.segment
-            ) == graph.happens_before(earlier, record), (
-                earlier.seq,
-                record.seq,
-            )
-        positions[record.seq] = pos
+        seg, count = state.observe(record)
+        for is_write in (False, True):
+            examined = [
+                x
+                for _, _, x in earlier
+                if x.segment != record.segment
+                and (is_write or x.kind is OpKind.MEM_WRITE)
+            ]
+            concurrent = [
+                x for x in examined if not graph.happens_before(x, record)
+            ]
+            assert state.concurrent_accesses(seg, earlier, is_write) == (
+                concurrent,
+                len(examined),
+            ), (record.seq, is_write)
+        earlier.append((seg, count, record))
     return state
 
 

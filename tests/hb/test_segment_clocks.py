@@ -252,6 +252,48 @@ def _assert_same(state, ref):
     assert state.to_snapshot() == ref.to_snapshot()
 
 
+def _probe_accesses(ref, seg, seen):
+    """One location's ``(segment, count, record)`` list straddling
+    every boundary the reference clock of ``seg`` draws: for ``seg``
+    itself, each segment the clock holds and each seen segment it does
+    not, the count the clock holds and the next, as a read and a
+    write.  Each record is distinct, so list order is checkable."""
+    clock = ref.clocks.get(seg, {})
+    accesses = []
+    for s in sorted(set(clock) | seen | {seg}):
+        v = clock.get(s, 0)
+        for count in (v, v + 1):
+            for kind in (OpKind.MEM_READ, OpKind.MEM_WRITE):
+                accesses.append((s, count, OpEvent(
+                    seq=len(accesses), kind=kind, obj_id="probe", node="n",
+                    tid=s, thread_name=f"t{s}", segment=s,
+                    callstack=CallStack(), location=(1, "probe"),
+                )))
+    return accesses
+
+
+def _assert_query_matches(state, ref, seg, seen):
+    """``concurrent_accesses`` against the reference's per-pair
+    answers: the examined pairs are the conflicting ones in other
+    segments, and the concurrent subset keeps list order."""
+    accesses = _probe_accesses(ref, seg, seen)
+    for is_write in (False, True):
+        examined = [
+            (s, count, record)
+            for s, count, record in accesses
+            if s != seg and (is_write or record.kind is OpKind.MEM_WRITE)
+        ]
+        concurrent = [
+            record
+            for s, count, record in examined
+            if not ref.ordered_before(s, count, seg)
+        ]
+        assert state.concurrent_accesses(seg, accesses, is_write) == (
+            concurrent,
+            len(examined),
+        )
+
+
 def _run_differential(script, threshold):
     state = StreamingHBState(expected_streams=script.tids)
     ref = DictClockState(expected_streams=script.tids)
@@ -263,14 +305,14 @@ def _run_differential(script, threshold):
             if step == "observe":
                 assert state.observe(arg) == ref.observe(arg)
                 seen.add(arg.segment)
-                for s, v in ref.clocks.get(arg.segment, {}).items():
-                    for count in (v, v + 1):
-                        assert state.ordered_before(
-                            s, count, arg.segment
-                        ) == ref.ordered_before(s, count, arg.segment)
+                _assert_query_matches(state, ref, arg.segment, seen)
             elif step == "close":
                 state.close_stream(arg)
                 ref.close_stream(arg)
+                # The closed stream's segment has no clock any more:
+                # every examined pair reads as concurrent.
+                assert arg not in ref.clocks
+                _assert_query_matches(state, ref, arg, seen)
             elif step == "compact":
                 frontier = state.frontier(seen)
                 assert frontier == ref.frontier(seen)

@@ -154,6 +154,123 @@ class TestLifecycle:
         assert render_report(report) == published
 
 
+class _Watched(threading.Event):
+    """A tenant's ``settled`` event that tells when a request waits on
+    it, so a test acts only once the ``report`` is held."""
+
+    def __init__(self):
+        super().__init__()
+        self.waited = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waited.set()
+        return super().wait(timeout)
+
+
+def _watch(tenant):
+    tenant.settled = _Watched()
+    return tenant.settled
+
+
+def _in_thread(call):
+    """Start ``call`` in a thread; the dict gets its ``result`` or
+    ``error`` and the monotonic time ``at`` it returned."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = call()
+        except ServiceError as exc:
+            out["error"] = exc
+        out["at"] = time.monotonic()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, out
+
+
+class TestReportWait:
+    """A ``report`` carrying ``wait_s`` is held until it has an answer."""
+
+    def test_report_arrives_when_published(self, server, wal_dir):
+        streams = sorted(list_stream_segments(wal_dir))
+        with _client(server, "alpha") as shipper, \
+                _client(server, "alpha") as waiter:
+            shipper.hello(streams)
+            tenant = server.tenants["alpha"]
+            watched = _watch(tenant)
+            published = []
+            write_report = tenant.write_report
+
+            def publish():
+                doc = write_report()
+                published.append(time.monotonic())
+                return doc
+
+            tenant.write_report = publish
+            thread, got = _in_thread(lambda: waiter.wait_report(timeout_s=60))
+            assert watched.waited.wait(10)
+            shipper.ship_wal_dir(wal_dir)
+            thread.join(30)
+        assert got["at"] - published[0] < 0.05
+        assert render_report(got["result"]) == _offline_report(wal_dir, "alpha")
+
+    def test_wait_report_honours_its_timeout(self, server, wal_dir):
+        """``request`` used to retry ``not_ready`` until
+        ``retry_deadline_s``: this raised after 4 s, not 0.5 s."""
+        with _client(server, "alpha", retry_deadline_s=4) as client:
+            client.hello(sorted(list_stream_segments(wal_dir)))
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as err:
+                client.wait_report(timeout_s=0.5)
+            elapsed = time.monotonic() - started
+        assert err.value.code == "not_ready"
+        assert 0.5 <= elapsed < 1.5
+
+    def test_quarantine_wakes_the_waiter(self, server, wal_dir):
+        segments = list_stream_segments(wal_dir)
+        node, tid = sorted(segments)[0]
+        with _client(server, "mallory") as shipper, \
+                _client(server, "mallory") as waiter:
+            shipper.hello(sorted(segments))
+            watched = _watch(server.tenants["mallory"])
+            thread, got = _in_thread(lambda: waiter.wait_report(timeout_s=60))
+            assert watched.waited.wait(10)
+            for _ in range(3):
+                with pytest.raises(ServiceError):
+                    shipper.send_segment(node, tid, 0, b"not a wal segment\n")
+            thread.join(10)
+        assert not thread.is_alive()
+        assert got["error"].code == "quarantined"
+
+    def test_stop_releases_a_held_report(self, server, wal_dir):
+        with _client(server, "alpha") as client, \
+                _client(server, "alpha") as waiter:
+            client.hello(sorted(list_stream_segments(wal_dir)))
+            watched = _watch(server.tenants["alpha"])
+            thread, got = _in_thread(lambda: waiter.request(
+                {"verb": "report", "tenant": "alpha", "wait_s": 60},
+                retry_transient=False,
+            ))
+            assert watched.waited.wait(10)
+            server.stop()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert got["error"].code == "not_ready"
+
+    def test_without_wait_s_not_ready_comes_at_once(self, server, wal_dir):
+        with _client(server, "alpha") as client:
+            client.hello(sorted(list_stream_segments(wal_dir)))
+            watched = _watch(server.tenants["alpha"])
+            with pytest.raises(ServiceError) as err:
+                client.request(
+                    {"verb": "report", "tenant": "alpha"},
+                    retry_transient=False,
+                )
+        assert err.value.code == "not_ready"
+        assert not watched.waited.is_set()
+
+
 def _prefilled_tenant(wal_dir, root, **kwargs):
     """A finalized tenant over a spool that already holds ``wal_dir``."""
     segments = list_stream_segments(wal_dir)
