@@ -12,7 +12,7 @@ story:
    and the trigger stage seal as they complete.
 2. *A simulated crash*: a second checkpoint directory is built holding
    only what a SIGKILL after the first trigger verdict would have left
-   behind (the sealed trace plus one line of the verdict log).
+   behind (the sealed trace plus a manifest holding one verdict).
 3. *Resume*: the pipeline restores the trace and the surviving verdict,
    re-executes only the remaining reports, and produces reports
    **byte-identical** to the uninterrupted run.
@@ -28,9 +28,14 @@ Run with::
     python examples/crash_resume.py
 """
 
+import os
 import tempfile
 
-from repro.analysis.checkpoint import CheckpointStore, config_fingerprint
+from repro.analysis.checkpoint import (
+    CheckpointStore,
+    config_fingerprint,
+    load_manifest,
+)
 from repro.detect.export import dump_reports
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
@@ -51,23 +56,22 @@ def main() -> int:
     print()
     print("=== act 2: simulate a SIGKILL after the first trigger verdict ===")
     # Rebuild what a crashed run leaves on disk: the trace sealed, the
-    # trigger stage incomplete with one verdict already in its log.
+    # trigger stage unsealed with one verdict already in the manifest.
     crashed_dir = tempfile.mkdtemp(prefix="dcatch-ck-crashed-")
-    fingerprint = config_fingerprint(BUG, config)
-    sealed = CheckpointStore(
-        directory=ckdir, benchmark=BUG, config_fp=fingerprint, resume=True
-    )
+    sealed = load_manifest(ckdir)
     crashed = CheckpointStore(
-        directory=crashed_dir, benchmark=BUG, config_fp=fingerprint
+        directory=crashed_dir,
+        benchmark=BUG,
+        config_fp=config_fingerprint(BUG, config),
     )
     crashed.seal_stage(
-        "trace", sealed.load_stage("trace"), Trace.load(sealed.trace_dir)
+        "trace",
+        sealed["stages"]["trace"],
+        Trace.load(os.path.join(ckdir, "trace")),
     )
-    verdicts = sealed.load_shards("trigger")
-    crashed.shard_log("trigger").append(verdicts[0])
-    crashed.seal()
+    crashed.add_verdict(sealed["verdicts"][0])
     print(f"crashed checkpoint: trace sealed, "
-          f"1 of {len(verdicts)} trigger verdicts survived")
+          f"1 of {len(sealed['verdicts'])} trigger verdicts survived")
 
     print()
     print("=== act 3: resume from the wreckage ===")
@@ -77,7 +81,7 @@ def main() -> int:
     ).run()
     print(f"stages skipped: {resumed.stages_skipped}")
     restored = resumed.metrics["checkpoint_shards_resumed_total"]
-    print(f"verdicts restored from the log: {int(restored['value'])}")
+    print(f"verdicts restored from the manifest: {int(restored['value'])}")
     print(f"trigger re-executions: "
           f"{int(resumed.metrics['trigger_runs_total']['value'])} "
           f"(uninterrupted run: "

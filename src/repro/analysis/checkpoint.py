@@ -11,17 +11,17 @@ analyzer loses at most the trigger *report* that was in flight.
 
 Layout (one run per checkpoint directory)::
 
-    <dir>/manifest.json            schema-versioned, atomically replaced
-    <dir>/trace/                   the trace, as ``Trace.save`` writes it
-    <dir>/trace.json               run results + timings, CRC32-checked
-    <dir>/trigger-outcomes.jsonl   incremental: one framed line per report
-    <dir>/trigger.json             stage seal (report count, seconds)
+    <dir>/manifest.json   one CRC-enveloped document, atomically replaced
+    <dir>/trace/          the trace, as ``Trace.save`` writes it
 
-The trace is read by the strict ``Trace.load``; the log is ``R`` lines
-of `repro.framing` (``docs/framing.md``), so a SIGKILL mid-append
-leaves a torn tail the loader drops.  Damage, stale schema versions and
-fingerprint mismatches raise ``CheckpointError`` (exit 2), never a
-traceback.
+The manifest (``repro.framing.write_document``) holds the config
+fingerprint, each sealed stage's payload under ``stages`` (``trace``:
+run results and timings; ``trigger``: report count and seconds) and
+``verdicts``, one entry per finished trigger report.  It is rewritten
+when the trace seals, after every verdict and when the trigger stage
+seals — a handful of kilobytes each time.  The trace is read by the
+strict ``Trace.load``.  Damage, stale schema versions and fingerprint
+mismatches raise ``CheckpointError`` (exit 2), never a traceback.
 """
 
 from __future__ import annotations
@@ -35,24 +35,18 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import CheckpointError, TraceFormatError
-from repro.framing import Damage, atomic_write, crc32, decode_line, encode_line
+from repro.framing import Damage, read_document, write_document
 from repro.trace.store import Trace
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 2
-
-#: Checkpointed stages in execution order.  ``trigger`` also keeps an
-#: incremental file so a mid-stage crash only loses the in-flight report.
-STAGES = ("trace", "trigger")
-
-_INCREMENTAL_FILES = {"trigger": "trigger-outcomes.jsonl"}
+CHECKPOINT_VERSION = 3
 
 
 def config_fingerprint(benchmark: str, config: "object") -> str:
     """Hash of every config knob that changes analysis *results*.
 
-    Knobs that only change cost (observability, the streaming window)
-    are deliberately excluded: resuming under a different one is safe."""
+    Knobs that only change cost (observability, deadlines) are
+    deliberately excluded: resuming under a different one is safe."""
     model = config.model
     fields = {
         "benchmark": benchmark,
@@ -80,54 +74,44 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-class ShardLog:
-    """Append-only, CRC-framed JSONL file for one incremental stage."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        # A SIGKILL mid-append leaves a torn partial line at the tail.
-        # Truncate to the last intact framed line before appending:
-        # otherwise the first resumed entry concatenates with the torn
-        # fragment into one malformed line, and the *next* crash/resume
-        # cycle discards every entry after it.
-        _, valid_bytes = _scan_shard_file(path)
-        self._fh = open(path, "ab")
-        self._fh.truncate(valid_bytes)
-
-    def append(self, entry: Dict[str, Any]) -> None:
-        payload = json.dumps(entry, sort_keys=True).encode()
-        self._fh.write(encode_line(b"R", payload))
-        # Flush per shard: the unflushed suffix is exactly what a crash
-        # loses, and a shard is the unit we promise to lose at most.
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-
-def _scan_shard_file(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Every intact framed line plus the byte length of the valid
-    prefix (just past the last intact, newline-terminated line).  The
-    scan stops at the first damaged line: a torn tail is dropped, and
-    everything after a damaged *interior* line might be misframed."""
-    entries: List[Dict[str, Any]] = []
-    valid_bytes = 0
+def load_manifest(directory: str) -> Dict[str, Any]:
+    """The CRC-verified manifest of checkpoint ``directory``, of this
+    format and version; ``CheckpointError`` (one line) otherwise."""
+    if not os.path.isdir(directory):
+        raise CheckpointError(
+            f"{directory} is not a checkpoint directory "
+            f"(run with --checkpoint-dir first, then --resume)"
+        )
+    path = os.path.join(directory, "manifest.json")
     try:
-        fh = open(path, "rb")
+        manifest = read_document(path)
     except FileNotFoundError:
-        return entries, 0
-    with fh:
-        for raw in fh:
-            payload = decode_line(raw, b"R", valid_bytes)
-            if isinstance(payload, Damage):
-                break
-            try:
-                entries.append(json.loads(payload))
-            except ValueError:
-                break
-            valid_bytes += len(raw)
-    return entries, valid_bytes
+        raise CheckpointError(
+            f"no checkpoint manifest in {directory} (nothing to resume)"
+        ) from None
+    if isinstance(manifest, Damage):
+        # Versions 1 and 2 wrote plain JSON: refused below as stale.
+        damage, manifest = manifest, None
+        try:
+            with open(path) as fh:
+                manifest = json.load(fh)
+        except ValueError:
+            pass
+        if not isinstance(manifest, dict) or manifest.get("version") == CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"damaged checkpoint manifest {path}: {damage.detail}"
+            )
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path} is not a checkpoint manifest (format {fmt!r})")
+    version = manifest.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"stale checkpoint schema version {version!r} "
+            f"(this reader understands version {CHECKPOINT_VERSION}); "
+            f"re-run without --resume to rebuild"
+        )
+    return manifest
 
 
 @dataclass
@@ -141,79 +125,30 @@ class CheckpointStore:
     manifest: Dict[str, Any] = field(default_factory=dict)
     #: Stages loaded from disk instead of recomputed, in order.
     stages_skipped: List[str] = field(default_factory=list)
-    _shard_logs: Dict[str, ShardLog] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._manifest_path = os.path.join(self.directory, "manifest.json")
         self.trace_dir = os.path.join(self.directory, "trace")
         if self.resume:
-            self.manifest = self._load_manifest()
+            self.manifest = load_manifest(self.directory)
             self._validate_manifest()
         else:
+            # A fresh run owns the directory: the new manifest replaces
+            # the old stages and verdicts, and the old trace goes.
             os.makedirs(self.directory, exist_ok=True)
-            self._clear_previous_run()
+            shutil.rmtree(self.trace_dir, ignore_errors=True)
             self.manifest = {
                 "format": CHECKPOINT_FORMAT,
                 "version": CHECKPOINT_VERSION,
                 "benchmark": self.benchmark,
                 "config_fingerprint": self.config_fp,
                 "stages": {},
+                "verdicts": [],
             }
             self._write_manifest()
 
-    def _clear_previous_run(self) -> None:
-        """Delete the trace, stage payloads and shard files of an earlier run.
-
-        A fresh (non-resume) run owns the directory.  ShardLog appends
-        and ``load_shards`` reads whatever file is present, so without
-        this sweep a reused directory — exactly what "re-run without
-        --resume to rebuild" advises — would silently restore verdicts
-        computed from a different trace or config."""
-        shutil.rmtree(self.trace_dir, ignore_errors=True)
-        names = [f"{stage}.json" for stage in STAGES]
-        names += [f"{name}.tmp" for name in names]
-        names += _INCREMENTAL_FILES.values()
-        for name in names:
-            try:
-                os.remove(os.path.join(self.directory, name))
-            except FileNotFoundError:
-                pass
-
-    # -- manifest -------------------------------------------------------------
-
-    def _load_manifest(self) -> Dict[str, Any]:
-        if not os.path.isdir(self.directory):
-            raise CheckpointError(
-                f"{self.directory} is not a checkpoint directory "
-                f"(run with --checkpoint-dir first, then --resume)"
-            )
-        try:
-            with open(self._manifest_path) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            raise CheckpointError(
-                f"no checkpoint manifest in {self.directory} "
-                f"(nothing to resume)"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"damaged checkpoint manifest {self._manifest_path}: {exc.msg}"
-            ) from None
-
     def _validate_manifest(self) -> None:
         manifest = self.manifest
-        if manifest.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"{self._manifest_path} is not a checkpoint manifest "
-                f"(format {manifest.get('format')!r})"
-            )
-        version = manifest.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"stale checkpoint schema version {version!r} "
-                f"(this reader understands version {CHECKPOINT_VERSION}); "
-                f"re-run without --resume to rebuild"
-            )
         if manifest.get("benchmark") != self.benchmark:
             raise CheckpointError(
                 f"checkpoint is for benchmark {manifest.get('benchmark')!r}, "
@@ -228,14 +163,12 @@ class CheckpointStore:
             )
 
     def _write_manifest(self) -> None:
-        text = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
-        atomic_write(self._manifest_path, text.encode())
+        write_document(self._manifest_path, self.manifest)
 
     # -- stage lifecycle ------------------------------------------------------
 
     def stage_completed(self, name: str) -> bool:
-        entry = self.manifest.get("stages", {}).get(name)
-        return bool(entry and entry.get("completed"))
+        return name in self.manifest["stages"]
 
     def mark_skipped(self, name: str) -> None:
         self.stages_skipped.append(name)
@@ -247,83 +180,40 @@ class CheckpointStore:
     def seal_stage(
         self, name: str, payload: Dict[str, Any], trace: Optional[Trace] = None
     ) -> None:
-        """Write one stage's payload and mark it completed (atomic:
-        ``trace`` into :attr:`trace_dir` and the payload file first,
-        then the manifest replace): a kill can never leave a completed
-        ``trace`` stage without its trace on disk."""
+        """Record one stage's payload as completed.  ``trace`` is saved
+        into :attr:`trace_dir` before the manifest replace: a kill can
+        never leave a completed ``trace`` stage without its trace."""
         with obs.span("checkpoint.seal", stage=name):
             if trace is not None:
                 trace.save(self.trace_dir)
-            blob = json.dumps(payload, sort_keys=True).encode()
-            filename = f"{name}.json"
-            atomic_write(os.path.join(self.directory, filename), blob)
-            entry = self.manifest["stages"].setdefault(name, {})
-            entry.update(
-                {"file": filename, "crc": f"{crc32(blob):08x}", "completed": True}
-            )
+            self.manifest["stages"][name] = payload
             self._write_manifest()
         obs.counter(
             "checkpoint_stages_sealed_total", "pipeline stages checkpointed"
         ).labels(stage=name).inc()
-        obs.counter(
-            "checkpoint_bytes_written_total", "bytes of sealed stage payloads"
-        ).inc(len(blob))
 
     def load_stage(self, name: str) -> Dict[str, Any]:
-        entry = self.manifest.get("stages", {}).get(name)
-        if not entry or not entry.get("completed"):
+        if not self.stage_completed(name):
             raise CheckpointError(f"stage {name} is not completed in {self.directory}")
-        path = os.path.join(self.directory, entry["file"])
-        with obs.span("checkpoint.load", stage=name):
-            try:
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            except FileNotFoundError:
-                raise CheckpointError(
-                    f"checkpoint stage file missing: {path}"
-                ) from None
-            if f"{crc32(blob):08x}" != entry.get("crc"):
-                raise CheckpointError(
-                    f"checkpoint stage {name} failed its CRC check "
-                    f"({path} is damaged); re-run without --resume"
-                )
-            return json.loads(blob.decode())
+        return self.manifest["stages"][name]
 
-    # -- incremental shards ---------------------------------------------------
+    # -- trigger verdicts -----------------------------------------------------
 
-    def shard_log(self, stage: str) -> ShardLog:
-        """The append-only shard file for an incremental stage; noted in
-        the manifest (``completed: false``) the first time it opens."""
-        log = self._shard_logs.get(stage)
-        if log is None:
-            filename = _INCREMENTAL_FILES[stage]
-            entry = self.manifest["stages"].setdefault(stage, {})
-            if entry.get("shards_file") != filename:
-                entry.update({"shards_file": filename, "completed": False})
-                self._write_manifest()
-            log = ShardLog(os.path.join(self.directory, filename))
-            self._shard_logs[stage] = log
-        return log
+    def add_verdict(self, entry: Dict[str, Any]) -> None:
+        """Append one finished report's verdict; it is on disk (fsynced)
+        when this returns, so a kill loses at most the next report."""
+        self.manifest["verdicts"].append(entry)
+        self._write_manifest()
 
-    def load_shards(self, stage: str) -> List[Dict[str, Any]]:
-        """Intact shard entries written before a crash (torn tail dropped)."""
-        entries, _ = _scan_shard_file(
-            os.path.join(self.directory, _INCREMENTAL_FILES[stage])
-        )
+    def load_verdicts(self) -> List[Dict[str, Any]]:
+        """The verdicts a previous run recorded (none on a fresh run)."""
+        entries = self.manifest["verdicts"]
         if entries:
             obs.counter(
                 "checkpoint_shards_resumed_total",
                 "per-shard results recovered from a checkpoint",
-            ).labels(stage=stage).inc(len(entries))
+            ).labels(stage="trigger").inc(len(entries))
         return entries
-
-    def seal(self) -> None:
-        """Flush and close every open incremental file (called on clean
-        stage completion *and* on interrupt — the manifest is already
-        consistent because it is rewritten atomically at every step)."""
-        for log in self._shard_logs.values():
-            log.close()
-        self._shard_logs.clear()
 
 
 # -- stage payload builders / restorers ---------------------------------------
@@ -385,12 +275,14 @@ def run_result_from_dict(data: Dict[str, Any]) -> "object":
 def trace_stage_payload(
     trace: Trace, base_result: "object", monitored_result: "object", timings: Dict
 ) -> Dict[str, Any]:
-    """``trace.json``: what the trace directory does not hold."""
+    """The manifest's ``trace`` stage: what the trace directory does not hold."""
     return {
         "name": trace.name,
         "base_result": run_result_to_dict(base_result),
         "monitored_result": run_result_to_dict(monitored_result),
-        "timings": timings,
+        # A copy: the pipeline keeps adding later stages' timings to
+        # its dict, and the manifest is rewritten after this seal.
+        "timings": dict(timings),
     }
 
 

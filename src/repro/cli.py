@@ -86,7 +86,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_stage_seconds=args.max_stage_seconds,
         memory_budget_mb=args.memory_budget_mb,
         detect_mode=args.detect_mode,
-        stream_window=args.stream_window,
         sampling=args.sampling,
         sampling_seed=args.sampling_seed,
     )
@@ -454,7 +453,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         limits=limits,
         window=args.window,
         max_bad_segments=args.max_bad_segments,
-        checkpoint_every=args.checkpoint_every,
         overload_poll_s=args.overload_poll_s,
         http_port=None if args.no_http else args.http_port,
     ).start()
@@ -667,15 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sync-preserving = batch plus the sound SP tier (candidates "
         "with a sync-preserving witness are marked sp-sound and "
         "triggered first)",
-    )
-    run.add_argument(
-        "--stream-window",
-        type=int,
-        default=8192,
-        metavar="RECORDS",
-        dest="stream_window",
-        help="streaming mode: records between HB-frontier compaction "
-        "passes (memory knob; candidates are window-independent)",
     )
     _add_sampling_flags(run)
     run.set_defaults(fn=_cmd_run)
@@ -964,14 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="circuit breaker: quarantine a tenant after this streak "
         "of torn/CRC-bad segments",
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=20_000,
-        dest="checkpoint_every",
-        metavar="RECORDS",
-        help="records between per-tenant detector checkpoints",
     )
     serve.add_argument(
         "--http-port",

@@ -30,7 +30,6 @@ service's tenants alike: :func:`merge_by_seq` and :class:`StreamSession`.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import time
 from collections import Counter
@@ -52,7 +51,7 @@ from repro import obs
 from repro.analysis.governor import StageBudget, maybe_stall, process_rss_mb
 from repro.detect.races import Candidate, DetectionResult
 from repro.errors import CheckpointError
-from repro.framing import Damage, atomic_write, decode_document, encode_document
+from repro.framing import Damage, read_document, write_document
 from repro.hb.incremental import StreamingHBState
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import MEM_READ, MEM_WRITE, OpEvent
@@ -410,18 +409,15 @@ def save_stream_checkpoint(
     }
     if extra:
         doc["extra"] = extra
-    payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-    atomic_write(path, encode_document(payload))
+    write_document(path, doc)
 
 
 def load_stream_checkpoint(path: str) -> Dict[str, object]:
     """Load and CRC-verify a streaming checkpoint file."""
-    with open(path, "rb") as fh:
-        payload = decode_document(fh.read())
-    if isinstance(payload, Damage):
-        raise CheckpointError(f"{path}: stream checkpoint {payload.detail}")
-    doc = json.loads(payload)
-    if doc.get("format") != STREAM_CHECKPOINT_FORMAT:
+    doc = read_document(path)
+    if isinstance(doc, Damage):
+        raise CheckpointError(f"{path}: stream checkpoint {doc.detail}")
+    if not isinstance(doc, dict) or doc.get("format") != STREAM_CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {STREAM_CHECKPOINT_FORMAT} file")
     if doc.get("version") != STREAM_CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -462,14 +458,12 @@ class StreamSession:
         window: int,
         source: str,
         checkpoint_path: Optional[str],
-        checkpoint_every: int,
         sampler: Optional[object] = None,
     ) -> None:
         self.model = model
         self.window = window
         self.fingerprint = stream_fingerprint(model, window, source, sampler)
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every  # raw records between saves
         #: A ``repro.trace.sampling.Sampler``, or None.
         self.sampler = sampler
         #: Whether live records go through the sampler (the service
@@ -546,11 +540,11 @@ class StreamSession:
         return raw - start
 
     def maybe_checkpoint(self, force: bool = False) -> bool:
-        """Save the checkpoint when ``checkpoint_every`` raw records
-        have gone by since the last save (``force``: any at all)."""
+        """Save the checkpoint when eight windows of raw records have
+        gone by since the last save (``force``: any at all)."""
         if self.checkpoint_path is None or self.detector is None:
             return False
-        due = 1 if force else self.checkpoint_every
+        due = 1 if force else 8 * self.window
         if self.consumed_raw - self._saved_raw < due:
             return False
         extra: Dict[str, object] = {"consumed_raw": self.consumed_raw}
@@ -607,7 +601,6 @@ def detect_races_streaming(
     memory_budget_mb: Optional[int] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     checkpoint_path: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume: bool = False,
     sampler: Optional[object] = None,
 ) -> StreamResult:
@@ -622,8 +615,8 @@ def detect_races_streaming(
     ``memory_budget_mb`` forces an extra compaction whenever process
     RSS crosses 90% of the budget — the detector degrades by compacting
     harder, never by abandoning.  ``checkpoint_path`` (saved every
-    ``checkpoint_every`` raw records, by default eight windows' worth)
-    makes the pass resumable via ``resume=True``; a checkpoint the
+    eight windows of raw records, and when the pass ends) makes the
+    pass resumable via ``resume=True``; a checkpoint the
     session refuses is an error here (``CheckpointError``).  ``sampler``
     (a ``repro.trace.sampling.Sampler``) thins the memory accesses — the
     streaming analog of sampled tracing; the result reads
@@ -639,7 +632,6 @@ def detect_races_streaming(
         window,
         os.path.abspath(wal_dir) if wal_dir is not None else "<records>",
         checkpoint_path,
-        checkpoint_every or 8 * window,
         sampler=sampler,
     )
     if resume:

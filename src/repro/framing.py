@@ -1,23 +1,25 @@
 """The one framing codec and the one atomic-publish routine.
 
-WAL segments, checkpoint shard logs, service wire frames and the
-streaming checkpoint share one self-verifying line format, parsed here
-and nowhere else; readers differ only in what they do with a damaged
-line.  Reference (damage taxonomy, reader policies, what
-:func:`atomic_write` guarantees): ``docs/framing.md``.  Grammar::
+WAL segments, service wire frames and every whole-file document (the
+run checkpoint's manifest, ``stream.ckpt``, a saved trace's
+``meta.json``) share one self-verifying format, parsed here and nowhere
+else; readers differ only in what they do with a damaged line.
+Reference (damage taxonomy, reader policies, what :func:`atomic_write`
+guarantees): ``docs/framing.md``.  Grammar::
 
     H <json>                        header, unframed (segment metadata)
-    R <len:08x> <crc:08x> <json>    framed payload: WAL record, shard entry
+    R <len:08x> <crc:08x> <json>    framed payload: WAL record
     F <len:08x> <crc:08x> <json>    framed payload: service wire frame
     S <count:08x> <crc:08x>         seal: record count + running CRC
-    <crc:08x> <json>                whole-document envelope (stream.ckpt)
+    <crc:08x> <json>                whole-document envelope
 """
 
 from __future__ import annotations
 
+import json
 import os
 import zlib
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Any, NamedTuple, Optional, Tuple, Union
 
 _HEADER_LEN = 20  # tag + b" " + 8 hex + b" " + 8 hex + b" "
 
@@ -149,6 +151,26 @@ def decode_document(framed: bytes) -> Union[bytes, Damage]:
     except ValueError:
         return Damage("torn", 0, "unparseable document framing")
     return Damage("crc", 0, "document CRC mismatch")
+
+
+def write_document(path: str, obj: Any) -> None:
+    """Publish ``obj`` at ``path`` with :func:`atomic_write`: canonical
+    JSON (sorted keys) in the CRC envelope."""
+    atomic_write(path, encode_document(json.dumps(obj, sort_keys=True).encode()))
+
+
+def read_document(path: str) -> Union[Any, Damage]:
+    """The object :func:`write_document` published at ``path``, or the
+    :class:`Damage` that stops it.  Raises only ``OSError`` (a missing
+    file is the caller's to name)."""
+    with open(path, "rb") as fh:
+        payload = decode_document(fh.read())
+    if isinstance(payload, Damage):
+        return payload
+    try:
+        return json.loads(payload)
+    except ValueError:
+        return Damage("garbage", 0, "document is not JSON")
 
 
 def atomic_write(path: str, data: bytes) -> None:

@@ -55,17 +55,14 @@ class PipelineConfig:
     #: ``"batch"`` builds the whole-trace HB graph + reachability
     #: closure before detection (the paper's offline algorithm);
     #: ``"streaming"`` runs the single-pass bounded-memory detector
-    #: (``repro.detect.streaming``) — no graph, no closure, memory
-    #: tracks concurrency width instead of trace length;
+    #: (``repro.detect.streaming``, at its ``DEFAULT_WINDOW``) — no
+    #: graph, no closure, memory tracks concurrency width instead of
+    #: trace length;
     #: ``"sync-preserving"`` runs the batch path and then replays the
     #: candidates against the sync-preserving order
     #: (``repro.detect.syncpres``) — pairs with a sound reordering
     #: witness are tiered ``sp-sound`` and jump the prune/trigger queue.
     detect_mode: str = "batch"
-    #: Streaming-mode compaction cadence (records between HB-frontier
-    #: eviction passes).  Memory/CPU knob only: the candidate set is
-    #: identical for every window size.
-    stream_window: int = 8192
     prune: bool = True
     trigger: bool = True
     trigger_seeds: tuple = (0, 1)
@@ -103,9 +100,9 @@ class PipelineConfig:
     observe: bool = True
     #: Checkpoint/resume: when set, the two stages that cost a
     #: re-execution of the workload — the trace and the trigger verdicts
-    #: (one log line per report) — are serialized under this directory
-    #: (manifest, the trace as a WAL directory, CRC-checked payloads),
-    #: and SIGINT/SIGTERM seal the checkpoint before exiting.
+    #: (one manifest entry per report) — are serialized under this
+    #: directory (a CRC-enveloped manifest plus the trace as a WAL
+    #: directory), and SIGINT/SIGTERM exit with it resumable.
     checkpoint_dir: Optional[str] = None
     #: Resume from ``checkpoint_dir``: validate the manifest against this
     #: config, restore the trace and every logged verdict, recompute the
@@ -350,9 +347,9 @@ class DCatch:
         stages.  SIGINT/SIGTERM (installed only when a
         checkpoint directory is configured — otherwise there is nothing
         to seal) raise ``PipelineInterrupted`` at the next bytecode
-        boundary; the checkpoint's trigger log is flushed per report
-        and its manifest is replaced atomically, so whatever
-        the signal lands on, the directory stays resumable."""
+        boundary; the checkpoint manifest is replaced atomically after
+        every verdict, so whatever the signal lands on, the directory
+        stays resumable."""
         config = self.config
         store = None
         if config.resume and not config.checkpoint_dir:
@@ -400,8 +397,6 @@ class DCatch:
             ).inc()
             raise
         finally:
-            if store is not None:
-                store.seal()
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
 
@@ -419,11 +414,9 @@ class DCatch:
         back to non-graph gating)."""
         from repro.detect.streaming import detect_races_streaming
 
-        maybe_stall("stream_detect")
         stream = detect_races_streaming(
             records=trace.records,
             model=config.model,
-            window=config.stream_window,
             expected_streams=trace.per_thread.keys(),
             memory_budget_mb=config.memory_budget_mb,
             should_stop=budget.exceeded,
@@ -595,14 +588,12 @@ class DCatch:
             budgets.append(budget)
             with obs.span("pipeline.trigger", reports=len(reports)):
                 done = {}
-                trigger_log = None
                 validated = False
                 if store is not None:
                     done = {
                         tuple(entry["pair"]): entry
-                        for entry in store.load_shards("trigger")
+                        for entry in store.load_verdicts()
                     }
-                    trigger_log = store.shard_log("trigger")
                 try:
                     placement = PlacementAnalyzer(trace, detection.graph)
                     module = TriggerModule(
@@ -629,7 +620,7 @@ class DCatch:
                             continue
                         if budget.exceeded():
                             # Deadline: remaining reports stay
-                            # UNKNOWN; the shard log keeps what ran.
+                            # UNKNOWN; the manifest keeps what ran.
                             stage_status["trigger"] = "degraded"
                             break
                         maybe_stall("trigger_report")
@@ -649,13 +640,13 @@ class DCatch:
                             continue
                         outcomes.append(outcome)
                         validated = True
-                        if trigger_log is not None:
-                            trigger_log.append(ckpt.outcome_to_dict(outcome))
+                        if store is not None:
+                            store.add_verdict(ckpt.outcome_to_dict(outcome))
             timings["trigger_seconds"] = time.perf_counter() - started
             budget.exceeded()
             if store is not None and stage_status.get("trigger") == "ok":
                 if store.stage_completed("trigger") and not validated:
-                    # Every verdict came from the log: the stage was not
+                    # Every verdict came from the manifest: the stage was not
                     # re-run, so it keeps the time the original took.
                     timings["trigger_seconds"] = restore("trigger")["seconds"]
                 else:

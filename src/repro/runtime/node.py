@@ -100,25 +100,11 @@ class Node:
     # -- communication ------------------------------------------------------
 
     def rpc(
-        self,
-        target_name: str,
-        timeout: Optional[int] = None,
-        retries: int = 0,
-        backoff_base: int = 2,
-        backoff_factor: int = 2,
-        max_backoff: int = 64,
+        self, target_name: str, timeout: Optional[int] = None, retries: int = 0
     ) -> RpcProxy:
         """An RPC proxy to ``target_name``; pass ``timeout`` (scheduler
         steps) and/or ``retries`` for a fault-tolerant caller."""
-        return RpcProxy(
-            self,
-            target_name,
-            timeout=timeout,
-            retries=retries,
-            backoff_base=backoff_base,
-            backoff_factor=backoff_factor,
-            max_backoff=max_backoff,
-        )
+        return RpcProxy(self, target_name, timeout=timeout, retries=retries)
 
     def send(self, target_name: str, verb: str, payload: Any = None) -> str:
         return self.sockets.send(target_name, verb, payload)

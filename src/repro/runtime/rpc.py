@@ -312,8 +312,9 @@ class RpcProxy:
 
     ``node.rpc("AM", timeout=20, retries=2)`` returns a robust proxy:
     each call gets a per-call timeout (scheduler steps) and up to
-    ``retries`` retransmissions with deterministic exponential backoff.
-    The default proxy (no options) is the classic die-on-failure call.
+    ``retries`` retransmissions with :func:`call_with_retry`'s
+    deterministic exponential backoff.  The default proxy (no options)
+    is the classic die-on-failure call.
     """
 
     def __init__(
@@ -322,20 +323,15 @@ class RpcProxy:
         target_name: str,
         timeout: Optional[int] = None,
         retries: int = 0,
-        backoff_base: int = 2,
-        backoff_factor: int = 2,
-        max_backoff: int = 64,
     ) -> None:
         self._caller = caller_node
         self._target = target_name
         self._timeout = timeout
         self._retries = retries
-        self._backoff = (backoff_base, backoff_factor, max_backoff)
 
     def __getattr__(self, method: str) -> Callable:
         def invoke(*args: Any, **kwargs: Any) -> Any:
             if self._retries or self._timeout is not None:
-                base, factor, cap = self._backoff
                 return call_with_retry(
                     self._caller,
                     self._target,
@@ -343,9 +339,6 @@ class RpcProxy:
                     *args,
                     attempts=self._retries + 1,
                     timeout=self._timeout,
-                    backoff_base=base,
-                    backoff_factor=factor,
-                    max_backoff=cap,
                     **kwargs,
                 )
             return call_rpc(self._caller, self._target, method, *args, **kwargs)

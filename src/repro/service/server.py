@@ -59,7 +59,7 @@ from repro.obs.http import ObsHttpServer
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import protocol
 from repro.service.protocol import error_frame, ok_frame
-from repro.service.tenants import DEFAULT_CHECKPOINT_EVERY, Tenant
+from repro.service.tenants import Tenant
 from repro.trace.wal import verify_segment_bytes
 
 __all__ = ["DetectionServer", "SERVICE_FILE", "load_service_file"]
@@ -98,7 +98,6 @@ class DetectionServer:
         model: HBModel = FULL_MODEL,
         window: Optional[int] = None,
         max_bad_segments: int = 3,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         overload_poll_s: float = 0.1,
         http_port: Optional[int] = None,
     ) -> None:
@@ -109,7 +108,6 @@ class DetectionServer:
         self.model = model
         self.window = window
         self.max_bad_segments = max_bad_segments
-        self.checkpoint_every = checkpoint_every
         self.overload_poll_s = overload_poll_s
         self.http_port = http_port
         self.overload_level = "full"
@@ -225,7 +223,6 @@ class DetectionServer:
                     model=self.model,
                     window=self.window,
                     max_bad_segments=self.max_bad_segments,
-                    checkpoint_every=self.checkpoint_every,
                 )
             except (OSError, ValueError, KeyError) as exc:
                 obs.counter(
@@ -512,7 +509,6 @@ class DetectionServer:
                 model=self.model,
                 window=self.window,
                 max_bad_segments=self.max_bad_segments,
-                checkpoint_every=self.checkpoint_every,
             )
             tenant.declare_streams(streams)
             tenant.declare_totals(totals)

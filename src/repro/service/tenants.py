@@ -69,9 +69,6 @@ TENANT_STATE_VERSION = 1
 #: (PR-9's budget+rate composite: cold locations whole, hot thinned).
 OVERLOAD_SAMPLING_SPEC = "budget:8+rate:0.1"
 
-#: Raw merged records between detector checkpoint saves.
-DEFAULT_CHECKPOINT_EVERY = 20_000
-
 
 def stream_key_str(key: StreamKey) -> str:
     return f"{key[0]}/{key[1]}"
@@ -151,7 +148,6 @@ class Tenant:
         model: HBModel = FULL_MODEL,
         window: Optional[int] = None,
         max_bad_segments: int = 3,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         sampling_seed: int = 0,
     ) -> None:
         self.tenant_id = tenant_id
@@ -168,7 +164,6 @@ class Tenant:
             self.window,
             f"service:{tenant_id}",
             self.checkpoint_path,
-            checkpoint_every,
         )
         self.damage = self.session.damage
         self.session.thinning = False  # follows ``mode``; see set_mode

@@ -10,17 +10,15 @@ a WAL directory (``repro.trace.wal``): one segment stream per thread.
 from __future__ import annotations
 
 import bisect
-import json
 import os
-import shutil
 from collections import Counter, defaultdict
 from typing import Any, Dict, List, Optional
 
 from repro.errors import TraceFormatError
-from repro.framing import Damage, atomic_write, decode_document, encode_document
+from repro.framing import Damage, read_document, write_document
 from repro.runtime.ops import MEM_KINDS, OpEvent, OpKind
 from repro.trace.records import category_of, dump_records
-from repro.trace.wal import WalSink, list_stream_segments, segment_header, stream_dir
+from repro.trace.wal import WalSink, list_stream_segments, segment_header
 
 
 class Trace:
@@ -108,16 +106,13 @@ class Trace:
         """Write the trace as a WAL directory, one sealed segment per
         stream, plus ``meta.json`` (loss counters, records per stream),
         replacing any trace in ``directory``; all of it is fsynced."""
-        for node, tid in list_stream_segments(directory):
-            shutil.rmtree(stream_dir(directory, node, tid))
         sink = WalSink(directory, len(self.records) + 1, on_seal=_fsync)
         for record in self.records:
             sink.append(record)
         sink.close()
         meta = {key: getattr(self, key) for key in _META}
         meta["streams"] = Counter(f"{r.node}/thread-{r.tid}" for r in self.records)
-        blob = encode_document(json.dumps(meta, sort_keys=True).encode())
-        atomic_write(os.path.join(directory, "meta.json"), blob)
+        write_document(os.path.join(directory, "meta.json"), meta)
 
     @classmethod
     def load(cls, directory: str, name: str = "trace") -> "Trace":
@@ -150,13 +145,12 @@ def read_meta(directory: str) -> Optional[Dict[str, Any]]:
     path = os.path.join(directory, "meta.json")
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        payload = decode_document(fh.read())
-    if isinstance(payload, Damage):
+    meta = read_document(path)
+    if isinstance(meta, Damage):
         raise TraceFormatError(
-            f"damaged trace {directory}: meta.json byte 0: {payload.detail}"
+            f"damaged trace {directory}: meta.json byte 0: {meta.detail}"
         )
-    return json.loads(payload)
+    return meta
 
 
 def _fsync(_node: str, _tid: int, _index: int, path: str) -> None:

@@ -29,6 +29,7 @@ import io
 import json
 import os
 import re
+import shutil
 from collections import Counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -254,9 +255,19 @@ class WalSink:
                 writer.abandon()
 
     def close(self) -> None:
-        """End of run: seal every surviving stream and publish totals."""
+        """End of run: seal every surviving stream, delete what an
+        earlier run left in the directory — streams this sink did not
+        write, segments past a writer's last — and publish totals."""
         for writer in self._writers.values():
             writer.close()
+        for key, paths in list_stream_segments(self.directory).items():
+            writer = self._writers.get(key)
+            if writer is None:
+                shutil.rmtree(stream_dir(self.directory, *key))
+                continue
+            for path in paths:
+                if segment_index(path) > writer._segment_index:
+                    os.remove(path)
         self._publish_metrics()
 
     # -- accounting ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The checkpoint store: manifest lifecycle, CRC checks, shard logs."""
+"""The checkpoint store: manifest lifecycle, CRC checks, verdicts."""
 
 import json
 import os
@@ -8,10 +8,10 @@ import pytest
 from repro.analysis.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
-    ShardLog,
-    _scan_shard_file,
+    load_manifest,
 )
 from repro.errors import CheckpointError
+from repro.framing import write_document
 
 
 def _store(tmp_path, **kwargs):
@@ -25,11 +25,12 @@ def _store(tmp_path, **kwargs):
 
 def test_fresh_store_writes_manifest(tmp_path):
     store = _store(tmp_path)
-    manifest = json.load(open(os.path.join(store.directory, "manifest.json")))
+    manifest = load_manifest(store.directory)
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["version"] == CHECKPOINT_VERSION
+    assert manifest["version"] == CHECKPOINT_VERSION == 3
     assert manifest["benchmark"] == "ZK-1144"
     assert manifest["stages"] == {}
+    assert manifest["verdicts"] == []
 
 
 def test_seal_and_load_stage_roundtrip(tmp_path):
@@ -61,11 +62,24 @@ def test_resume_missing_manifest_raises(tmp_path):
 
 def test_resume_stale_version_raises(tmp_path):
     store = _store(tmp_path)
-    path = os.path.join(store.directory, "manifest.json")
-    manifest = json.load(open(path))
+    manifest = load_manifest(store.directory)
     manifest["version"] = 99
-    json.dump(manifest, open(path, "w"))
+    write_document(os.path.join(store.directory, "manifest.json"), manifest)
     with pytest.raises(CheckpointError, match="stale checkpoint schema"):
+        _store(tmp_path, resume=True)
+
+
+def test_resume_v2_manifest_raises(tmp_path):
+    """Version 2 wrote a plain-JSON manifest beside ``trace.json`` and
+    a verdict log; it is refused as stale, not as damaged."""
+    directory = tmp_path / "ck"
+    directory.mkdir()
+    (directory / "manifest.json").write_text(json.dumps({
+        "format": "repro-checkpoint", "version": 2, "benchmark": "ZK-1144",
+        "config_fingerprint": "abcd1234abcd1234",
+        "stages": {"trace": {"file": "trace.json", "completed": True}},
+    }, indent=2))
+    with pytest.raises(CheckpointError, match="stale checkpoint schema version 2 "):
         _store(tmp_path, resume=True)
 
 
@@ -92,12 +106,16 @@ def test_resume_config_fingerprint_mismatch_raises(tmp_path):
 
 
 def test_damaged_stage_payload_fails_crc(tmp_path):
+    """The stage payloads live in the manifest: one flipped byte of it
+    is refused by the envelope's CRC."""
     store = _store(tmp_path)
     store.seal_stage("hb", {"edges": []})
-    with open(os.path.join(store.directory, "hb.json"), "ab") as fh:
-        fh.write(b"garbage")
-    with pytest.raises(CheckpointError, match="CRC"):
-        store.load_stage("hb")
+    path = os.path.join(store.directory, "manifest.json")
+    data = bytearray(open(path, "rb").read())
+    data[data.index(b'"edges"') + 2] ^= 0x01
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(CheckpointError, match="damaged checkpoint manifest .*CRC"):
+        _store(tmp_path, resume=True)
 
 
 def test_load_incomplete_stage_raises(tmp_path):
@@ -106,43 +124,10 @@ def test_load_incomplete_stage_raises(tmp_path):
         store.load_stage("detect")
 
 
-def test_shard_log_roundtrip_and_torn_tail(tmp_path):
-    path = str(tmp_path / "shards.jsonl")
-    log = ShardLog(path)
-    log.append({"index": 0, "pairs": [[1, 2]]})
-    log.append({"index": 1, "pairs": []})
-    log.close()
-    # a SIGKILL mid-append leaves a torn tail: must be dropped silently
-    with open(path, "ab") as fh:
-        fh.write(b"R 000000ff 00000000 {\"torn")
-    entries = _scan_shard_file(path)[0]
-    assert [e["index"] for e in entries] == [0, 1]
-
-
-def test_shard_log_reopen_truncates_torn_tail(tmp_path):
-    """Reopening for append after a SIGKILL must drop the torn tail:
-    otherwise the next entry concatenates with the partial line and a
-    second crash/resume cycle discards everything after it."""
-    path = str(tmp_path / "shards.jsonl")
-    log = ShardLog(path)
-    log.append({"index": 0})
-    log.close()
-    with open(path, "ab") as fh:
-        fh.write(b'R 000000ff 00000000 {"torn')
-    log = ShardLog(path)
-    log.append({"index": 1})
-    log.close()
-    assert [e["index"] for e in _scan_shard_file(path)[0]] == [0, 1]
-
-
-def test_shard_log_missing_file_is_empty(tmp_path):
-    assert _scan_shard_file(str(tmp_path / "absent.jsonl"))[0] == []
-
-
 def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):
     """A non-resume run reusing a checkpoint directory owns it: the
-    trace, stage payloads and shard files from the previous run must
-    not leak into (or be merged with) the new run's results."""
+    trace, stage payloads and verdicts from the previous run must not
+    leak into (or be merged with) the new run's results."""
     from repro.ids import CallStack
     from repro.runtime.ops import OpEvent, OpKind
     from repro.trace import Trace
@@ -154,16 +139,14 @@ def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):
     )
     store = _store(tmp_path)
     store.seal_stage("trace", {"name": "trace"}, trace)
-    store.shard_log("trigger").append({"report_id": 3})
-    store.seal()
-    assert sorted(os.listdir(store.directory)) == [
-        "manifest.json", "trace", "trace.json", "trigger-outcomes.jsonl"
-    ]
+    store.add_verdict({"report_id": 3})
+    assert sorted(os.listdir(store.directory)) == ["manifest.json", "trace"]
 
     fresh = _store(tmp_path)  # same directory, resume=False
     assert not fresh.stage_completed("trace")
-    assert fresh.load_shards("trigger") == []
+    assert fresh.load_verdicts() == []
     assert os.listdir(fresh.directory) == ["manifest.json"]
+    assert load_manifest(fresh.directory) == fresh.manifest
 
 
 def test_config_fingerprint_tracks_fault_plan_content():
@@ -187,13 +170,12 @@ def test_config_fingerprint_tracks_fault_plan_content():
     assert fp(crash_a) != fp(None)
 
 
-def test_shard_log_registered_incomplete_in_manifest(tmp_path):
+def test_verdicts_land_in_manifest_before_trigger_seal(tmp_path):
     store = _store(tmp_path)
-    store.shard_log("trigger").append({"index": 0})
-    store.seal()
+    store.add_verdict({"pair": [1, 2]})
     assert not store.stage_completed("trigger")
     resumed = _store(tmp_path, resume=True)
-    assert [e["index"] for e in resumed.load_shards("trigger")] == [0]
+    assert resumed.load_verdicts() == [{"pair": [1, 2]}]
 
 
 def test_config_fingerprint_tracks_sampling_policy():

@@ -43,11 +43,11 @@ def _sha256(data):
 def _stream(wal_dir, window, ckpt):
     """One session over the WAL, checkpointed once half-way through.
     Returns (candidate pairs, pairs examined, checkpoint sha256)."""
-    session = StreamSession(FULL_MODEL, window, "contended", ckpt, 1)
+    session = StreamSession(FULL_MODEL, window, "contended", ckpt)
     detector = session.open(wal_stream_tids(wal_dir))
     records = iter_wal_records(wal_dir, session.damage, detector.close_stream)
     session.pump(records, limit=HALF)
-    assert session.maybe_checkpoint()
+    assert session.maybe_checkpoint(force=True)
     with open(ckpt, "rb") as fh:
         digest = _sha256(fh.read())
     session.pump(records)

@@ -249,7 +249,6 @@ def test_checkpoint_resume_equals_single_pass(small_workload, tmp_path):
         wal_dir=small_workload.wal_dir,
         window=32,
         checkpoint_path=ckpt,
-        checkpoint_every=1,
         should_stop=stop_soon,
     )
     assert partial.stopped_early
@@ -275,7 +274,6 @@ def test_resume_rejects_different_window(small_workload, tmp_path):
         wal_dir=small_workload.wal_dir,
         window=32,
         checkpoint_path=ckpt,
-        checkpoint_every=1,
         should_stop=lambda: True,
     )
     with pytest.raises(CheckpointError):
@@ -436,7 +434,6 @@ def test_resume_rejects_different_sampling_policy(small_workload, tmp_path):
         window=32,
         sampler=build_sampler("0.5", seed=1),
         checkpoint_path=ckpt,
-        checkpoint_every=1,
         should_stop=lambda: True,
     )
     with pytest.raises(CheckpointError):

@@ -1,11 +1,13 @@
 """Checkpoint/resume and resource-governed degradation, end to end."""
 
-import json
+import os
 
 import pytest
 
+from repro.analysis.checkpoint import load_manifest
 from repro.detect.export import dump_reports
 from repro.errors import CheckpointError
+from repro.framing import write_document
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
 from repro.trace import record_to_dict
@@ -51,17 +53,6 @@ def test_resume_skips_all_stages_and_reports_are_byte_identical(tmp_path):
     ]
 
 
-def _store(ckdir, bug, config, resume=True):
-    from repro.analysis.checkpoint import CheckpointStore, config_fingerprint
-
-    return CheckpointStore(
-        directory=ckdir,
-        benchmark=bug,
-        config_fp=config_fingerprint(bug, config),
-        resume=resume,
-    )
-
-
 @pytest.mark.parametrize("bug", ["CA-1011", "ZK-1144"])
 @pytest.mark.parametrize("mode", ["batch", "sync-preserving", "streaming"])
 def test_resume_equals_clean_run_in_every_detect_mode(tmp_path, bug, mode):
@@ -84,23 +75,12 @@ def test_resume_equals_clean_run_in_every_detect_mode(tmp_path, bug, mode):
     assert "trigger_runs_total" not in resumed.metrics  # no re-execution
 
 
-def _rewrite_trigger_log(ckdir, config, mutate):
-    """Pass a finished ZK-1144 checkpoint's logged verdicts through
-    ``mutate`` and write them back as intact framed lines."""
-    import os
-
-    from repro.analysis.checkpoint import ShardLog
-
-    store = _store(ckdir, "ZK-1144", config)
-    entries = store.load_shards("trigger")
-    store.seal()
-    mutate(entries)
-    log_path = os.path.join(ckdir, "trigger-outcomes.jsonl")
-    os.remove(log_path)
-    log = ShardLog(log_path)
-    for entry in entries:
-        log.append(entry)
-    log.close()
+def _rewrite_verdicts(ckdir, mutate):
+    """Pass a finished checkpoint's recorded verdicts through ``mutate``
+    and write the manifest back intact (CRC and all)."""
+    manifest = load_manifest(ckdir)
+    mutate(manifest["verdicts"])
+    write_document(os.path.join(ckdir, "manifest.json"), manifest)
 
 
 def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
@@ -125,7 +105,7 @@ def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
             "benign" if victim.verdict.value == "harmful" else "harmful"
         )
 
-    _rewrite_trigger_log(ckdir, config, tamper)
+    _rewrite_verdicts(ckdir, tamper)
     resumed = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(checkpoint_dir=ckdir, resume=True),
@@ -140,7 +120,7 @@ def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
         if not isinstance(o.plan, RestoredGatePlan)
     ]
     assert fresh == [victim.report_id]
-    # the re-validated verdict is logged again and the stage re-sealed:
+    # the re-validated verdict is recorded again and the stage re-sealed:
     # a second resume restores all three
     again = DCatch(
         workload_by_id("ZK-1144"),
@@ -165,7 +145,7 @@ def test_trace_is_never_completed_without_a_loadable_trace_dir(
     real_write = ckpt.CheckpointStore._write_manifest
 
     def checking_write(self):
-        if self.manifest["stages"].get("trace", {}).get("completed"):
+        if self.stage_completed("trace"):
             loaded.append(len(Trace.load(str(ckdir / "trace"))))
         real_write(self)
 
@@ -176,8 +156,9 @@ def test_trace_is_never_completed_without_a_loadable_trace_dir(
         workload_by_id("ZK-1144"),
         PipelineConfig(checkpoint_dir=str(ckdir)),
     ).run()
-    # the trace seal, the trigger log's registration, the trigger seal
-    assert loaded == [len(result.trace)] * 3
+    # the trace seal, one write per verdict, the trigger seal
+    assert len(result.outcomes) == 3
+    assert loaded == [len(result.trace)] * 5
 
 
 def test_resume_without_checkpoint_dir_raises():
@@ -188,24 +169,22 @@ def test_resume_without_checkpoint_dir_raises():
 
 def test_checkpoint_overhead_files_on_disk(tmp_path):
     ckdir = tmp_path / "ck"
-    DCatch(
+    result = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(checkpoint_dir=str(ckdir)),
     ).run()
-    manifest = json.load(open(ckdir / "manifest.json"))
+    manifest = load_manifest(str(ckdir))
     assert manifest["format"] == "repro-checkpoint"
+    assert manifest["version"] == 3
     assert sorted(manifest["stages"]) == ["trace", "trigger"]
-    for stage in ("trace", "trigger"):
-        assert manifest["stages"][stage]["completed"] is True
-        # CRC recorded for every sealed payload
-        assert len(manifest["stages"][stage]["crc"]) == 8
-    assert sorted(p.name for p in ckdir.iterdir()) == [
-        "manifest.json",
-        "trace",
-        "trace.json",
-        "trigger-outcomes.jsonl",
-        "trigger.json",
+    assert manifest["stages"]["trace"]["name"] == "ZK-1144"
+    # the trace stage's timings as sealed, not the run's final ones
+    assert sorted(manifest["stages"]["trace"]["timings"]) == [
+        "base_seconds", "tracing_seconds"
     ]
+    assert manifest["stages"]["trigger"]["reports"] == len(result.outcomes)
+    assert len(manifest["verdicts"]) == len(result.outcomes) == 3
+    assert sorted(p.name for p in ckdir.iterdir()) == ["manifest.json", "trace"]
 
 
 def test_whole_ladder_exhausted_still_reports_oom():
@@ -285,8 +264,6 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
     persisted: resuming with a fresh budget enumerates every location
     from the restored trace instead of skipping a permanently partial
     result."""
-    import os
-
     ckdir = str(tmp_path / "ck")
     reference = DCatch(
         workload_by_id("ZK-1144"), PipelineConfig(trigger=False, prune=False)
@@ -302,8 +279,7 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
         ),
     ).run()
     assert cut.detection.stopped_early
-    manifest = json.load(open(os.path.join(ckdir, "manifest.json")))
-    assert not manifest["stages"].get("detect", {}).get("completed")
+    assert list(load_manifest(ckdir)["stages"]) == ["trace"]
 
     resumed = DCatch(
         workload_by_id("ZK-1144"),
@@ -322,8 +298,6 @@ def test_fresh_run_ignores_stale_checkpoint_directory(tmp_path):
     not merge a trace or verdicts from a different run.  HB-4539 goes
     first: its twelve streams outnumber ZK-1144's, so any stream left
     behind would merge into the next trace."""
-    import os
-
     from repro.trace import Trace
 
     ckdir = str(tmp_path / "ck")
@@ -335,7 +309,7 @@ def test_fresh_run_ignores_stale_checkpoint_directory(tmp_path):
         workload_by_id("ZK-1144"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir),
     ).run()
-    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace", "trace.json"]
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace"]
     saved = Trace.load(os.path.join(ckdir, "trace"))
     assert [record_to_dict(r) for r in saved.records] == [
         record_to_dict(r) for r in reference.trace.records

@@ -2,9 +2,8 @@
 through real subprocesses: SIGINT seals the checkpoint and exits 130;
 SIGKILL mid-stage leaves a resumable directory; ``--resume`` reproduces
 the uninterrupted run byte for byte, re-executing only the trigger
-reports whose verdict had not reached the log."""
+reports whose verdict had not reached the manifest."""
 
-import json
 import os
 import signal
 import subprocess
@@ -12,6 +11,9 @@ import sys
 import time
 
 import pytest
+
+from repro.analysis.checkpoint import load_manifest
+from repro.errors import CheckpointError
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO, "src")
@@ -51,18 +53,19 @@ def _wait_for(predicate, timeout=60.0):
 
 
 def _manifest(ckdir):
+    """The manifest as the store loads it; None before there is one."""
     try:
-        with open(os.path.join(ckdir, "manifest.json")) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
+        return load_manifest(ckdir)
+    except CheckpointError:
         return None
 
 
 def _stage_completed(ckdir, stage):
-    manifest = _manifest(ckdir)
-    if manifest is None:
-        return False
-    return manifest["stages"].get(stage, {}).get("completed", False)
+    return stage in (_manifest(ckdir) or {"stages": {}})["stages"]
+
+
+def _verdicts(ckdir):
+    return len((_manifest(ckdir) or {"verdicts": []})["verdicts"])
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +120,7 @@ def test_sigkill_mid_detect_resumes_byte_identical(tmp_path, clean_reports):
             proc.kill()
 
     assert list(_manifest(ckdir)["stages"]) == ["trace"]
-    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace", "trace.json"]
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace"]
 
     saved = str(tmp_path / "reports.json")
     code, out, err = _run_cli(
@@ -131,14 +134,12 @@ def test_sigkill_mid_detect_resumes_byte_identical(tmp_path, clean_reports):
 def test_sigint_during_trigger_resumes_verdicts(tmp_path, clean_reports):
     ckdir = str(tmp_path / "ck")
     proc = _run_cli(
-        "--checkpoint-dir", ckdir, stall="trigger_report:60", wait=False
+        "--checkpoint-dir", ckdir, stall="trigger_report:5", wait=False
     )
     try:
-        # the trigger log is registered (completed: false) when the
-        # stage opens it, just before the first report stalls
-        assert _wait_for(
-            lambda: "trigger" in (_manifest(ckdir) or {"stages": {}})["stages"]
-        )
+        # the stall sits before each report: once the first verdict is
+        # in the manifest the run is parked ahead of the second
+        assert _wait_for(lambda: _verdicts(ckdir) >= 1)
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=60)
     finally:
@@ -157,7 +158,7 @@ def test_sigint_during_trigger_resumes_verdicts(tmp_path, clean_reports):
 
 def test_sigkill_after_first_verdict_reruns_only_the_rest(tmp_path):
     """The kill that matters: triggering is where the seconds go.  A
-    run killed once its first verdict is in the log resumes with that
+    run killed once its first verdict is in the manifest resumes with that
     verdict restored and re-executes only the unfinished reports."""
     from repro.detect.export import dump_reports
     from repro.pipeline import DCatch, PipelineConfig
@@ -167,7 +168,6 @@ def test_sigkill_after_first_verdict_reruns_only_the_rest(tmp_path):
     assert len(clean.outcomes) == 3
 
     ckdir = str(tmp_path / "ck")
-    log = os.path.join(ckdir, "trigger-outcomes.jsonl")
     proc = _run_cli(
         "--checkpoint-dir",
         ckdir,
@@ -176,9 +176,7 @@ def test_sigkill_after_first_verdict_reruns_only_the_rest(tmp_path):
         bug="ZK-1144",
     )
     try:
-        assert _wait_for(
-            lambda: os.path.exists(log) and os.path.getsize(log) > 0
-        )
+        assert _wait_for(lambda: _verdicts(ckdir) >= 1)
         proc.kill()
         proc.communicate(timeout=60)
     finally:

@@ -24,9 +24,7 @@ def _pairs(result):
 
 @pytest.fixture(scope="module")
 def streaming_result():
-    config = PipelineConfig(
-        trigger=False, detect_mode="streaming", stream_window=64
-    )
+    config = PipelineConfig(trigger=False, detect_mode="streaming")
     return DCatch(workload_by_id("ZK-1144"), config).run()
 
 
@@ -45,19 +43,10 @@ def test_streaming_matches_batch_restricted_model(streaming_result):
     assert _pairs(streaming_result) == _pairs(batch)
 
 
-def test_streaming_mode_window_is_memory_knob_only(streaming_result):
-    tight = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(trigger=False, detect_mode="streaming", stream_window=1),
-    ).run()
-    assert _pairs(tight) == _pairs(streaming_result)
-
-
 def test_streaming_checkpoint_resume(tmp_path, streaming_result):
     config = PipelineConfig(
         trigger=False,
         detect_mode="streaming",
-        stream_window=64,
         checkpoint_dir=str(tmp_path),
     )
     first = DCatch(workload_by_id("ZK-1144"), config).run()
@@ -66,7 +55,6 @@ def test_streaming_checkpoint_resume(tmp_path, streaming_result):
         PipelineConfig(
             trigger=False,
             detect_mode="streaming",
-            stream_window=64,
             checkpoint_dir=str(tmp_path),
             resume=True,
         ),

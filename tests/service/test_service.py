@@ -50,8 +50,8 @@ def _client(server, tenant, **kwargs):
     return ServiceClient("127.0.0.1", server.port, tenant, **kwargs)
 
 
-def _offline_report(wal_dir, tenant):
-    result = detect_races_streaming(wal_dir=wal_dir, window=WINDOW)
+def _offline_report(wal_dir, tenant, window=WINDOW):
+    result = detect_races_streaming(wal_dir=wal_dir, window=window)
     return render_report(report_from_stream_result(tenant, result))
 
 
@@ -271,17 +271,17 @@ class TestReportWait:
         assert not watched.waited.is_set()
 
 
-def _prefilled_tenant(wal_dir, root, **kwargs):
+def _prefilled_tenant(wal_dir, root, window=WINDOW):
     """A finalized tenant over a spool that already holds ``wal_dir``."""
     segments = list_stream_segments(wal_dir)
     totals = {stream_key_str(k): len(p) for k, p in segments.items()}
     os.makedirs(root)
-    tenant = Tenant("t", root, window=WINDOW, **kwargs)
+    tenant = Tenant("t", root, window=window)
     tenant.declare_streams(sorted(segments))
     tenant.declare_totals(totals)
     tenant.save_state()
     shutil.copytree(wal_dir, tenant.spool_dir)
-    tenant = Tenant.recover("t", root, **kwargs)
+    tenant = Tenant.recover("t", root)
     assert tenant.finalize(totals) is None
     return tenant
 
@@ -317,12 +317,13 @@ class TestTenantPump:
             fh.write(bytes(data))
 
         root = str(tmp_path / "t")
-        tenant = _prefilled_tenant(damaged, root, checkpoint_every=50)
+        # A window of 8 saves every 64 records.
+        tenant = _prefilled_tenant(damaged, root, window=8)
         assert tenant.pump(limit=120) == 120
         assert tenant.maybe_checkpoint()
         assert tenant.damage == {"damaged_records": 1}
         # kill -9 here; a new process recovers from disk.
-        tenant = Tenant.recover("t", root, checkpoint_every=50)
+        tenant = Tenant.recover("t", root)
         tenant.finalize(
             {stream_key_str(k): len(p) for k, p in streams.items()},
             persist=False,
@@ -332,7 +333,7 @@ class TestTenantPump:
         report = tenant.write_report()
         assert report["confidence"] == "partial"
         assert report["damage"] == {"damaged_records": 1}
-        assert render_report(report) == _offline_report(tenant.spool_dir, "t")
+        assert render_report(report) == _offline_report(tenant.spool_dir, "t", 8)
 
 
 class TestStructuredErrors:

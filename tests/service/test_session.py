@@ -239,8 +239,7 @@ def test_recover_without_window_uses_state_json(tmp_path, generated):
     assert tenant.maybe_checkpoint(force=True)
     # The way DetectionServer._recover_tenants calls it with no --window.
     recovered = Tenant.recover(
-        "t", root, model=FULL_MODEL, window=None,
-        max_bad_segments=3, checkpoint_every=20_000,
+        "t", root, model=FULL_MODEL, window=None, max_bad_segments=3
     )
     assert recovered.window == WINDOW
     assert recovered.session.resumed_at == 100

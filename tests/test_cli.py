@@ -1,10 +1,13 @@
 """The dcatch command-line interface."""
 
+import os
 import shutil
 
 import pytest
 
+from repro.analysis.checkpoint import load_manifest
 from repro.cli import build_parser, main
+from repro.framing import write_document
 
 
 def test_list_command(capsys):
@@ -328,17 +331,14 @@ def test_resume_missing_checkpoint_dir_exits_2(tmp_path, capsys):
 
 
 def test_resume_stale_schema_version_exits_2(tmp_path, capsys):
-    import json as _json
-
     ckdir = tmp_path / "ck"
     assert main(
         ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
     ) == 0
     capsys.readouterr()
-    path = ckdir / "manifest.json"
-    manifest = _json.loads(path.read_text())
+    manifest = load_manifest(str(ckdir))
     manifest["version"] = 99
-    path.write_text(_json.dumps(manifest))
+    write_document(str(ckdir / "manifest.json"), manifest)
     code = main(
         ["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"]
     )
@@ -349,8 +349,10 @@ def test_resume_stale_schema_version_exits_2(tmp_path, capsys):
 
 
 def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
-    """A version-1 directory (the trace inside ``trace.json``) is
-    refused in one line; there is no reader for it."""
+    """A version-1 directory (the trace inside ``trace.json``) or a
+    version-2 one (verdicts in ``trigger-outcomes.jsonl``) is refused in
+    one line; there is no reader for either.  Both wrote the manifest
+    as plain JSON."""
     import json as _json
 
     ckdir = tmp_path / "ck"
@@ -358,18 +360,18 @@ def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
         ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
     ) == 0
     capsys.readouterr()
-    path = ckdir / "manifest.json"
-    manifest = _json.loads(path.read_text())
-    manifest.update(version=1, trace_fingerprint="0badf00d")
-    path.write_text(_json.dumps(manifest))
-    code = main(
-        ["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: stale checkpoint schema version 1 ")
-    assert "re-run without --resume" in err
-    assert len(err.strip().splitlines()) == 1
+    manifest = load_manifest(str(ckdir))
+    for version in (1, 2):
+        manifest.update(version=version)
+        (ckdir / "manifest.json").write_text(_json.dumps(manifest, indent=2))
+        code = main(
+            ["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stale checkpoint schema version {version} ")
+        assert "re-run without --resume" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def _flip_a_byte(trace_dir):
@@ -460,6 +462,8 @@ def test_run_resume_round_trip_via_cli(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "resumed: skipped trace (" in second
     assert "DCatch reports" in first and "DCatch reports" in second
+    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace"]
+    assert list(load_manifest(ckdir)["stages"]) == ["trace"]
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,9 @@ from repro.trace.wal import (
 from repro.workload import generate_workload
 
 WINDOW = 64
+#: The stream session's window where checkpoint cadence matters: it
+#: saves every eight windows, here every 64 records.
+SESSION_WINDOW = 8
 
 
 # -- mutations -----------------------------------------------------------------
@@ -382,7 +385,7 @@ def _spool_tenant(spool, root, seed, recover=False):
         tenant = Tenant.recover("t", root, **kwargs)
     else:
         os.makedirs(root)
-        tenant = Tenant("t", root, window=WINDOW, checkpoint_every=70, **kwargs)
+        tenant = Tenant("t", root, window=SESSION_WINDOW, **kwargs)
         tenant.declare_streams(sorted(segments))
         os.symlink(spool, tenant.spool_dir)
         for key, paths in segments.items():
@@ -422,7 +425,7 @@ def test_offline_pass_and_tenant_publish_the_same_bytes(
             _rewrite_victim(spool, edit)
 
         offline = detect_races_streaming(
-            wal_dir=spool, window=WINDOW, sampler=sampler()
+            wal_dir=spool, window=SESSION_WINDOW, sampler=sampler()
         )
         oracle = render_report(report_from_stream_result("t", offline))
         assert (offline.confidence == "partial") == (
@@ -454,12 +457,12 @@ def test_offline_pass_and_tenant_publish_the_same_bytes(
         ckpt = os.path.join(scratch, "stream.ckpt")
         probes = iter(range(kill_after + 1))
         first = detect_races_streaming(
-            wal_dir=spool, window=WINDOW, sampler=sampler(),
-            checkpoint_path=ckpt, checkpoint_every=1,
+            wal_dir=spool, window=SESSION_WINDOW, sampler=sampler(),
+            checkpoint_path=ckpt,
             should_stop=lambda: next(probes) == kill_after,
         )
         resumed = detect_races_streaming(
-            wal_dir=spool, window=WINDOW, sampler=sampler(),
+            wal_dir=spool, window=SESSION_WINDOW, sampler=sampler(),
             checkpoint_path=ckpt, resume=True,
         )
         assert resumed.resumed_at == first.records_consumed + sum(

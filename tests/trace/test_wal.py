@@ -151,3 +151,42 @@ class TestWalSink:
         tracer.close()
         assert sink.records_written == len(tracer.trace)
         assert sink.records_written > 0
+
+    def test_close_deletes_streams_and_segments_it_did_not_write(self, tmp_path):
+        sink = WalSink(str(tmp_path), segment_records=2, flush_every=1)
+        for seq in range(1, 6):
+            sink.append(_event(seq, node="a"))
+        sink.append(_event(6, node="b"))
+        sink.close()
+        sink = WalSink(str(tmp_path), segment_records=2, flush_every=1)
+        sink.append(_event(1, node="a"))
+        sink.close()
+        assert _segments(str(tmp_path), "a", 0) == ["seg-0000.wal"]
+        assert _segments(str(tmp_path), "b", 0) == []
+
+    def test_reused_trace_dir_salvages_only_the_new_run(self, tmp_path):
+        """A selective run written over a full-scope run's WAL used to
+        salvage as the old run: seg-0000 was rewritten in place, but
+        the old run's later segments and extra streams stayed."""
+        from repro.pipeline import DCatch, PipelineConfig
+        from repro.systems import workload_by_id
+        from repro.trace import salvage_trace
+        from repro.trace.records import record_to_dict
+
+        def salvaged(trace_dir, *scopes):
+            for scope in scopes:
+                config = PipelineConfig(scope=scope, trace_dir=str(trace_dir))
+                DCatch(workload_by_id("MR-3274"), config).run_traced()
+            (wal_dir,) = (trace_dir / "MR-3274").iterdir()
+            trace, report = salvage_trace(str(wal_dir))
+            assert not report.damaged
+            return (
+                [record_to_dict(r) for r in trace.records],
+                report.sealed_segments,
+                sorted(report.threads),
+            )
+
+        reused = salvaged(tmp_path / "reused", "full", "selective")
+        fresh = salvaged(tmp_path / "fresh", "selective")
+        assert reused == fresh
+        assert len(fresh[0]) < len(salvaged(tmp_path / "full", "full")[0])
