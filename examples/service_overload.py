@@ -90,8 +90,7 @@ def main() -> int:
         dropped = sum(report["sampled_dropped"].values())
         print(
             f"shipped {result.segments_shipped} segments against "
-            f"{result.backpressure_waits} queue refusals and "
-            f"{result.paused_waits} overload pauses"
+            f"{result.backpressure_waits} queue refusals"
         )
         print(
             f"report: confidence={report['confidence']!r}, "

@@ -1,4 +1,4 @@
-"""Resource bounds for the analysis pipeline and the detection service.
+"""Resource bounds for the analysis pipeline.
 
 A ``dcatch run`` is bounded by two knobs an operator can reason about:
 
@@ -11,13 +11,11 @@ A ``dcatch run`` is bounded by two knobs an operator can reason about:
 * **one memory budget** — ``memory_budget_mb``: the reachability
   closure's byte budget in batch and sync-preserving mode (a closure
   that does not fit is the paper's Table 8 "Out of Memory":
-  ``TraceAnalysisOOM``, reported, not raised), and the RSS level that
-  forces an extra frontier compaction in streaming mode.
+  ``TraceAnalysisOOM``, reported, not raised).  Streaming mode builds
+  no closure, so the budget does not apply to it.
 
-The long-running service bounds the *sum* over its tenants with
-``FleetBudget`` and the overload ladder below.  Shedding accesses under
-pressure ("Dynamic Race Detection with O(1) Samples", PAPERS.md) is
-``repro.trace.sampling``'s job, not this module's.
+The detection service's fleet policy (admission control and the
+``full ↔ sampled`` overload ladder) lives in ``repro.service.server``.
 """
 
 from __future__ import annotations
@@ -90,95 +88,3 @@ class StageBudget:
                 "pipeline stages that overran max_stage_seconds",
             ).labels(stage=self.name).inc()
         return self.deadline_hit
-
-
-# -- multi-tenant fleet budgets ----------------------------------------------
-
-#: The detection service's overload ladder: every tenant ingests at one
-#: of these levels.  Under pressure the service walks right (degrade),
-#: with hysteresis on the way back left (recover).  Composition of the
-#: PR-5 governor (budgets, observability) with PR-9 sampling (the
-#: ``sampled`` rung's mechanism).
-OVERLOAD_LADDER = ("full", "sampled", "paused")
-
-#: RSS fraction of the fleet budget where ingestion degrades to sampled.
-OVERLOAD_SOFT_FRACTION = 0.75
-#: RSS fraction where ingestion pauses (credits stop) until RSS drains.
-OVERLOAD_HARD_FRACTION = 0.92
-#: Hysteresis: recover one rung only after dropping this far below the
-#: rung's engage threshold, so the ladder does not flap at the boundary.
-OVERLOAD_RECOVER_MARGIN = 0.08
-
-
-@dataclass
-class FleetBudget:
-    """Aggregate budgets for a multi-tenant detection service.
-
-    One process serves many tenant streams; the budget governs the
-    *sum*: how many tenants may be admitted at all, how much process
-    RSS the fleet may use before the overload ladder engages, and how
-    many ingested-but-unprocessed segments may queue per tenant."""
-
-    max_tenants: int = 16
-    memory_budget_mb: Optional[int] = None
-    queue_segments: int = 64
-
-    def admit_tenant(self, active_tenants: int) -> Optional[str]:
-        """None when a new tenant fits, else a refusal reason."""
-        if active_tenants >= self.max_tenants:
-            return (
-                f"tenant budget exhausted "
-                f"({active_tenants}/{self.max_tenants} active)"
-            )
-        if self.memory_budget_mb is not None:
-            rss = process_rss_mb()
-            if rss > self.memory_budget_mb * OVERLOAD_HARD_FRACTION:
-                return (
-                    f"memory budget exhausted "
-                    f"(RSS {rss:.0f} MB of {self.memory_budget_mb} MB)"
-                )
-        return None
-
-    def pressure_fraction(
-        self, pending_segments: int = 0, active_tenants: int = 1
-    ) -> float:
-        """Fleet pressure as a fraction of budget — the max of the two
-        axes: process RSS against the memory budget, and spooled-but-
-        unprocessed segments against the fleet's aggregate queue
-        capacity (ingest outrunning detection)."""
-        fraction = 0.0
-        if self.memory_budget_mb is not None and self.memory_budget_mb > 0:
-            fraction = process_rss_mb() / self.memory_budget_mb
-        capacity = self.queue_segments * max(1, active_tenants)
-        if capacity > 0:
-            fraction = max(fraction, pending_segments / capacity)
-        return fraction
-
-    def overload_level(
-        self,
-        current: str = "full",
-        pending_segments: int = 0,
-        active_tenants: int = 1,
-    ) -> str:
-        """The ladder rung the fleet should run at, given current
-        pressure (RSS and queue depth).
-
-        ``current`` is the rung in effect; recovery applies the
-        hysteresis margin so a fleet hovering at a threshold does not
-        oscillate between rungs."""
-        fraction = self.pressure_fraction(pending_segments, active_tenants)
-        rank = OVERLOAD_LADDER.index(current)
-        if fraction >= OVERLOAD_HARD_FRACTION:
-            target = 2
-        elif fraction >= OVERLOAD_SOFT_FRACTION:
-            target = 1
-        else:
-            target = 0
-        if target < rank:
-            # Recovering: require the margin below the rung we'd leave.
-            engage = (
-                OVERLOAD_HARD_FRACTION if rank == 2 else OVERLOAD_SOFT_FRACTION
-            )
-            if fraction > engage - OVERLOAD_RECOVER_MARGIN:
-                return current
-        return OVERLOAD_LADDER[target]

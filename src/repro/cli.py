@@ -110,27 +110,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     from repro.bench import ALL_TABLES
 
-    names = list(ALL_TABLES) if args.name == "all" else [args.name]
+    names = list(ALL_TABLES) if "all" in args.names else args.names
     unknown = [n for n in names if n not in ALL_TABLES]
     if unknown:
-        print(f"unknown table(s): {unknown}; known: {sorted(ALL_TABLES)}")
+        print(
+            f"error: unknown table(s) {unknown}; "
+            f"known: {sorted(ALL_TABLES)} or all",
+            file=sys.stderr,
+        )
         return 2
-    for name in names:
-        print(ALL_TABLES[name]().render())
-        print()
-    return 0
-
-
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.bench.reproduce import reproduce_all
-
-    report, _tables = reproduce_all(args.only or None)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
-        print(f"report written to {args.out}")
-    else:
-        print(report)
+    text = "".join(ALL_TABLES[name]().render() + "\n\n" for name in names)
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    print(f"tables written to {args.out}")
     return 0
 
 
@@ -347,7 +342,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         wal_dir=args.wal_dir,
         window=args.window,
         max_seconds=args.max_stage_seconds,
-        memory_budget_mb=args.memory_budget_mb,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         sampler=build_sampler(args.sampling, args.sampling_seed),
@@ -438,8 +432,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.analysis.governor import FleetBudget
-    from repro.service.server import DetectionServer
+    from repro.service.server import DetectionServer, FleetBudget
 
     limits = FleetBudget(
         max_tenants=args.max_tenants,
@@ -510,10 +503,9 @@ def _cmd_ship(args: argparse.Namespace) -> int:
             f"  ingest latency: p50 {result.latency_quantile(0.5) * 1000:.1f}ms "
             f"p99 {result.latency_quantile(0.99) * 1000:.1f}ms"
         )
-        if result.backpressure_waits or result.paused_waits:
+        if result.backpressure_waits:
             print(
-                f"  held back: {result.backpressure_waits} queue-credit "
-                f"waits, {result.paused_waits} overload pauses"
+                f"  held back: {result.backpressure_waits} queue-credit waits"
             )
         if result.reconnects:
             print(f"  reconnects: {result.reconnects}")
@@ -652,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="memory_budget_mb",
         help="the run's memory budget: in batch and sync-preserving mode "
         "the reachability closure's byte budget (a closure that does not "
-        "fit is reported as OUT OF MEMORY; default 512 MB), in streaming "
-        "mode the RSS that forces an early frontier compaction",
+        "fit is reported as OUT OF MEMORY; default 512 MB); streaming "
+        "mode has no closure and ignores it",
     )
     run.add_argument(
         "--detect-mode",
@@ -669,18 +661,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(run)
     run.set_defaults(fn=_cmd_run)
 
-    table = sub.add_parser("table", help="regenerate an evaluation table")
-    table.add_argument("name", help="table1|table3|...|figure1|...|all")
+    table = sub.add_parser(
+        "table", help="regenerate evaluation tables and figures"
+    )
+    table.add_argument(
+        "names", nargs="+", metavar="name",
+        help="table1|table3|...|figure1|...|all",
+    )
+    table.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="write the tables to FILE instead of stdout",
+    )
     table.set_defaults(fn=_cmd_table)
-
-    reproduce = sub.add_parser(
-        "reproduce", help="regenerate every evaluation table and figure"
-    )
-    reproduce.add_argument("--out", default=None, help="write to a file")
-    reproduce.add_argument(
-        "--only", nargs="*", default=None, help="subset, e.g. table4 figure3"
-    )
-    reproduce.set_defaults(fn=_cmd_reproduce)
 
     explain = sub.add_parser(
         "explain",
@@ -851,14 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="records between HB-frontier compaction passes",
     )
     stream.add_argument(
-        "--memory-budget-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        dest="memory_budget_mb",
-        help="force extra compactions when RSS nears this budget",
-    )
-    stream.add_argument(
         "--max-stage-seconds",
         type=float,
         default=None,
@@ -934,8 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="memory_budget_mb",
         metavar="MB",
-        help="fleet RSS budget; overload ladder engages at 75%% "
-        "(sampled) and 92%% (paused)",
+        help="fleet RSS budget: ingestion degrades to sampled at 75%%, "
+        "and new tenants are refused above 92%%",
     )
     serve.add_argument(
         "--queue-segments",

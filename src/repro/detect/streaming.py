@@ -598,7 +598,6 @@ def detect_races_streaming(
     window: int = DEFAULT_WINDOW,
     expected_streams: Optional[Iterable[int]] = None,
     max_seconds: Optional[float] = None,
-    memory_budget_mb: Optional[int] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
@@ -611,12 +610,10 @@ def detect_races_streaming(
     ``meta.json`` adds the loss it was saved with) must be given.  Every
     ``window`` raw records the pass probes:
     ``max_seconds``/``should_stop`` stop it early
-    (``stopped_early=True``, candidates found so far are kept);
-    ``memory_budget_mb`` forces an extra compaction whenever process
-    RSS crosses 90% of the budget — the detector degrades by compacting
-    harder, never by abandoning.  ``checkpoint_path`` (saved every
-    eight windows of raw records, and when the pass ends) makes the
-    pass resumable via ``resume=True``; a checkpoint the
+    (``stopped_early=True``, candidates found so far are kept), and
+    process RSS is sampled for ``rss_high_water_mb``.
+    ``checkpoint_path`` (saved every eight windows of raw records, and
+    when the pass ends) makes the pass resumable via ``resume=True``; a checkpoint the
     session refuses is an error here (``CheckpointError``).  ``sampler``
     (a ``repro.trace.sampling.Sampler``) thins the memory accesses — the
     streaming analog of sampled tracing; the result reads
@@ -641,7 +638,7 @@ def detect_races_streaming(
         detector = session.open(expected_streams or wal_stream_tids(wal_dir))
         stream = iter_wal_records(wal_dir, session.damage, detector.close_stream)
     else:
-        detector = session.open(expected_streams)
+        session.open(expected_streams)
         stream = iter(records)
 
     budget = StageBudget("stream", time.perf_counter(), max_seconds)
@@ -650,10 +647,7 @@ def detect_races_streaming(
     stopped_early = False
     while session.pump(stream, limit=window) == window:
         maybe_stall("stream_window")
-        rss = process_rss_mb()
-        rss_high = max(rss_high, rss)
-        if memory_budget_mb is not None and rss > memory_budget_mb * 0.9:
-            detector.compact()
+        rss_high = max(rss_high, process_rss_mb())
         session.maybe_checkpoint()
         if budget.exceeded() or (should_stop is not None and should_stop()):
             stopped_early = True

@@ -32,9 +32,9 @@ from collections import Counter, defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
+from repro.errors import TraceAnalysisOOM
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.hb.pull import PullEdge, infer_pull_edges
-from repro.hb.reach import BitsetReachability
 from repro.runtime.ops import HB_KINDS, OpEvent, OpKind
 from repro.trace.store import Trace
 
@@ -114,7 +114,9 @@ class HBGraph:
                 r.seq: i for i, r in enumerate(self.backbone)
             }
             self._succ: List[Set[int]] = [set() for _ in self.backbone]
-            self._reach = None  # lazily built (repro.hb.reach)
+            #: Per-backbone-vertex reachable sets as big-int bit vectors,
+            #: built on first query (``_ensure_reach``).
+            self._reach: Optional[List[int]] = None
 
             # Per-segment backbone positions, for nearest-backbone lookups.
             self._seg_backbone_pos: Dict[int, List[int]] = defaultdict(list)
@@ -260,29 +262,53 @@ class HBGraph:
 
     # -- reachability -------------------------------------------------------------
 
-    def _ensure_reach(self):
+    def _reach_bytes(self) -> int:
+        return (len(self.backbone) ** 2) // 8
+
+    def _ensure_reach(self) -> List[int]:
+        """Section 3.2.2's design: one reachable-set bit vector per
+        backbone vertex, computed in reverse topological order (sequence
+        order, since every edge points forward).  A query is one bit
+        test; memory is O(n²/8) bytes, which is what Table 8's
+        unselective traces blow up, so the budget is checked before
+        anything is allocated."""
         if self._reach is None:
-            with obs.span(
-                "hb.reach",
-                backbone=len(self.backbone),
-                backend=BitsetReachability.backend,
-            ):
-                self._reach = BitsetReachability(self)
+            n = len(self.backbone)
+            with obs.span("hb.reach", backbone=n):
+                required = self._reach_bytes()
+                if required > self.memory_budget:
+                    raise TraceAnalysisOOM(
+                        f"bitset reachability needs "
+                        f"~{required // (1024 * 1024)} MB "
+                        f"({n} backbone vertices), budget is "
+                        f"{self.memory_budget // (1024 * 1024)} MB",
+                        required_bytes=required,
+                        budget_bytes=self.memory_budget,
+                    )
+                reach = [0] * n
+                succ = self._succ
+                for i in range(n - 1, -1, -1):
+                    acc = 0
+                    for j in succ[i]:
+                        acc |= reach[j] | (1 << j)
+                    reach[i] = acc
+                self._reach = reach
                 obs.gauge(
                     "hb_reach_matrix_bytes",
                     "reachability structure size (bytes)",
-                ).set(self._reach.required_bytes)
+                ).set(required)
         return self._reach
 
     def reach_stats(self) -> Dict[str, int]:
         """Size statistics of the (built-on-demand) reachability matrix."""
-        return self._ensure_reach().stats()
+        self._ensure_reach()
+        return {"bytes": self._reach_bytes(), "vertices": len(self.backbone)}
 
     def backbone_reaches(self, i: int, j: int) -> bool:
         """Strict reachability between backbone indices."""
         if i == j:
             return False
-        return self._ensure_reach().reaches(i, j)
+        return bool((self._ensure_reach()[i] >> j) & 1)
 
     # -- nearest-backbone lookups ----------------------------------------------
 

@@ -7,8 +7,8 @@ human with ``curl``) can get without attaching a debugger:
   (200 always, by construction of answering at all);
 * ``/readyz``  — readiness: the service is willing to take *new* work
   (200 when the readiness callback says yes, 503 with the refusal
-  reason when it says no — e.g. tenant budget exhausted, overload
-  ladder on the ``paused`` rung);
+  reason when it says no — e.g. tenant budget or memory budget
+  exhausted, server shutting down);
 * ``/metrics`` — the active :class:`repro.obs.MetricsRegistry` in
   Prometheus text exposition format.
 

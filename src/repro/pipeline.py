@@ -94,10 +94,6 @@ class PipelineConfig:
     #: join the checkpoint ``config_fingerprint`` so resume refuses a
     #: cross-policy mix.
     sampling_seed: int = 0
-    #: Collect metrics and spans for this run (``repro.obs``).  When off,
-    #: every instrumentation point hits the no-op registry/tracer and the
-    #: result carries an empty ``metrics`` snapshot and no profile.
-    observe: bool = True
     #: Checkpoint/resume: when set, the two stages that cost a
     #: re-execution of the workload — the trace and the trigger verdicts
     #: (one manifest entry per report) — are serialized under this
@@ -116,8 +112,7 @@ class PipelineConfig:
     #: The run's one memory budget (MB).  Batch and sync-preserving
     #: mode: the reachability closure's byte budget (None = the paper's
     #: ``DEFAULT_MEMORY_BUDGET``); a closure that does not fit is
-    #: ``result.oom``.  Streaming mode: the process RSS above which the
-    #: detector compacts its frontier early.
+    #: ``result.oom``.  Streaming mode builds no closure and ignores it.
     memory_budget_mb: Optional[int] = None
 
 
@@ -150,12 +145,11 @@ class PipelineResult:
     stages_skipped: List[str] = field(default_factory=list)
     #: Where this run checkpointed, when it did.
     checkpoint_dir: Optional[str] = None
-    #: Metrics snapshot of the run (``MetricsRegistry.snapshot()``) —
-    #: empty when ``config.observe`` is false.  Benchmarks and fault
-    #: campaigns assert on this instead of re-deriving counts.
+    #: Metrics snapshot of the run (``MetricsRegistry.snapshot()``).
+    #: Benchmarks and fault campaigns assert on this instead of
+    #: re-deriving counts.
     metrics: Dict[str, Dict] = field(default_factory=dict)
-    #: The run's ``SpanTracer`` (None when observability is off); feed it
-    #: to ``repro.obs.render_span_table`` / ``spans_to_chrome``.
+    #: The run's ``SpanTracer``; feed it to ``repro.obs.render_span_table`` / ``spans_to_chrome``.
     profile: Optional[obs.SpanTracer] = None
 
     @property
@@ -315,31 +309,25 @@ class DCatch:
     def run(self) -> PipelineResult:
         """Run all stages under this run's observability context.
 
-        When ``config.observe`` is set (the default) a fresh registry and
-        span tracer are activated for the duration of the run — unless
-        the caller already activated ones (e.g. a fault campaign
-        aggregating across runs), which are then reused.  The snapshot
-        lands on ``PipelineResult.metrics`` either way.
+        A fresh registry and span tracer are activated for the duration
+        of the run — unless the caller already activated ones (e.g. a
+        fault campaign aggregating across runs), which are then reused.
+        The snapshot lands on ``PipelineResult.metrics`` either way.
         """
-        config = self.config
-        if not config.observe:
-            registry: obs.MetricsRegistry = obs.NULL_REGISTRY
-            tracer: obs.SpanTracer = obs.NULL_TRACER
-        else:
-            registry = (
-                obs.get_registry()
-                if obs.get_registry().enabled
-                else obs.MetricsRegistry(name=self.workload.info.bug_id)
-            )
-            tracer = (
-                obs.get_tracer()
-                if obs.get_tracer().enabled
-                else obs.SpanTracer(name=self.workload.info.bug_id)
-            )
+        registry = (
+            obs.get_registry()
+            if obs.get_registry().enabled
+            else obs.MetricsRegistry(name=self.workload.info.bug_id)
+        )
+        tracer = (
+            obs.get_tracer()
+            if obs.get_tracer().enabled
+            else obs.SpanTracer(name=self.workload.info.bug_id)
+        )
         with obs.use_registry(registry), obs.use_tracer(tracer):
             result = self._run_stages()
         result.metrics = registry.snapshot()
-        result.profile = tracer if config.observe else None
+        result.profile = tracer
         return result
 
     def _run_stages(self) -> PipelineResult:
@@ -418,7 +406,6 @@ class DCatch:
             records=trace.records,
             model=config.model,
             expected_streams=trace.per_thread.keys(),
-            memory_budget_mb=config.memory_budget_mb,
             should_stop=budget.exceeded,
         )
         detection = stream.to_detection(trace)

@@ -6,7 +6,7 @@ The client owns the *robustness* half of the contract:
   error tears down the socket and the next request redials and
   re-declares the session (the server answers ``resumed=True``);
 * **full-jitter backoff** on transient refusals (``over_queue``,
-  ``paused``, ``over_capacity``) and transport errors, reusing
+  ``over_capacity``) and transport errors, reusing
   :func:`repro.runtime.rpc.backoff_delay` scaled to wall-clock — the
   server suggests ``retry_after_s`` and the jitter disperses a fleet
   of tenants retrying at once;
@@ -17,7 +17,7 @@ The client owns the *robustness* half of the contract:
 ``ship_wal_dir`` round-robins across the WAL's streams (so the server's
 k-way merge is never starved by one stream running far ahead) and
 records a per-segment ingest latency sample for the benchmark.
-Transient refusals (``over_queue``/``paused``) skip to the next stream
+Transient refusals (``over_queue``) skip to the next stream
 rather than blocking the round-robin — paired with the server's
 starvation-relief carve-out, that is what makes credit backpressure
 deadlock-free even when a tenant has more streams than queue credits.
@@ -56,7 +56,6 @@ class ShipResult:
         self.records_shipped = 0
         self.bytes_shipped = 0
         self.backpressure_waits = 0
-        self.paused_waits = 0
         self.reconnects = 0
         self.ingest_latencies_s: List[float] = []
         self.elapsed_s = 0.0
@@ -92,7 +91,6 @@ class ServiceClient:
         self._totals: Optional[Dict[str, int]] = None
         self.reconnects = 0
         self.backpressure_waits = 0
-        self.paused_waits = 0
 
     # -- transport ---------------------------------------------------------
 
@@ -169,8 +167,6 @@ class ServiceClient:
                     raise
                 if exc.code == "over_queue":
                     self.backpressure_waits += 1
-                elif exc.code == "paused":
-                    self.paused_waits += 1
                 pause = exc.retry_after_s or 0.1
             except (ConnectionError, socket.timeout, OSError):
                 self.close()
@@ -323,8 +319,6 @@ class ServiceClient:
                         raise
                     if exc.code == "over_queue":
                         self.backpressure_waits += 1
-                    elif exc.code == "paused":
-                        self.paused_waits += 1
                     retry_after = max(retry_after, exc.retry_after_s or 0.1)
                     last_refusal = exc
                     continue
@@ -362,6 +356,5 @@ class ServiceClient:
         )
         result.reconnects = self.reconnects
         result.backpressure_waits = self.backpressure_waits
-        result.paused_waits = self.paused_waits
         result.elapsed_s = time.monotonic() - started
         return result

@@ -37,8 +37,8 @@ discipline of ``repro.runtime.sockets``:
 
 Every response is ``{"ok": true, ...}`` or a **structured error**
 ``{"ok": false, "error": <code>, "message": ..., "retry_after_s": ...}``.
-Transient codes (``over_capacity``, ``over_queue``, ``paused``,
-``not_ready``) carry ``retry_after_s`` and are retried by the client's
+Transient codes (``over_capacity``, ``over_queue``, ``not_ready``)
+carry ``retry_after_s`` and are retried by the client's
 full-jitter backoff (``wait_report`` re-asks ``not_ready`` with
 ``wait_s`` instead); terminal codes (``quarantined``, ``bad_segment``,
 ``out_of_order``, ``unknown_stream``, ``bad_request``) propagate as
@@ -70,9 +70,7 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 #: Error codes the client treats as transient (retry with backoff).
-RETRYABLE_ERRORS = frozenset(
-    {"over_capacity", "over_queue", "paused", "not_ready", "busy"}
-)
+RETRYABLE_ERRORS = frozenset({"over_capacity", "over_queue", "not_ready"})
 
 _MAX_FRAME_JSON = 1 << 20  # 1 MiB of JSON is already a malformed peer
 _MAX_FRAME_LINE = _MAX_FRAME_JSON + len(encode_line(b"F", b""))

@@ -6,8 +6,8 @@ per-tenant pump thread merges spooled segments into that tenant's
 :class:`StreamingDetector` in global seq order, and a canonical report
 is published when the tenant finalizes.  The moving parts:
 
-* **admission control** — :class:`repro.analysis.governor.FleetBudget`
-  decides whether a new ``hello`` fits (tenant count, RSS headroom);
+* **admission control** — :class:`FleetBudget` decides whether a new
+  ``hello`` fits (tenant count, RSS below 92% of the memory budget);
   refusals are structured ``over_capacity`` errors with a
   ``retry_after_s`` the client honours;
 * **credit-based backpressure** — every segment ACK carries the
@@ -15,13 +15,15 @@ is published when the tenant finalizes.  The moving parts:
   but-unpumped segments); at zero the next upload gets ``over_queue``
   + retry-after instead of unbounded buffering.  One carve-out keeps
   the scheme deadlock-free: a segment for a stream the merge is
-  *starved* on is always admitted (even under ``paused``), because it
-  is the only thing that lets the backlog drain;
+  *starved* on is always admitted, because it is the only thing that
+  lets the backlog drain;
 * **overload ladder** — a monitor thread polls fleet pressure (RSS
-  *and* aggregate queue depth) and walks every tenant along
-  ``full -> sampled -> paused`` with hysteresis; ``sampled`` engages
-  the PR-9 sampler (reports honestly say ``"sampled"``), ``paused``
-  stops issuing credits until pressure drains;
+  *and* aggregate queue depth) and moves every tenant between ``full``
+  and ``sampled`` with hysteresis; ``sampled`` engages the sampler,
+  which sheds memory accesses (reports honestly say ``"sampled"``).
+  There is no rung above it: an ACKed segment lives on disk, the pump
+  parses at most one segment per stream ahead of the merge, and
+  credits already refuse uploads once a tenant's queue is full;
 * **circuit breaker** — per-tenant quarantine after a streak of
   torn/CRC-bad segment uploads, evidence preserved on disk;
 * **crash recovery** — ingestion ACKs only after the segment is
@@ -45,14 +47,11 @@ import os
 import socket
 import threading
 import time
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro import obs
-from repro.analysis.governor import (
-    FleetBudget,
-    OVERLOAD_LADDER,
-    maybe_stall,
-)
+from repro.analysis.governor import maybe_stall, process_rss_mb
 from repro.framing import atomic_write
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.obs.http import ObsHttpServer
@@ -62,13 +61,31 @@ from repro.service.protocol import error_frame, ok_frame
 from repro.service.tenants import Tenant
 from repro.trace.wal import verify_segment_bytes
 
-__all__ = ["DetectionServer", "SERVICE_FILE", "load_service_file"]
+__all__ = [
+    "DetectionServer",
+    "FleetBudget",
+    "OVERLOAD_LADDER",
+    "SERVICE_FILE",
+    "load_service_file",
+]
 
 SERVICE_FILE = "service.json"
 
 #: Suggested client sleep for each transient refusal, seconds.
-RETRY_AFTER = {"over_capacity": 1.0, "over_queue": 0.1, "paused": 0.2,
-               "not_ready": 0.1}
+RETRY_AFTER = {"over_capacity": 1.0, "over_queue": 0.1, "not_ready": 0.1}
+
+#: The rungs every tenant ingests at.  Under pressure the fleet moves to
+#: ``sampled``; it comes back with hysteresis.
+OVERLOAD_LADDER = ("full", "sampled")
+
+#: Fleet pressure at which ingestion degrades to sampled.
+OVERLOAD_SAMPLED_FRACTION = 0.75
+#: Recover to ``full`` only this far below the engage threshold, so a
+#: fleet hovering at the boundary does not flap.
+OVERLOAD_RECOVER_MARGIN = 0.08
+#: RSS fraction of the memory budget above which no new tenant is
+#: admitted (a new tenant means a new detector).
+ADMISSION_RSS_FRACTION = 0.92
 
 #: Longest a ``report`` carrying ``wait_s`` is held, seconds; a client
 #: still waiting then asks again.
@@ -79,6 +96,78 @@ REPORT_WAIT_CAP_S = 30.0
 #: ``DCATCH_STALL=service_pump:<s>``, gives the overload demos a way to
 #: make ingest outrun detection).
 PUMP_BATCH = 4096
+
+
+@dataclass
+class FleetBudget:
+    """Aggregate budgets for a multi-tenant detection service.
+
+    One process serves many tenant streams; the budget governs the
+    *sum*: how many tenants may be admitted at all, how much process
+    RSS the fleet may use before ingestion degrades to sampled, and how
+    many ingested-but-unprocessed segments may queue per tenant."""
+
+    max_tenants: int = 16
+    memory_budget_mb: Optional[int] = None
+    queue_segments: int = 64
+
+    def admit_tenant(self, active_tenants: int) -> Optional[str]:
+        """None when a new tenant fits, else a refusal reason."""
+        if active_tenants >= self.max_tenants:
+            return (
+                f"tenant budget exhausted "
+                f"({active_tenants}/{self.max_tenants} active)"
+            )
+        if self.memory_budget_mb is not None:
+            rss = process_rss_mb()
+            if rss > self.memory_budget_mb * ADMISSION_RSS_FRACTION:
+                return (
+                    f"memory budget exhausted "
+                    f"(RSS {rss:.0f} MB of {self.memory_budget_mb} MB)"
+                )
+        return None
+
+    def pressure_fraction(
+        self, pending_segments: int = 0, active_tenants: int = 1
+    ) -> float:
+        """Fleet pressure as a fraction of budget — the max of the two
+        axes: process RSS against the memory budget, and spooled-but-
+        unprocessed segments against the fleet's aggregate queue
+        capacity (ingest outrunning detection)."""
+        fraction = 0.0
+        if self.memory_budget_mb is not None and self.memory_budget_mb > 0:
+            fraction = process_rss_mb() / self.memory_budget_mb
+        capacity = self.queue_segments * max(1, active_tenants)
+        if capacity > 0:
+            fraction = max(fraction, pending_segments / capacity)
+        return fraction
+
+    def overload_level(
+        self,
+        current: str = "full",
+        pending_segments: int = 0,
+        active_tenants: int = 1,
+    ) -> str:
+        """The rung the fleet should run at, given current pressure (RSS
+        and queue depth) and ``current``, the rung in effect."""
+        fraction = self.pressure_fraction(pending_segments, active_tenants)
+        if fraction >= OVERLOAD_SAMPLED_FRACTION or (
+            current == "sampled"
+            and fraction > OVERLOAD_SAMPLED_FRACTION - OVERLOAD_RECOVER_MARGIN
+        ):
+            return "sampled"
+        return "full"
+
+
+def _segment_counts(raw: object) -> Optional[Dict[str, int]]:
+    """An untrusted ``{"node/tid": n}`` map as ints, or None when it is
+    not a map of integers."""
+    if not isinstance(raw, dict):
+        return None
+    try:
+        return {str(k): int(v) for k, v in raw.items()}
+    except (TypeError, ValueError):
+        return None
 
 
 def load_service_file(data_dir: str) -> Dict[str, object]:
@@ -282,7 +371,7 @@ class DetectionServer:
     def _overload_loop(self) -> None:
         gauge = obs.gauge(
             "service_overload_level",
-            "fleet overload ladder rung (0=full 1=sampled 2=paused)",
+            "fleet overload ladder rung (0=full 1=sampled)",
         )
         pending_gauge = obs.gauge(
             "service_pending_segments",
@@ -313,8 +402,6 @@ class DetectionServer:
     def _readiness(self) -> Tuple[bool, str]:
         if self._stopping.is_set():
             return False, "shutting down"
-        if self.overload_level == "paused":
-            return False, "overload ladder: paused"
         with self._lock:
             refusal = self.limits.admit_tenant(len(self._active_tenants()))
         if refusal:
@@ -427,8 +514,6 @@ class DetectionServer:
         return tenant, None
 
     def _credits(self, tenant: Tenant) -> int:
-        if tenant.mode == "paused":
-            return 0
         return max(
             0, self.limits.queue_segments - tenant.pending_segments()
         )
@@ -457,12 +542,8 @@ class DetectionServer:
             streams = sorted((str(n), int(t)) for n, t in raw_streams)
         except (TypeError, ValueError):
             return error_frame("bad_request", "malformed stream declaration")
-        raw_totals = doc.get("totals") or {}
-        if not isinstance(raw_totals, dict):
-            return error_frame("bad_request", "malformed totals declaration")
-        try:
-            totals = {str(k): int(v) for k, v in raw_totals.items()}
-        except (TypeError, ValueError):
+        totals = _segment_counts(doc.get("totals") or {})
+        if totals is None:
             return error_frame("bad_request", "malformed totals declaration")
         with self._lock:
             tenant = self.tenants.get(tenant_id)
@@ -539,6 +620,8 @@ class DetectionServer:
             return error_frame(
                 "bad_request", "segment needs node, tid, index"
             )
+        if index < 0:
+            return error_frame("bad_request", "negative segment index")
         stream = tenant.streams.get((node, tid))
         if stream is None:
             return error_frame(
@@ -571,28 +654,23 @@ class DetectionServer:
                     f"stream {node}/{tid} declared {stream.declared} "
                     f"segments; segment {index} is beyond that",
                 )
-            # Starvation relief bypasses backpressure AND the paused
-            # rung: a segment the merge is starved on is the only way
-            # the backlog can drain, so refusing it would deadlock the
-            # tenant (the ladder would never recover).
+            # Starvation relief bypasses credits: a segment the merge is
+            # starved on is the only way the backlog can drain, so
+            # refusing it would deadlock the tenant.
             hungry = stream.hungry
-        if not hungry:
-            if tenant.mode == "paused":
-                return error_frame(
-                    "paused",
-                    "ingestion paused by the overload ladder",
-                    retry_after_s=RETRY_AFTER["paused"],
-                )
-            if tenant.pending_segments() >= self.limits.queue_segments:
-                obs.counter(
-                    "service_backpressure_total",
-                    "segment uploads deferred by queue backpressure",
-                ).labels(tenant=tenant.tenant_id).inc()
-                return error_frame(
-                    "over_queue",
-                    "tenant ingest queue is full; wait for credits",
-                    retry_after_s=RETRY_AFTER["over_queue"],
-                )
+        if (
+            not hungry
+            and tenant.pending_segments() >= self.limits.queue_segments
+        ):
+            obs.counter(
+                "service_backpressure_total",
+                "segment uploads deferred by queue backpressure",
+            ).labels(tenant=tenant.tenant_id).inc()
+            return error_frame(
+                "over_queue",
+                "tenant ingest queue is full; wait for credits",
+                retry_after_s=RETRY_AFTER["over_queue"],
+            )
         _count, sealed, reason = verify_segment_bytes(body)
         if reason is not None or not sealed:
             reason = reason or "unsealed segment on the wire"
@@ -641,15 +719,17 @@ class DetectionServer:
             return error_frame(
                 "quarantined", f"tenant {tenant.tenant_id} is quarantined"
             )
-        counts = doc.get("counts")
-        if not isinstance(counts, dict):
+        counts = _segment_counts(doc.get("counts"))
+        if counts is None:
             return error_frame(
                 "bad_request", 'finalize needs counts={"node/tid": n}'
             )
         with tenant.lock:
-            problem = tenant.finalize(
-                {str(k): int(v) for k, v in counts.items()}
-            )
+            # Totals declared at hello are immutable, as on a re-hello.
+            problem = tenant.declare_totals(counts)
+            if problem is not None:
+                return error_frame("bad_request", problem)
+            problem = tenant.finalize(counts)
         if problem is not None:
             return error_frame("incomplete", problem)
         tenant.wakeup.set()

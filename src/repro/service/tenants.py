@@ -157,7 +157,8 @@ class Tenant:
         self.streams: Dict[StreamKey, _SpoolStream] = {}
         self.finalized = False
         self.done = False
-        #: Ingestion rung for this tenant ("full" | "sampled" | "paused").
+        #: Ingestion rung for this tenant ("full" | "sampled"), set by
+        #: the server's overload ladder.
         self.mode = "full"
         self.session = StreamSession(
             model,
@@ -317,8 +318,10 @@ class Tenant:
         Lets the merge close a fully-shipped stream without waiting
         for finalize — otherwise a short stream starves the merge (and
         freezes the queue drain) until every other stream finishes.
-        Returns an error message on a conflicting re-declaration."""
+        Returns an error message, and changes nothing, on a negative
+        total or a conflicting re-declaration."""
         with self.lock:
+            declared = {}
             for stream in self.streams.values():
                 total = totals.get(stream_key_str(stream.key))
                 if total is None:
@@ -331,6 +334,8 @@ class Tenant:
                         f"({stream.declared} -> {total}); sessions are "
                         "immutable once declared"
                     )
+                declared[stream] = total
+            for stream, total in declared.items():
                 stream.declared = total
         return None
 
@@ -368,21 +373,15 @@ class Tenant:
         with self.lock:
             if mode == self.mode:
                 return False
-            previous = self.mode
             self.mode = mode
-            # "paused" is a superset of "sampled": the ladder is
-            # monotone, so anything above the soft rung keeps the
-            # detector on the sampler while it drains the backlog.
-            self.session.thinning = mode != "full"
-            if mode != "full" and not self.ever_sampled:
+            self.session.thinning = mode == "sampled"
+            if mode == "sampled" and not self.ever_sampled:
                 self._engage_sampler()
                 self.save_state()  # ever_sampled is report-affecting
             obs.counter(
                 "service_overload_transitions_total",
                 "per-tenant overload ladder transitions",
             ).labels(tenant=self.tenant_id, to=mode).inc()
-            if previous == "paused":
-                self.wakeup.set()
             return True
 
     # -- the pump ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The bit-set reachability engine (repro.hb.reach)."""
+"""The bit-set reachability closure inside ``HBGraph``."""
 
 from repro.hb import HBGraph, NaiveReachability
 from repro.hb.model import HBModel
@@ -48,7 +48,6 @@ def test_reach_stats_shapes():
     graph = HBGraph(trace)
     n = len(graph.backbone)
     assert graph.reach_stats() == {
-        "backend": "bitset",
         "vertices": n,
         "bytes": (n * n) // 8,
     }

@@ -7,12 +7,8 @@ import os
 
 import pytest
 
-from repro.analysis.governor import (
-    FleetBudget,
-    OVERLOAD_LADDER,
-)
 from repro.service.client import ServiceClient
-from repro.service.server import DetectionServer
+from repro.service.server import DetectionServer, FleetBudget, OVERLOAD_LADDER
 from repro.service.tenants import Tenant
 from repro.trace.wal import list_stream_segments
 from repro.workload import generate_workload
@@ -37,7 +33,7 @@ class TestLadderRungs:
         )
 
     def test_ladder_order(self):
-        assert OVERLOAD_LADDER == ("full", "sampled", "paused")
+        assert OVERLOAD_LADDER == ("full", "sampled")
 
     def test_idle_fleet_is_full(self):
         assert self._level(0) == "full"
@@ -46,9 +42,12 @@ class TestLadderRungs:
         assert self._level(74) == "full"
         assert self._level(75) == "sampled"
 
-    def test_hard_pressure_pauses(self):
-        assert self._level(91) == "sampled"
-        assert self._level(92) == "paused"
+    def test_hard_pressure_stays_sampled(self):
+        """There is no rung above sampled: credits already refuse
+        uploads once a tenant's queue is full."""
+        assert self._level(92) == "sampled"
+        assert self._level(95, current="full") == "sampled"
+        assert self._level(150, current="sampled") == "sampled"
 
     def test_capacity_scales_with_active_tenants(self):
         # 4 tenants -> 400 aggregate capacity; 75 pending is now idle.
@@ -60,14 +59,6 @@ class TestLadderRungs:
         assert self._level(74, current="sampled") == "sampled"
         assert self._level(68, current="sampled") == "sampled"
         assert self._level(66, current="sampled") == "full"
-
-    def test_paused_recovers_one_rung_at_a_time(self):
-        assert self._level(85, current="paused") == "paused"  # hysteresis
-        assert self._level(80, current="paused") == "sampled"
-        assert self._level(10, current="paused") == "full"
-
-    def test_degrading_skips_rungs_when_pressure_spikes(self):
-        assert self._level(95, current="full") == "paused"
 
 
 class TestAdmission:

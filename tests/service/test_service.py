@@ -11,7 +11,6 @@ import time
 import pytest
 
 from repro.errors import ServiceError
-from repro.analysis.governor import FleetBudget
 from repro.detect.streaming import detect_races_streaming
 from repro.service import protocol
 from repro.service.client import ServiceClient
@@ -21,7 +20,12 @@ from repro.service.report import (
     render_report,
     report_from_stream_result,
 )
-from repro.service.server import PUMP_BATCH, DetectionServer, load_service_file
+from repro.service.server import (
+    PUMP_BATCH,
+    DetectionServer,
+    FleetBudget,
+    load_service_file,
+)
 from repro.service.tenants import Tenant, stream_key_str
 from repro.trace.wal import list_stream_segments
 from repro.workload import generate_workload
@@ -405,6 +409,51 @@ class TestStructuredErrors:
         assert err.value.code == "incomplete"
         assert "re-ship" in str(err.value)
 
+    def test_retryable_codes_are_the_ones_the_server_sends(self):
+        assert protocol.RETRYABLE_ERRORS == {
+            "over_capacity", "over_queue", "not_ready"
+        }
+
+    def test_negative_segment_index_is_bad_request(self, server, wal_dir):
+        """``-1 < received`` used to answer ``ok, duplicate: true``."""
+        segments = list_stream_segments(wal_dir)
+        (node, tid), paths = sorted(segments.items())[0]
+        with open(paths[0], "rb") as fh:
+            data = fh.read()
+        with _client(server, "alpha") as client:
+            client.hello(sorted(segments))
+            with pytest.raises(ServiceError) as err:
+                client.send_segment(node, tid, -1, data)
+        assert err.value.code == "bad_request"
+
+    def test_non_integer_finalize_count_is_bad_request(self, server, wal_dir):
+        """It used to raise inside the handler and come back
+        ``internal``, counted as a handler error."""
+        segments = list_stream_segments(wal_dir)
+        with _client(server, "alpha") as client:
+            client.hello(sorted(segments))
+            with pytest.raises(ServiceError) as err:
+                client.finalize({f"{n}/{t}": "x" for n, t in segments})
+        assert err.value.code == "bad_request"
+        assert "service_handler_errors_total" not in server.registry.snapshot()
+
+    def test_finalize_cannot_change_totals_declared_at_hello(
+        self, server, wal_dir
+    ):
+        """Counts of 0 used to overwrite the hello totals and finalize a
+        tenant that had shipped nothing."""
+        segments = list_stream_segments(wal_dir)
+        with _client(server, "alpha") as client:
+            client.hello(
+                sorted(segments),
+                totals={key: len(paths) for key, paths in segments.items()},
+            )
+            with pytest.raises(ServiceError) as err:
+                client.finalize({f"{n}/{t}": 0 for n, t in segments})
+        assert err.value.code == "bad_request"
+        assert "immutable once declared" in str(err.value)
+        assert not server.tenants["alpha"].finalized
+
 
 class TestBackpressure:
     @pytest.fixture(scope="class")
@@ -460,6 +509,49 @@ class TestBackpressure:
                 client.ship_wal_dir(wal_dir)
                 report = client.wait_report(timeout_s=120)
             assert render_report(report) == _offline_report(wal_dir, "alpha")
+        finally:
+            srv.stop()
+
+    def test_full_queue_under_fleet_pressure_is_over_queue(
+        self, tmp_path, chunked_wal_dir
+    ):
+        """Pressure far above 0.92 parks the ladder on ``sampled``; the
+        refusal a full queue gets is still ``over_queue``."""
+        segments = list_stream_segments(chunked_wal_dir)
+        (node, tid), paths = max(segments.items(), key=lambda kv: len(kv[1]))
+        assert len(paths) >= 3
+        blobs = []
+        for path in paths[:3]:
+            with open(path, "rb") as fh:
+                blobs.append(fh.read())
+        srv = DetectionServer(
+            str(tmp_path / "data"),
+            limits=FleetBudget(queue_segments=1),
+            window=WINDOW,
+            overload_poll_s=0.01,
+            http_port=None,
+        ).start()
+        try:
+            with _client(srv, "alpha") as client:
+                client.hello(sorted(segments))
+                # Admitted: over 1 MB of RSS means pressure in the tens.
+                srv.limits.memory_budget_mb = 1
+                stream = srv.tenants["alpha"].streams[(node, tid)]
+                client.send_segment(node, tid, 0, blobs[0])
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline and not (
+                    stream.pending and srv.overload_level != "full"
+                ):
+                    time.sleep(0.01)
+                assert srv.overload_level == "sampled"
+                # Segment 0 sits parsed in the merge buffer, so the
+                # stream is not hungry; segment 1 takes the one credit.
+                client.send_segment(node, tid, 1, blobs[1])
+                with pytest.raises(ServiceError) as err:
+                    client.send_segment(
+                        node, tid, 2, blobs[2], retry_transient=False
+                    )
+            assert err.value.code == "over_queue"
         finally:
             srv.stop()
 
@@ -541,7 +633,7 @@ class TestStatus:
             client.ship_wal_dir(wal_dir)
             client.wait_report()
             status = client.status()
-        assert status["overload_level"] in ("full", "sampled", "paused")
+        assert status["overload_level"] in ("full", "sampled")
         tenant = status["tenants"]["alpha"]
         assert tenant["done"] is True
         assert tenant["finalized"] is True

@@ -25,8 +25,36 @@ def test_table_command_table3(capsys):
 
 def test_table_command_unknown(capsys):
     assert main(["table", "tableX"]) == 2
-    out = capsys.readouterr().out
-    assert "unknown table" in out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "unknown table" in captured.err
+
+
+def test_table_out_writes_the_named_tables(tmp_path, capsys):
+    out = tmp_path / "tables.txt"
+    assert main(["table", "table3", "table1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.index("Benchmark bugs") < text.index("Concurrency &")
+    assert capsys.readouterr().out == f"tables written to {out}\n"
+
+
+def test_table_unknown_name_among_known_renders_nothing(tmp_path, capsys):
+    out = tmp_path / "tables.txt"
+    assert main(["table", "table3", "table99", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "table99" in capsys.readouterr().err
+
+
+def test_stream_memory_budget_flag_is_unknown(capsys):
+    """Streaming has no closure to budget: the flag that forced extra
+    compactions, and never retired an access, is gone."""
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(
+            ["stream", "wal", "--memory-budget-mb", "1"]
+        )
+    assert info.value.code == 2
+    assert "--memory-budget-mb" in capsys.readouterr().err
 
 
 def test_run_command_no_trigger(capsys):
