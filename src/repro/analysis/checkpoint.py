@@ -53,10 +53,8 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "scope": config.scope,
         "model": model.describe(),
         "monitored_seed": config.monitored_seed,
-        "prune": config.prune,
         "trigger": config.trigger,
         "trigger_seeds": list(config.trigger_seeds),
-        "trigger_max_wait": config.trigger_max_wait,
         "detect_mode": config.detect_mode,
         # The plan's *content*, not just its presence: resuming after an
         # edited fault plan must invalidate the checkpointed trace.

@@ -80,7 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
         trace_dir=args.trace_dir,
-        trigger_max_wait=args.trigger_max_wait,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         max_stage_seconds=args.max_stage_seconds,
@@ -211,7 +210,7 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
 
     from repro.trace import compute_stats, salvage_trace
 
-    trace, report = salvage_trace(args.wal_dir, live=args.live)
+    trace, report = salvage_trace(args.wal_dir)
     print(report.render())
     if args.report:
         with open(args.report, "w") as fh:
@@ -445,7 +444,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         limits=limits,
         window=args.window,
-        max_bad_segments=args.max_bad_segments,
         overload_poll_s=args.overload_poll_s,
         http_port=None if args.no_http else args.http_port,
     ).start()
@@ -603,15 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         "write-ahead log under DIR (salvage it with 'salvage')",
     )
     run.add_argument(
-        "--trigger-max-wait",
-        type=int,
-        default=None,
-        metavar="TICKS",
-        dest="trigger_max_wait",
-        help="watchdog: release a gated trigger party held longer than "
-        "TICKS logical clock ticks (run counts as not enforced)",
-    )
-    run.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
@@ -730,13 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze",
         action="store_true",
         help="run HB analysis on the recovered trace (reports confidence)",
-    )
-    salvage.add_argument(
-        "--live",
-        action="store_true",
-        help="the WAL is still being written: a growing unsealed tail "
-        "segment (and a half-flushed tail record) is reported as "
-        "in-progress, not damage",
     )
     salvage.set_defaults(fn=_cmd_salvage)
 
@@ -928,15 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="queue_segments",
         metavar="N",
         help="per-tenant ingest queue depth (credit-based backpressure)",
-    )
-    serve.add_argument(
-        "--max-bad-segments",
-        type=int,
-        default=3,
-        dest="max_bad_segments",
-        metavar="N",
-        help="circuit breaker: quarantine a tenant after this streak "
-        "of torn/CRC-bad segments",
     )
     serve.add_argument(
         "--http-port",

@@ -3,13 +3,12 @@
 from repro.detect.export import save_reports
 from repro.detect.races import detect_races
 from repro.detect.report import ReportSet, Verdict
-from repro.detect.syncpres import build_sp_graph, detect_races_sync_preserving
+from repro.detect.syncpres import build_sp_graph
 
 __all__ = [
     "detect_races",
     "ReportSet",
     "Verdict",
     "build_sp_graph",
-    "detect_races_sync_preserving",
     "save_reports",
 ]

@@ -45,7 +45,7 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.detect.races import DetectionResult, detect_races
+from repro.detect.races import DetectionResult
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import OpKind
@@ -56,7 +56,6 @@ __all__ = [
     "lock_section_edges",
     "build_sp_graph",
     "annotate_sync_preserving",
-    "detect_races_sync_preserving",
 ]
 
 #: Edge-count label for sync-preserving closure edges on the SP graph.
@@ -171,28 +170,3 @@ def annotate_sync_preserving(
         len(detection.candidates) - len(sp_pairs)
     )
     return detection
-
-
-def detect_races_sync_preserving(
-    trace: Trace,
-    model: HBModel = FULL_MODEL,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    graph: Optional[HBGraph] = None,
-    should_stop=None,
-) -> DetectionResult:
-    """HB detection plus SP annotation in one call.
-
-    Same signature and candidate set as :func:`detect_races`; the
-    result additionally carries ``sp_pairs`` (see
-    :func:`annotate_sync_preserving`).
-    """
-    detection = detect_races(
-        trace,
-        model=model,
-        memory_budget=memory_budget,
-        graph=graph,
-        should_stop=should_stop,
-    )
-    return annotate_sync_preserving(
-        detection, model=model, memory_budget=memory_budget
-    )

@@ -19,9 +19,9 @@ Instrumented code does::
         ...
 
 and pays nothing unless a registry/tracer is active.  The pipeline
-activates both for the duration of one run when
-``PipelineConfig.observe`` is true (the default) and snapshots them onto
-``PipelineResult.metrics`` / ``PipelineResult.profile``.
+activates a fresh pair for every run (or reuses the caller's active
+ones) and snapshots them onto ``PipelineResult.metrics`` /
+``PipelineResult.profile``.
 
 See ``docs/observability.md`` for the full API and export formats.
 """

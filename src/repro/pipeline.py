@@ -63,13 +63,8 @@ class PipelineConfig:
     #: (``repro.detect.syncpres``) — pairs with a sound reordering
     #: witness are tiered ``sp-sound`` and jump the prune/trigger queue.
     detect_mode: str = "batch"
-    prune: bool = True
     trigger: bool = True
     trigger_seeds: tuple = (0, 1)
-    #: Watchdog for order enforcement: a gated party held longer than
-    #: this many logical clock ticks is released and the run counts as
-    #: not enforced.  None (default) = idle-release only.
-    trigger_max_wait: Optional[int] = None
     monitored_seed: Optional[int] = None  # None = the workload's default
     #: Optional fault-injection schedule installed on the base and the
     #: monitored run (see ``repro.runtime.faults``).  Trigger re-runs stay
@@ -545,7 +540,7 @@ class DCatch:
         budget.exceeded()
 
         # -- static pruning ---------------------------------------------------
-        if reports is not None and config.prune:
+        if reports is not None:
             try:
                 started = time.perf_counter()
                 with obs.span("pipeline.pruning"):
@@ -586,7 +581,6 @@ class DCatch:
                     module = TriggerModule(
                         self.workload.factory(),
                         seeds=config.trigger_seeds,
-                        max_wait=config.trigger_max_wait,
                     )
                 except (PipelineInterrupted, CheckpointError):
                     raise

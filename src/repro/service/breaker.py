@@ -2,7 +2,7 @@
 
 A tenant whose tracer (or network path) keeps producing torn or
 CRC-damaged segments should not get to spend server CPU on every retry.
-Each bad segment trips the breaker one notch; at ``max_bad_segments``
+Each bad segment trips the breaker one notch; at ``MAX_BAD_SEGMENTS``
 the tenant is **quarantined**: further requests get a terminal
 ``quarantined`` error and the offending bytes are preserved under the
 tenant's ``quarantine/`` directory as evidence for the operator (the
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 from repro import obs
 
-__all__ = ["CircuitBreaker", "DEFAULT_MAX_BAD_SEGMENTS"]
+__all__ = ["CircuitBreaker", "MAX_BAD_SEGMENTS"]
 
-DEFAULT_MAX_BAD_SEGMENTS = 3
+MAX_BAD_SEGMENTS = 3
 
 
 @dataclass
@@ -33,7 +33,6 @@ class CircuitBreaker:
 
     tenant: str
     quarantine_dir: str
-    max_bad_segments: int = DEFAULT_MAX_BAD_SEGMENTS
     bad_streak: int = 0
     bad_total: int = 0
     quarantined: bool = False
@@ -51,7 +50,7 @@ class CircuitBreaker:
             self.bad_total += 1
             tripped = (
                 not self.quarantined
-                and self.bad_streak >= self.max_bad_segments
+                and self.bad_streak >= MAX_BAD_SEGMENTS
             )
             if tripped:
                 self.quarantined = True

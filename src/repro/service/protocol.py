@@ -21,7 +21,9 @@ discipline of ``repro.runtime.sockets``:
   so the merge can close a fully-shipped stream *mid-session* instead
   of starving on it until finalize (without totals, a short stream
   that finishes early would stall the merge, and with it the queue
-  drain, until every other stream finished shipping);
+  drain, until every other stream finished shipping).  Tenant ids and
+  node names become spool path components and must be boring
+  (:func:`valid_name`);
 * ``segment``  — one WAL segment for a declared stream, bytes in the
   frame body; ACKed only after the bytes are durably spooled;
 * ``finalize`` — the tenant is done shipping; declares the per-stream
@@ -32,8 +34,9 @@ discipline of ``repro.runtime.sockets``:
   is published, the tenant is quarantined or the server stops, for at
   most ``wait_s`` (capped server-side); without it, an unfinished
   report is ``not_ready`` at once;
-* ``status``   — server-wide snapshot (tenants, overload level);
-* ``shutdown`` — ask the server to stop (operator use).
+* ``status``   — server-wide snapshot (tenants, overload level).
+
+The server stops on SIGINT/SIGTERM; there is no verb for it.
 
 Every response is ``{"ok": true, ...}`` or a **structured error**
 ``{"ok": false, "error": <code>, "message": ..., "retry_after_s": ...}``.
@@ -64,7 +67,7 @@ __all__ = [
     "raise_for_error",
     "recv_frame",
     "send_frame",
-    "valid_tenant_id",
+    "valid_name",
 ]
 
 PROTOCOL_VERSION = 1
@@ -75,7 +78,7 @@ RETRYABLE_ERRORS = frozenset({"over_capacity", "over_queue", "not_ready"})
 _MAX_FRAME_JSON = 1 << 20  # 1 MiB of JSON is already a malformed peer
 _MAX_FRAME_LINE = _MAX_FRAME_JSON + len(encode_line(b"F", b""))
 _MAX_FRAME_BODY = 64 << 20  # segments are ~100s of KB; 64 MiB is a cap
-_TENANT_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 class ProtocolError(ServiceError):
@@ -86,9 +89,10 @@ class ProtocolError(ServiceError):
         super().__init__(message, code="protocol")
 
 
-def valid_tenant_id(tenant: str) -> bool:
-    """Tenant ids become path components; keep them boring."""
-    return bool(_TENANT_ID_RE.match(tenant))
+def valid_name(name: str) -> bool:
+    """Tenant ids and node names become path components; keep them
+    boring."""
+    return bool(_NAME_RE.match(name))
 
 
 def send_frame(

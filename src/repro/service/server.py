@@ -53,7 +53,6 @@ from typing import Dict, Optional, Tuple, Union
 from repro import obs
 from repro.analysis.governor import maybe_stall, process_rss_mb
 from repro.framing import atomic_write
-from repro.hb.model import FULL_MODEL, HBModel
 from repro.obs.http import ObsHttpServer
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import protocol
@@ -184,9 +183,7 @@ class DetectionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         limits: Optional[FleetBudget] = None,
-        model: HBModel = FULL_MODEL,
         window: Optional[int] = None,
-        max_bad_segments: int = 3,
         overload_poll_s: float = 0.1,
         http_port: Optional[int] = None,
     ) -> None:
@@ -194,9 +191,7 @@ class DetectionServer:
         self.host = host
         self.port = port
         self.limits = limits if limits is not None else FleetBudget()
-        self.model = model
         self.window = window
-        self.max_bad_segments = max_bad_segments
         self.overload_poll_s = overload_poll_s
         self.http_port = http_port
         self.overload_level = "full"
@@ -306,13 +301,7 @@ class DetectionServer:
             if not os.path.isfile(os.path.join(root, "state.json")):
                 continue
             try:
-                tenant = Tenant.recover(
-                    entry,
-                    root,
-                    model=self.model,
-                    window=self.window,
-                    max_bad_segments=self.max_bad_segments,
-                )
+                tenant = Tenant.recover(entry, root, window=self.window)
             except (OSError, ValueError, KeyError) as exc:
                 obs.counter(
                     "service_recover_failures_total",
@@ -459,10 +448,6 @@ class DetectionServer:
                     protocol.send_frame(wfile, response, response_body)
                 except (OSError, socket.timeout):
                     return
-                if doc.get("verb") == "shutdown" and response.get("ok"):
-                    self._stopping.set()
-                    self._close_listener()
-                    return
         finally:
             for closer in (rfile.close, wfile.close, conn.close):
                 try:
@@ -484,7 +469,6 @@ class DetectionServer:
             "finalize": self._handle_finalize,
             "report": self._handle_report,
             "status": self._handle_status,
-            "shutdown": lambda d, b: ok_frame(stopping=True),
         }.get(verb)  # type: ignore[arg-type]
         if handler is None:
             return error_frame("bad_request", f"unknown verb {verb!r}"), b""
@@ -502,7 +486,7 @@ class DetectionServer:
         self, doc: Dict[str, object]
     ) -> Tuple[Optional[Tenant], Optional[Dict[str, object]]]:
         tenant_id = doc.get("tenant")
-        if not isinstance(tenant_id, str) or not protocol.valid_tenant_id(
+        if not isinstance(tenant_id, str) or not protocol.valid_name(
             tenant_id
         ):
             return None, error_frame("bad_request", "bad tenant id")
@@ -529,7 +513,7 @@ class DetectionServer:
         self, doc: Dict[str, object], body: bytes
     ) -> Dict[str, object]:
         tenant_id = doc.get("tenant")
-        if not isinstance(tenant_id, str) or not protocol.valid_tenant_id(
+        if not isinstance(tenant_id, str) or not protocol.valid_name(
             tenant_id
         ):
             return error_frame("bad_request", "bad tenant id")
@@ -542,6 +526,9 @@ class DetectionServer:
             streams = sorted((str(n), int(t)) for n, t in raw_streams)
         except (TypeError, ValueError):
             return error_frame("bad_request", "malformed stream declaration")
+        if not all(protocol.valid_name(node) for node, _tid in streams):
+            # Node names become spool path components, like tenant ids.
+            return error_frame("bad_request", "bad node name")
         totals = _segment_counts(doc.get("totals") or {})
         if totals is None:
             return error_frame("bad_request", "malformed totals declaration")
@@ -584,13 +571,7 @@ class DetectionServer:
                 )
             root = os.path.join(self.tenants_dir, tenant_id)
             os.makedirs(root, exist_ok=True)
-            tenant = Tenant(
-                tenant_id,
-                root,
-                model=self.model,
-                window=self.window,
-                max_bad_segments=self.max_bad_segments,
-            )
+            tenant = Tenant(tenant_id, root, window=self.window)
             tenant.declare_streams(streams)
             tenant.declare_totals(totals)
             tenant.set_mode(self.overload_level)

@@ -45,8 +45,8 @@ from repro.detect.streaming import (
     merge_by_seq,
 )
 from repro.errors import CheckpointError
-from repro.framing import atomic_write
-from repro.hb.model import FULL_MODEL, HBModel
+from repro.framing import atomic_write, read_document, write_document
+from repro.hb.model import FULL_MODEL
 from repro.runtime.ops import OpEvent
 from repro.service.breaker import CircuitBreaker
 from repro.service.report import render_report, report_from_stream_result
@@ -63,7 +63,9 @@ __all__ = ["Tenant", "StreamKey", "TENANT_STATE_FORMAT"]
 StreamKey = Tuple[str, int]  # (node, tid)
 
 TENANT_STATE_FORMAT = "repro-service-tenant"
-TENANT_STATE_VERSION = 1
+#: Version 2 moved ``state.json`` into the ``write_document`` envelope;
+#: a version-1 (plain JSON) directory is refused at recovery.
+TENANT_STATE_VERSION = 2
 
 #: Sampling spec the overload ladder's ``sampled`` rung engages
 #: (PR-9's budget+rate composite: cold locations whole, hot thinned).
@@ -145,15 +147,11 @@ class Tenant:
         self,
         tenant_id: str,
         root: str,
-        model: HBModel = FULL_MODEL,
         window: Optional[int] = None,
-        max_bad_segments: int = 3,
-        sampling_seed: int = 0,
     ) -> None:
         self.tenant_id = tenant_id
         self.root = root
         self.window = window if window is not None else DEFAULT_WINDOW
-        self.sampling_seed = sampling_seed
         self.streams: Dict[StreamKey, _SpoolStream] = {}
         self.finalized = False
         self.done = False
@@ -161,7 +159,7 @@ class Tenant:
         #: the server's overload ladder.
         self.mode = "full"
         self.session = StreamSession(
-            model,
+            FULL_MODEL,
             self.window,
             f"service:{tenant_id}",
             self.checkpoint_path,
@@ -171,7 +169,6 @@ class Tenant:
         self.breaker = CircuitBreaker(
             tenant=tenant_id,
             quarantine_dir=os.path.join(root, "quarantine"),
-            max_bad_segments=max_bad_segments,
         )
         self.lock = threading.RLock()
         #: Pump wakeup: set on new segments / finalize / shutdown.
@@ -227,13 +224,12 @@ class Tenant:
             "bad_total": self.breaker.bad_total,
             "window": self.window,
         }
-        atomic_write(
-            self.state_path,
-            json.dumps(doc, sort_keys=True, indent=2).encode(),
-        )
+        write_document(self.state_path, doc)
 
     @classmethod
-    def recover(cls, tenant_id: str, root: str, **kwargs: object) -> "Tenant":
+    def recover(
+        cls, tenant_id: str, root: str, window: Optional[int] = None
+    ) -> "Tenant":
         """Rebuild a tenant from its directory after a restart.
 
         ``state.json`` restores the session (streams, finalize,
@@ -244,13 +240,20 @@ class Tenant:
         cannot be used is discarded (and counted) and the spool is
         replayed from record 0.  ``window=None`` means the window in
         ``state.json``."""
-        with open(os.path.join(root, "state.json")) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != TENANT_STATE_FORMAT:
-            raise ValueError(f"{root}: not a tenant state file")
-        if kwargs.get("window") is None:
-            kwargs["window"] = doc.get("window")
-        self = cls(tenant_id, root, **kwargs)  # type: ignore[arg-type]
+        doc = read_document(os.path.join(root, "state.json"))
+        if (
+            not isinstance(doc, dict)
+            or doc.get("format") != TENANT_STATE_FORMAT
+            or doc.get("version") != TENANT_STATE_VERSION
+        ):
+            raise ValueError(
+                f"{root}: not a version-{TENANT_STATE_VERSION} tenant "
+                "state document; a directory from an older server is "
+                "not recovered"
+            )
+        if window is None:
+            window = doc.get("window")
+        self = cls(tenant_id, root, window=window)
         self.declare_streams(
             [(str(n), int(t)) for n, t in doc.get("streams", [])]
         )
@@ -364,9 +367,7 @@ class Tenant:
     # -- overload ladder ---------------------------------------------------
 
     def _engage_sampler(self) -> None:
-        self.session.sampler = build_sampler(
-            OVERLOAD_SAMPLING_SPEC, seed=self.sampling_seed
-        )
+        self.session.sampler = build_sampler(OVERLOAD_SAMPLING_SPEC, seed=0)
 
     def set_mode(self, mode: str) -> bool:
         """Apply an overload-ladder rung; returns True on a change."""

@@ -12,7 +12,6 @@ from repro.trace.scope import (
     FullScope,
     SelectiveScope,
     find_comm_functions,
-    find_comm_functions_in_source,
     selective_scope_for,
 )
 from repro.trace.stats import compute_stats, publish_stats
@@ -33,7 +32,6 @@ __all__ = [
     "FullScope",
     "SelectiveScope",
     "find_comm_functions",
-    "find_comm_functions_in_source",
     "selective_scope_for",
     "record_to_dict",
     "record_from_dict",

@@ -11,16 +11,6 @@ What counts as damage — torn, CRC-bad and garbage lines, lying seals,
 frames that are not valid records, unsealed and missing segments — is
 defined once, in ``docs/framing.md``; salvage's policy is to quarantine
 each one and carry on.
-
-**Live mode** (``live=True`` / ``dcatch salvage --live``): the WAL is
-still being written — the tracer is running right now.  A growing
-stream then *always* ends in an unsealed tail segment, and possibly a
-half-flushed final record; calling that "damage" would make every
-healthy live capture look broken.  In live mode the last segment of
-each stream is allowed to be unsealed (``in_progress_segments``) and a
-torn line at its EOF is ``records_in_progress`` — neither marks the
-report damaged.  The same conditions *before* the tail are still real
-damage, live or not.
 """
 
 from __future__ import annotations
@@ -64,8 +54,6 @@ class ThreadSalvage:
     records_quarantined: int = 0
     sealed_segments: int = 0
     unsealed_segments: int = 0
-    #: Live mode: the stream's growing tail segment (not damage).
-    in_progress_segments: int = 0
     missing_segments: List[int] = field(default_factory=list)
 
     @property
@@ -93,10 +81,6 @@ class SalvageReport:
     sealed_segments: int = 0
     unsealed_segments: int = 0
     seal_mismatches: int = 0
-    #: Live mode only: growing tail segments / half-flushed tail
-    #: records — expected for a WAL that is still being written.
-    in_progress_segments: int = 0
-    records_in_progress: int = 0
     missing_segments: List[str] = field(default_factory=list)
     quarantined: List[QuarantinedRecord] = field(default_factory=list)
     threads: Dict[str, ThreadSalvage] = field(default_factory=dict)
@@ -125,8 +109,6 @@ class SalvageReport:
             "sealed_segments": self.sealed_segments,
             "unsealed_segments": self.unsealed_segments,
             "seal_mismatches": self.seal_mismatches,
-            "in_progress_segments": self.in_progress_segments,
-            "records_in_progress": self.records_in_progress,
             "missing_segments": self.missing_segments,
             "quarantined": [q.to_dict() for q in self.quarantined],
             "threads": {
@@ -151,12 +133,6 @@ class SalvageReport:
             f"{self.seal_mismatches} seal mismatches, "
             f"{len(self.missing_segments)} missing"
         )
-        if self.in_progress_segments or self.records_in_progress:
-            lines.append(
-                f"  in progress (live): {self.in_progress_segments} "
-                f"growing tail segment(s), {self.records_in_progress} "
-                "half-flushed record(s)"
-            )
         for key, thread in sorted(self.threads.items()):
             if thread.damaged:
                 lines.append(
@@ -211,25 +187,15 @@ def _salvage_segment(
     report: SalvageReport,
     thread: ThreadSalvage,
     records: List[OpEvent],
-    live_tail: bool = False,
 ) -> None:
     """Scan one segment file line by line; recover what verifies and
     decodes (``decode_record``), quarantine every other line where it
-    is read and carry on.
-
-    ``live_tail`` marks the stream's growing last segment during a live
-    capture: an unterminated final line and a missing seal are then
-    *in progress*, not damage."""
+    is read and carry on."""
     scan = SegmentScan()
     rel = os.path.relpath(path, report.directory)
     recovered = 0
     with open(path, "rb") as fh:
         for raw in fh:
-            if live_tail and not raw.endswith(b"\n"):
-                # The writer is mid-append on this very line; it will be
-                # complete (or sealed over) by the next look.
-                report.records_in_progress += 1
-                continue
             item = scan.feed(raw)
             if isinstance(item, bytes):
                 try:
@@ -246,16 +212,13 @@ def _salvage_segment(
     if scan.sealed:
         report.sealed_segments += 1
         thread.sealed_segments += 1
-    elif live_tail:
-        report.in_progress_segments += 1
-        thread.in_progress_segments += 1
     else:
         report.unsealed_segments += 1
         thread.unsealed_segments += 1
 
 
 def salvage_trace(
-    directory: str, name: str = "salvaged", live: bool = False
+    directory: str, name: str = "salvaged"
 ) -> Tuple[Trace, SalvageReport]:
     """Rebuild a ``Trace`` from a WAL directory, quarantining damage.
 
@@ -264,10 +227,9 @@ def salvage_trace(
     Raises ``TraceFormatError`` only when ``directory`` is not a WAL
     directory at all (does not exist / contains no streams).
 
-    ``live=True`` salvages a WAL that is *still being written*: each
-    stream's growing tail segment may legitimately be unsealed and end
-    mid-record; those are reported as in-progress, not damage, so a
-    healthy live capture salvages clean."""
+    A WAL that is still being written salvages to the same records: its
+    growing tail segment is reported unsealed (and a half-flushed last
+    line torn), which is what a crash at that instant would leave."""
     streams = require_stream_segments(directory)
     report = SalvageReport(directory=directory)
     records: List[OpEvent] = []
@@ -284,13 +246,7 @@ def salvage_trace(
                     os.path.join(key, segment_name(missing))
                 )
         for path in paths:
-            _salvage_segment(
-                path,
-                report,
-                thread,
-                records,
-                live_tail=live and path is paths[-1],
-            )
+            _salvage_segment(path, report, thread, records)
 
     trace = Trace(name)
     records.sort(key=lambda r: r.seq)

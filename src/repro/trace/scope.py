@@ -149,32 +149,14 @@ def _scan_source(source: str) -> "tuple[Set[str], dict]":
     return direct, calls
 
 
-def _closure(direct: Set[str], calls: dict) -> Set[str]:
-    """Interprocedural step (the WALA analog is a call-graph walk): a
-    function that calls a communicating function conducts communication
-    itself — ``_run_container`` stays a comm function after its RPCs
-    move behind an ``_am()`` retry helper."""
-    result = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for func, callees in calls.items():
-            if func not in result and callees & result:
-                result.add(func)
-                changed = True
-    return result
-
-
-def find_comm_functions_in_source(source: str) -> Set[str]:
-    """Names of functions in ``source`` that conduct communication."""
-    direct, calls = _scan_source(source)
-    return _closure(direct, calls)
-
-
 def _closure_qualified(
     direct: Set[tuple], calls: dict, defined_in: dict
 ) -> Set[tuple]:
-    """Call-graph closure over ``(module, name)``-qualified nodes.
+    """Call-graph closure over ``(module, name)``-qualified nodes: the
+    interprocedural step (the WALA analog is a call-graph walk).  A
+    function that calls a communicating function conducts communication
+    itself — ``_run_container`` stays a comm function after its RPCs
+    move behind an ``_am()`` retry helper.
 
     A bare callee name resolves to the same-module definition when one
     exists (shadowing wins), otherwise to *every* module that defines

@@ -6,68 +6,36 @@ right after it.  The controller waits for both requests, grants the
 desired first party, waits for its confirm, then grants the second —
 thereby enforcing one of the two orders of the racing pair.
 
-Two safety valves keep a bad gate placement (the Section 6 risks) from
-wedging the run:
-
-* **idle release** — if the whole simulation goes idle while a party is
-  held (the other party can never arrive, e.g. it is blocked behind the
-  held one), the scheduler's idle hook releases the held parties;
-* **watchdog release** (``max_wait``) — a logical-clock deadline per
-  held party.  If the rest of the system stays *busy* (a livelock the
-  idle hook never sees) or simply outlasts the deadline, both held
-  parties are released when the clock passes it.  The deadline is also
-  registered as a scheduler wake hint, so a fully quiescent system
-  jumps straight to it instead of waiting out the step budget.
-
-A run where either valve fired did not enforce the order; the explorer
-records ``enforced=False`` instead of deadlocking or hanging.
+A bad gate placement (the Section 6 risks) cannot wedge the run: if the
+whole simulation goes idle while a party is held (the other party can
+never arrive, e.g. it is blocked behind the held one), the scheduler's
+idle hook releases the held parties.  A system that stays *busy* while
+a party is held runs into the scheduler's step budget instead, with the
+party still held.  Either way the order was not enforced, and the
+explorer records ``enforced=False`` instead of deadlocking or hanging.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro import obs
-from repro.runtime.scheduler import Scheduler, SimThread
+from repro.runtime.scheduler import SimThread
 
 
 class OrderController:
     """Enforces ``order[0]`` before ``order[1]`` across one run."""
 
-    def __init__(
-        self, order: Tuple[str, str], max_wait: Optional[int] = None
-    ) -> None:
+    def __init__(self, order: Tuple[str, str]) -> None:
         if len(order) != 2 or order[0] == order[1]:
             raise ValueError("order must name two distinct parties")
-        if max_wait is not None and max_wait <= 0:
-            raise ValueError("max_wait must be a positive number of clock ticks")
         self.order = order
-        self.max_wait = max_wait
         self.arrived: Dict[str, str] = {}
         self.granted: Set[str] = set()
         self.confirmed: List[str] = []
         self.released_by_idle: Set[str] = set()
-        self.released_by_watchdog: Set[str] = set()
         self.log: List[str] = []
-        self._scheduler: Optional[Scheduler] = None
-        self._deadlines: Dict[str, int] = {}
-
-    # -- wiring ---------------------------------------------------------------
-
-    def attach_scheduler(self, scheduler: Scheduler) -> None:
-        """Give the controller a clock (and a wake hint for deadlines)."""
-        self._scheduler = scheduler
-        if self.max_wait is not None:
-            scheduler.add_wake_hint(self._next_deadline)
-
-    def _next_deadline(self) -> Optional[int]:
-        pending = [
-            deadline
-            for party, deadline in self._deadlines.items()
-            if party not in self.granted
-        ]
-        return min(pending) if pending else None
 
     # -- client-side APIs (called by the gate interceptor) -------------------
 
@@ -75,13 +43,8 @@ class OrderController:
         """Block ``thread`` until the controller grants ``party``."""
         self.arrived[party] = thread.name
         self.log.append(f"request {party} from {thread.name}")
-        if self.max_wait is not None and self._scheduler is not None:
-            self._deadlines[party] = self._scheduler.clock + self.max_wait
         self._maybe_grant()
-        thread.block_until(
-            lambda: party in self.granted or self._watchdog_release(party),
-            f"gate:{party}",
-        )
+        thread.block_until(lambda: party in self.granted, f"gate:{party}")
         self.log.append(f"resume {party}")
 
     def confirm(self, party: str) -> None:
@@ -109,35 +72,6 @@ class OrderController:
             self.granted.add(second)
             self.log.append(f"grant {second}")
 
-    def _watchdog_release(self, party: str) -> bool:
-        """Deadline check, evaluated by the scheduler inside the gate's
-        wait predicate.  Once any held party's deadline passes, *all*
-        held parties are released — a half-released pair would just move
-        the hang to the other gate."""
-        if self.max_wait is None or self._scheduler is None:
-            return False
-        deadline = self._deadlines.get(party)
-        if deadline is None or self._scheduler.clock < deadline:
-            return False
-        released = [p for p in self.arrived if p not in self.granted]
-        for held in released:
-            self.granted.add(held)
-            self.released_by_watchdog.add(held)
-            self.log.append(f"watchdog-release {held}")
-        if released:
-            obs.counter(
-                "trigger_watchdog_releases_total",
-                "gated parties released by the max_wait watchdog",
-            ).inc(len(released))
-            print(
-                f"warning: trigger watchdog released "
-                f"{', '.join(sorted(released))} after {self.max_wait} "
-                f"clock ticks: order {self.order[0]}->{self.order[1]} "
-                "not enforced",
-                file=sys.stderr,
-            )
-        return True
-
     def on_idle(self) -> None:
         """Scheduler idle hook: release held parties to avoid stalls."""
         released = [p for p in self.arrived if p not in self.granted]
@@ -161,11 +95,7 @@ class OrderController:
     @property
     def enforced(self) -> bool:
         """Did the desired order actually happen, under control?"""
-        return (
-            self.confirmed == list(self.order)
-            and not self.released_by_idle
-            and not self.released_by_watchdog
-        )
+        return self.confirmed == list(self.order) and not self.released_by_idle
 
     @property
     def co_occurred(self) -> bool:

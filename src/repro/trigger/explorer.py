@@ -120,14 +120,9 @@ class TriggerModule:
         self,
         factory: ClusterFactory,
         seeds: Sequence[int] = (0, 1),
-        max_wait: Optional[int] = None,
     ) -> None:
-        """``max_wait`` arms the controller's watchdog: a gated party
-        held longer than this many logical clock ticks is released (the
-        run then counts as not enforced instead of hanging)."""
         self.factory = factory
         self.seeds = tuple(seeds)
-        self.max_wait = max_wait
 
     def validate(self, report: BugReport, plan: GatePlan) -> TriggerOutcome:
         with obs.span("trigger.validate", report=report.report_id):
@@ -237,7 +232,7 @@ class TriggerModule:
         obs.counter(
             "trigger_runs_total", "controlled trigger re-executions"
         ).inc()
-        controller = OrderController(order, max_wait=self.max_wait)
+        controller = OrderController(order)
         try:
             cluster = self.factory(seed)
             fresh_gates = {

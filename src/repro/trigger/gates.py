@@ -12,7 +12,7 @@ controller's ``request`` before the gated operation executes and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional
 
 from repro.ids import Site
@@ -87,5 +87,4 @@ class TriggerInterceptor(Interceptor):
     def bind(self, cluster: "object") -> "TriggerInterceptor":
         cluster.add_interceptor(self)
         cluster.scheduler.on_idle(self.controller.on_idle)
-        self.controller.attach_scheduler(cluster.scheduler)
         return self

@@ -6,7 +6,8 @@ lock-free and one lock-heavy benchmark."""
 
 import pytest
 
-from repro.detect import detect_races, detect_races_sync_preserving
+from repro.detect import detect_races
+from repro.detect.syncpres import annotate_sync_preserving
 from repro.hb import HBGraph
 from repro.systems import workload_by_id
 from repro.trace import FullScope, Tracer
@@ -28,7 +29,7 @@ def test_detection_modes_agree_on_full_scope_trace(bug_id):
     per_vertex = detect_races(trace, graph=HBGraph(trace, compress_mem=False))
     assert _pairs(per_vertex) == _pairs(compressed)
 
-    sp = detect_races_sync_preserving(trace)
+    sp = annotate_sync_preserving(detect_races(trace))
     assert _pairs(sp) == _pairs(compressed)
     assert sp.sp_pairs <= _pairs(compressed)
     if bug_id == "MR-3274":

@@ -1,11 +1,11 @@
 """Unit coverage for the sync-preserving closure and SP graph."""
 
 from repro import obs
+from repro.detect.races import detect_races
 from repro.detect.syncpres import (
     SP_LOCK_RULE,
     annotate_sync_preserving,
     build_sp_graph,
-    detect_races,
     lock_section_edges,
 )
 from repro.ids import CallStack

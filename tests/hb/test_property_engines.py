@@ -23,11 +23,7 @@ from conftest import STEPS, build_trace, lockfree, pair_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detect import (
-    build_sp_graph,
-    detect_races,
-    detect_races_sync_preserving,
-)
+from repro.detect import build_sp_graph, detect_races
 from repro.detect.streaming import detect_races_streaming
 from repro.detect.syncpres import annotate_sync_preserving
 from repro.hb import HBGraph, NaiveReachability, VectorClockEngine
@@ -214,13 +210,17 @@ def test_sp_detection_marks_a_subset_sound(recipe):
     is everything."""
     trace = build_trace(recipe)
     hb = detect_races(trace, model=HARNESS_MODEL)
-    sp = detect_races_sync_preserving(trace, model=HARNESS_MODEL)
+    sp = annotate_sync_preserving(
+        detect_races(trace, model=HARNESS_MODEL), model=HARNESS_MODEL
+    )
     hb_pairs = pair_set(hb.candidates)
     assert pair_set(sp.candidates) == hb_pairs
     assert sp.sp_pairs <= hb_pairs
 
     free = build_trace(lockfree(recipe))
-    sp_free = detect_races_sync_preserving(free, model=HARNESS_MODEL)
+    sp_free = annotate_sync_preserving(
+        detect_races(free, model=HARNESS_MODEL), model=HARNESS_MODEL
+    )
     assert sp_free.sp_pairs == pair_set(sp_free.candidates)
 
 
@@ -264,7 +264,9 @@ def test_common_lock_pair_is_hb_candidate_but_not_sp():
         (1, "release", 0),
     ]
     trace = build_trace(recipe)
-    detection = detect_races_sync_preserving(trace, model=HARNESS_MODEL)
+    detection = annotate_sync_preserving(
+        detect_races(trace, model=HARNESS_MODEL), model=HARNESS_MODEL
+    )
     writes = {(1, 4)}  # the two MEM_WRITE seqs
     assert pair_set(detection.candidates) == writes
     assert detection.sp_pairs == set()
@@ -285,7 +287,7 @@ def test_sp_recalls_planted_races(generated_minizk):
     from repro.trace.salvage import salvage_trace
 
     trace, _report = salvage_trace(generated_minizk.wal_dir)
-    detection = detect_races_sync_preserving(trace)
+    detection = annotate_sync_preserving(detect_races(trace))
     planted = {
         frozenset((r["first_seq"], r["second_seq"]))
         for r in generated_minizk.planted_races

@@ -251,7 +251,7 @@ def test_stage_deadline_marks_trigger_degraded():
 
 
 def test_deadline_detect_stops_early():
-    config = PipelineConfig(max_stage_seconds=0.0, trigger=False, prune=False)
+    config = PipelineConfig(max_stage_seconds=0.0, trigger=False)
     result = DCatch(workload_by_id("ZK-1144"), config).run()
     assert result.detection is not None
     assert result.detection.stopped_early
@@ -266,7 +266,7 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
     result."""
     ckdir = str(tmp_path / "ck")
     reference = DCatch(
-        workload_by_id("ZK-1144"), PipelineConfig(trigger=False, prune=False)
+        workload_by_id("ZK-1144"), PipelineConfig(trigger=False)
     ).run()
 
     cut = DCatch(
@@ -274,7 +274,6 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
         PipelineConfig(
             max_stage_seconds=0.0,
             trigger=False,
-            prune=False,
             checkpoint_dir=ckdir,
         ),
     ).run()
@@ -283,9 +282,7 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
 
     resumed = DCatch(
         workload_by_id("ZK-1144"),
-        PipelineConfig(
-            trigger=False, prune=False, checkpoint_dir=ckdir, resume=True
-        ),
+        PipelineConfig(trigger=False, checkpoint_dir=ckdir, resume=True),
     ).run()
     assert not resumed.detection.stopped_early
     assert resumed.stages_skipped == ["trace"]

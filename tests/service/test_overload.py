@@ -2,11 +2,11 @@
 and the honesty contract — a tenant that was ever sampled must publish
 a report that says so."""
 
-import json
 import os
 
 import pytest
 
+from repro.framing import read_document
 from repro.service.client import ServiceClient
 from repro.service.server import DetectionServer, FleetBudget, OVERLOAD_LADDER
 from repro.service.tenants import Tenant
@@ -88,8 +88,8 @@ class TestSampledHonesty:
             assert report["confidence"] == "sampled"
             assert sum(report["sampled_dropped"].values()) > 0
             assert report["records"] < 456  # small preset's record count
-            state = json.load(
-                open(os.path.join(srv.tenants_dir, "hot", "state.json"))
+            state = read_document(
+                os.path.join(srv.tenants_dir, "hot", "state.json")
             )
             assert state["ever_sampled"] is True
         finally:

@@ -14,7 +14,7 @@ from repro.service.protocol import (
     raise_for_error,
     recv_frame,
     send_frame,
-    valid_tenant_id,
+    valid_name,
 )
 
 
@@ -106,8 +106,8 @@ class TestErrors:
 class TestTenantIds:
     def test_boring_ids_pass(self):
         for tenant in ("alpha", "team-7", "a.b_c-d", "X" * 64):
-            assert valid_tenant_id(tenant)
+            assert valid_name(tenant)
 
     def test_path_tricks_fail(self):
         for tenant in ("", "../up", "a/b", ".hidden", "-lead", "X" * 65):
-            assert not valid_tenant_id(tenant)
+            assert not valid_name(tenant)

@@ -2,7 +2,7 @@
 admission control, structured errors, backpressure, and the circuit
 breaker.  Uses real TCP on an ephemeral localhost port."""
 
-import json
+import http.client
 import os
 import shutil
 import threading
@@ -14,7 +14,7 @@ from repro.errors import ServiceError
 from repro.detect.streaming import detect_races_streaming
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.framing import atomic_write
+from repro.framing import atomic_write, read_document
 from repro.service.report import (
     build_report_doc,
     render_report,
@@ -360,6 +360,26 @@ class TestStructuredErrors:
         finally:
             srv.stop()
 
+    def test_node_name_cannot_escape_the_tenant_directory(
+        self, server, wal_dir
+    ):
+        with open(next(iter(list_stream_segments(wal_dir).values()))[0], "rb") as fh:
+            data = fh.read()
+        with _client(server, "alpha") as client:
+            for node in ("../../../escape", "a/b", ".hidden"):
+                with pytest.raises(ServiceError) as err:
+                    client.hello([(node, 0)])
+                assert err.value.code == "bad_request"
+                with pytest.raises(ServiceError) as err:
+                    client.send_segment(node, 0, 0, data)
+                assert err.value.code == "bad_request"
+        assert "alpha" not in server.tenants
+        assert sorted(os.listdir(server.data_dir)) == ["service.json", "tenants"]
+        assert os.listdir(server.tenants_dir) == []
+        assert not os.path.exists(
+            os.path.join(os.path.dirname(server.data_dir), "escape")
+        )
+
     def test_segment_before_hello_is_bad_request(self, server):
         with _client(server, "ghost") as client:
             with pytest.raises(ServiceError) as err:
@@ -592,8 +612,8 @@ class TestCircuitBreaker:
         evidence = sorted(os.listdir(qdir))
         assert len([e for e in evidence if e.endswith(".wal")]) == 3
         assert any(e.endswith(".reason") for e in evidence)
-        state = json.load(
-            open(os.path.join(server.tenants_dir, "mallory", "state.json"))
+        state = read_document(
+            os.path.join(server.tenants_dir, "mallory", "state.json")
         )
         assert state["quarantined"] is True
 
@@ -646,11 +666,14 @@ class TestRawProtocolEdges:
         try:
             wfile = sock.makefile("wb")
             rfile = sock.makefile("rb")
-            protocol.send_frame(wfile, {"verb": "frobnicate"})
-            doc, _ = protocol.recv_frame(rfile)
-            assert doc["ok"] is False and doc["error"] == "bad_request"
+            # There is no stop verb: the server stops on SIGINT/SIGTERM.
+            for verb in ("frobnicate", "shutdown"):
+                protocol.send_frame(wfile, {"verb": verb})
+                doc, _ = protocol.recv_frame(rfile)
+                assert doc["ok"] is False and doc["error"] == "bad_request"
         finally:
             sock.close()
+        assert not server.stopping
 
     def test_corrupt_frame_gets_protocol_error_reply(self, server):
         sock = protocol.connect("127.0.0.1", server.port)
@@ -661,3 +684,44 @@ class TestRawProtocolEdges:
             assert doc["ok"] is False and doc["error"] == "protocol"
         finally:
             sock.close()
+
+
+def _http_get(port, path):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, response.read().decode()
+    finally:
+        conn.close()
+
+
+class TestHttpProbes:
+    def test_probes_follow_admission_and_serve_metrics(self, tmp_path, wal_dir):
+        srv = DetectionServer(
+            str(tmp_path / "data"),
+            limits=FleetBudget(max_tenants=1),
+            window=WINDOW,
+            http_port=0,
+        ).start()
+        try:
+            port = srv.http.port
+            assert load_service_file(srv.data_dir)["http_port"] == port
+            assert _http_get(port, "/healthz") == (200, "ok\n")
+            assert _http_get(port, "/readyz") == (200, "ready\n")
+            streams = sorted(list_stream_segments(wal_dir))
+            with _client(srv, "alpha") as client:
+                client.hello(streams)
+                status, body = _http_get(port, "/readyz")
+                assert status == 503
+                assert body == (
+                    "not ready: tenant budget exhausted (1/1 active)\n"
+                )
+                client.ship_wal_dir(wal_dir)
+                client.wait_report()
+            status, metrics = _http_get(port, "/metrics")
+            assert status == 200
+            assert "service_segments_ingested_total" in metrics
+            assert _http_get(port, "/readyz") == (200, "ready\n")
+        finally:
+            srv.stop()

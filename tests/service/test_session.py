@@ -1,7 +1,8 @@
 """The stream session shared by the offline ``stream`` pass and the
 tenant pump: one merge, exact drop accounting across recovery, the
 tenant's discard-and-replay policy for an unusable checkpoint, the
-window remembered in ``state.json``, and parent-format checkpoints."""
+window remembered in ``state.json``, parent-format checkpoints, and the
+refusal of a version-1 tenant directory."""
 
 import json
 import os
@@ -238,9 +239,7 @@ def test_recover_without_window_uses_state_json(tmp_path, generated):
     assert tenant.pump(limit=100) == 100
     assert tenant.maybe_checkpoint(force=True)
     # The way DetectionServer._recover_tenants calls it with no --window.
-    recovered = Tenant.recover(
-        "t", root, model=FULL_MODEL, window=None, max_bad_segments=3
-    )
+    recovered = Tenant.recover("t", root, window=None)
     assert recovered.window == WINDOW
     assert recovered.session.resumed_at == 100
     report = _drain(recovered)
@@ -316,10 +315,9 @@ def test_merge_stalls_on_a_starved_stream_and_resumes_in_order(
 # -- checkpoints written by the parent commit ----------------------------------
 
 
-def _parent_checkpoint(path, fingerprint, wal_dir, raw, extra=None, sampler=None):
-    """A ``stream.ckpt`` as the parent commit wrote it, built by hand:
-    the first ``raw`` merged records fed to a detector, no ``extra``
-    unless the writer was a tenant."""
+def _parent_checkpoint(path, fingerprint, wal_dir, raw, sampler=None):
+    """An offline ``stream.ckpt`` as the parent commit wrote it, built by
+    hand: the first ``raw`` merged records fed to a detector."""
     tids = [tid for _node, tid in list_stream_segments(wal_dir)]
     detector = StreamingDetector(window=WINDOW, expected_streams=tids)
     merged = iter_wal_records(wal_dir, on_stream_end=detector.close_stream)
@@ -333,16 +331,17 @@ def _parent_checkpoint(path, fingerprint, wal_dir, raw, extra=None, sampler=None
         "fingerprint": fingerprint,
         "snapshot": detector.to_snapshot(),
     }
-    if extra is not None:
-        doc["extra"] = extra
     atomic_write(
         path, encode_document(json.dumps(doc, sort_keys=True).encode())
     )
     return detector
 
 
-def test_parent_format_tenant_directory_recovers(tmp_path, generated):
-    root = str(tmp_path / "t")
+def test_version_1_tenant_directory_is_refused(tmp_path, generated, capsys):
+    """A plain-JSON ``state.json`` (version 1) is not recovered: the
+    server refuses it in one line, counts it and leaves it on disk."""
+    data_dir = str(tmp_path / "data")
+    root = os.path.join(data_dir, "tenants", "t")
     os.makedirs(root)
     shutil.copytree(generated.wal_dir, os.path.join(root, "spool"))
     streams = sorted(list_stream_segments(generated.wal_dir))
@@ -358,18 +357,26 @@ def test_parent_format_tenant_directory_recovers(tmp_path, generated):
         "bad_total": 0,
         "window": WINDOW,
     }
-    with open(os.path.join(root, "state.json"), "w") as fh:
+    state_path = os.path.join(root, "state.json")
+    with open(state_path, "w") as fh:
         json.dump(state, fh, sort_keys=True, indent=2)
-    _parent_checkpoint(
-        os.path.join(root, "stream.ckpt"),
-        f"{FULL_MODEL.describe()}|window={WINDOW}|source=service:t",
-        generated.wal_dir,
-        raw=180,
-        extra={"consumed_raw": 180},
-    )
-    tenant = Tenant.recover("t", root)
-    assert tenant.session.resumed_at == 180
-    assert render_report(_drain(tenant)) == _offline(generated.wal_dir)
+    with open(state_path, "rb") as fh:
+        before = fh.read()
+    server = DetectionServer(data_dir, http_port=None).start()
+    try:
+        assert "t" not in server.tenants
+        failures = server.registry.get("service_recover_failures_total")
+        assert failures.labels(tenant="t").value == 1
+    finally:
+        server.stop()
+    out = capsys.readouterr().out
+    refusal = [line for line in out.splitlines() if "tenant t" in line]
+    assert len(refusal) == 1
+    assert "not a version-2 tenant state document" in refusal[0]
+    with open(state_path, "rb") as fh:
+        assert fh.read() == before
+    with pytest.raises(ValueError, match="version-2"):
+        Tenant.recover("t", root)
 
 
 def test_parent_format_offline_checkpoint_resumes(tmp_path, generated):

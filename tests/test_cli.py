@@ -305,14 +305,6 @@ def test_salvage_missing_directory_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_run_trigger_max_wait_flag_parses():
-    parser = build_parser()
-    args = parser.parse_args(["run", "ZK-1144", "--trigger-max-wait", "400"])
-    assert args.trigger_max_wait == 400
-    args = parser.parse_args(["run", "ZK-1144"])
-    assert args.trigger_max_wait is None
-
-
 def test_run_checkpoint_flags_parse():
     parser = build_parser()
     args = parser.parse_args(

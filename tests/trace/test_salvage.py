@@ -218,7 +218,7 @@ class TestErrors:
 
 
 class TestLiveSalvage:
-    """``live=True``: a WAL still being written salvages clean."""
+    """A WAL still being written salvages like one cut at that instant."""
 
     def _live_wal(self, tmp_path):
         """A stream mid-capture: one sealed segment, then a growing
@@ -236,39 +236,26 @@ class TestLiveSalvage:
 
     def test_growing_tail_is_damage_without_live(self, tmp_path):
         self._live_wal(tmp_path)
-        _trace, report = salvage_trace(str(tmp_path))
+        trace, report = salvage_trace(str(tmp_path))
         assert report.damaged
         assert report.unsealed_segments == 1
         assert report.torn_records == 1
-
-    def test_growing_tail_is_in_progress_with_live(self, tmp_path):
-        self._live_wal(tmp_path)
-        trace, report = salvage_trace(str(tmp_path), live=True)
-        assert not report.damaged
-        assert trace.partial is False
-        assert report.unsealed_segments == 0
-        assert report.in_progress_segments == 1
-        assert report.records_in_progress == 1
-        assert report.records_quarantined == 0
         # Every fully-flushed record is still recovered.
         assert report.records_recovered == 6
         assert [r.seq for r in trace.records] == list(range(1, 7))
-        doc = report.to_dict()
-        assert doc["in_progress_segments"] == 1
-        assert doc["records_in_progress"] == 1
-        assert "in progress (live)" in report.render()
 
     def test_live_does_not_excuse_damage_before_the_tail(self, tmp_path):
         self._live_wal(tmp_path)
         # Corrupt a record inside the *sealed* first segment: that is
-        # real damage regardless of live mode.
+        # damage of its own, besides the growing tail.
         path = _segment_path(tmp_path, segment=0)
         data = open(path, "rb").read()
         open(path, "wb").write(data.replace(b'"seq": 2', b'"seq!: 2', 1))
-        _trace, report = salvage_trace(str(tmp_path), live=True)
+        _trace, report = salvage_trace(str(tmp_path))
         assert report.damaged
-        assert report.records_quarantined == 1
-        assert report.in_progress_segments == 1
+        assert report.records_quarantined == 2  # the CRC-bad and the torn
+        assert report.crc_mismatches == 1
+        assert report.unsealed_segments == 1
 
     def test_live_missing_segment_is_still_damage(self, tmp_path):
         self._live_wal(tmp_path)
@@ -276,6 +263,6 @@ class TestLiveSalvage:
             _segment_path(tmp_path, segment=0),
             str(tmp_path) + "/gone.bak",
         )
-        _trace, report = salvage_trace(str(tmp_path), live=True)
+        _trace, report = salvage_trace(str(tmp_path))
         assert report.damaged
         assert report.missing_segments

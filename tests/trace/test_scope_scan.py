@@ -1,20 +1,17 @@
 """The static communication-function scan (the WALA-analog pre-pass)."""
 
-from repro.trace import (
-    SelectiveScope,
-    find_comm_functions,
-    find_comm_functions_in_source,
-)
+from repro.trace import SelectiveScope, find_comm_functions
+from repro.trace.scope import find_comm_functions_in_sources
 
 
 def test_rpc_call_marks_function():
     source = "def f(node):\n    return node.rpc('b').m()\n"
-    assert find_comm_functions_in_source(source) == {"f"}
+    assert find_comm_functions_in_sources([source]) == {"f"}
 
 
 def test_socket_send_marks_function():
     source = "def g(node):\n    node.send('b', 'v', 1)\n"
-    assert "g" in find_comm_functions_in_source(source)
+    assert "g" in find_comm_functions_in_sources([source])
 
 
 def test_zk_update_marks_function_only_with_zk_receiver():
@@ -25,7 +22,7 @@ def test_zk_update_marks_function_only_with_zk_receiver():
         "def list_user(self, items):\n"
         "    items.create('x')\n"
     )
-    funcs = find_comm_functions_in_source(source)
+    funcs = find_comm_functions_in_sources([source])
     assert "zk_user" in funcs
     assert "list_user" not in funcs
 
@@ -37,7 +34,7 @@ def test_nested_functions_scanned():
         "        node.send('b', 'v', 1)\n"
         "    return inner\n"
     )
-    funcs = find_comm_functions_in_source(source)
+    funcs = find_comm_functions_in_sources([source])
     assert "inner" in funcs
     # inner's body runs when *inner* is called, not when outer is:
     # merely defining (and returning) a comm helper does not make the
@@ -52,7 +49,7 @@ def test_nested_function_called_marks_outer_via_closure():
         "        node.send('b', 'v', 1)\n"
         "    inner()\n"
     )
-    funcs = find_comm_functions_in_source(source)
+    funcs = find_comm_functions_in_sources([source])
     assert funcs == {"inner", "outer"}
 
 
@@ -65,13 +62,13 @@ def test_nested_function_spawned_marks_outer_via_closure():
         "        self.node.send('b', 'v', 1)\n"
         "    self.node.spawn(churn)\n"
     )
-    funcs = find_comm_functions_in_source(source)
+    funcs = find_comm_functions_in_sources([source])
     assert funcs == {"churn", "start_churn"}
 
 
 def test_pure_computation_not_marked():
     source = "def calc(x):\n    return x * 2\n"
-    assert not find_comm_functions_in_source(source)
+    assert not find_comm_functions_in_sources([source])
 
 
 def test_scan_over_real_system_modules():
@@ -116,7 +113,7 @@ def test_helper_indirection_marks_caller():
         "def unrelated(x):\n"
         "    return x + 1\n"
     )
-    funcs = find_comm_functions_in_source(source)
+    funcs = find_comm_functions_in_sources([source])
     assert "_am" in funcs
     assert "poll" in funcs
     assert "unrelated" not in funcs
@@ -126,8 +123,6 @@ def test_cross_module_name_collision_stays_distinct():
     """Same-named functions in different modules are separate
     call-graph nodes: calling module A's silent ``helper`` must not
     inherit comm-ness from module B's same-named comm ``helper``."""
-    from repro.trace.scope import find_comm_functions_in_sources
-
     module_a = (
         "def helper(x):\n"
         "    return x + 1\n"
@@ -145,8 +140,6 @@ def test_cross_module_name_collision_stays_distinct():
 def test_cross_module_helper_still_propagates():
     """The qualified closure keeps the legitimate cross-module case: a
     helper defined only in another module marks its callers."""
-    from repro.trace.scope import find_comm_functions_in_sources
-
     module_a = "def caller(node):\n    return shared_rpc(node)\n"
     module_b = "def shared_rpc(node):\n    return node.rpc('b')\n"
     funcs = find_comm_functions_in_sources([module_a, module_b])

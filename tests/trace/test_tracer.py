@@ -6,8 +6,8 @@ from repro.trace import (
     SelectiveScope,
     Trace,
     Tracer,
-    find_comm_functions_in_source,
 )
+from repro.trace.scope import find_comm_functions_in_sources
 
 
 def _traced_cluster(seed=0, scope=None):
@@ -140,7 +140,7 @@ def test_selective_scope_keeps_comm_function_extent():
         "def silent(node):\n"
         "    return 1\n"
     )
-    funcs = find_comm_functions_in_source(source)
+    funcs = find_comm_functions_in_sources([source])
     assert "talks" in funcs
     assert "silent" not in funcs
 

@@ -15,7 +15,8 @@ import os
 
 import pytest
 
-from repro.detect import detect_races_sync_preserving
+from repro.detect import detect_races
+from repro.detect.syncpres import annotate_sync_preserving
 from repro.trace.salvage import salvage_trace
 from repro.workload import SYSTEM_FLAVORS, generate_workload
 
@@ -44,7 +45,7 @@ def test_sp_recalls_all_planted_races(system, preset, tmp_path):
     # the 512 MB default budget, less than the CI runner's memory.
     budget = 2 * 1024**3 if preset == "medium" else None
     kwargs = {"memory_budget": budget} if budget else {}
-    detection = detect_races_sync_preserving(trace, **kwargs)
+    detection = annotate_sync_preserving(detect_races(trace, **kwargs), **kwargs)
     planted = _planted(generated)
     sound = {frozenset(p) for p in detection.sp_pairs}
     missed = planted - sound
