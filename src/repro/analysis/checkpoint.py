@@ -47,11 +47,9 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
 
     Knobs that only change cost (observability, deadlines) are
     deliberately excluded: resuming under a different one is safe."""
-    model = config.model
     fields = {
         "benchmark": benchmark,
         "scope": config.scope,
-        "model": model.describe(),
         "monitored_seed": config.monitored_seed,
         "trigger": config.trigger,
         "trigger_seeds": list(config.trigger_seeds),
@@ -360,10 +358,6 @@ def outcome_from_dict(data: Dict[str, Any], report: "object") -> "object":
                 error=run.get("error"),
             )
         )
-    report.verdict = outcome.verdict
-    report.verdict_detail = outcome.detail
-    if outcome.verdict in (Verdict.HARMFUL, Verdict.BENIGN):
-        # Restored verdicts carry the same evidence live ones do: both
-        # orders were actually enforced in a re-execution.
-        report.soundness = "trigger-confirmed"
+    # A restored verdict carries the same evidence a live one does.
+    outcome.apply()
     return outcome

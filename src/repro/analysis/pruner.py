@@ -15,23 +15,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.astutil import SourceIndex
 from repro.analysis.failures import DEFAULT_FAILURE_SPEC, FailureSpec
 from repro.analysis.impact import Impact, ImpactAnalyzer, RpcLink, rpc_links_from_trace
-from repro.detect.report import CONFIDENCE_RANK, SOUNDNESS_RANK, BugReport, ReportSet
+from repro.detect.races import CONFIDENCE_RANK
+from repro.detect.report import SOUNDNESS_RANK, BugReport, ReportSet
 from repro.ids import Site
 from repro.runtime.ops import OpEvent
 
 
 def rank_reports(reports) -> List[BugReport]:
-    """Trigger-queue order: strongest soundness tier first (SP-sound
-    candidates jump the queue), then strongest confidence (``full`` <
-    ``partial`` < ``sampled`` — sampled evidence queues after sp-sound
-    full-trace reports), stable by report id within a tier — which
-    keeps pre-SP single-confidence pipelines byte-identical to their
-    old output."""
+    """Trigger-queue order: strongest soundness tier first, then
+    strongest confidence, stable by report id within a tier.
+
+    SP-sound reports carry a feasibility witness, so they are the
+    likeliest to enforce and the first to spend re-execution budget on;
+    under a stage deadline the reports left UNKNOWN are the weakest.
+    Within a tier ``full`` goes before ``partial`` and ``sampled`` (a
+    thinned trace may have lost the evidence enforcement needs).  Ties
+    keep report-id order, so pipelines without the SP tier keep their
+    historical trigger order exactly."""
     return sorted(
         reports,
         key=lambda r: (
-            -SOUNDNESS_RANK.get(getattr(r, "soundness", "hb-predicted"), 0),
-            CONFIDENCE_RANK.get(getattr(r, "confidence", "full"), 0),
+            -SOUNDNESS_RANK[r.soundness],
+            CONFIDENCE_RANK[r.confidence],
             r.report_id,
         ),
     )

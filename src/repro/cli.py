@@ -278,13 +278,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import registry_to_json, render_prometheus
+    from repro.obs import render_prometheus
 
     _result, registry, _tracer = _run_profiled(args)
     if args.format == "json":
         import json
 
-        print(json.dumps(registry_to_json(registry), indent=2, sort_keys=True))
+        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
     else:
         print(render_prometheus(registry), end="")
     return 0

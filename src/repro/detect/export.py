@@ -1,7 +1,7 @@
 """Bug-report serialization: save DCatch findings as JSON.
 
 The document is version 2: ``format``/``version`` headers and, per
-report, its verdict, ``confidence`` (``repro.detect.report.
+report, its verdict, ``confidence`` (``repro.detect.races.
 CONFIDENCE_LEVELS``), ``soundness`` tier (``SOUNDNESS_TIERS``) and
 candidate records.  Nothing in the repository reads it back; it is
 output for people and for byte comparison.

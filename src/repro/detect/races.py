@@ -24,6 +24,31 @@ from repro.runtime.ops import Location, OpEvent, OpKind
 from repro.trace.store import Trace
 
 
+#: Confidence levels, strongest first.  ``full``: every in-scope record
+#: was traced.  ``partial``: the trace was damaged and salvaged — loss
+#: is accidental and unquantified.  ``sampled``: the tracer thinned the
+#: memory-access stream *by policy* (``repro.trace.sampling``) — loss
+#: is deliberate and rate-bounded, but a missed access means a missed
+#: race, so sampled evidence ranks below both.
+CONFIDENCE_LEVELS = ("full", "partial", "sampled")
+
+CONFIDENCE_RANK = {level: rank for rank, level in enumerate(CONFIDENCE_LEVELS)}
+
+
+def weaken_confidence(confidence: str, partial: bool, sampled: bool) -> str:
+    """``confidence`` weakened by a source that lost records by accident
+    (``partial``) or by policy (``sampled``).  "sampled" wins over
+    "partial": deliberate, rate-bounded loss is the weaker (and more
+    specific) claim, and it is what the operator asked for."""
+    loss = "sampled" if sampled else "partial" if partial else "full"
+    return max(confidence, loss, key=CONFIDENCE_RANK.__getitem__)
+
+
+def candidates_metric():
+    """The counter both detectors (batch and streaming) add to."""
+    return obs.counter("detect_candidates_total", "concurrent conflicting pairs found")
+
+
 @dataclass(slots=True)
 class Candidate:
     """One dynamic pair of conflicting concurrent accesses."""
@@ -208,9 +233,7 @@ def detect_races(
     obs.counter("detect_pairs_examined_total", "access pairs HB-checked").inc(
         examined
     )
-    obs.counter(
-        "detect_candidates_total", "concurrent conflicting pairs found"
-    ).inc(len(candidates))
+    candidates_metric().inc(len(candidates))
     if stopped_early:
         obs.counter(
             "detect_stopped_early_total",
@@ -224,14 +247,5 @@ def detect_races(
         analysis_seconds=elapsed,
         pairs_examined=examined,
         stopped_early=stopped_early,
-        # "sampled" wins over "partial": deliberate, rate-bounded loss is
-        # the weaker (and more specific) claim, and it is what the
-        # operator asked for with --sampling.
-        confidence=(
-            "sampled"
-            if getattr(trace, "sampled", False)
-            else "partial"
-            if getattr(graph, "partial", False)
-            else "full"
-        ),
+        confidence=weaken_confidence("full", graph.partial, trace.sampled),
     )

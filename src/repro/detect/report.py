@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
+from repro import obs
 from repro.detect.races import Candidate, DetectionResult
 from repro.ids import Site
 
@@ -43,15 +44,12 @@ SOUNDNESS_TIERS = ("hb-predicted", "sp-sound", "trigger-confirmed")
 
 SOUNDNESS_RANK = {tier: rank for rank, tier in enumerate(SOUNDNESS_TIERS)}
 
-#: Confidence levels, strongest first.  ``full``: every in-scope record
-#: was traced.  ``partial``: the trace was damaged and salvaged — loss
-#: is accidental and unquantified.  ``sampled``: the tracer thinned the
-#: memory-access stream *by policy* (``repro.trace.sampling``) — loss
-#: is deliberate and rate-bounded, but a missed access means a missed
-#: race, so sampled evidence ranks below both.
-CONFIDENCE_LEVELS = ("full", "partial", "sampled")
 
-CONFIDENCE_RANK = {level: rank for rank, level in enumerate(CONFIDENCE_LEVELS)}
+def count_soundness(tier: str, candidates: int = 1) -> None:
+    """Add to the per-tier census ``detect_soundness_tier_total``."""
+    obs.counter(
+        "detect_soundness_tier_total", "candidates per soundness tier"
+    ).labels(tier=tier).inc(candidates)
 
 
 @dataclass
@@ -142,8 +140,6 @@ class ReportSet:
                 )
             )
         if detection.confidence == "sampled" and reports:
-            from repro import obs
-
             obs.counter(
                 "detect_sampled_reports_total",
                 "bug reports produced from sampled traces",

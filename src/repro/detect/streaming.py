@@ -49,7 +49,12 @@ from typing import (
 
 from repro import obs
 from repro.analysis.governor import StageBudget, maybe_stall, process_rss_mb
-from repro.detect.races import Candidate, DetectionResult
+from repro.detect.races import (
+    Candidate,
+    DetectionResult,
+    candidates_metric,
+    weaken_confidence,
+)
 from repro.errors import CheckpointError
 from repro.framing import Damage, read_document, write_document
 from repro.hb.incremental import StreamingHBState
@@ -87,12 +92,6 @@ DEFAULT_WINDOW = 8192
 
 STREAM_CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 STREAM_CHECKPOINT_VERSION = 1
-
-_METRIC_RECORDS = "stream_records_total"
-_METRIC_EVICTIONS = "stream_window_evictions_total"
-_METRIC_COMPACTIONS = "stream_compactions_total"
-_METRIC_RSS = "stream_rss_high_water_mb"
-_METRIC_ACTIVE = "stream_active_accesses"
 
 
 @dataclass
@@ -132,7 +131,8 @@ class StreamResult:
 
     def to_detection(self, trace: Trace) -> DetectionResult:
         """Adapt to the batch result type (``graph=None``: downstream
-        stages that want reachability rebuild it on demand)."""
+        stages that want reachability rebuild it on demand), adding the
+        loss ``trace`` already carried to the confidence."""
         return DetectionResult(
             trace=trace,
             graph=None,
@@ -140,7 +140,9 @@ class StreamResult:
             analysis_seconds=self.analysis_seconds,
             pairs_examined=self.pairs_examined,
             stopped_early=self.stopped_early,
-            confidence=self.confidence,
+            confidence=weaken_confidence(
+                self.confidence, trace.partial, trace.sampled
+            ),
         )
 
 
@@ -170,20 +172,19 @@ class StreamingDetector:
         self.evictions = 0
         self.compactions = 0
         self.active_high_water = 0
-        self._candidates_metric = obs.counter(
-            "detect_candidates_total", "Candidate pairs found"
-        )
+        self._candidates_metric = candidates_metric()
         self._records_metric = obs.counter(
-            _METRIC_RECORDS, "Records consumed by the streaming detector"
+            "stream_records_total", "Records consumed by the streaming detector"
         )
         self._evictions_metric = obs.counter(
-            _METRIC_EVICTIONS, "Active accesses retired at window compaction"
+            "stream_window_evictions_total",
+            "Active accesses retired at window compaction",
         )
         self._compactions_metric = obs.counter(
-            _METRIC_COMPACTIONS, "Streaming compaction passes"
+            "stream_compactions_total", "Streaming compaction passes"
         )
         self._active_gauge = obs.gauge(
-            _METRIC_ACTIVE, "Active (unretired) accesses held in memory"
+            "stream_active_accesses", "Active (unretired) accesses held in memory"
         )
 
     def feed(self, event: OpEvent) -> None:
@@ -480,7 +481,8 @@ class StreamSession:
     def resume(self) -> None:
         """Restore detector, raw watermark and drop counts from the
         file at ``checkpoint_path``, if any.  :class:`CheckpointError`
-        (CRC, format, version, fingerprint) leaves the session fresh."""
+        (CRC, format, version, fingerprint, no raw watermark) leaves the
+        session fresh."""
         path = self.checkpoint_path
         if not os.path.exists(path):
             return
@@ -492,17 +494,15 @@ class StreamSession:
                 "(delete it to start over)"
             )
         extra = doc.get("extra") or {}
-        if "consumed_raw" not in extra and self.sampler is not None:
+        if "consumed_raw" not in extra:
             raise CheckpointError(
-                f"{path}: sampled checkpoint written before the raw "
-                "watermark was recorded; re-run without --resume"
+                f"{path}: checkpoint has no raw-record watermark; "
+                "re-run without --resume"
             )
         self.detector = StreamingDetector.from_snapshot(
             doc["snapshot"], self.model
         )
-        self.resumed_at = self._saved_raw = int(
-            extra.get("consumed_raw", self.detector.records_consumed)
-        )
+        self.resumed_at = self._saved_raw = int(extra["consumed_raw"])
         self.sampled_dropped = dict(extra.get("sampled_dropped") or {})
 
     def open(
@@ -562,14 +562,13 @@ class StreamSession:
         detector.finish()
         self.maybe_checkpoint(force=True)
         state = detector.state
-        confidence = "full"
-        if self.damage or state.rootless_segments:
-            confidence = "partial"
-        # "sampled" iff records were actually dropped (deliberate loss
-        # wins over accidental): a sampler that was engaged but thinned
-        # nothing must not taint a complete report.
-        if self.sampled_dropped:
-            confidence = "sampled"
+        # "sampled" iff records were actually dropped: a sampler that
+        # was engaged but thinned nothing must not taint the report.
+        confidence = weaken_confidence(
+            "full",
+            bool(self.damage or state.rootless_segments),
+            bool(self.sampled_dropped),
+        )
         return StreamResult(
             candidates=detector.candidates,
             records_consumed=detector.records_consumed,
@@ -642,7 +641,7 @@ def detect_races_streaming(
         stream = iter(records)
 
     budget = StageBudget("stream", time.perf_counter(), max_seconds)
-    rss_gauge = obs.gauge(_METRIC_RSS, "Streaming detector RSS high water")
+    rss_gauge = obs.gauge("stream_rss_high_water_mb", "Streaming detector RSS high water")
     rss_high = process_rss_mb()
     stopped_early = False
     while session.pump(stream, limit=window) == window:
@@ -660,10 +659,10 @@ def detect_races_streaming(
         )
     result = session.finish()
     meta = read_meta(wal_dir) if wal_dir is not None else None
-    if meta and meta["partial"] and result.confidence == "full":
-        result.confidence = "partial"
-    if meta and meta["sampled_dropped"]:  # as in ``finish``: if any dropped
-        result.confidence = "sampled"
+    if meta:  # as in ``finish``: sampled iff anything was dropped
+        result.confidence = weaken_confidence(
+            result.confidence, meta["partial"], bool(meta["sampled_dropped"])
+        )
     result.stopped_early = stopped_early
     result.rss_high_water_mb = round(max(rss_high, process_rss_mb()), 1)
     rss_gauge.set(result.rss_high_water_mb)

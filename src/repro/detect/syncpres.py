@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.detect.races import DetectionResult
+from repro.detect.report import count_soundness
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import OpKind
@@ -162,11 +163,6 @@ def annotate_sync_preserving(
         "detect_sp_candidates_total",
         "candidates still concurrent under the sync-preserving order",
     ).inc(len(sp_pairs))
-    tiers = obs.counter(
-        "detect_soundness_tier_total", "candidates per soundness tier"
-    )
-    tiers.labels(tier="sp-sound").inc(len(sp_pairs))
-    tiers.labels(tier="hb-predicted").inc(
-        len(detection.candidates) - len(sp_pairs)
-    )
+    count_soundness("sp-sound", len(sp_pairs))
+    count_soundness("hb-predicted", len(detection.candidates) - len(sp_pairs))
     return detection

@@ -18,21 +18,16 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Iterable, Set
 
-from repro.runtime.ops import OpEvent, OpKind
+from repro.runtime.ops import OpKind
+from repro.trace.records import category_of
 from repro.trace.store import Trace
 
-#: Ablatable families and the record kinds they drop.
+#: Ablatable families and the record kinds they drop: each family is a
+#: record category of ``repro.trace.records`` (memory accesses and locks
+#: are not HB rules).
 FAMILY_KINDS = {
-    "event": {OpKind.EVENT_CREATE, OpKind.EVENT_BEGIN, OpKind.EVENT_END},
-    "rpc": {OpKind.RPC_CREATE, OpKind.RPC_BEGIN, OpKind.RPC_END, OpKind.RPC_JOIN},
-    "socket": {OpKind.SOCK_SEND, OpKind.SOCK_RECV},
-    "push": {OpKind.ZK_UPDATE, OpKind.ZK_PUSHED},
-    "thread": {
-        OpKind.THREAD_CREATE,
-        OpKind.THREAD_BEGIN,
-        OpKind.THREAD_END,
-        OpKind.THREAD_JOIN,
-    },
+    family: frozenset(kind for kind in OpKind if category_of(kind) == family)
+    for family in ("event", "rpc", "socket", "push", "thread")
 }
 
 #: Record kinds that *open* a handler segment, per family.  When a family

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.hb.graph import HBGraph
 from repro.runtime.ops import OpEvent
@@ -42,43 +42,6 @@ class ChainExplainer:
 
     def __init__(self, graph: HBGraph) -> None:
         self.graph = graph
-        self._edge_rules: Dict[Tuple[int, int], str] = {}
-        self._rebuild_edge_rules()
-
-    def _rebuild_edge_rules(self) -> None:
-        """Recover rule labels by re-deriving which applier owns an edge.
-
-        ``HBGraph`` counts edges per rule but does not store labels per
-        edge; we reconstruct them from the endpoint kinds, which uniquely
-        identify the rule for all non-program-order edges.
-        """
-        from repro.runtime.ops import OpKind
-
-        kind_pairs = {
-            (OpKind.THREAD_CREATE, OpKind.THREAD_BEGIN): "Tfork",
-            (OpKind.THREAD_END, OpKind.THREAD_JOIN): "Tjoin",
-            (OpKind.EVENT_CREATE, OpKind.EVENT_BEGIN): "Eenq",
-            (OpKind.EVENT_END, OpKind.EVENT_BEGIN): "Eserial",
-            (OpKind.RPC_CREATE, OpKind.RPC_BEGIN): "Mrpc",
-            (OpKind.RPC_END, OpKind.RPC_JOIN): "Mrpc",
-            (OpKind.SOCK_SEND, OpKind.SOCK_RECV): "Msoc",
-            (OpKind.ZK_UPDATE, OpKind.ZK_PUSHED): "Mpush",
-        }
-        pull_pairs = {
-            (edge.write_seq, edge.read_seq): f"Mpull:{edge.kind}"
-            for edge in self.graph.pull_edges
-        }
-        for i, succs in enumerate(self.graph._succ):
-            a = self.graph.backbone[i]
-            for j in succs:
-                b = self.graph.backbone[j]
-                if (a.seq, b.seq) in pull_pairs:
-                    rule = pull_pairs[(a.seq, b.seq)]
-                elif (a.kind, b.kind) in kind_pairs and a.segment != b.segment:
-                    rule = kind_pairs[(a.kind, b.kind)]
-                else:
-                    rule = "P" if a.segment == b.segment else "P?"
-                self._edge_rules[(i, j)] = rule
 
     # -- public -------------------------------------------------------------
 
@@ -106,7 +69,7 @@ class ChainExplainer:
                 Hop(
                     self.graph.backbone[i],
                     self.graph.backbone[j],
-                    self._edge_rules.get((i, j), "?"),
+                    self.graph._succ[i][j],
                 )
             )
         last_bb = self.graph.backbone[goal]

@@ -113,7 +113,8 @@ class HBGraph:
             self._bidx: Dict[int, int] = {
                 r.seq: i for i, r in enumerate(self.backbone)
             }
-            self._succ: List[Set[int]] = [set() for _ in self.backbone]
+            #: ``_succ[i][j]`` is the rule that added backbone edge i -> j.
+            self._succ: List[Dict[int, str]] = [{} for _ in self.backbone]
             #: Per-backbone-vertex reachable sets as big-int bit vectors,
             #: built on first query (``_ensure_reach``).
             self._reach: Optional[List[int]] = None
@@ -232,7 +233,7 @@ class HBGraph:
             return False
         if j in self._succ[i]:
             return False
-        self._succ[i].add(j)
+        self._succ[i][j] = rule
         self.edge_counts[rule] += 1
         self._reach = None
         return True

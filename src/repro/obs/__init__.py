@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from repro.obs.export import (
     profile_to_json,
-    registry_to_json,
     render_prometheus,
     render_span_table,
     spans_to_chrome,
@@ -77,7 +76,6 @@ __all__ = [
     "enabled",
     "render_prometheus",
     "render_span_table",
-    "registry_to_json",
     "profile_to_json",
     "spans_to_chrome",
     "write_chrome_trace",

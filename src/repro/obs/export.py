@@ -4,9 +4,8 @@ Three consumers, three formats:
 
 * ``render_prometheus(registry)`` — the text exposition format, for
   scraping or eyeballing (``repro metrics``);
-* ``registry_to_json`` / ``profile_to_json`` — machine-readable
-  snapshots for regression checks (``dcatch profile --out
-  profile.json``);
+* ``profile_to_json`` — a machine-readable snapshot for regression
+  checks (``dcatch profile --out profile.json``);
 * ``spans_to_chrome(tracer)`` — Chrome trace-event format (JSON object
   with a ``traceEvents`` array of complete ``"ph": "X"`` events); load
   the file in ``chrome://tracing`` or https://ui.perfetto.dev to see the
@@ -72,10 +71,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 
 
 # -- JSON ---------------------------------------------------------------------
-
-
-def registry_to_json(registry: MetricsRegistry) -> Dict[str, object]:
-    return registry.snapshot()
 
 
 def profile_to_json(

@@ -26,23 +26,18 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.analysis.astutil import SourceIndex
 from repro.analysis.governor import StageBudget, maybe_stall
-from repro.analysis.pruner import PruneResult, StaticPruner
+from repro.analysis.pruner import PruneResult, StaticPruner, rank_reports
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import ReportSet, Verdict
 from repro.errors import CheckpointError, PipelineInterrupted, TraceAnalysisOOM
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
-from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.cluster import Cluster, RunResult
 from repro.runtime.faults import FaultPlan
 from repro.systems.base import Workload
 from repro.trace.scope import FullScope, TracingScope, selective_scope_for
 from repro.trace.store import Trace
 from repro.trace.tracer import Tracer
-from repro.trigger.explorer import (
-    TriggerModule,
-    TriggerOutcome,
-    prioritize_reports,
-)
+from repro.trigger.explorer import TriggerModule, TriggerOutcome
 from repro.trigger.placement import PlacementAnalyzer
 
 
@@ -51,7 +46,6 @@ class PipelineConfig:
     """Knobs for the pipeline; defaults match the paper's DCatch."""
 
     scope: str = "selective"  # or "full" (Table 8's alternative design)
-    model: HBModel = FULL_MODEL
     #: ``"batch"`` builds the whole-trace HB graph + reachability
     #: closure before detection (the paper's offline algorithm);
     #: ``"streaming"`` runs the single-pass bounded-memory detector
@@ -399,15 +393,10 @@ class DCatch:
 
         stream = detect_races_streaming(
             records=trace.records,
-            model=config.model,
             expected_streams=trace.per_thread.keys(),
             should_stop=budget.exceeded,
         )
         detection = stream.to_detection(trace)
-        if trace.partial and detection.confidence == "full":
-            detection.confidence = "partial"
-        if getattr(trace, "sampled", False):
-            detection.confidence = "sampled"
         stage_status["detect"] = (
             "degraded" if detection.stopped_early else "ok"
         )
@@ -499,15 +488,12 @@ class DCatch:
                     )
                 else:
                     maybe_stall("hb_build")
-                    graph = HBGraph(
-                        trace, model=config.model, memory_budget=reach_budget
-                    )
+                    graph = HBGraph(trace, memory_budget=reach_budget)
                     stage_status["hb"] = "ok"
                     graph.reach_stats()
                     stage_status["reach"] = "ok"
                     detection = detect_races(
                         trace,
-                        model=config.model,
                         memory_budget=reach_budget,
                         graph=graph,
                         should_stop=budget.exceeded,
@@ -518,9 +504,7 @@ class DCatch:
                         )
 
                         annotate_sync_preserving(
-                            detection,
-                            model=config.model,
-                            memory_budget=reach_budget,
+                            detection, memory_budget=reach_budget
                         )
                     stage_status["detect"] = (
                         "degraded" if detection.stopped_early else "ok"
@@ -559,9 +543,10 @@ class DCatch:
                 raise
             except Exception as exc:  # noqa: BLE001
                 # Pruning is an optimization: fall back to the
-                # unpruned set.
+                # unpruned set, in the trigger-queue order pruning
+                # would have left it in.
                 stage_failed("pruning", exc)
-                reports = reports_pre
+                reports = ReportSet(rank_reports(reports_pre))
 
         # -- triggering -------------------------------------------------------
         if reports is not None and detection is not None and config.trigger:
@@ -588,9 +573,10 @@ class DCatch:
                     stage_failed("trigger", exc)
                 else:
                     stage_status.setdefault("trigger", "ok")
-                    # Strongest-evidence-first: under a deadline the
-                    # reports left UNKNOWN are the weakest tier.
-                    for report in prioritize_reports(reports):
+                    # ``reports`` is in trigger-queue order
+                    # (``rank_reports``): under a deadline the reports
+                    # left UNKNOWN are the weakest tier.
+                    for report in reports:
                         # Verdicts are logged under their pair: ``report_id``
                         # is an ordinal into a detection just recomputed.
                         entry = done and done.get(tuple(ckpt.outcome_pair(report)))

@@ -203,7 +203,7 @@ class ServiceClient:
         fully-shipped streams mid-session — see the protocol docs."""
         self._streams = sorted((str(n), int(t)) for n, t in streams)
         self._totals = (
-            {f"{n}/{t}": int(c) for (n, t), c in totals.items()}
+            {protocol.stream_key_str(k): int(c) for k, c in totals.items()}
             if totals
             else None
         )
@@ -351,8 +351,8 @@ class ServiceClient:
             )
             stall_pass += 1
         self.finalize(
-            {f"{node}/{tid}": len(paths)
-             for (node, tid), paths in segments.items()}
+            {protocol.stream_key_str(k): len(paths)
+             for k, paths in segments.items()}
         )
         result.reconnects = self.reconnects
         result.backpressure_waits = self.backpressure_waits

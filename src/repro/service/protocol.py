@@ -23,7 +23,9 @@ discipline of ``repro.runtime.sockets``:
   that finishes early would stall the merge, and with it the queue
   drain, until every other stream finished shipping).  Tenant ids and
   node names become spool path components and must be boring
-  (:func:`valid_name`);
+  (:func:`valid_name`).  Integer fields here and in ``segment`` and
+  ``finalize`` must be JSON integers (:func:`wire_int`): ``1.9``,
+  ``"3"`` and ``true`` are ``bad_request``;
 * ``segment``  — one WAL segment for a declared stream, bytes in the
   frame body; ACKed only after the bytes are durably spooled;
 * ``finalize`` — the tenant is done shipping; declares the per-stream
@@ -87,6 +89,19 @@ class ProtocolError(ServiceError):
 
     def __init__(self, message: str):
         super().__init__(message, code="protocol")
+
+
+def stream_key_str(key: Tuple[str, int]) -> str:
+    """A stream's key in ``totals`` and ``counts`` maps: ``"node/tid"``."""
+    return f"{key[0]}/{key[1]}"
+
+
+def wire_int(value: object) -> int:
+    """``value`` if it is a JSON integer, else ``ValueError``: ``int()``
+    would truncate ``1.9`` and accept ``"3"`` and ``true``."""
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {value!r}")
+    return value
 
 
 def valid_name(name: str) -> bool:

@@ -159,12 +159,12 @@ class FleetBudget:
 
 
 def _segment_counts(raw: object) -> Optional[Dict[str, int]]:
-    """An untrusted ``{"node/tid": n}`` map as ints, or None when it is
-    not a map of integers."""
+    """An untrusted ``{"node/tid": n}`` map, or None when it is not a
+    map of JSON integers."""
     if not isinstance(raw, dict):
         return None
     try:
-        return {str(k): int(v) for k, v in raw.items()}
+        return {str(k): protocol.wire_int(v) for k, v in raw.items()}
     except (TypeError, ValueError):
         return None
 
@@ -523,7 +523,7 @@ class DetectionServer:
                 "bad_request", "hello must declare streams=[[node, tid], ...]"
             )
         try:
-            streams = sorted((str(n), int(t)) for n, t in raw_streams)
+            streams = sorted((str(n), protocol.wire_int(t)) for n, t in raw_streams)
         except (TypeError, ValueError):
             return error_frame("bad_request", "malformed stream declaration")
         if not all(protocol.valid_name(node) for node, _tid in streams):
@@ -595,8 +595,8 @@ class DetectionServer:
             )
         try:
             node = str(doc["node"])
-            tid = int(doc["tid"])
-            index = int(doc["index"])
+            tid = protocol.wire_int(doc["tid"])
+            index = protocol.wire_int(doc["index"])
         except (KeyError, TypeError, ValueError):
             return error_frame(
                 "bad_request", "segment needs node, tid, index"

@@ -49,6 +49,7 @@ from repro.framing import atomic_write, read_document, write_document
 from repro.hb.model import FULL_MODEL
 from repro.runtime.ops import OpEvent
 from repro.service.breaker import CircuitBreaker
+from repro.service.protocol import stream_key_str
 from repro.service.report import render_report, report_from_stream_result
 from repro.trace.sampling import build_sampler
 from repro.trace.wal import (
@@ -70,10 +71,6 @@ TENANT_STATE_VERSION = 2
 #: Sampling spec the overload ladder's ``sampled`` rung engages
 #: (PR-9's budget+rate composite: cold locations whole, hot thinned).
 OVERLOAD_SAMPLING_SPEC = "budget:8+rate:0.1"
-
-
-def stream_key_str(key: StreamKey) -> str:
-    return f"{key[0]}/{key[1]}"
 
 
 class _SpoolStream:

@@ -28,6 +28,7 @@ from repro.trace.wal import (
     require_stream_segments,
     segment_index,
     segment_name,
+    stream_key,
 )
 
 
@@ -235,7 +236,7 @@ def salvage_trace(
     records: List[OpEvent] = []
     for (node, tid), paths in streams.items():
         thread = ThreadSalvage(node=node, tid=tid)
-        key = f"{node}/thread-{tid}"
+        key = stream_key(node, tid)
         report.threads[key] = thread
         # Gaps in the numbering are lost files, not lost tails.
         have = {segment_index(path) for path in paths}

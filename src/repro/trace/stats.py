@@ -129,14 +129,13 @@ def compute_stats(trace: Trace) -> TraceStats:
         lock_ops=lock_ops,
         bytes_by_category=bytes_by_category,
         # Loss counters live on the trace (not the tracer) so they
-        # survive checkpoints and process boundaries; old pickles may
-        # lack them, hence the getattr defaults.
-        dropped_mem=getattr(trace, "dropped_mem", 0),
-        skipped_unbound=getattr(trace, "skipped_unbound", 0),
-        skipped_untraced=getattr(trace, "skipped_untraced", 0),
-        sampled=bool(getattr(trace, "sampled", False)),
-        sampling_rate=getattr(trace, "sampling_rate", None),
-        sampled_dropped=dict(getattr(trace, "sampled_dropped", {}) or {}),
+        # survive checkpoints and process boundaries.
+        dropped_mem=trace.dropped_mem,
+        skipped_unbound=trace.skipped_unbound,
+        skipped_untraced=trace.skipped_untraced,
+        sampled=trace.sampled,
+        sampling_rate=trace.sampling_rate,
+        sampled_dropped=dict(trace.sampled_dropped),
     )
 
 

@@ -18,7 +18,7 @@ from repro.errors import TraceFormatError
 from repro.framing import Damage, read_document, write_document
 from repro.runtime.ops import MEM_KINDS, OpEvent, OpKind
 from repro.trace.records import category_of, dump_records
-from repro.trace.wal import WalSink, list_stream_segments, segment_header
+from repro.trace.wal import WalSink, list_stream_segments, segment_header, stream_key
 
 
 class Trace:
@@ -111,7 +111,7 @@ class Trace:
             sink.append(record)
         sink.close()
         meta = {key: getattr(self, key) for key in _META}
-        meta["streams"] = Counter(f"{r.node}/thread-{r.tid}" for r in self.records)
+        meta["streams"] = Counter(stream_key(r.node, r.tid) for r in self.records)
         write_document(os.path.join(directory, "meta.json"), meta)
 
     @classmethod
@@ -168,7 +168,7 @@ def _first_damage(directory: str, streams: Dict, report, expected) -> Optional[s
     if expected is None:
         return "meta.json byte 0: no such file"
     for (node, tid), paths in streams.items():
-        key = f"{node}/thread-{tid}"
+        key = stream_key(node, tid)
         thread = report.threads[key]
         if len(paths) != 1 or thread.missing_segments:
             return f"{key} byte 0: not one segment seg-0000.wal"

@@ -66,8 +66,14 @@ _SEGMENT_NAME = re.compile(r"seg-(\d+)\.wal")
 _encode_json = json.JSONEncoder(sort_keys=True).encode
 
 
+def stream_key(node: str, tid: int) -> str:
+    """A stream's directory relative to its WAL directory; also its name
+    in salvage reports and in a saved trace's ``meta.json``."""
+    return f"{node}/thread-{tid}"
+
+
 def stream_dir(wal_dir: str, node: str, tid: int) -> str:
-    return os.path.join(wal_dir, node, f"thread-{tid}")
+    return os.path.join(wal_dir, stream_key(node, tid))
 
 
 def segment_name(index: int) -> str:

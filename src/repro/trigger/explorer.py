@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.detect.report import BugReport, Verdict
+from repro.detect.report import BugReport, Verdict, count_soundness
 from repro.runtime.cluster import Cluster, RunResult
 from repro.runtime.failures import FailureEvent, FailureKind, FailureLog
 from repro.trigger.controller import OrderController
@@ -27,44 +27,6 @@ from repro.trigger.placement import GatePlan
 
 #: A factory that builds a fresh, ready-to-run cluster for one seed.
 ClusterFactory = Callable[[int], Cluster]
-
-
-def prioritize_reports(reports) -> List[BugReport]:
-    """Trigger order: strongest soundness tier first.
-
-    SP-sound reports carry a feasibility witness — a sync-preserving
-    reordering that produces the race — so they are the likeliest to
-    enforce and the first to spend re-execution budget on; under a
-    stage deadline the reports left UNKNOWN are the weakest ones.
-    Within a soundness tier, full-confidence reports go before partial
-    and sampled ones (a sampled trace may have lost the evidence that
-    would make the enforcement succeed).  Stable by report id within a
-    tier, so pipelines without the SP tier keep their historical
-    trigger order exactly."""
-    from repro.detect.report import CONFIDENCE_RANK, SOUNDNESS_RANK
-
-    return sorted(
-        reports,
-        key=lambda r: (
-            -SOUNDNESS_RANK.get(r.soundness, 0),
-            CONFIDENCE_RANK.get(getattr(r, "confidence", "full"), 0),
-            r.report_id,
-        ),
-    )
-
-
-def _confirm_soundness(report: BugReport, verdict: Verdict) -> None:
-    """HARMFUL/BENIGN mean both orders really executed: the race is no
-    longer predicted but observed.  SERIAL/UNKNOWN leave the detector's
-    tier untouched (never downgrade — a later SERIAL plan variant must
-    not erase an earlier confirmation)."""
-    if verdict in (Verdict.HARMFUL, Verdict.BENIGN):
-        if report.soundness != "trigger-confirmed":
-            report.soundness = "trigger-confirmed"
-            obs.counter(
-                "detect_soundness_tier_total",
-                "candidates per soundness tier",
-            ).labels(tier="trigger-confirmed").inc()
 
 
 @dataclass
@@ -103,6 +65,20 @@ class TriggerOutcome:
     runs: List[TriggerRun] = field(default_factory=list)
     verdict: Verdict = Verdict.UNKNOWN
     detail: str = ""
+
+    def apply(self) -> None:
+        """Make this outcome the report's word: its verdict and detail,
+        and the ``trigger-confirmed`` tier when HARMFUL/BENIGN say both
+        orders really executed (the race is observed, not predicted).
+        SERIAL/UNKNOWN leave the tier untouched: a later SERIAL plan
+        variant must not erase an earlier confirmation."""
+        report = self.report
+        report.verdict = self.verdict
+        report.verdict_detail = self.detail
+        confirmed = self.verdict in (Verdict.HARMFUL, Verdict.BENIGN)
+        if confirmed and report.soundness != "trigger-confirmed":
+            report.soundness = "trigger-confirmed"
+            count_soundness("trigger-confirmed")
 
     def describe(self) -> str:
         lines = [f"report #{self.report.report_id}: {self.verdict.value}"]
@@ -169,9 +145,7 @@ class TriggerModule:
                 "orders could not be enforced: accesses appear ordered by "
                 "synchronization the HB model did not capture"
             )
-        report.verdict = outcome.verdict
-        report.verdict_detail = outcome.detail
-        _confirm_soundness(report, outcome.verdict)
+        outcome.apply()
         return outcome
 
     def validate_report(
@@ -209,11 +183,9 @@ class TriggerModule:
                 if outcome.verdict is Verdict.BENIGN:
                     break  # variants are fallbacks for SERIAL only
         if best is not None:
-            # validate() mutated the report on every call; restore the
-            # most severe outcome as the final word.
-            report.verdict = best.verdict
-            report.verdict_detail = best.detail
-            _confirm_soundness(report, best.verdict)
+            # validate() applied every outcome; the most severe one is
+            # the final word.
+            best.apply()
         return best
 
     # -- internals ----------------------------------------------------------

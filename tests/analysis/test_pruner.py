@@ -98,9 +98,13 @@ def test_rank_orders_soundness_then_confidence():
             report(3, "hb-predicted", "full"),
             report(4, "sp-sound", "full"),
             report(5, "hb-predicted", "partial"),
+            report(6, "trigger-confirmed", "sampled"),
+            report(7, "sp-sound", "partial"),
         ]
     )
-    assert [r.report_id for r in ranked] == [4, 2, 3, 5, 1]
+    # Soundness dominates; within a tier full goes before partial
+    # before sampled (the trigger queue, and the pipeline's only order).
+    assert [r.report_id for r in ranked] == [6, 4, 7, 2, 3, 5, 1]
 
 
 def test_rank_stable_by_id_within_tier():

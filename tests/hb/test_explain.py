@@ -78,8 +78,9 @@ def test_concurrent_pair_yields_no_chain():
     assert "CONCURRENT" in explainer.render(w1, w2)
 
 
-def test_figure3_chain_uses_all_rule_families():
-    """The full Figure 3 chain: Tfork + Mrpc + Eenq + Mpush in one path."""
+def _figure3_chain():
+    """HB-4539's Figure 3 pair: the write in ``split_table`` and the read
+    in ``on_region_state_change``, with an explainer over its graph."""
     from repro.systems import workload_by_id
 
     workload = workload_by_id("HB-4539")
@@ -87,26 +88,80 @@ def test_figure3_chain_uses_all_rule_families():
     tracer = Tracer(scope=FullScope()).bind(cluster)
     cluster.run()
     trace = tracer.trace
-    explainer = ChainExplainer(HBGraph(trace))
-    write = next(
-        r
-        for r in trace.mem_accesses()
-        if r.is_write
-        and str(r.obj_id).endswith("regions_in_transition")
-        and r.site
-        and "split_table" in r.site.func
+
+    def access(write, func):
+        return next(
+            r
+            for r in trace.mem_accesses()
+            if r.is_write == write
+            and str(r.obj_id).endswith("regions_in_transition")
+            and r.site
+            and func in r.site.func
+        )
+
+    return (
+        ChainExplainer(HBGraph(trace)),
+        access(True, "split_table"),
+        access(False, "on_region_state_change"),
     )
-    read = next(
-        r
-        for r in trace.mem_accesses()
-        if not r.is_write
-        and str(r.obj_id).endswith("regions_in_transition")
-        and r.site
-        and "on_region_state_change" in r.site.func
-    )
+
+
+def test_figure3_chain_uses_all_rule_families():
+    """The full Figure 3 chain: Tfork + Mrpc + Eenq + Mpush in one path."""
+    explainer, write, read = _figure3_chain()
     rules = [hop.rule for hop in explainer.explain(write, read)]
     for family in ("Tfork", "Mrpc", "Eenq", "Mpush"):
         assert family in rules, f"{family} missing from chain {rules}"
+
+
+_FIGURE3_TEXT = """\
+mem_write@src/repro/systems/minihb/master.py:47
+  =P=> zk_update@src/repro/systems/minihb/master.py:48 [master/master.rpc]
+  =P=> rpc_create@src/repro/systems/minihb/master.py:48 [master/master.rpc]
+  =P=> rpc_join@src/repro/systems/minihb/master.py:48 [master/master.rpc]
+  =P=> rpc_create@src/repro/systems/minihb/master.py:49 [master/master.rpc]
+  =P=> rpc_join@src/repro/systems/minihb/master.py:49 [master/master.rpc]
+  =P=> thread_create@src/repro/systems/minihb/master.py:54 [master/master.rpc]
+  =Tfork=> thread_begin@master [master/master.open-region-1]
+  =P=> rpc_create@src/repro/systems/minihb/master.py:52 [master/master.open-region-1]
+  =Mrpc=> rpc_begin@hrs1 [hrs1/hrs1.rpc]
+  =P=> event_create@src/repro/systems/minihb/regionserver.py:52 [hrs1/hrs1.rpc]
+  =Eenq=> event_begin@hrs1 [hrs1/hrs1.eq.open-region]
+  =P=> thread_create@src/repro/systems/minihb/regionserver.py:80 [hrs1/hrs1.eq.open-region]
+  =P=> rpc_create@src/repro/systems/minihb/regionserver.py:82 [hrs1/hrs1.eq.open-region]
+  =P=> rpc_join@src/repro/systems/minihb/regionserver.py:82 [hrs1/hrs1.eq.open-region]
+  =P=> zk_update@src/repro/systems/minihb/regionserver.py:83 [hrs1/hrs1.eq.open-region]
+  =Mpush=> zk_pushed@master [master/master.eq.zkwatch]
+  =P=> mem_read@src/repro/systems/minihb/master.py:66 [master/master.eq.zkwatch]"""
+
+
+def test_figure3_chain_renders_verbatim():
+    """Every hop keeps the rule that added its edge, byte for byte."""
+    explainer, write, read = _figure3_chain()
+    assert explainer.render(write, read) == _FIGURE3_TEXT
+
+
+def test_sp_lock_hop_is_labelled_with_its_rule():
+    """A release->acquire edge of the SP graph reads ``SPlock``."""
+    from repro.detect.syncpres import SP_LOCK_RULE, build_sp_graph
+
+    def build(cluster):
+        node = cluster.add_node("n")
+        var = node.shared_var("x", 0)
+        lock = node.lock("l")
+
+        def worker(value):
+            with lock:
+                var.set(value)
+
+        node.spawn(lambda: worker(1), name="a")
+        node.spawn(lambda: worker(2), name="b")
+
+    trace = _run(build)
+    first, second = _mem(trace, "n.x", True)[:2]
+    assert ChainExplainer(HBGraph(trace)).explain(first, second) is None
+    hops = ChainExplainer(build_sp_graph(trace)).explain(first, second)
+    assert SP_LOCK_RULE in [hop.rule for hop in hops]
 
 
 def test_same_segment_chain_is_program_order():

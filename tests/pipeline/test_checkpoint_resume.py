@@ -73,6 +73,13 @@ def test_resume_equals_clean_run_in_every_detect_mode(tmp_path, bug, mode):
     ]
     assert resumed.detection.sp_pairs == clean.detection.sp_pairs
     assert "trigger_runs_total" not in resumed.metrics  # no re-execution
+    # restored HARMFUL/BENIGN verdicts count toward the confirmed tier
+    assert _confirmed(resumed) == _confirmed(clean) > 0
+
+
+def _confirmed(result):
+    series = result.metrics["detect_soundness_tier_total"]["series"]
+    return series["tier=trigger-confirmed"]["value"]
 
 
 def _rewrite_verdicts(ckdir, mutate):

@@ -83,8 +83,6 @@ def test_docs_quick_reference_matches_pipeline_config():
     import dataclasses
     from pathlib import Path
 
-    from repro.hb.model import FULL_MODEL
-
     text = (
         Path(__file__).resolve().parents[2] / "docs" / "pipeline.md"
     ).read_text()
@@ -95,12 +93,11 @@ def test_docs_quick_reference_matches_pipeline_config():
     ]
     documented = {
         kw.arg: eval(
-            compile(ast.Expression(kw.value), "pipeline.md", "eval"),
-            {"FULL_MODEL": FULL_MODEL},
+            compile(ast.Expression(kw.value), "pipeline.md", "eval"), {}
         )
         for kw in call.keywords
     }
     fields = dataclasses.fields(PipelineConfig)
-    assert len(fields) == 14
+    assert len(fields) == 13
     assert list(documented) == [f.name for f in fields]
     assert documented == {f.name: f.default for f in fields}

@@ -8,6 +8,7 @@ from the trace exactly like batch mode.
 
 import pytest
 
+from repro.detect import detect_races
 from repro.hb.incremental import STREAM_UNSUPPORTED_FAMILIES
 from repro.hb.model import FULL_MODEL
 from repro.pipeline import DCatch, PipelineConfig
@@ -36,11 +37,10 @@ def test_streaming_mode_runs_all_stages(streaming_result):
 
 
 def test_streaming_matches_batch_restricted_model(streaming_result):
-    batch = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(trigger=False, model=STREAM_MODEL),
-    ).run()
-    assert _pairs(streaming_result) == _pairs(batch)
+    batch = detect_races(streaming_result.trace, model=STREAM_MODEL)
+    assert _pairs(streaming_result) == {
+        (c.first.seq, c.second.seq) for c in batch.candidates
+    }
 
 
 def test_streaming_checkpoint_resume(tmp_path, streaming_result):

@@ -457,6 +457,53 @@ class TestStructuredErrors:
         assert err.value.code == "bad_request"
         assert "service_handler_errors_total" not in server.registry.snapshot()
 
+    def test_hello_takes_only_json_integers(self, server):
+        """``int()`` read a stream ``["n", 1.9]`` with totals
+        ``{"n/1": 2.7}`` as tid 1 with 2 segments, and ``true`` and
+        ``"3"`` as 1 and 3."""
+        with _client(server, "alpha") as client:
+            for bad in (1.9, True, "3"):
+                for fields in (
+                    {"streams": [["n", bad]]},
+                    {"streams": [["n", 1]], "totals": {"n/1": bad}},
+                ):
+                    with pytest.raises(ServiceError) as err:
+                        client.request(
+                            {"verb": "hello", "tenant": "alpha", **fields}
+                        )
+                    assert err.value.code == "bad_request"
+        assert "alpha" not in server.tenants
+
+    def test_segment_takes_only_json_integers(self, server, wal_dir):
+        segments = list_stream_segments(wal_dir)
+        (node, tid), paths = sorted(segments.items())[0]
+        with open(paths[0], "rb") as fh:
+            data = fh.read()
+        with _client(server, "alpha") as client:
+            client.hello(sorted(segments))
+            for bad_tid, bad_index in (
+                (float(tid), 0), (str(tid), 0), (tid, 0.0), (tid, False),
+            ):
+                with pytest.raises(ServiceError) as err:
+                    client.send_segment(node, bad_tid, bad_index, data)
+                assert err.value.code == "bad_request"
+        assert server.tenants["alpha"].streams[(node, tid)].received == 0
+
+    def test_finalize_takes_only_json_integers(self, server, wal_dir):
+        segments = list_stream_segments(wal_dir)
+        with _client(server, "alpha") as client:
+            client.hello(sorted(segments))
+            for as_wire in (float, str, bool):
+                with pytest.raises(ServiceError) as err:
+                    client.finalize(
+                        {
+                            stream_key_str(key): as_wire(len(paths))
+                            for key, paths in segments.items()
+                        }
+                    )
+                assert err.value.code == "bad_request"
+        assert not server.tenants["alpha"].finalized
+
     def test_finalize_cannot_change_totals_declared_at_hello(
         self, server, wal_dir
     ):
