@@ -79,7 +79,7 @@ def main() -> int:
         workload_by_id(BUG),
         PipelineConfig(checkpoint_dir=crashed_dir, resume=True),
     ).run()
-    print(f"stages skipped: {resumed.stages_skipped}")
+    print(f"stage status: {resumed.stage_status}")
     restored = resumed.metrics["checkpoint_shards_resumed_total"]
     print(f"verdicts restored from the manifest: {int(restored['value'])}")
     print(f"trigger re-executions: "

@@ -39,7 +39,7 @@ def main() -> int:
     plan = FaultPlan([FaultAction(40, FaultKind.CRASH, target="nm2")])
     config = PipelineConfig(trigger=False, fault_plan=plan, trace_dir=trace_dir)
     result = DCatch(workload, config).run()
-    print(f"pipeline stages failed: {result.stage_failures or 'none'}")
+    print(f"pipeline stage status: {result.stage_status}")
     print(f"in-memory detection: {len(result.detection.candidates)} "
           f"candidate(s), confidence={result.detection.confidence}")
 

@@ -21,7 +21,6 @@ Run with::
 """
 
 from repro.detect import ReportSet, detect_races
-from repro.pipeline import PipelineConfig
 from repro.runtime import (
     Delivery,
     FailureKind,
@@ -97,7 +96,6 @@ def main() -> None:
         workload,
         seeds=(0,),
         plan_factory=crash_restart_plan,
-        config=PipelineConfig(trigger_seeds=(0,)),
     )
     outcome = campaign.run()
     print("   " + outcome.summary().replace("\n", "\n   "))

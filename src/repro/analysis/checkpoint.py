@@ -16,10 +16,10 @@ Layout (one run per checkpoint directory)::
 
 The manifest (``repro.framing.write_document``) holds the config
 fingerprint, each sealed stage's payload under ``stages`` (``trace``:
-run results and timings; ``trigger``: report count and seconds) and
-``verdicts``, one entry per finished trigger report.  It is rewritten
-when the trace seals, after every verdict and when the trigger stage
-seals — a handful of kilobytes each time.  The trace is read by the
+the monitored run's result and time; ``trigger``: report count and
+seconds) and ``verdicts``, one entry per finished trigger report.  It
+is rewritten when the trace seals, after every verdict and when the
+trigger stage seals — a handful of kilobytes each time.  The trace is read by the
 strict ``Trace.load``.  Damage, stale schema versions and fingerprint
 mismatches raise ``CheckpointError`` (exit 2), never a traceback.
 """
@@ -52,7 +52,9 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "scope": config.scope,
         "monitored_seed": config.monitored_seed,
         "trigger": config.trigger,
-        "trigger_seeds": list(config.trigger_seeds),
+        # A former knob, now the fixed ``TRIGGER_SEEDS``: kept so a
+        # checkpoint written while it was a knob still resumes.
+        "trigger_seeds": [0, 1],
         "detect_mode": config.detect_mode,
         # The plan's *content*, not just its presence: resuming after an
         # edited fault plan must invalidate the checkpointed trace.
@@ -119,8 +121,6 @@ class CheckpointStore:
     config_fp: str
     resume: bool = False
     manifest: Dict[str, Any] = field(default_factory=dict)
-    #: Stages loaded from disk instead of recomputed, in order.
-    stages_skipped: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._manifest_path = os.path.join(self.directory, "manifest.json")
@@ -166,13 +166,6 @@ class CheckpointStore:
     def stage_completed(self, name: str) -> bool:
         return name in self.manifest["stages"]
 
-    def mark_skipped(self, name: str) -> None:
-        self.stages_skipped.append(name)
-        obs.counter(
-            "checkpoint_stages_skipped_total",
-            "completed stages skipped by --resume",
-        ).labels(stage=name).inc()
-
     def seal_stage(
         self, name: str, payload: Dict[str, Any], trace: Optional[Trace] = None
     ) -> None:
@@ -189,8 +182,13 @@ class CheckpointStore:
         ).labels(stage=name).inc()
 
     def load_stage(self, name: str) -> Dict[str, Any]:
+        """A completed stage's payload, read back instead of re-run."""
         if not self.stage_completed(name):
             raise CheckpointError(f"stage {name} is not completed in {self.directory}")
+        obs.counter(
+            "checkpoint_stages_skipped_total",
+            "completed stages skipped by --resume",
+        ).labels(stage=name).inc()
         return self.manifest["stages"][name]
 
     # -- trigger verdicts -----------------------------------------------------
@@ -269,31 +267,26 @@ def run_result_from_dict(data: Dict[str, Any]) -> "object":
 
 
 def trace_stage_payload(
-    trace: Trace, base_result: "object", monitored_result: "object", timings: Dict
+    trace: Trace, monitored_result: "object", tracing_seconds: float
 ) -> Dict[str, Any]:
     """The manifest's ``trace`` stage: what the trace directory does not hold."""
     return {
         "name": trace.name,
-        "base_result": run_result_to_dict(base_result),
         "monitored_result": run_result_to_dict(monitored_result),
-        # A copy: the pipeline keeps adding later stages' timings to
-        # its dict, and the manifest is rewritten after this seal.
-        "timings": dict(timings),
+        "timings": {"tracing_seconds": tracing_seconds},
     }
 
 
 def restore_trace_stage(
     store: CheckpointStore, payload: Dict[str, Any]
-) -> Tuple[Trace, "object", "object"]:
+) -> Tuple[Trace, "object"]:
+    """The trace and the monitored run's result.  Other payload keys (an
+    older writer's untraced baseline run) are ignored."""
     try:
         trace = Trace.load(store.trace_dir, name=payload["name"])
     except TraceFormatError as exc:
         raise CheckpointError(f"{exc}; re-run without --resume") from None
-    return (
-        trace,
-        run_result_from_dict(payload["base_result"]),
-        run_result_from_dict(payload["monitored_result"]),
-    )
+    return trace, run_result_from_dict(payload["monitored_result"])
 
 
 def outcome_pair(report: "object") -> List[int]:

@@ -165,7 +165,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.trace import Trace, Tracer, compute_stats, selective_scope_for
+    from repro.trace import Trace, compute_stats
 
     if args.load:
         # A saved trace instead of a benchmark run.  Any damage exits 2
@@ -179,27 +179,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not args.bug_id:
         print("error: a benchmark id (or --load DIR) is required", file=sys.stderr)
         return 2
+    from repro.pipeline import DCatch, PipelineConfig
     from repro.systems import workload_by_id
 
-    workload = workload_by_id(args.bug_id)
-    cluster = workload.cluster(args.seed)
-    from repro.trace import build_sampler
-
-    tracer = Tracer(
-        scope=selective_scope_for(workload.modules()),
-        sampler=build_sampler(args.sampling, args.sampling_seed),
+    # The monitored run of ``dcatch run``, and nothing after it.
+    config = PipelineConfig(
+        monitored_seed=args.seed,
+        sampling=args.sampling,
+        sampling_seed=args.sampling_seed,
     )
-    tracer.bind(cluster)
-    result = cluster.run()
+    result, trace = DCatch(workload_by_id(args.bug_id), config).run_traced()
     print(result.summary())
     if args.stats:
         print()
-        print(compute_stats(tracer.trace).render())
+        print(compute_stats(trace).render())
     if args.out:
-        tracer.trace.save(args.out)
+        trace.save(args.out)
         print(
-            f"saved {len(tracer.trace)} records "
-            f"({len(tracer.trace.per_thread)} thread files) to {args.out}"
+            f"saved {len(trace)} records "
+            f"({len(trace.per_thread)} thread files) to {args.out}"
         )
     return 0
 

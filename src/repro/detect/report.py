@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Optional
 
 from repro import obs
 from repro.detect.races import Candidate, DetectionResult
-from repro.ids import Site
 
 
 class Verdict(Enum):
@@ -80,13 +79,6 @@ class BugReport:
     @property
     def callstack_pair(self) -> frozenset:
         return self.representative.callstack_pair
-
-    @property
-    def sites(self) -> List[Site]:
-        return sorted(
-            {s for s in self.static_pair if s is not None},
-            key=lambda s: (s.path, s.line),
-        )
 
     @property
     def dynamic_instances(self) -> int:

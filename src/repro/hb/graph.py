@@ -68,7 +68,6 @@ class HBGraph:
         self.trace = trace
         self.model = model
         self.memory_budget = memory_budget
-        self.compress_mem = compress_mem
         self.edge_counts: Dict[str, int] = defaultdict(int)
         #: Unmatched HB endpoints, counted per pattern (e.g. a
         #: ``thread_end_without_join``).  Many patterns are normal — an

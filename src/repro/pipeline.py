@@ -1,14 +1,16 @@
 """The end-to-end DCatch pipeline (paper Section 1.3).
 
-One ``DCatch(workload).run()`` performs the paper's four stages:
+One ``DCatch(workload).run()`` performs the paper's four stages, each
+once and each reported under its name in :data:`STAGES`:
 
-1. **Run-time tracing** — a monitored (correct) execution of the
-   workload with the selective-scope tracer;
-2. **Trace analysis** — HB-graph construction + conflicting-concurrent
-   pair detection (including Rule-Mpull loop analysis);
-3. **Static pruning** — impact estimation over the mini system's source;
-4. **Triggering** — controlled re-executions that classify each report
-   as harmful / benign / serial.
+1. ``trace`` — run-time tracing: the one monitored (correct) execution
+   of the workload with the selective-scope tracer;
+2. ``analysis`` — HB-graph construction + conflicting-concurrent pair
+   detection (including Rule-Mpull loop analysis);
+3. ``prune`` — static pruning: impact estimation over the mini system's
+   source;
+4. ``trigger`` — controlled re-executions that classify each report as
+   harmful / benign / serial.
 
 A ``PipelineResult`` carries everything the evaluation tables need:
 counts at each stage (Tables 4, 5), timings and trace sizes (Table 6),
@@ -20,6 +22,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -40,6 +43,12 @@ from repro.trace.tracer import Tracer
 from repro.trigger.explorer import TriggerModule, TriggerOutcome
 from repro.trigger.placement import PlacementAnalyzer
 
+#: The pipeline's stages, in run order: the only keys of
+#: ``PipelineResult.stage_status``.
+STAGES = ("trace", "analysis", "prune", "trigger")
+#: Seeds of each trigger re-execution (Section 5).
+TRIGGER_SEEDS = (0, 1)
+
 
 @dataclass
 class PipelineConfig:
@@ -58,11 +67,10 @@ class PipelineConfig:
     #: witness are tiered ``sp-sound`` and jump the prune/trigger queue.
     detect_mode: str = "batch"
     trigger: bool = True
-    trigger_seeds: tuple = (0, 1)
     monitored_seed: Optional[int] = None  # None = the workload's default
-    #: Optional fault-injection schedule installed on the base and the
-    #: monitored run (see ``repro.runtime.faults``).  Trigger re-runs stay
-    #: fault-free: they must isolate the racing pair, not the faults.
+    #: Optional fault-injection schedule installed on the monitored run
+    #: (see ``repro.runtime.faults``).  Trigger re-runs stay fault-free:
+    #: they must isolate the racing pair, not the faults.
     fault_plan: Optional[FaultPlan] = None
     #: Durable tracing: when set, the monitored run's tracer also
     #: appends every record to a write-ahead log under
@@ -111,7 +119,6 @@ class PipelineResult:
 
     workload: Workload
     config: PipelineConfig
-    base_result: RunResult
     monitored_result: RunResult
     trace: Trace
     detection: Optional[DetectionResult]
@@ -121,17 +128,15 @@ class PipelineResult:
     outcomes: List[TriggerOutcome] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
     oom: Optional[TraceAnalysisOOM] = None
-    #: Degrade-don't-die bookkeeping: count of failures per stage name and
-    #: the error strings.  A stage failure leaves earlier stages' results
-    #: intact — the pipeline returns what it has instead of raising.
-    stage_failures: Dict[str, int] = field(default_factory=dict)
+    #: Degrade-don't-die bookkeeping: one ``"<stage>: <error>"`` line per
+    #: failure.  A stage failure leaves earlier stages' results intact —
+    #: the pipeline returns what it has instead of raising.
     errors: List[str] = field(default_factory=list)
-    #: Per-stage outcome: ``"ok"``, ``"skipped"`` (restored from a
-    #: checkpoint), ``"degraded"`` (cut short by, or finished past, the
-    #: stage deadline), or ``"failed"``.
+    #: The outcome of each stage that ran, keyed by its :data:`STAGES`
+    #: name: ``"ok"``, ``"skipped"`` (restored from a checkpoint),
+    #: ``"degraded"`` (cut short by, or finished past, the stage
+    #: deadline), or ``"failed"``.
     stage_status: Dict[str, str] = field(default_factory=dict)
-    #: Stages restored from the checkpoint instead of re-run.
-    stages_skipped: List[str] = field(default_factory=list)
     #: Where this run checkpointed, when it did.
     checkpoint_dir: Optional[str] = None
     #: Metrics snapshot of the run (``MetricsRegistry.snapshot()``).
@@ -144,10 +149,8 @@ class PipelineResult:
     @property
     def degraded(self) -> bool:
         """True when some stage failed or was cut short by a deadline."""
-        return (
-            bool(self.stage_failures)
-            or self.oom is not None
-            or "degraded" in self.stage_status.values()
+        return self.oom is not None or bool(
+            {"failed", "degraded"} & set(self.stage_status.values())
         )
 
     # -- Table 4-style counts ------------------------------------------------
@@ -207,14 +210,16 @@ class PipelineResult:
                     if tier in tiers
                 )
                 lines.append(f"soundness: {parts}")
-        if self.stage_failures:
+        if self.errors:
+            failures = Counter(error.split(":", 1)[0] for error in self.errors)
             parts = ", ".join(
-                f"{stage}: {count}" for stage, count in sorted(self.stage_failures.items())
+                f"{stage}: {count}" for stage, count in sorted(failures.items())
             )
             lines.append(f"partial failures: {parts}")
-        if self.stages_skipped:
+        skipped = [s for s in STAGES if self.stage_status.get(s) == "skipped"]
+        if skipped:
             lines.append(
-                f"resumed: skipped {', '.join(self.stages_skipped)} "
+                f"resumed: skipped {', '.join(skipped)} "
                 f"(checkpoint {self.checkpoint_dir})"
             )
         for key, value in sorted(self.timings.items()):
@@ -258,10 +263,6 @@ class DCatch:
         if self.config.fault_plan is not None:
             self.config.fault_plan.install(cluster)
         return cluster
-
-    def run_base(self) -> RunResult:
-        """The untraced baseline run (Table 6's 'Base' column)."""
-        return self._build_cluster().run()
 
     def run_traced(self) -> tuple:
         cluster = self._build_cluster()
@@ -377,13 +378,7 @@ class DCatch:
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
 
-    def _run_streaming_analysis(
-        self,
-        config: PipelineConfig,
-        trace: Trace,
-        budget,
-        stage_status: Dict[str, str],
-    ) -> DetectionResult:
+    def _run_streaming_analysis(self, trace: Trace, budget) -> DetectionResult:
         """Streaming-mode analysis: skip the whole-trace HB graph and
         reachability closure entirely; one bounded-memory pass over the
         records (``repro.detect.streaming``).  ``detection.graph`` is
@@ -396,11 +391,7 @@ class DCatch:
             expected_streams=trace.per_thread.keys(),
             should_stop=budget.exceeded,
         )
-        detection = stream.to_detection(trace)
-        stage_status["detect"] = (
-            "degraded" if detection.stopped_early else "ok"
-        )
-        return detection
+        return stream.to_detection(trace)
 
     def _run_stages_governed(self, store: "object") -> PipelineResult:
         config = self.config
@@ -416,27 +407,18 @@ class DCatch:
 
         def restore(stage: str):
             """Load a completed stage's payload and account the skip."""
-            payload = store.load_stage(stage)
-            store.mark_skipped(stage)
             stage_status[stage] = "skipped"
-            return payload
+            return store.load_stage(stage)
 
-        # -- run-time tracing (base + monitored) ------------------------------
+        # -- run-time tracing: the one monitored run --------------------------
         if store is not None and store.stage_completed("trace"):
             payload = restore("trace")
-            trace, base_result, monitored_result = ckpt.restore_trace_stage(
-                store, payload
-            )
-            timings.update(payload["timings"])
+            trace, monitored_result = ckpt.restore_trace_stage(store, payload)
+            timings["tracing_seconds"] = payload["timings"]["tracing_seconds"]
         else:
             started = time.perf_counter()
             budget = StageBudget("trace", started, config.max_stage_seconds)
             budgets.append(budget)
-            with obs.span("pipeline.base", workload=self.workload.info.bug_id):
-                base_result = self.run_base()
-            timings["base_seconds"] = time.perf_counter() - started
-
-            started = time.perf_counter()
             with obs.span("pipeline.tracing", scope=config.scope):
                 monitored_result, trace = self.run_traced()
                 if obs.enabled():
@@ -447,7 +429,7 @@ class DCatch:
             budget.exceeded()
             if store is not None:
                 payload = ckpt.trace_stage_payload(
-                    trace, base_result, monitored_result, timings
+                    trace, monitored_result, timings["tracing_seconds"]
                 )
                 store.seal_stage("trace", payload, trace)
             stage_status["trace"] = "ok"
@@ -458,11 +440,9 @@ class DCatch:
         reports = None
         oom = None
         outcomes: List[TriggerOutcome] = []
-        stage_failures: Dict[str, int] = {}
         errors: List[str] = []
 
         def stage_failed(stage: str, exc: Exception) -> None:
-            stage_failures[stage] = stage_failures.get(stage, 0) + 1
             stage_status[stage] = "failed"
             errors.append(f"{stage}: {type(exc).__name__}: {exc}")
             obs.counter(
@@ -483,15 +463,11 @@ class DCatch:
         try:
             with obs.span("pipeline.analysis"):
                 if config.detect_mode == "streaming":
-                    detection = self._run_streaming_analysis(
-                        config, trace, budget, stage_status
-                    )
+                    detection = self._run_streaming_analysis(trace, budget)
                 else:
                     maybe_stall("hb_build")
                     graph = HBGraph(trace, memory_budget=reach_budget)
-                    stage_status["hb"] = "ok"
                     graph.reach_stats()
-                    stage_status["reach"] = "ok"
                     detection = detect_races(
                         trace,
                         memory_budget=reach_budget,
@@ -506,9 +482,9 @@ class DCatch:
                         annotate_sync_preserving(
                             detection, memory_budget=reach_budget
                         )
-                    stage_status["detect"] = (
-                        "degraded" if detection.stopped_early else "ok"
-                    )
+                stage_status["analysis"] = (
+                    "degraded" if detection.stopped_early else "ok"
+                )
                 reports_pre = ReportSet.from_detection(detection)
             reports = reports_pre
             timings["analysis_seconds"] = time.perf_counter() - started
@@ -545,7 +521,7 @@ class DCatch:
                 # Pruning is an optimization: fall back to the
                 # unpruned set, in the trigger-queue order pruning
                 # would have left it in.
-                stage_failed("pruning", exc)
+                stage_failed("prune", exc)
                 reports = ReportSet(rank_reports(reports_pre))
 
         # -- triggering -------------------------------------------------------
@@ -564,8 +540,7 @@ class DCatch:
                 try:
                     placement = PlacementAnalyzer(trace, detection.graph)
                     module = TriggerModule(
-                        self.workload.factory(),
-                        seeds=config.trigger_seeds,
+                        self.workload.factory(), seeds=TRIGGER_SEEDS
                     )
                 except (PipelineInterrupted, CheckpointError):
                     raise
@@ -637,7 +612,6 @@ class DCatch:
         return PipelineResult(
             workload=self.workload,
             config=config,
-            base_result=base_result,
             monitored_result=monitored_result,
             trace=trace,
             detection=detection,
@@ -647,9 +621,7 @@ class DCatch:
             outcomes=outcomes,
             timings=timings,
             oom=oom,
-            stage_failures=stage_failures,
             errors=errors,
             stage_status=stage_status,
-            stages_skipped=list(store.stages_skipped) if store else [],
             checkpoint_dir=store.directory if store else None,
         )

@@ -32,7 +32,6 @@ class Event:
         self.etype = etype
         self.payload = payload
         self.eid: Optional[int] = None  # assigned on post
-        self.queue: Optional["EventQueue"] = None
 
     def __repr__(self) -> str:
         return f"<Event {self.etype} eid={self.eid}>"
@@ -85,7 +84,6 @@ class EventQueue:
             else Event(event_or_type, payload)
         )
         event.eid = self.cluster.ids.next("event")
-        event.queue = self
         self.cluster.op(
             OpKind.EVENT_CREATE,
             event.eid,

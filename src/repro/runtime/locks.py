@@ -9,7 +9,6 @@ extents to place its request/confirm APIs without deadlocking the system
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.errors import SchedulerError  # noqa: F401  (raised on misuse below)
@@ -59,16 +58,6 @@ class SimLock:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-
-@contextmanager
-def synchronized(lock: SimLock):
-    """Java-style ``synchronized (lock) { ... }`` block."""
-    lock.acquire()
-    try:
-        yield lock
-    finally:
-        lock.release()
 
 
 class SimCondition:

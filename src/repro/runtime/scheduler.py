@@ -215,7 +215,6 @@ class Scheduler:
         self.clock = 0
         self.steps = 0
         self.threads: Dict[int, SimThread] = {}
-        self.current: Optional[SimThread] = None
         self._next_tid = 0
         self._next_segment = 0
         self._done = threading.Event()
@@ -351,13 +350,11 @@ class Scheduler:
 
     def _step(self, thread: SimThread) -> None:
         self._done.clear()
-        self.current = thread
         thread._go.set()
         if not self._done.wait(timeout=_WATCHDOG_SECONDS):
             raise SchedulerError(
                 f"watchdog: thread {thread.name} did not reach a yield point"
             )
-        self.current = None
 
     def _runnable(self) -> List[SimThread]:
         return sorted(

@@ -254,5 +254,4 @@ def salvage_trace(
     for record in records:
         trace.append(record)
     trace.partial = report.damaged
-    trace.salvage_report = report
     return trace, report

@@ -32,8 +32,6 @@ class Trace:
         #: WAL salvage with quarantined/lost records).  The HB analysis
         #: reads it to mark downstream results ``confidence: "partial"``.
         self.partial = False
-        #: The ``SalvageReport`` that produced this trace, if any.
-        self.salvage_report = None
         #: True when the tracer *deliberately* thinned the memory-access
         #: stream (``repro.trace.sampling``).  Downstream results carry
         #: ``confidence: "sampled"`` — weaker than ``"partial"`` because

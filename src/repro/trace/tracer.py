@@ -20,7 +20,6 @@ so silent loss is visible in ``trace --stats``.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.runtime.ops import Interceptor, MEM_KINDS, OpEvent
@@ -42,7 +41,6 @@ class Tracer(Interceptor):
         self.scope = scope or FullScope()
         self.trace = Trace(name)
         self.enabled = True
-        self.overhead_seconds = 0.0
         #: Optional durable sink (``repro.trace.wal.WalSink``): every
         #: recorded event is also appended to per-node/per-thread logs
         #: on disk, so a crash leaves a salvageable prefix.  None (the
@@ -66,33 +64,29 @@ class Tracer(Interceptor):
     def after(self, event: OpEvent) -> None:
         if not self.enabled:
             return
-        started = time.perf_counter()
-        try:
-            node = self._nodes.get(event.node)
-            if node is None:
-                # Never bound, or an unknown node: an uninstrumented
-                # process produces no records (same contract as the
-                # untraced substrate) — but count it, silence here has
-                # hidden real wiring bugs.
-                self.trace.skipped_unbound += 1
+        node = self._nodes.get(event.node)
+        if node is None:
+            # Never bound, or an unknown node: an uninstrumented
+            # process produces no records (same contract as the
+            # untraced substrate) — but count it, silence here has
+            # hidden real wiring bugs.
+            self.trace.skipped_unbound += 1
+            return
+        if not node.traced:
+            self.trace.skipped_untraced += 1
+            return
+        if event.kind in MEM_KINDS:
+            if not self.scope.should_trace_mem(event):
+                self.trace.dropped_mem += 1
                 return
-            if not node.traced:
-                self.trace.skipped_untraced += 1
+            if self.sampler is not None and not self.sampler.observe(event)[0]:
+                dropped = self.trace.sampled_dropped
+                kind = event.kind.value
+                dropped[kind] = dropped.get(kind, 0) + 1
                 return
-            if event.kind in MEM_KINDS:
-                if not self.scope.should_trace_mem(event):
-                    self.trace.dropped_mem += 1
-                    return
-                if self.sampler is not None and not self.sampler.observe(event)[0]:
-                    dropped = self.trace.sampled_dropped
-                    kind = event.kind.value
-                    dropped[kind] = dropped.get(kind, 0) + 1
-                    return
-            self.trace.append(event)
-            if self.wal is not None:
-                self.wal.append(event)
-        finally:
-            self.overhead_seconds += time.perf_counter() - started
+        self.trace.append(event)
+        if self.wal is not None:
+            self.wal.append(event)
 
     def on_node_crash(self, node: "object") -> None:
         """A node died: its WAL streams stop mid-write, unsealed."""

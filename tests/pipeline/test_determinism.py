@@ -35,7 +35,8 @@ def test_oom_pipeline_degrades_gracefully():
     result = DCatch(workload_by_id("ZK-1270"), config).run()
     assert result.oom is not None
     assert result.detection is None
-    assert result.stage_failures["analysis"] == 1
+    assert result.stage_status["analysis"] == "failed"
+    assert [error.split(":")[0] for error in result.errors] == ["analysis"]
     assert result.degraded
     assert "OUT OF MEMORY" in result.summary()
 

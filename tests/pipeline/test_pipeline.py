@@ -3,7 +3,7 @@
 import pytest
 
 from repro.detect import Verdict
-from repro.pipeline import DCatch, PipelineConfig
+from repro.pipeline import STAGES, DCatch, PipelineConfig
 from repro.systems import workload_by_id
 
 
@@ -23,9 +23,11 @@ def test_stages_all_ran(zk1144_result):
     assert result.reports_pre_prune is not None
     assert result.prune_result is not None
     assert result.reports is not None
-    for key in ("base_seconds", "tracing_seconds", "analysis_seconds",
-                "pruning_seconds", "trigger_seconds"):
-        assert result.timings[key] >= 0
+    assert sorted(result.timings) == [
+        "analysis_seconds", "pruning_seconds", "tracing_seconds",
+        "trigger_seconds",
+    ]
+    assert all(seconds >= 0 for seconds in result.timings.values())
 
 
 def test_root_bug_confirmed_harmful(zk1144_result):
@@ -98,6 +100,64 @@ def test_docs_quick_reference_matches_pipeline_config():
         for kw in call.keywords
     }
     fields = dataclasses.fields(PipelineConfig)
-    assert len(fields) == 13
+    assert len(fields) == 12
     assert list(documented) == [f.name for f in fields]
     assert documented == {f.name: f.default for f in fields}
+
+
+def test_one_run_executes_the_workload_once(monkeypatch):
+    """The monitored run is the only execution of an untriggered run:
+    there is no separate untraced baseline."""
+    from repro.runtime.cluster import Cluster
+
+    calls = []
+    real_run = Cluster.run
+
+    def counting_run(self, *args, **kwargs):
+        calls.append(self.seed)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cluster, "run", counting_run)
+    result = DCatch(
+        workload_by_id("ZK-1144"), PipelineConfig(trigger=False)
+    ).run()
+    assert calls == [result.monitored_result.seed]
+
+
+def test_prune_failure_is_reported_under_its_stage_name(monkeypatch):
+    from repro.analysis.pruner import StaticPruner
+
+    def explode(self, reports, detection=None):
+        raise RuntimeError("pruner wedged")
+
+    monkeypatch.setattr(StaticPruner, "apply", explode)
+    result = DCatch(
+        workload_by_id("ZK-1144"), PipelineConfig(trigger=False)
+    ).run()
+    assert result.stage_status == {
+        "trace": "ok", "analysis": "ok", "prune": "failed",
+    }
+    assert result.errors == ["prune: RuntimeError: pruner wedged"]
+    series = result.metrics["pipeline_stage_failures_total"]["series"]
+    assert list(series) == ["stage=prune"]
+    assert "partial failures: prune: 1" in result.summary().splitlines()
+    assert result.degraded
+    assert result.reports is not None  # the unpruned set, ranked
+
+
+def test_stage_status_keys_are_the_stage_names():
+    result = DCatch(
+        workload_by_id("ZK-1144"), PipelineConfig(max_stage_seconds=0.0)
+    ).run()
+    assert set(result.stage_status) <= set(STAGES)
+    assert result.stage_status["analysis"] == "degraded"
+
+
+def test_config_fingerprint_is_unchanged_for_existing_checkpoints():
+    """``trigger_seeds`` is no longer a field, but the fingerprint keeps
+    hashing its old default, so a checkpoint written while it was one
+    still resumes."""
+    from repro.analysis.checkpoint import config_fingerprint
+
+    assert config_fingerprint("ZK-1144", PipelineConfig()) == "5692c87fe4a82fe6"
+    assert config_fingerprint("CA-1011", PipelineConfig()) == "64043f88fe350208"

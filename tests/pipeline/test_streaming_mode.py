@@ -59,7 +59,8 @@ def test_streaming_checkpoint_resume(tmp_path, streaming_result):
             resume=True,
         ),
     ).run()
-    assert resumed.stages_skipped == ["trace"]
+    assert resumed.stage_status["trace"] == "skipped"
+    assert list(resumed.stage_status.values()).count("skipped") == 1
     assert _pairs(resumed) == _pairs(first)
     assert _pairs(resumed) == _pairs(streaming_result)
 

@@ -89,7 +89,8 @@ def test_sp_checkpoint_resume_restores_tier(tmp_path):
             resume=True,
         ),
     ).run()
-    assert resumed.stages_skipped == ["trace"]
+    assert resumed.stage_status["trace"] == "skipped"
+    assert list(resumed.stage_status.values()).count("skipped") == 1
     assert resumed.detection.sp_pairs == first.detection.sp_pairs
     assert [r.soundness for r in resumed.reports] == [
         r.soundness for r in first.reports

@@ -195,6 +195,25 @@ def test_trace_load_roundtrip(tmp_path, capsys):
     assert "by category:" in out
 
 
+def test_trace_saves_what_the_pipeline_traces(tmp_path, capsys):
+    """``dcatch trace --out`` saves the monitored run of ``dcatch run``,
+    seed and sampling included."""
+    from repro.pipeline import DCatch, PipelineConfig
+    from repro.systems import workload_by_id
+    from repro.trace import Trace, record_to_dict
+
+    out_dir = str(tmp_path / "trace")
+    argv = ["trace", "ZK-1144", "--seed", "3", "--sampling", "0.1"]
+    assert main(argv + ["--out", out_dir]) == 0
+    config = PipelineConfig(trigger=False, monitored_seed=3, sampling="0.1")
+    traced = DCatch(workload_by_id("ZK-1144"), config).run().trace
+    saved = Trace.load(out_dir)
+    assert saved.sampled and traced.sampled
+    assert [record_to_dict(r) for r in saved.records] == [
+        record_to_dict(r) for r in traced.records
+    ]
+
+
 def test_trace_load_malformed_json_exits_2(tmp_path, capsys):
     """A frame whose CRC holds but whose payload is not a record."""
     from repro.framing import crc32, encode_line, encode_seal

@@ -46,7 +46,6 @@ class TestCleanRoundTrip:
         assert report.sealed_segments == 1
         assert [r.seq for r in trace.records] == list(range(1, 11))
         assert trace.partial is False
-        assert trace.salvage_report is report
 
     def test_multi_stream_merge(self, tmp_path):
         sink = WalSink(str(tmp_path), flush_every=1)
