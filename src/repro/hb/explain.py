@@ -50,9 +50,7 @@ class ChainExplainer:
         if not self.graph.happens_before(a, b):
             return None
         hops: List[Hop] = []
-        seg_a, _pos_a = self.graph._position[a.seq]
-        seg_b, _pos_b = self.graph._position[b.seq]
-        if seg_a == seg_b:
+        if a.segment == b.segment:
             return [Hop(a, b, "P")]
         start = self.graph._next_backbone(a)
         goal = self.graph._prev_backbone(b)

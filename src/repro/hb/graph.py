@@ -81,10 +81,11 @@ class HBGraph:
         with obs.span("hb.build", records=len(trace)):
             # -- segment structure ---------------------------------------------
             self._segments: Dict[int, List[OpEvent]] = defaultdict(list)
-            self._position: Dict[int, Tuple[int, int]] = {}  # seq -> (segment, pos)
+            #: seq -> position in its segment (``record.segment``).
+            self._position: Dict[int, int] = {}
             for record in trace.records:
                 seg = self._segments[record.segment]
-                self._position[record.seq] = (record.segment, len(seg))
+                self._position[record.seq] = len(seg)
                 seg.append(record)
 
             # -- Rule-Mpull evidence (endpoints must become backbone) ----------
@@ -115,15 +116,16 @@ class HBGraph:
             #: ``_succ[i][j]`` is the rule that added backbone edge i -> j.
             self._succ: List[Dict[int, str]] = [{} for _ in self.backbone]
             #: Per-backbone-vertex reachable sets as big-int bit vectors,
-            #: built on first query (``_ensure_reach``).
+            #: built on first query (``_ensure_reach``).  Row i starts
+            #: after its own vertex: bit k is backbone vertex i + 1 + k.
             self._reach: Optional[List[int]] = None
 
             # Per-segment backbone positions, for nearest-backbone lookups.
             self._seg_backbone_pos: Dict[int, List[int]] = defaultdict(list)
             self._seg_backbone_idx: Dict[int, List[int]] = defaultdict(list)
             for record in self.backbone:
-                segment, pos = self._position[record.seq]
-                self._seg_backbone_pos[segment].append(pos)
+                segment = record.segment
+                self._seg_backbone_pos[segment].append(self._position[record.seq])
                 self._seg_backbone_idx[segment].append(self._bidx[record.seq])
 
             with obs.span("hb.edges"):
@@ -263,13 +265,15 @@ class HBGraph:
     # -- reachability -------------------------------------------------------------
 
     def _reach_bytes(self) -> int:
-        return (len(self.backbone) ** 2) // 8
+        n = len(self.backbone)
+        return n * (n - 1) // 16
 
     def _ensure_reach(self) -> List[int]:
         """Section 3.2.2's design: one reachable-set bit vector per
         backbone vertex, computed in reverse topological order (sequence
         order, since every edge points forward).  A query is one bit
-        test; memory is O(n²/8) bytes, which is what Table 8's
+        test.  Because every edge points forward, row i holds only the
+        vertices after i, so memory is n(n-1)/16 bytes — what Table 8's
         unselective traces blow up, so the budget is checked before
         anything is allocated."""
         if self._reach is None:
@@ -290,7 +294,9 @@ class HBGraph:
                 for i in range(n - 1, -1, -1):
                     acc = 0
                     for j in succ[i]:
-                        acc |= reach[j] | (1 << j)
+                        # Vertex j is bit j-i-1 of row i, and row j's
+                        # bit k (vertex j+1+k) is bit j-i+k.
+                        acc |= (reach[j] << (j - i)) | (1 << (j - i - 1))
                     reach[i] = acc
                 self._reach = reach
                 obs.gauge(
@@ -306,9 +312,9 @@ class HBGraph:
 
     def backbone_reaches(self, i: int, j: int) -> bool:
         """Strict reachability between backbone indices."""
-        if i == j:
+        if j <= i:
             return False
-        return bool((self._ensure_reach()[i] >> j) & 1)
+        return bool((self._ensure_reach()[i] >> (j - i - 1)) & 1)
 
     # -- nearest-backbone lookups ----------------------------------------------
 
@@ -317,9 +323,9 @@ class HBGraph:
         in its segment."""
         if record.seq in self._bidx:
             return self._bidx[record.seq]
-        segment, pos = self._position[record.seq]
+        segment = record.segment
         positions = self._seg_backbone_pos[segment]
-        k = bisect.bisect_left(positions, pos)
+        k = bisect.bisect_left(positions, self._position[record.seq])
         if k >= len(positions):
             return None
         return self._seg_backbone_idx[segment][k]
@@ -327,9 +333,9 @@ class HBGraph:
     def _prev_backbone(self, record: OpEvent) -> Optional[int]:
         if record.seq in self._bidx:
             return self._bidx[record.seq]
-        segment, pos = self._position[record.seq]
+        segment = record.segment
         positions = self._seg_backbone_pos[segment]
-        k = bisect.bisect_right(positions, pos) - 1
+        k = bisect.bisect_right(positions, self._position[record.seq]) - 1
         if k < 0:
             return None
         return self._seg_backbone_idx[segment][k]
@@ -340,10 +346,10 @@ class HBGraph:
         """Does ``a`` happen before ``b`` under the model's rules?"""
         if a.seq == b.seq:
             return False
-        seg_a, pos_a = self._position[a.seq]
-        seg_b, pos_b = self._position[b.seq]
-        if seg_a == seg_b:
-            return self.model.program_order and pos_a < pos_b
+        if a.segment == b.segment:
+            return self.model.program_order and (
+                self._position[a.seq] < self._position[b.seq]
+            )
         na = self._next_backbone(a)
         pb = self._prev_backbone(b)
         if na is None or pb is None:

@@ -67,10 +67,11 @@ class NaiveReachability:
         """Same query as ``HBGraph.happens_before`` but via DFS."""
         if a.seq == b.seq:
             return False
-        seg_a, pos_a = self.graph._position[a.seq]
-        seg_b, pos_b = self.graph._position[b.seq]
-        if seg_a == seg_b:
-            return self.graph.model.program_order and pos_a < pos_b
+        if a.segment == b.segment:
+            position = self.graph._position
+            return self.graph.model.program_order and (
+                position[a.seq] < position[b.seq]
+            )
         na = self.graph._next_backbone(a)
         pb = self.graph._prev_backbone(b)
         if na is None or pb is None:
@@ -139,10 +140,11 @@ class VectorClockEngine:
     def happens_before(self, a: OpEvent, b: OpEvent) -> bool:
         if a.seq == b.seq:
             return False
-        seg_a, pos_a = self.graph._position[a.seq]
-        seg_b, pos_b = self.graph._position[b.seq]
-        if seg_a == seg_b:
-            return self.graph.model.program_order and pos_a < pos_b
+        if a.segment == b.segment:
+            position = self.graph._position
+            return self.graph.model.program_order and (
+                position[a.seq] < position[b.seq]
+            )
         na = self.graph._next_backbone(a)
         pb = self.graph._prev_backbone(b)
         if na is None or pb is None:

@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable
 
 from repro.errors import TraceFormatError
 from repro.ids import CallStack, Frame
-from repro.runtime.ops import OpEvent, OpKind
+from repro.runtime.ops import MEM_READ, MEM_WRITE, OpEvent, OpKind
 
 #: Version of the on-disk record schema.  Bump when a field changes
 #: meaning; readers reject records from the future instead of silently
@@ -84,28 +84,61 @@ def record_to_dict(event: OpEvent) -> Dict[str, Any]:
 #: Wire string -> kind (``OpKind(value)`` goes through ``EnumMeta.__call__``).
 _KIND_BY_WIRE = {kind.value: kind for kind in OpKind}
 
-#: Decoded records of one site share one ``CallStack`` (and its
-#: frames), keyed by the wire frames.  Bounded: cleared when full.
+# Two bounded caches (cleared when full) let decoded records share what
+# they have in common.  Both take only exact ``int``/``str`` parts (a
+# stack's path and func ``str``, its line ``int``): ``True == 1 == 1.0``
+# as a key, so a hand-made record must neither plant its look-alike
+# under the key of a real value nor decode as one.
+
+#: Records of one site share one ``CallStack`` (and its frames), keyed
+#: by the wire frames.
 _STACK_CACHE_MAX = 4096
 _stack_cache: Dict[Any, CallStack] = {}
+
+#: Memory accesses of one location share one location tuple and one
+#: ``obj_id``, keyed by value.
+_PART_CACHE_MAX = 4096
+_part_cache: Dict[Any, Any] = {}
 
 
 def _intern_stack(frames: Any) -> CallStack:
     try:
-        key = tuple(map(tuple, frames))
-        stack = _stack_cache.get(key)
-    except TypeError:  # a frame that is no sequence, or holds a list
-        key = stack = None
+        key: Any = tuple(map(tuple, frames))
+        for path, func, line in key:
+            if (
+                type(path) is not str
+                or type(func) is not str
+                or type(line) is not int
+            ):
+                key = None
+                break
+    except (TypeError, ValueError):  # malformed: raised again below
+        key = None
+    stack = None if key is None else _stack_cache.get(key)
     if stack is None:
         stack = CallStack(Frame(p, f, l) for p, f, l in frames)
-        # Only int line numbers are cached: ``True == 1 == 1.0`` as a
-        # key, and a hand-made record must not plant its look-alike
-        # under the key of a real site.
-        if key is not None and all(type(f.line) is int for f in stack):
+        if key is not None:
             if len(_stack_cache) >= _STACK_CACHE_MAX:
                 _stack_cache.clear()
             _stack_cache[key] = stack
     return stack
+
+
+def _share(value: Any) -> Any:
+    """The cached equal of a ``str`` or of a tuple of ``int``/``str``;
+    any other value as it is."""
+    if type(value) is tuple:
+        for item in value:
+            if type(item) is not int and type(item) is not str:
+                return value
+    elif type(value) is not str:
+        return value
+    shared = _part_cache.get(value)
+    if shared is None:
+        if len(_part_cache) >= _PART_CACHE_MAX:
+            _part_cache.clear()
+        shared = _part_cache[value] = value
+    return shared
 
 
 def record_from_dict(data: Dict[str, Any]) -> OpEvent:
@@ -123,6 +156,8 @@ def record_from_dict(data: Dict[str, Any]) -> OpEvent:
         # By wire string; ``OpKind(kind)`` words the error for the rest.
         kind = (type(kind) is str and _KIND_BY_WIRE.get(kind)) or OpKind(kind)
         obj_id = _untuple(data["obj_id"])
+        if kind is MEM_READ or kind is MEM_WRITE:
+            obj_id = _share(obj_id)
         node = data["node"]
         tid = data["tid"]
         thread = data["thread"]
@@ -140,7 +175,7 @@ def record_from_dict(data: Dict[str, Any]) -> OpEvent:
             sys.intern(thread) if type(thread) is str else thread,
             segment,
             callstack,
-            tuple(location) if location else None,
+            _share(tuple(location)) if location else None,
             data["observed_write"],
             data.get("in_handler", False),
             data.get("extra", {}),

@@ -1,12 +1,17 @@
 """The bit-set reachability closure inside ``HBGraph``."""
 
+import pytest
+
+from repro.errors import TraceAnalysisOOM
 from repro.hb import HBGraph, NaiveReachability
 from repro.hb.model import HBModel
 from repro.ids import CallStack
 from repro.runtime import Cluster, sleep
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import FullScope, Tracer
+from repro.trace.salvage import salvage_trace
 from repro.trace.store import Trace
+from repro.workload import WorkloadSpec, generate_workload
 
 
 def _mixed_trace(seed=0):
@@ -49,8 +54,59 @@ def test_reach_stats_shapes():
     n = len(graph.backbone)
     assert graph.reach_stats() == {
         "vertices": n,
-        "bytes": (n * n) // 8,
+        "bytes": n * (n - 1) // 16,
     }
+
+
+@pytest.fixture(scope="module")
+def minimr_graph(tmp_path_factory):
+    """A generated ``minimr`` trace of the perf ledger's ``batch_mid``
+    shape, cut to two phases."""
+    spec = WorkloadSpec(
+        preset="mid", workers=120, phases=2, local_ops=6, chain_len=6,
+        segment_records=256,
+    )
+    out = tmp_path_factory.mktemp("minimr")
+    generated = generate_workload("minimr", spec, 0, str(out))
+    trace, _report = salvage_trace(generated.wal_dir)
+    return HBGraph(trace)
+
+
+def test_rows_hold_only_later_vertices(minimr_graph):
+    """Row i starts after vertex i: it never has more bits than there
+    are vertices after it."""
+    n = len(minimr_graph.backbone)
+    rows = minimr_graph._ensure_reach()
+    assert len(rows) == n
+    assert all(row.bit_length() <= n - i - 1 for i, row in enumerate(rows))
+
+
+def test_no_vertex_reaches_itself_or_an_earlier_one(minimr_graph):
+    n = len(minimr_graph.backbone)
+    for i in range(n):
+        for j in range(i + 1):
+            assert not minimr_graph.backbone_reaches(i, j)
+
+
+def test_bitset_matches_naive_on_every_backbone_pair(minimr_graph):
+    naive = NaiveReachability(minimr_graph)
+    n = len(minimr_graph.backbone)
+    assert n > 500
+    for i in range(n):
+        for j in range(n):
+            assert minimr_graph.backbone_reaches(i, j) == naive.backbone_reaches(
+                i, j
+            ), (i, j)
+
+
+def test_budget_charges_the_stored_triangle():
+    trace = _mixed_trace(0)
+    n = len(HBGraph(trace).backbone)
+    stored = n * (n - 1) // 16
+    assert HBGraph(trace, memory_budget=stored).reach_stats()["bytes"] == stored
+    with pytest.raises(TraceAnalysisOOM) as excinfo:
+        HBGraph(trace, memory_budget=stored - 1).reach_stats()
+    assert excinfo.value.required_bytes == stored
 
 
 def _chain_trace(length):

@@ -252,6 +252,63 @@ def test_a_look_alike_line_number_is_not_planted_under_a_real_site():
     assert type(record_from_dict(wire).callstack[0].line) is int
 
 
+def test_a_look_alike_path_does_not_decode_as_a_cached_stack():
+    # 1 == True: a cached ``[[1, "f", 3]]`` must not hand its path to a
+    # later ``[[True, "f", 3]]``.
+    wire = record_to_dict(_at_site(1))
+    wire["stack"] = [[1, "f", 3]]
+    assert record_from_dict(wire).callstack[0].path == 1
+    wire["stack"] = [[True, "f", 3]]
+    decoded = record_from_dict(wire)
+    assert decoded.callstack[0].path is True
+    assert record_to_dict(decoded)["stack"] == [[True, "f", 3]]
+
+
+def test_accesses_at_one_location_share_its_location_and_obj_id():
+    first = _off_the_wire(_at_site(1))
+    second = _off_the_wire(_at_site(2, line=40))
+    assert first.location == (9, "x") and first.obj_id == "x"
+    assert first.location is second.location
+    assert first.obj_id is second.obj_id
+
+
+def test_part_cache_stays_under_its_cap():
+    cap = records_module._PART_CACHE_MAX
+    for uid in range(5_000):
+        event = _off_the_wire(replace(_at_site(uid), location=(uid, "x")))
+        assert event.location == (uid, "x")
+        assert len(records_module._part_cache) <= cap
+
+
+def test_hb_ids_pass_the_part_cache_by():
+    before = dict(records_module._part_cache)
+    for n in range(10_000):
+        event = replace(
+            _at_site(n), kind=OpKind.EVENT_CREATE, obj_id=f"e{n}", location=None
+        )
+        assert _off_the_wire(event).obj_id == f"e{n}"
+    assert records_module._part_cache == before
+
+
+@pytest.mark.parametrize("first", [1, True, 1.0])
+def test_look_alike_locations_keep_their_element_types(first):
+    wire = record_to_dict(_at_site(1))
+    for value in (1, True, 1.0):  # each planted before and after ``first``
+        wire["location"] = [value, "x"]
+        record_from_dict(wire)
+        wire["location"] = [first, "x"]
+        location = record_from_dict(wire).location
+        assert location == (1, "x") and type(location[0]) is type(first)
+
+
+def test_a_location_holding_a_list_decodes_as_before():
+    wire = record_to_dict(_at_site(1))
+    wire["location"] = [[1, 2], "x"]
+    decoded = record_from_dict(wire)
+    assert decoded.location == ([1, 2], "x")
+    assert decoded == _reference_record_from_dict(wire)
+
+
 @settings(max_examples=50, deadline=None)
 @given(event=_events)
 def test_replace_pickle_and_copy_roundtrip(event):

@@ -41,11 +41,9 @@ def test_sp_recalls_all_planted_races(system, preset, tmp_path):
     trace, report = salvage_trace(generated.wal_dir)
     assert report.records_recovered == generated.records
 
-    # medium's ~180k records need ~700 MB of bit vectors — more than
-    # the 512 MB default budget, less than the CI runner's memory.
-    budget = 2 * 1024**3 if preset == "medium" else None
-    kwargs = {"memory_budget": budget} if budget else {}
-    detection = annotate_sync_preserving(detect_races(trace, **kwargs), **kwargs)
+    # medium's ~180k records (73,500 backbone vertices) need 322 MB of
+    # bit vectors per closure, inside the 512 MB default budget.
+    detection = annotate_sync_preserving(detect_races(trace))
     planted = _planted(generated)
     sound = {frozenset(p) for p in detection.sp_pairs}
     missed = planted - sound
