@@ -52,6 +52,15 @@ def encode_seal(count: int, running_crc: int) -> bytes:
     return b"S %08x %08x\n" % (count, running_crc)
 
 
+def seal_count(data: bytes) -> int:
+    """The record count the seal ending a segment's bytes declares, or
+    0 when they do not end in a seal line.  Unverified: only a
+    :class:`SegmentScan` over the records checks it."""
+    line = data[data.rfind(b"\n", 0, len(data) - 1) + 1:]
+    fields = _hex_pair(line) if line[:2] == b"S " else None
+    return fields[0] if fields is not None and line.endswith(b"\n") else 0
+
+
 def _hex_pair(line: bytes) -> Optional[Tuple[int, int]]:
     """The two 8-digit hex fields every framed line and seal carries."""
     try:

@@ -12,14 +12,23 @@ human with ``curl``) can get without attaching a debugger:
 * ``/metrics`` — the active :class:`repro.obs.MetricsRegistry` in
   Prometheus text exposition format.
 
-Stdlib-only (``http.server`` on a daemon thread); a missing registry
-serves an empty exposition rather than failing the scrape.
+Stdlib-only: a ``socketserver.ThreadingTCPServer`` on a daemon thread
+answers one HTTP/1.0 GET per connection.  ``http.server`` is not used
+because its import chain (``http.client``, ``email``, ``ssl``, …) costs
+the service about 6 MB of resident memory for three fixed paths.  A
+request is refused with the code ``http.server`` gives it: 400 for a
+malformed request line, 414 for a request line over 65,536 bytes, 431
+for a header line over 65,536 bytes or more than 100 header lines (the
+blank line that ends them counted), 505 for HTTP/2 or later and 501 for
+a method other than GET.  Every read is bounded, so an oversized
+request is refused, never buffered.  A missing registry serves an empty
+exposition rather than failing the scrape.
 """
 
 from __future__ import annotations
 
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional, Tuple
 
 from repro.obs.export import render_prometheus
@@ -30,21 +39,62 @@ __all__ = ["ObsHttpServer"]
 #: Returns ``(ready, reason)``; the reason is served in the 503 body.
 ReadinessProbe = Callable[[], Tuple[bool, str]]
 
+#: ``http.client``'s limits: the longest line read, and the most lines
+#: a header block may hold.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-obs/1"
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
+}
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+
+class _Refused(Exception):
+    """A request answered with an error status instead of a route."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
+
+
+def _parse_version(word: str) -> Tuple[int, int]:
+    """``HTTP/<major>.<minor>``, as ``http.server`` accepts it."""
+    if not word.startswith("HTTP/"):
+        raise _Refused(400, f"bad request version {word!r}")
+    parts = word[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        raise _Refused(400, f"bad request version {word!r}")
+    return int(parts[0]), int(parts[1])
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    def handle(self) -> None:
+        try:
+            path = self._read_request()
+        except _Refused as refused:
+            self._respond(refused.status, f"{refused}\n".encode())
+            return
+        if path is None:
+            return  # an empty or blank request line: nothing to answer
         owner: "ObsHttpServer" = self.server.owner  # type: ignore[attr-defined]
-        if self.path == "/healthz":
+        if path == "/healthz":
             self._respond(200, b"ok\n")
-        elif self.path == "/readyz":
+        elif path == "/readyz":
             ready, reason = owner.readiness()
             if ready:
                 self._respond(200, b"ready\n")
             else:
                 self._respond(503, f"not ready: {reason}\n".encode())
-        elif self.path == "/metrics":
+        elif path == "/metrics":
             registry = owner.registry or get_registry()
             body = b""
             if isinstance(registry, MetricsRegistry):
@@ -53,17 +103,50 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._respond(404, b"not found\n")
 
-    def log_message(self, format: str, *args: object) -> None:
-        pass  # probes are high-frequency; stay silent
+    def _read_request(self) -> Optional[str]:
+        """The path of a GET whose request line and headers are read
+        in full; raises :class:`_Refused` for anything else."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused(414, "request line too long")
+        words = line.decode("iso-8859-1").rstrip("\r\n").split()
+        if not words:
+            return None
+        if len(words) >= 3 and _parse_version(words[-1]) >= (2, 0):
+            raise _Refused(505, f"invalid HTTP version {words[-1]}")
+        if len(words) not in (2, 3):
+            raise _Refused(400, "bad request syntax")
+        method, path = words[0], words[1]
+        if len(words) == 2 and method != "GET":
+            raise _Refused(400, "bad HTTP/0.9 request type")
+        for _ in range(_MAX_HEADERS):
+            header = self.rfile.readline(_MAX_LINE + 1)
+            if len(header) > _MAX_LINE:
+                raise _Refused(431, "header line too long")
+            if header in (b"\r\n", b"\n", b""):
+                break
+        else:
+            raise _Refused(431, "too many headers")
+        if method != "GET":
+            raise _Refused(501, f"unsupported method {method!r}")
+        return path
 
     def _respond(
         self, status: int, body: bytes, content_type: str = "text/plain"
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = (
+            f"HTTP/1.0 {status} {_REASONS[status]}\r\n"
+            "Server: repro-obs/1\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
 
 class ObsHttpServer:
@@ -84,7 +167,7 @@ class ObsHttpServer:
         self.port = port
         self.registry = registry
         self._readiness = readiness
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
 
     def readiness(self) -> Tuple[bool, str]:
@@ -93,8 +176,7 @@ class ObsHttpServer:
         return self._readiness()
 
     def start(self) -> "ObsHttpServer":
-        self._httpd = ThreadingHTTPServer((self.host, self.port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((self.host, self.port), _Handler)
         self._httpd.owner = self  # type: ignore[attr-defined]
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(

@@ -203,6 +203,9 @@ class DetectionServer:
         self._threads: list = []
         self.http: Optional[ObsHttpServer] = None
         self.registry = MetricsRegistry()
+        #: The process-wide registry ``start`` replaced; ``stop`` puts
+        #: it back.
+        self._replaced_registry: Optional[MetricsRegistry] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -212,7 +215,7 @@ class DetectionServer:
 
     def start(self) -> "DetectionServer":
         os.makedirs(self.tenants_dir, exist_ok=True)
-        set_registry(self.registry)
+        self._replaced_registry = set_registry(self.registry)
         self._recover_tenants()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -270,6 +273,9 @@ class DetectionServer:
         for thread in self._threads:
             thread.join(timeout=5)
         self._threads = []
+        if self._replaced_registry is not None:
+            set_registry(self._replaced_registry)
+            self._replaced_registry = None
 
     @property
     def stopping(self) -> bool:
@@ -674,7 +680,8 @@ class DetectionServer:
         with tenant.lock:
             if index < stream.received:  # raced with a duplicate
                 return ok_frame(duplicate=True, **self._session_fields(tenant))
-            os.makedirs(stream.directory, exist_ok=True)
+            if index == 0:
+                os.makedirs(stream.directory, exist_ok=True)
             atomic_write(stream.segment_path(index), body)
             stream.received = index + 1
         tenant.wakeup.set()

@@ -13,8 +13,10 @@ This module adds:
 
 from __future__ import annotations
 
+import copyreg
 import json
 import sys
+from types import MappingProxyType
 from typing import Any, Dict, Iterable
 
 from repro.errors import TraceFormatError
@@ -101,6 +103,23 @@ _PART_CACHE_MAX = 4096
 _part_cache: Dict[Any, Any] = {}
 
 
+#: The ``extra`` of every decoded record whose wire ``extra`` is an empty
+#: object (most records): one read-only mapping, not a dict per record.
+#: A live runtime event keeps its own dict (``runtime/heap.py`` writes
+#: into it); a decoded record's ``extra`` is only read.
+_EMPTY_EXTRA = MappingProxyType({})
+
+
+def _read_only(items: Dict[str, Any]) -> Any:
+    return MappingProxyType(items) if items else _EMPTY_EXTRA
+
+
+# A decoded record pickles and deep-copies like a live one (a
+# ``mappingproxy`` does neither by itself); the copy of the shared
+# empty ``extra`` is the shared one again.
+copyreg.pickle(MappingProxyType, lambda proxy: (_read_only, (dict(proxy),)))
+
+
 def _intern_stack(frames: Any) -> CallStack:
     try:
         key: Any = tuple(map(tuple, frames))
@@ -164,6 +183,9 @@ def record_from_dict(data: Dict[str, Any]) -> OpEvent:
         segment = data["segment"]
         callstack = _intern_stack(data["stack"])
         location = data["location"]
+        extra = data.get("extra", _EMPTY_EXTRA)
+        if type(extra) is dict and not extra:
+            extra = _EMPTY_EXTRA
         # Names are interned when they are strings; nothing here checks
         # that they are, so a record with other types decodes as it did.
         return OpEvent(
@@ -178,7 +200,7 @@ def record_from_dict(data: Dict[str, Any]) -> OpEvent:
             _share(tuple(location)) if location else None,
             data["observed_write"],
             data.get("in_handler", False),
-            data.get("extra", {}),
+            extra,
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceFormatError(

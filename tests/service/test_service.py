@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import ServiceError
 from repro.detect.streaming import detect_races_streaming
 from repro.service import protocol
@@ -34,9 +35,13 @@ WINDOW = 256
 
 
 @pytest.fixture(scope="module")
-def wal_dir(tmp_path_factory):
+def generated(tmp_path_factory):
     out = tmp_path_factory.mktemp("workload")
-    generated = generate_workload("minizk", "small", seed=11, out_dir=str(out))
+    return generate_workload("minizk", "small", seed=11, out_dir=str(out))
+
+
+@pytest.fixture(scope="module")
+def wal_dir(generated):
     return generated.wal_dir
 
 
@@ -70,6 +75,11 @@ class TestShipAndReport:
         assert result.segments_duplicate == 0
         assert render_report(report) == _offline_report(wal_dir, "alpha")
         assert report["confidence"] == "full"
+
+    def test_records_shipped_counts_the_wal(self, server, generated):
+        with _client(server, "alpha") as client:
+            result = client.ship_wal_dir(generated.wal_dir)
+        assert result.records_shipped == generated.records > 0
 
     def test_spool_is_the_wal_layout(self, server, wal_dir):
         """The tenant spool is itself a streamable WAL directory."""
@@ -128,6 +138,13 @@ class TestLifecycle:
         srv.stop()
         assert time.monotonic() - started < 1.0
         assert not accept.is_alive()
+
+    def test_stop_restores_the_registry_start_replaced(self, tmp_path):
+        before = obs.get_registry()
+        srv = DetectionServer(str(tmp_path / "data"), http_port=None).start()
+        assert obs.get_registry() is srv.registry
+        srv.stop()
+        assert obs.get_registry() is before
 
     def test_report_over_the_frame_json_cap_is_fetchable(self, tmp_path):
         """A finished tenant with >=100k candidate pairs: its report is

@@ -39,6 +39,7 @@ from repro.framing import (
     encode_document,
     encode_line,
     encode_seal,
+    seal_count,
 )
 from repro.service.report import render_report, report_from_stream_result
 from repro.service.tenants import OVERLOAD_SAMPLING_SPEC, Tenant, stream_key_str
@@ -183,6 +184,11 @@ def test_unmutated_segment_is_intact_and_sealed(payloads):
     assert [i for i in items if i is not None] == payloads
     assert scan.sealed and scan.count == len(payloads)
     assert verify_segment_bytes(data) == (len(payloads), True, None)
+    # What the client counts as shipped: the seal's count, or 0 when
+    # the bytes do not end in a whole seal line.
+    assert seal_count(data) == len(payloads)
+    assert seal_count(data[:-1]) == 0
+    assert seal_count(data[: data.rindex(b"S ")]) == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -309,6 +309,54 @@ def test_a_location_holding_a_list_decodes_as_before():
     assert decoded == _reference_record_from_dict(wire)
 
 
+def test_decoded_records_share_one_read_only_empty_extra():
+    first, second = _off_the_wire(_at_site(1)), _off_the_wire(_at_site(2))
+    assert first.extra == {} and first.extra is second.extra
+    with pytest.raises(TypeError):
+        first.extra["writer_tid"] = 1
+    assert first.extra == {}
+    # A copy of a decoded record keeps sharing it.
+    assert pickle.loads(pickle.dumps(first)).extra is first.extra
+    assert copy.deepcopy(first).extra is first.extra
+
+
+def test_a_non_empty_extra_decodes_to_a_fresh_dict():
+    event = replace(_at_site(1), extra={"writer_tid": 2, "writer_node": "nm1"})
+    first, second = _off_the_wire(event), _off_the_wire(event)
+    assert type(first.extra) is dict and first.extra is not second.extra
+    assert first.extra == {"writer_tid": 2, "writer_node": "nm1"}
+
+
+@pytest.mark.parametrize("value", [[], 0, None])
+def test_an_extra_that_is_not_a_dict_decodes_as_it_is(value):
+    wire = record_to_dict(_at_site(1))
+    wire["extra"] = value
+    assert record_from_dict(wire).extra is value
+
+
+def test_a_missing_extra_decodes_to_an_empty_mapping():
+    wire = record_to_dict(_at_site(1))
+    del wire["extra"]
+    assert record_from_dict(wire).extra == {}
+
+
+_WIRE = (
+    '{"v": 1, "seq": 1, "kind": "mem_write", "obj_id": "x", '
+    '"node": "worker-0007", "tid": 3, "thread": "worker-0007.main", '
+    '"segment": 3, "stack": [["repro/systems/x/a.py", "local_write", 31]], '
+    '"location": [9, "x"], "observed_write": null, "in_handler": false, '
+    '"extra": %s}'
+)
+
+
+@pytest.mark.parametrize(
+    "extra", ["{}", '{"writer_tid": 2, "writer_node": "nm1"}']
+)
+def test_a_decoded_record_encodes_to_the_same_bytes(extra):
+    event = replace(_at_site(1), extra=json.loads(extra))
+    assert json.dumps(record_to_dict(_off_the_wire(event))) == _WIRE % extra
+
+
 @settings(max_examples=50, deadline=None)
 @given(event=_events)
 def test_replace_pickle_and_copy_roundtrip(event):
