@@ -355,7 +355,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"({result.records_per_second:,.0f} records/s)"
     )
     print(
-        f"  candidates: {len(result.candidates)} "
+        f"  candidates: {len(result.firsts)} "
         f"(pairs examined: {result.pairs_examined})"
     )
     print(

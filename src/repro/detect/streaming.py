@@ -35,7 +35,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 from typing import (
     Callable,
@@ -94,11 +94,32 @@ STREAM_CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 STREAM_CHECKPOINT_VERSION = 1
 
 
+class _CandidateView:
+    """Read-only candidates over two parallel record lists: candidate
+    ``i`` is ``(firsts[i], seconds[i])``.  A :class:`Candidate` is built
+    only when iteration reaches it; ``len`` builds none."""
+
+    __slots__ = ("_firsts", "_seconds")
+
+    def __init__(self, firsts: List[OpEvent], seconds: List[OpEvent]) -> None:
+        self._firsts = firsts
+        self._seconds = seconds
+
+    def __len__(self) -> int:
+        return len(self._firsts)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(Candidate, self._firsts, self._seconds)
+
+
 @dataclass
 class StreamResult:
-    """Outcome of one streaming pass."""
+    """Outcome of one streaming pass.  Candidate ``i`` is the pair
+    ``(firsts[i], seconds[i])``, ordered by ``(first.seq, second.seq)``
+    (the detector's lists, shared, not copied)."""
 
-    candidates: List[Candidate]
+    firsts: List[OpEvent]
+    seconds: List[OpEvent]
     records_consumed: int
     analysis_seconds: float
     pairs_examined: int
@@ -126,8 +147,17 @@ class StreamResult:
             return 0.0
         return self.records_consumed / self.analysis_seconds
 
-    def candidate_seq_pairs(self) -> List[Tuple[int, int]]:
-        return [(c.first.seq, c.second.seq) for c in self.candidates]
+    @property
+    def candidates(self) -> _CandidateView:
+        return _CandidateView(self.firsts, self.seconds)
+
+    def candidate_seq_pairs(self) -> Iterator[Tuple[int, int]]:
+        """A fresh iterator of ``(first.seq, second.seq)`` in candidate
+        order; the caller builds whatever container it needs."""
+        return (
+            (first.seq, second.seq)
+            for first, second in zip(self.firsts, self.seconds)
+        )
 
     def to_detection(self, trace: Trace) -> DetectionResult:
         """Adapt to the batch result type (``graph=None``: downstream
@@ -136,7 +166,7 @@ class StreamResult:
         return DetectionResult(
             trace=trace,
             graph=None,
-            candidates=list(self.candidates),
+            candidates=list(map(Candidate, self.firsts, self.seconds)),
             analysis_seconds=self.analysis_seconds,
             pairs_examined=self.pairs_examined,
             stopped_early=self.stopped_early,
@@ -147,7 +177,13 @@ class StreamResult:
 
 
 class StreamingDetector:
-    """Incremental detector: feed records in seq order, then finish()."""
+    """Incremental detector: feed records in seq order, then finish().
+
+    A candidate is held as two references, one in each of the parallel
+    lists ``firsts`` (the earlier access) and ``seconds`` (the record
+    that found it): no object is built per pair.  ``feed`` appends in
+    discovery order; ``finish`` orders both by ``(first.seq,
+    second.seq)``.  ``candidates`` is a read-only view over them."""
 
     def __init__(
         self,
@@ -166,7 +202,8 @@ class StreamingDetector:
         #: location missing here is paired like one that spans segments.
         self._solo: Dict[Tuple[int, str], int] = {}
         self._active_size = 0
-        self.candidates: List[Candidate] = []
+        self.firsts: List[OpEvent] = []
+        self.seconds: List[OpEvent] = []
         self.records_consumed = 0
         self.pairs_examined = 0
         self.evictions = 0
@@ -205,9 +242,8 @@ class StreamingDetector:
                     )
                     self.pairs_examined += examined
                     if found:
-                        self.candidates.extend(
-                            [Candidate(a, event) for a in found]
-                        )
+                        self.firsts.extend(found)
+                        self.seconds.extend(repeat(event, len(found)))
                         self._candidates_metric.inc(len(found))
                 accesses.append((seg, count, event))
             else:
@@ -220,6 +256,10 @@ class StreamingDetector:
         self._records_metric.inc()
         if self.records_consumed % self.window == 0:
             self.compact()
+
+    @property
+    def candidates(self) -> _CandidateView:
+        return _CandidateView(self.firsts, self.seconds)
 
     def close_stream(self, tid: int) -> None:
         self.state.close_stream(tid)
@@ -263,10 +303,14 @@ class StreamingDetector:
     def finish(self) -> None:
         """Final compaction; candidates are then stable and sorted."""
         self.compact()
-        # Two stable sorts on int keys order by (first.seq, second.seq)
-        # in under half the time of one sort on that tuple.
-        self.candidates.sort(key=attrgetter("second.seq"))
-        self.candidates.sort(key=attrgetter("first.seq"))
+        # ``seconds`` is in feed order, which is seq order, so one stable
+        # sort by first seq orders by (first.seq, second.seq).  Both
+        # lists get the same permutation from the same keys: ``list.sort``
+        # computes keys in list order, so ``seconds`` reads its keys off
+        # the still unsorted ``firsts``.
+        firsts = iter(self.firsts)
+        self.seconds.sort(key=lambda _second: next(firsts).seq)
+        self.firsts.sort(key=attrgetter("seq"))
 
     # -- checkpointing -----------------------------------------------------
 
@@ -285,8 +329,8 @@ class StreamingDetector:
                 for location, accesses in self._active.items()
             ],
             "candidates": [
-                [record_to_dict(c.first), record_to_dict(c.second)]
-                for c in self.candidates
+                [record_to_dict(first), record_to_dict(second)]
+                for first, second in zip(self.firsts, self.seconds)
             ],
             "records_consumed": self.records_consumed,
             "pairs_examined": self.pairs_examined,
@@ -312,10 +356,9 @@ class StreamingDetector:
             ]
             self._active[_untuple(location)] = entries
             self._active_size += len(entries)
-        self.candidates = [
-            Candidate(record_from_dict(first), record_from_dict(second))
-            for first, second in snapshot["candidates"]
-        ]
+        for first, second in snapshot["candidates"]:
+            self.firsts.append(record_from_dict(first))
+            self.seconds.append(record_from_dict(second))
         self.records_consumed = int(snapshot["records_consumed"])
         self.pairs_examined = int(snapshot["pairs_examined"])
         self.evictions = int(snapshot["evictions"])
@@ -570,7 +613,8 @@ class StreamSession:
             bool(self.sampled_dropped),
         )
         return StreamResult(
-            candidates=detector.candidates,
+            firsts=detector.firsts,
+            seconds=detector.seconds,
             records_consumed=detector.records_consumed,
             analysis_seconds=time.perf_counter() - self._started,
             pairs_examined=detector.pairs_examined,

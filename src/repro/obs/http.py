@@ -21,8 +21,10 @@ malformed request line, 414 for a request line over 65,536 bytes, 431
 for a header line over 65,536 bytes or more than 100 header lines (the
 blank line that ends them counted), 505 for HTTP/2 or later and 501 for
 a method other than GET.  Every read is bounded, so an oversized
-request is refused, never buffered.  A missing registry serves an empty
-exposition rather than failing the scrape.
+request is refused, never buffered, and times out after
+``_READ_TIMEOUT_S``: a client that stalls mid-request is disconnected
+without an answer instead of holding a handler thread.  A missing
+registry serves an empty exposition rather than failing the scrape.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ ReadinessProbe = Callable[[], Tuple[bool, str]]
 #: a header block may hold.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+
+#: Seconds a handler waits on one socket read or write.
+_READ_TIMEOUT_S = 10.0
 
 _REASONS = {
     200: "OK",
@@ -77,12 +82,16 @@ def _parse_version(word: str) -> Tuple[int, int]:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    timeout = _READ_TIMEOUT_S
+
     def handle(self) -> None:
         try:
             path = self._read_request()
         except _Refused as refused:
             self._respond(refused.status, f"{refused}\n".encode())
             return
+        except TimeoutError:
+            return  # a stalled client: closed quietly, nothing answered
         if path is None:
             return  # an empty or blank request line: nothing to answer
         owner: "ObsHttpServer" = self.server.owner  # type: ignore[attr-defined]

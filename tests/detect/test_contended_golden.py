@@ -52,7 +52,7 @@ def _stream(wal_dir, window, ckpt):
         digest = _sha256(fh.read())
     session.pump(records)
     result = session.finish()
-    return result.candidate_seq_pairs(), result.pairs_examined, digest
+    return list(result.candidate_seq_pairs()), result.pairs_examined, digest
 
 
 #: Raw records before the mid-run checkpoint (of 480).

@@ -6,10 +6,12 @@ import os
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.obs import MetricsRegistry
+from repro.obs import http as obs_http
 from repro.obs.http import ObsHttpServer
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -101,6 +103,22 @@ def test_a_client_that_sends_nothing_gets_nothing(probes):
         sock.shutdown(socket.SHUT_WR)
         assert sock.recv(100) == b""
     assert _get(probes.port, "/healthz")[0] == 200
+
+
+def test_a_stalled_client_is_disconnected_after_the_read_timeout(
+    probes, monkeypatch, capfd
+):
+    assert obs_http._Handler.timeout == obs_http._READ_TIMEOUT_S
+    timeout = 0.5
+    monkeypatch.setattr(obs_http._Handler, "timeout", timeout)
+    with socket.create_connection(("127.0.0.1", probes.port), timeout=10) as sock:
+        sock.sendall(b"GET /healthz\r\n")  # the headers never end
+        started = time.monotonic()
+        assert _get(probes.port, "/healthz")[0] == 200
+        assert sock.recv(100) == b""
+        assert time.monotonic() - started < timeout + 2.0
+    assert _get(probes.port, "/healthz")[0] == 200
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_service_import_leaves_out_the_http_server_stack():
