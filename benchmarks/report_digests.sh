@@ -1,12 +1,12 @@
 #!/bin/sh
 # Byte-identity gate for the saved reports: runs
 # `dcatch run <id> --detect-mode <mode> --save-reports` for the paper's
-# seven benchmarks plus MR-4637-MT and MR-SPEC in each of the three
-# detect modes (27 runs, about 75 s on 2 vCPUs) and checks every file
+# seven benchmarks plus MR-4637-MT and MR-SPEC in each of the two
+# detect modes (18 runs, about 50 s on 2 vCPUs) and checks every file
 # against benchmarks/report-digests.sha256.
 #
-#   sh benchmarks/report_digests.sh            # run all 27 and check
-#   sh benchmarks/report_digests.sh --record   # run all 27, rewrite the digests
+#   sh benchmarks/report_digests.sh            # run all 18 and check
+#   sh benchmarks/report_digests.sh --record   # run all 18, rewrite the digests
 #
 # The runs are seeded and deterministic.  A change that moves a report
 # on purpose re-records the digests and says so.
@@ -17,7 +17,7 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 for id in CA-1011 HB-4539 HB-4729 MR-3274 MR-4637 ZK-1144 ZK-1270 \
           MR-4637-MT MR-SPEC; do
-  for mode in batch streaming sync-preserving; do
+  for mode in batch streaming; do
     PYTHONPATH="$root/src" python -m repro.cli run "$id" \
       --detect-mode "$mode" --save-reports "$out/$id.$mode.json" > /dev/null
   done

@@ -8,11 +8,11 @@ A ``dcatch run`` is bounded by two knobs an operator can reason about:
   overrunning stage stops early with what it has and is marked
   *degraded* rather than wedging the process
   (``governor_deadline_exceeded_total{stage=}``);
-* **one memory budget** — ``memory_budget_mb``: the reachability
-  closure's byte budget in batch and sync-preserving mode (a closure
-  that does not fit is the paper's Table 8 "Out of Memory":
-  ``TraceAnalysisOOM``, reported, not raised).  Streaming mode builds
-  no closure, so the budget does not apply to it.
+* **one memory budget** — ``memory_budget_mb``: each reachability
+  closure's byte budget in batch mode (an HB closure that does not fit
+  is the paper's Table 8 "Out of Memory": ``TraceAnalysisOOM``,
+  reported, not raised; an SP one only skips the sound tier).
+  Streaming mode builds no closure, so the budget does not apply to it.
 
 The detection service's fleet policy (admission control and the
 ``full ↔ sampled`` overload ladder) lives in ``repro.service.server``.

@@ -21,7 +21,6 @@ Subcommands::
     dcatch generate minimr --preset xl --out ./gen  # million-record WAL
     dcatch stream ./gen/wal --ground-truth ./gen/ground_truth.json
     dcatch run MR-3274 --detect-mode streaming  # bounded-memory detection
-    dcatch run ZK-1144 --detect-mode sync-preserving  # sound SP tier
 
 Unknown benchmark/system/workload names — and damaged saved traces —
 exit with status 2 and a one-line error on stderr instead of a
@@ -554,6 +553,8 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.pipeline import DCatch
+
     parser = argparse.ArgumentParser(
         prog="dcatch",
         description="DCatch reproduction: distributed concurrency bug "
@@ -629,21 +630,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         dest="memory_budget_mb",
-        help="the run's memory budget: in batch and sync-preserving mode "
-        "the reachability closure's byte budget (a closure that does not "
-        "fit is reported as OUT OF MEMORY; default 512 MB); streaming "
-        "mode has no closure and ignores it",
+        help="the run's memory budget: in batch mode each closure's byte "
+        "budget (an HB closure that does not fit is reported as OUT OF "
+        "MEMORY, an SP one skips the sound tier; default 512 MB); "
+        "streaming mode has no closure and ignores it",
     )
     run.add_argument(
         "--detect-mode",
-        choices=("batch", "streaming", "sync-preserving"),
+        choices=DCatch.DETECT_MODES,
         default="batch",
         dest="detect_mode",
-        help="batch = whole-trace HB graph + closure (the paper); "
-        "streaming = single-pass bounded-memory detection; "
-        "sync-preserving = batch plus the sound SP tier (candidates "
-        "with a sync-preserving witness are marked sp-sound and "
-        "triggered first)",
+        help="batch = whole-trace HB graph + closure (the paper), plus "
+        "the sound SP tier (candidates with a sync-preserving witness "
+        "are marked sp-sound and triggered first); streaming = "
+        "single-pass bounded-memory detection",
     )
     _add_sampling_flags(run)
     run.set_defaults(fn=_cmd_run)

@@ -108,7 +108,7 @@ class DetectionResult:
     #: ``(first.seq, second.seq)`` of candidates still concurrent under
     #: the sync-preserving order (``repro.detect.syncpres``) — always a
     #: subset of the candidate pairs.  None when SP annotation did not
-    #: run (batch/streaming modes).
+    #: run (streaming mode, or an SP closure over the memory budget).
     sp_pairs: Optional[set] = None
 
     def candidate_soundness(self, candidate: Candidate) -> str:

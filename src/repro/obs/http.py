@@ -74,8 +74,9 @@ def _parse_version(word: str) -> Tuple[int, int]:
     if not word.startswith("HTTP/"):
         raise _Refused(400, f"bad request version {word!r}")
     parts = word[5:].split(".")
+    # Not ``isdigit``: it accepts ``'²'``, which ``int`` refuses.
     if len(parts) != 2 or not all(
-        part.isdigit() and len(part) <= 10 for part in parts
+        part.isdecimal() and len(part) <= 10 for part in parts
     ):
         raise _Refused(400, f"bad request version {word!r}")
     return int(parts[0]), int(parts[1])

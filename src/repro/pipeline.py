@@ -24,24 +24,26 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro.analysis.astutil import SourceIndex
 from repro.analysis.governor import StageBudget, maybe_stall
 from repro.analysis.pruner import PruneResult, StaticPruner, rank_reports
 from repro.detect.races import DetectionResult, detect_races
-from repro.detect.report import ReportSet, Verdict
+from repro.detect.report import SOUNDNESS_TIERS, ReportSet, Verdict
+from repro.detect.syncpres import annotate_sync_preserving, lock_section_edges
 from repro.errors import CheckpointError, PipelineInterrupted, TraceAnalysisOOM
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.runtime.cluster import Cluster, RunResult
 from repro.runtime.faults import FaultPlan
-from repro.systems.base import Workload
 from repro.trace.scope import FullScope, TracingScope, selective_scope_for
 from repro.trace.store import Trace
 from repro.trace.tracer import Tracer
-from repro.trigger.explorer import TriggerModule, TriggerOutcome
-from repro.trigger.placement import PlacementAnalyzer
+
+if TYPE_CHECKING:  # the CLI imports this module for every command
+    from repro.systems.base import Workload
+    from repro.trigger.explorer import TriggerOutcome
 
 #: The pipeline's stages, in run order: the only keys of
 #: ``PipelineResult.stage_status``.
@@ -56,15 +58,14 @@ class PipelineConfig:
 
     scope: str = "selective"  # or "full" (Table 8's alternative design)
     #: ``"batch"`` builds the whole-trace HB graph + reachability
-    #: closure before detection (the paper's offline algorithm);
+    #: closure before detection (the paper's offline algorithm), then
+    #: replays the candidates against the sync-preserving order
+    #: (``repro.detect.syncpres``) — pairs with a sound reordering
+    #: witness are tiered ``sp-sound`` and jump the prune/trigger queue;
     #: ``"streaming"`` runs the single-pass bounded-memory detector
     #: (``repro.detect.streaming``, at its ``DEFAULT_WINDOW``) — no
     #: graph, no closure, memory tracks concurrency width instead of
-    #: trace length;
-    #: ``"sync-preserving"`` runs the batch path and then replays the
-    #: candidates against the sync-preserving order
-    #: (``repro.detect.syncpres``) — pairs with a sound reordering
-    #: witness are tiered ``sp-sound`` and jump the prune/trigger queue.
+    #: trace length, and every report stays ``hb-predicted``.
     detect_mode: str = "batch"
     trigger: bool = True
     monitored_seed: Optional[int] = None  # None = the workload's default
@@ -106,10 +107,10 @@ class PipelineConfig:
     #: between reports; an overrunning stage stops early, keeps what it
     #: found and is marked degraded.
     max_stage_seconds: Optional[float] = None
-    #: The run's one memory budget (MB).  Batch and sync-preserving
-    #: mode: the reachability closure's byte budget (None = the paper's
-    #: ``DEFAULT_MEMORY_BUDGET``); a closure that does not fit is
-    #: ``result.oom``.  Streaming mode builds no closure and ignores it.
+    #: The run's one memory budget (MB).  Batch mode: each reachability
+    #: closure's byte budget (None = ``DEFAULT_MEMORY_BUDGET``); an HB
+    #: closure that does not fit is ``result.oom``, an SP one
+    #: ``result.sp_oom``.  Streaming mode builds no closure and ignores it.
     memory_budget_mb: Optional[int] = None
 
 
@@ -128,6 +129,8 @@ class PipelineResult:
     outcomes: List[TriggerOutcome] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
     oom: Optional[TraceAnalysisOOM] = None
+    #: The SP closure did not fit: the SP tier was skipped, not the run.
+    sp_oom: Optional[TraceAnalysisOOM] = None
     #: Degrade-don't-die bookkeeping: one ``"<stage>: <error>"`` line per
     #: failure.  A stage failure leaves earlier stages' results intact —
     #: the pipeline returns what it has instead of raising.
@@ -187,14 +190,16 @@ class PipelineResult:
                 f"pairs, {self.detection.static_count()} static, "
                 f"{self.detection.callstack_count()} callstack{tag}"
             )
-            if self.detection.sp_pairs is not None:
-                hb_only = len(self.detection.candidates) - len(
-                    self.detection.sp_pairs
-                )
+            sound, found = self.detection.sp_pairs, len(self.detection.candidates)
+            if sound is not None:
                 lines.append(
-                    f"sync-preserving: {len(self.detection.sp_pairs)} of "
-                    f"{len(self.detection.candidates)} dynamic pairs "
-                    f"sp-sound ({hb_only} hb-only)"
+                    f"sync-preserving: {len(sound)} of {found} dynamic pairs "
+                    f"sp-sound ({found - len(sound)} hb-only)"
+                )
+            elif self.sp_oom is not None:
+                lines.append(
+                    f"sync-preserving: skipped, SP closure OUT OF MEMORY "
+                    f"({self.sp_oom}); every report stays hb-predicted"
                 )
         if self.prune_result is not None:
             lines.append(f"static pruning: {self.prune_result.summary()}")
@@ -202,8 +207,6 @@ class PipelineResult:
             lines.append(f"DCatch reports: {self.reports.summary()}")
             tiers = self.reports.soundness_counts()
             if set(tiers) - {"hb-predicted"}:
-                from repro.detect.report import SOUNDNESS_TIERS
-
                 parts = ", ".join(
                     f"{tier}={tiers[tier]}"
                     for tier in reversed(SOUNDNESS_TIERS)
@@ -231,7 +234,7 @@ class DCatch:
     """The detector, wired for one workload."""
 
     #: Valid ``PipelineConfig.detect_mode`` values.
-    DETECT_MODES = ("batch", "streaming", "sync-preserving")
+    DETECT_MODES = ("batch", "streaming")
 
     def __init__(
         self, workload: Workload, config: Optional[PipelineConfig] = None
@@ -439,6 +442,7 @@ class DCatch:
         prune_result = None
         reports = None
         oom = None
+        sp_oom = None
         outcomes: List[TriggerOutcome] = []
         errors: List[str] = []
 
@@ -474,14 +478,15 @@ class DCatch:
                         graph=graph,
                         should_stop=budget.exceeded,
                     )
-                    if config.detect_mode == "sync-preserving":
-                        from repro.detect.syncpres import (
-                            annotate_sync_preserving,
-                        )
-
+                    try:
+                        # no lock sections: the SP order is the HB order
                         annotate_sync_preserving(
-                            detection, memory_budget=reach_budget
+                            detection,
+                            memory_budget=reach_budget,
+                            sp_graph=None if lock_section_edges(trace) else graph,
                         )
+                    except TraceAnalysisOOM as exc:
+                        sp_oom = exc  # skip the tier, not the analysis
                 stage_status["analysis"] = (
                     "degraded" if detection.stopped_early else "ok"
                 )
@@ -538,6 +543,8 @@ class DCatch:
                         for entry in store.load_verdicts()
                     }
                 try:
+                    from repro.trigger import PlacementAnalyzer, TriggerModule
+
                     placement = PlacementAnalyzer(trace, detection.graph)
                     module = TriggerModule(
                         self.workload.factory(), seeds=TRIGGER_SEEDS
@@ -621,6 +628,7 @@ class DCatch:
             outcomes=outcomes,
             timings=timings,
             oom=oom,
+            sp_oom=sp_oom,
             errors=errors,
             stage_status=stage_status,
             checkpoint_dir=store.directory if store else None,

@@ -2,13 +2,17 @@
 and an import that leaves the ``http.server`` stack out."""
 
 import http.client
+import io
 import os
 import socket
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.obs import http as obs_http
@@ -78,6 +82,7 @@ def test_routes_answer_as_before(probes):
     [
         (b"NONSENSE\r\n\r\n", 400),
         (b"GET / HTTP/one\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.\xb2\r\n\r\n", 400),
         (b"POST /healthz HTTP/1.0\r\nContent-Length: 0\r\n\r\n", 501),
         (b"GET /nope HTTP/1.0\r\n\r\n", 404),
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n", 414),
@@ -87,8 +92,9 @@ def test_routes_answer_as_before(probes):
         (b"GET /healthz HTTP/1.1\r\n" + b"X-A: b\r\n" * 98 + b"\r\n", 200),
     ],
     ids=[
-        "malformed", "bad-version", "post", "unknown-path", "long-line",
-        "101-headers", "long-header", "http2", "98-headers",
+        "malformed", "bad-version", "superscript-version", "post",
+        "unknown-path", "long-line", "101-headers", "long-header", "http2",
+        "98-headers",
     ],
 )
 def test_a_refused_request_gets_its_code_and_the_server_keeps_serving(
@@ -96,6 +102,36 @@ def test_a_refused_request_gets_its_code_and_the_server_keeps_serving(
 ):
     assert _raw(probes.port, request_bytes) == status
     assert _get(probes.port, "/healthz")[0] == 200
+
+
+#: One side of ``HTTP/<major>.<minor>``: digits (``\xb2`` is ``'²'``,
+#: which ``str.isdigit`` accepts and ``int`` refuses) or any Latin-1 text.
+_VERSION_PART = st.one_of(
+    st.text(st.sampled_from("019\xb2\xb3\xb9\xbc"), max_size=3),
+    st.text(st.characters(max_codepoint=0xFF), max_size=4),
+).map(lambda text: text.encode("latin-1"))
+_REQUEST_LINE = st.tuples(
+    st.sampled_from([b"GET /healthz", b"GET /readyz", b"POST /", b"G\xe9T /"]),
+    _VERSION_PART,
+    _VERSION_PART,
+).map(lambda p: p[0] + b" HTTP/" + p[1] + b"." + p[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    line=st.one_of(st.binary(max_size=64), _REQUEST_LINE),
+    rest=st.sampled_from([b"\r\n\r\n", b"\r\nX-A: b\r\n\r\n", b"\n", b""]),
+)
+def test_arbitrary_request_bytes_get_a_status_line_or_a_close(line, rest):
+    """``handle`` never raises, whatever bytes arrive: the client reads
+    an ``HTTP/1.0`` status line or nothing."""
+    handler = obs_http._Handler.__new__(obs_http._Handler)
+    handler.rfile = io.BytesIO(line + rest)
+    handler.wfile = io.BytesIO()
+    handler.server = SimpleNamespace(owner=ObsHttpServer())
+    handler.handle()
+    reply = handler.wfile.getvalue()
+    assert reply == b"" or reply.startswith(b"HTTP/1.0 ")
 
 
 def test_a_client_that_sends_nothing_gets_nothing(probes):

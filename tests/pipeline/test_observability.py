@@ -29,6 +29,7 @@ def test_metrics_snapshot_on_result(observed_result):
         assert name in metrics, f"missing metric {name}"
     assert metrics["pipeline_runs_total"]["value"] == 1
     assert metrics["scheduler_steps_total"]["value"] > 0
+    assert metrics["hb_graphs_built_total"]["value"] == 1  # SP reuses HB
 
 
 def test_profile_spans_cover_stages(observed_result):
@@ -90,6 +91,7 @@ def test_rpc_metrics_populated():
     workload = workload_by_id("MR-3274")
     result = DCatch(workload, PipelineConfig(trigger=False)).run()
     metrics = result.metrics
+    assert metrics["hb_graphs_built_total"]["value"] == 2  # HB, then SP
     assert metrics["rpc_calls_total"]["value"] > 0
     assert "series" in metrics["rpc_calls_total"]  # labeled by method
     assert metrics["rpc_latency_steps"]["count"] == (

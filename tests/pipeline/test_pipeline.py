@@ -161,3 +161,11 @@ def test_config_fingerprint_is_unchanged_for_existing_checkpoints():
 
     assert config_fingerprint("ZK-1144", PipelineConfig()) == "5692c87fe4a82fe6"
     assert config_fingerprint("CA-1011", PipelineConfig()) == "64043f88fe350208"
+
+
+@pytest.mark.parametrize("mode", ["psychic", "sync-preserving"])
+def test_unknown_detect_mode_rejected(mode):
+    assert DCatch.DETECT_MODES == ("batch", "streaming")
+    with pytest.raises(ValueError):
+        DCatch(workload_by_id("ZK-1144"), PipelineConfig(detect_mode=mode))
+
