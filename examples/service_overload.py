@@ -3,12 +3,12 @@
 The service's promise is robustness, and the only honest way to demo
 robustness is to attack it.  Three acts:
 
-1. *Honest overload*: an under-provisioned server (4-segment ingest
+1. *Paced, not degraded*: an under-provisioned server (4-segment ingest
    queue, an injected per-batch detection delay) takes a tenant's full
-   workload.  The overload ladder engages (full -> sampled), ingest is
-   paced by credit backpressure, and the published report admits
-   ``confidence: sampled`` with per-location drop counts — degraded,
-   never silently wrong.
+   workload.  Credit backpressure refuses uploads while the queue is
+   full, and the client retries them; nothing is sampled, so the
+   published report says ``confidence: full`` and is byte-identical to
+   an offline single-pass over the same trace.
 2. *A real crash*: a comfortably provisioned server subprocess is
    SIGKILLed mid-ingest — no handler runs, nothing gets to seal.
 3. *Recovery*: a restart over the same data directory recovers the
@@ -72,51 +72,50 @@ def main() -> int:
     )
     wal_dir = generated.wal_dir
 
-    print("=== act 1: honest overload ===")
+    oracle = render_report(
+        report_from_stream_result(
+            "alpha", detect_races_streaming(wal_dir=wal_dir, window=WINDOW)
+        )
+    )
+
+    print("=== act 1: paced, not degraded ===")
     hot_dir = os.path.join(workdir, "hot")
     server = serve(
         hot_dir,
         "--queue-segments", "4",      # tiny ingest queue
-        "--overload-poll-s", "0.05",
         pump_stall="0.2",             # detection deliberately slow
     )
     try:
         doc = load_service_file(hot_dir)
         with ServiceClient(
-            "127.0.0.1", int(doc["port"]), "hot", retry_deadline_s=120
+            "127.0.0.1", int(doc["port"]), "alpha", retry_deadline_s=120
         ) as client:
             result = client.ship_wal_dir(wal_dir)
             report = client.wait_report(timeout_s=300)
-        dropped = sum(report["sampled_dropped"].values())
+        identical = render_report(report) == oracle
         print(
             f"shipped {result.segments_shipped} segments against "
             f"{result.backpressure_waits} queue refusals"
         )
         print(
             f"report: confidence={report['confidence']!r}, "
-            f"{report['records']} records kept, {dropped} sampled away"
+            f"{report['records']} records, "
+            f"byte-identical to offline pass: {identical}"
         )
-        assert report["confidence"] == "sampled" and dropped > 0
+        assert result.backpressure_waits > 0
+        assert report["confidence"] == "full"
+        assert report["sampled_dropped"] == {}
+        assert identical
     finally:
         server.terminate()
         server.wait(timeout=30)
 
     print()
     print("=== act 2: kill -9 mid-ingest ===")
-    oracle = render_report(
-        report_from_stream_result(
-            "alpha", detect_races_streaming(wal_dir=wal_dir, window=WINDOW)
-        )
-    )
     cold_dir = os.path.join(workdir, "cold")
-    # Pace ingest (small queue, tiny pump stall, ladder parked) so the
-    # kill reliably lands mid-ship.
-    server = serve(
-        cold_dir,
-        "--queue-segments", "1",
-        "--overload-poll-s", "3600",
-        pump_stall="0.1",
-    )
+    # Pace ingest (small queue, tiny pump stall) so the kill reliably
+    # lands mid-ship.
+    server = serve(cold_dir, "--queue-segments", "1", pump_stall="0.1")
     doc = load_service_file(cold_dir)
     spool_glob = os.path.join(cold_dir, "tenants", "alpha", "spool", "**", "*.wal")
 
@@ -144,7 +143,7 @@ def main() -> int:
 
     print()
     print("=== act 3: restart, re-ship, byte-identical report ===")
-    server = serve(cold_dir, "--overload-poll-s", "3600")
+    server = serve(cold_dir)
     try:
         doc = load_service_file(cold_dir)
         with ServiceClient(

@@ -14,8 +14,8 @@ A ``dcatch run`` is bounded by two knobs an operator can reason about:
   reported, not raised; an SP one only skips the sound tier).
   Streaming mode builds no closure, so the budget does not apply to it.
 
-The detection service's fleet policy (admission control and the
-``full ↔ sampled`` overload ladder) lives in ``repro.service.server``.
+The detection service's fleet policy (admission control and credit
+backpressure) lives in ``repro.service.server``.
 """
 
 from __future__ import annotations

@@ -441,7 +441,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         limits=limits,
         window=args.window,
-        overload_poll_s=args.overload_poll_s,
         http_port=None if args.no_http else args.http_port,
     ).start()
     print(
@@ -898,8 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="memory_budget_mb",
         metavar="MB",
-        help="fleet RSS budget: ingestion degrades to sampled at 75%%, "
-        "and new tenants are refused above 92%%",
+        help="fleet RSS budget: new tenants are refused (and /readyz "
+        "answers 503) above 92%%",
     )
     serve.add_argument(
         "--queue-segments",
@@ -923,14 +922,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="no_http",
         help="disable the /healthz /readyz /metrics endpoint",
     )
+    # Accepted and ignored: the server has no overload ladder to poll,
+    # but benchmarks/perf/passes.py SERVE_FLAGS still passes it.  It goes
+    # when ROADMAP item 2 rewrites SERVE_FLAGS.
     serve.add_argument(
-        "--overload-poll-s",
-        type=float,
-        default=0.1,
-        dest="overload_poll_s",
-        metavar="SECONDS",
-        help="overload-ladder poll interval (a large value effectively "
-        "disables degradation, leaving only queue backpressure)",
+        "--overload-poll-s", type=float, default=None, help=argparse.SUPPRESS
     )
     serve.set_defaults(fn=_cmd_serve)
 

@@ -510,9 +510,6 @@ class StreamSession:
         self.checkpoint_path = checkpoint_path
         #: A ``repro.trace.sampling.Sampler``, or None.
         self.sampler = sampler
-        #: Whether live records go through the sampler (the service
-        #: clears it while its overload ladder reads ``full``).
-        self.thinning = True
         self.damage: Counter = Counter()  # counted by the segment readers
         self.detector: Optional[StreamingDetector] = None
         self.consumed_raw = 0
@@ -569,7 +566,7 @@ class StreamSession:
                 break
             raw += 1
             replaying = raw <= self.resumed_at
-            if self.sampler is not None and (replaying or self.thinning):
+            if self.sampler is not None:
                 keep = self.sampler.observe(event)[0]
                 if not keep and not replaying:
                     kind = event.kind.value

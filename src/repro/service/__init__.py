@@ -7,8 +7,8 @@ publishes a canonical detection report per tenant.  The pieces:
 
 * :mod:`repro.service.protocol` — CRC-framed verb protocol on TCP;
 * :mod:`repro.service.server`   — :class:`DetectionServer`: admission
-  control, credit backpressure, the overload ladder, circuit-breaker
-  quarantine, and crash recovery from the durable spool;
+  control, credit backpressure, circuit-breaker quarantine, and crash
+  recovery from the durable spool;
 * :mod:`repro.service.tenants`  — per-tenant spool + deterministic
   k-way merge + streaming detector + checkpoints;
 * :mod:`repro.service.client`   — :class:`ServiceClient`: reconnect,

@@ -36,7 +36,9 @@ discipline of ``repro.runtime.sockets``:
   is published, the tenant is quarantined or the server stops, for at
   most ``wait_s`` (capped server-side); without it, an unfinished
   report is ``not_ready`` at once;
-* ``status``   — server-wide snapshot (tenants, overload level).
+* ``status``   — server-wide snapshot: the server's ``pid`` and, per
+  tenant, ``done``, ``quarantined``, ``finalized``, ``pending_segments``,
+  ``received_segments`` and ``records_consumed``.
 
 The server stops on SIGINT/SIGTERM; there is no verb for it.
 

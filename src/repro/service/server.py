@@ -16,14 +16,10 @@ is published when the tenant finalizes.  The moving parts:
   + retry-after instead of unbounded buffering.  One carve-out keeps
   the scheme deadlock-free: a segment for a stream the merge is
   *starved* on is always admitted, because it is the only thing that
-  lets the backlog drain;
-* **overload ladder** — a monitor thread polls fleet pressure (RSS
-  *and* aggregate queue depth) and moves every tenant between ``full``
-  and ``sampled`` with hysteresis; ``sampled`` engages the sampler,
-  which sheds memory accesses (reports honestly say ``"sampled"``).
-  There is no rung above it: an ACKed segment lives on disk, the pump
-  parses at most one segment per stream ahead of the merge, and
-  credits already refuse uploads once a tenant's queue is full;
+  lets the backlog drain.  Nothing is sampled under load: an ACKed
+  segment lives on disk, the pump parses at most one segment per
+  stream ahead of the merge, and credits pace ingest, so every report
+  covers every record it was sent;
 * **circuit breaker** — per-tenant quarantine after a streak of
   torn/CRC-bad segment uploads, evidence preserved on disk;
 * **crash recovery** — ingestion ACKs only after the segment is
@@ -63,7 +59,6 @@ from repro.trace.wal import verify_segment_bytes
 __all__ = [
     "DetectionServer",
     "FleetBudget",
-    "OVERLOAD_LADDER",
     "SERVICE_FILE",
     "load_service_file",
 ]
@@ -73,15 +68,6 @@ SERVICE_FILE = "service.json"
 #: Suggested client sleep for each transient refusal, seconds.
 RETRY_AFTER = {"over_capacity": 1.0, "over_queue": 0.1, "not_ready": 0.1}
 
-#: The rungs every tenant ingests at.  Under pressure the fleet moves to
-#: ``sampled``; it comes back with hysteresis.
-OVERLOAD_LADDER = ("full", "sampled")
-
-#: Fleet pressure at which ingestion degrades to sampled.
-OVERLOAD_SAMPLED_FRACTION = 0.75
-#: Recover to ``full`` only this far below the engage threshold, so a
-#: fleet hovering at the boundary does not flap.
-OVERLOAD_RECOVER_MARGIN = 0.08
 #: RSS fraction of the memory budget above which no new tenant is
 #: admitted (a new tenant means a new detector).
 ADMISSION_RSS_FRACTION = 0.92
@@ -92,8 +78,8 @@ REPORT_WAIT_CAP_S = 30.0
 
 #: Raw records one pump() call may advance before yielding (keeps the
 #: pump preemptible for checkpoints and, with
-#: ``DCATCH_STALL=service_pump:<s>``, gives the overload demos a way to
-#: make ingest outrun detection).
+#: ``DCATCH_STALL=service_pump:<s>``, gives the backpressure demos a way
+#: to make ingest outrun detection).
 PUMP_BATCH = 4096
 
 
@@ -103,8 +89,8 @@ class FleetBudget:
 
     One process serves many tenant streams; the budget governs the
     *sum*: how many tenants may be admitted at all, how much process
-    RSS the fleet may use before ingestion degrades to sampled, and how
-    many ingested-but-unprocessed segments may queue per tenant."""
+    RSS the fleet may use before new tenants are refused, and how many
+    ingested-but-unprocessed segments may queue per tenant (credits)."""
 
     max_tenants: int = 16
     memory_budget_mb: Optional[int] = None
@@ -126,36 +112,15 @@ class FleetBudget:
                 )
         return None
 
-    def pressure_fraction(
-        self, pending_segments: int = 0, active_tenants: int = 1
-    ) -> float:
-        """Fleet pressure as a fraction of budget — the max of the two
-        axes: process RSS against the memory budget, and spooled-but-
-        unprocessed segments against the fleet's aggregate queue
-        capacity (ingest outrunning detection)."""
-        fraction = 0.0
-        if self.memory_budget_mb is not None and self.memory_budget_mb > 0:
-            fraction = process_rss_mb() / self.memory_budget_mb
-        capacity = self.queue_segments * max(1, active_tenants)
-        if capacity > 0:
-            fraction = max(fraction, pending_segments / capacity)
-        return fraction
 
-    def overload_level(
-        self,
-        current: str = "full",
-        pending_segments: int = 0,
-        active_tenants: int = 1,
-    ) -> str:
-        """The rung the fleet should run at, given current pressure (RSS
-        and queue depth) and ``current``, the rung in effect."""
-        fraction = self.pressure_fraction(pending_segments, active_tenants)
-        if fraction >= OVERLOAD_SAMPLED_FRACTION or (
-            current == "sampled"
-            and fraction > OVERLOAD_SAMPLED_FRACTION - OVERLOAD_RECOVER_MARGIN
-        ):
-            return "sampled"
-        return "full"
+def _pending_gauge():
+    """The fleet's spooled-but-unpumped segments.  A tenant's count
+    joins the sum when its pump starts and leaves it when the pump ends;
+    in between, each ACK and each pump call move it by what they changed."""
+    return obs.gauge(
+        "service_pending_segments",
+        "spooled-but-unpumped segments across the fleet",
+    )
 
 
 def _segment_counts(raw: object) -> Optional[Dict[str, int]]:
@@ -184,7 +149,6 @@ class DetectionServer:
         port: int = 0,
         limits: Optional[FleetBudget] = None,
         window: Optional[int] = None,
-        overload_poll_s: float = 0.1,
         http_port: Optional[int] = None,
     ) -> None:
         self.data_dir = os.path.abspath(data_dir)
@@ -192,15 +156,13 @@ class DetectionServer:
         self.port = port
         self.limits = limits if limits is not None else FleetBudget()
         self.window = window
-        self.overload_poll_s = overload_poll_s
         self.http_port = http_port
-        self.overload_level = "full"
         self.tenants: Dict[str, Tenant] = {}
         self._pumps: Dict[str, threading.Thread] = {}
         self._lock = threading.RLock()
         self._stopping = threading.Event()
         self._listener: Optional[socket.socket] = None
-        self._threads: list = []
+        self._accept_thread: Optional[threading.Thread] = None
         self.http: Optional[ObsHttpServer] = None
         self.registry = MetricsRegistry()
         #: The process-wide registry ``start`` replaced; ``stop`` puts
@@ -230,15 +192,10 @@ class DetectionServer:
                 registry=self.registry,
             ).start()
         self._write_service_file()
-        accept = threading.Thread(
+        self._accept_thread = threading.Thread(
             target=self._accept_loop, name="service-accept", daemon=True
         )
-        accept.start()
-        monitor = threading.Thread(
-            target=self._overload_loop, name="service-overload", daemon=True
-        )
-        monitor.start()
-        self._threads = [accept, monitor]
+        self._accept_thread.start()
         return self
 
     def _close_listener(self) -> None:
@@ -270,9 +227,9 @@ class DetectionServer:
         if self.http is not None:
             self.http.stop()
             self.http = None
-        for thread in self._threads:
-            thread.join(timeout=5)
-        self._threads = []
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5)
+            self._accept_thread = None
         if self._replaced_registry is not None:
             set_registry(self._replaced_registry)
             self._replaced_registry = None
@@ -327,6 +284,7 @@ class DetectionServer:
     # -- pumps -------------------------------------------------------------
 
     def _start_pump(self, tenant: Tenant) -> None:
+        _pending_gauge().inc(tenant.pending_segments())  # a recovered spool
         thread = threading.Thread(
             target=self._pump_loop,
             args=(tenant,),
@@ -337,24 +295,27 @@ class DetectionServer:
         thread.start()
 
     def _pump_loop(self, tenant: Tenant) -> None:
+        gauge = _pending_gauge()
         while not self._stopping.is_set():
             if tenant.breaker.quarantined:
-                return
+                break
             with tenant.lock:
+                pending = tenant.pending_segments()
                 advanced = tenant.pump(limit=PUMP_BATCH)
                 tenant.maybe_checkpoint()
                 drained = tenant.drained
+                gauge.dec(pending - tenant.pending_segments())
             if advanced:
                 maybe_stall("service_pump")
             if drained:
                 with tenant.lock:
                     tenant.write_report()
-                return
+                break
             if advanced == 0:
                 tenant.wakeup.wait(0.05)
                 tenant.wakeup.clear()
-
-    # -- overload ladder ---------------------------------------------------
+        with tenant.lock:
+            gauge.dec(tenant.pending_segments())
 
     def _active_tenants(self) -> list:
         return [
@@ -362,37 +323,6 @@ class DetectionServer:
             for t in self.tenants.values()
             if not t.done and not t.breaker.quarantined
         ]
-
-    def _overload_loop(self) -> None:
-        gauge = obs.gauge(
-            "service_overload_level",
-            "fleet overload ladder rung (0=full 1=sampled)",
-        )
-        pending_gauge = obs.gauge(
-            "service_pending_segments",
-            "spooled-but-unpumped segments across the fleet",
-        )
-        while not self._stopping.is_set():
-            with self._lock:
-                active = self._active_tenants()
-            pending = sum(t.pending_segments() for t in active)
-            pending_gauge.set(pending)
-            level = self.limits.overload_level(
-                self.overload_level,
-                pending_segments=pending,
-                active_tenants=max(1, len(active)),
-            )
-            if level != self.overload_level:
-                self.overload_level = level
-                gauge.set(OVERLOAD_LADDER.index(level))
-                for tenant in active:
-                    tenant.set_mode(level)
-            else:
-                # Late joiners inherit the current rung.
-                for tenant in active:
-                    if tenant.mode != level:
-                        tenant.set_mode(level)
-            self._stopping.wait(self.overload_poll_s)
 
     def _readiness(self) -> Tuple[bool, str]:
         if self._stopping.is_set():
@@ -509,11 +439,7 @@ class DetectionServer:
         )
 
     def _session_fields(self, tenant: Tenant) -> Dict[str, object]:
-        return {
-            "credits": self._credits(tenant),
-            "mode": tenant.mode,
-            "overload_level": self.overload_level,
-        }
+        return {"credits": self._credits(tenant)}
 
     def _handle_hello(
         self, doc: Dict[str, object], body: bytes
@@ -580,7 +506,6 @@ class DetectionServer:
             tenant = Tenant(tenant_id, root, window=self.window)
             tenant.declare_streams(streams)
             tenant.declare_totals(totals)
-            tenant.set_mode(self.overload_level)
             tenant.save_state()
             self.tenants[tenant_id] = tenant
             self._start_pump(tenant)
@@ -683,7 +608,9 @@ class DetectionServer:
             if index == 0:
                 os.makedirs(stream.directory, exist_ok=True)
             atomic_write(stream.segment_path(index), body)
+            unparsed = stream.unparsed
             stream.received = index + 1
+            _pending_gauge().inc(stream.unparsed - unparsed)
         tenant.wakeup.set()
         obs.counter(
             "service_segments_ingested_total",
@@ -763,7 +690,6 @@ class DetectionServer:
         with self._lock:
             tenants = {
                 t.tenant_id: {
-                    "mode": t.mode,
                     "done": t.done,
                     "quarantined": t.breaker.quarantined,
                     "finalized": t.finalized,
@@ -779,8 +705,4 @@ class DetectionServer:
                 }
                 for t in self.tenants.values()
             }
-        return ok_frame(
-            overload_level=self.overload_level,
-            pid=os.getpid(),
-            tenants=tenants,
-        )
+        return ok_frame(pid=os.getpid(), tenants=tenants)

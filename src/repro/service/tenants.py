@@ -2,7 +2,7 @@
 
 Each admitted tenant owns a directory under ``<data_dir>/tenants/<id>``::
 
-    state.json            durable session state (streams, finalize, mode)
+    state.json            durable session state (streams, finalize, quarantine)
     spool/<node>/thread-<tid>/seg-NNNN.wal    ingested segment bytes
     stream.ckpt           the stream session's checkpoint (an optimisation)
     report.json           canonical detection report, written once
@@ -19,9 +19,9 @@ else — ``state.json``, the detector checkpoint — is reconstructible from the
 spool plus the deterministic merge.  ``kill -9`` therefore loses
 nothing that was ever acknowledged.
 
-The detector pass — merge by ``seq``, sampler, raw-record watermark,
+The detector pass — merge by ``seq``, raw-record watermark,
 checkpoint, replay on resume, confidence — is the offline ``stream``
-pass's: one :class:`repro.detect.streaming.StreamSession` over
+pass's (unsampled): one :class:`repro.detect.streaming.StreamSession` over
 :func:`~repro.detect.streaming.merge_by_seq`.  The tenant feeds it
 :class:`_SpoolStream` cursors, which *starve* (segments arrive
 interleaved across streams); the merge then stalls rather than pop out
@@ -51,7 +51,6 @@ from repro.runtime.ops import OpEvent
 from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import stream_key_str
 from repro.service.report import render_report, report_from_stream_result
-from repro.trace.sampling import build_sampler
 from repro.trace.wal import (
     WalStreamReader,
     list_stream_segments,
@@ -65,12 +64,10 @@ StreamKey = Tuple[str, int]  # (node, tid)
 
 TENANT_STATE_FORMAT = "repro-service-tenant"
 #: Version 2 moved ``state.json`` into the ``write_document`` envelope;
-#: a version-1 (plain JSON) directory is refused at recovery.
-TENANT_STATE_VERSION = 2
-
-#: Sampling spec the overload ladder's ``sampled`` rung engages
-#: (PR-9's budget+rate composite: cold locations whole, hot thinned).
-OVERLOAD_SAMPLING_SPEC = "budget:8+rate:0.1"
+#: version 3 dropped the sampling flag (a tenant is never sampled).  An
+#: older directory is refused at recovery: a version-2 tenant may hold a
+#: sampled checkpoint, and replaying it unsampled would mix the two.
+TENANT_STATE_VERSION = 3
 
 
 class _SpoolStream:
@@ -152,9 +149,6 @@ class Tenant:
         self.streams: Dict[StreamKey, _SpoolStream] = {}
         self.finalized = False
         self.done = False
-        #: Ingestion rung for this tenant ("full" | "sampled"), set by
-        #: the server's overload ladder.
-        self.mode = "full"
         self.session = StreamSession(
             FULL_MODEL,
             self.window,
@@ -162,7 +156,6 @@ class Tenant:
             self.checkpoint_path,
         )
         self.damage = self.session.damage
-        self.session.thinning = False  # follows ``mode``; see set_mode
         self.breaker = CircuitBreaker(
             tenant=tenant_id,
             quarantine_dir=os.path.join(root, "quarantine"),
@@ -194,11 +187,6 @@ class Tenant:
         return os.path.join(self.root, "report.json")
 
     @property
-    def ever_sampled(self) -> bool:
-        """Sticky: the session keeps the sampler the ladder engaged."""
-        return self.session.sampler is not None
-
-    @property
     def consumed_raw(self) -> int:
         return self.session.consumed_raw
 
@@ -216,7 +204,6 @@ class Tenant:
                 for s in self.streams.values()
                 if s.declared is not None
             },
-            "ever_sampled": self.ever_sampled,
             "quarantined": self.breaker.quarantined,
             "bad_total": self.breaker.bad_total,
             "window": self.window,
@@ -230,13 +217,12 @@ class Tenant:
         """Rebuild a tenant from its directory after a restart.
 
         ``state.json`` restores the session (streams, finalize,
-        quarantine, sampling history); the **spool is the source of
-        truth** for what was durably ingested — received counts are
-        re-derived by listing it, never trusted from state.  The
-        session checkpoint only saves already-retired work: one that
-        cannot be used is discarded (and counted) and the spool is
-        replayed from record 0.  ``window=None`` means the window in
-        ``state.json``."""
+        quarantine); the **spool is the source of truth** for what was
+        durably ingested — received counts are re-derived by listing
+        it, never trusted from state.  The session checkpoint only
+        saves already-retired work: one that cannot be used is
+        discarded (and counted) and the spool is replayed from record
+        0.  ``window=None`` means the window in ``state.json``."""
         doc = read_document(os.path.join(root, "state.json"))
         if (
             not isinstance(doc, dict)
@@ -254,8 +240,6 @@ class Tenant:
         self.declare_streams(
             [(str(n), int(t)) for n, t in doc.get("streams", [])]
         )
-        if doc.get("ever_sampled"):
-            self._engage_sampler()
         self.breaker.quarantined = bool(doc.get("quarantined"))
         self.breaker.bad_total = int(doc.get("bad_total", 0))
         for key, paths in list_stream_segments(self.spool_dir).items():
@@ -360,27 +344,6 @@ class Tenant:
         if persist:
             self.save_state()
         return None
-
-    # -- overload ladder ---------------------------------------------------
-
-    def _engage_sampler(self) -> None:
-        self.session.sampler = build_sampler(OVERLOAD_SAMPLING_SPEC, seed=0)
-
-    def set_mode(self, mode: str) -> bool:
-        """Apply an overload-ladder rung; returns True on a change."""
-        with self.lock:
-            if mode == self.mode:
-                return False
-            self.mode = mode
-            self.session.thinning = mode == "sampled"
-            if mode == "sampled" and not self.ever_sampled:
-                self._engage_sampler()
-                self.save_state()  # ever_sampled is report-affecting
-            obs.counter(
-                "service_overload_transitions_total",
-                "per-tenant overload ladder transitions",
-            ).labels(tenant=self.tenant_id, to=mode).inc()
-            return True
 
     # -- the pump ----------------------------------------------------------
 

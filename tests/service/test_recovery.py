@@ -99,13 +99,11 @@ def test_sigkill_mid_ingest_resumes_with_zero_lost_segments(
     data_dir = str(tmp_path / "data")
     os.makedirs(data_dir)
     # Throttle ingest (1-segment queue + a stalled pump) so the SIGKILL
-    # reliably lands while segments are still arriving.  The ladder is
-    # parked so backpressure alone does the pacing and the final report
-    # stays full-confidence (byte-comparable to the offline oracle).
+    # reliably lands while segments are still arriving.  Backpressure
+    # paces ingest without dropping records, so the final report stays
+    # full-confidence (byte-comparable to the offline oracle).
     server = _serve(
-        data_dir,
-        "--queue-segments", "1", "--overload-poll-s", "3600",
-        stall="service_pump:0.3",
+        data_dir, "--queue-segments", "1", stall="service_pump:0.3"
     )
     shipper = None
     try:

@@ -1,6 +1,7 @@
 """In-process DetectionServer behavior: shipping, idempotency,
-admission control, structured errors, backpressure, and the circuit
-breaker.  Uses real TCP on an ephemeral localhost port."""
+admission control, structured errors, backpressure, the pending-segment
+gauge, and the circuit breaker.  Uses real TCP on an ephemeral
+localhost port."""
 
 import http.client
 import os
@@ -122,6 +123,13 @@ class TestShipAndReport:
         assert reports["alpha"]["candidates"] == reports["beta"]["candidates"]
         assert reports["alpha"]["tenant"] == "alpha"
 
+    def test_full_tenant_report_is_not_sampled(self, server, wal_dir):
+        with _client(server, "cold") as client:
+            client.ship_wal_dir(wal_dir)
+            report = client.wait_report()
+        assert report["confidence"] == "full"
+        assert report["sampled_dropped"] == {}
+
     def test_service_file_is_discoverable(self, server):
         doc = load_service_file(server.data_dir)
         assert doc["port"] == server.port
@@ -133,7 +141,12 @@ class TestLifecycle:
         """Closing the listener does not wake a blocked accept(); stop()
         used to wait out its 5 s join timeout on every server."""
         srv = DetectionServer(str(tmp_path / "data"), http_port=None).start()
-        accept = srv._threads[0]
+        accept = srv._accept_thread
+        # The accept loop is the server's one thread until a tenant
+        # comes: nothing polls fleet pressure.
+        assert [t for t in threading.enumerate() if t.name.startswith(
+            "service-"
+        )] == [accept]
         started = time.monotonic()
         srv.stop()
         assert time.monotonic() - started < 1.0
@@ -357,6 +370,14 @@ class TestTenantPump:
         assert render_report(report) == _offline_report(tenant.spool_dir, "t", 8)
 
 
+class TestAdmission:
+    def test_tenant_budget_refusal_names_the_limit(self):
+        budget = FleetBudget(max_tenants=2)
+        assert budget.admit_tenant(1) is None
+        refusal = budget.admit_tenant(2)
+        assert refusal is not None and "2/2" in refusal
+
+
 class TestStructuredErrors:
     def test_admission_refusal_is_over_capacity(self, tmp_path, wal_dir):
         srv = DetectionServer(
@@ -558,7 +579,6 @@ class TestBackpressure:
             str(tmp_path / "data"),
             limits=FleetBudget(queue_segments=1),
             window=WINDOW,
-            overload_poll_s=3600,  # backpressure only; no ladder
             http_port=None,
         ).start()
         try:
@@ -585,7 +605,6 @@ class TestBackpressure:
             str(tmp_path / "data"),
             limits=FleetBudget(queue_segments=2),
             window=WINDOW,
-            overload_poll_s=3600,
             http_port=None,
         ).start()
         try:
@@ -599,8 +618,8 @@ class TestBackpressure:
     def test_full_queue_under_fleet_pressure_is_over_queue(
         self, tmp_path, chunked_wal_dir
     ):
-        """Pressure far above 0.92 parks the ladder on ``sampled``; the
-        refusal a full queue gets is still ``over_queue``."""
+        """RSS far above the memory budget refuses new tenants, not
+        segments: the refusal a full queue gets is still ``over_queue``."""
         segments = list_stream_segments(chunked_wal_dir)
         (node, tid), paths = max(segments.items(), key=lambda kv: len(kv[1]))
         assert len(paths) >= 3
@@ -612,22 +631,19 @@ class TestBackpressure:
             str(tmp_path / "data"),
             limits=FleetBudget(queue_segments=1),
             window=WINDOW,
-            overload_poll_s=0.01,
             http_port=None,
         ).start()
         try:
             with _client(srv, "alpha") as client:
                 client.hello(sorted(segments))
-                # Admitted: over 1 MB of RSS means pressure in the tens.
+                # Admitted: over 1 MB of RSS is far over the budget.
                 srv.limits.memory_budget_mb = 1
+                assert "memory budget exhausted" in srv.limits.admit_tenant(0)
                 stream = srv.tenants["alpha"].streams[(node, tid)]
                 client.send_segment(node, tid, 0, blobs[0])
                 deadline = time.monotonic() + 10
-                while time.monotonic() < deadline and not (
-                    stream.pending and srv.overload_level != "full"
-                ):
+                while time.monotonic() < deadline and not stream.pending:
                     time.sleep(0.01)
-                assert srv.overload_level == "sampled"
                 # Segment 0 sits parsed in the merge buffer, so the
                 # stream is not hungry; segment 1 takes the one credit.
                 client.send_segment(node, tid, 1, blobs[1])
@@ -648,7 +664,41 @@ class TestBackpressure:
             hello = client.hello(sorted(segments))
             assert hello["credits"] > 0
             ack = client.send_segment(node, tid, 0, data)
-            assert "credits" in ack and ack["mode"] == "full"
+            assert set(hello) <= {"ok", "resumed", "report_ready", "credits"}
+            assert set(ack) == {"ok", "credits"}
+
+    def test_pending_gauge_follows_the_spool(self, tmp_path, chunked_wal_dir):
+        """The gauge moves on each ACK and each parse, not by a poll: it
+        counts a segment parked behind a starved pump, and reads 0 once
+        the tenant drains."""
+        segments = list_stream_segments(chunked_wal_dir)
+        (node, tid), paths = max(segments.items(), key=lambda kv: len(kv[1]))
+        srv = DetectionServer(
+            str(tmp_path / "data"), window=WINDOW, http_port=None
+        ).start()
+        gauge = lambda: srv.registry.get("service_pending_segments").value
+        try:
+            with _client(srv, "alpha") as client:
+                client.hello(sorted(segments))  # no totals: merge starves
+                for index in (0, 1):
+                    with open(paths[index], "rb") as fh:
+                        client.send_segment(node, tid, index, fh.read())
+                assert gauge() >= 1  # set by the ACK itself
+                # The pump parses segment 0 into the merge buffer and
+                # starves on every other stream; segment 1 waits.
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline and gauge() != 1:
+                    time.sleep(0.01)
+                assert gauge() == 1
+                assert srv.tenants["alpha"].streams[(node, tid)].pending
+                client.ship_wal_dir(chunked_wal_dir)
+                client.wait_report()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and gauge() != 0:
+                time.sleep(0.01)
+            assert gauge() == 0
+        finally:
+            srv.stop()
 
 
 class TestCircuitBreaker:
@@ -717,8 +767,12 @@ class TestStatus:
             client.ship_wal_dir(wal_dir)
             client.wait_report()
             status = client.status()
-        assert status["overload_level"] in ("full", "sampled")
+        assert set(status) == {"ok", "pid", "tenants"}
         tenant = status["tenants"]["alpha"]
+        assert set(tenant) == {
+            "done", "quarantined", "finalized", "pending_segments",
+            "received_segments", "records_consumed",
+        }
         assert tenant["done"] is True
         assert tenant["finalized"] is True
         assert tenant["quarantined"] is False

@@ -1,9 +1,9 @@
 """The stream session shared by the offline ``stream`` pass and the
-tenant pump: one merge, exact drop accounting across recovery, the
+tenant pump: one merge, exact drop accounting across an offline resume, the
 tenant's discard-and-replay policy for an unusable checkpoint, the
 window remembered in ``state.json``, and the refusal of a checkpoint
-without a raw watermark (sampled or not) and of a version-1 tenant
-directory."""
+without a raw watermark (sampled or not) and of a version-1 or
+version-2 tenant directory."""
 
 import json
 import os
@@ -20,23 +20,20 @@ from repro.detect.streaming import (
     StreamingDetector,
     detect_races_streaming,
     iter_wal_records,
-    load_stream_checkpoint,
 )
 from repro.errors import CheckpointError
-from repro.framing import atomic_write, encode_document
+from repro.framing import atomic_write, encode_document, write_document
 from repro.hb.model import FULL_MODEL
 from repro.service.report import render_report, report_from_stream_result
 from repro.service.server import DetectionServer
-from repro.service.tenants import (
-    OVERLOAD_SAMPLING_SPEC,
-    Tenant,
-    stream_key_str,
-)
+from repro.service.tenants import Tenant, stream_key_str
 from repro.trace.sampling import build_sampler
 from repro.trace.wal import list_stream_segments
 from repro.workload import generate_workload
 
 WINDOW = 64
+#: Budget+rate composite: cold locations whole, hot ones thinned.
+SAMPLING_SPEC = "budget:8+rate:0.1"
 
 
 @pytest.fixture(scope="module")
@@ -54,28 +51,16 @@ def _totals(wal_dir):
     }
 
 
-def _prefilled(wal_dir, root, tenant_id="t", sampled=False, **kwargs):
-    """A finalized tenant whose spool already holds ``wal_dir``;
-    ``sampled`` puts it on the overload sampler from record 0."""
+def _prefilled(wal_dir, root, tenant_id="t", **kwargs):
+    """A finalized tenant whose spool already holds ``wal_dir``."""
     os.makedirs(root)
     tenant = Tenant(tenant_id, root, window=WINDOW, **kwargs)
     tenant.declare_streams(sorted(list_stream_segments(wal_dir)))
     tenant.declare_totals(_totals(wal_dir))
-    if sampled:
-        tenant.set_mode("sampled")
     shutil.copytree(wal_dir, tenant.spool_dir)
     for key, paths in list_stream_segments(tenant.spool_dir).items():
         tenant.streams[key].received = len(paths)
     assert tenant.finalize(_totals(wal_dir)) is None  # persists state.json
-    return tenant
-
-
-def _recovered(root, tenant_id="t", sampled=False, **kwargs):
-    """What a restarted server rebuilds from ``root`` (and, for a
-    sampled tenant, the rung its overload loop re-applies)."""
-    tenant = Tenant.recover(tenant_id, root, **kwargs)
-    if sampled:
-        tenant.set_mode("sampled")
     return tenant
 
 
@@ -90,43 +75,12 @@ def _offline(wal_dir, tenant_id="t", **kwargs):
     return render_report(report_from_stream_result(tenant_id, result))
 
 
-# -- (a) drop accounting survives recovery -------------------------------------
-
-
-@pytest.mark.parametrize("watermark", [40, 150, 333])
-def test_sampled_dropped_is_exact_across_recovery(
-    tmp_path, generated, watermark
-):
-    """The replay used to re-count the drops the checkpoint had already
-    restored, so ``records + dropped`` exceeded the trace."""
-    clean = _drain(
-        _prefilled(generated.wal_dir, str(tmp_path / "clean"), sampled=True)
-    )
-    assert sum(clean["sampled_dropped"].values()) > 0
-
-    root = str(tmp_path / "t")
-    tenant = _prefilled(generated.wal_dir, root, sampled=True)
-    assert tenant.pump(limit=watermark) == watermark
-    assert tenant.maybe_checkpoint(force=True)
-    if watermark == 333:  # drops have started
-        saved = load_stream_checkpoint(tenant.checkpoint_path)["extra"]
-        assert sum(saved["sampled_dropped"].values()) > 0
-    tenant.pump(limit=25)  # past the checkpoint: lost with the process
-
-    recovered = _recovered(root, sampled=True)
-    report = _drain(recovered)
-    assert render_report(report) == render_report(clean)
-    assert (
-        report["records"] + sum(report["sampled_dropped"].values())
-        == recovered.consumed_raw
-        == generated.records
-    )
-    assert recovered.session.resumed_at == watermark
+# -- (a) drop accounting survives an offline resume -------------------------
 
 
 def test_offline_sampled_resume_keeps_the_accounting(tmp_path, generated):
     ckpt = str(tmp_path / "stream.ckpt")
-    spec, seed = OVERLOAD_SAMPLING_SPEC, 5
+    spec, seed = SAMPLING_SPEC, 5
     clean = _offline(generated.wal_dir, sampler=build_sampler(spec, seed))
     stops = iter([False] * 3 + [True])
     partial = detect_races_streaming(
@@ -207,6 +161,8 @@ def test_damaged_checkpoint_does_not_stop_the_service(
         assert server.tenants["beta"].session.resumed_at == 200
     finally:
         server.stop()
+    # Both recovered spools joined the pending gauge and left it.
+    assert server.registry.get("service_pending_segments").value == 0
     assert "service: tenant alpha checkpoint discarded" in capsys.readouterr().out
 
     for name in ("alpha", "beta"):
@@ -340,45 +296,49 @@ def _parent_checkpoint(path, fingerprint, wal_dir, raw, sampler=None):
 
 
 def test_version_1_tenant_directory_is_refused(tmp_path, generated, capsys):
-    """A plain-JSON ``state.json`` (version 1) is not recovered: the
+    """Neither a plain-JSON ``state.json`` (version 1) nor an enveloped
+    version-2 one (whose checkpoint may be sampled) is recovered: the
     server refuses it in one line, counts it and leaves it on disk."""
-    data_dir = str(tmp_path / "data")
-    root = os.path.join(data_dir, "tenants", "t")
-    os.makedirs(root)
-    shutil.copytree(generated.wal_dir, os.path.join(root, "spool"))
     streams = sorted(list_stream_segments(generated.wal_dir))
-    state = {
-        "format": "repro-service-tenant",
-        "version": 1,
-        "tenant": "t",
-        "streams": [[node, tid] for node, tid in streams],
-        "finalized": True,
-        "declared": _totals(generated.wal_dir),
-        "ever_sampled": False,
-        "quarantined": False,
-        "bad_total": 0,
-        "window": WINDOW,
-    }
-    state_path = os.path.join(root, "state.json")
-    with open(state_path, "w") as fh:
-        json.dump(state, fh, sort_keys=True, indent=2)
-    with open(state_path, "rb") as fh:
-        before = fh.read()
-    server = DetectionServer(data_dir, http_port=None).start()
-    try:
-        assert "t" not in server.tenants
-        failures = server.registry.get("service_recover_failures_total")
-        assert failures.labels(tenant="t").value == 1
-    finally:
-        server.stop()
-    out = capsys.readouterr().out
-    refusal = [line for line in out.splitlines() if "tenant t" in line]
-    assert len(refusal) == 1
-    assert "not a version-2 tenant state document" in refusal[0]
-    with open(state_path, "rb") as fh:
-        assert fh.read() == before
-    with pytest.raises(ValueError, match="version-2"):
-        Tenant.recover("t", root)
+    for version in (1, 2):
+        data_dir = str(tmp_path / f"data-v{version}")
+        root = os.path.join(data_dir, "tenants", "t")
+        os.makedirs(root)
+        shutil.copytree(generated.wal_dir, os.path.join(root, "spool"))
+        state = {
+            "format": "repro-service-tenant",
+            "version": version,
+            "tenant": "t",
+            "streams": [[node, tid] for node, tid in streams],
+            "finalized": True,
+            "declared": _totals(generated.wal_dir),
+            "quarantined": False,
+            "bad_total": 0,
+            "window": WINDOW,
+        }
+        state_path = os.path.join(root, "state.json")
+        if version == 1:
+            with open(state_path, "w") as fh:
+                json.dump(state, fh, sort_keys=True, indent=2)
+        else:
+            write_document(state_path, state)
+        with open(state_path, "rb") as fh:
+            before = fh.read()
+        server = DetectionServer(data_dir, http_port=None).start()
+        try:
+            assert "t" not in server.tenants
+            failures = server.registry.get("service_recover_failures_total")
+            assert failures.labels(tenant="t").value == 1
+        finally:
+            server.stop()
+        out = capsys.readouterr().out
+        refusal = [line for line in out.splitlines() if "tenant t" in line]
+        assert len(refusal) == 1
+        assert "not a version-3 tenant state document" in refusal[0]
+        with open(state_path, "rb") as fh:
+            assert fh.read() == before
+        with pytest.raises(ValueError, match="version-3"):
+            Tenant.recover("t", root)
 
 
 def test_checkpoint_without_raw_watermark_is_refused(
@@ -413,7 +373,7 @@ def test_checkpoint_without_raw_watermark_is_refused(
     )
     registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        recovered = _recovered(root)
+        recovered = Tenant.recover("t", root)
     discarded = registry.get("service_checkpoints_discarded_total")
     assert discarded.labels(tenant="t").value == 1
     assert recovered.session.resumed_at == 0
@@ -427,7 +387,7 @@ def test_parent_format_sampled_offline_checkpoint_is_refused(
     it is refused by the same rule as the unsampled one."""
     ckpt = str(tmp_path / "stream.ckpt")
     source = os.path.abspath(generated.wal_dir)
-    sampler = build_sampler(OVERLOAD_SAMPLING_SPEC, 1)
+    sampler = build_sampler(SAMPLING_SPEC, 1)
     _parent_checkpoint(
         ckpt,
         f"{FULL_MODEL.describe()}|window={WINDOW}|source={source}"
@@ -439,6 +399,6 @@ def test_parent_format_sampled_offline_checkpoint_is_refused(
     with pytest.raises(CheckpointError, match="no raw-record watermark"):
         detect_races_streaming(
             wal_dir=generated.wal_dir, window=WINDOW,
-            sampler=build_sampler(OVERLOAD_SAMPLING_SPEC, 1),
+            sampler=build_sampler(SAMPLING_SPEC, 1),
             checkpoint_path=ckpt, resume=True,
         )

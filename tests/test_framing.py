@@ -42,12 +42,11 @@ from repro.framing import (
     seal_count,
 )
 from repro.service.report import render_report, report_from_stream_result
-from repro.service.tenants import OVERLOAD_SAMPLING_SPEC, Tenant, stream_key_str
+from repro.service.tenants import Tenant, stream_key_str
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace.records import record_from_dict, record_to_dict
 from repro.trace.salvage import salvage_trace
-from repro.trace.sampling import build_sampler
 from repro.trace.wal import (
     WalStreamReader,
     iter_segment_records,
@@ -357,8 +356,8 @@ def test_missing_segment_is_partial_offline_and_in_salvage(workload, tmp_path):
 #
 # The offline ``stream`` pass and the tenant pump run the same stream
 # session over the same merge, so over the same spool they publish the
-# same bytes: whatever the damage, sampled or not, and wherever either
-# of them is interrupted and resumed.
+# same bytes: whatever the damage, and wherever either of them is
+# interrupted and resumed.
 
 
 def _lying_seal(lines):
@@ -381,10 +380,8 @@ _DAMAGE = {
 }
 
 
-def _spool_tenant(spool, root, seed, recover=False):
-    """A finalized tenant over ``spool``; with a ``seed`` (the service
-    samples at seed 0) it is on the overload sampler from record 0 (as
-    the ladder would re-apply it)."""
+def _spool_tenant(spool, root, recover=False):
+    """A finalized tenant over ``spool``."""
     segments = list_stream_segments(spool)
     totals = {stream_key_str(k): len(p) for k, p in segments.items()}
     if recover:
@@ -396,8 +393,6 @@ def _spool_tenant(spool, root, seed, recover=False):
         os.symlink(spool, tenant.spool_dir)
         for key, paths in segments.items():
             tenant.streams[key].received = len(paths)
-    if seed is not None:
-        tenant.set_mode("sampled")
     assert tenant.finalize(totals) is None
     return tenant
 
@@ -410,16 +405,11 @@ def _drained_report(tenant, batch):
 
 
 @pytest.mark.parametrize("damage", sorted(_DAMAGE))
-@pytest.mark.parametrize("seed", [None, 0])
 @settings(max_examples=15, deadline=None)
 @given(batch=st.integers(1, 90), kill_after=st.integers(0, 12))
 def test_offline_pass_and_tenant_publish_the_same_bytes(
-    workload, damage, seed, batch, kill_after
+    workload, damage, batch, kill_after
 ):
-    def sampler():
-        if seed is not None:
-            return build_sampler(OVERLOAD_SAMPLING_SPEC, seed)
-
     with tempfile.TemporaryDirectory() as scratch:
         spool = os.path.join(scratch, "wal")
         shutil.copytree(workload.wal_dir, spool)
@@ -430,31 +420,24 @@ def test_offline_pass_and_tenant_publish_the_same_bytes(
         elif edit is not None:
             _rewrite_victim(spool, edit)
 
-        offline = detect_races_streaming(
-            wal_dir=spool, window=SESSION_WINDOW, sampler=sampler()
-        )
+        offline = detect_races_streaming(wal_dir=spool, window=SESSION_WINDOW)
         oracle = render_report(report_from_stream_result("t", offline))
-        assert (offline.confidence == "partial") == (
-            damage != "intact" and not offline.sampled_dropped
-        )
+        assert (offline.confidence == "partial") == (damage != "intact")
         merged = sum(1 for _ in iter_wal_records(spool))
-        assert (
-            offline.records_consumed + sum(offline.sampled_dropped.values())
-            == merged
-        )
+        assert offline.records_consumed == merged
 
         # The tenant, uninterrupted.
-        steady = _spool_tenant(spool, os.path.join(scratch, "steady"), seed)
+        steady = _spool_tenant(spool, os.path.join(scratch, "steady"))
         assert _drained_report(steady, batch) == oracle
 
         # The tenant, killed after ``kill_after`` pump batches (its
         # checkpoint, if it got to one, is some batches old) and recovered.
         root = os.path.join(scratch, "killed")
-        killed = _spool_tenant(spool, root, seed)
+        killed = _spool_tenant(spool, root)
         for _ in range(kill_after):
             killed.pump(limit=batch)
             killed.maybe_checkpoint()
-        recovered = _spool_tenant(spool, root, seed, recover=True)
+        recovered = _spool_tenant(spool, root, recover=True)
         assert recovered.session.resumed_at <= killed.consumed_raw
         assert _drained_report(recovered, batch) == oracle
         assert recovered.consumed_raw == merged
@@ -463,17 +446,14 @@ def test_offline_pass_and_tenant_publish_the_same_bytes(
         ckpt = os.path.join(scratch, "stream.ckpt")
         probes = iter(range(kill_after + 1))
         first = detect_races_streaming(
-            wal_dir=spool, window=SESSION_WINDOW, sampler=sampler(),
-            checkpoint_path=ckpt,
+            wal_dir=spool, window=SESSION_WINDOW, checkpoint_path=ckpt,
             should_stop=lambda: next(probes) == kill_after,
         )
         resumed = detect_races_streaming(
-            wal_dir=spool, window=SESSION_WINDOW, sampler=sampler(),
-            checkpoint_path=ckpt, resume=True,
+            wal_dir=spool, window=SESSION_WINDOW, checkpoint_path=ckpt,
+            resume=True,
         )
-        assert resumed.resumed_at == first.records_consumed + sum(
-            first.sampled_dropped.values()
-        )
+        assert resumed.resumed_at == first.records_consumed
         assert render_report(report_from_stream_result("t", resumed)) == oracle
 
 
