@@ -330,7 +330,7 @@ def figure1_mr_hang() -> TableResult:
     for outcome in result.outcomes:
         if outcome.verdict is Verdict.HARMFUL:
             for run in outcome.runs:
-                if run.failed:
+                if run.enforced and run.failed:
                     kinds = ",".join(
                         sorted({k.value for k in run.result.failure_kinds()})
                     )

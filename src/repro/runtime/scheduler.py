@@ -219,7 +219,6 @@ class Scheduler:
         self._next_segment = 0
         self._done = threading.Event()
         self._failure_handlers: List[Callable[[SimThread, BaseException], None]] = []
-        self._idle_handlers: List[Callable[[], None]] = []
         self._wake_hints: List[Callable[[], Optional[int]]] = []
         self._finished = False
 
@@ -264,14 +263,6 @@ class Scheduler:
         self, handler: Callable[[SimThread, BaseException], None]
     ) -> None:
         self._failure_handlers.append(handler)
-
-    def on_idle(self, handler: Callable[[], None]) -> None:
-        """Called when only blocked threads remain, before deadlock checks.
-
-        The trigger controller uses this to release gates that would
-        otherwise stall the whole system.
-        """
-        self._idle_handlers.append(handler)
 
     def add_wake_hint(self, hint: Callable[[], Optional[int]]) -> None:
         """Register a source of future wake times (e.g. delayed message
@@ -322,17 +313,12 @@ class Scheduler:
                 # daemons (queue consumers, servers) drained and blocked.
                 if self._all_work_done():
                     return
-                for h in self._idle_handlers:
-                    h()
-                self._unblock_ready()
-                runnable = self._runnable()
-                if not runnable:
-                    blocked = self._blocked_non_daemon()
-                    raise DeadlockError(
-                        "deadlock: blocked threads "
-                        + ", ".join(f"{t.name}[{t.wait_reason}]" for t in blocked),
-                        blocked,
-                    )
+                blocked = self._blocked_non_daemon()
+                raise DeadlockError(
+                    "deadlock: blocked threads "
+                    + ", ".join(f"{t.name}[{t.wait_reason}]" for t in blocked),
+                    blocked,
+                )
             thread = self.strategy.pick(runnable, self.steps)
             self._step(thread)
             self.steps += 1

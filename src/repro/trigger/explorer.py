@@ -207,16 +207,7 @@ class TriggerModule:
         controller = OrderController(order)
         try:
             cluster = self.factory(seed)
-            fresh_gates = {
-                party: GateSpec(
-                    site=spec.site,
-                    kinds=spec.kinds,
-                    instance=spec.instance,
-                    note=spec.note,
-                )
-                for party, spec in gates.items()
-            }
-            TriggerInterceptor(controller, fresh_gates).bind(cluster)
+            TriggerInterceptor(controller, gates).bind(cluster)
             result = cluster.run()
         except Exception as exc:  # noqa: BLE001 - isolate the re-run
             failures = FailureLog()

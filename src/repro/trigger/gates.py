@@ -86,5 +86,4 @@ class TriggerInterceptor(Interceptor):
 
     def bind(self, cluster: "object") -> "TriggerInterceptor":
         cluster.add_interceptor(self)
-        cluster.scheduler.on_idle(self.controller.on_idle)
         return self

@@ -1,11 +1,14 @@
 """Controller protocol edge cases and gate mechanics."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.detect import Verdict
 from repro.ids import Site
-from repro.runtime import Cluster, OpKind, current_sim_thread, sleep
+from repro.runtime import Cluster, FailureKind, OpKind, current_sim_thread, sleep
 from repro.trigger import GateSpec, OrderController, TriggerInterceptor
+from repro.trigger.controller import HOLD_STEPS
 
 
 def test_order_must_be_two_distinct_parties():
@@ -26,7 +29,6 @@ def test_second_party_arriving_late_still_granted():
     cluster = Cluster(seed=0)
     node = cluster.add_node("n")
     controller = OrderController(("A", "B"))
-    cluster.scheduler.on_idle(controller.on_idle)
     order = []
 
     def party_a():
@@ -61,12 +63,30 @@ def test_enforced_requires_confirm_order():
     assert controller.co_occurred
 
 
-def test_idle_release_marks_not_enforced():
+def _gate_thread(name, scheduler):
+    """A stand-in for a SimThread arriving at a gate: ``block_until``
+    returns at once, so ``request`` can be driven without a cluster."""
+    return SimpleNamespace(
+        name=name, scheduler=scheduler, block_until=lambda pred, why: None
+    )
+
+
+def test_hold_shortens_the_budget_until_the_partner_arrives():
+    scheduler = SimpleNamespace(max_steps=5_000, steps=40)
     controller = OrderController(("A", "B"))
-    controller.arrived["B"] = "t2"
-    controller.on_idle()
-    assert "B" in controller.released_by_idle
-    assert not controller.enforced
+    controller.request("B", _gate_thread("t2", scheduler))
+    assert scheduler.max_steps == 40 + HOLD_STEPS
+    scheduler.steps = 900
+    controller.request("A", _gate_thread("t1", scheduler))
+    assert scheduler.max_steps == 5_000
+    assert controller.co_occurred
+
+
+def test_hold_keeps_a_tighter_workload_budget():
+    scheduler = SimpleNamespace(max_steps=300, steps=10)
+    controller = OrderController(("A", "B"))
+    controller.request("A", _gate_thread("t1", scheduler))
+    assert scheduler.max_steps == 300
 
 
 class TestGateSpec:
@@ -163,14 +183,13 @@ def test_shared_site_gates_count_independently():
     assert len(order) == 2
 
 
-def test_idle_release_rescues_lone_party_end_to_end():
-    """Safety valve, full scheduler loop: party A is held at its gate and
-    party B never exists.  Without the idle hook this run would end in a
-    hang verdict; with it the run completes, marked not-enforced."""
+def test_lone_party_ends_in_deadlock():
+    """Party A is held at its gate and party B never exists.  Nothing
+    else can run, so the scheduler reports a deadlock and the run is
+    marked not-enforced."""
     cluster = Cluster(seed=0)
     node = cluster.add_node("n")
     controller = OrderController(("B", "A"))  # B first — but B never comes
-    cluster.scheduler.on_idle(controller.on_idle)
     progressed = []
 
     def party_a():
@@ -180,21 +199,20 @@ def test_idle_release_rescues_lone_party_end_to_end():
 
     node.spawn(party_a, name="a")
     result = cluster.run()
-    assert result.completed, result.failures.events
-    assert progressed == ["A"]  # released, not deadlocked
-    assert controller.released_by_idle == {"A"}
+    assert not result.completed
+    assert FailureKind.DEADLOCK in result.failure_kinds()
+    assert progressed == []  # held to the end
     assert not controller.enforced
     assert not controller.co_occurred
 
 
-def test_idle_release_rescues_party_blocked_behind_held_one():
+def test_party_blocked_behind_held_one_ends_in_deadlock():
     """The circular case from the controller docstring: B's gate is
     downstream of A's gated operation, so holding A (waiting for B)
-    stalls the whole run until the idle hook breaks the cycle."""
+    stalls the whole run, which ends in a deadlock, not enforced."""
     cluster = Cluster(seed=0)
     node = cluster.add_node("n")
     controller = OrderController(("B", "A"))
-    cluster.scheduler.on_idle(controller.on_idle)
     flag = node.shared_var("flag", 0)
     order = []
 
@@ -215,8 +233,10 @@ def test_idle_release_rescues_party_blocked_behind_held_one():
     node.spawn(party_a, name="a")
     node.spawn(party_b, name="b")
     result = cluster.run()
-    assert result.completed, result.failures.events
-    assert order == ["A", "B"]  # both ran — in the order we could NOT flip
-    assert "A" in controller.released_by_idle
-    assert controller.co_occurred  # B did reach its gate eventually
-    assert not controller.enforced  # ... but the order was not enforced
+    assert not result.completed
+    (deadlock,) = result.failures.events
+    assert deadlock.kind is FailureKind.DEADLOCK
+    assert set(deadlock.thread.split(",")) == {"n.a", "n.b"}
+    assert order == []
+    assert not controller.co_occurred  # B never reached its gate
+    assert not controller.enforced

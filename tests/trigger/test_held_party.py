@@ -1,15 +1,16 @@
 """A gated party held while the rest of the system stays busy.
 
-The controller has one safety valve, the scheduler's idle hook.  A
-livelock never goes idle, so the held party stays held until the
-scheduler's step budget ends the run.  That run did not enforce the
-order, so its failure cannot make the report harmful."""
+A held party waits at most ``HOLD_STEPS`` scheduler steps for its
+partner: a livelock never goes idle, so the shortened step budget ends
+the run with a hang.  That run did not enforce the order, so its
+failure cannot make the report harmful.  A partner that arrives inside
+the hold restores the run's own budget."""
 
-from repro import obs
 from repro.detect import ReportSet, Verdict, detect_races
 from repro.runtime import Cluster, FailureKind, current_sim_thread, sleep
 from repro.trace import FullScope, Tracer
 from repro.trigger import OrderController, PlacementAnalyzer, TriggerModule
+from repro.trigger.controller import HOLD_STEPS
 
 MAX_STEPS = 2_000
 
@@ -41,32 +42,64 @@ def build_flag_ordered(cluster):
     node.spawn(spinner, name="spinner")
 
 
-def test_livelocked_party_is_held_until_the_step_budget():
+def test_busy_held_run_hangs_at_the_hold():
     cluster = Cluster(seed=0, max_steps=MAX_STEPS)
     node = cluster.add_node("n")
     controller = OrderController(("B", "A"))  # B never comes
-    cluster.scheduler.on_idle(controller.on_idle)
+    arrival = []
     progressed = []
 
     def busy_loop():
         while True:
-            sleep(2)  # keeps the scheduler busy: the idle hook never fires
+            sleep(2)  # keeps the scheduler busy: never a deadlock
 
     def party_a():
+        arrival.append(current_sim_thread().scheduler.steps)
         controller.request("A", current_sim_thread())
         progressed.append("A")
         controller.confirm("A")
 
     node.spawn(busy_loop, name="busy")
     node.spawn(party_a, name="a")
-    result = cluster.run()  # ends: the step budget is the backstop
+    result = cluster.run()
     assert not result.completed
     assert FailureKind.HANG in result.failure_kinds()
+    assert result.steps <= arrival[0] + HOLD_STEPS + 1 < MAX_STEPS
     assert progressed == []
     assert list(controller.arrived) == ["A"]
     assert not controller.granted
-    assert not controller.released_by_idle
     assert not controller.enforced
+
+
+def test_partner_inside_the_hold_restores_the_budget():
+    """B arrives 600 steps after A, well inside the hold; the run then
+    works on past ``HOLD_STEPS`` and completes, with the order enforced."""
+    cluster = Cluster(seed=0, max_steps=MAX_STEPS)
+    node = cluster.add_node("n")
+    controller = OrderController(("A", "B"))
+    order = []
+
+    def party_a():
+        controller.request("A", current_sim_thread())
+        order.append("A")
+        controller.confirm("A")
+
+    def party_b():
+        for _ in range(600):
+            sleep(1)
+        controller.request("B", current_sim_thread())
+        order.append("B")
+        controller.confirm("B")
+        for _ in range(HOLD_STEPS):
+            sleep(1)
+
+    node.spawn(party_a, name="a")
+    node.spawn(party_b, name="b")
+    result = cluster.run()
+    assert result.completed, result.failures.events
+    assert result.steps > HOLD_STEPS + 600
+    assert order == ["A", "B"]
+    assert controller.enforced
 
 
 def test_livelocked_enforcement_is_not_rated_harmful():
@@ -90,18 +123,8 @@ def test_livelocked_enforcement_is_not_rated_harmful():
     outcome = TriggerModule(factory, seeds=(0,)).validate(report, plan)
     assert [run.order for run in outcome.runs] == [("A", "B"), ("B", "A")]
     for run in outcome.runs:
-        # Each order livelocks behind its gate and hangs at the budget.
+        # Each order livelocks behind its gate and hangs at the hold.
         assert FailureKind.HANG in run.result.failure_kinds()
         assert not run.enforced
     assert outcome.verdict is not Verdict.HARMFUL
     assert report.verdict is Verdict.SERIAL
-
-
-def test_idle_release_metric_counts_releases(capsys):
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        controller = OrderController(("A", "B"))
-        controller.arrived["B"] = "t2"
-        controller.on_idle()
-    assert registry.counter("trigger_idle_releases_total").value == 1
-    assert "idle-released" in capsys.readouterr().err

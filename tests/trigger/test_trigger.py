@@ -108,7 +108,6 @@ class TestController:
         node = cluster.add_node("n")
         order_log = []
         controller = OrderController(("B", "A"))
-        cluster.scheduler.on_idle(controller.on_idle)
 
         def party(name):
             def body():
@@ -125,27 +124,6 @@ class TestController:
         cluster.run()
         assert order_log == ["B", "A"]
         assert controller.enforced
-
-    def test_idle_release_prevents_stall(self):
-        cluster = Cluster(seed=0)
-        node = cluster.add_node("n")
-        controller = OrderController(("A", "B"))
-        cluster.scheduler.on_idle(controller.on_idle)
-        done = []
-
-        def only_b():
-            from repro.runtime import current_sim_thread
-
-            controller.request("B", current_sim_thread())
-            done.append("B")
-            controller.confirm("B")
-
-        node.spawn(only_b, name="b")
-        result = cluster.run()
-        assert result.completed
-        assert done == ["B"]
-        assert not controller.enforced
-        assert not controller.co_occurred
 
 
 class TestVerdicts:
