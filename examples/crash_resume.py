@@ -1,19 +1,20 @@
 """Resumable analysis: kill a pipeline mid-trigger, resume it bit-perfectly.
 
 Long analyses die for boring reasons — OOM killers, preemptions,
-Ctrl-C.  With ``checkpoint_dir`` set, the two things that cost a
-re-execution of the workload are persisted under a CRC-checked
-manifest — the monitored run's trace and, report by report, the trigger
-verdicts — and a later ``resume=True`` run restores both and recomputes
-the (millisecond) analysis in between.  This example shows the whole
-story:
+Ctrl-C.  With ``checkpoint_dir`` set, the one thing that costs
+re-executions of the workload — the trigger verdicts, report by report —
+is logged in a CRC-checked manifest, together with the digest of the
+monitored run's trace.  A later ``resume=True`` run re-runs the seeded,
+deterministic monitored run, checks its digest, recomputes the
+analysis, and restores the logged verdicts.  This example shows the
+whole story:
 
-1. *A checkpointed run* of the ZooKeeper ZK-1144 workload: the trace
-   and the trigger stage seal as they complete.
+1. *A checkpointed run* of the ZooKeeper ZK-1144 workload: the digest
+   and then every verdict land in the manifest as they complete.
 2. *A simulated crash*: a second checkpoint directory is built holding
    only what a SIGKILL after the first trigger verdict would have left
-   behind (the sealed trace plus a manifest holding one verdict).
-3. *Resume*: the pipeline restores the trace and the surviving verdict,
+   behind (a manifest holding the digest and one verdict; no trace).
+3. *Resume*: the pipeline re-traces, restores the surviving verdict,
    re-executes only the remaining reports, and produces reports
    **byte-identical** to the uninterrupted run.
 4. *Bounded, not dead*: the two knobs that bound a run.  A zero
@@ -39,7 +40,6 @@ from repro.analysis.checkpoint import (
 from repro.detect.export import dump_reports
 from repro.pipeline import DCatch, PipelineConfig
 from repro.systems import workload_by_id
-from repro.trace import Trace
 
 BUG = "ZK-1144"
 
@@ -49,29 +49,26 @@ def main() -> int:
     ckdir = tempfile.mkdtemp(prefix="dcatch-ck-")
     config = PipelineConfig(checkpoint_dir=ckdir)
     full = DCatch(workload_by_id(BUG), config).run()
-    print(f"checkpoint sealed under {ckdir}")
+    print(f"verdicts logged under {ckdir}: {os.listdir(ckdir)}")
     print(f"stage status: {full.stage_status}")
+    assert os.listdir(ckdir) == ["manifest.json"]
     oracle = dump_reports(full.reports)
 
     print()
     print("=== act 2: simulate a SIGKILL after the first trigger verdict ===")
-    # Rebuild what a crashed run leaves on disk: the trace sealed, the
-    # trigger stage unsealed with one verdict already in the manifest.
+    # Rebuild what a crashed run leaves on disk: the monitored run's
+    # digest and one verdict in the manifest, nothing else.
     crashed_dir = tempfile.mkdtemp(prefix="dcatch-ck-crashed-")
-    sealed = load_manifest(ckdir)
+    logged = load_manifest(ckdir)
     crashed = CheckpointStore(
         directory=crashed_dir,
         benchmark=BUG,
         config_fp=config_fingerprint(BUG, config),
     )
-    crashed.seal_stage(
-        "trace",
-        sealed["stages"]["trace"],
-        Trace.load(os.path.join(ckdir, "trace")),
-    )
-    crashed.add_verdict(sealed["verdicts"][0])
-    print(f"crashed checkpoint: trace sealed, "
-          f"1 of {len(sealed['verdicts'])} trigger verdicts survived")
+    crashed.pin_trace(logged["trace_digest"])
+    crashed.add_verdict(logged["verdicts"][0])
+    print(f"crashed checkpoint: 1 of {len(logged['verdicts'])} trigger "
+          f"verdicts survived")
 
     print()
     print("=== act 3: resume from the wreckage ===")
@@ -80,13 +77,17 @@ def main() -> int:
         PipelineConfig(checkpoint_dir=crashed_dir, resume=True),
     ).run()
     print(f"stage status: {resumed.stage_status}")
-    restored = resumed.metrics["checkpoint_shards_resumed_total"]
-    print(f"verdicts restored from the manifest: {int(restored['value'])}")
+    (line,) = [
+        line
+        for line in resumed.summary().splitlines()
+        if line.startswith("resumed from checkpoint")
+    ]
+    print(line)
     print(f"trigger re-executions: "
           f"{int(resumed.metrics['trigger_runs_total']['value'])} "
           f"(uninterrupted run: "
           f"{int(full.metrics['trigger_runs_total']['value'])})")
-    assert restored["value"] == 1
+    assert line.endswith(": 1 trigger verdicts restored")
     assert (
         resumed.metrics["trigger_runs_total"]["value"]
         < full.metrics["trigger_runs_total"]["value"]

@@ -1,27 +1,29 @@
-"""Stage-level checkpoint/resume for the analysis pipeline.
+"""Checkpoint/resume for the analysis pipeline: a verdict log.
 
-The tracing side has been crash-tolerant since the WAL (PR 4); this
-module is the analysis-side twin.  It persists the two artefacts that
-cost a re-execution of the workload to rebuild — the monitored run's
-trace and the trigger verdicts — and nothing else: HB graph, closure,
-detection and pruning take milliseconds and are recomputed from the
-restored trace.  ``dcatch run --resume`` validates the manifest against
-the config fingerprint and skips the completed stages, so a killed
-analyzer loses at most the trigger *report* that was in flight.
+The tracing side is crash-tolerant through the WAL; this module is the
+analysis-side twin.  It persists the one artefact that costs
+re-executions of the workload to rebuild — the trigger verdicts — and
+nothing else.  The monitored run is seeded and deterministic, a pure
+function of the config the fingerprint pins, so ``dcatch run --resume``
+re-runs it (a fraction of a second on the benchmarks), recomputes
+detection and pruning from it, and triggers only the reports no logged
+verdict covers: a killed analyzer loses at most the trigger *report*
+that was in flight.
 
 Layout (one run per checkpoint directory)::
 
     <dir>/manifest.json   one CRC-enveloped document, atomically replaced
-    <dir>/trace/          the trace, as ``Trace.save`` writes it
 
 The manifest (``repro.framing.write_document``) holds the config
-fingerprint, each sealed stage's payload under ``stages`` (``trace``:
-the monitored run's result and time; ``trigger``: report count and
-seconds) and ``verdicts``, one entry per finished trigger report.  It
-is rewritten when the trace seals, after every verdict and when the
-trigger stage seals — a handful of kilobytes each time.  The trace is read by the
-strict ``Trace.load``.  Damage, stale schema versions and fingerprint
-mismatches raise ``CheckpointError`` (exit 2), never a traceback.
+fingerprint, ``trace_digest`` (the sha256 of the monitored run's
+records, written once that run ends) and ``verdicts``, one entry per
+finished trigger report, each naming its report by the seq pair of the
+representative.  It is rewritten after the monitored run and after
+every verdict — a handful of kilobytes each time.  A resume whose
+re-traced digest differs from the recorded one is refused: logged seq
+pairs never attach to a different trace.  Damage, stale schema
+versions, fingerprint and digest mismatches raise ``CheckpointError``
+(exit 2), never a traceback.
 """
 
 from __future__ import annotations
@@ -29,17 +31,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro import obs
-from repro.errors import CheckpointError, TraceFormatError
+from repro.errors import CheckpointError
 from repro.framing import Damage, read_document, write_document
+from repro.trace.records import dump_records
 from repro.trace.store import Trace
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def config_fingerprint(benchmark: str, config: "object") -> str:
@@ -57,7 +59,7 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "trigger_seeds": [0, 1],
         "detect_mode": config.detect_mode,
         # The plan's *content*, not just its presence: resuming after an
-        # edited fault plan must invalidate the checkpointed trace.
+        # edited fault plan must invalidate the logged verdicts.
         "fault_plan": (
             config.fault_plan.describe()
             if config.fault_plan is not None
@@ -70,6 +72,12 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
     }
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def trace_digest(trace: Trace) -> str:
+    """sha256 of the trace's records as ``dump_records`` writes them:
+    the identity of the monitored run a verdict log belongs to."""
+    return hashlib.sha256(dump_records(trace.records).encode()).hexdigest()
 
 
 def load_manifest(directory: str) -> Dict[str, Any]:
@@ -124,21 +132,18 @@ class CheckpointStore:
 
     def __post_init__(self) -> None:
         self._manifest_path = os.path.join(self.directory, "manifest.json")
-        self.trace_dir = os.path.join(self.directory, "trace")
         if self.resume:
             self.manifest = load_manifest(self.directory)
             self._validate_manifest()
         else:
             # A fresh run owns the directory: the new manifest replaces
-            # the old stages and verdicts, and the old trace goes.
+            # the old trace digest and verdicts.
             os.makedirs(self.directory, exist_ok=True)
-            shutil.rmtree(self.trace_dir, ignore_errors=True)
             self.manifest = {
                 "format": CHECKPOINT_FORMAT,
                 "version": CHECKPOINT_VERSION,
                 "benchmark": self.benchmark,
                 "config_fingerprint": self.config_fp,
-                "stages": {},
                 "verdicts": [],
             }
             self._write_manifest()
@@ -161,35 +166,20 @@ class CheckpointStore:
     def _write_manifest(self) -> None:
         write_document(self._manifest_path, self.manifest)
 
-    # -- stage lifecycle ------------------------------------------------------
-
-    def stage_completed(self, name: str) -> bool:
-        return name in self.manifest["stages"]
-
-    def seal_stage(
-        self, name: str, payload: Dict[str, Any], trace: Optional[Trace] = None
-    ) -> None:
-        """Record one stage's payload as completed.  ``trace`` is saved
-        into :attr:`trace_dir` before the manifest replace: a kill can
-        never leave a completed ``trace`` stage without its trace."""
-        with obs.span("checkpoint.seal", stage=name):
-            if trace is not None:
-                trace.save(self.trace_dir)
-            self.manifest["stages"][name] = payload
+    def pin_trace(self, digest: str) -> None:
+        """Record the monitored run's :func:`trace_digest`, or — when a
+        previous run recorded one — refuse a different trace."""
+        recorded = self.manifest.get("trace_digest")
+        if recorded is None:
+            self.manifest["trace_digest"] = digest
             self._write_manifest()
-        obs.counter(
-            "checkpoint_stages_sealed_total", "pipeline stages checkpointed"
-        ).labels(stage=name).inc()
-
-    def load_stage(self, name: str) -> Dict[str, Any]:
-        """A completed stage's payload, read back instead of re-run."""
-        if not self.stage_completed(name):
-            raise CheckpointError(f"stage {name} is not completed in {self.directory}")
-        obs.counter(
-            "checkpoint_stages_skipped_total",
-            "completed stages skipped by --resume",
-        ).labels(stage=name).inc()
-        return self.manifest["stages"][name]
+        elif recorded != digest:
+            raise CheckpointError(
+                f"checkpoint trace digest mismatch: the re-traced monitored "
+                f"run ({digest[:16]}) is not the one the logged verdicts "
+                f"belong to ({recorded[:16]}); re-run without --resume to "
+                f"rebuild"
+            )
 
     # -- trigger verdicts -----------------------------------------------------
 
@@ -210,11 +200,11 @@ class CheckpointStore:
         return entries
 
 
-# -- stage payload builders / restorers ---------------------------------------
+# -- verdict (de)serialization -----------------------------------------------
 #
-# These keep the (de)serialization of pipeline artifacts next to the
-# store so repro.pipeline stays readable.  Everything round-trips
-# through plain JSON; OpEvents reuse the trace record schema.
+# These keep the (de)serialization of trigger outcomes next to the store
+# so repro.pipeline stays readable.  Everything round-trips through
+# plain JSON.
 
 
 def run_result_to_dict(result: "object") -> Dict[str, Any]:
@@ -264,29 +254,6 @@ def run_result_from_dict(data: Dict[str, Any]) -> "object":
         wall_seconds=data["wall_seconds"],
         ops=data["ops"],
     )
-
-
-def trace_stage_payload(
-    trace: Trace, monitored_result: "object", tracing_seconds: float
-) -> Dict[str, Any]:
-    """The manifest's ``trace`` stage: what the trace directory does not hold."""
-    return {
-        "name": trace.name,
-        "monitored_result": run_result_to_dict(monitored_result),
-        "timings": {"tracing_seconds": tracing_seconds},
-    }
-
-
-def restore_trace_stage(
-    store: CheckpointStore, payload: Dict[str, Any]
-) -> Tuple[Trace, "object"]:
-    """The trace and the monitored run's result.  Other payload keys (an
-    older writer's untraced baseline run) are ignored."""
-    try:
-        trace = Trace.load(store.trace_dir, name=payload["name"])
-    except TraceFormatError as exc:
-        raise CheckpointError(f"{exc}; re-run without --resume") from None
-    return trace, run_result_from_dict(payload["monitored_result"])
 
 
 def outcome_pair(report: "object") -> List[int]:

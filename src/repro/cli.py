@@ -14,7 +14,7 @@ Subcommands::
     dcatch trace --load DIR --stats # statistics of a saved trace
     dcatch run MR-3274 --trace-dir ./wal  # durable write-ahead tracing
     dcatch salvage ./wal/MR-3274/seed-0   # recover a trace from a WAL
-    dcatch run MR-3274 --checkpoint-dir ./ckpt   # checkpoint trace + verdicts
+    dcatch run MR-3274 --checkpoint-dir ./ckpt   # log the trigger verdicts
     dcatch run MR-3274 --checkpoint-dir ./ckpt --resume  # re-run only what is missing
     dcatch profile minimr 3274      # per-stage span table + exports
     dcatch metrics ZK-1144          # metrics registry after one run
@@ -603,14 +603,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         dest="checkpoint_dir",
-        help="checkpoint the trace and each trigger verdict under DIR; a "
-        "killed run re-executes only what is missing with --resume",
+        help="log each trigger verdict under DIR; a killed run "
+        "re-executes only the missing ones with --resume",
     )
     run.add_argument(
         "--resume",
         action="store_true",
-        help="resume from --checkpoint-dir: restore the trace and the "
-        "logged verdicts, recompute the analysis, trigger what is left",
+        help="resume from --checkpoint-dir: re-run the monitored run "
+        "(refused if its trace differs), recompute the analysis, restore "
+        "the logged verdicts, trigger what is left",
     )
     run.add_argument(
         "--max-stage-seconds",

@@ -67,8 +67,9 @@ class CheckpointError(ReproError):
 
     Raised for a missing/unreadable manifest, a stale checkpoint schema
     version, a config-fingerprint mismatch, payload CRC damage, and a
-    damaged checkpointed trace.  The CLI catches it and exits with a
-    one-line error (status 2), matching the ``TraceFormatError`` convention.
+    re-traced monitored run whose digest is not the recorded one.  The
+    CLI catches it and exits with a one-line error (status 2), matching
+    the ``TraceFormatError`` convention.
     """
 
 

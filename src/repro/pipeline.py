@@ -92,15 +92,15 @@ class PipelineConfig:
     #: join the checkpoint ``config_fingerprint`` so resume refuses a
     #: cross-policy mix.
     sampling_seed: int = 0
-    #: Checkpoint/resume: when set, the two stages that cost a
-    #: re-execution of the workload — the trace and the trigger verdicts
-    #: (one manifest entry per report) — are serialized under this
-    #: directory (a CRC-enveloped manifest plus the trace as a WAL
-    #: directory), and SIGINT/SIGTERM exit with it resumable.
+    #: Checkpoint/resume: when set, every trigger verdict (one manifest
+    #: entry per report) and the monitored run's ``trace_digest`` are
+    #: logged in a CRC-enveloped manifest under this directory, and
+    #: SIGINT/SIGTERM exit with it resumable.
     checkpoint_dir: Optional[str] = None
     #: Resume from ``checkpoint_dir``: validate the manifest against this
-    #: config, restore the trace and every logged verdict, recompute the
-    #: analysis, and trigger what is left.
+    #: config, re-run the (deterministic) monitored run and check its
+    #: digest, recompute the analysis, restore every logged verdict and
+    #: trigger what is left.
     resume: bool = False
     #: Wall-clock deadline per stage (seconds).  Cooperative: detection
     #: polls it once per access of a write-bearing location, triggering
@@ -136,9 +136,8 @@ class PipelineResult:
     #: the pipeline returns what it has instead of raising.
     errors: List[str] = field(default_factory=list)
     #: The outcome of each stage that ran, keyed by its :data:`STAGES`
-    #: name: ``"ok"``, ``"skipped"`` (restored from a checkpoint),
-    #: ``"degraded"`` (cut short by, or finished past, the stage
-    #: deadline), or ``"failed"``.
+    #: name: ``"ok"``, ``"degraded"`` (cut short by, or finished past,
+    #: the stage deadline), or ``"failed"``.
     stage_status: Dict[str, str] = field(default_factory=dict)
     #: Where this run checkpointed, when it did.
     checkpoint_dir: Optional[str] = None
@@ -219,11 +218,16 @@ class PipelineResult:
                 f"{stage}: {count}" for stage, count in sorted(failures.items())
             )
             lines.append(f"partial failures: {parts}")
-        skipped = [s for s in STAGES if self.stage_status.get(s) == "skipped"]
-        if skipped:
+        if self.config.resume:
+            from repro.analysis.checkpoint import RestoredGatePlan
+
+            restored = sum(
+                isinstance(outcome.plan, RestoredGatePlan)
+                for outcome in self.outcomes
+            )
             lines.append(
-                f"resumed: skipped {', '.join(skipped)} "
-                f"(checkpoint {self.checkpoint_dir})"
+                f"resumed from checkpoint {self.checkpoint_dir}: "
+                f"{restored} trigger verdicts restored"
             )
         for key, value in sorted(self.timings.items()):
             lines.append(f"  {key}: {value:.3f}s")
@@ -405,37 +409,25 @@ class DCatch:
         budgets: List[StageBudget] = []
         obs.counter("pipeline_runs_total", "DCatch pipeline executions").inc()
 
+        # -- run-time tracing: the one monitored run --------------------------
+        # A resume re-runs it too: it is seeded, so its digest must be the
+        # one the logged verdicts were found on.
+        started = time.perf_counter()
+        budget = StageBudget("trace", started, config.max_stage_seconds)
+        budgets.append(budget)
+        with obs.span("pipeline.tracing", scope=config.scope):
+            monitored_result, trace = self.run_traced()
+            if obs.enabled():
+                from repro.trace.stats import compute_stats, publish_stats
+
+                publish_stats(compute_stats(trace))
+        timings["tracing_seconds"] = time.perf_counter() - started
+        budget.exceeded()
         if store is not None:
             from repro.analysis import checkpoint as ckpt
 
-        def restore(stage: str):
-            """Load a completed stage's payload and account the skip."""
-            stage_status[stage] = "skipped"
-            return store.load_stage(stage)
-
-        # -- run-time tracing: the one monitored run --------------------------
-        if store is not None and store.stage_completed("trace"):
-            payload = restore("trace")
-            trace, monitored_result = ckpt.restore_trace_stage(store, payload)
-            timings["tracing_seconds"] = payload["timings"]["tracing_seconds"]
-        else:
-            started = time.perf_counter()
-            budget = StageBudget("trace", started, config.max_stage_seconds)
-            budgets.append(budget)
-            with obs.span("pipeline.tracing", scope=config.scope):
-                monitored_result, trace = self.run_traced()
-                if obs.enabled():
-                    from repro.trace.stats import compute_stats, publish_stats
-
-                    publish_stats(compute_stats(trace))
-            timings["tracing_seconds"] = time.perf_counter() - started
-            budget.exceeded()
-            if store is not None:
-                payload = ckpt.trace_stage_payload(
-                    trace, monitored_result, timings["tracing_seconds"]
-                )
-                store.seal_stage("trace", payload, trace)
-            stage_status["trace"] = "ok"
+            store.pin_trace(ckpt.trace_digest(trace))
+        stage_status["trace"] = "ok"
 
         detection = None
         reports_pre = None
@@ -536,7 +528,6 @@ class DCatch:
             budgets.append(budget)
             with obs.span("pipeline.trigger", reports=len(reports)):
                 done = {}
-                validated = False
                 if store is not None:
                     done = {
                         tuple(entry["pair"]): entry
@@ -588,24 +579,10 @@ class DCatch:
                         if outcome is None:
                             continue
                         outcomes.append(outcome)
-                        validated = True
                         if store is not None:
                             store.add_verdict(ckpt.outcome_to_dict(outcome))
             timings["trigger_seconds"] = time.perf_counter() - started
             budget.exceeded()
-            if store is not None and stage_status.get("trigger") == "ok":
-                if store.stage_completed("trigger") and not validated:
-                    # Every verdict came from the manifest: the stage was not
-                    # re-run, so it keeps the time the original took.
-                    timings["trigger_seconds"] = restore("trigger")["seconds"]
-                else:
-                    store.seal_stage(
-                        "trigger",
-                        {
-                            "reports": len(outcomes),
-                            "seconds": timings["trigger_seconds"],
-                        },
-                    )
 
         for budget in budgets:
             # A deadline overrun degrades the stage even when its loop

@@ -160,12 +160,12 @@ class TriggerModule:
         racing instruction and notes that failures tied to a *specific*
         instance may be missed.  We mitigate that: if the first
         candidate's plan only proves SERIAL, try the plans of later
-        candidates (deduplicated) before settling.
+        candidates (deduplicated) before settling.  The first HARMFUL or
+        BENIGN verdict is final; when every plan proves SERIAL, the
+        first one is.
         """
-        from repro.detect.report import _SEVERITY as severity
-
         tried = set()
-        best: Optional[TriggerOutcome] = None
+        first: Optional[TriggerOutcome] = None
         for candidate in report.candidates[:max_candidates]:
             for plan in placement.plan_variants(candidate):
                 signature = tuple(
@@ -176,17 +176,13 @@ class TriggerModule:
                     continue
                 tried.add(signature)
                 outcome = self.validate(report, plan)
-                if outcome.verdict is Verdict.HARMFUL:
+                if outcome.verdict is not Verdict.SERIAL:
                     return outcome
-                if best is None or severity[outcome.verdict] > severity[best.verdict]:
-                    best = outcome
-                if outcome.verdict is Verdict.BENIGN:
-                    break  # variants are fallbacks for SERIAL only
-        if best is not None:
-            # validate() applied every outcome; the most severe one is
-            # the final word.
-            best.apply()
-        return best
+                if first is None:
+                    first = outcome
+        if first is not None:
+            first.apply()  # validate() applied each SERIAL in turn
+        return first
 
     # -- internals ----------------------------------------------------------
 

@@ -143,6 +143,4 @@ class NaiveSleepTrigger:
             # Could not demonstrate both orders: inconclusive — the
             # paper's point about not knowing how long to sleep.
             outcome.verdict = Verdict.SERIAL
-        report_verdict = outcome.verdict
-        del report_verdict  # naive runs never overwrite the report verdict
         return outcome

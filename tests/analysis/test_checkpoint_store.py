@@ -1,4 +1,5 @@
-"""The checkpoint store: manifest lifecycle, CRC checks, verdicts."""
+"""The checkpoint store: manifest lifecycle, CRC checks, trace digest,
+verdicts."""
 
 import json
 import os
@@ -27,18 +28,44 @@ def test_fresh_store_writes_manifest(tmp_path):
     store = _store(tmp_path)
     manifest = load_manifest(store.directory)
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["version"] == CHECKPOINT_VERSION == 3
+    assert manifest["version"] == CHECKPOINT_VERSION == 4
     assert manifest["benchmark"] == "ZK-1144"
-    assert manifest["stages"] == {}
     assert manifest["verdicts"] == []
+    # the digest lands once the monitored run has ended
+    assert sorted(manifest) == [
+        "benchmark", "config_fingerprint", "format", "verdicts", "version"
+    ]
+    assert os.listdir(store.directory) == ["manifest.json"]
 
 
-def test_seal_and_load_stage_roundtrip(tmp_path):
+def test_pin_trace_roundtrip(tmp_path):
+    """The first pin records the digest; a resume pinning the same one
+    goes on."""
     store = _store(tmp_path)
-    store.seal_stage("hb", {"edges": [1, 2, 3]})
-    assert store.stage_completed("hb")
-    assert not store.stage_completed("reach")
-    assert store.load_stage("hb") == {"edges": [1, 2, 3]}
+    store.pin_trace("d" * 64)
+    assert load_manifest(store.directory)["trace_digest"] == "d" * 64
+    resumed = _store(tmp_path, resume=True)
+    resumed.pin_trace("d" * 64)
+    assert resumed.manifest == load_manifest(store.directory)
+
+
+def test_tampered_trace_digest_is_refused(tmp_path):
+    """Logged seq pairs name accesses of one trace: a resume whose
+    re-traced digest differs is refused in one line."""
+    store = _store(tmp_path)
+    store.pin_trace("d" * 64)
+    store.add_verdict({"pair": [1, 2]})
+    manifest = load_manifest(store.directory)
+    manifest["trace_digest"] = "e" * 64
+    write_document(os.path.join(store.directory, "manifest.json"), manifest)
+    resumed = _store(tmp_path, resume=True)
+    with pytest.raises(CheckpointError) as info:
+        resumed.pin_trace("d" * 64)
+    message = str(info.value)
+    assert message.startswith("checkpoint trace digest mismatch: ")
+    assert "eeeeeeee" in message and "dddddddd" in message
+    assert "re-run without --resume" in message
+    assert "\n" not in message
 
 
 def test_resume_missing_directory_raises(tmp_path):
@@ -71,7 +98,9 @@ def test_resume_stale_version_raises(tmp_path):
 
 def test_resume_v2_manifest_raises(tmp_path):
     """Version 2 wrote a plain-JSON manifest beside ``trace.json`` and
-    a verdict log; it is refused as stale, not as damaged."""
+    a verdict log; it is refused as stale, not as damaged.  So is
+    version 3: an enveloped manifest with ``stages`` beside a saved
+    ``trace/``."""
     directory = tmp_path / "ck"
     directory.mkdir()
     (directory / "manifest.json").write_text(json.dumps({
@@ -80,6 +109,13 @@ def test_resume_v2_manifest_raises(tmp_path):
         "stages": {"trace": {"file": "trace.json", "completed": True}},
     }, indent=2))
     with pytest.raises(CheckpointError, match="stale checkpoint schema version 2 "):
+        _store(tmp_path, resume=True)
+    write_document(str(directory / "manifest.json"), {
+        "format": "repro-checkpoint", "version": 3, "benchmark": "ZK-1144",
+        "config_fingerprint": "abcd1234abcd1234",
+        "stages": {"trace": {"name": "ZK-1144"}}, "verdicts": [],
+    })
+    with pytest.raises(CheckpointError, match="stale checkpoint schema version 3 "):
         _store(tmp_path, resume=True)
 
 
@@ -105,46 +141,31 @@ def test_resume_config_fingerprint_mismatch_raises(tmp_path):
         )
 
 
-def test_damaged_stage_payload_fails_crc(tmp_path):
-    """The stage payloads live in the manifest: one flipped byte of it
-    is refused by the envelope's CRC."""
+def test_damaged_verdict_fails_crc(tmp_path):
+    """The verdicts live in the manifest: one flipped byte of it is
+    refused by the envelope's CRC."""
     store = _store(tmp_path)
-    store.seal_stage("hb", {"edges": []})
+    store.add_verdict({"pair": [1, 2], "verdict": "harmful"})
     path = os.path.join(store.directory, "manifest.json")
     data = bytearray(open(path, "rb").read())
-    data[data.index(b'"edges"') + 2] ^= 0x01
+    data[data.index(b'"harmful"') + 2] ^= 0x01
     open(path, "wb").write(bytes(data))
     with pytest.raises(CheckpointError, match="damaged checkpoint manifest .*CRC"):
         _store(tmp_path, resume=True)
 
 
-def test_load_incomplete_stage_raises(tmp_path):
-    store = _store(tmp_path)
-    with pytest.raises(CheckpointError, match="not completed"):
-        store.load_stage("detect")
-
-
 def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):
     """A non-resume run reusing a checkpoint directory owns it: the
-    trace, stage payloads and verdicts from the previous run must not
-    leak into (or be merged with) the new run's results."""
-    from repro.ids import CallStack
-    from repro.runtime.ops import OpEvent, OpKind
-    from repro.trace import Trace
-
-    trace = Trace()
-    trace.append(
-        OpEvent(seq=1, kind=OpKind.MEM_READ, obj_id="x", node="n", tid=0,
-                thread_name="t", segment=0, callstack=CallStack([]))
-    )
+    trace digest and verdicts from the previous run must not leak into
+    (or be merged with) the new run's results."""
     store = _store(tmp_path)
-    store.seal_stage("trace", {"name": "trace"}, trace)
+    store.pin_trace("d" * 64)
     store.add_verdict({"report_id": 3})
-    assert sorted(os.listdir(store.directory)) == ["manifest.json", "trace"]
 
     fresh = _store(tmp_path)  # same directory, resume=False
-    assert not fresh.stage_completed("trace")
+    assert "trace_digest" not in fresh.manifest
     assert fresh.load_verdicts() == []
+    fresh.pin_trace("e" * 64)  # a different trace is this run's own
     assert os.listdir(fresh.directory) == ["manifest.json"]
     assert load_manifest(fresh.directory) == fresh.manifest
 
@@ -170,10 +191,11 @@ def test_config_fingerprint_tracks_fault_plan_content():
     assert fp(crash_a) != fp(None)
 
 
-def test_verdicts_land_in_manifest_before_trigger_seal(tmp_path):
+def test_verdicts_land_in_manifest_at_once(tmp_path):
+    """Each verdict is on disk when ``add_verdict`` returns: there is no
+    stage seal to wait for."""
     store = _store(tmp_path)
     store.add_verdict({"pair": [1, 2]})
-    assert not store.stage_completed("trigger")
     resumed = _store(tmp_path, resume=True)
     assert resumed.load_verdicts() == [{"pair": [1, 2]}]
 

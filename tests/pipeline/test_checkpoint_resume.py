@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.analysis.checkpoint import load_manifest
+from repro.analysis.checkpoint import RestoredGatePlan, load_manifest
 from repro.detect.export import dump_reports
 from repro.errors import CheckpointError
 from repro.framing import write_document
@@ -17,11 +17,12 @@ def _reports_json(result):
     return dump_reports(result.reports)
 
 
-def _skipped(result):
-    return [s for s, status in result.stage_status.items() if status == "skipped"]
+def _restored(result):
+    """How many of the run's trigger outcomes came from the verdict log."""
+    return sum(isinstance(o.plan, RestoredGatePlan) for o in result.outcomes)
 
 
-def test_resume_skips_all_stages_and_reports_are_byte_identical(tmp_path):
+def test_resume_restores_every_verdict_and_reports_are_byte_identical(tmp_path):
     ckdir = str(tmp_path / "ck")
     plain = DCatch(workload_by_id("CA-1011"), PipelineConfig()).run()
 
@@ -36,16 +37,15 @@ def test_resume_skips_all_stages_and_reports_are_byte_identical(tmp_path):
         PipelineConfig(checkpoint_dir=ckdir, resume=True),
     ).run()
     assert _reports_json(resumed) == _reports_json(plain)
-    # the two stages that cost a re-execution are restored; the analysis
-    # is recomputed from the restored trace
-    assert resumed.stage_status == {
-        "trace": "skipped",
-        "analysis": "ok",
-        "prune": "ok",
-        "trigger": "skipped",
-    }
-    skipped = resumed.metrics["checkpoint_stages_skipped_total"]
-    assert skipped["value"] == 2
+    # the monitored run and the analysis run again; every verdict is
+    # restored, so no trigger run re-executes
+    assert resumed.stage_status == dict.fromkeys(
+        ("trace", "analysis", "prune", "trigger"), "ok"
+    )
+    restored = len(first.outcomes)
+    assert _restored(resumed) == restored > 0
+    line = f"resumed from checkpoint {ckdir}: {restored} trigger verdicts restored"
+    assert line in resumed.summary().splitlines()
     assert "trigger_runs_total" not in resumed.metrics
     # restored trigger outcomes carry their verdicts
     assert resumed.verdict_counts() == plain.verdict_counts()
@@ -67,7 +67,7 @@ def test_resume_equals_clean_run_in_every_detect_mode(tmp_path, bug, mode):
         workload_by_id(bug),
         PipelineConfig(detect_mode=mode, checkpoint_dir=ckdir, resume=True),
     ).run()
-    assert _skipped(resumed) == ["trace", "trigger"]
+    assert _restored(resumed) == len(clean.outcomes)
     assert _reports_json(resumed) == _reports_json(clean)
     assert [(o.report.report_id, o.verdict) for o in resumed.outcomes] == [
         (o.report.report_id, o.verdict) for o in clean.outcomes
@@ -97,8 +97,6 @@ def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
     recomputes.  A logged verdict whose recorded pair is not the
     recomputed report's representative belongs to some other report:
     that report is re-validated, the rest are restored."""
-    from repro.analysis.checkpoint import RestoredGatePlan
-
     ckdir = str(tmp_path / "ck")
     config = PipelineConfig(checkpoint_dir=ckdir)
     clean = DCatch(workload_by_id("ZK-1144"), config).run()
@@ -129,45 +127,46 @@ def test_outcome_with_wrong_pair_is_revalidated_not_attached(tmp_path):
         if not isinstance(o.plan, RestoredGatePlan)
     ]
     assert fresh == [victim.report_id]
-    # the re-validated verdict is recorded again and the stage re-sealed:
-    # a second resume restores all three
+    # the re-validated verdict is logged again: a second resume restores
+    # all three
     again = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(checkpoint_dir=ckdir, resume=True),
     ).run()
-    assert _skipped(again) == ["trace", "trigger"]
+    assert _restored(again) == 3
     assert "trigger_runs_total" not in again.metrics
     assert _reports_json(again) == _reports_json(clean)
 
 
-def test_trace_is_never_completed_without_a_loadable_trace_dir(
+def test_trace_digest_is_pinned_before_the_first_verdict(
     tmp_path, monkeypatch
 ):
-    """Every manifest revision that lists ``trace`` completed has a
-    ``trace/`` directory the strict ``Trace.load`` accepts: the trace is
-    saved (and fsynced) before the manifest says so."""
+    """Every manifest revision that holds a verdict also holds the
+    digest of the trace its seq pairs name: the digest is written as
+    the monitored run ends, before triggering starts."""
     from repro.analysis import checkpoint as ckpt
-    from repro.trace import Trace
 
     ckdir = tmp_path / "ck"
-    loaded = []
+    written = []
     real_write = ckpt.CheckpointStore._write_manifest
 
-    def checking_write(self):
-        if self.stage_completed("trace"):
-            loaded.append(len(Trace.load(str(ckdir / "trace"))))
+    def recording_write(self):
+        written.append(
+            (self.manifest.get("trace_digest"), len(self.manifest["verdicts"]))
+        )
         real_write(self)
 
     monkeypatch.setattr(
-        ckpt.CheckpointStore, "_write_manifest", checking_write
+        ckpt.CheckpointStore, "_write_manifest", recording_write
     )
     result = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(checkpoint_dir=str(ckdir)),
     ).run()
-    # the trace seal, one write per verdict, the trigger seal
+    digest = ckpt.trace_digest(result.trace)
+    # the fresh manifest, the digest, one write per verdict
     assert len(result.outcomes) == 3
-    assert loaded == [len(result.trace)] * 5
+    assert written == [(None, 0), (digest, 0), (digest, 1), (digest, 2), (digest, 3)]
 
 
 def test_resume_without_checkpoint_dir_raises():
@@ -184,15 +183,16 @@ def test_checkpoint_overhead_files_on_disk(tmp_path):
     ).run()
     manifest = load_manifest(str(ckdir))
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["version"] == 3
-    assert sorted(manifest["stages"]) == ["trace", "trigger"]
-    assert manifest["stages"]["trace"]["name"] == "ZK-1144"
-    # the trace stage's timings as sealed, not the run's final ones
-    assert sorted(manifest["stages"]["trace"]["timings"]) == ["tracing_seconds"]
-    assert "base_result" not in manifest["stages"]["trace"]
-    assert manifest["stages"]["trigger"]["reports"] == len(result.outcomes)
+    assert manifest["version"] == 4
+    assert sorted(manifest) == [
+        "benchmark", "config_fingerprint", "format", "trace_digest",
+        "verdicts", "version",
+    ]
+    assert manifest["benchmark"] == "ZK-1144"
+    assert len(manifest["trace_digest"]) == 64
     assert len(manifest["verdicts"]) == len(result.outcomes) == 3
-    assert sorted(p.name for p in ckdir.iterdir()) == ["manifest.json", "trace"]
+    # the verdict log is the whole checkpoint: no copy of the trace
+    assert [p.name for p in ckdir.iterdir()] == ["manifest.json"]
 
 
 def test_whole_ladder_exhausted_still_reports_oom():
@@ -224,7 +224,7 @@ def test_oom_summary_still_says_everything_else(tmp_path):
         assert sum(line.startswith("trace analysis:") for line in lines) == 1
         assert "partial failures: analysis: 1" in lines
         assert any(line.startswith("  tracing_seconds: ") for line in lines)
-    assert f"resumed: skipped trace (checkpoint {ckdir})" in (
+    assert f"resumed from checkpoint {ckdir}: 0 trigger verdicts restored" in (
         resumed.summary().splitlines()
     )
     assert not any(
@@ -268,7 +268,7 @@ def test_deadline_detect_stops_early():
 def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
     """A detection truncated by the wall-clock deadline is never
     persisted: resuming with a fresh budget enumerates every location
-    from the restored trace instead of skipping a permanently partial
+    of the re-traced run instead of skipping a permanently partial
     result."""
     ckdir = str(tmp_path / "ck")
     reference = DCatch(
@@ -284,56 +284,54 @@ def test_deadline_cut_detect_is_not_sealed_and_resume_completes(tmp_path):
         ),
     ).run()
     assert cut.detection.stopped_early
-    assert list(load_manifest(ckdir)["stages"]) == ["trace"]
+    assert load_manifest(ckdir)["verdicts"] == []
 
     resumed = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir, resume=True),
     ).run()
     assert not resumed.detection.stopped_early
-    assert _skipped(resumed) == ["trace"]
+    assert set(resumed.stage_status.values()) == {"ok"}
     assert _reports_json(resumed) == _reports_json(reference)
 
 
 def test_fresh_run_ignores_stale_checkpoint_directory(tmp_path):
     """Re-running *without* --resume in a used checkpoint directory —
     exactly what the mismatch errors advise — must rebuild from scratch,
-    not merge a trace or verdicts from a different run.  HB-4539 goes
-    first: its twelve streams outnumber ZK-1144's, so any stream left
-    behind would merge into the next trace."""
-    from repro.trace import Trace
+    not keep a trace digest or verdicts from a different run."""
+    from repro.analysis.checkpoint import trace_digest
 
     ckdir = str(tmp_path / "ck")
     DCatch(
-        workload_by_id("HB-4539"),
-        PipelineConfig(trigger=False, checkpoint_dir=ckdir),
+        workload_by_id("ZK-1144"), PipelineConfig(checkpoint_dir=ckdir)
     ).run()
-    reference = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(trigger=False, checkpoint_dir=ckdir),
-    ).run()
-    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace"]
-    saved = Trace.load(os.path.join(ckdir, "trace"))
-    assert [record_to_dict(r) for r in saved.records] == [
-        record_to_dict(r) for r in reference.trace.records
-    ]
-
-    # different benchmark, same directory: its trace and verdicts do not
-    # belong to ZK-1144
-    DCatch(
+    assert len(load_manifest(ckdir)["verdicts"]) == 3
+    # different benchmark, same directory: its digest and verdicts do
+    # not belong to ZK-1144
+    other = DCatch(
         workload_by_id("CA-1011"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir),
     ).run()
+    manifest = load_manifest(ckdir)
+    assert manifest["benchmark"] == "CA-1011"
+    assert manifest["trace_digest"] == trace_digest(other.trace)
+    assert manifest["verdicts"] == []
+    assert os.listdir(ckdir) == ["manifest.json"]
 
+    reference = DCatch(
+        workload_by_id("ZK-1144"), PipelineConfig(trigger=False)
+    ).run()
     again = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir),
     ).run()
-    assert _skipped(again) == []
     assert _reports_json(again) == _reports_json(reference)
     resumed = DCatch(
         workload_by_id("ZK-1144"),
         PipelineConfig(trigger=False, checkpoint_dir=ckdir, resume=True),
     ).run()
-    assert _skipped(resumed) == ["trace"]
+    assert _restored(resumed) == 0
     assert _reports_json(resumed) == _reports_json(reference)
+    assert [record_to_dict(r) for r in resumed.trace.records] == [
+        record_to_dict(r) for r in reference.trace.records
+    ]

@@ -59,8 +59,7 @@ def test_streaming_checkpoint_resume(tmp_path, streaming_result):
             resume=True,
         ),
     ).run()
-    assert resumed.stage_status["trace"] == "skipped"
-    assert list(resumed.stage_status.values()).count("skipped") == 1
+    assert set(resumed.stage_status.values()) == {"ok"}
     assert _pairs(resumed) == _pairs(first)
     assert _pairs(resumed) == _pairs(streaming_result)
 

@@ -49,8 +49,7 @@ def test_sp_checkpoint_resume_restores_tier(tmp_path):
 
     first = run(resume=False)
     resumed = run(resume=True)
-    assert resumed.stage_status["trace"] == "skipped"
-    assert list(resumed.stage_status.values()).count("skipped") == 1
+    assert set(resumed.stage_status.values()) == {"ok"}
     assert resumed.detection.sp_pairs == first.detection.sp_pairs
     assert first.detection.sp_pairs is not None
     assert [r.soundness for r in resumed.reports] == [

@@ -1,7 +1,6 @@
 """The dcatch command-line interface."""
 
 import os
-import shutil
 
 import pytest
 
@@ -388,10 +387,11 @@ def test_resume_stale_schema_version_exits_2(tmp_path, capsys):
 
 
 def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
-    """A version-1 directory (the trace inside ``trace.json``) or a
-    version-2 one (verdicts in ``trigger-outcomes.jsonl``) is refused in
-    one line; there is no reader for either.  Both wrote the manifest
-    as plain JSON."""
+    """A version-1 directory (the trace inside ``trace.json``), a
+    version-2 one (verdicts in ``trigger-outcomes.jsonl``) or a
+    version-3 one (a saved ``trace/`` beside ``stages``) is refused in
+    one line; there is no reader for any of them.  Versions 1 and 2
+    wrote the manifest as plain JSON, version 3 enveloped it."""
     import json as _json
 
     ckdir = tmp_path / "ck"
@@ -411,50 +411,29 @@ def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
         assert err.startswith(f"error: stale checkpoint schema version {version} ")
         assert "re-run without --resume" in err
         assert len(err.strip().splitlines()) == 1
-
-
-def _flip_a_byte(trace_dir):
-    segment = next(trace_dir.glob("*/thread-*/seg-0000.wal"))
-    data = bytearray(segment.read_bytes())
-    data[len(data) // 2] ^= 0x01
-    segment.write_bytes(bytes(data))
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [
-        _flip_a_byte,
-        lambda trace_dir: shutil.rmtree(next(trace_dir.glob("*/thread-*"))),
-        lambda trace_dir: next(trace_dir.glob("*/thread-*/seg-0000.wal")).unlink(),
-        lambda trace_dir: (trace_dir / "meta.json").unlink(),
-    ],
-    ids=["flipped-byte", "thread-dir-deleted", "segment-deleted", "meta-deleted"],
-)
-def test_resume_with_a_damaged_checkpointed_trace_exits_2(
-    tmp_path, capsys, damage
-):
-    """A checkpointed trace that lost a byte, a stream, a segment or its
-    ``meta.json`` is refused, never resumed as a smaller trace."""
-    ckdir = tmp_path / "ck"
-    assert main(
-        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
-    ) == 0
-    capsys.readouterr()
-    damage(ckdir / "trace")
-    code = main(
-        [
-            "run",
-            "ZK-1144",
-            "--no-trigger",
-            "--checkpoint-dir",
-            str(ckdir),
-            "--resume",
-        ]
-    )
+    manifest.update(version=3, stages={"trace": {"name": "ZK-1144"}})
+    write_document(str(ckdir / "manifest.json"), manifest)
+    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: damaged trace {ckdir / 'trace'}: ")
-    assert err.rstrip().endswith("; re-run without --resume")
+    assert err.startswith("error: stale checkpoint schema version 3 ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_resume_with_a_tampered_trace_digest_exits_2(tmp_path, capsys):
+    """A verdict log pinned to a trace the resume does not reproduce is
+    refused in one line, never attached to the re-traced run."""
+    ckdir = tmp_path / "ck"
+    assert main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir)]) == 0
+    capsys.readouterr()
+    manifest = load_manifest(str(ckdir))
+    manifest["trace_digest"] = "0" * 64
+    write_document(str(ckdir / "manifest.json"), manifest)
+    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint trace digest mismatch: ")
+    assert err.rstrip().endswith("re-run without --resume to rebuild")
     assert len(err.strip().splitlines()) == 1
 
 
@@ -499,10 +478,11 @@ def test_run_resume_round_trip_via_cli(tmp_path, capsys):
         ]
     ) == 0
     second = capsys.readouterr().out
-    assert "resumed: skipped trace (" in second
+    assert f"resumed from checkpoint {ckdir}: 0 trigger verdicts restored" in second
+    assert "resumed from" not in first
     assert "DCatch reports" in first and "DCatch reports" in second
-    assert sorted(os.listdir(ckdir)) == ["manifest.json", "trace"]
-    assert list(load_manifest(ckdir)["stages"]) == ["trace"]
+    assert os.listdir(ckdir) == ["manifest.json"]
+    assert "stages" not in load_manifest(ckdir)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,9 @@ from repro.ids import CallStack, Frame
 from repro.runtime import Cluster, OpKind, sleep
 from repro.trace import FullScope, Tracer
 from repro.trigger import PlacementAnalyzer, TriggerModule
+from repro.trigger.explorer import TriggerOutcome
+from repro.trigger.gates import GateSpec
+from repro.trigger.placement import GatePlan
 
 
 def build_two_phase(cluster):
@@ -91,6 +94,50 @@ def test_validate_report_returns_outcome_for_empty_plans():
     # Gates on site=None match nothing: the orders cannot be enforced.
     assert outcome is not None
     assert outcome.verdict in (Verdict.SERIAL, Verdict.UNKNOWN)
+
+
+class _PlanPerCandidate:
+    """A placement that gives every candidate one plan of its own."""
+
+    def plan_variants(self, candidate):
+        return [GatePlan({"A": GateSpec(site=candidate)})]
+
+
+def test_first_confirmed_verdict_ends_the_search(monkeypatch):
+    """A report with three candidates whose first plan proves BENIGN
+    validates exactly one plan: later candidates are tried only after
+    SERIAL."""
+    validated = []
+
+    def benign(self, report, plan):
+        validated.append(plan)
+        return TriggerOutcome(report=report, plan=plan, verdict=Verdict.BENIGN)
+
+    monkeypatch.setattr(TriggerModule, "validate", benign)
+    report = BugReport(report_id=1, candidates=["c0", "c1", "c2"])
+    module = TriggerModule(_factory)
+    outcome = module.validate_report(report, _PlanPerCandidate())
+    assert outcome.verdict is Verdict.BENIGN
+    assert [plan.gates["A"].site for plan in validated] == ["c0"]
+
+
+def test_all_serial_keeps_the_first_plan(monkeypatch):
+    """When every plan proves SERIAL, each is tried and the first
+    outcome is the report's word."""
+    validated = []
+
+    def serial(self, report, plan):
+        validated.append(plan)
+        outcome = TriggerOutcome(report=report, plan=plan, verdict=Verdict.SERIAL)
+        outcome.apply()
+        return outcome
+
+    monkeypatch.setattr(TriggerModule, "validate", serial)
+    report = BugReport(report_id=1, candidates=["c0", "c1", "c2"])
+    outcome = TriggerModule(_factory).validate_report(report, _PlanPerCandidate())
+    assert len(validated) == 3
+    assert outcome.plan is validated[0]
+    assert report.verdict is Verdict.SERIAL
 
 
 def test_prioritize_puts_sampled_after_full_within_tier():
