@@ -54,9 +54,6 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
         "scope": config.scope,
         "monitored_seed": config.monitored_seed,
         "trigger": config.trigger,
-        # A former knob, now the fixed ``TRIGGER_SEEDS``: kept so a
-        # checkpoint written while it was a knob still resumes.
-        "trigger_seeds": [0, 1],
         "detect_mode": config.detect_mode,
         # The plan's *content*, not just its presence: resuming after an
         # edited fault plan must invalidate the logged verdicts.

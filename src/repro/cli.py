@@ -318,36 +318,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.detect.streaming import detect_races_streaming
     from repro.trace import build_sampler
-
-    # SIGTERM/SIGINT stop the pass at the next window boundary; the
-    # checkpoint (when configured) is sealed before we exit 130, so
-    # --resume picks up without reprocessing retired windows.
-    caught = {"signum": None}
-
-    def _interrupt(signum: int, frame: object) -> None:
-        caught["signum"] = signum
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, _interrupt)
 
     result = detect_races_streaming(
         wal_dir=args.wal_dir,
         window=args.window,
         max_seconds=args.max_stage_seconds,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
         sampler=build_sampler(args.sampling, args.sampling_seed),
-        should_stop=lambda: caught["signum"] is not None,
     )
-    if result.resumed_at:
-        print(
-            f"resumed from checkpoint at {result.resumed_at} records "
-            "(retired windows not reprocessed)"
-        )
     print(
         f"streamed {result.records_consumed} records in "
         f"{result.analysis_seconds:.2f}s "
@@ -384,19 +363,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         with open(args.report_out, "wb") as fh:
             fh.write(render_report(doc))
         print(f"  canonical report written to {args.report_out}")
-
-    if caught["signum"] is not None and result.stopped_early:
-        hint = (
-            f" (resume with --checkpoint {args.checkpoint} --resume)"
-            if args.checkpoint
-            else ""
-        )
-        print(
-            f"interrupted at {result.records_consumed} records; "
-            f"checkpoint sealed{hint}",
-            file=sys.stderr,
-        )
-        return 130
 
     if args.ground_truth is None:
         return 0
@@ -464,7 +430,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         signal.signal(signum, _graceful)
     while not stop.is_set() and not server.stopping:
         stop.wait(0.2)
-    print("shutting down: sealing tenant checkpoints", flush=True)
+    print("shutting down", flush=True)
     server.stop()
     return 0
 
@@ -831,17 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop the pass early after this much wall-clock time",
     )
     stream.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="save resumable stream offsets to this file",
-    )
-    stream.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from --checkpoint instead of starting over",
-    )
-    stream.add_argument(
         "--report-out",
         default=None,
         metavar="PATH",
@@ -867,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "data_dir",
-        help="service data directory (spools, checkpoints, reports; "
+        help="service data directory (spools, reports; "
         "recovered on restart)",
     )
     serve.add_argument("--host", default="127.0.0.1")

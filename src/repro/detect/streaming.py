@@ -22,15 +22,17 @@ and degrades ``confidence`` to ``"partial"``, matching salvage
 semantics) or any in-memory iterable of records (the pipeline's
 ``detect_mode="streaming"``).
 
-How per-thread streams become one resumable, optionally sampled pass is
-decided here once, for the offline ``stream`` command and the detection
+How per-thread streams become one optionally sampled pass is decided
+here once, for the offline ``stream`` command and the detection
 service's tenants alike: :func:`merge_by_seq` and :class:`StreamSession`.
+A pass keeps no checkpoint: its state is a deterministic function of the
+merged prefix, so a stopped pass is re-run and a recovered tenant
+replays its spool from record 0.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -48,24 +50,18 @@ from typing import (
 )
 
 from repro import obs
-from repro.analysis.governor import StageBudget, maybe_stall, process_rss_mb
+from repro.analysis.governor import StageBudget, process_rss_mb
 from repro.detect.races import (
     Candidate,
     DetectionResult,
     candidates_metric,
     weaken_confidence,
 )
-from repro.errors import CheckpointError
-from repro.framing import Damage, read_document, write_document
+from repro.framing import write_document
 from repro.hb.incremental import StreamingHBState
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import MEM_READ, MEM_WRITE, OpEvent
-from repro.trace.records import (
-    _jsonable,
-    _untuple,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.trace.records import _jsonable, record_to_dict
 from repro.trace.store import Trace, read_meta
 from repro.trace.wal import WalStreamReader, require_stream_segments
 
@@ -79,7 +75,6 @@ __all__ = [
     "StreamingDetector",
     "detect_races_streaming",
     "iter_wal_records",
-    "load_stream_checkpoint",
     "merge_by_seq",
     "save_stream_checkpoint",
     "stream_fingerprint",
@@ -90,6 +85,7 @@ __all__ = [
 #: window size.
 DEFAULT_WINDOW = 8192
 
+# Read only by the perf probe ``probe_feed``, which times one save.
 STREAM_CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 STREAM_CHECKPOINT_VERSION = 1
 
@@ -137,9 +133,6 @@ class StreamResult:
     #: Records dropped by the sampling filter, by record kind;
     #: ``records_consumed`` plus these is every record merged.
     sampled_dropped: Dict[str, int] = field(default_factory=dict)
-    #: Raw-record watermark the pass resumed from (0 = started fresh) —
-    #: lets callers assert already-retired windows were not reprocessed.
-    resumed_at: int = 0
 
     @property
     def records_per_second(self) -> float:
@@ -312,8 +305,7 @@ class StreamingDetector:
         self.seconds.sort(key=lambda _second: next(firsts).seq)
         self.firsts.sort(key=attrgetter("seq"))
 
-    # -- checkpointing -----------------------------------------------------
-
+    # Kept for the perf probe ``probe_feed`` (save_stream_checkpoint); nothing loads it.
     def to_snapshot(self) -> Dict[str, object]:
         return {
             "window": self.window,
@@ -338,33 +330,6 @@ class StreamingDetector:
             "compactions": self.compactions,
             "active_high_water": self.active_high_water,
         }
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Dict[str, object], model: HBModel = FULL_MODEL
-    ) -> "StreamingDetector":
-        self = cls(model=model, window=int(snapshot["window"]))
-        self.state = StreamingHBState.from_snapshot(snapshot["state"], model)
-        # ``_solo`` starts empty: a restored location is paired through
-        # the query until it is retired, which answers the same.
-        self._active = {}
-        self._active_size = 0
-        for location, accesses in snapshot["active"]:
-            entries = [
-                (seg, count, record_from_dict(record))
-                for seg, count, record in accesses
-            ]
-            self._active[_untuple(location)] = entries
-            self._active_size += len(entries)
-        for first, second in snapshot["candidates"]:
-            self.firsts.append(record_from_dict(first))
-            self.seconds.append(record_from_dict(second))
-        self.records_consumed = int(snapshot["records_consumed"])
-        self.pairs_examined = int(snapshot["pairs_examined"])
-        self.evictions = int(snapshot["evictions"])
-        self.compactions = int(snapshot["compactions"])
-        self.active_high_water = int(snapshot["active_high_water"])
-        return self
 
 
 # -- the seq merge ---------------------------------------------------------
@@ -433,9 +398,10 @@ def wal_stream_tids(wal_dir: str) -> List[int]:
     return [tid for _node, tid in require_stream_segments(wal_dir)]
 
 
-# -- checkpoint files ------------------------------------------------------
+# -- the perf probe's checkpoint file --------------------------------------
 
 
+# Called only by the perf probe ``probe_feed``, which times one save.
 def save_stream_checkpoint(
     path: str,
     detector: StreamingDetector,
@@ -456,21 +422,7 @@ def save_stream_checkpoint(
     write_document(path, doc)
 
 
-def load_stream_checkpoint(path: str) -> Dict[str, object]:
-    """Load and CRC-verify a streaming checkpoint file."""
-    doc = read_document(path)
-    if isinstance(doc, Damage):
-        raise CheckpointError(f"{path}: stream checkpoint {doc.detail}")
-    if not isinstance(doc, dict) or doc.get("format") != STREAM_CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a {STREAM_CHECKPOINT_FORMAT} file")
-    if doc.get("version") != STREAM_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: stream checkpoint version {doc.get('version')!r} "
-            f"unsupported (expected {STREAM_CHECKPOINT_VERSION})"
-        )
-    return doc
-
-
+# Called only by the perf probe ``probe_feed``, for its one save.
 def stream_fingerprint(
     model: HBModel, window: int, source: str, sampler: Optional[object] = None
 ) -> str:
@@ -486,69 +438,32 @@ def stream_fingerprint(
 
 
 class StreamSession:
-    """One resumable, optionally sampled detector pass over merged
-    records: what the offline ``stream`` pass and a service tenant both
-    run, differing in where the records come from and in what they do
-    about a checkpoint :meth:`resume` refuses.
+    """One optionally sampled detector pass over merged records: what
+    the offline ``stream`` pass and a service tenant both run, differing
+    in where the records come from.
 
-    ``consumed_raw`` counts every merged record, kept or sampled away.
-    A checkpoint records that watermark and a resume replays up to it
-    (deterministic, as the merge order is); replayed records advance
-    the sampler's per-location counts and nothing else."""
+    ``consumed_raw`` counts every merged record, kept or sampled away."""
 
     def __init__(
         self,
         model: HBModel,
         window: int,
-        source: str,
-        checkpoint_path: Optional[str],
         sampler: Optional[object] = None,
     ) -> None:
         self.model = model
         self.window = window
-        self.fingerprint = stream_fingerprint(model, window, source, sampler)
-        self.checkpoint_path = checkpoint_path
         #: A ``repro.trace.sampling.Sampler``, or None.
         self.sampler = sampler
         self.damage: Counter = Counter()  # counted by the segment readers
         self.detector: Optional[StreamingDetector] = None
         self.consumed_raw = 0
-        self.resumed_at = 0  # raw watermark restored by resume()
-        self._saved_raw = 0
         self.sampled_dropped: Dict[str, int] = {}
         self._started = time.perf_counter()
-
-    def resume(self) -> None:
-        """Restore detector, raw watermark and drop counts from the
-        file at ``checkpoint_path``, if any.  :class:`CheckpointError`
-        (CRC, format, version, fingerprint, no raw watermark) leaves the
-        session fresh."""
-        path = self.checkpoint_path
-        if not os.path.exists(path):
-            return
-        doc = load_stream_checkpoint(path)
-        if doc.get("fingerprint") != self.fingerprint:
-            raise CheckpointError(
-                f"{path}: checkpoint was written for a different "
-                "source/model/window/sampling; refusing to resume "
-                "(delete it to start over)"
-            )
-        extra = doc.get("extra") or {}
-        if "consumed_raw" not in extra:
-            raise CheckpointError(
-                f"{path}: checkpoint has no raw-record watermark; "
-                "re-run without --resume"
-            )
-        self.detector = StreamingDetector.from_snapshot(
-            doc["snapshot"], self.model
-        )
-        self.resumed_at = self._saved_raw = int(extra["consumed_raw"])
-        self.sampled_dropped = dict(extra.get("sampled_dropped") or {})
 
     def open(
         self, expected_streams: Optional[Iterable[int]] = None
     ) -> StreamingDetector:
-        """The detector, built on first use unless resumed."""
+        """The detector, built on first use."""
         if self.detector is None:
             self.detector = StreamingDetector(
                 self.model, self.window, expected_streams
@@ -565,42 +480,18 @@ class StreamSession:
             if event is None:
                 break
             raw += 1
-            replaying = raw <= self.resumed_at
-            if self.sampler is not None:
-                keep = self.sampler.observe(event)[0]
-                if not keep and not replaying:
-                    kind = event.kind.value
-                    self.sampled_dropped[kind] = (
-                        self.sampled_dropped.get(kind, 0) + 1
-                    )
-                    continue
-            if not replaying:
-                self.detector.feed(event)
+            if self.sampler is not None and not self.sampler.observe(event)[0]:
+                kind = event.kind.value
+                self.sampled_dropped[kind] = self.sampled_dropped.get(kind, 0) + 1
+                continue
+            self.detector.feed(event)
         self.consumed_raw = raw
         return raw - start
 
-    def maybe_checkpoint(self, force: bool = False) -> bool:
-        """Save the checkpoint when eight windows of raw records have
-        gone by since the last save (``force``: any at all)."""
-        if self.checkpoint_path is None or self.detector is None:
-            return False
-        due = 1 if force else 8 * self.window
-        if self.consumed_raw - self._saved_raw < due:
-            return False
-        extra: Dict[str, object] = {"consumed_raw": self.consumed_raw}
-        if self.sampled_dropped:
-            extra["sampled_dropped"] = dict(self.sampled_dropped)
-        save_stream_checkpoint(
-            self.checkpoint_path, self.detector, self.fingerprint, extra
-        )
-        self._saved_raw = self.consumed_raw
-        return True
-
     def finish(self) -> StreamResult:
-        """Final compaction, a last checkpoint, and the outcome."""
+        """Final compaction, and the outcome."""
         detector = self.open()
         detector.finish()
-        self.maybe_checkpoint(force=True)
         state = detector.state
         # "sampled" iff records were actually dropped: a sampler that
         # was engaged but thinned nothing must not taint the report.
@@ -624,7 +515,6 @@ class StreamSession:
             streams_seen=state.stats()["streams_started"],
             damage=dict(self.damage),
             sampled_dropped=dict(self.sampled_dropped),
-            resumed_at=self.resumed_at,
         )
 
 
@@ -639,8 +529,6 @@ def detect_races_streaming(
     expected_streams: Optional[Iterable[int]] = None,
     max_seconds: Optional[float] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
     sampler: Optional[object] = None,
 ) -> StreamResult:
     """One single-pass streaming detection run.
@@ -651,30 +539,16 @@ def detect_races_streaming(
     ``window`` raw records the pass probes:
     ``max_seconds``/``should_stop`` stop it early
     (``stopped_early=True``, candidates found so far are kept), and
-    process RSS is sampled for ``rss_high_water_mb``.
-    ``checkpoint_path`` (saved every eight windows of raw records, and
-    when the pass ends) makes the pass resumable via ``resume=True``; a checkpoint the
-    session refuses is an error here (``CheckpointError``).  ``sampler``
+    process RSS is sampled for ``rss_high_water_mb``.  ``sampler``
     (a ``repro.trace.sampling.Sampler``) thins the memory accesses — the
     streaming analog of sampled tracing; the result reads
     ``confidence="sampled"`` once anything was dropped.
     """
     if (records is None) == (wal_dir is None):
         raise ValueError("pass exactly one of records= or wal_dir=")
-    if resume and checkpoint_path is None:
-        raise CheckpointError("resume=True requires checkpoint_path")
 
-    session = StreamSession(
-        model,
-        window,
-        os.path.abspath(wal_dir) if wal_dir is not None else "<records>",
-        checkpoint_path,
-        sampler=sampler,
-    )
-    if resume:
-        session.resume()
+    session = StreamSession(model, window, sampler=sampler)
     if wal_dir is not None:
-        # A resume re-delivers closes the snapshot holds: idempotent.
         detector = session.open(expected_streams or wal_stream_tids(wal_dir))
         stream = iter_wal_records(wal_dir, session.damage, detector.close_stream)
     else:
@@ -686,18 +560,10 @@ def detect_races_streaming(
     rss_high = process_rss_mb()
     stopped_early = False
     while session.pump(stream, limit=window) == window:
-        maybe_stall("stream_window")
         rss_high = max(rss_high, process_rss_mb())
-        session.maybe_checkpoint()
         if budget.exceeded() or (should_stop is not None and should_stop()):
             stopped_early = True
             break
-    if session.consumed_raw < session.resumed_at and not stopped_early:
-        raise CheckpointError(
-            f"stream ended {session.resumed_at - session.consumed_raw} "
-            "records before the checkpoint watermark; the source shrank "
-            "since the checkpoint was written"
-        )
     result = session.finish()
     meta = read_meta(wal_dir) if wal_dir is not None else None
     if meta:  # as in ``finish``: sampled iff anything was dropped

@@ -1,7 +1,7 @@
 """The one framing codec and the one atomic-publish routine.
 
 WAL segments, service wire frames and every whole-file document (the
-run checkpoint's manifest, ``stream.ckpt``, a saved trace's
+run checkpoint's manifest, a tenant's ``state.json``, a saved trace's
 ``meta.json``) share one self-verifying format, parsed here and nowhere
 else; readers differ only in what they do with a damaged line.
 Reference (damage taxonomy, reader policies, what :func:`atomic_write`

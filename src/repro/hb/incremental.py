@@ -36,10 +36,9 @@ online set-based engine:
   be retired and clock entries at the frontier pruned (each shared
   base once), which is what keeps memory bounded on unbounded streams.
 
-Every query, the statistics and the checkpoint see the *logical* clock
+Every query, the statistics and the snapshot see the *logical* clock
 — the pointwise maximum of base, delta and own count — so the sharing
-never shows outside this module; a resumed state starts unshared and
-shares again from its next fold.
+never shows outside this module.
 
 Two deliberate restrictions versus the batch graph (both recorded on
 the state and surfaced by the streaming detector):
@@ -65,7 +64,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.hb.model import FULL_MODEL, HBModel
 from repro.runtime.ops import MEM_WRITE, OpEvent, OpKind
-from repro.trace.records import _jsonable, _untuple
+from repro.trace.records import _jsonable
 
 __all__ = ["StreamingHBState", "STREAM_UNSUPPORTED_FAMILIES"]
 
@@ -102,8 +101,7 @@ _ROLES = {
 
 class _Base(dict):
     """A shared clock base ``{segment: count}``; never mutated once
-    published.  ``origin`` is the uid of the clock that folded it (a
-    fresh uid no clock has for a base rebuilt from a checkpoint) and
+    published.  ``origin`` is the uid of the clock that folded it and
     ``version`` orders the folds: a later fold from the same origin
     dominates an earlier one pointwise, since clocks only grow (and
     pruning shrinks every clock and base alike)."""
@@ -135,11 +133,11 @@ class _Clock:
 
 
 #: A pending source snapshot: (source segment, its count then — 0 once
-#: pruned, or for one rebuilt from a checkpoint —, base, private delta).
-_Snapshot = Tuple[Optional[int], int, _Base, Dict[int, int]]
+#: pruned —, base, private delta).
+_Snapshot = Tuple[int, int, _Base, Dict[int, int]]
 
 
-def _entries(own_seg: Optional[int], own: int, base: _Base, delta) -> int:
+def _entries(own_seg: int, own: int, base: _Base, delta) -> int:
     """Size of the logical clock ``{**base, **delta, own_seg: own}``."""
     size = len(base) + sum(1 for s in delta if s not in base)
     if own and own_seg not in base:
@@ -465,8 +463,7 @@ class StreamingHBState:
             "records_observed": self.records_observed,
         }
 
-    # -- checkpointing -----------------------------------------------------
-
+    # Kept for the perf probe ``probe_feed`` (save_stream_checkpoint); nothing loads it.
     def to_snapshot(self) -> Dict[str, object]:
         return {
             "model": self.model.describe(),
@@ -500,37 +497,3 @@ class StreamingHBState:
             "rootless_segments": self.rootless_segments,
             "records_observed": self.records_observed,
         }
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: Dict[str, object], model: HBModel = FULL_MODEL
-    ) -> "StreamingHBState":
-        """Rebuild a state from :meth:`to_snapshot`.  Nothing is shared:
-        each clock is its own fold and each pending snapshot a base of
-        its own, until the next folds share again."""
-        self = cls(model=model)
-        for seg, entries in snapshot["clocks"].items():
-            seg = int(seg)
-            uid = self._uid()
-            entries = {int(s): c for s, c in entries.items()}
-            self._clocks[seg] = _Clock(
-                uid, entries.get(seg, 0), self._fold(entries, uid)
-            )
-        for channel, tag, entries in snapshot["pending"]:
-            entries = {int(s): c for s, c in entries.items()}
-            self._pending[(channel, _untuple(tag))] = (
-                None, 0, self._fold(entries, self._uid()), {},
-            )
-        self._open = {
-            int(tid): set(segs) for tid, segs in snapshot["open"].items()
-        }
-        self._started = set(snapshot["started"])
-        self._closed_streams = set(snapshot["closed_streams"])
-        self._floor = {int(s): v for s, v in snapshot["floor"].items()}
-        expected = snapshot.get("expected")
-        self._expected = set(expected) if expected is not None else None
-        self.unmatched = Counter(snapshot.get("unmatched", {}))
-        self.rootless_segments = int(snapshot.get("rootless_segments", 0))
-        self.records_observed = int(snapshot.get("records_observed", 0))
-        self._retirement_begun = any(v > 0 for v in self._floor.values())
-        return self

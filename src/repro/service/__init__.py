@@ -10,7 +10,7 @@ publishes a canonical detection report per tenant.  The pieces:
   control, credit backpressure, circuit-breaker quarantine, and crash
   recovery from the durable spool;
 * :mod:`repro.service.tenants`  — per-tenant spool + deterministic
-  k-way merge + streaming detector + checkpoints;
+  k-way merge + streaming detector;
 * :mod:`repro.service.client`   — :class:`ServiceClient`: reconnect,
   full-jitter retries, idempotent shipping;
 * :mod:`repro.service.report`   — the canonical, byte-stable report.

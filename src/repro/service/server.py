@@ -24,10 +24,10 @@ is published when the tenant finalizes.  The moving parts:
   torn/CRC-bad segment uploads, evidence preserved on disk;
 * **crash recovery** — ingestion ACKs only after the segment is
   atomically published (``repro.framing.atomic_write``) in the spool;
-  the pump checkpoints its detector with a raw-merge watermark;
-  on restart every tenant directory is recovered and resumed.  Because
-  the merge order is deterministic, ``kill -9`` + restart loses no
-  acknowledged segment and re-produces byte-identical reports.
+  on restart every tenant directory is recovered and its pump replays
+  the spool from record 0.  Because the merge order is deterministic,
+  ``kill -9`` + restart loses no acknowledged segment and re-produces
+  byte-identical reports.
 
 The transport is real TCP on localhost rather than the simulated
 ``repro.runtime.sockets`` layer: crash recovery must survive an OS
@@ -77,7 +77,7 @@ ADMISSION_RSS_FRACTION = 0.92
 REPORT_WAIT_CAP_S = 30.0
 
 #: Raw records one pump() call may advance before yielding (keeps the
-#: pump preemptible for checkpoints and, with
+#: pump preemptible and, with
 #: ``DCATCH_STALL=service_pump:<s>``, gives the backpressure demos a way
 #: to make ingest outrun detection).
 PUMP_BATCH = 4096
@@ -220,10 +220,6 @@ class DetectionServer:
             tenant.settled.set()  # releases every held ``report``
         for pump in pumps:
             pump.join(timeout=10)
-        for tenant in tenants:
-            if not tenant.done:
-                with tenant.lock:
-                    tenant.maybe_checkpoint(force=True)
         if self.http is not None:
             self.http.stop()
             self.http = None
@@ -302,7 +298,6 @@ class DetectionServer:
             with tenant.lock:
                 pending = tenant.pending_segments()
                 advanced = tenant.pump(limit=PUMP_BATCH)
-                tenant.maybe_checkpoint()
                 drained = tenant.drained
                 gauge.dec(pending - tenant.pending_segments())
             if advanced:

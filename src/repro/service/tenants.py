@@ -4,7 +4,6 @@ Each admitted tenant owns a directory under ``<data_dir>/tenants/<id>``::
 
     state.json            durable session state (streams, finalize, quarantine)
     spool/<node>/thread-<tid>/seg-NNNN.wal    ingested segment bytes
-    stream.ckpt           the stream session's checkpoint (an optimisation)
     report.json           canonical detection report, written once
     quarantine/           evidence bytes kept by the circuit breaker
 
@@ -14,14 +13,14 @@ cheap: an offline ``repro stream <tenant>/spool`` pass over the spool
 must produce the same canonical report the service did.
 
 Ingestion is crash-ordered: a segment is ACKed only after its bytes are
-durably in the spool (``repro.framing.atomic_write``), and everything
-else — ``state.json``, the detector checkpoint — is reconstructible from the
-spool plus the deterministic merge.  ``kill -9`` therefore loses
-nothing that was ever acknowledged.
+durably in the spool (``repro.framing.atomic_write``), and the detector
+state is reconstructible from the spool plus the deterministic merge: a
+recovered tenant replays its spool from record 0.  ``kill -9``
+therefore loses nothing that was ever acknowledged.
 
-The detector pass — merge by ``seq``, raw-record watermark,
-checkpoint, replay on resume, confidence — is the offline ``stream``
-pass's (unsampled): one :class:`repro.detect.streaming.StreamSession` over
+The detector pass — merge by ``seq``, raw-record count, confidence —
+is the offline ``stream`` pass's (unsampled): one
+:class:`repro.detect.streaming.StreamSession` over
 :func:`~repro.detect.streaming.merge_by_seq`.  The tenant feeds it
 :class:`_SpoolStream` cursors, which *starve* (segments arrive
 interleaved across streams); the merge then stalls rather than pop out
@@ -44,7 +43,6 @@ from repro.detect.streaming import (
     StreamSession,
     merge_by_seq,
 )
-from repro.errors import CheckpointError
 from repro.framing import atomic_write, read_document, write_document
 from repro.hb.model import FULL_MODEL
 from repro.runtime.ops import OpEvent
@@ -65,8 +63,8 @@ StreamKey = Tuple[str, int]  # (node, tid)
 TENANT_STATE_FORMAT = "repro-service-tenant"
 #: Version 2 moved ``state.json`` into the ``write_document`` envelope;
 #: version 3 dropped the sampling flag (a tenant is never sampled).  An
-#: older directory is refused at recovery: a version-2 tenant may hold a
-#: sampled checkpoint, and replaying it unsampled would mix the two.
+#: older directory is refused at recovery: a version-2 tenant may have
+#: been sampled, and replaying it unsampled would change its report.
 TENANT_STATE_VERSION = 3
 
 
@@ -149,12 +147,7 @@ class Tenant:
         self.streams: Dict[StreamKey, _SpoolStream] = {}
         self.finalized = False
         self.done = False
-        self.session = StreamSession(
-            FULL_MODEL,
-            self.window,
-            f"service:{tenant_id}",
-            self.checkpoint_path,
-        )
+        self.session = StreamSession(FULL_MODEL, self.window)
         self.damage = self.session.damage
         self.breaker = CircuitBreaker(
             tenant=tenant_id,
@@ -177,10 +170,6 @@ class Tenant:
     @property
     def state_path(self) -> str:
         return os.path.join(self.root, "state.json")
-
-    @property
-    def checkpoint_path(self) -> str:
-        return os.path.join(self.root, "stream.ckpt")
 
     @property
     def report_path(self) -> str:
@@ -219,10 +208,10 @@ class Tenant:
         ``state.json`` restores the session (streams, finalize,
         quarantine); the **spool is the source of truth** for what was
         durably ingested — received counts are re-derived by listing
-        it, never trusted from state.  The session checkpoint only
-        saves already-retired work: one that cannot be used is
-        discarded (and counted) and the spool is replayed from record
-        0.  ``window=None`` means the window in ``state.json``."""
+        it, never trusted from state.  The detector starts fresh and
+        the pump replays the spool from record 0 (a detector checkpoint
+        an older server left is ignored).  ``window=None`` means the
+        window in ``state.json``."""
         doc = read_document(os.path.join(root, "state.json"))
         if (
             not isinstance(doc, dict)
@@ -266,15 +255,6 @@ class Tenant:
         if os.path.exists(self.report_path):
             self.done = True
             self.settled.set()
-        else:
-            try:
-                self.session.resume()
-            except CheckpointError as exc:
-                obs.counter(
-                    "service_checkpoints_discarded_total",
-                    "unusable tenant checkpoints discarded at recovery",
-                ).labels(tenant=tenant_id).inc()
-                print(f"service: tenant {tenant_id} checkpoint discarded: {exc}")
         return self
 
     # -- session -----------------------------------------------------------
@@ -362,15 +342,6 @@ class Tenant:
         preemptible).  Returns the number of raw records advanced
         (0 means the merge is starved — waiting on more segments)."""
         return self.session.pump(self._merged, limit)
-
-    def maybe_checkpoint(self, force: bool = False) -> bool:
-        """Save the session checkpoint when its cadence says so."""
-        saved = self.session.maybe_checkpoint(force)
-        if saved:
-            obs.counter(
-                "service_checkpoints_total", "per-tenant detector checkpoints"
-            ).labels(tenant=self.tenant_id).inc()
-        return saved
 
     @property
     def drained(self) -> bool:

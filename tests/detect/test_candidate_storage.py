@@ -1,17 +1,13 @@
 """How the streaming detector holds its candidates: two record
 references per pair, no object per pair, handed out in
-``(first.seq, second.seq)`` order and carried through a snapshot."""
+``(first.seq, second.seq)`` order."""
 
 import gc
-import json
 import tracemalloc
 
 import pytest
 
-from repro.detect.streaming import StreamingDetector, detect_races_streaming
-from repro.hb.model import FULL_MODEL
-from repro.trace.records import record_to_dict
-from repro.trace.salvage import salvage_trace
+from repro.detect.streaming import detect_races_streaming
 from repro.workload import WorkloadSpec, generate_workload
 
 #: One phase of the ``stream_contended`` benchmark shape: 120 of 128
@@ -29,10 +25,6 @@ MAX_BYTES_PER_CANDIDATE = 24
 def contended(tmp_path_factory):
     out = tmp_path_factory.mktemp("contended-storage")
     return generate_workload("minimr", CONTENDED, 0, str(out))
-
-
-def _records(candidates):
-    return [(record_to_dict(c.first), record_to_dict(c.second)) for c in candidates]
 
 
 def test_a_finished_result_holds_at_most_24_bytes_per_candidate(contended):
@@ -60,21 +52,3 @@ def test_seq_pairs_follow_the_candidates_in_order_on_every_call(contended):
     assert pairs == [(c.first.seq, c.second.seq) for c in result.candidates]
     assert list(result.candidate_seq_pairs()) == pairs
 
-
-def test_a_restored_detector_reports_the_same_candidates(contended):
-    trace, _ = salvage_trace(contended.wal_dir)
-    detector = StreamingDetector(FULL_MODEL, window=64)
-    mid = len(trace.records) // 2
-    for record in trace.records[:mid]:
-        detector.feed(record)
-    assert len(detector.candidates) > 0
-
-    snapshot = json.loads(json.dumps(detector.to_snapshot()))
-    restored = StreamingDetector.from_snapshot(snapshot, FULL_MODEL)
-    assert _records(restored.candidates) == _records(detector.candidates)
-
-    for copy in (detector, restored):
-        for record in trace.records[mid:]:
-            copy.feed(record)
-        copy.finish()
-    assert _records(restored.candidates) == _records(detector.candidates)

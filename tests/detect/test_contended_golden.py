@@ -5,10 +5,11 @@ detector's pair loop *is* the detection.  A small generated workload
 with no private traffic and most workers racing on one key per phase
 is streamed under three windows (compact after every record, a few
 times per pass, never mid-pass).  The candidate pairs in order,
-``pairs_examined`` and the bytes of a checkpoint saved half-way
-through — whose candidate list is in discovery order, unsorted — are
-goldens, so a change to how the pair loop or the candidate is built
-has to leave every one of them where it was.
+``pairs_examined`` and the bytes ``save_stream_checkpoint`` writes
+half-way through — the file the perf probe ``probe_feed`` times, whose
+candidate list is in discovery order, unsorted — are goldens, so a
+change to how the pair loop or the candidate is built has to leave
+every one of them where it was.
 """
 
 import hashlib
@@ -19,6 +20,8 @@ import pytest
 from repro.detect.streaming import (
     StreamSession,
     iter_wal_records,
+    save_stream_checkpoint,
+    stream_fingerprint,
     wal_stream_tids,
 )
 from repro.hb.model import FULL_MODEL
@@ -41,13 +44,19 @@ def _sha256(data):
 
 
 def _stream(wal_dir, window, ckpt):
-    """One session over the WAL, checkpointed once half-way through.
-    Returns (candidate pairs, pairs examined, checkpoint sha256)."""
-    session = StreamSession(FULL_MODEL, window, "contended", ckpt)
+    """One session over the WAL, its detector saved once half-way
+    through.  Returns (candidate pairs, pairs examined, checkpoint
+    sha256)."""
+    session = StreamSession(FULL_MODEL, window)
     detector = session.open(wal_stream_tids(wal_dir))
     records = iter_wal_records(wal_dir, session.damage, detector.close_stream)
-    session.pump(records, limit=HALF)
-    assert session.maybe_checkpoint(force=True)
+    assert session.pump(records, limit=HALF) == HALF
+    save_stream_checkpoint(
+        ckpt,
+        detector,
+        stream_fingerprint(FULL_MODEL, window, "contended"),
+        {"consumed_raw": HALF},
+    )
     with open(ckpt, "rb") as fh:
         digest = _sha256(fh.read())
     session.pump(records)

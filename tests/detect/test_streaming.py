@@ -1,4 +1,4 @@
-"""Streaming detection: batch equivalence, resume, damage handling.
+"""Streaming detection: batch equivalence, damage handling.
 
 The core property: for any trace the streaming detector can express
 (exactly-once message pairing, no whole-trace inference rules), the
@@ -8,7 +8,6 @@ every record).  The window is a memory knob, never a soundness knob.
 """
 
 import hashlib
-import json
 import os
 import tracemalloc
 
@@ -18,12 +17,9 @@ from hypothesis import strategies as st
 
 from repro.detect.races import detect_races
 from repro.detect.streaming import (
-    StreamingDetector,
     detect_races_streaming,
     iter_wal_records,
-    load_stream_checkpoint,
 )
-from repro.errors import CheckpointError
 from repro.hb.incremental import STREAM_UNSUPPORTED_FAMILIES
 from repro.hb.model import FULL_MODEL
 from repro.ids import CallStack
@@ -125,7 +121,7 @@ def test_window_one_retires_state(recipe):
     assert _pair_set(tight.candidates) == _pair_set(loose.candidates)
 
 
-# -- generated workloads: resume, damage, ground truth ------------------------------
+# -- generated workloads: damage, ground truth ------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -234,57 +230,6 @@ def test_streaming_completes_where_whole_graph_ooms():
     )
 
 
-def test_checkpoint_resume_equals_single_pass(small_workload, tmp_path):
-    ckpt = str(tmp_path / "stream.ckpt")
-    full = detect_races_streaming(wal_dir=small_workload.wal_dir, window=32)
-
-    # First pass: stop partway through, sealing a checkpoint.
-    calls = {"n": 0}
-
-    def stop_soon():
-        calls["n"] += 1
-        return calls["n"] > 4
-
-    partial = detect_races_streaming(
-        wal_dir=small_workload.wal_dir,
-        window=32,
-        checkpoint_path=ckpt,
-        should_stop=stop_soon,
-    )
-    assert partial.stopped_early
-    assert partial.records_consumed < small_workload.records
-    assert os.path.exists(ckpt)
-    saved = load_stream_checkpoint(ckpt)
-    assert saved["snapshot"]["records_consumed"] > 0
-
-    resumed = detect_races_streaming(
-        wal_dir=small_workload.wal_dir,
-        window=32,
-        checkpoint_path=ckpt,
-        resume=True,
-    )
-    assert not resumed.stopped_early
-    assert resumed.records_consumed == small_workload.records
-    assert _pair_set(resumed.candidates) == _pair_set(full.candidates)
-
-
-def test_resume_rejects_different_window(small_workload, tmp_path):
-    ckpt = str(tmp_path / "stream.ckpt")
-    detect_races_streaming(
-        wal_dir=small_workload.wal_dir,
-        window=32,
-        checkpoint_path=ckpt,
-        should_stop=lambda: True,
-    )
-    with pytest.raises(CheckpointError):
-        detect_races_streaming(
-            wal_dir=small_workload.wal_dir,
-            window=64,  # different fingerprint
-            checkpoint_path=ckpt,
-            resume=True,
-        )
-
-
 def test_damaged_wal_degrades_to_partial(tmp_path):
     generated = generate_workload("minimr", "small", 3, str(tmp_path / "g"))
     # Corrupt one record mid-segment: the rest of that stream is
@@ -357,31 +302,6 @@ def test_exactly_one_source_required():
         detect_races_streaming(records=[], wal_dir="/nonexistent")
 
 
-def test_feed_api_snapshot_roundtrip(small_workload):
-    from repro.trace.salvage import salvage_trace
-
-    trace, _ = salvage_trace(small_workload.wal_dir)
-    detector = StreamingDetector(model=STREAM_MODEL, window=16)
-    mid = len(trace.records) // 2
-    for record in trace.records[:mid]:
-        detector.feed(record)
-
-    # Serialize mid-stream, restore, finish on the copy.
-    snapshot = json.loads(json.dumps(detector.to_snapshot()))
-    restored = StreamingDetector.from_snapshot(snapshot, STREAM_MODEL)
-    for record in trace.records[mid:]:
-        restored.feed(record)
-    restored.finish()
-
-    for record in trace.records[mid:]:
-        detector.feed(record)
-    detector.finish()
-    assert _pair_set(restored.candidates) == _pair_set(detector.candidates)
-    assert {
-        frozenset(p) for p in _pair_set(detector.candidates)
-    } == _planted_set(small_workload)
-
-
 def test_streaming_with_sampler_marks_sampled(small_workload):
     from repro.trace.sampling import build_sampler
 
@@ -423,24 +343,3 @@ def test_streaming_rate_one_sampler_is_noop(small_workload):
     assert sampled.confidence == "full"
     assert list(sampled.candidate_seq_pairs()) == list(plain.candidate_seq_pairs())
     assert sampled.records_consumed == plain.records_consumed
-
-
-def test_resume_rejects_different_sampling_policy(small_workload, tmp_path):
-    from repro.trace.sampling import build_sampler
-
-    ckpt = str(tmp_path / "stream.ckpt")
-    detect_races_streaming(
-        wal_dir=small_workload.wal_dir,
-        window=32,
-        sampler=build_sampler("0.5", seed=1),
-        checkpoint_path=ckpt,
-        should_stop=lambda: True,
-    )
-    with pytest.raises(CheckpointError):
-        detect_races_streaming(
-            wal_dir=small_workload.wal_dir,
-            window=32,
-            sampler=build_sampler("0.5", seed=2),  # different seed
-            checkpoint_path=ckpt,
-            resume=True,
-        )

@@ -6,12 +6,10 @@ the coordinator and back each phase) is streamed through
 every ``CADENCE`` records.  The checkpoint bytes, the per-compaction
 ``state.stats()`` and the candidate pairs are goldens recorded with
 the plain dict-of-dicts clocks, so a change to how a clock is stored
-has to leave every one of them where it was — including after a
-resume, whose clocks are rebuilt from the checkpoint.
+has to leave every one of them where it was.
 """
 
 import hashlib
-import json
 
 import pytest
 from dict_clocks import DictClockState
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 from repro.detect.streaming import (
     StreamingDetector,
     iter_wal_records,
-    load_stream_checkpoint,
     save_stream_checkpoint,
     stream_fingerprint,
     wal_stream_tids,
@@ -64,31 +61,24 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _stream(wal_dir, ckpt, resume_at=None):
+def _stream(wal_dir, ckpt):
     """Stream the WAL, compacting and saving ``ckpt`` every CADENCE
-    records.  With ``resume_at``, the detector is swapped at that
-    record for one restored from the checkpoint just saved.  Returns
-    (checkpoint digests, stats rows, candidate digest, final bytes)."""
-    current = [
-        StreamingDetector(window=10**12, expected_streams=wal_stream_tids(wal_dir))
-    ]
-    digests, stats = [], []
-    records = iter_wal_records(
-        wal_dir, on_stream_end=lambda tid: current[0].close_stream(tid)
+    records.  Returns (checkpoint digests, stats rows, candidate
+    digest, final bytes)."""
+    detector = StreamingDetector(
+        window=10**12, expected_streams=wal_stream_tids(wal_dir)
     )
+    digests, stats = [], []
+    records = iter_wal_records(wal_dir, on_stream_end=detector.close_stream)
     for n, event in enumerate(records, 1):
-        current[0].feed(event)
+        detector.feed(event)
         if n % CADENCE:
             continue
-        current[0].compact()
-        row = current[0].state.stats()
+        detector.compact()
+        row = detector.state.stats()
         stats.append(tuple(row[k] for k in STATS_KEYS))
-        save_stream_checkpoint(ckpt, current[0], FINGERPRINT)
+        save_stream_checkpoint(ckpt, detector, FINGERPRINT)
         digests.append(_sha256(ckpt))
-        if n == resume_at:
-            snapshot = load_stream_checkpoint(ckpt)["snapshot"]
-            current[0] = StreamingDetector.from_snapshot(snapshot, FULL_MODEL)
-    detector = current[0]
     detector.finish()
     pairs = repr([(c.first.seq, c.second.seq) for c in detector.candidates])
     save_stream_checkpoint(ckpt, detector, FINGERPRINT)
@@ -131,24 +121,12 @@ def test_star_stream_matches_goldens(star, tmp_path):
     assert hashlib.sha256(final).hexdigest() == GOLDEN_FINAL
 
 
-def test_resume_keeps_the_bytes(star, tmp_path):
-    """Checkpoint mid-stream, finish in a detector restored from it:
-    every later checkpoint, the candidates and the final bytes equal
-    the uninterrupted run's."""
-    whole = _stream(star.wal_dir, str(tmp_path / "whole.ckpt"))
-    half = len(whole[0]) // 2 * CADENCE
-    resumed = _stream(
-        star.wal_dir, str(tmp_path / "resumed.ckpt"), resume_at=half
-    )
-    assert resumed == whole
-
-
 # -- differential oracle ---------------------------------------------------
 
 
 class _Script:
     """A record stream under construction, with the harness's own steps
-    (``close`` a stream, ``compact``, ``resume``) interleaved."""
+    (``close`` a stream, ``compact``) interleaved."""
 
     def __init__(self):
         self.steps = []
@@ -234,8 +212,6 @@ def _scripts(draw, shape):
     every = draw(st.sampled_from([1, 2, 3, 5, 8, 13, n]))  # n: never
     for at in reversed(range(every, n, every)):
         script.steps.insert(at, ("compact", None))
-    if draw(st.booleans()):
-        script.steps.insert(draw(st.integers(1, n)), ("resume", None))
     return script, draw(st.sampled_from([0, 1, 2, FOLD_THRESHOLD]))
 
 
@@ -296,14 +272,10 @@ def _assert_query_matches(state, ref, seg, seen):
 
 def _run_differential(script, threshold):
     """Run ``script`` on the engine and the reference in step; returns
-    whether a ``resume`` step ran and the general joins summed across
-    resumes (a snapshot does not carry the count, so a resumed state
-    restarts it at 0)."""
+    the engine's general joins."""
     state = StreamingHBState(expected_streams=script.tids)
     ref = DictClockState(expected_streams=script.tids)
     seen = set()
-    resumed = False
-    joins = 0
     incremental.FOLD_THRESHOLD = threshold
     try:
         for step, arg in script.steps:
@@ -318,19 +290,14 @@ def _run_differential(script, threshold):
                 # every examined pair reads as concurrent.
                 assert arg not in ref.clocks
                 _assert_query_matches(state, ref, arg, seen)
-            elif step == "compact":
+            else:
                 frontier = state.frontier(seen)
                 assert frontier == ref.frontier(seen)
                 assert state.prune(frontier) == ref.prune(frontier)
-            else:
-                joins += state.general_joins
-                snapshot = json.loads(json.dumps(state.to_snapshot()))
-                state = StreamingHBState.from_snapshot(snapshot)
-                resumed = True
             _assert_same(state, ref)
     finally:
         incremental.FOLD_THRESHOLD = FOLD_THRESHOLD
-    return resumed, joins + state.general_joins
+    return state.general_joins
 
 
 @pytest.mark.parametrize("shape", ["star", "relay", "hubs", "leave"])
@@ -338,8 +305,8 @@ def _run_differential(script, threshold):
 @given(data=st.data())
 def test_logical_clocks_equal_the_dict_reference(shape, data):
     script, threshold = data.draw(_scripts(shape))
-    resumed, joins = _run_differential(script, threshold)
-    if shape == "star" and not resumed and threshold >= 2:
+    joins = _run_differential(script, threshold)
+    if shape == "star" and threshold >= 2:
         # Workers whose deltas (the hub's count, a token) stay unfolded
         # only ever meet bases they know or adopt.
         assert joins == 0
@@ -353,5 +320,5 @@ def test_cross_feeding_hubs_take_the_general_join(data):
     checked against the reference) on every such script, even with
     the workers' own deltas below the fold threshold."""
     script, _ = data.draw(_scripts("hubs"))
-    _, joins = _run_differential(script, 2)
+    joins = _run_differential(script, 2)
     assert joins > 0

@@ -153,16 +153,6 @@ def test_stage_status_keys_are_the_stage_names():
     assert result.stage_status["analysis"] == "degraded"
 
 
-def test_config_fingerprint_is_unchanged_for_existing_checkpoints():
-    """``trigger_seeds`` is no longer a field, but the fingerprint keeps
-    hashing its old default, so a checkpoint written while it was one
-    still resumes."""
-    from repro.analysis.checkpoint import config_fingerprint
-
-    assert config_fingerprint("ZK-1144", PipelineConfig()) == "5692c87fe4a82fe6"
-    assert config_fingerprint("CA-1011", PipelineConfig()) == "64043f88fe350208"
-
-
 @pytest.mark.parametrize("mode", ["psychic", "sync-preserving"])
 def test_unknown_detect_mode_rejected(mode):
     assert DCatch.DETECT_MODES == ("batch", "streaming")

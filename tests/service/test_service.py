@@ -130,6 +130,17 @@ class TestShipAndReport:
         assert report["confidence"] == "full"
         assert report["sampled_dropped"] == {}
 
+    def test_a_drained_tenant_holds_its_spool_state_and_report(
+        self, server, wal_dir
+    ):
+        """No detector checkpoint beside them: recovery replays the
+        spool, and a drained tenant is answered from its report."""
+        with _client(server, "alpha") as client:
+            client.ship_wal_dir(wal_dir)
+            client.wait_report()
+        root = os.path.join(server.tenants_dir, "alpha")
+        assert sorted(os.listdir(root)) == ["report.json", "spool", "state.json"]
+
     def test_service_file_is_discoverable(self, server):
         doc = load_service_file(server.data_dir)
         assert doc["port"] == server.port
@@ -151,6 +162,32 @@ class TestLifecycle:
         srv.stop()
         assert time.monotonic() - started < 1.0
         assert not accept.is_alive()
+
+    def test_a_server_stopped_mid_ingest_leaves_no_checkpoint(
+        self, tmp_path, wal_dir
+    ):
+        """Stop saves nothing for a tenant mid-pass: a restart replays
+        its spool from record 0."""
+        server = DetectionServer(
+            str(tmp_path / "data"), window=WINDOW, http_port=None
+        ).start()
+        segments = list_stream_segments(wal_dir)
+        try:
+            with _client(server, "alpha") as client:
+                client.hello(sorted(segments))
+                for (node, tid), paths in sorted(segments.items()):
+                    with open(paths[0], "rb") as fh:
+                        client.send_segment(node, tid, 0, fh.read())
+            tenant = server.tenants["alpha"]
+            deadline = time.monotonic() + 30
+            while tenant.consumed_raw == 0:
+                assert time.monotonic() < deadline, "the pump never ran"
+                time.sleep(0.02)
+        finally:
+            server.stop()
+        assert not tenant.done
+        root = os.path.join(server.tenants_dir, "alpha")
+        assert sorted(os.listdir(root)) == ["spool", "state.json"]
 
     def test_stop_restores_the_registry_start_replaced(self, tmp_path):
         before = obs.get_registry()
@@ -351,10 +388,8 @@ class TestTenantPump:
             fh.write(bytes(data))
 
         root = str(tmp_path / "t")
-        # A window of 8 saves every 64 records.
         tenant = _prefilled_tenant(damaged, root, window=8)
         assert tenant.pump(limit=120) == 120
-        assert tenant.maybe_checkpoint()
         assert tenant.damage == {"damaged_records": 1}
         # kill -9 here; a new process recovers from disk.
         tenant = Tenant.recover("t", root)

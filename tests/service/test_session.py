@@ -1,8 +1,7 @@
 """The stream session shared by the offline ``stream`` pass and the
-tenant pump: one merge, exact drop accounting across an offline resume, the
-tenant's discard-and-replay policy for an unusable checkpoint, the
-window remembered in ``state.json``, and the refusal of a checkpoint
-without a raw watermark (sampled or not) and of a version-1 or
+tenant pump: one merge, one confidence rule, recovery by replaying the
+spool (a ``stream.ckpt`` an older server left is ignored), the window
+remembered in ``state.json``, and the refusal of a version-1 or
 version-2 tenant directory."""
 
 import json
@@ -14,17 +13,16 @@ import pytest
 
 import repro.detect.streaming as streaming
 import repro.service.tenants as tenants
-from repro import obs
 from repro.cli import main
 from repro.detect.streaming import (
-    StreamingDetector,
     detect_races_streaming,
     iter_wal_records,
+    save_stream_checkpoint,
+    stream_fingerprint,
 )
-from repro.errors import CheckpointError
-from repro.framing import atomic_write, encode_document, write_document
+from repro.framing import atomic_write, write_document
 from repro.hb.model import FULL_MODEL
-from repro.service.report import render_report, report_from_stream_result
+from repro.service.report import render_report
 from repro.service.server import DetectionServer
 from repro.service.tenants import Tenant, stream_key_str
 from repro.trace.sampling import build_sampler
@@ -32,8 +30,6 @@ from repro.trace.wal import list_stream_segments
 from repro.workload import generate_workload
 
 WINDOW = 64
-#: Budget+rate composite: cold locations whole, hot ones thinned.
-SAMPLING_SPEC = "budget:8+rate:0.1"
 
 
 @pytest.fixture(scope="module")
@@ -70,40 +66,7 @@ def _drain(tenant, batch=50):
     return tenant.write_report()
 
 
-def _offline(wal_dir, tenant_id="t", **kwargs):
-    result = detect_races_streaming(wal_dir=wal_dir, window=WINDOW, **kwargs)
-    return render_report(report_from_stream_result(tenant_id, result))
-
-
-# -- (a) drop accounting survives an offline resume -------------------------
-
-
-def test_offline_sampled_resume_keeps_the_accounting(tmp_path, generated):
-    ckpt = str(tmp_path / "stream.ckpt")
-    spec, seed = SAMPLING_SPEC, 5
-    clean = _offline(generated.wal_dir, sampler=build_sampler(spec, seed))
-    stops = iter([False] * 3 + [True])
-    partial = detect_races_streaming(
-        wal_dir=generated.wal_dir,
-        window=WINDOW,
-        sampler=build_sampler(spec, seed),
-        checkpoint_path=ckpt,
-        should_stop=lambda: next(stops),
-    )
-    assert partial.stopped_early
-    resumed = detect_races_streaming(
-        wal_dir=generated.wal_dir,
-        window=WINDOW,
-        sampler=build_sampler(spec, seed),
-        checkpoint_path=ckpt,
-        resume=True,
-    )
-    assert resumed.resumed_at == 4 * WINDOW
-    assert render_report(report_from_stream_result("t", resumed)) == clean
-    assert (
-        resumed.records_consumed + sum(resumed.sampled_dropped.values())
-        == generated.records
-    )
+# -- (a) one confidence rule ---------------------------------------------------
 
 
 def test_sampler_that_drops_nothing_is_full_confidence(generated):
@@ -118,7 +81,7 @@ def test_sampler_that_drops_nothing_is_full_confidence(generated):
     assert result.confidence == "full"
 
 
-# -- (b) an unusable checkpoint is the tenant's to discard ---------------------
+# -- (b) recovery replays the spool -------------------------------------------
 
 
 def _wait_done(server, names, timeout=30.0):
@@ -130,10 +93,27 @@ def _wait_done(server, names, timeout=30.0):
     raise AssertionError("tenants never finished after recovery")
 
 
+def _leftover_checkpoint(tenant):
+    """The ``stream.ckpt`` an older server's pump saved for a tenant:
+    its detector, fingerprint and raw watermark."""
+    path = os.path.join(tenant.root, "stream.ckpt")
+    save_stream_checkpoint(
+        path,
+        tenant.session.detector,
+        stream_fingerprint(FULL_MODEL, WINDOW, f"service:{tenant.tenant_id}"),
+        {"consumed_raw": tenant.consumed_raw},
+    )
+    return path
+
+
 def test_damaged_checkpoint_does_not_stop_the_service(
     tmp_path, generated, capsys
 ):
+    """Two half-pumped tenants each left an older server's ``stream.ckpt``,
+    alpha's bit-flipped and beta's intact.  Both are ignored: each tenant
+    replays its spool from record 0 to the offline report's bytes."""
     data_dir = str(tmp_path / "data")
+    leftovers = {}
     for name in ("alpha", "beta"):
         tenant = _prefilled(
             generated.wal_dir,
@@ -141,29 +121,23 @@ def test_damaged_checkpoint_does_not_stop_the_service(
             tenant_id=name,
         )
         assert tenant.pump(limit=200) == 200
-        assert tenant.maybe_checkpoint(force=True)
-    ckpt = os.path.join(data_dir, "tenants", "alpha", "stream.ckpt")
-    with open(ckpt, "rb") as fh:
+        leftovers[name] = _leftover_checkpoint(tenant)
+    with open(leftovers["alpha"], "rb") as fh:
         data = bytearray(fh.read())
     data[len(data) // 2] ^= 0x01
-    atomic_write(ckpt, bytes(data))
-    damaged = str(tmp_path / "damaged.ckpt")
-    shutil.copy(ckpt, damaged)
+    atomic_write(leftovers["alpha"], bytes(data))
 
     # No --window: the restart also has to find it in state.json.
     server = DetectionServer(data_dir, http_port=None).start()
     try:
         _wait_done(server, ("alpha", "beta"))
-        discarded = server.registry.get("service_checkpoints_discarded_total")
-        assert discarded.labels(tenant="alpha").value == 1
-        assert discarded.value == 1
-        assert server.tenants["alpha"].session.resumed_at == 0
-        assert server.tenants["beta"].session.resumed_at == 200
+        for name in ("alpha", "beta"):
+            assert server.tenants[name].consumed_raw == generated.records
     finally:
         server.stop()
     # Both recovered spools joined the pending gauge and left it.
     assert server.registry.get("service_pending_segments").value == 0
-    assert "service: tenant alpha checkpoint discarded" in capsys.readouterr().out
+    assert "checkpoint" not in capsys.readouterr().out
 
     for name in ("alpha", "beta"):
         root = os.path.join(data_dir, "tenants", name)
@@ -177,15 +151,6 @@ def test_damaged_checkpoint_does_not_stop_the_service(
         ) as got:
             assert got.read() == want.read()
 
-    # For the offline pass the same file is the caller's error.
-    capsys.readouterr()
-    assert main([
-        "stream", generated.wal_dir, "--window", str(WINDOW),
-        "--checkpoint", damaged, "--resume",
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
 
 # -- (c) the window recorded in state.json -------------------------------------
 
@@ -195,15 +160,14 @@ def test_recover_without_window_uses_state_json(tmp_path, generated):
     root = str(tmp_path / "t")
     tenant = _prefilled(generated.wal_dir, root)
     assert tenant.pump(limit=100) == 100
-    assert tenant.maybe_checkpoint(force=True)
     # The way DetectionServer._recover_tenants calls it with no --window.
     recovered = Tenant.recover("t", root, window=None)
     assert recovered.window == WINDOW
-    assert recovered.session.resumed_at == 100
+    assert recovered.consumed_raw == 0
     report = _drain(recovered)
     assert report["window"] == clean["window"] == WINDOW
     assert render_report(report) == render_report(clean)
-    # An explicit integer still overrides (and so starts over).
+    # An explicit integer still overrides.
     assert Tenant.recover("t", root, window=32).window == 32
 
 
@@ -270,34 +234,12 @@ def test_merge_stalls_on_a_starved_stream_and_resumes_in_order(
     assert fed == expected
 
 
-# -- checkpoints written by the parent commit ----------------------------------
-
-
-def _parent_checkpoint(path, fingerprint, wal_dir, raw, sampler=None):
-    """An offline ``stream.ckpt`` as the parent commit wrote it, built by
-    hand: the first ``raw`` merged records fed to a detector."""
-    tids = [tid for _node, tid in list_stream_segments(wal_dir)]
-    detector = StreamingDetector(window=WINDOW, expected_streams=tids)
-    merged = iter_wal_records(wal_dir, on_stream_end=detector.close_stream)
-    for _ in range(raw):
-        event = next(merged)
-        if sampler is None or sampler.observe(event)[0]:
-            detector.feed(event)
-    doc = {
-        "format": "repro-stream-checkpoint",
-        "version": 1,
-        "fingerprint": fingerprint,
-        "snapshot": detector.to_snapshot(),
-    }
-    atomic_write(
-        path, encode_document(json.dumps(doc, sort_keys=True).encode())
-    )
-    return detector
+# -- tenant directories written by older servers ------------------------------
 
 
 def test_version_1_tenant_directory_is_refused(tmp_path, generated, capsys):
     """Neither a plain-JSON ``state.json`` (version 1) nor an enveloped
-    version-2 one (whose checkpoint may be sampled) is recovered: the
+    version-2 one (which may have been sampled) is recovered: the
     server refuses it in one line, counts it and leaves it on disk."""
     streams = sorted(list_stream_segments(generated.wal_dir))
     for version in (1, 2):
@@ -340,65 +282,3 @@ def test_version_1_tenant_directory_is_refused(tmp_path, generated, capsys):
         with pytest.raises(ValueError, match="version-3"):
             Tenant.recover("t", root)
 
-
-def test_checkpoint_without_raw_watermark_is_refused(
-    tmp_path, generated, capsys
-):
-    """A checkpoint with no ``consumed_raw`` (the parent commit's offline
-    format) is unusable like any other: offline ``--resume`` exits 2 in
-    one line; a tenant discards it, counts it and replays from record 0."""
-    ckpt = str(tmp_path / "stream.ckpt")
-    source = os.path.abspath(generated.wal_dir)
-    _parent_checkpoint(
-        ckpt,
-        f"{FULL_MODEL.describe()}|window={WINDOW}|source={source}",
-        generated.wal_dir,
-        raw=192,
-    )
-    capsys.readouterr()
-    assert main([
-        "stream", generated.wal_dir, "--window", str(WINDOW),
-        "--checkpoint", ckpt, "--resume",
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "no raw-record watermark" in err
-
-    root = str(tmp_path / "t")
-    tenant = _prefilled(generated.wal_dir, root)
-    _parent_checkpoint(
-        tenant.checkpoint_path,
-        tenant.session.fingerprint,
-        tenant.spool_dir,
-        raw=192,
-    )
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        recovered = Tenant.recover("t", root)
-    discarded = registry.get("service_checkpoints_discarded_total")
-    assert discarded.labels(tenant="t").value == 1
-    assert recovered.session.resumed_at == 0
-    assert render_report(_drain(recovered)) == _offline(generated.wal_dir)
-
-
-def test_parent_format_sampled_offline_checkpoint_is_refused(
-    tmp_path, generated
-):
-    """It recorded kept records only; it has no raw watermark either, so
-    it is refused by the same rule as the unsampled one."""
-    ckpt = str(tmp_path / "stream.ckpt")
-    source = os.path.abspath(generated.wal_dir)
-    sampler = build_sampler(SAMPLING_SPEC, 1)
-    _parent_checkpoint(
-        ckpt,
-        f"{FULL_MODEL.describe()}|window={WINDOW}|source={source}"
-        f"|sampling={sampler.describe()}",
-        generated.wal_dir,
-        raw=192,
-        sampler=sampler,
-    )
-    with pytest.raises(CheckpointError, match="no raw-record watermark"):
-        detect_races_streaming(
-            wal_dir=generated.wal_dir, window=WINDOW,
-            sampler=build_sampler(SAMPLING_SPEC, 1),
-            checkpoint_path=ckpt, resume=True,
-        )

@@ -56,6 +56,17 @@ def test_stream_memory_budget_flag_is_unknown(capsys):
     assert "--memory-budget-mb" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--checkpoint", "stream.ckpt"], ["--resume"]]
+)
+def test_stream_checkpoint_flags_are_unknown(flags, capsys):
+    """A stopped stream pass is re-run: it has no checkpoint to resume."""
+    with pytest.raises(SystemExit) as info:
+        main(["stream", "wal", *flags])
+    assert info.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_run_command_no_trigger(capsys):
     assert main(["run", "ZK-1144", "--no-trigger"]) == 0
     out = capsys.readouterr().out
@@ -458,6 +469,25 @@ def test_resume_config_fingerprint_mismatch_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "fingerprint mismatch" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_resume_of_a_checkpoint_hashing_trigger_seeds_exits_2(tmp_path, capsys):
+    """A version-4 checkpoint whose fingerprint still hashed the former
+    ``trigger_seeds`` knob (ZK-1144's was ``5692c87fe4a82fe6``) is
+    refused like any other fingerprint mismatch, in one line."""
+    ckdir = tmp_path / "ck"
+    assert main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir)]) == 0
+    capsys.readouterr()
+    manifest = load_manifest(str(ckdir))
+    assert manifest["version"] == 4
+    assert manifest["config_fingerprint"] != "5692c87fe4a82fe6"
+    manifest["config_fingerprint"] = "5692c87fe4a82fe6"
+    write_document(str(ckdir / "manifest.json"), manifest)
+    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint config fingerprint mismatch")
     assert len(err.strip().splitlines()) == 1
 
 

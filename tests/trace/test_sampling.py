@@ -114,7 +114,7 @@ def test_observe_allocates_nothing():
 
 #: (spec, seed) -> (kept count, crc32 of the kept seqs, describe()),
 #: computed with the policy classes this module replaced: the kept set
-#: and the checkpoint fingerprint of every surviving spec are theirs.
+#: and the description of every surviving spec are theirs.
 GOLDENS = [
     ("0.01", 0, 8379, 0x01960718, "budget:8+rate:0.01@seed=0"),
     ("0.5", 7, 14127, 0xD9B04AD1, "budget:8+rate:0.5@seed=7"),
