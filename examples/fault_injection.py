@@ -6,11 +6,10 @@ Three acts:
    between the bootstrap gossip and the write path's replica selection.
    Delaying the gossip digest widens the race window until the backup
    copy is silently lost in plain (unsteered) runs.
-2. *A crash/restart campaign*: a seeded ``FaultPlan`` crashes and
-   restarts the bootstrapping node, cuts and heals a partition, and
-   duplicates messages — while the full DCatch pipeline (trace, detect,
-   prune, trigger) runs over the faulted execution.  The campaign
-   collects partial results instead of raising, and checks that no
+2. *A crash/restart run*: a ``FaultPlan`` crashes and restarts the
+   bootstrapping node, cuts and heals a partition, and duplicates
+   messages — while the full DCatch pipeline (trace, detect, prune,
+   trigger) runs over the faulted execution.  The run checks that no
    dropped or duplicated message manufactured a happens-before edge.
 3. *Prediction beats injection*: DCatch flags the same race from one
    clean run, no faults needed.
@@ -20,15 +19,18 @@ Run with::
     python examples/fault_injection.py
 """
 
+from collections import Counter
+
 from repro.detect import ReportSet, detect_races
+from repro.pipeline import DCatch, PipelineConfig
 from repro.runtime import (
     Delivery,
     FailureKind,
     FaultAction,
-    FaultCampaign,
     FaultKind,
     FaultPlan,
     NetworkPolicy,
+    OpKind,
 )
 from repro.systems import workload_by_id
 from repro.trace import Tracer, selective_scope_for
@@ -59,18 +61,26 @@ def run_with_delay(workload, delay):
     return result, backup_failures
 
 
-def crash_restart_plan(seed, nodes):
-    """The campaign's per-run plan: crash + restart the bootstrapping
-    node, one partition/heal window after the write, light duplication."""
-    return FaultPlan(
-        [
-            FaultAction(25, FaultKind.CRASH, target="ca2"),
-            FaultAction(55, FaultKind.RESTART, target="ca2"),
-            FaultAction(140, FaultKind.PARTITION, group_a=("ca1",), group_b=("ca2",)),
-            FaultAction(170, FaultKind.HEAL, group_a=("ca1",), group_b=("ca2",)),
-        ],
-        duplicate_probability=0.05,
-    )
+#: Crash + restart the bootstrapping node, one partition/heal window
+#: after the write, light duplication.
+CRASH_RESTART_PLAN = FaultPlan(
+    [
+        FaultAction(25, FaultKind.CRASH, target="ca2"),
+        FaultAction(55, FaultKind.RESTART, target="ca2"),
+        FaultAction(140, FaultKind.PARTITION, group_a=("ca1",), group_b=("ca2",)),
+        FaultAction(170, FaultKind.HEAL, group_a=("ca1",), group_b=("ca2",)),
+    ],
+    duplicate_probability=0.05,
+)
+
+
+def assert_no_manufactured_edges(trace):
+    """A dropped send has no recv; a duplicated one at most ``copies``."""
+    recvs = Counter(r.obj_id for r in trace if r.kind is OpKind.SOCK_RECV)
+    for send in trace:
+        if send.kind is OpKind.SOCK_SEND:
+            allowed = 0 if send.extra.get("dropped") else send.extra.get("copies", 1)
+            assert recvs[send.obj_id] <= allowed, f"spurious recv of {send.obj_id}"
 
 
 def main() -> None:
@@ -91,21 +101,15 @@ def main() -> None:
             failing_delay = delay
     assert failing_delay is not None, "expected some delay to expose the bug"
 
-    print("\n3) crash/restart campaign through the full pipeline:")
-    campaign = FaultCampaign(
-        workload,
-        seeds=(0,),
-        plan_factory=crash_restart_plan,
-    )
-    outcome = campaign.run()
-    print("   " + outcome.summary().replace("\n", "\n   "))
-    assert not outcome.failed_runs, "campaign must degrade, not die"
-    assert outcome.sound, "faults must not manufacture HB edges"
-    run = outcome.completed_runs[0]
-    restarted = run.result.monitored_result
+    print("\n3) crash/restart run through the full pipeline:")
+    print(f"   plan: {CRASH_RESTART_PLAN.describe()}")
+    faulted = DCatch(workload, PipelineConfig(fault_plan=CRASH_RESTART_PLAN)).run()
+    assert not faulted.errors, "the pipeline must degrade, not die"
+    assert_no_manufactured_edges(faulted.trace)
     print(
-        f"   faulted monitored run: completed={restarted.completed}, "
-        f"{len(run.result.trace)} records traced under faults"
+        f"   faulted monitored run: "
+        f"completed={faulted.monitored_result.completed}, "
+        f"{len(faulted.trace)} records traced under faults, no spurious HB edge"
     )
 
     print("\n4) DCatch prediction from a correct run (no faults):")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -80,6 +81,19 @@ def trace_digest(trace: Trace) -> str:
 def load_manifest(directory: str) -> Dict[str, Any]:
     """The CRC-verified manifest of checkpoint ``directory``, of this
     format and version; ``CheckpointError`` (one line) otherwise."""
+    manifest = _read_manifest(directory)
+    version = manifest.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"stale checkpoint schema version {version!r} "
+            f"(this reader understands version {CHECKPOINT_VERSION}); "
+            f"re-run without --resume to rebuild"
+        )
+    return manifest
+
+
+def _read_manifest(directory: str) -> Dict[str, Any]:
+    """The checkpoint manifest of ``directory``, of any version."""
     if not os.path.isdir(directory):
         raise CheckpointError(
             f"{directory} is not a checkpoint directory "
@@ -107,13 +121,6 @@ def load_manifest(directory: str) -> Dict[str, Any]:
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a checkpoint manifest (format {fmt!r})")
-    version = manifest.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"stale checkpoint schema version {version!r} "
-            f"(this reader understands version {CHECKPOINT_VERSION}); "
-            f"re-run without --resume to rebuild"
-        )
     return manifest
 
 
@@ -135,6 +142,7 @@ class CheckpointStore:
         else:
             # A fresh run owns the directory: the new manifest replaces
             # the old trace digest and verdicts.
+            self._sweep_old_trace_copy()
             os.makedirs(self.directory, exist_ok=True)
             self.manifest = {
                 "format": CHECKPOINT_FORMAT,
@@ -144,6 +152,17 @@ class CheckpointStore:
                 "verdicts": [],
             }
             self._write_manifest()
+
+    def _sweep_old_trace_copy(self) -> None:
+        """Versions up to 3 kept a copy of the monitored trace in
+        ``trace/``; nothing reads it now, so it goes with the old
+        manifest.  A directory without such a manifest is left alone."""
+        try:
+            version = _read_manifest(self.directory).get("version")
+        except CheckpointError:
+            return
+        if isinstance(version, int) and version <= 3:
+            shutil.rmtree(os.path.join(self.directory, "trace"), ignore_errors=True)
 
     def _validate_manifest(self) -> None:
         manifest = self.manifest

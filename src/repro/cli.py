@@ -5,7 +5,6 @@ Subcommands::
     dcatch list                     # the benchmark inventory (Table 3)
     dcatch run MR-3274              # full pipeline on one benchmark
     dcatch run MR-3274 --no-trigger # detection + pruning only
-    dcatch run minimr 3274          # same, system + workload spelling
     dcatch table table4             # regenerate one evaluation table
     dcatch table all                # regenerate everything
     dcatch trace ZK-1144 --out DIR  # save the monitored run's trace as a WAL
@@ -16,15 +15,16 @@ Subcommands::
     dcatch salvage ./wal/MR-3274/seed-0   # recover a trace from a WAL
     dcatch run MR-3274 --checkpoint-dir ./ckpt   # log the trigger verdicts
     dcatch run MR-3274 --checkpoint-dir ./ckpt --resume  # re-run only what is missing
-    dcatch profile minimr 3274      # per-stage span table + exports
-    dcatch metrics ZK-1144          # metrics registry after one run
+    dcatch profile MR-3274          # per-stage span table + exports
+    dcatch profile ZK-1144 --prom metrics.prom  # + Prometheus text
     dcatch generate minimr --preset xl --out ./gen  # million-record WAL
     dcatch stream ./gen/wal --ground-truth ./gen/ground_truth.json
     dcatch run MR-3274 --detect-mode streaming  # bounded-memory detection
 
-Unknown benchmark/system/workload names — and damaged saved traces —
-exit with status 2 and a one-line error on stderr instead of a
-traceback.
+Every benchmark is named by its bug id.  Unknown bug ids — and damaged
+saved traces — exit with status 2 and a one-line error on stderr
+instead of a traceback; Ctrl-C ends any verb with one ``interrupted``
+line and status 130.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ from repro.errors import (
     TraceFormatError,
     UnknownBenchmarkError,
 )
-
-
-def _resolve(args: argparse.Namespace):
-    """Resolve ``<bug-id>`` or ``<system> <workload>`` to a workload."""
-    from repro.systems import resolve_workload
-
-    return resolve_workload(args.target, getattr(args, "workload", None))
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -72,8 +65,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.pipeline import DCatch, PipelineConfig
+    from repro.systems import workload_by_id
 
-    workload = _resolve(args)
+    workload = workload_by_id(args.bug_id)
     config = PipelineConfig(
         scope="full" if args.full_scope else "selective",
         trigger=not args.no_trigger,
@@ -236,12 +230,21 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
     return 0 if len(trace) else 1
 
 
-def _run_profiled(args: argparse.Namespace):
-    """Run the pipeline with fresh observability objects installed."""
+def _cmd_profile(args: argparse.Namespace) -> int:
+    """Run the pipeline with fresh observability objects installed,
+    then print the span table and write the requested exports."""
     from repro import obs
+    from repro.obs import (
+        profile_to_json,
+        render_prometheus,
+        render_span_table,
+        write_chrome_trace,
+        write_json,
+    )
     from repro.pipeline import DCatch, PipelineConfig
+    from repro.systems import workload_by_id
 
-    workload = _resolve(args)
+    workload = workload_by_id(args.bug_id)
     registry = obs.MetricsRegistry(name=workload.info.bug_id)
     tracer = obs.SpanTracer(name=workload.info.bug_id)
     config = PipelineConfig(
@@ -250,18 +253,6 @@ def _run_profiled(args: argparse.Namespace):
     )
     with obs.use_registry(registry), obs.use_tracer(tracer):
         result = DCatch(workload, config).run()
-    return result, registry, tracer
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        profile_to_json,
-        render_span_table,
-        write_chrome_trace,
-        write_json,
-    )
-
-    result, registry, tracer = _run_profiled(args)
     print(result.summary())
     print()
     print(render_span_table(tracer))
@@ -271,19 +262,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.chrome:
         write_chrome_trace(args.chrome, tracer)
         print(f"chrome trace written to {args.chrome} (load in chrome://tracing)")
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import render_prometheus
-
-    _result, registry, _tracer = _run_profiled(args)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
-    else:
-        print(render_prometheus(registry), end="")
+    if args.prom:
+        with open(args.prom, "w") as fh:
+            fh.write(render_prometheus(registry))
+        print(f"metrics written to {args.prom}")
     return 0
 
 
@@ -532,15 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run the DCatch pipeline on a benchmark")
-    run.add_argument(
-        "target", help="benchmark id (MR-3274) or system alias (minimr)"
-    )
-    run.add_argument(
-        "workload",
-        nargs="?",
-        default=None,
-        help="workload within the system, e.g. 3274 (with a system alias)",
-    )
+    run.add_argument("bug_id", help="benchmark id, e.g. MR-3274")
     run.add_argument("--seed", type=int, default=None, help="monitored-run seed")
     run.add_argument(
         "--no-trigger", action="store_true", help="skip the triggering stage"
@@ -690,15 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run the pipeline with spans enabled and print the stage table",
     )
-    profile.add_argument(
-        "target", help="benchmark id (MR-3274) or system alias (minimr)"
-    )
-    profile.add_argument(
-        "workload",
-        nargs="?",
-        default=None,
-        help="workload within the system, e.g. 3274 (with a system alias)",
-    )
+    profile.add_argument("bug_id", help="benchmark id, e.g. MR-3274")
     profile.add_argument("--seed", type=int, default=None)
     profile.add_argument(
         "--no-trigger", action="store_true", help="skip the triggering stage"
@@ -712,26 +678,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a chrome://tracing trace-event file",
     )
+    profile.add_argument(
+        "--prom",
+        default=None,
+        metavar="PATH",
+        help="write the metrics registry as Prometheus text exposition",
+    )
     profile.set_defaults(fn=_cmd_profile)
-
-    metrics = sub.add_parser(
-        "metrics", help="run the pipeline and dump the metrics registry"
-    )
-    metrics.add_argument(
-        "target", help="benchmark id (MR-3274) or system alias (minimr)"
-    )
-    metrics.add_argument("workload", nargs="?", default=None)
-    metrics.add_argument("--seed", type=int, default=None)
-    metrics.add_argument(
-        "--no-trigger", action="store_true", help="skip the triggering stage"
-    )
-    metrics.add_argument(
-        "--format",
-        choices=("prom", "json"),
-        default="prom",
-        help="Prometheus text exposition (default) or JSON",
-    )
-    metrics.set_defaults(fn=_cmd_metrics)
 
     generate = sub.add_parser(
         "generate",
@@ -962,6 +915,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"interrupted: {exc}; checkpoint sealed{hint}", file=sys.stderr
         )
+        return 130
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 130
 
 

@@ -142,8 +142,8 @@ class PipelineResult:
     #: Where this run checkpointed, when it did.
     checkpoint_dir: Optional[str] = None
     #: Metrics snapshot of the run (``MetricsRegistry.snapshot()``).
-    #: Benchmarks and fault campaigns assert on this instead of
-    #: re-deriving counts.
+    #: Benchmarks and tests assert on this instead of re-deriving
+    #: counts.
     metrics: Dict[str, Dict] = field(default_factory=dict)
     #: The run's ``SpanTracer``; feed it to ``repro.obs.render_span_table`` / ``spans_to_chrome``.
     profile: Optional[obs.SpanTracer] = None
@@ -279,8 +279,8 @@ class DCatch:
 
             from repro.trace.wal import WalSink
 
-            # Per-benchmark, per-seed subdirectory so campaign runs over
-            # many seeds never clobber each other's logs.
+            # Per-benchmark, per-seed subdirectory so runs over many
+            # seeds never clobber each other's logs.
             wal = WalSink(
                 os.path.join(
                     self.config.trace_dir,
@@ -307,8 +307,8 @@ class DCatch:
         """Run all stages under this run's observability context.
 
         A fresh registry and span tracer are activated for the duration
-        of the run — unless the caller already activated ones (e.g. a
-        fault campaign aggregating across runs), which are then reused.
+        of the run — unless the caller already activated ones (e.g.
+        ``dcatch profile``, which exports them), which are then reused.
         The snapshot lands on ``PipelineResult.metrics`` either way.
         """
         registry = (

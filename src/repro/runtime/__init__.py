@@ -10,13 +10,7 @@ coordination service with watches, shared-memory heap objects and locks.
 from repro.runtime.api import sleep
 from repro.runtime.cluster import Cluster
 from repro.runtime.failures import FailureKind
-from repro.runtime.faults import (
-    FaultAction,
-    FaultCampaign,
-    FaultKind,
-    FaultPlan,
-    verify_fault_soundness,
-)
+from repro.runtime.faults import FaultAction, FaultKind, FaultPlan
 from repro.runtime.locks import SimCondition, SimSemaphore
 from repro.runtime.network import (
     Delivery,
@@ -34,8 +28,6 @@ __all__ = [
     "FaultKind",
     "FaultAction",
     "FaultPlan",
-    "FaultCampaign",
-    "verify_fault_soundness",
     "FailureKind",
     "SimCondition",
     "SimSemaphore",

@@ -1,4 +1,4 @@
-"""Deterministic crash/restart fault-injection campaigns.
+"""Deterministic crash/restart fault injection.
 
 DCatch predicts DCbugs from one *correct* run, but the bugs it hunts
 live in the timing windows that crashes, retries and message loss open
@@ -14,26 +14,19 @@ scripted sequence of faults:
 * ``install(cluster)`` spawns a *fault injector* thread that sleeps
   until each action's tick and applies it — faults are just another
   deterministic participant in the schedule;
-* a ``FaultCampaign`` drives a workload through the full DCatch pipeline
-  once per seed, each run under its own seeded plan, collecting partial
-  results instead of raising — one hung or crashed run is that run's
-  outcome, not the campaign's;
-* ``verify_fault_soundness`` checks the tentpole invariant: faults never
-  add spurious HB edges.  A dropped ``Send`` must pair with no ``Recv``
-  (Rule-Msoc only orders a send with deliveries that actually happened)
-  and a duplicated send with at most as many ``Recv``s as copies.
+* ``PipelineConfig.fault_plan`` runs the whole DCatch pipeline under a
+  plan: ``DCatch(w, replace(cfg, fault_plan=plan, monitored_seed=seed))``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.runtime.network import FlakyNetwork
-from repro.runtime.ops import OpKind
 from repro.runtime.scheduler import current_sim_thread
 
 
@@ -247,180 +240,3 @@ class FaultInjector:
         elif action.kind is FaultKind.HEAL:
             self.cluster.network.heal(action.group_a, action.group_b)
         self.applied.append(action.describe())
-
-
-# -- soundness ----------------------------------------------------------------
-
-
-@dataclass
-class SoundnessReport:
-    """Outcome of the no-spurious-HB-edge invariant check on one trace."""
-
-    violations: List[str] = field(default_factory=list)
-    dropped_sends: int = 0
-    duplicated_sends: int = 0
-    checked_sends: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        status = "sound" if self.ok else f"{len(self.violations)} violation(s)"
-        return (
-            f"fault soundness: {status} "
-            f"({self.checked_sends} sends, {self.dropped_sends} dropped, "
-            f"{self.duplicated_sends} duplicated)"
-        )
-
-
-def verify_fault_soundness(trace: "object") -> SoundnessReport:
-    """Check that injected faults added no spurious Rule-Msoc material.
-
-    * a ``Send`` the policy dropped (``extra["dropped"]``) must have **no**
-      ``Recv`` with its tag — the HB analysis can then never order it
-      before a delivery that did not happen;
-    * a duplicated send has at most ``copies`` receives (each of which
-      really happened, so each edge is sound).
-    """
-    report = SoundnessReport()
-    recvs: dict = {}
-    for record in trace:
-        if record.kind is OpKind.SOCK_RECV:
-            recvs.setdefault(record.obj_id, []).append(record)
-    for record in trace:
-        if record.kind is not OpKind.SOCK_SEND:
-            continue
-        report.checked_sends += 1
-        tag = record.obj_id
-        delivered = len(recvs.get(tag, []))
-        if record.extra.get("dropped"):
-            report.dropped_sends += 1
-            if delivered:
-                report.violations.append(
-                    f"dropped send {tag} has {delivered} recv(s): "
-                    "a never-delivered message must add no HB edge"
-                )
-            continue
-        copies = record.extra.get("copies", 1)
-        if copies > 1:
-            report.duplicated_sends += 1
-        if delivered > copies:
-            report.violations.append(
-                f"send {tag} delivered {copies} cop(ies) but has "
-                f"{delivered} recv(s)"
-            )
-    return report
-
-
-# -- campaigns ----------------------------------------------------------------
-
-
-@dataclass
-class CampaignRun:
-    """One pipeline execution of a campaign: plan, result (or error)."""
-
-    seed: int
-    plan: FaultPlan
-    result: Optional["object"] = None  # PipelineResult
-    error: Optional[str] = None
-    soundness: Optional[SoundnessReport] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None and (
-            self.soundness is None or self.soundness.ok
-        )
-
-    def describe(self) -> str:
-        if self.error is not None:
-            return f"seed {self.seed}: FAILED ({self.error})"
-        sound = self.soundness.summary() if self.soundness else "unchecked"
-        return f"seed {self.seed}: ok [{self.plan.describe()}] {sound}"
-
-
-@dataclass
-class CampaignResult:
-    """Everything a fault campaign produced — always partial-failure-safe."""
-
-    workload_id: str
-    runs: List[CampaignRun] = field(default_factory=list)
-
-    @property
-    def completed_runs(self) -> List[CampaignRun]:
-        return [r for r in self.runs if r.error is None]
-
-    @property
-    def failed_runs(self) -> List[CampaignRun]:
-        return [r for r in self.runs if r.error is not None]
-
-    @property
-    def sound(self) -> bool:
-        return all(r.soundness.ok for r in self.completed_runs if r.soundness)
-
-    def summary(self) -> str:
-        lines = [
-            f"== fault campaign on {self.workload_id}: "
-            f"{len(self.completed_runs)}/{len(self.runs)} runs completed =="
-        ]
-        lines.extend("  " + run.describe() for run in self.runs)
-        return "\n".join(lines)
-
-
-#: Builds the plan for one campaign run: (seed, node names) -> plan.
-PlanFactory = Callable[[int, Sequence[str]], FaultPlan]
-
-
-def _default_plan_factory(seed: int, nodes: Sequence[str]) -> FaultPlan:
-    return FaultPlan.seeded(seed, nodes)
-
-
-class FaultCampaign:
-    """Run a workload's DCatch pipeline under a seeded fault plan per seed.
-
-    Every run is isolated: an exception escaping one pipeline run is
-    recorded as that run's ``error`` and the campaign continues.  Each
-    completed run's trace is checked against the no-spurious-HB-edge
-    invariant."""
-
-    def __init__(
-        self,
-        workload: "object",
-        seeds: Sequence[int] = (0, 1, 2),
-        plan_factory: Optional[PlanFactory] = None,
-        config: Optional["object"] = None,  # PipelineConfig
-    ) -> None:
-        self.workload = workload
-        self.seeds = tuple(seeds)
-        self.plan_factory = plan_factory or _default_plan_factory
-        self.config = config
-        self._nodes: Optional[Tuple[str, ...]] = None
-
-    def node_names(self) -> Tuple[str, ...]:
-        """The workload's node names, learned from a probe build."""
-        if self._nodes is None:
-            cluster = self.workload.cluster(0, churn=False)
-            try:
-                self._nodes = tuple(cluster.nodes)
-            finally:
-                # The probe cluster never runs; reap its parked threads.
-                cluster.scheduler._teardown()
-        return self._nodes
-
-    def run(self) -> CampaignResult:
-        from repro.pipeline import DCatch, PipelineConfig
-
-        campaign = CampaignResult(workload_id=self.workload.info.bug_id)
-        base_config = self.config or PipelineConfig()
-        nodes = self.node_names()
-        for seed in self.seeds:
-            plan = self.plan_factory(seed, nodes)
-            config = replace(base_config, fault_plan=plan, monitored_seed=seed)
-            run = CampaignRun(seed=seed, plan=plan)
-            campaign.runs.append(run)
-            try:
-                run.result = DCatch(self.workload, config).run()
-                run.soundness = verify_fault_soundness(run.result.trace)
-            except Exception as exc:  # noqa: BLE001 - isolate per run
-                run.error = f"{type(exc).__name__}: {exc}"
-        return campaign

@@ -32,9 +32,6 @@ class HRegionServer:
         self.open_queue.register("open", self.on_open_region)
         self.open_ticks = open_ticks
         self.node.rpc_server.register("open_region", self.open_region)
-        self.node.rpc_server.register("close_region", self.close_region)
-        self.node.rpc_server.register("region_count", self.region_count)
-        self.node.rpc_server.register("pick_region", self.pick_region)
         if register_ephemeral:
             self._register_in_zk()
 
@@ -51,23 +48,6 @@ class HRegionServer:
         """RPC from the master (Figure 3 step 3-4): queue the open."""
         self.open_queue.post("open", {"region": region})
         return True
-
-    def close_region(self, region: str) -> bool:
-        """RPC from the master (balancer moves, alters)."""
-        with self.node.lock("online-regions"):
-            removed = self.online_regions.discard(region)
-        if removed:
-            self.log.info(f"region {region} closed")
-        return removed
-
-    def region_count(self) -> int:
-        """RPC from the balancer: current load."""
-        return self.online_regions.size()
-
-    def pick_region(self) -> str:
-        """RPC from the balancer: a region this server could give up."""
-        regions = self.online_regions.snapshot()
-        return regions[0] if regions else None
 
     # -- event handlers -------------------------------------------------------
 

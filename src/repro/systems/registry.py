@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import List, Type
 
 from repro.errors import UnknownBenchmarkError
 from repro.systems.base import Workload
@@ -22,24 +22,6 @@ WORKLOAD_CLASSES: List[Type[Workload]] = [
     ZK1270Workload,
 ]
 
-#: Mini-system aliases accepted by ``resolve_workload`` (and the CLI's
-#: ``repro profile <system> <workload>``), mapped to Table 3 system names.
-SYSTEM_ALIASES: Dict[str, str] = {
-    "minica": "Cassandra",
-    "ca": "Cassandra",
-    "cassandra": "Cassandra",
-    "minihb": "HBase",
-    "hb": "HBase",
-    "hbase": "HBase",
-    "minimr": "Hadoop MapReduce",
-    "mr": "Hadoop MapReduce",
-    "mapreduce": "Hadoop MapReduce",
-    "hadoop": "Hadoop MapReduce",
-    "minizk": "ZooKeeper",
-    "zk": "ZooKeeper",
-    "zookeeper": "ZooKeeper",
-}
-
 
 def _all_classes() -> List[Type[Workload]]:
     from repro.systems.extra import EXTRA_WORKLOAD_CLASSES
@@ -57,50 +39,3 @@ def workload_by_id(bug_id: str) -> Workload:
             return cls()
     known = ", ".join(cls.info.bug_id for cls in _all_classes())
     raise UnknownBenchmarkError(f"unknown benchmark {bug_id}; known: {known}")
-
-
-def canonical_system(name: str) -> str:
-    """Resolve a system alias ('minimr', 'zk', ...) to its Table 3 name."""
-    canonical = SYSTEM_ALIASES.get(name.lower())
-    if canonical is None:
-        known = ", ".join(sorted(SYSTEM_ALIASES))
-        raise UnknownBenchmarkError(f"unknown system {name}; known: {known}")
-    return canonical
-
-
-def workloads_of_system(system: str) -> List[Workload]:
-    """All workloads (paper + beyond) of one mini system, Table 3 order."""
-    canonical = canonical_system(system)
-    return [cls() for cls in _all_classes() if cls.info.system == canonical]
-
-
-def resolve_workload(system_or_bug: str, workload: Optional[str] = None) -> Workload:
-    """Resolve CLI-style names to one workload.
-
-    One argument: a bug id (``MR-3274``).  Two arguments: a system alias
-    plus a workload token — a full bug id, the suffix after the dash
-    (``3274``), or ``default`` for the system's first Table 3 entry.
-    Raises ``UnknownBenchmarkError`` with the known names on any miss.
-    """
-    if workload is None:
-        return workload_by_id(system_or_bug)
-    candidates = workloads_of_system(system_or_bug)
-    token = workload.lower()
-    if token in ("default", "first"):
-        return candidates[0]
-    for candidate in candidates:
-        bug_id = candidate.info.bug_id.lower()
-        if token == bug_id or token == bug_id.split("-", 1)[-1]:
-            return candidate
-    known = ", ".join(c.info.bug_id for c in candidates)
-    raise UnknownBenchmarkError(
-        f"unknown workload {workload} for system {system_or_bug}; "
-        f"known: {known}"
-    )
-
-
-def systems() -> List[str]:
-    seen: Dict[str, None] = {}
-    for cls in WORKLOAD_CLASSES:
-        seen.setdefault(cls.info.system, None)
-    return list(seen)

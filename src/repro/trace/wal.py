@@ -2,7 +2,7 @@
 
 The paper's tracer writes one trace file per thread of every process
 (Section 3.1); ours keeps traces in memory, which means a node crashed
-by a fault campaign takes its whole trace with it.  This module is the
+by a fault plan takes its whole trace with it.  This module is the
 durable path: the tracer appends every record to a per-node, per-thread
 *segmented* append-only log as the run executes, so a node killed
 mid-run leaves a salvageable prefix on disk.

@@ -170,6 +170,31 @@ def test_fresh_store_clears_stale_stage_and_shard_files(tmp_path):
     assert load_manifest(fresh.directory) == fresh.manifest
 
 
+def test_fresh_store_sweeps_a_version_3_trace_copy(tmp_path):
+    """A version-3 run kept its monitored trace in ``trace/``; a fresh
+    run in that directory removes it and touches nothing else.  A
+    ``trace/`` with no checkpoint manifest beside it is not ours."""
+    directory = tmp_path / "ck"
+    (directory / "trace" / "n1").mkdir(parents=True)
+    (directory / "trace" / "meta.json").write_text("{}")
+    (directory / "notes.txt").write_text("keep")
+    write_document(str(directory / "manifest.json"), {
+        "format": "repro-checkpoint", "version": 3, "benchmark": "ZK-1144",
+        "config_fingerprint": "abcd1234abcd1234",
+        "stages": {"trace": {"name": "ZK-1144"}}, "verdicts": [],
+    })
+    store = _store(tmp_path)
+    assert sorted(os.listdir(store.directory)) == ["manifest.json", "notes.txt"]
+    assert load_manifest(store.directory)["version"] == CHECKPOINT_VERSION
+
+    bare = tmp_path / "bare"
+    (bare / "trace").mkdir(parents=True)
+    CheckpointStore(
+        directory=str(bare), benchmark="ZK-1144", config_fp="abcd1234abcd1234"
+    )
+    assert sorted(os.listdir(bare)) == ["manifest.json", "trace"]
+
+
 def test_config_fingerprint_tracks_fault_plan_content():
     """Editing the fault plan's *contents* must invalidate a resume —
     presence alone would silently reuse a trace from the old plan."""

@@ -125,12 +125,12 @@ mem_write@src/repro/systems/minihb/master.py:47
   =Tfork=> thread_begin@master [master/master.open-region-1]
   =P=> rpc_create@src/repro/systems/minihb/master.py:52 [master/master.open-region-1]
   =Mrpc=> rpc_begin@hrs1 [hrs1/hrs1.rpc]
-  =P=> event_create@src/repro/systems/minihb/regionserver.py:52 [hrs1/hrs1.rpc]
+  =P=> event_create@src/repro/systems/minihb/regionserver.py:49 [hrs1/hrs1.rpc]
   =Eenq=> event_begin@hrs1 [hrs1/hrs1.eq.open-region]
-  =P=> thread_create@src/repro/systems/minihb/regionserver.py:80 [hrs1/hrs1.eq.open-region]
-  =P=> rpc_create@src/repro/systems/minihb/regionserver.py:82 [hrs1/hrs1.eq.open-region]
-  =P=> rpc_join@src/repro/systems/minihb/regionserver.py:82 [hrs1/hrs1.eq.open-region]
-  =P=> zk_update@src/repro/systems/minihb/regionserver.py:83 [hrs1/hrs1.eq.open-region]
+  =P=> thread_create@src/repro/systems/minihb/regionserver.py:60 [hrs1/hrs1.eq.open-region]
+  =P=> rpc_create@src/repro/systems/minihb/regionserver.py:62 [hrs1/hrs1.eq.open-region]
+  =P=> rpc_join@src/repro/systems/minihb/regionserver.py:62 [hrs1/hrs1.eq.open-region]
+  =P=> zk_update@src/repro/systems/minihb/regionserver.py:63 [hrs1/hrs1.eq.open-region]
   =Mpush=> zk_pushed@master [master/master.eq.zkwatch]
   =P=> mem_read@src/repro/systems/minihb/master.py:66 [master/master.eq.zkwatch]"""
 

@@ -13,9 +13,10 @@ from repro.runtime import (
     NodeBehavior,
     OpKind,
     sleep,
-    verify_fault_soundness,
 )
 from repro.trace import FullScope, Tracer
+
+from fault_soundness import verify_fault_soundness
 
 
 def _traced_cluster(seed=0, network=None):

@@ -1,8 +1,7 @@
-"""Scale test: many regions through the Figure 3 open path + balancer."""
+"""Scale test: many regions through the Figure 3 open path."""
 
 from repro.detect import detect_races
 from repro.runtime import Cluster, sleep
-from repro.systems.minihb.balancer import Balancer
 from repro.systems.minihb.master import HMaster
 from repro.systems.minihb.regionserver import HRegionServer
 from repro.trace import FullScope, Tracer
@@ -66,29 +65,3 @@ def test_figure3_ordering_holds_for_every_region():
         )
     ]
     assert not fig3_fps, f"chain precision lost at scale: {fig3_fps}"
-
-
-def test_balancer_after_skewed_splits():
-    cluster = Cluster(seed=2, max_steps=80_000)
-    cluster.zookeeper()
-    master = HMaster(cluster)
-    hrs1 = HRegionServer(cluster, "hrs1", open_ticks=1)
-    hrs2 = HRegionServer(cluster, "hrs2", open_ticks=1)
-    client = cluster.add_node("client")
-
-    def client_main():
-        for i in range(4):
-            client.rpc("master").split_table(f"region-{i}", "hrs1")
-            sleep(2)
-        while master.online_regions.size() < 4:
-            sleep(5)
-        Balancer(master, ["hrs1", "hrs2"], interval=4).start()
-
-    client.spawn(client_main, name="client-main")
-    result = cluster.run()
-    assert result.completed and not result.harmful
-    counts = {
-        "hrs1": len(hrs1.online_regions.peek()),
-        "hrs2": len(hrs2.online_regions.peek()),
-    }
-    assert abs(counts["hrs1"] - counts["hrs2"]) <= 1, counts

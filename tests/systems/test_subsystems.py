@@ -1,6 +1,6 @@
-"""The healthy subsystems: shuffle, balancer, snapshots, anti-entropy."""
+"""The healthy shuffle subsystem: word count over map outputs."""
 
-from repro.runtime import Cluster, sleep
+from repro.runtime import Cluster
 
 
 class TestShuffle:
@@ -41,121 +41,3 @@ class TestShuffle:
 
     def test_result_stable_across_seeds(self):
         assert self._run_pipeline(1) == self._run_pipeline(4)
-
-
-class TestBalancer:
-    def _build(self, regions, servers=("hrs1", "hrs2")):
-        from repro.systems.minihb.balancer import Balancer
-        from repro.systems.minihb.master import HMaster
-        from repro.systems.minihb.regionserver import HRegionServer
-
-        cluster = Cluster(seed=0, max_steps=40_000)
-        cluster.zookeeper()
-        master = HMaster(cluster)
-        hrs = {name: HRegionServer(cluster, name) for name in servers}
-        # Preload all regions onto the first server.
-        first = hrs[servers[0]]
-        for region in regions:
-            first.online_regions._data.add(region)
-        balancer = Balancer(master, list(servers), interval=5)
-        balancer.start()
-        return cluster, hrs, balancer
-
-    def test_balances_skewed_load(self):
-        regions = [f"r{i}" for i in range(4)]
-        cluster, hrs, balancer = self._build(regions)
-        result = cluster.run()
-        assert result.completed and not result.harmful
-        counts = {
-            name: len(server.online_regions.peek())
-            for name, server in hrs.items()
-        }
-        assert abs(counts["hrs1"] - counts["hrs2"]) <= 1, counts
-        assert sum(counts.values()) == 4  # no region lost or duplicated
-        assert balancer.moves.peek()  # it actually moved something
-
-    def test_already_balanced_is_a_noop(self):
-        cluster, hrs, balancer = self._build([])
-        result = cluster.run()
-        assert result.completed
-        assert not balancer.moves.peek()
-
-
-class TestTxnStore:
-    def test_snapshot_plus_replay_equals_state(self):
-        from repro.systems.minizk.snapshot import TxnStore
-
-        cluster = Cluster(seed=0, max_steps=40_000)
-        node = cluster.add_node("zk1")
-        store = TxnStore(node, snapshot_every=5)
-        out = {}
-
-        def writer():
-            for i in range(12):
-                store.apply(f"k{i % 4}", i)
-                if i % 5 == 4:
-                    store.take_snapshot()
-            out["recovered"] = store.recover()
-
-        node.spawn(writer, name="writer")
-        result = cluster.run()
-        assert result.completed and not result.harmful
-        assert out["recovered"] == {"k0": 8, "k1": 9, "k2": 10, "k3": 11}
-
-    def test_concurrent_snapshot_thread_is_safe(self):
-        from repro.systems.minizk.snapshot import TxnStore
-
-        cluster = Cluster(seed=3, max_steps=40_000)
-        node = cluster.add_node("zk1")
-        store = TxnStore(node)
-        store.start_snapshot_thread(rounds=4, interval=6)
-        out = {}
-
-        def writer():
-            for i in range(20):
-                store.apply(f"k{i % 3}", i)
-                sleep(2)
-            out["recovered"] = store.recover()
-
-        node.spawn(writer, name="writer")
-        result = cluster.run()
-        assert result.completed and not result.harmful
-        assert out["recovered"] == {"k0": 18, "k1": 19, "k2": 17}
-        # The log was actually compacted at some point.
-        assert store.snapshot_zxid.peek() > 0
-
-
-class TestAntiEntropy:
-    def test_diverged_stores_converge(self):
-        from repro.systems.minica.antientropy import AntiEntropy, put_versioned
-
-        cluster = Cluster(seed=0, max_steps=40_000)
-
-        class Host:
-            def __init__(self, name):
-                self.node = cluster.add_node(name)
-                self.store = self.node.shared_dict("store")
-
-        a, b = Host("ca1"), Host("ca2")
-        ae_a, ae_b = AntiEntropy(a), AntiEntropy(b)
-
-        def seed_and_repair():
-            put_versioned(a.store, "x", "ax", 3)
-            put_versioned(a.store, "y", "ay", 1)
-            ae_a.repair_with("ca2")
-
-        def seed_b():
-            put_versioned(b.store, "y", "by", 5)
-            put_versioned(b.store, "z", "bz", 2)
-
-        b.node.spawn(seed_b, name="seed-b")
-        a.node.spawn(seed_and_repair, name="seed-a")
-        result = cluster.run()
-        assert result.completed and not result.harmful
-        expected = {"x": ("ax", 3), "y": ("by", 5), "z": ("bz", 2)}
-        assert a.store.peek("x") == expected["x"]
-        assert b.store.peek("x") == expected["x"]
-        assert a.store.peek("y") == expected["y"]
-        assert b.store.peek("z") == expected["z"]
-        # Our 'y' was stale: last-writer-wins kept the newer value.
-        assert a.store.peek("y")[1] == 5

@@ -110,12 +110,6 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_run_accepts_system_and_workload(capsys):
-    assert main(["run", "minizk", "1270", "--no-trigger"]) == 0
-    out = capsys.readouterr().out
-    assert "DCatch on ZK-1270" in out
-
-
 def test_run_unknown_bug_exits_2(capsys):
     assert main(["run", "NOPE-1"]) == 2
     err = capsys.readouterr().err
@@ -124,17 +118,41 @@ def test_run_unknown_bug_exits_2(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_run_unknown_system_exits_2(capsys):
-    assert main(["run", "minixx", "1270"]) == 2
+def test_run_and_profile_take_one_positional(capsys):
+    """A benchmark is named by its bug id only: the retired
+    ``<system> <workload>`` spelling is an argparse error."""
+    for command in ("run", "profile"):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, "minizk", "1270"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: 1270" in capsys.readouterr().err
+
+
+def test_metrics_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["metrics", "ZK-1270"])
+    assert info.value.code == 2
+    assert "invalid choice: 'metrics'" in capsys.readouterr().err
+
+
+def test_keyboard_interrupt_exits_130_with_one_line(monkeypatch, capsys):
+    """Ctrl-C ends any verb with one stderr line, not a traceback."""
+    import repro.cli as cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_list", interrupted)
+    assert main(["list"]) == 130
     err = capsys.readouterr().err
-    assert "unknown system minixx" in err
-    assert len(err.strip().splitlines()) == 1
+    assert err == "interrupted\n"
+    assert "Traceback" not in err
 
 
 def test_profile_unknown_workload_exits_2(capsys):
-    assert main(["profile", "minizk", "9999"]) == 2
+    assert main(["profile", "ZK-9999"]) == 2
     err = capsys.readouterr().err
-    assert "unknown workload 9999" in err
+    assert "unknown benchmark ZK-9999" in err
     assert "ZK-1144" in err  # the known names are listed
     assert len(err.strip().splitlines()) == 1
 
@@ -147,8 +165,7 @@ def test_profile_command(tmp_path, capsys):
     assert main(
         [
             "profile",
-            "minizk",
-            "1270",
+            "ZK-1270",
             "--no-trigger",
             "--out",
             str(out),
@@ -170,18 +187,21 @@ def test_profile_command(tmp_path, capsys):
     assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
 
-def test_metrics_command_prometheus(capsys):
-    assert main(["metrics", "ZK-1270", "--no-trigger"]) == 0
-    out = capsys.readouterr().out
-    assert "# TYPE pipeline_runs_total counter" in out
-    assert "pipeline_runs_total 1" in out
+def test_profile_prom_writes_the_metrics_registry(tmp_path, capsys):
+    prom = tmp_path / "metrics.prom"
+    assert main(["profile", "ZK-1270", "--no-trigger", "--prom", str(prom)]) == 0
+    assert f"metrics written to {prom}" in capsys.readouterr().out
+    text = prom.read_text()
+    assert "# TYPE pipeline_runs_total counter" in text
+    assert "pipeline_runs_total 1" in text
 
 
-def test_metrics_command_json(capsys):
+def test_profile_out_holds_the_metrics_snapshot(tmp_path, capsys):
     import json
 
-    assert main(["metrics", "minizk", "1270", "--no-trigger", "--format", "json"]) == 0
-    snapshot = json.loads(capsys.readouterr().out)
+    out = tmp_path / "profile.json"
+    assert main(["profile", "ZK-1270", "--no-trigger", "--out", str(out)]) == 0
+    snapshot = json.loads(out.read_text())["metrics"]
     assert snapshot["pipeline_runs_total"]["value"] == 1
 
 
@@ -361,7 +381,7 @@ def test_run_checkpoint_flags_parse():
 def test_workers_flag_is_unknown(capsys):
     """Detection is in-process only: the retired ``--workers`` knob is
     rejected like any other unknown flag."""
-    for command in ("run", "profile", "metrics"):
+    for command in ("run", "profile"):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args([command, "ZK-1144", "--workers", "2"])
         assert info.value.code == 2
