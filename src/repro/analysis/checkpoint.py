@@ -42,7 +42,9 @@ from repro.trace.records import dump_records
 from repro.trace.store import Trace
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 4
+#: Version 5 dropped the two sampling keys from the config fingerprint,
+#: so a version-4 manifest is refused as stale, not as another config.
+CHECKPOINT_VERSION = 5
 
 
 def config_fingerprint(benchmark: str, config: "object") -> str:
@@ -63,10 +65,6 @@ def config_fingerprint(benchmark: str, config: "object") -> str:
             if config.fault_plan is not None
             else None
         ),
-        # Sampling thins the traced record stream itself, so resuming a
-        # sampled checkpoint under a different policy/seed is refused.
-        "sampling": config.sampling,
-        "sampling_seed": config.sampling_seed,
     }
     blob = json.dumps(fields, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

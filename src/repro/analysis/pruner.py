@@ -29,7 +29,7 @@ def rank_reports(reports) -> List[BugReport]:
     likeliest to enforce and the first to spend re-execution budget on;
     under a stage deadline the reports left UNKNOWN are the weakest.
     Within a tier ``full`` goes before ``partial`` and ``sampled`` (a
-    thinned trace may have lost the evidence enforcement needs).  Ties
+    thinned stream may have lost the evidence enforcement needs).  Ties
     keep report-id order, so pipelines without the SP tier keep their
     historical trigger order exactly."""
     return sorted(

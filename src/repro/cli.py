@@ -78,8 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_stage_seconds=args.max_stage_seconds,
         memory_budget_mb=args.memory_budget_mb,
         detect_mode=args.detect_mode,
-        sampling=args.sampling,
-        sampling_seed=args.sampling_seed,
     )
     result = DCatch(workload, config).run()
     print(result.summary())
@@ -176,11 +174,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.systems import workload_by_id
 
     # The monitored run of ``dcatch run``, and nothing after it.
-    config = PipelineConfig(
-        monitored_seed=args.seed,
-        sampling=args.sampling,
-        sampling_seed=args.sampling_seed,
-    )
+    config = PipelineConfig(monitored_seed=args.seed)
     result, trace = DCatch(workload_by_id(args.bug_id), config).run_traced()
     print(result.summary())
     if args.stats:
@@ -465,39 +459,6 @@ def _cmd_ship(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
-    """Memory-access sampling knobs shared by ``run``/``trace``/``stream``."""
-
-    def spec(text: str) -> str:
-        from repro.trace import build_sampler
-
-        try:
-            build_sampler(text)
-        except ValueError as exc:
-            # Not parser.error(): one line, like every other exit 2.
-            parser.exit(2, f"error: {exc}\n")
-        return text
-
-    parser.add_argument(
-        "--sampling",
-        metavar="RATE|SPEC",
-        type=spec,
-        default=None,
-        help="sample the memory-access stream: a rate (0.1 = per-location "
-        "budget of 8 plus 10%% hash-rate keep) or a spec (all, rate:R, "
-        "budget:N, budget:N+rate:R).  HB/lock records are always kept; "
-        "results carry confidence=sampled",
-    )
-    parser.add_argument(
-        "--sampling-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        dest="sampling_seed",
-        help="seed for the sampling policy's deterministic hashing "
-        "(same policy+seed = same kept records)",
-    )
-
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.pipeline import DCatch
@@ -585,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are marked sp-sound and triggered first); streaming = "
         "single-pass bounded-memory detection",
     )
-    _add_sampling_flags(run)
     run.set_defaults(fn=_cmd_run)
 
     table = sub.add_parser(
@@ -628,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="load a saved trace instead of running a benchmark (strict)",
     )
-    _add_sampling_flags(trace)
     trace.set_defaults(fn=_cmd_trace)
 
     salvage = sub.add_parser(
@@ -766,7 +725,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="tenant name stamped into --report-out (match the service "
         "tenant to diff reports)",
     )
-    _add_sampling_flags(stream)
+
+    def sampling_spec(text: str) -> str:
+        from repro.trace import build_sampler
+
+        try:
+            build_sampler(text)
+        except ValueError as exc:
+            # Not parser.error(): one line, like every other exit 2.
+            stream.exit(2, f"error: {exc}\n")
+        return text
+
+    stream.add_argument(
+        "--sampling",
+        metavar="RATE|SPEC",
+        type=sampling_spec,
+        default=None,
+        help="sample the memory accesses this pass reads: a rate (0.1 = "
+        "per-location budget of 8 plus 10%% hash-rate keep) or a spec "
+        "(all, rate:R, budget:N, budget:N+rate:R).  HB/lock records are "
+        "always kept; results carry confidence=sampled",
+    )
+    stream.add_argument(
+        "--sampling-seed",
+        type=int,
+        default=0,
+        metavar="N",
+        dest="sampling_seed",
+        help="seed for the sampling policy's deterministic hashing "
+        "(same policy+seed = same kept records)",
+    )
     stream.set_defaults(fn=_cmd_stream)
 
     serve = sub.add_parser(

@@ -26,8 +26,8 @@ from repro.trace.store import Trace
 
 #: Confidence levels, strongest first.  ``full``: every in-scope record
 #: was traced.  ``partial``: the trace was damaged and salvaged — loss
-#: is accidental and unquantified.  ``sampled``: the tracer thinned the
-#: memory-access stream *by policy* (``repro.trace.sampling``) — loss
+#: is accidental and unquantified.  ``sampled``: a stream pass thinned
+#: the memory accesses *by policy* (``dcatch stream --sampling``) — loss
 #: is deliberate and rate-bounded, but a missed access means a missed
 #: race, so sampled evidence ranks below both.
 CONFIDENCE_LEVELS = ("full", "partial", "sampled")
@@ -35,7 +35,7 @@ CONFIDENCE_LEVELS = ("full", "partial", "sampled")
 CONFIDENCE_RANK = {level: rank for rank, level in enumerate(CONFIDENCE_LEVELS)}
 
 
-def weaken_confidence(confidence: str, partial: bool, sampled: bool) -> str:
+def weaken_confidence(confidence: str, partial: bool, sampled: bool = False) -> str:
     """``confidence`` weakened by a source that lost records by accident
     (``partial``) or by policy (``sampled``).  "sampled" wins over
     "partial": deliberate, rate-bounded loss is the weaker (and more
@@ -247,5 +247,5 @@ def detect_races(
         analysis_seconds=elapsed,
         pairs_examined=examined,
         stopped_early=stopped_early,
-        confidence=weaken_confidence("full", graph.partial, trace.sampled),
+        confidence=weaken_confidence("full", graph.partial),
     )

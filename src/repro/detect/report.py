@@ -131,11 +131,6 @@ class ReportSet:
                     soundness=soundness,
                 )
             )
-        if detection.confidence == "sampled" and reports:
-            obs.counter(
-                "detect_sampled_reports_total",
-                "bug reports produced from sampled traces",
-            ).inc(len(reports))
         return cls(reports)
 
     def __len__(self) -> int:

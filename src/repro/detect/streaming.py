@@ -163,9 +163,7 @@ class StreamResult:
             analysis_seconds=self.analysis_seconds,
             pairs_examined=self.pairs_examined,
             stopped_early=self.stopped_early,
-            confidence=weaken_confidence(
-                self.confidence, trace.partial, trace.sampled
-            ),
+            confidence=weaken_confidence(self.confidence, trace.partial),
         )
 
 
@@ -423,15 +421,8 @@ def save_stream_checkpoint(
 
 
 # Called only by the perf probe ``probe_feed``, for its one save.
-def stream_fingerprint(
-    model: HBModel, window: int, source: str, sampler: Optional[object] = None
-) -> str:
-    base = f"{model.describe()}|window={window}|source={source}"
-    if sampler is not None:
-        # Resuming a sampled pass under a different policy/seed would
-        # silently change which records the detector ever saw.
-        base += f"|sampling={sampler.describe()}"
-    return base
+def stream_fingerprint(model: HBModel, window: int, source: str) -> str:
+    return f"{model.describe()}|window={window}|source={source}"
 
 
 # -- the stream session ----------------------------------------------------
@@ -540,13 +531,15 @@ def detect_races_streaming(
     ``max_seconds``/``should_stop`` stop it early
     (``stopped_early=True``, candidates found so far are kept), and
     process RSS is sampled for ``rss_high_water_mb``.  ``sampler``
-    (a ``repro.trace.sampling.Sampler``) thins the memory accesses — the
-    streaming analog of sampled tracing; the result reads
-    ``confidence="sampled"`` once anything was dropped.
+    (a ``repro.trace.sampling.Sampler``) thins the memory accesses; the
+    result reads ``confidence="sampled"`` once anything was dropped.
     """
     if (records is None) == (wal_dir is None):
         raise ValueError("pass exactly one of records= or wal_dir=")
 
+    # Read first: a meta.json that refuses the trace stops the pass
+    # before it has read a record.
+    meta = read_meta(wal_dir) if wal_dir is not None else None
     session = StreamSession(model, window, sampler=sampler)
     if wal_dir is not None:
         detector = session.open(expected_streams or wal_stream_tids(wal_dir))
@@ -565,11 +558,8 @@ def detect_races_streaming(
             stopped_early = True
             break
     result = session.finish()
-    meta = read_meta(wal_dir) if wal_dir is not None else None
-    if meta:  # as in ``finish``: sampled iff anything was dropped
-        result.confidence = weaken_confidence(
-            result.confidence, meta["partial"], bool(meta["sampled_dropped"])
-        )
+    if meta:
+        result.confidence = weaken_confidence(result.confidence, meta["partial"])
     result.stopped_early = stopped_early
     result.rss_high_water_mb = round(max(rss_high, process_rss_mb()), 1)
     rss_gauge.set(result.rss_high_water_mb)

@@ -79,19 +79,6 @@ class PipelineConfig:
     #: so a node crashed mid-run leaves a salvageable prefix on disk.
     #: None (default) keeps tracing purely in memory — zero overhead.
     trace_dir: Optional[str] = None
-    #: Memory-access sampling for the monitored run
-    #: (``repro.trace.sampling`` spec: a bare rate like ``"0.1"`` for
-    #: ``"budget:8+rate:0.1"``, or ``"budget:N"``, ``"rate:R"``,
-    #: ``"budget:N+rate:R"``, ``"all"``).  HB and lock records are
-    #: always kept; downstream results carry ``confidence: "sampled"``.
-    #: None (default) traces every in-scope access, byte-identical to
-    #: the pre-sampling tracer.
-    sampling: Optional[str] = None
-    #: Seed for the sampling policy's deterministic hashing — same
-    #: ``(sampling, sampling_seed)`` means the same kept set, and both
-    #: join the checkpoint ``config_fingerprint`` so resume refuses a
-    #: cross-policy mix.
-    sampling_seed: int = 0
     #: Checkpoint/resume: when set, every trigger verdict (one manifest
     #: entry per report) and the monitored run's ``trace_digest`` are
     #: logged in a CRC-enveloped manifest under this directory, and
@@ -250,13 +237,6 @@ class DCatch:
                 f"unknown detect_mode {self.config.detect_mode!r}; "
                 f"expected one of {self.DETECT_MODES}"
             )
-        # Fail fast on a bad spec, before any stage has run.
-        self._make_sampler()
-
-    def _make_sampler(self):
-        from repro.trace.sampling import build_sampler
-
-        return build_sampler(self.config.sampling, self.config.sampling_seed)
 
     # -- stages ----------------------------------------------------------------
 
@@ -292,7 +272,6 @@ class DCatch:
             scope=self._make_scope(),
             name=self.workload.info.bug_id,
             wal=wal,
-            sampler=self._make_sampler(),
         )
         tracer.bind(cluster)
         try:

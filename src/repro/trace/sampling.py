@@ -1,26 +1,26 @@
-"""Budgeted sampling for the memory-access stream (production tracing).
+"""Budgeted sampling of the memory accesses a stream pass reads.
 
-DCatch records *every* in-scope memory access; at production traffic
-that is the cost that blocks deployment.  "Dynamic Race Detection with
+DCatch records *every* in-scope memory access, and a trace keeps them
+all; ``dcatch stream --sampling`` decides, as it reads a trace, which
+accesses reach the detector.  "Dynamic Race Detection with
 O(1) Samples" shows race recall survives aggressive sampling when the
 sample is *location-aware*: races live at cold locations touched a
 handful of times, while the record volume comes from hot ones.  One
 decision encodes that split:
 
 * HB-related and lock operations are **always kept** — only memory
-  accesses are eligible, so the happens-before graph built from a
-  sampled trace has exactly the same ordering edges as the full one;
-  only race *candidates* are thinned.
+  accesses are eligible, so a sampled pass builds exactly the same
+  happens-before order as the full one; only race *candidates* are
+  thinned.
 * The first ``budget`` accesses of every location are kept, which
   preserves cold locations — and hence most races — entirely.
 * Of the rest, a deterministic pseudo-random fraction ``rate`` is kept,
   so hot locations are thinned rather than cut off.
 
 The rate decision hashes ``(seed, location, seq)`` with CRC32 — no
-global RNG — so a fixed ``(spec, seed)`` yields byte-identical sampled
-traces across runs and machines, and ``config_fingerprint`` can refuse
-checkpoint resume across differing specs.  The only state is one count
-per location.
+global RNG — so a fixed ``(spec, seed)`` keeps byte-identical record
+sets across runs and machines.  The only state is one count per
+location.
 
 Spec grammar (``--sampling``)::
 
@@ -59,24 +59,10 @@ class Sampler:
         self, budget: Optional[int], rate: Optional[float], seed: int = 0
     ) -> None:
         self.budget = budget
-        #: Published as ``trace_sampling_rate``; None when purely budgeted.
+        #: None when purely budgeted.
         self.rate = rate
         self.seed = seed
         self._seen: Dict[object, int] = {}
-
-    @property
-    def can_drop(self) -> bool:
-        """False for keep-all, which lets the tracer skip the "sampled"
-        confidence downgrade when sampling is a no-op."""
-        return self.rate != 1.0
-
-    def describe(self) -> str:
-        terms = []
-        if self.budget is not None:
-            terms.append(f"budget:{self.budget}")
-        if self.rate is not None:
-            terms.append(f"rate:{self.rate:g}" if self.can_drop else "rate:1.0")
-        return f"{'+'.join(terms)}@seed={self.seed}"
 
     def observe(self, event: OpEvent) -> Tuple[bool, tuple]:
         """``(keep?, ())`` — one of two shared tuples."""

@@ -46,13 +46,6 @@ class TraceStats:
     skipped_unbound: int = 0
     #: Events skipped from untraced (substrate) nodes.
     skipped_untraced: int = 0
-    #: True when the trace was deliberately thinned by a sampling policy.
-    sampled: bool = False
-    #: Nominal hash-rate of the sampling policy (None when purely
-    #: budgeted or when sampling is off).
-    sampling_rate: Optional[float] = None
-    #: Sampler drops by record kind.
-    sampled_dropped: Dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:
         lines = [
@@ -74,15 +67,6 @@ class TraceStats:
             f"(skipped: {self.skipped_unbound} unbound, "
             f"{self.skipped_untraced} untraced nodes)",
         ]
-        if self.sampled:
-            rate = "-" if self.sampling_rate is None else f"{self.sampling_rate:g}"
-            dropped = (
-                ", ".join(
-                    f"{k}={v}" for k, v in sorted(self.sampled_dropped.items())
-                )
-                or "none"
-            )
-            lines.append(f"sampling: rate={rate}, dropped: {dropped}")
         return "\n".join(lines)
 
 
@@ -133,9 +117,6 @@ def compute_stats(trace: Trace) -> TraceStats:
         dropped_mem=trace.dropped_mem,
         skipped_unbound=trace.skipped_unbound,
         skipped_untraced=trace.skipped_untraced,
-        sampled=trace.sampled,
-        sampling_rate=trace.sampling_rate,
-        sampled_dropped=dict(trace.sampled_dropped),
     )
 
 
@@ -179,16 +160,6 @@ def publish_stats(stats: TraceStats, registry: Optional[object] = None) -> None:
         "trace_skipped_untraced_total",
         "events skipped from untraced substrate nodes",
     ).set(stats.skipped_untraced)
-    # 1.0 when sampling is off (or purely budgeted): "no rate cut".
-    reg.gauge(
-        "trace_sampling_rate", "nominal hash-rate of the sampling policy"
-    ).set(stats.sampling_rate if stats.sampling_rate is not None else 1.0)
-    sampled_dropped = reg.gauge(
-        "trace_sampled_dropped_total",
-        "records dropped by the sampling policy, by record kind",
-    )
-    for kind, count in sorted(stats.sampled_dropped.items()):
-        sampled_dropped.labels(kind=kind).set(count)
     records_by_cat = reg.gauge(
         "trace_records_by_category", "records per Table 7 category"
     )

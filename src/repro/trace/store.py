@@ -32,19 +32,8 @@ class Trace:
         #: WAL salvage with quarantined/lost records).  The HB analysis
         #: reads it to mark downstream results ``confidence: "partial"``.
         self.partial = False
-        #: True when the tracer *deliberately* thinned the memory-access
-        #: stream (``repro.trace.sampling``).  Downstream results carry
-        #: ``confidence: "sampled"`` — weaker than ``"partial"`` because
-        #: the loss is by policy, not by accident.
-        self.sampled = False
-        #: Nominal hash-rate of the sampling policy (None when purely
-        #: budgeted, or when sampling is off).
-        self.sampling_rate: Optional[float] = None
-        #: Accesses the sampler rejected, by record kind (tallied by
-        #: the tracer).
-        self.sampled_dropped: Dict[str, int] = {}
         #: Memory accesses rejected by the scope policy (selective
-        #: tracing loss — distinct from sampling loss).
+        #: tracing loss).
         self.dropped_mem = 0
         #: Events skipped because their node was absent from the bound
         #: cluster dict (pre-``bind()`` emission or unknown substrate).
@@ -133,13 +122,14 @@ class Trace:
 
 
 #: Loss counters no record can tell; ``save`` keeps them beside the streams.
-_META = ("partial", "sampled", "sampling_rate", "sampled_dropped",
-         "dropped_mem", "skipped_unbound", "skipped_untraced")
+_META = ("partial", "dropped_mem", "skipped_unbound", "skipped_untraced")
 
 
 def read_meta(directory: str) -> Optional[Dict[str, Any]]:
     """A saved trace's loss counters and records per stream; None when a
-    WAL has none (the tracer's).  ``TraceFormatError`` if damaged."""
+    WAL has none (the tracer's).  ``TraceFormatError`` if damaged, or if
+    it marks a trace whose memory accesses were sampled when recorded:
+    such a trace is not complete, and nothing here can say what it lost."""
     path = os.path.join(directory, "meta.json")
     if not os.path.exists(path):
         return None
@@ -147,6 +137,12 @@ def read_meta(directory: str) -> Optional[Dict[str, Any]]:
     if isinstance(meta, Damage):
         raise TraceFormatError(
             f"damaged trace {directory}: meta.json byte 0: {meta.detail}"
+        )
+    if meta.get("sampled"):
+        raise TraceFormatError(
+            f"sampled trace {directory}: meta.json says its memory accesses "
+            "were sampled when traced; re-record it in full and sample with "
+            "`dcatch stream --sampling`"
         )
     return meta
 

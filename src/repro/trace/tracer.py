@@ -4,10 +4,7 @@ An ``Interceptor`` installed on a cluster.  It records:
 
 * every HB-related operation (Table 2) from traced nodes;
 * lock/unlock operations (needed by the trigger module, Section 5.2);
-* memory accesses *subject to the scope policy* — selective by default —
-  and, when a :class:`repro.trace.sampling.Sampler` is attached, further
-  thinned by it (``scope`` and ``sampler`` compose: scope decides
-  *eligibility*, the sampler decides *budget*).
+* memory accesses *subject to the scope policy* — selective by default.
 
 Nodes marked untraced (the coordination-service substrate) contribute no
 records at all, mirroring the paper's uninstrumented ZooKeeper.  Events
@@ -23,7 +20,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.runtime.ops import Interceptor, MEM_KINDS, OpEvent
-from repro.trace.sampling import Sampler
 from repro.trace.scope import FullScope, TracingScope
 from repro.trace.store import Trace
 
@@ -36,7 +32,6 @@ class Tracer(Interceptor):
         scope: Optional[TracingScope] = None,
         name: str = "trace",
         wal: Optional["object"] = None,
-        sampler: Optional[Sampler] = None,
     ) -> None:
         self.scope = scope or FullScope()
         self.trace = Trace(name)
@@ -46,13 +41,6 @@ class Tracer(Interceptor):
         #: on disk, so a crash leaves a salvageable prefix.  None (the
         #: default) is the pure in-memory path with zero extra work.
         self.wal = wal
-        #: Optional memory-access sampler.  What it rejects is tallied
-        #: on the trace, so stats computed from the trace alone (after
-        #: checkpoints, across process boundaries) still see it.
-        self.sampler = sampler
-        if sampler is not None and sampler.can_drop:
-            self.trace.sampled = True
-            self.trace.sampling_rate = sampler.rate
         self._nodes: dict = {}
 
     @property
@@ -75,15 +63,9 @@ class Tracer(Interceptor):
         if not node.traced:
             self.trace.skipped_untraced += 1
             return
-        if event.kind in MEM_KINDS:
-            if not self.scope.should_trace_mem(event):
-                self.trace.dropped_mem += 1
-                return
-            if self.sampler is not None and not self.sampler.observe(event)[0]:
-                dropped = self.trace.sampled_dropped
-                kind = event.kind.value
-                dropped[kind] = dropped.get(kind, 0) + 1
-                return
+        if event.kind in MEM_KINDS and not self.scope.should_trace_mem(event):
+            self.trace.dropped_mem += 1
+            return
         self.trace.append(event)
         if self.wal is not None:
             self.wal.append(event)

@@ -114,31 +114,59 @@ def test_figure3_chain_uses_all_rule_families():
         assert family in rules, f"{family} missing from chain {rules}"
 
 
-_FIGURE3_TEXT = """\
-mem_write@src/repro/systems/minihb/master.py:47
-  =P=> zk_update@src/repro/systems/minihb/master.py:48 [master/master.rpc]
-  =P=> rpc_create@src/repro/systems/minihb/master.py:48 [master/master.rpc]
-  =P=> rpc_join@src/repro/systems/minihb/master.py:48 [master/master.rpc]
-  =P=> rpc_create@src/repro/systems/minihb/master.py:49 [master/master.rpc]
-  =P=> rpc_join@src/repro/systems/minihb/master.py:49 [master/master.rpc]
-  =P=> thread_create@src/repro/systems/minihb/master.py:54 [master/master.rpc]
+def _line(module, func, text):
+    """The number of the first line of ``module`` at or after ``def
+    func(`` that holds ``text``: each hop is named by its operation, so
+    an edit above it does not move the expected chain."""
+    import inspect
+
+    lines = inspect.getsource(module).splitlines()
+    start = next(
+        i for i, line in enumerate(lines) if line.lstrip().startswith(f"def {func}(")
+    )
+    return next(i for i in range(start, len(lines)) if text in lines[i]) + 1
+
+
+def _figure3_text():
+    from repro.systems.minihb import master, regionserver
+
+    m = "src/repro/systems/minihb/master.py"
+    r = "src/repro/systems/minihb/regionserver.py"
+    put = _line(master, "split_table", "self.regions_in_transition.put(")
+    create = _line(master, "split_table", "self.zk.create(")
+    watch = _line(master, "split_table", "self.zk.watch(")
+    spawn = _line(master, "split_table", "self.node.spawn(open_thread")
+    call = _line(master, "open_thread", ".open_region(region)")
+    post = _line(regionserver, "open_region", "self.open_queue.post(")
+    zk = _line(regionserver, "on_open_region", "zk = self.node.zk()")
+    exists = _line(regionserver, "on_open_region", "if zk.exists(path)")
+    set_data = _line(regionserver, "on_open_region", "zk.set_data(path")
+    get = _line(master, "on_region_state_change", "self.regions_in_transition.get(")
+    return f"""\
+mem_write@{m}:{put}
+  =P=> zk_update@{m}:{create} [master/master.rpc]
+  =P=> rpc_create@{m}:{create} [master/master.rpc]
+  =P=> rpc_join@{m}:{create} [master/master.rpc]
+  =P=> rpc_create@{m}:{watch} [master/master.rpc]
+  =P=> rpc_join@{m}:{watch} [master/master.rpc]
+  =P=> thread_create@{m}:{spawn} [master/master.rpc]
   =Tfork=> thread_begin@master [master/master.open-region-1]
-  =P=> rpc_create@src/repro/systems/minihb/master.py:52 [master/master.open-region-1]
+  =P=> rpc_create@{m}:{call} [master/master.open-region-1]
   =Mrpc=> rpc_begin@hrs1 [hrs1/hrs1.rpc]
-  =P=> event_create@src/repro/systems/minihb/regionserver.py:49 [hrs1/hrs1.rpc]
+  =P=> event_create@{r}:{post} [hrs1/hrs1.rpc]
   =Eenq=> event_begin@hrs1 [hrs1/hrs1.eq.open-region]
-  =P=> thread_create@src/repro/systems/minihb/regionserver.py:60 [hrs1/hrs1.eq.open-region]
-  =P=> rpc_create@src/repro/systems/minihb/regionserver.py:62 [hrs1/hrs1.eq.open-region]
-  =P=> rpc_join@src/repro/systems/minihb/regionserver.py:62 [hrs1/hrs1.eq.open-region]
-  =P=> zk_update@src/repro/systems/minihb/regionserver.py:63 [hrs1/hrs1.eq.open-region]
+  =P=> thread_create@{r}:{zk} [hrs1/hrs1.eq.open-region]
+  =P=> rpc_create@{r}:{exists} [hrs1/hrs1.eq.open-region]
+  =P=> rpc_join@{r}:{exists} [hrs1/hrs1.eq.open-region]
+  =P=> zk_update@{r}:{set_data} [hrs1/hrs1.eq.open-region]
   =Mpush=> zk_pushed@master [master/master.eq.zkwatch]
-  =P=> mem_read@src/repro/systems/minihb/master.py:66 [master/master.eq.zkwatch]"""
+  =P=> mem_read@{m}:{get} [master/master.eq.zkwatch]"""
 
 
 def test_figure3_chain_renders_verbatim():
     """Every hop keeps the rule that added its edge, byte for byte."""
     explainer, write, read = _figure3_chain()
-    assert explainer.render(write, read) == _FIGURE3_TEXT
+    assert explainer.render(write, read) == _figure3_text()
 
 
 def test_sp_lock_hop_is_labelled_with_its_rule():

@@ -183,7 +183,7 @@ def test_checkpoint_overhead_files_on_disk(tmp_path):
     ).run()
     manifest = load_manifest(str(ckdir))
     assert manifest["format"] == "repro-checkpoint"
-    assert manifest["version"] == 4
+    assert manifest["version"] == 5
     assert sorted(manifest) == [
         "benchmark", "config_fingerprint", "format", "trace_digest",
         "verdicts", "version",

@@ -227,18 +227,17 @@ def test_trace_load_roundtrip(tmp_path, capsys):
 
 def test_trace_saves_what_the_pipeline_traces(tmp_path, capsys):
     """``dcatch trace --out`` saves the monitored run of ``dcatch run``,
-    seed and sampling included."""
+    seed included."""
     from repro.pipeline import DCatch, PipelineConfig
     from repro.systems import workload_by_id
     from repro.trace import Trace, record_to_dict
 
     out_dir = str(tmp_path / "trace")
-    argv = ["trace", "ZK-1144", "--seed", "3", "--sampling", "0.1"]
+    argv = ["trace", "ZK-1144", "--seed", "3"]
     assert main(argv + ["--out", out_dir]) == 0
-    config = PipelineConfig(trigger=False, monitored_seed=3, sampling="0.1")
+    config = PipelineConfig(trigger=False, monitored_seed=3)
     traced = DCatch(workload_by_id("ZK-1144"), config).run().trace
     saved = Trace.load(out_dir)
-    assert saved.sampled and traced.sampled
     assert [record_to_dict(r) for r in saved.records] == [
         record_to_dict(r) for r in traced.records
     ]
@@ -264,26 +263,41 @@ def test_trace_load_malformed_json_exits_2(tmp_path, capsys):
     assert f"{where}: payload is not valid JSON" in err
 
 
-def test_saved_trace_streams_with_its_sampled_confidence(tmp_path, capsys):
+def _saved_trace_marked(tmp_path, sampled):
+    """A saved ZK-1144 trace whose ``meta.json`` carries the sampling
+    keys a tracer that sampled at trace time wrote beside the streams."""
+    from repro.framing import read_document, write_document
+
     out_dir = str(tmp_path / "trace")
-    assert main(
-        ["trace", "ZK-1144", "--sampling", "0.1", "--out", out_dir]
-    ) == 0
-    capsys.readouterr()
-    assert main(["stream", out_dir]) == 0
-    assert "  confidence: sampled" in capsys.readouterr().out
+    assert main(["trace", "ZK-1144", "--out", out_dir]) == 0
+    meta_path = os.path.join(out_dir, "meta.json")
+    meta = read_document(meta_path)
+    meta.update(
+        sampled=sampled,
+        sampling_rate=0.1 if sampled else None,
+        sampled_dropped={"mem_read": 4} if sampled else {},
+    )
+    write_document(meta_path, meta)
+    return out_dir
 
 
-def test_saved_trace_that_sampling_thinned_nothing_streams_full(
-    tmp_path, capsys
-):
-    """A budget no location exceeds drops no record: the saved trace is
-    marked ``sampled`` (the sampler could drop) but streams as complete."""
-    out_dir = str(tmp_path / "trace")
-    assert main(
-        ["trace", "ZK-1144", "--sampling", "budget:100000", "--out", out_dir]
-    ) == 0
+def test_trace_sampled_when_recorded_is_refused(tmp_path, capsys):
+    """Such a trace is missing accesses nothing here can name: loading or
+    streaming it is one error line and exit 2, not a full-looking read."""
+    out_dir = _saved_trace_marked(tmp_path, sampled=True)
     capsys.readouterr()
+    for argv in (["trace", "--load", out_dir], ["stream", out_dir]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(f"error: sampled trace {out_dir}: meta.json ")
+
+
+def test_trace_marked_unsampled_loads_and_streams_full(tmp_path, capsys):
+    out_dir = _saved_trace_marked(tmp_path, sampled=False)
+    capsys.readouterr()
+    assert main(["trace", "--load", out_dir]) == 0
     assert main(["stream", out_dir]) == 0
     assert "  confidence: full" in capsys.readouterr().out
 
@@ -449,6 +463,16 @@ def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: stale checkpoint schema version 3 ")
     assert len(err.strip().splitlines()) == 1
+    # Version 4 hashed the sampling keys into its fingerprint: stale, not
+    # a config mismatch.
+    del manifest["stages"]
+    manifest.update(version=4)
+    write_document(str(ckdir / "manifest.json"), manifest)
+    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stale checkpoint schema version 4 ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_resume_with_a_tampered_trace_digest_exits_2(tmp_path, capsys):
@@ -493,14 +517,16 @@ def test_resume_config_fingerprint_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_resume_of_a_checkpoint_hashing_trigger_seeds_exits_2(tmp_path, capsys):
-    """A version-4 checkpoint whose fingerprint still hashed the former
-    ``trigger_seeds`` knob (ZK-1144's was ``5692c87fe4a82fe6``) is
+    """A current-version checkpoint whose fingerprint still hashed the
+    former ``trigger_seeds`` knob (ZK-1144's was ``5692c87fe4a82fe6``) is
     refused like any other fingerprint mismatch, in one line."""
+    from repro.analysis.checkpoint import CHECKPOINT_VERSION
+
     ckdir = tmp_path / "ck"
     assert main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir)]) == 0
     capsys.readouterr()
     manifest = load_manifest(str(ckdir))
-    assert manifest["version"] == 4
+    assert manifest["version"] == CHECKPOINT_VERSION
     assert manifest["config_fingerprint"] != "5692c87fe4a82fe6"
     manifest["config_fingerprint"] = "5692c87fe4a82fe6"
     write_document(str(ckdir / "manifest.json"), manifest)
@@ -535,16 +561,61 @@ def test_run_resume_round_trip_via_cli(tmp_path, capsys):
     assert "stages" not in load_manifest(ckdir)
 
 
+def test_stream_sampling_keeps_recall_and_identities(tmp_path, capsys):
+    """The small generated workload streamed behind the sampler: at 0.1
+    every planted race is still found (``--ground-truth`` exits 1 on a
+    miss) and the pass reads ``sampled``; rate 1.0 is a byte-identical
+    no-op with full confidence; a bare rate is its ``budget:8+rate``
+    composite, byte for byte."""
+    gen = tmp_path / "gen"
+    argv = ["generate", "minimr", "--preset", "small", "--seed", "0"]
+    assert main(argv + ["--out", str(gen)]) == 0
+    wal, truth = str(gen / "wal"), str(gen / "ground_truth.json")
+    capsys.readouterr()
+
+    def stream(*flags, report=None):
+        extra = ["--report-out", str(tmp_path / report)] if report else []
+        code = main(["stream", wal, *flags, *extra])
+        out = capsys.readouterr().out
+        return code, out, (tmp_path / report).read_bytes() if report else None
+
+    code, out, _ = stream("--ground-truth", truth, "--sampling", "0.1")
+    assert code == 0
+    assert "  confidence: sampled" in out
+    assert "planted races found (100.0% recall)" in out
+
+    code, _, unsampled = stream("--ground-truth", truth, report="unsampled.json")
+    assert code == 0
+    code, out, rate1 = stream(
+        "--ground-truth", truth, "--sampling", "1.0", report="rate1.json"
+    )
+    assert code == 0
+    assert "  confidence: full" in out
+    assert rate1 == unsampled
+
+    _, _, bare = stream("--sampling", "0.1", report="bare.json")
+    _, _, composite = stream("--sampling", "budget:8+rate:0.1", report="composite.json")
+    assert bare == composite
+    assert bare != unsampled
+
+
 @pytest.mark.parametrize(
     "spec", ["bogus", "reservoir:8", "epoch:1:2", "rate:2", "budget:0"]
 )
 def test_bad_sampling_spec_exits_2(spec, capsys):
-    """Rejected where argparse reads it: one line, before anything runs."""
-    for command in (["run", "ZK-1144"], ["trace", "ZK-1144"], ["stream", "wal"]):
-        with pytest.raises(SystemExit) as info:
-            main(command + ["--sampling", spec])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: bad sampling spec {spec!r}")
-        assert "supported: R, all, rate:R, budget:N, budget:N+rate:R" in err
-        assert len(err.strip().splitlines()) == 1
+    """Rejected where argparse reads it: one line, before anything runs.
+    Only a stream pass samples; ``run`` and ``trace`` record every
+    in-scope access and do not know the flag."""
+    with pytest.raises(SystemExit) as info:
+        main(["stream", "wal", "--sampling", spec])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad sampling spec {spec!r}")
+    assert "supported: R, all, rate:R, budget:N, budget:N+rate:R" in err
+    assert len(err.strip().splitlines()) == 1
+    for command in (["run", "ZK-1144"], ["trace", "ZK-1144"]):
+        for flag in ("--sampling", "--sampling-seed"):
+            with pytest.raises(SystemExit) as info:
+                main(command + [flag, "1"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

@@ -74,18 +74,13 @@ def test_single_record_roundtrip(event):
 
 
 @settings(max_examples=40, deadline=None)
-@example(events=[], sampled_dropped={}, partial=True, dropped_mem=1)
+@example(events=[], partial=True, dropped_mem=1)
 @given(
     events=st.lists(_events, max_size=20),
-    sampled_dropped=st.dictionaries(
-        st.sampled_from(["mem_read", "mem_write"]), st.integers(1, 99)
-    ),
     partial=st.booleans(),
     dropped_mem=st.integers(0, 9),
 )
-def test_record_stream_roundtrip(
-    tmp_path_factory, events, sampled_dropped, partial, dropped_mem
-):
+def test_record_stream_roundtrip(tmp_path_factory, events, partial, dropped_mem):
     """``Trace.load(Trace.save(t))`` is ``t``, record for record and in
     every loss field."""
     # Make seqs unique so ordering is well defined.
@@ -96,15 +91,13 @@ def test_record_stream_roundtrip(
     for event in reversed(events):
         trace.append(event)
     trace.partial, trace.dropped_mem = partial, dropped_mem
-    trace.sampled = bool(sampled_dropped)
-    trace.sampled_dropped = sampled_dropped
     directory = str(tmp_path_factory.mktemp("saved"))
     trace.save(directory)
     restored = Trace.load(directory)
     assert [record_to_dict(r) for r in restored] == [
         record_to_dict(e) for e in events
     ]
-    for name in ("partial", "sampled", "sampled_dropped", "dropped_mem"):
+    for name in ("partial", "dropped_mem"):
         assert getattr(restored, name) == getattr(trace, name)
 
 

@@ -1,14 +1,13 @@
-"""The sampling decision and the sampled tracer (production tracing)."""
+"""The sampling decision a stream pass makes (``dcatch stream --sampling``)."""
 
 import zlib
-from types import SimpleNamespace
 
 import pytest
 
 from repro.ids import CallStack
-from repro.runtime import Cluster, OpKind, sleep
+from repro.runtime import OpKind
 from repro.runtime.ops import OpEvent
-from repro.trace import FullScope, Tracer, build_sampler, dump_records
+from repro.trace import build_sampler
 
 
 def _event(seq, kind, location=None, tid=0):
@@ -68,13 +67,10 @@ def test_per_location_budget_keeps_prefix_per_location():
 
 
 def test_keep_all_cannot_drop():
-    assert build_sampler("all").can_drop is False
-    assert build_sampler("rate:0.5").can_drop is True
     # A union with keep-all never drops, whatever else it names.
-    for spec in ("all+rate:0.5", "rate:0.5+all", "budget:4+rate:1.0"):
+    for spec in ("all", "all+rate:0.5", "rate:0.5+all", "budget:4+rate:1.0"):
         sampler = build_sampler(spec)
-        assert sampler.can_drop is False
-        assert sampler.describe() == "rate:1.0@seed=0"
+        assert (sampler.budget, sampler.rate) == (None, 1.0)
         assert all(_kept(sampler, map(_mem, range(50))))
 
 
@@ -112,21 +108,21 @@ def test_observe_allocates_nothing():
     assert sampler.observe(_mem(4, kind=OpKind.MEM_READ)) is drop
 
 
-#: (spec, seed) -> (kept count, crc32 of the kept seqs, describe()),
-#: computed with the policy classes this module replaced: the kept set
-#: and the description of every surviving spec are theirs.
+#: (spec, seed) -> (kept count, crc32 of the kept seqs), computed with
+#: the policy classes this module replaced: the kept set of every
+#: surviving spec is theirs.
 GOLDENS = [
-    ("0.01", 0, 8379, 0x01960718, "budget:8+rate:0.01@seed=0"),
-    ("0.5", 7, 14127, 0xD9B04AD1, "budget:8+rate:0.5@seed=7"),
-    ("rate:0.3", 0, 10643, 0x250611CA, "rate:0.3@seed=0"),
-    ("budget:4", 0, 7466, 0x27FB76A5, "budget:4@seed=0"),
-    ("budget:8+rate:0.1", 3, 9430, 0xA0C60A4B, "budget:8+rate:0.1@seed=3"),
-    ("1.0", 0, 20000, 0xF3989F0E, "rate:1.0@seed=0"),
+    ("0.01", 0, 8379, 0x01960718),
+    ("0.5", 7, 14127, 0xD9B04AD1),
+    ("rate:0.3", 0, 10643, 0x250611CA),
+    ("budget:4", 0, 7466, 0x27FB76A5),
+    ("budget:8+rate:0.1", 3, 9430, 0xA0C60A4B),
+    ("1.0", 0, 20000, 0xF3989F0E),
 ]
 
 
-@pytest.mark.parametrize("spec,seed,count,digest,described", GOLDENS)
-def test_kept_sets_match_the_policy_classes(spec, seed, count, digest, described):
+@pytest.mark.parametrize("spec,seed,count,digest", GOLDENS)
+def test_kept_sets_match_the_policy_classes(spec, seed, count, digest):
     sampler = build_sampler(spec, seed)
     kinds = (OpKind.MEM_READ, OpKind.MEM_WRITE, OpKind.SOCK_SEND)
     kept = []
@@ -141,7 +137,6 @@ def test_kept_sets_match_the_policy_classes(spec, seed, count, digest, described
             kept.append(seq)
     assert len(kept) == count
     assert zlib.crc32(",".join(map(str, kept)).encode()) == digest
-    assert sampler.describe() == described
 
 
 # -- spec parsing -------------------------------------------------------------
@@ -149,8 +144,7 @@ def test_kept_sets_match_the_policy_classes(spec, seed, count, digest, described
 
 def test_bare_rate_builds_budgeted_composite():
     sampler = build_sampler("0.1", seed=3)
-    assert (sampler.budget, sampler.rate) == (8, 0.1)
-    assert sampler.describe() == "budget:8+rate:0.1@seed=3"
+    assert (sampler.budget, sampler.rate, sampler.seed) == (8, 0.1, 3)
 
 
 def test_rate_one_is_keep_all():
@@ -159,12 +153,16 @@ def test_rate_one_is_keep_all():
         assert (sampler.budget, sampler.rate) == (None, 1.0)
 
 
+def _terms(sampler):
+    return sampler.budget, sampler.rate, sampler.seed
+
+
 def test_term_grammar():
-    assert build_sampler("rate:0.25").describe() == "rate:0.25@seed=0"
-    assert build_sampler("budget:16").describe() == "budget:16@seed=0"
-    # Canonical whatever the order the terms were written in.
+    assert _terms(build_sampler("rate:0.25")) == (None, 0.25, 0)
+    assert _terms(build_sampler("budget:16")) == (16, None, 0)
+    # The same policy whatever the order the terms were written in.
     for spec in ("budget:4+rate:0.05", "rate:0.05 + budget:4"):
-        assert build_sampler(spec).describe() == "budget:4+rate:0.05@seed=0"
+        assert _terms(build_sampler(spec)) == (4, 0.05, 0)
 
 
 @pytest.mark.parametrize(
@@ -196,9 +194,7 @@ def test_bad_specs_rejected(spec):
 def test_build_sampler_off_for_empty_spec():
     assert build_sampler(None) is None
     assert build_sampler("") is None
-    sampler = build_sampler("0.5", seed=7)
-    assert sampler is not None
-    assert sampler.describe() == "budget:8+rate:0.5@seed=7"
+    assert _terms(build_sampler("0.5", seed=7)) == (8, 0.5, 7)
 
 
 def test_nominal_rate_surfaces_hash_component():
@@ -206,72 +202,3 @@ def test_nominal_rate_surfaces_hash_component():
     assert build_sampler("1.0").rate == 1.0
     assert build_sampler("budget:8").rate is None
 
-
-# -- tracer integration -------------------------------------------------------
-
-
-def test_sampler_passes_non_mem_and_counts_drops():
-    """The tracer, which loses the record, is what counts it."""
-    tracer = Tracer(scope=FullScope(), sampler=build_sampler("rate:0.0"))
-    tracer.bind(
-        SimpleNamespace(
-            nodes={"n": SimpleNamespace(traced=True)},
-            add_interceptor=lambda interceptor: None,
-        )
-    )
-    tracer.after(_lock(0))
-    tracer.after(_mem(1, kind=OpKind.MEM_READ))
-    tracer.after(_mem(2, kind=OpKind.MEM_WRITE))
-    assert [r.seq for r in tracer.trace.records] == [0]
-    assert tracer.trace.sampled_dropped == {"mem_read": 1, "mem_write": 1}
-
-
-def _run_workload(sampler=None, seed=0):
-    cluster = Cluster(seed=seed)
-    tracer = Tracer(scope=FullScope(), sampler=sampler).bind(cluster)
-    node = cluster.add_node("n")
-    var = node.shared_var("x", 0)
-    other = node.shared_var("y", 0)
-
-    def writer():
-        for i in range(10):
-            var.set(i)
-            other.set(i)
-
-    def reader():
-        while var.get() < 9:
-            sleep(1)
-
-    node.spawn(writer, name="w")
-    node.spawn(reader, name="r")
-    cluster.run()
-    return tracer
-
-
-def test_sampled_trace_marks_confidence_metadata():
-    tracer = _run_workload(sampler=build_sampler("rate:0.0"))
-    trace = tracer.trace
-    assert trace.sampled is True
-    assert trace.sampling_rate == 0.0
-    assert not trace.mem_accesses()
-    # HB records are untouched: thread lifecycle is still complete.
-    assert trace.of_kind(OpKind.THREAD_BEGIN)
-    assert trace.sampled_dropped["mem_write"] >= 1
-    assert trace.sampled_dropped["mem_read"] >= 1
-
-
-def test_rate_one_tracer_output_byte_identical():
-    plain = _run_workload(sampler=None)
-    sampled = _run_workload(sampler=build_sampler("1.0"))
-    assert sampled.trace.sampled is False
-    assert dump_records(sampled.trace.records) == dump_records(
-        plain.trace.records
-    )
-
-
-def test_fixed_policy_and_seed_reproduce_identical_traces():
-    first = _run_workload(sampler=build_sampler("0.3", seed=5))
-    second = _run_workload(sampler=build_sampler("0.3", seed=5))
-    assert dump_records(first.trace.records) == dump_records(
-        second.trace.records
-    )

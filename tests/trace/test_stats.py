@@ -114,26 +114,3 @@ def test_scope_drops_surface_in_stats_and_metrics():
     assert snap["trace_skipped_unbound_total"]["value"] == 0
     assert snap["trace_skipped_untraced_total"]["value"] == 0
 
-
-def test_sampling_stats_surface_rate_and_drop_kinds():
-    from repro.obs import MetricsRegistry
-    from repro.trace import build_sampler, publish_stats
-
-    cluster = Cluster(seed=0)
-    sampler = build_sampler("rate:0.0")
-    tracer = Tracer(scope=FullScope(), sampler=sampler).bind(cluster)
-    node = cluster.add_node("n")
-    var = node.shared_var("x", 0)
-    node.spawn(lambda: var.set(1), name="w")
-    cluster.run()
-
-    stats = compute_stats(tracer.trace)
-    assert stats.sampled is True
-    assert "sampling: rate=0," in stats.render()
-
-    registry = MetricsRegistry()
-    publish_stats(stats, registry)
-    snap = registry.snapshot()
-    assert snap["trace_sampling_rate"]["value"] == 0.0
-    series = snap["trace_sampled_dropped_total"]["series"]
-    assert series["kind=mem_write"]["value"] >= 1
