@@ -7,8 +7,13 @@ This module adds:
 
 * category classification (Table 7's breakdown: Mem / RPC / Socket /
   Event / Thread / Lock / Push);
-* the record's JSON form, which the WAL frames (``repro.trace.wal``) and
-  whose size Table 6 reports as the trace size.
+* the record's two JSON forms.  The positional form
+  (``record_to_list``) is the payload the WAL frames
+  (``repro.trace.wal``): twelve values in ``OpEvent`` field order, no
+  key names.  The keyed form (``record_to_dict``, ``dump_records``) is
+  the readable one: Table 6 reports its size as the trace size, and
+  trace digests, exports and stream snapshots are built from it.
+  ``record_from_dict`` reads either; the JSON type decides which.
 """
 
 from __future__ import annotations
@@ -17,17 +22,22 @@ import copyreg
 import json
 import sys
 from types import MappingProxyType
-from typing import Any, Dict, Iterable
+from typing import Any, Dict, Iterable, List, Union
 
 from repro.errors import TraceFormatError
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import MEM_READ, MEM_WRITE, OpEvent, OpKind
 
-#: Version of the on-disk record schema.  Bump when a field changes
+#: Version of the keyed record schema.  Bump when a field changes
 #: meaning; readers reject records from the future instead of silently
 #: misinterpreting them.  Records without a ``"v"`` field predate
 #: versioning and are read as version 1.
 TRACE_SCHEMA_VERSION = 1
+
+#: The ``record_version`` a WAL segment header states: 2 is the
+#: positional form (``record_to_list``); a version-1 segment holds keyed
+#: records.  Readers tell the two apart by each record's JSON type.
+WAL_RECORD_VERSION = 2
 
 CATEGORY_MEM = "mem"
 CATEGORY_RPC = "rpc"
@@ -81,6 +91,25 @@ def record_to_dict(event: OpEvent) -> Dict[str, Any]:
         "in_handler": event.in_handler,
         "extra": {k: _jsonable(v) for k, v in event.extra.items()},
     }
+
+
+def record_to_list(event: OpEvent) -> List[Any]:
+    """One record as the WAL frames it: ``record_to_dict``'s values in
+    ``OpEvent`` field order, without the key names or the version."""
+    return [
+        event.seq,
+        event.kind.value,
+        _jsonable(event.obj_id),
+        event.node,
+        event.tid,
+        event.thread_name,
+        event.segment,
+        [[f.path, f.func, f.line] for f in event.callstack],
+        list(event.location) if event.location else None,
+        event.observed_write,
+        event.in_handler,
+        {k: _jsonable(v) for k, v in event.extra.items()},
+    ]
 
 
 #: Wire string -> kind (``OpKind(value)`` goes through ``EnumMeta.__call__``).
@@ -160,52 +189,75 @@ def _share(value: Any) -> Any:
     return shared
 
 
-def record_from_dict(data: Dict[str, Any]) -> OpEvent:
-    if not isinstance(data, dict):
+def record_from_dict(data: Union[List[Any], Dict[str, Any]]) -> OpEvent:
+    """The record one decoded JSON value holds.  A list is the
+    positional form (``record_to_list``), a dict the keyed form
+    (``record_to_dict``, and what every WAL held before the positional
+    form); the two convert each field alike, in the same order, and word
+    each rejection alike.  Anything else is ``TraceFormatError``."""
+    if type(data) is list:
+        try:
+            (seq, kind, obj_id, node, tid, thread, segment, stack, location,
+             observed_write, in_handler, extra) = data
+            kind = (type(kind) is str and _KIND_BY_WIRE.get(kind)) or OpKind(kind)
+            obj_id = _untuple(obj_id)
+            callstack = _intern_stack(stack)
+            location = _share(tuple(location)) if location else None
+        except (ValueError, TypeError) as exc:
+            raise _malformed(exc) from exc
+    elif not isinstance(data, dict):
         raise TraceFormatError(f"trace record is not an object: {data!r}")
-    version = data.get("v", 1)
-    if version != TRACE_SCHEMA_VERSION:
-        raise TraceFormatError(
-            f"unknown trace schema version {version!r} "
-            f"(this reader understands version {TRACE_SCHEMA_VERSION})"
-        )
-    try:
-        seq = data["seq"]
-        kind = data["kind"]
-        # By wire string; ``OpKind(kind)`` words the error for the rest.
-        kind = (type(kind) is str and _KIND_BY_WIRE.get(kind)) or OpKind(kind)
-        obj_id = _untuple(data["obj_id"])
-        if kind is MEM_READ or kind is MEM_WRITE:
-            obj_id = _share(obj_id)
-        node = data["node"]
-        tid = data["tid"]
-        thread = data["thread"]
-        segment = data["segment"]
-        callstack = _intern_stack(data["stack"])
-        location = data["location"]
+    else:
+        version = data.get("v", 1)
+        if version != TRACE_SCHEMA_VERSION:
+            raise TraceFormatError(
+                f"unknown trace schema version {version!r} "
+                f"(this reader understands version {TRACE_SCHEMA_VERSION})"
+            )
+        try:
+            seq = data["seq"]
+            kind = data["kind"]
+            # By wire string; ``OpKind(kind)`` words the error for the rest.
+            kind = (type(kind) is str and _KIND_BY_WIRE.get(kind)) or OpKind(kind)
+            obj_id = _untuple(data["obj_id"])
+            node = data["node"]
+            tid = data["tid"]
+            thread = data["thread"]
+            segment = data["segment"]
+            callstack = _intern_stack(data["stack"])
+            location = data["location"]
+            location = _share(tuple(location)) if location else None
+            observed_write = data["observed_write"]
+        except (KeyError, ValueError, TypeError) as exc:
+            raise _malformed(exc) from exc
+        in_handler = data.get("in_handler", False)
         extra = data.get("extra", _EMPTY_EXTRA)
-        if type(extra) is dict and not extra:
-            extra = _EMPTY_EXTRA
-        # Names are interned when they are strings; nothing here checks
-        # that they are, so a record with other types decodes as it did.
-        return OpEvent(
-            seq,
-            kind,
-            obj_id,
-            sys.intern(node) if type(node) is str else node,
-            tid,
-            sys.intern(thread) if type(thread) is str else thread,
-            segment,
-            callstack,
-            _share(tuple(location)) if location else None,
-            data["observed_write"],
-            data.get("in_handler", False),
-            extra,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise TraceFormatError(
-            f"malformed trace record ({type(exc).__name__}: {exc})"
-        ) from exc
+    if kind is MEM_READ or kind is MEM_WRITE:
+        obj_id = _share(obj_id)
+    if type(extra) is dict and not extra:
+        extra = _EMPTY_EXTRA
+    # Names are interned when they are strings; nothing here checks
+    # that they are, so a record with other types decodes as it did.
+    return OpEvent(
+        seq,
+        kind,
+        obj_id,
+        sys.intern(node) if type(node) is str else node,
+        tid,
+        sys.intern(thread) if type(thread) is str else thread,
+        segment,
+        callstack,
+        location,
+        observed_write,
+        in_handler,
+        extra,
+    )
+
+
+def _malformed(exc: Exception) -> TraceFormatError:
+    return TraceFormatError(
+        f"malformed trace record ({type(exc).__name__}: {exc})"
+    )
 
 
 def _jsonable(value: Any) -> Any:

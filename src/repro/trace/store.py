@@ -18,7 +18,7 @@ from repro.errors import TraceFormatError
 from repro.framing import Damage, read_document, write_document
 from repro.runtime.ops import MEM_KINDS, OpEvent, OpKind
 from repro.trace.records import category_of, dump_records
-from repro.trace.wal import WalSink, list_stream_segments, segment_header, stream_key
+from repro.trace.wal import WalSink, is_segment_header, list_stream_segments, stream_key
 
 
 class Trace:
@@ -169,9 +169,8 @@ def _first_damage(directory: str, streams: Dict, report, expected) -> Optional[s
         where = os.path.relpath(paths[0], directory)
         if thread.unsealed_segments:
             return f"{where} byte {os.path.getsize(paths[0])}: segment is not sealed"
-        header = segment_header(node, tid, 0)
         with open(paths[0], "rb") as fh:
-            if fh.read(len(header)) != header:
+            if not is_segment_header(fh.readline(), node, tid, 0):
                 return f"{where} byte 0: not this segment's header"
         listed = expected.pop(key, 0)
         if thread.records_recovered != listed:

@@ -37,9 +37,9 @@ from repro.errors import TraceFormatError
 from repro.framing import Damage, SegmentScan, crc32, encode_line, encode_seal
 from repro.runtime.ops import OpEvent
 from repro.trace.records import (
-    TRACE_SCHEMA_VERSION,
+    WAL_RECORD_VERSION,
     record_from_dict,
-    record_to_dict,
+    record_to_list,
 )
 
 #: Fires after a segment seals: ``(node, tid, segment_index, path)``.
@@ -62,8 +62,10 @@ DEFAULT_FLUSH_EVERY = 32
 _SEGMENT_NAME = re.compile(r"seg-(\d+)\.wal")
 
 #: The canonical payload encoding, built once (``json.dumps`` with
-#: options builds an encoder per call).
-_encode_json = json.JSONEncoder(sort_keys=True).encode
+#: options builds an encoder per call): compact separators, so a record
+#: (``record_to_list``) carries no byte it does not need, and sorted
+#: keys, so a record's ``extra`` and a header encode one way only.
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def stream_key(node: str, tid: int) -> str:
@@ -86,17 +88,29 @@ def segment_index(path: str) -> Optional[int]:
     return int(match.group(1)) if match else None
 
 
-def segment_header(node: str, tid: int, index: int) -> bytes:
-    """The ``H`` line that opens segment ``index`` of a stream."""
-    header = {
+def _header(node: str, tid: int, index: int, record_version: int) -> Dict[str, Any]:
+    return {
         "format": WAL_FORMAT,
         "wal_version": WAL_VERSION,
-        "record_version": TRACE_SCHEMA_VERSION,
+        "record_version": record_version,
         "node": node,
         "tid": tid,
         "segment": index,
     }
+
+
+def segment_header(node: str, tid: int, index: int) -> bytes:
+    """The ``H`` line that opens segment ``index`` of a stream."""
+    header = _header(node, tid, index, WAL_RECORD_VERSION)
     return b"H " + _encode_json(header).encode() + b"\n"
+
+
+def is_segment_header(line: bytes, node: str, tid: int, index: int) -> bool:
+    """Whether ``line`` is the ``H`` line of segment ``index`` of a
+    stream: ``segment_header``'s, or the one a writer of keyed records
+    (record version 1, spaced JSON) wrote."""
+    legacy = json.dumps(_header(node, tid, index, 1), sort_keys=True)
+    return line in (segment_header(node, tid, index), b"H " + legacy.encode() + b"\n")
 
 
 class WalWriter:
@@ -167,7 +181,7 @@ class WalWriter:
 
     # -- public API ----------------------------------------------------------
 
-    def append(self, data: Dict[str, Any]) -> None:
+    def append(self, data: Any) -> None:
         if self.closed:
             return
         payload = _encode_json(data).encode()
@@ -251,7 +265,7 @@ class WalSink:
                 on_seal=self.on_seal,
             )
             self._writers[key] = writer
-        writer.append(record_to_dict(event))
+        writer.append(record_to_list(event))
 
     def abandon_node(self, node: str) -> None:
         """The node crashed: its streams end abruptly, without seals."""
@@ -375,9 +389,10 @@ def verify_segment_bytes(data: bytes) -> Tuple[int, bool, Optional[str]]:
     return scan.count, scan.sealed, None
 
 
-def iter_segment_records(data: bytes) -> Iterable[Dict[str, Any]]:
-    """Decode the payloads of a segment's intact record lines (damaged
-    lines are skipped: ``verify_segment_bytes`` is what reports them).
+def iter_segment_records(data: bytes) -> Iterable[Any]:
+    """Decode the JSON of a segment's intact record lines, each a value
+    ``record_from_dict`` takes (damaged lines are skipped:
+    ``verify_segment_bytes`` is what reports them).
     Raises ``ValueError`` on an intact frame that is not JSON."""
     scan = SegmentScan()
     for raw in io.BytesIO(data):

@@ -360,6 +360,12 @@ def test_salvage_command_end_to_end(tmp_path, capsys):
 
     assert len(Trace.load(str(out_dir))) == report["records_recovered"]
 
+    # The salvaged trace is a sealed WAL: both readers take it.
+    assert main(["trace", "--load", str(out_dir), "--stats"]) == 0
+    capsys.readouterr()
+    assert main(["stream", str(out_dir)]) == 0
+    assert "confidence: full" in capsys.readouterr().out
+
 
 def test_salvage_missing_directory_exits_2(tmp_path, capsys):
     assert main(["salvage", str(tmp_path / "nope")]) == 2

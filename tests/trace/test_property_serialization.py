@@ -6,7 +6,7 @@ import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
@@ -14,7 +14,8 @@ from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import Trace, record_from_dict, record_to_dict
 from repro.trace import records as records_module
-from repro.trace.records import TRACE_SCHEMA_VERSION, _untuple
+from repro.trace.records import TRACE_SCHEMA_VERSION, _untuple, record_to_list
+from repro.trace.wal import _encode_json
 
 _kinds = st.sampled_from(list(OpKind))
 _obj_ids = st.one_of(
@@ -361,9 +362,27 @@ def test_replace_pickle_and_copy_roundtrip(event):
     assert copy.deepcopy(event) == event
 
 
+#: The positional form's fields, in order: the keyed form's, less ``v``.
+_FIELDS = (
+    "seq", "kind", "obj_id", "node", "tid", "thread", "segment", "stack",
+    "location", "observed_write", "in_handler", "extra",
+)
+
+
 def _reference_record_from_dict(data):
     """``record_from_dict`` as it was before it was table-driven: the
-    statement of what is accepted and what each rejection says."""
+    statement of what is accepted and what each rejection says.  A list
+    is the positional form: exactly the twelve fields, in order, read
+    as the keyed form with every field present."""
+    if isinstance(data, list):
+        try:  # twelve, or the unpacking's own words for the miss
+            (seq, kind, obj_id, node, tid, thread, segment, stack, location,
+             observed_write, in_handler, extra) = data
+        except ValueError as exc:
+            raise TraceFormatError(
+                f"malformed trace record (ValueError: {exc})"
+            ) from exc
+        data = dict(zip(_FIELDS, data))
     if not isinstance(data, dict):
         raise TraceFormatError(f"trace record is not an object: {data!r}")
     version = data.get("v", 1)
@@ -431,3 +450,101 @@ def test_table_driven_decode_accepts_and_rejects_what_the_reference_does(
         assert str(caught.value) == str(exc)
     else:
         assert record_from_dict(data) == expected
+
+
+def _as_list(data):
+    """A keyed dict written as a list: its values in field order.  An
+    absent field the keyed reader defaults is written as that default;
+    an absent field it requires is left out, so the list is short."""
+    defaults = {"in_handler": False, "extra": {}}
+    return [
+        data[field] if field in data else defaults[field]
+        for field in _FIELDS
+        if field in data or field in defaults
+    ]
+
+
+def _decode(data):
+    try:
+        return record_from_dict(data)
+    except TraceFormatError as exc:
+        return exc
+
+
+# -- the positional form -------------------------------------------------------
+
+
+def test_the_positional_form_is_the_keyed_values_in_field_order():
+    event = replace(_at_site(1), extra={"writer_tid": 2})
+    keyed = record_to_dict(event)
+    assert record_to_list(event) == [keyed[field] for field in _FIELDS]
+    assert list(keyed) == ["v", *_FIELDS]
+
+
+@settings(max_examples=200, deadline=None)
+@given(event=_events)
+def test_positional_roundtrip_through_the_wal_encoder(event):
+    assert record_from_dict(json.loads(_encode_json(record_to_list(event)))) == event
+
+
+@settings(max_examples=400, deadline=None)
+@given(event=_events, edits=_edits)
+def test_positional_and_keyed_forms_decode_alike(event, edits):
+    data = json.loads(json.dumps(record_to_dict(event)))
+    for key, value in edits:
+        if value == "<delete>":
+            data.pop(key, None)
+        else:
+            data[key] = value
+    # A list has no version: only a keyed record the reader takes for
+    # the current version has a positional twin.
+    assume(data.get("v", 1) == TRACE_SCHEMA_VERSION)
+    positional = _as_list(data)
+    keyed_result, positional_result = _decode(data), _decode(positional)
+    if isinstance(keyed_result, TraceFormatError):
+        assert isinstance(positional_result, TraceFormatError)
+        if len(positional) == len(_FIELDS):  # the same field is at fault
+            assert str(positional_result) == str(keyed_result)
+    else:
+        assert positional_result == keyed_result
+    try:
+        expected = _reference_record_from_dict(positional)
+    except TraceFormatError as exc:
+        assert str(positional_result) == str(exc)
+    else:
+        assert positional_result == expected
+
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+        st.text(max_size=6), _junk,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        st.builds(lambda v: {"__tuple__": v}, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.lists(_json_values, max_size=16).filter(
+    lambda values: len(values) != len(_FIELDS)
+))
+def test_a_positional_record_of_the_wrong_length_is_rejected(data):
+    with pytest.raises(TraceFormatError, match="malformed trace record"):
+        record_from_dict(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    event=_events,
+    swaps=st.dictionaries(st.integers(0, len(_FIELDS) - 1), _json_values, max_size=4),
+)
+def test_a_junk_positional_record_raises_only_trace_format_error(event, swaps):
+    data = record_to_list(event)
+    for index, value in swaps.items():
+        data[index] = value
+    _decode(data)  # an event or a TraceFormatError, never anything else

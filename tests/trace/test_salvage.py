@@ -78,12 +78,12 @@ class TestDamage:
         path = _segment_path(tmp_path)
         with open(path, "rb") as fh:
             data = fh.read()
-        # Flip one byte inside the third record's JSON payload.
-        idx = data.find(b'"seq": 3')
-        assert idx > 0
-        data = data[:idx] + b'"seq": 9' + data[idx + 8:]
+        # Flip one byte inside the third record's JSON payload: its seq.
+        lines = data.split(b"\n")  # the header, then records 1, 2, 3, ...
+        assert lines[3].startswith(b"R ") and b" [3," in lines[3]
+        lines[3] = lines[3].replace(b" [3,", b" [9,", 1)
         with open(path, "wb") as fh:
-            fh.write(data)
+            fh.write(b"\n".join(lines))
         trace, report = salvage_trace(str(tmp_path))
         assert report.crc_mismatches == 1
         assert report.records_recovered == 4
@@ -99,8 +99,10 @@ class TestDamage:
         path = _segment_path(tmp_path)
         with open(path, "rb") as fh:
             lines = fh.read().split(b"\n")
-        # Drop one record line but keep the (now lying) seal.
-        lines = [l for l in lines if b'"seq": 2' not in l]
+        # Drop one record line (the header, then records 1, 2, ...) but
+        # keep the (now lying) seal.
+        assert lines[2].startswith(b"R ") and b" [2," in lines[2]
+        del lines[2]
         with open(path, "wb") as fh:
             fh.write(b"\n".join(lines))
         trace, report = salvage_trace(str(tmp_path))
@@ -161,8 +163,11 @@ class TestDamage:
         assert (report.bad_records, report.seal_mismatches) == (1, 0)
         assert report.sealed_segments == 1
         [region] = report.quarantined
-        line = encode_line(b"R", b'{"seq": 2, "v": 99}')
-        start = open(path, "rb").read().index(line)
+        # The header, record 1, then the frame that is no record.
+        lines = open(path, "rb").read().splitlines(keepends=True)
+        line = lines[2]
+        assert line.startswith(b"R ") and line.endswith(b'"v":99}\n')
+        start = len(lines[0]) + len(lines[1])
         assert (region.byte_start, region.byte_end) == (start, start + len(line) - 1)
         assert "schema version 99" in region.reason
         assert "n1/thread-0: 1 recovered, 1 quarantined" in report.render()
@@ -248,8 +253,11 @@ class TestLiveSalvage:
         # Corrupt a record inside the *sealed* first segment: that is
         # damage of its own, besides the growing tail.
         path = _segment_path(tmp_path, segment=0)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data.replace(b'"seq": 2', b'"seq!: 2', 1))
+        lines = open(path, "rb").read().split(b"\n")
+        # The header, then records 1, 2, ...: one byte of record 2 goes.
+        assert lines[2].startswith(b"R ") and b" [2," in lines[2]
+        lines[2] = lines[2].replace(b" [2,", b" [2!", 1)
+        open(path, "wb").write(b"\n".join(lines))
         _trace, report = salvage_trace(str(tmp_path))
         assert report.damaged
         assert report.records_quarantined == 2  # the CRC-bad and the torn

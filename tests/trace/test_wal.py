@@ -7,7 +7,7 @@ import zlib
 import pytest
 
 from repro.framing import encode_line, encode_seal
-from repro.ids import CallStack
+from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace import Tracer, WalSink, WalWriter
 
@@ -110,6 +110,36 @@ class TestWalWriter:
 
 
 class TestWalSink:
+    def test_record_layout_is_pinned(self, tmp_path):
+        """A readable counterpart of ``test_wal_bytes_are_pinned``: one
+        record is a compact JSON array in ``OpEvent`` field order (seq,
+        kind, obj_id, node, tid, thread, segment, stack, location,
+        observed_write, in_handler, extra), its ``extra`` keys sorted,
+        under a header that says ``record_version`` 2."""
+        event = OpEvent(
+            seq=42, kind=OpKind.MEM_READ, obj_id="x", node="worker-0007",
+            tid=3, thread_name="worker-0007.main", segment=3,
+            callstack=CallStack([Frame("repro/systems/x/a.py", "local_read", 31)]),
+            location=(9, "x"), observed_write=17, in_handler=True,
+            extra={"writer_tid": 2, "writer_node": "nm1"},
+        )
+        sink = WalSink(str(tmp_path))
+        sink.append(event)
+        sink.close()
+        header, record, seal, end = _read(
+            str(tmp_path), "worker-0007", 3, "seg-0000.wal"
+        ).split(b"\n")
+        assert header == (
+            b'H {"format":"repro-wal","node":"worker-0007",'
+            b'"record_version":2,"segment":0,"tid":3,"wal_version":1}'
+        )
+        assert record == (
+            b'R 00000098 c0a88d46 [42,"mem_read","x","worker-0007",3,'
+            b'"worker-0007.main",3,[["repro/systems/x/a.py","local_read",31]],'
+            b'[9,"x"],17,true,{"writer_node":"nm1","writer_tid":2}]'
+        )
+        assert (seal, end) == (b"S 00000001 c0a88d46", b"")
+
     def test_routes_streams_by_node_and_thread(self, tmp_path):
         sink = WalSink(str(tmp_path), flush_every=1)
         sink.append(_event(1, node="a", tid=0))

@@ -42,9 +42,10 @@ def test_same_seed_is_byte_identical(tmp_path):
 
 
 def test_wal_bytes_are_pinned(tmp_path):
-    """The write side's byte-identity gate: a digest taken before the
-    writer's encoder was hoisted out of ``append``.  It moves only in a
-    change that means to re-encode the WAL."""
+    """The write side's byte-identity gate: a digest taken when records
+    became positional arrays (``record_to_list``, compact separators).
+    It moves only in a change that means to re-encode the WAL;
+    ``tests/trace/test_wal.py`` pins one record line readably."""
     generated = generate_workload("minimr", "small", 0, str(tmp_path))
     digest = hashlib.sha256()
     files = _wal_bytes(generated.wal_dir)
@@ -52,7 +53,7 @@ def test_wal_bytes_are_pinned(tmp_path):
         digest.update(name.encode() + b"\0" + files[name])
     assert len(files) == 9 and generated.records == 456
     assert digest.hexdigest() == (
-        "2bb821771d4afd19758c31aa68f0424ce8402e14e84aa2d405a1f1622054eac3"
+        "ea59ee950ec3de26cfe3a453b2707f765c73c72226a36de20572921d88899042"
     )
 
 
