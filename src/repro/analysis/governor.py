@@ -50,7 +50,8 @@ def process_rss_mb() -> float:
 
 def maybe_stall(point: str) -> None:
     """Test hook: ``DCATCH_STALL=<point>:<seconds>`` sleeps at a named
-    pipeline point so crash/signal tests get a deterministic window.
+    point (the server's ``service_pump``) so service tests get a
+    deterministic window.
     A no-op unless the environment variable names this exact point."""
     spec = os.environ.get("DCATCH_STALL")
     if not spec:

@@ -13,8 +13,6 @@ Subcommands::
     dcatch trace --load DIR --stats # statistics of a saved trace
     dcatch run MR-3274 --trace-dir ./wal  # durable write-ahead tracing
     dcatch salvage ./wal/MR-3274/seed-0   # recover a trace from a WAL
-    dcatch run MR-3274 --checkpoint-dir ./ckpt   # log the trigger verdicts
-    dcatch run MR-3274 --checkpoint-dir ./ckpt --resume  # re-run only what is missing
     dcatch profile MR-3274          # per-stage span table + exports
     dcatch profile ZK-1144 --prom metrics.prom  # + Prometheus text
     dcatch generate minimr --preset xl --out ./gen  # million-record WAL
@@ -34,8 +32,6 @@ import sys
 from typing import List, Optional
 
 from repro.errors import (
-    CheckpointError,
-    PipelineInterrupted,
     ServiceError,
     TraceFormatError,
     UnknownBenchmarkError,
@@ -73,8 +69,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
         trace_dir=args.trace_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
         max_stage_seconds=args.max_stage_seconds,
         memory_budget_mb=args.memory_budget_mb,
         detect_mode=args.detect_mode,
@@ -500,21 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         "write-ahead log under DIR (salvage it with 'salvage')",
     )
     run.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        dest="checkpoint_dir",
-        help="log each trigger verdict under DIR; a killed run "
-        "re-executes only the missing ones with --resume",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from --checkpoint-dir: re-run the monitored run "
-        "(refused if its trace differs), recompute the analysis, restore "
-        "the logged verdicts, trigger what is left",
-    )
-    run.add_argument(
         "--max-stage-seconds",
         type=float,
         default=None,
@@ -882,7 +861,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UnknownBenchmarkError, TraceFormatError, CheckpointError) as exc:
+    except (UnknownBenchmarkError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ServiceError as exc:
@@ -894,16 +873,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PipelineInterrupted as exc:
-        hint = (
-            f" (resume with --checkpoint-dir {exc.checkpoint_dir} --resume)"
-            if exc.checkpoint_dir
-            else ""
-        )
-        print(
-            f"interrupted: {exc}; checkpoint sealed{hint}", file=sys.stderr
-        )
-        return 130
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -211,8 +211,6 @@ def detect_races(
         if record.is_mem and record.location is not None:
             by_location[record.location].append(record)
 
-    from repro.analysis.governor import maybe_stall
-
     candidates: List[Candidate] = []
     examined = 0
     stopped_early = False
@@ -228,7 +226,6 @@ def detect_races(
             candidates.extend(Candidate(a, b) for a, b in found)
             if stopped_early:
                 break
-            maybe_stall("detect_shard")
 
     obs.counter("detect_pairs_examined_total", "access pairs HB-checked").inc(
         examined

@@ -62,30 +62,6 @@ class TraceFormatError(ReproError):
     """
 
 
-class CheckpointError(ReproError):
-    """A checkpoint directory could not be used for resume.
-
-    Raised for a missing/unreadable manifest, a stale checkpoint schema
-    version, a config-fingerprint mismatch, payload CRC damage, and a
-    re-traced monitored run whose digest is not the recorded one.  The
-    CLI catches it and exits with a one-line error (status 2), matching
-    the ``TraceFormatError`` convention.
-    """
-
-
-class PipelineInterrupted(ReproError):
-    """The pipeline was stopped by SIGINT/SIGTERM mid-run.
-
-    The checkpoint (when one is configured) has been sealed before this
-    is raised; ``checkpoint_dir`` carries where, so the CLI can print a
-    one-line "resume with --resume" hint and exit 130.
-    """
-
-    def __init__(self, message: str, checkpoint_dir: "str | None" = None):
-        super().__init__(message)
-        self.checkpoint_dir = checkpoint_dir
-
-
 class ServiceError(ReproError):
     """The detection service (or its client) hit a protocol-level error.
 

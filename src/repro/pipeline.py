@@ -19,8 +19,6 @@ record breakdowns (Table 7).
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,12 +26,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro.analysis.astutil import SourceIndex
-from repro.analysis.governor import StageBudget, maybe_stall
+from repro.analysis.governor import StageBudget
 from repro.analysis.pruner import PruneResult, StaticPruner, rank_reports
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import SOUNDNESS_TIERS, ReportSet, Verdict
 from repro.detect.syncpres import annotate_sync_preserving, lock_section_edges
-from repro.errors import CheckpointError, PipelineInterrupted, TraceAnalysisOOM
+from repro.errors import TraceAnalysisOOM
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
 from repro.runtime.cluster import Cluster, RunResult
 from repro.runtime.faults import FaultPlan
@@ -79,16 +77,6 @@ class PipelineConfig:
     #: so a node crashed mid-run leaves a salvageable prefix on disk.
     #: None (default) keeps tracing purely in memory — zero overhead.
     trace_dir: Optional[str] = None
-    #: Checkpoint/resume: when set, every trigger verdict (one manifest
-    #: entry per report) and the monitored run's ``trace_digest`` are
-    #: logged in a CRC-enveloped manifest under this directory, and
-    #: SIGINT/SIGTERM exit with it resumable.
-    checkpoint_dir: Optional[str] = None
-    #: Resume from ``checkpoint_dir``: validate the manifest against this
-    #: config, re-run the (deterministic) monitored run and check its
-    #: digest, recompute the analysis, restore every logged verdict and
-    #: trigger what is left.
-    resume: bool = False
     #: Wall-clock deadline per stage (seconds).  Cooperative: detection
     #: polls it once per access of a write-bearing location, triggering
     #: between reports; an overrunning stage stops early, keeps what it
@@ -126,8 +114,6 @@ class PipelineResult:
     #: name: ``"ok"``, ``"degraded"`` (cut short by, or finished past,
     #: the stage deadline), or ``"failed"``.
     stage_status: Dict[str, str] = field(default_factory=dict)
-    #: Where this run checkpointed, when it did.
-    checkpoint_dir: Optional[str] = None
     #: Metrics snapshot of the run (``MetricsRegistry.snapshot()``).
     #: Benchmarks and tests assert on this instead of re-deriving
     #: counts.
@@ -205,17 +191,6 @@ class PipelineResult:
                 f"{stage}: {count}" for stage, count in sorted(failures.items())
             )
             lines.append(f"partial failures: {parts}")
-        if self.config.resume:
-            from repro.analysis.checkpoint import RestoredGatePlan
-
-            restored = sum(
-                isinstance(outcome.plan, RestoredGatePlan)
-                for outcome in self.outcomes
-            )
-            lines.append(
-                f"resumed from checkpoint {self.checkpoint_dir}: "
-                f"{restored} trigger verdicts restored"
-            )
         for key, value in sorted(self.timings.items()):
             lines.append(f"  {key}: {value:.3f}s")
         return "\n".join(lines)
@@ -306,64 +281,6 @@ class DCatch:
         result.profile = tracer
         return result
 
-    def _run_stages(self) -> PipelineResult:
-        """Set up checkpointing and signal handling, then run the
-        stages.  SIGINT/SIGTERM (installed only when a
-        checkpoint directory is configured — otherwise there is nothing
-        to seal) raise ``PipelineInterrupted`` at the next bytecode
-        boundary; the checkpoint manifest is replaced atomically after
-        every verdict, so whatever the signal lands on, the directory
-        stays resumable."""
-        config = self.config
-        store = None
-        if config.resume and not config.checkpoint_dir:
-            raise CheckpointError(
-                "resume requires a checkpoint directory (--checkpoint-dir)"
-            )
-        if config.checkpoint_dir:
-            from repro.analysis import checkpoint as ckpt
-
-            store = ckpt.CheckpointStore(
-                directory=config.checkpoint_dir,
-                benchmark=self.workload.info.bug_id,
-                config_fp=ckpt.config_fingerprint(
-                    self.workload.info.bug_id, config
-                ),
-                resume=config.resume,
-            )
-
-        previous_handlers: Dict[int, object] = {}
-        if (
-            store is not None
-            and threading.current_thread() is threading.main_thread()
-        ):
-
-            def _on_signal(signum: int, _frame: object) -> None:
-                raise PipelineInterrupted(
-                    f"interrupted by {signal.Signals(signum).name}",
-                    checkpoint_dir=store.directory,
-                )
-
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    previous_handlers[signum] = signal.signal(
-                        signum, _on_signal
-                    )
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-
-        try:
-            return self._run_stages_governed(store)
-        except PipelineInterrupted:
-            obs.counter(
-                "pipeline_interrupted_total",
-                "pipeline runs stopped by SIGINT/SIGTERM",
-            ).inc()
-            raise
-        finally:
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
-
     def _run_streaming_analysis(self, trace: Trace, budget) -> DetectionResult:
         """Streaming-mode analysis: skip the whole-trace HB graph and
         reachability closure entirely; one bounded-memory pass over the
@@ -379,7 +296,10 @@ class DCatch:
         )
         return stream.to_detection(trace)
 
-    def _run_stages_governed(self, store: "object") -> PipelineResult:
+    def _run_stages(self) -> PipelineResult:
+        """Trace, analyse, prune and trigger.  A stage that fails or
+        overruns its deadline is recorded in ``stage_status`` instead of
+        raising."""
         config = self.config
         timings: Dict[str, float] = {}
         stage_status: Dict[str, str] = {}
@@ -389,8 +309,6 @@ class DCatch:
         obs.counter("pipeline_runs_total", "DCatch pipeline executions").inc()
 
         # -- run-time tracing: the one monitored run --------------------------
-        # A resume re-runs it too: it is seeded, so its digest must be the
-        # one the logged verdicts were found on.
         started = time.perf_counter()
         budget = StageBudget("trace", started, config.max_stage_seconds)
         budgets.append(budget)
@@ -402,10 +320,6 @@ class DCatch:
                 publish_stats(compute_stats(trace))
         timings["tracing_seconds"] = time.perf_counter() - started
         budget.exceeded()
-        if store is not None:
-            from repro.analysis import checkpoint as ckpt
-
-            store.pin_trace(ckpt.trace_digest(trace))
         stage_status["trace"] = "ok"
 
         detection = None
@@ -440,7 +354,6 @@ class DCatch:
                 if config.detect_mode == "streaming":
                     detection = self._run_streaming_analysis(trace, budget)
                 else:
-                    maybe_stall("hb_build")
                     graph = HBGraph(trace, memory_budget=reach_budget)
                     graph.reach_stats()
                     detection = detect_races(
@@ -464,8 +377,6 @@ class DCatch:
                 reports_pre = ReportSet.from_detection(detection)
             reports = reports_pre
             timings["analysis_seconds"] = time.perf_counter() - started
-        except (PipelineInterrupted, CheckpointError):
-            raise
         except TraceAnalysisOOM as exc:
             # The closure did not fit: record the OOM and mark the
             # stage failed instead of raising.
@@ -491,8 +402,6 @@ class DCatch:
                 reports = prune_result.kept
                 timings["pruning_seconds"] = time.perf_counter() - started
                 stage_status["prune"] = "ok"
-            except (PipelineInterrupted, CheckpointError):
-                raise
             except Exception as exc:  # noqa: BLE001
                 # Pruning is an optimization: fall back to the
                 # unpruned set, in the trigger-queue order pruning
@@ -506,12 +415,6 @@ class DCatch:
             budget = StageBudget("trigger", started, config.max_stage_seconds)
             budgets.append(budget)
             with obs.span("pipeline.trigger", reports=len(reports)):
-                done = {}
-                if store is not None:
-                    done = {
-                        tuple(entry["pair"]): entry
-                        for entry in store.load_verdicts()
-                    }
                 try:
                     from repro.trigger import PlacementAnalyzer, TriggerModule
 
@@ -519,8 +422,6 @@ class DCatch:
                     module = TriggerModule(
                         self.workload.factory(), seeds=TRIGGER_SEEDS
                     )
-                except (PipelineInterrupted, CheckpointError):
-                    raise
                 except Exception as exc:  # noqa: BLE001
                     stage_failed("trigger", exc)
                 else:
@@ -529,20 +430,10 @@ class DCatch:
                     # (``rank_reports``): under a deadline the reports
                     # left UNKNOWN are the weakest tier.
                     for report in reports:
-                        # Verdicts are logged under their pair: ``report_id``
-                        # is an ordinal into a detection just recomputed.
-                        entry = done and done.get(tuple(ckpt.outcome_pair(report)))
-                        if entry:
-                            outcomes.append(
-                                ckpt.outcome_from_dict(entry, report)
-                            )
-                            continue
                         if budget.exceeded():
-                            # Deadline: remaining reports stay
-                            # UNKNOWN; the manifest keeps what ran.
+                            # Deadline: remaining reports stay UNKNOWN.
                             stage_status["trigger"] = "degraded"
                             break
-                        maybe_stall("trigger_report")
                         # Each report's re-runs are isolated: one
                         # hung or crashed trigger execution is that
                         # report's outcome, not the pipeline's.
@@ -550,16 +441,11 @@ class DCatch:
                             outcome = module.validate_report(
                                 report, placement
                             )
-                        except (PipelineInterrupted, CheckpointError):
-                            raise
                         except Exception as exc:  # noqa: BLE001
                             stage_failed("trigger", exc)
                             continue
-                        if outcome is None:
-                            continue
-                        outcomes.append(outcome)
-                        if store is not None:
-                            store.add_verdict(ckpt.outcome_to_dict(outcome))
+                        if outcome is not None:
+                            outcomes.append(outcome)
             timings["trigger_seconds"] = time.perf_counter() - started
             budget.exceeded()
 
@@ -587,5 +473,4 @@ class DCatch:
             sp_oom=sp_oom,
             errors=errors,
             stage_status=stage_status,
-            checkpoint_dir=store.directory if store else None,
         )

@@ -18,7 +18,6 @@ analogue of not instrumenting initialization code.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -70,10 +69,8 @@ class RunResult:
     name: str
     seed: int
     steps: int
-    clock: int
     completed: bool
     failures: FailureLog
-    wall_seconds: float
     ops: int
 
     @property
@@ -231,7 +228,6 @@ class Cluster:
         if self._ran:
             raise ReproError("a Cluster can only run once; build a fresh one")
         self._ran = True
-        started = time.perf_counter()
         completed = True
         try:
             self.scheduler.run()
@@ -257,15 +253,12 @@ class Cluster:
                     step=self.scheduler.steps,
                 )
             )
-        wall = time.perf_counter() - started
         return RunResult(
             name=self.name,
             seed=self.seed,
             steps=self.scheduler.steps,
-            clock=self.scheduler.clock,
             completed=completed,
             failures=self.failures,
-            wall_seconds=wall,
             ops=self._seq,
         )
 

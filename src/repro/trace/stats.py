@@ -113,7 +113,7 @@ def compute_stats(trace: Trace) -> TraceStats:
         lock_ops=lock_ops,
         bytes_by_category=bytes_by_category,
         # Loss counters live on the trace (not the tracer) so they
-        # survive checkpoints and process boundaries.
+        # survive a save/load and process boundaries.
         dropped_mem=trace.dropped_mem,
         skipped_unbound=trace.skipped_unbound,
         skipped_untraced=trace.skipped_untraced,

@@ -220,10 +220,8 @@ class TriggerModule:
                 name=f"trigger-{order[0]}{order[1]}-s{seed}",
                 seed=seed,
                 steps=0,
-                clock=0,
                 completed=False,
                 failures=failures,
-                wall_seconds=0.0,
                 ops=0,
             )
             return TriggerRun(

@@ -54,9 +54,9 @@ def test_governor_without_deadline_records_nothing():
 
 
 def test_maybe_stall_ignores_other_points(monkeypatch):
-    monkeypatch.setenv("DCATCH_STALL", "hb_build:60")
+    monkeypatch.setenv("DCATCH_STALL", "here:60")
     started = time.perf_counter()
-    maybe_stall("detect_shard")  # different point: no sleep
+    maybe_stall("elsewhere")  # different point: no sleep
     assert time.perf_counter() - started < 1
 
 

@@ -27,6 +27,28 @@ def test_same_seed_same_reports():
     assert first.trace.size_bytes() == second.trace.size_bytes()
 
 
+@pytest.mark.parametrize("bug", ["CA-1011", "ZK-1144"])
+@pytest.mark.parametrize("mode", ["batch", "streaming"])
+def test_rerun_equals_first_run_in_every_detect_mode(bug, mode):
+    """A stopped run is re-run: with triggering on, a second run gives
+    the same report bytes, verdicts and soundness tiers as the first."""
+    from repro.detect.export import dump_reports
+
+    config = PipelineConfig(detect_mode=mode)
+    first = DCatch(workload_by_id(bug), config).run()
+    second = DCatch(workload_by_id(bug), config).run()
+    assert dump_reports(second.reports) == dump_reports(first.reports)
+    assert [(o.report.report_id, o.verdict) for o in second.outcomes] == [
+        (o.report.report_id, o.verdict) for o in first.outcomes
+    ]
+    assert second.detection.sp_pairs == first.detection.sp_pairs
+    assert (second.detection.sp_pairs is None) == (mode == "streaming")
+    assert [r.soundness for r in second.reports] == [
+        r.soundness for r in first.reports
+    ]
+    assert len(first.outcomes) > 0
+
+
 def test_oom_pipeline_degrades_gracefully():
     """An analysis OOM is reported, not raised, and the summary says so."""
     config = PipelineConfig(

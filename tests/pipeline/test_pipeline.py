@@ -100,7 +100,7 @@ def test_docs_quick_reference_matches_pipeline_config():
         for kw in call.keywords
     }
     fields = dataclasses.fields(PipelineConfig)
-    assert len(fields) == 10
+    assert len(fields) == 8
     assert list(documented) == [f.name for f in fields]
     assert documented == {f.name: f.default for f in fields}
 

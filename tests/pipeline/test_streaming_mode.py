@@ -2,8 +2,7 @@
 
 Streaming skips the whole-trace HB graph; its candidate set equals
 batch detection under the streaming-expressible model (everything but
-the whole-trace inference families), and a checkpointed run resumes
-from the trace exactly like batch mode.
+the whole-trace inference families).
 """
 
 import pytest
@@ -43,27 +42,6 @@ def test_streaming_matches_batch_restricted_model(streaming_result):
     }
 
 
-def test_streaming_checkpoint_resume(tmp_path, streaming_result):
-    config = PipelineConfig(
-        trigger=False,
-        detect_mode="streaming",
-        checkpoint_dir=str(tmp_path),
-    )
-    first = DCatch(workload_by_id("ZK-1144"), config).run()
-    resumed = DCatch(
-        workload_by_id("ZK-1144"),
-        PipelineConfig(
-            trigger=False,
-            detect_mode="streaming",
-            checkpoint_dir=str(tmp_path),
-            resume=True,
-        ),
-    ).run()
-    assert set(resumed.stage_status.values()) == {"ok"}
-    assert _pairs(resumed) == _pairs(first)
-    assert _pairs(resumed) == _pairs(streaming_result)
-
-
 def test_pruner_tolerates_graphless_detection(streaming_result):
     """Regression: the pruner ranks on report soundness tiers and must
     never touch ``detection.graph`` — streaming results carry None."""
@@ -78,22 +56,3 @@ def test_pruner_tolerates_graphless_detection(streaming_result):
     pruner = StaticPruner.for_trace(index, detection.trace)
     result = pruner.apply(reports, detection=detection)
     assert len(result.kept) + len(result.pruned) == len(reports)
-
-
-def test_batch_checkpoint_not_reused_by_streaming(tmp_path):
-    """detect_mode is part of the checkpoint fingerprint: a batch
-    checkpoint never masquerades as a streaming run."""
-    from repro.errors import CheckpointError
-
-    batch_config = PipelineConfig(trigger=False, checkpoint_dir=str(tmp_path))
-    DCatch(workload_by_id("ZK-1144"), batch_config).run()
-    with pytest.raises(CheckpointError):
-        DCatch(
-            workload_by_id("ZK-1144"),
-            PipelineConfig(
-                trigger=False,
-                detect_mode="streaming",
-                checkpoint_dir=str(tmp_path),
-                resume=True,
-            ),
-        ).run()

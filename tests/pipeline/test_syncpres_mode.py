@@ -40,23 +40,6 @@ def test_sp_mode_summary_mentions_tiers(zk1144_result):
     assert "sp-sound" in summary
 
 
-def test_sp_checkpoint_resume_restores_tier(tmp_path):
-    def run(resume):
-        config = PipelineConfig(
-            trigger=False, checkpoint_dir=str(tmp_path), resume=resume
-        )
-        return DCatch(workload_by_id("ZK-1144"), config).run()
-
-    first = run(resume=False)
-    resumed = run(resume=True)
-    assert set(resumed.stage_status.values()) == {"ok"}
-    assert resumed.detection.sp_pairs == first.detection.sp_pairs
-    assert first.detection.sp_pairs is not None
-    assert [r.soundness for r in resumed.reports] == [
-        r.soundness for r in first.reports
-    ]
-
-
 @pytest.fixture(scope="module")
 def mr3274_result():
     return DCatch(

@@ -4,9 +4,7 @@ import os
 
 import pytest
 
-from repro.analysis.checkpoint import load_manifest
 from repro.cli import build_parser, main
-from repro.framing import write_document
 
 
 def test_list_command(capsys):
@@ -57,14 +55,21 @@ def test_stream_memory_budget_flag_is_unknown(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--checkpoint", "stream.ckpt"], ["--resume"]]
+    "flags",
+    [
+        ["stream", "wal", "--checkpoint", "stream.ckpt"],
+        ["stream", "wal", "--resume"],
+        ["run", "ZK-1144", "--checkpoint-dir", "ckpt"],
+        ["run", "ZK-1144", "--resume"],
+    ],
 )
 def test_stream_checkpoint_flags_are_unknown(flags, capsys):
-    """A stopped stream pass is re-run: it has no checkpoint to resume."""
+    """A stopped stream pass or run is re-run: neither has a checkpoint
+    to resume, so each command line exits 2 on its third word."""
     with pytest.raises(SystemExit) as info:
-        main(["stream", "wal", *flags])
+        main(flags)
     assert info.value.code == 2
-    assert flags[0] in capsys.readouterr().err
+    assert flags[2] in capsys.readouterr().err
 
 
 def test_run_command_no_trigger(capsys):
@@ -374,28 +379,23 @@ def test_salvage_missing_directory_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_run_checkpoint_flags_parse():
+def test_run_budget_flags_parse():
     parser = build_parser()
     args = parser.parse_args(
         [
             "run",
             "ZK-1144",
-            "--checkpoint-dir",
-            "/tmp/ck",
-            "--resume",
             "--max-stage-seconds",
             "1.5",
             "--memory-budget-mb",
             "64",
         ]
     )
-    assert args.checkpoint_dir == "/tmp/ck"
-    assert args.resume is True
     assert args.max_stage_seconds == 1.5
     assert args.memory_budget_mb == 64
     args = parser.parse_args(["run", "ZK-1144"])
-    assert args.checkpoint_dir is None
-    assert args.resume is False
+    assert args.max_stage_seconds is None
+    assert args.memory_budget_mb is None
 
 
 def test_workers_flag_is_unknown(capsys):
@@ -406,165 +406,6 @@ def test_workers_flag_is_unknown(capsys):
             build_parser().parse_args([command, "ZK-1144", "--workers", "2"])
         assert info.value.code == 2
         assert "--workers" in capsys.readouterr().err
-
-
-def test_resume_missing_checkpoint_dir_exits_2(tmp_path, capsys):
-    missing = str(tmp_path / "nope")
-    code = main(
-        ["run", "ZK-1144", "--checkpoint-dir", missing, "--resume"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "not a checkpoint directory" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_resume_stale_schema_version_exits_2(tmp_path, capsys):
-    ckdir = tmp_path / "ck"
-    assert main(
-        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
-    ) == 0
-    capsys.readouterr()
-    manifest = load_manifest(str(ckdir))
-    manifest["version"] = 99
-    write_document(str(ckdir / "manifest.json"), manifest)
-    code = main(
-        ["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "stale checkpoint schema version 99" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_resume_v1_checkpoint_exits_2(tmp_path, capsys):
-    """A version-1 directory (the trace inside ``trace.json``), a
-    version-2 one (verdicts in ``trigger-outcomes.jsonl``) or a
-    version-3 one (a saved ``trace/`` beside ``stages``) is refused in
-    one line; there is no reader for any of them.  Versions 1 and 2
-    wrote the manifest as plain JSON, version 3 enveloped it."""
-    import json as _json
-
-    ckdir = tmp_path / "ck"
-    assert main(
-        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
-    ) == 0
-    capsys.readouterr()
-    manifest = load_manifest(str(ckdir))
-    for version in (1, 2):
-        manifest.update(version=version)
-        (ckdir / "manifest.json").write_text(_json.dumps(manifest, indent=2))
-        code = main(
-            ["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: stale checkpoint schema version {version} ")
-        assert "re-run without --resume" in err
-        assert len(err.strip().splitlines()) == 1
-    manifest.update(version=3, stages={"trace": {"name": "ZK-1144"}})
-    write_document(str(ckdir / "manifest.json"), manifest)
-    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: stale checkpoint schema version 3 ")
-    assert len(err.strip().splitlines()) == 1
-    # Version 4 hashed the sampling keys into its fingerprint: stale, not
-    # a config mismatch.
-    del manifest["stages"]
-    manifest.update(version=4)
-    write_document(str(ckdir / "manifest.json"), manifest)
-    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: stale checkpoint schema version 4 ")
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_resume_with_a_tampered_trace_digest_exits_2(tmp_path, capsys):
-    """A verdict log pinned to a trace the resume does not reproduce is
-    refused in one line, never attached to the re-traced run."""
-    ckdir = tmp_path / "ck"
-    assert main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir)]) == 0
-    capsys.readouterr()
-    manifest = load_manifest(str(ckdir))
-    manifest["trace_digest"] = "0" * 64
-    write_document(str(ckdir / "manifest.json"), manifest)
-    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint trace digest mismatch: ")
-    assert err.rstrip().endswith("re-run without --resume to rebuild")
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_resume_config_fingerprint_mismatch_exits_2(tmp_path, capsys):
-    ckdir = tmp_path / "ck"
-    assert main(
-        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", str(ckdir)]
-    ) == 0
-    capsys.readouterr()
-    # a different scope changes the analysis: the checkpoint must refuse
-    code = main(
-        [
-            "run",
-            "ZK-1144",
-            "--no-trigger",
-            "--full-scope",
-            "--checkpoint-dir",
-            str(ckdir),
-            "--resume",
-        ]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "fingerprint mismatch" in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_resume_of_a_checkpoint_hashing_trigger_seeds_exits_2(tmp_path, capsys):
-    """A current-version checkpoint whose fingerprint still hashed the
-    former ``trigger_seeds`` knob (ZK-1144's was ``5692c87fe4a82fe6``) is
-    refused like any other fingerprint mismatch, in one line."""
-    from repro.analysis.checkpoint import CHECKPOINT_VERSION
-
-    ckdir = tmp_path / "ck"
-    assert main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir)]) == 0
-    capsys.readouterr()
-    manifest = load_manifest(str(ckdir))
-    assert manifest["version"] == CHECKPOINT_VERSION
-    assert manifest["config_fingerprint"] != "5692c87fe4a82fe6"
-    manifest["config_fingerprint"] = "5692c87fe4a82fe6"
-    write_document(str(ckdir / "manifest.json"), manifest)
-    code = main(["run", "ZK-1144", "--checkpoint-dir", str(ckdir), "--resume"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: checkpoint config fingerprint mismatch")
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_run_resume_round_trip_via_cli(tmp_path, capsys):
-    ckdir = str(tmp_path / "ck")
-    assert main(
-        ["run", "ZK-1144", "--no-trigger", "--checkpoint-dir", ckdir]
-    ) == 0
-    first = capsys.readouterr().out
-    assert main(
-        [
-            "run",
-            "ZK-1144",
-            "--no-trigger",
-            "--checkpoint-dir",
-            ckdir,
-            "--resume",
-        ]
-    ) == 0
-    second = capsys.readouterr().out
-    assert f"resumed from checkpoint {ckdir}: 0 trigger verdicts restored" in second
-    assert "resumed from" not in first
-    assert "DCatch reports" in first and "DCatch reports" in second
-    assert os.listdir(ckdir) == ["manifest.json"]
-    assert "stages" not in load_manifest(ckdir)
 
 
 def test_stream_sampling_keeps_recall_and_identities(tmp_path, capsys):
