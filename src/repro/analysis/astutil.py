@@ -60,7 +60,6 @@ class FunctionInfo:
     """One function definition plus its location."""
 
     name: str
-    qualname: str
     path: str  # shortened, matches trace Frame.path convention
     node: ast.FunctionDef
     first_line: int
@@ -126,10 +125,8 @@ class SourceIndex:
         tree = ast.parse(source)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = node.name
                 info = FunctionInfo(
                     name=node.name,
-                    qualname=qual,
                     path=short,
                     node=node,
                     first_line=node.lineno,

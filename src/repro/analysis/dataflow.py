@@ -10,8 +10,8 @@ pruning (more dependence found → fewer candidates discarded).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import FunctionInfo, attribute_paths_used, call_target_name
 

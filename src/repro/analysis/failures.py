@@ -16,7 +16,7 @@ with different failures" (paper Section 4.1 closing note).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, List
 

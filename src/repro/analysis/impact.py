@@ -34,7 +34,6 @@ from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import TaintAnalysis, TaintResult
 from repro.analysis.failures import (
     DEFAULT_FAILURE_SPEC,
-    FailureInstruction,
     FailureSpec,
     find_failure_instructions,
 )

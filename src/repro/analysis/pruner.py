@@ -10,7 +10,7 @@ follows the reported call-stack").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.analysis.astutil import SourceIndex
 from repro.analysis.failures import DEFAULT_FAILURE_SPEC, FailureSpec

@@ -12,14 +12,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.detect.races import DetectionResult, detect_races
+from repro.detect.races import detect_races
 from repro.detect.report import ReportSet
 from repro.errors import TraceAnalysisOOM
 from repro.hb.graph import HBGraph
 from repro.hb.model import FULL_MODEL
 from repro.pipeline import DCatch, PipelineConfig, PipelineResult
 from repro.systems import all_workloads, workload_by_id
-from repro.systems.base import Workload
 from repro.trace.scope import FullScope
 from repro.trace.store import Trace
 from repro.trace.tracer import Tracer

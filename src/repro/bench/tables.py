@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.format import TableResult, check_mark
 from repro.bench.runner import CACHE, all_bug_ids
 from repro.detect.races import detect_races
-from repro.detect.report import ReportSet, Verdict
+from repro.detect.report import Verdict
 from repro.hb.ablation import ablate_trace
 from repro.hb.graph import HBGraph
 from repro.runtime.ops import OpKind

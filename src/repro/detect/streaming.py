@@ -201,9 +201,6 @@ class StreamingDetector:
         self.compactions = 0
         self.active_high_water = 0
         self._candidates_metric = candidates_metric()
-        self._records_metric = obs.counter(
-            "stream_records_total", "Records consumed by the streaming detector"
-        )
         self._evictions_metric = obs.counter(
             "stream_window_evictions_total",
             "Active accesses retired at window compaction",
@@ -244,7 +241,6 @@ class StreamingDetector:
             if self._active_size > self.active_high_water:
                 self.active_high_water = self._active_size
         self.records_consumed += 1
-        self._records_metric.inc()
         if self.records_consumed % self.window == 0:
             self.compact()
 
@@ -459,6 +455,10 @@ class StreamSession:
             self.detector = StreamingDetector(
                 self.model, self.window, expected_streams
             )
+            self._records_metric = obs.counter(
+                "stream_records_total",
+                "Records consumed by the streaming detector",
+            )
         return self.detector
 
     def pump(
@@ -467,6 +467,8 @@ class StreamSession:
         """Consume ``merged`` until it ends or starves (yields ``None``)
         or ``limit`` raw records; returns how many were consumed."""
         start = raw = self.consumed_raw
+        detector = self.detector
+        fed = detector.records_consumed
         for event in islice(merged, limit):
             if event is None:
                 break
@@ -475,8 +477,10 @@ class StreamSession:
                 kind = event.kind.value
                 self.sampled_dropped[kind] = self.sampled_dropped.get(kind, 0) + 1
                 continue
-            self.detector.feed(event)
+            detector.feed(event)
         self.consumed_raw = raw
+        # One metric update per call, not one per record.
+        self._records_metric.inc(detector.records_consumed - fed)
         return raw - start
 
     def finish(self) -> StreamResult:

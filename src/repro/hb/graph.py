@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import sys
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.errors import TraceAnalysisOOM

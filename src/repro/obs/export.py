@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import Span, SpanTracer
 
 

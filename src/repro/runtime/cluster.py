@@ -18,11 +18,11 @@ analogue of not instrumenting initialization code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import DeadlockError, HangError, ReproError, SimAbort
-from repro.ids import CallStack, IdAllocator, capture_stack
+from repro.ids import IdAllocator, capture_stack
 from repro.runtime.failures import FailureEvent, FailureKind, FailureLog
 from repro.runtime.node import Node
 from repro.runtime.ops import Interceptor, OpEvent, OpKind
@@ -239,7 +239,6 @@ class Cluster:
                     node="<cluster>",
                     thread=",".join(t.name for t in exc.blocked),
                     message=str(exc),
-                    step=self.scheduler.steps,
                 )
             )
         except HangError as exc:
@@ -250,7 +249,6 @@ class Cluster:
                     node="<cluster>",
                     thread="<scheduler>",
                     message=str(exc),
-                    step=self.scheduler.steps,
                 )
             )
         return RunResult(
@@ -270,6 +268,5 @@ class Cluster:
                 node=thread.node.name if thread.node is not None else "<none>",
                 thread=thread.name,
                 message=f"{type(exc).__name__}: {exc}",
-                step=self.scheduler.steps,
             )
         )

@@ -52,7 +52,6 @@ class FailureEvent:
     node: str
     thread: str
     message: str
-    step: int
     callstack: CallStack = field(default_factory=CallStack)
 
     def __str__(self) -> str:
@@ -128,7 +127,6 @@ class Logger:
                 node=self._node.name,
                 thread=thread.name if thread else "<main>",
                 message=message,
-                step=self._node.cluster.scheduler.steps,
                 callstack=capture_stack(),
             )
         )

@@ -21,8 +21,8 @@ implementation in ``repro.systems.minizk``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import NodeExistsError, NoNodeError, SimFailure
 from repro.runtime.ops import OpKind

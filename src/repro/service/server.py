@@ -17,9 +17,14 @@ is published when the tenant finalizes.  The moving parts:
   the scheme deadlock-free: a segment for a stream the merge is
   *starved* on is always admitted, because it is the only thing that
   lets the backlog drain.  Nothing is sampled under load: an ACKed
-  segment lives on disk, the pump parses at most one segment per
-  stream ahead of the merge, and credits pace ingest, so every report
+  segment lives on disk, and credits pace ingest, so every report
   covers every record it was sent;
+* **verify once** — ingest verifies a segment's framing before it is
+  spooled and hands the verified payloads to the pump when that
+  segment is the next its stream parses, so memory holds at most one
+  handed and one parsed segment per stream; the pump reads the spool
+  back only for a segment that queued behind an unparsed one, and on
+  recovery;
 * **circuit breaker** — per-tenant quarantine after a streak of
   torn/CRC-bad segment uploads, evidence preserved on disk;
 * **crash recovery** — ingestion ACKs only after the segment is
@@ -54,7 +59,7 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import protocol
 from repro.service.protocol import error_frame, ok_frame
 from repro.service.tenants import Tenant
-from repro.trace.wal import verify_segment_bytes
+from repro.trace.wal import scan_segment
 
 __all__ = [
     "DetectionServer",
@@ -578,7 +583,7 @@ class DetectionServer:
                 "tenant ingest queue is full; wait for credits",
                 retry_after_s=RETRY_AFTER["over_queue"],
             )
-        _count, sealed, reason = verify_segment_bytes(body)
+        payloads, sealed, reason = scan_segment(body)
         if reason is not None or not sealed:
             reason = reason or "unsealed segment on the wire"
             tripped = tenant.breaker.record_bad(
@@ -603,9 +608,9 @@ class DetectionServer:
             if index == 0:
                 os.makedirs(stream.directory, exist_ok=True)
             atomic_write(stream.segment_path(index), body)
-            unparsed = stream.unparsed
-            stream.received = index + 1
-            _pending_gauge().inc(stream.unparsed - unparsed)
+            pending = tenant.pending_segments()
+            stream.spooled(index, payloads)
+            _pending_gauge().inc(tenant.pending_segments() - pending)
         tenant.wakeup.set()
         obs.counter(
             "service_segments_ingested_total",

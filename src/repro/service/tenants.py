@@ -18,6 +18,15 @@ state is reconstructible from the spool plus the deterministic merge: a
 recovered tenant replays its spool from record 0.  ``kill -9``
 therefore loses nothing that was ever acknowledged.
 
+Ingest verifies each segment once.  The payloads it verified are
+handed to the stream when the segment is the next one that stream
+parses, and the pump decodes them without reading the file back; a
+segment that queues behind an unparsed one, and every segment of a
+recovered tenant, is read from the spool through the offline reader.
+So a segment that rots on disk after its ACK changes nothing in the
+live report when it was handed over, and shows on the reads that do
+go to the spool (and in an offline pass over it).
+
 The detector pass — merge by ``seq``, raw-record count, confidence —
 is the offline ``stream`` pass's (unsampled): one
 :class:`repro.detect.streaming.StreamSession` over
@@ -68,24 +77,38 @@ TENANT_STATE_FORMAT = "repro-service-tenant"
 TENANT_STATE_VERSION = 3
 
 
+class _Backlog:
+    """Spooled-but-unparsed segments across one tenant's streams, kept
+    as a count rather than summed: each stream moves it where its own
+    ``unparsed`` changes."""
+
+    __slots__ = ("segments",)
+
+    def __init__(self) -> None:
+        self.segments = 0
+
+
 class _SpoolStream:
     """One (node, tid) stream: spooled segment files plus the parse
     cursor feeding the merge."""
 
     def __init__(
-        self, node: str, tid: int, directory: str, damage: Counter
+        self, node: str, tid: int, directory: str, damage: Counter,
+        backlog: _Backlog,
     ) -> None:
         self.tid = tid
         self.key: StreamKey = (node, tid)
         self.directory = directory
         #: The same verified, truncate-at-first-damage reader the
-        #: offline ``stream`` pass uses: a segment that rots after its
-        #: ACK ends this stream exactly where offline would end it.
+        #: offline ``stream`` pass uses.
         self.reader = WalStreamReader(damage)
-        #: Segments durably spooled (next expected upload index).
-        self.received = 0
+        self.backlog = backlog
+        self._received = 0
         #: Segments fully parsed into the merge buffer.
         self.consumed_segments = 0
+        #: The payloads ingest verified for segment ``consumed_segments``,
+        #: when it was handed over (``spooled``); else the spool is read.
+        self.handed: Optional[List[bytes]] = None
         #: Final segment count, set by ``finalize``.
         self.declared: Optional[int] = None
         self.pending: Deque[OpEvent] = deque()
@@ -95,12 +118,35 @@ class _SpoolStream:
         return os.path.join(self.directory, segment_name(index))
 
     @property
+    def received(self) -> int:
+        """Segments durably spooled (next expected upload index)."""
+        return self._received
+
+    @received.setter
+    def received(self, count: int) -> None:
+        # Ingest and recovery both land here, so the tenant's count
+        # cannot miss a segment spooled by either.
+        before = self.unparsed
+        self._received = count
+        self.backlog.segments += self.unparsed - before
+
+    @property
     def unparsed(self) -> int:
         """Spooled segments still to be parsed into the merge buffer
         (none once damage has truncated the stream)."""
         if self.reader.truncated:
             return 0
-        return self.received - self.consumed_segments
+        return self._received - self.consumed_segments
+
+    def spooled(self, index: int, payloads: List[bytes]) -> None:
+        """Segment ``index`` is durably in the spool, and ``payloads``
+        are its records as ingest verified them.  They are kept for the
+        parse only when this is the next segment the stream parses, so
+        at most one segment waits in memory per stream; a segment that
+        queues behind an unparsed one is read back from the spool."""
+        if index == self.consumed_segments and not self.reader.truncated:
+            self.handed = payloads
+        self.received = index + 1
 
     @property
     def hungry(self) -> bool:
@@ -115,13 +161,22 @@ class _SpoolStream:
         return not self.pending and self.unparsed == 0 and not self.closed
 
     def poll(self) -> object:
-        """The merge's cursor: the next record (parsing the next spooled
-        segment when the buffer is empty), ``STARVED`` while more may
-        come, ``None`` at the declared total or the first damage."""
+        """The merge's cursor: the next record (parsing the next
+        segment — the handed payloads, else the spooled file — when the
+        buffer is empty), ``STARVED`` while more may come, ``None`` at
+        the declared total or the first damage."""
         while not self.pending and self.unparsed:
-            path = self.segment_path(self.consumed_segments)
-            self.pending.extend(self.reader.segment(path))
+            before = self.unparsed
+            handed, self.handed = self.handed, None
+            if handed is not None:
+                records = self.reader.verified(handed)
+            else:
+                records = self.reader.segment(
+                    self.segment_path(self.consumed_segments)
+                )
+            self.pending.extend(records)
             self.consumed_segments += 1
+            self.backlog.segments += self.unparsed - before
         if self.pending:
             return self.pending.popleft()
         if not self.reader.truncated and (
@@ -149,6 +204,7 @@ class Tenant:
         self.done = False
         self.session = StreamSession(FULL_MODEL, self.window)
         self.damage = self.session.damage
+        self.backlog = _Backlog()
         self.breaker = CircuitBreaker(
             tenant=tenant_id,
             quarantine_dir=os.path.join(root, "quarantine"),
@@ -265,7 +321,8 @@ class Tenant:
             if key in self.streams:
                 continue
             self.streams[key] = _SpoolStream(
-                node, tid, stream_dir(self.spool_dir, node, tid), self.damage
+                node, tid, stream_dir(self.spool_dir, node, tid), self.damage,
+                self.backlog,
             )
 
     def stream_keys(self) -> List[StreamKey]:
@@ -274,7 +331,7 @@ class Tenant:
     def pending_segments(self) -> int:
         """Spooled-but-unparsed segments across all streams (the
         tenant's queue depth, governing credits)."""
-        return sum(s.unparsed for s in self.streams.values())
+        return self.backlog.segments
 
     def declare_totals(self, totals: Dict[str, int]) -> Optional[str]:
         """Record final per-stream segment counts announced at hello.

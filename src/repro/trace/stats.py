@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.runtime.ops import HB_KINDS, LOCK_KINDS, MEM_KINDS, OpKind
 from repro.trace.records import category_of, record_to_dict

@@ -34,7 +34,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceFormatError
-from repro.framing import Damage, SegmentScan, crc32, encode_line, encode_seal
+from repro.framing import SegmentScan, crc32, encode_line, encode_seal
 from repro.runtime.ops import OpEvent
 from repro.trace.records import (
     WAL_RECORD_VERSION,
@@ -335,10 +335,11 @@ class WalSink:
 # -- reading segments ----------------------------------------------------------
 #
 # The segment file doubles as the detection service's wire unit: a client
-# ships whole sealed segment files and the server re-verifies them before
-# spooling.  Every reader is a damage policy over ``framing.SegmentScan``,
-# and ``decode_record`` is the one place a verified payload becomes a
-# record.
+# ships whole sealed segment files, the server verifies each one with
+# ``scan_segment`` before spooling it and hands the payloads it verified
+# to the tenant's pump.  Every reader is a damage policy over
+# ``framing.SegmentScan``, and ``decode_record`` is the one place a
+# verified payload becomes a record.
 
 _scan_json = json.JSONDecoder().scan_once
 
@@ -371,22 +372,33 @@ def decode_record(payload: bytes) -> OpEvent:
     return record_from_dict(data)
 
 
-def verify_segment_bytes(data: bytes) -> Tuple[int, bool, Optional[str]]:
-    """Validate one segment's bytes without decoding record payloads.
+def scan_segment(data: bytes) -> Tuple[List[bytes], bool, Optional[str]]:
+    """Verify one segment's bytes without decoding record payloads.
 
-    Returns ``(record_count, sealed, damage)`` where ``damage`` is
+    Returns ``(payloads, sealed, damage)``: the payloads of the intact
+    record lines before the first problem, whether a seal was read, and
     ``None`` for a fully intact segment or a short reason string for the
     *first* problem found (torn record, CRC mismatch, garbage framing,
     seal count/CRC disagreement).  An unsealed but otherwise intact
-    segment returns ``(count, False, None)`` — whether that is damage is
-    the caller's policy (a growing live tail is fine, a shipped segment
-    must be sealed)."""
+    segment returns ``(payloads, False, None)`` — whether that is damage
+    is the caller's policy (a growing live tail is fine, a shipped
+    segment must be sealed)."""
     scan = SegmentScan()
+    payloads: List[bytes] = []
     for raw in io.BytesIO(data):
         item = scan.feed(raw)
-        if isinstance(item, Damage):
-            return scan.count, scan.sealed, f"{item.detail} at byte {item.offset}"
-    return scan.count, scan.sealed, None
+        if isinstance(item, bytes):
+            payloads.append(item)
+        elif item is not None:
+            return payloads, scan.sealed, f"{item.detail} at byte {item.offset}"
+    return payloads, scan.sealed, None
+
+
+def verify_segment_bytes(data: bytes) -> Tuple[int, bool, Optional[str]]:
+    """``scan_segment`` with the payloads counted:
+    ``(record_count, sealed, damage)``."""
+    payloads, sealed, damage = scan_segment(data)
+    return len(payloads), sealed, damage
 
 
 def iter_segment_records(data: bytes) -> Iterable[Any]:
@@ -420,6 +432,18 @@ class WalStreamReader:
     def _truncate(self, key: str) -> None:
         self.damage[key] += 1
         self.truncated = True
+
+    def verified(self, payloads: List[bytes]) -> Iterator[OpEvent]:
+        """The events of one segment that ``scan_segment`` found intact
+        and sealed, from its payloads: a frame can verify and still hold
+        no record, so this truncates at the first payload that does not
+        decode, as ``segment`` does."""
+        for payload in payloads:
+            try:
+                event = decode_record(payload)
+            except TraceFormatError:
+                return self._truncate("damaged_records")
+            yield event
 
     def segment(self, path: str) -> Iterator[OpEvent]:
         """The events of one segment file, up to its first damage."""

@@ -213,7 +213,6 @@ class TriggerModule:
                     node="<trigger>",
                     thread="<explorer>",
                     message=f"{type(exc).__name__}: {exc}",
-                    step=0,
                 )
             )
             result = RunResult(

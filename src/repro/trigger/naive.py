@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detect.report import BugReport, Verdict
 from repro.ids import Site
-from repro.runtime.cluster import Cluster, RunResult
+from repro.runtime.cluster import RunResult
 from repro.runtime.ops import Interceptor, MEM_KINDS, OpEvent
 from repro.runtime.scheduler import current_sim_thread
 from repro.trigger.explorer import ClusterFactory

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.detect.report import BugReport
 from repro.hb.graph import HBGraph
-from repro.ids import Site
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace.store import Trace
 from repro.trigger.gates import GateSpec

@@ -20,12 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.ids import CallStack, Frame
 from repro.runtime.ops import OpEvent, OpKind
 from repro.trace.wal import WalSink
-from repro.workload.spec import (
-    PRESETS,
-    SYSTEM_FLAVORS,
-    WorkloadSpec,
-    resolve_spec,
-)
+from repro.workload.spec import SYSTEM_FLAVORS, WorkloadSpec, resolve_spec
 
 __all__ = [
     "GROUND_TRUTH_FORMAT",
@@ -64,7 +59,6 @@ class GeneratedWorkload:
     system: str
     preset: str
     seed: int
-    out_dir: str
     wal_dir: str
     ground_truth_path: str
     spec: WorkloadSpec
@@ -320,7 +314,6 @@ def generate_workload(
         system=system,
         preset=spec.preset,
         seed=seed,
-        out_dir=out_dir,
         wal_dir=wal_dir,
         ground_truth_path=os.path.join(out_dir, "ground_truth.json"),
         spec=spec,

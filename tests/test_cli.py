@@ -446,6 +446,22 @@ def test_stream_sampling_keeps_recall_and_identities(tmp_path, capsys):
     assert bare != unsampled
 
 
+def test_stream_medium_workload_finds_every_planted_race(tmp_path, capsys):
+    """The ``medium`` preset (~180k records over 121 streams) streamed
+    single-pass: ``--ground-truth`` exits 1 unless every one of its 150
+    planted races is found."""
+    gen = tmp_path / "gen"
+    argv = ["generate", "minimr", "--preset", "medium", "--seed", "0"]
+    assert main(argv + ["--out", str(gen)]) == 0
+    capsys.readouterr()
+    code = main(
+        ["stream", str(gen / "wal"), "--ground-truth", str(gen / "ground_truth.json")]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "150/150 planted races found" in out
+
+
 @pytest.mark.parametrize(
     "spec", ["bogus", "reservoir:8", "epoch:1:2", "rate:2", "budget:0"]
 )

@@ -9,6 +9,13 @@ object, or ``getattr(..., "<name>")`` / ``hasattr(..., "<name>")``, in
 is a write, not a read: a counter that only ever grows is still unread.
 An attribute that fails here is state nobody looks at: delete it, or
 read it.
+
+The annotated fields of a ``@dataclass`` class are attributes too, set
+by its generated ``__init__``, and the same rule holds for them, but for
+one kind of read the walk cannot see: a class that passes its instances
+to ``dataclasses.asdict`` (``asdict(self)`` in its body) has every field
+read, and so has every dataclass among its field types, which
+``asdict`` converts with it.
 """
 
 import ast
@@ -80,3 +87,85 @@ def test_every_self_attribute_is_read():
         if name not in read
     )
     assert not unread, "attributes written but never read:\n" + "\n".join(unread)
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = getattr(target, "attr", getattr(target, "id", None))
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _calls_asdict_on_self(node):
+    return any(
+        isinstance(sub, ast.Call)
+        and getattr(sub.func, "attr", getattr(sub.func, "id", None)) == "asdict"
+        and sub.args
+        and isinstance(sub.args[0], ast.Name)
+        and sub.args[0].id == "self"
+        for sub in ast.walk(node)
+    )
+
+
+def _dataclass_fields(tree):
+    """(class name, field name, line, names in the annotation) of every
+    annotated field of a ``@dataclass`` class, and the names of the
+    classes that pass themselves to ``asdict``."""
+    fields, dumped = [], set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+            continue
+        if _calls_asdict_on_self(node):
+            dumped.add(node.name)
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                annotation = ast.unparse(stmt.annotation)
+                if "ClassVar" in annotation:
+                    continue
+                fields.append((node.name, stmt.target.id, stmt.lineno, annotation))
+    return fields, dumped
+
+
+def test_every_dataclass_field_is_read():
+    read = set()
+    for top in READ_DIRS:
+        for path in _py_files(os.path.join(ROOT, top)):
+            read.update(_reads(_parse(path)))
+    systems = os.path.join(PACKAGE, "systems") + os.sep
+    fields, dumped = [], set()
+    for path in _py_files(PACKAGE):
+        if not path.startswith(systems):
+            found, classes = _dataclass_fields(_parse(path))
+            fields.extend((path, *field) for field in found)
+            dumped |= classes
+    # ``asdict`` converts nested dataclasses too: close over field types.
+    grew = True
+    while grew:
+        nested = {
+            name
+            for _path, cls, _field, _line, annotation in fields
+            if cls in dumped
+            for name in _identifiers(annotation)
+        }
+        grew = not nested <= dumped
+        dumped |= nested
+    unread = sorted(
+        f"{os.path.relpath(path, ROOT)}:{line}: {cls}.{name}"
+        for path, cls, name, line, _annotation in fields
+        if cls not in dumped and name not in read
+    )
+    assert not unread, "dataclass fields never read:\n" + "\n".join(unread)
+
+
+def _identifiers(annotation):
+    return {
+        node.id
+        for node in ast.walk(ast.parse(annotation, mode="eval"))
+        if isinstance(node, ast.Name)
+    } | {
+        node.value
+        for node in ast.walk(ast.parse(annotation, mode="eval"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
