@@ -1,19 +1,14 @@
-"""Resource bounds for the analysis pipeline.
+"""Process probes for the analysis pipeline and the service.
 
-A ``dcatch run`` is bounded by two knobs an operator can reason about:
+* ``process_rss_mb`` — the current resident set size, sampled by the
+  streaming pass once per window (``rss_high_water_mb``) and read by
+  the server's tenant admission;
+* ``maybe_stall`` — a test hook that sleeps at a named point.
 
-* **one deadline** — ``max_stage_seconds``: each stage (trace, analysis,
-  trigger) gets a ``StageBudget``; detection polls it once per access of
-  a write-bearing location, triggering once per report, and an
-  overrunning stage stops early with what it has and is marked
-  *degraded* rather than wedging the process
-  (``governor_deadline_exceeded_total{stage=}``);
-* **one memory budget** — ``memory_budget_mb``: each reachability
-  closure's byte budget in batch mode (an HB closure that does not fit
-  is the paper's Table 8 "Out of Memory": ``TraceAnalysisOOM``,
-  reported, not raised; an SP one only skips the sound tier).
-  Streaming mode builds no closure, so the budget does not apply to it.
-
+A ``dcatch run`` is bounded by deterministic budgets, not by a clock:
+the workload's step budgets bound the monitored run and each trigger
+re-run, and ``memory_budget_mb`` bounds each reachability closure (an
+HB closure that does not fit is the paper's Table 8 "Out of Memory").
 The detection service's fleet policy (admission control and credit
 backpressure) lives in ``repro.service.server``.
 """
@@ -22,10 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Optional
-
-from repro import obs
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -63,29 +54,3 @@ def maybe_stall(point: str) -> None:
         time.sleep(float(seconds or "0"))
     except ValueError:
         pass
-
-
-@dataclass
-class StageBudget:
-    """One stage's slice of the governor's budgets."""
-
-    name: str
-    started: float
-    max_seconds: Optional[float] = None
-    deadline_hit: bool = False
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.started
-
-    def exceeded(self) -> bool:
-        """True once the stage is past its wall-clock deadline.  Sticky:
-        the first observation is also counted on the metric."""
-        if self.max_seconds is None:
-            return False
-        if not self.deadline_hit and self.elapsed() > self.max_seconds:
-            self.deadline_hit = True
-            obs.counter(
-                "governor_deadline_exceeded_total",
-                "pipeline stages that overran max_stage_seconds",
-            ).labels(stage=self.name).inc()
-        return self.deadline_hit

@@ -26,8 +26,7 @@ def rank_reports(reports) -> List[BugReport]:
     strongest confidence, stable by report id within a tier.
 
     SP-sound reports carry a feasibility witness, so they are the
-    likeliest to enforce and the first to spend re-execution budget on;
-    under a stage deadline the reports left UNKNOWN are the weakest.
+    likeliest to enforce and the first to spend re-execution budget on.
     Within a tier ``full`` goes before ``partial`` and ``sampled`` (a
     thinned stream may have lost the evidence enforcement needs).  Ties
     keep report-id order, so pipelines without the SP tier keep their

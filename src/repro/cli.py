@@ -69,7 +69,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trigger=not args.no_trigger,
         monitored_seed=args.seed,
         trace_dir=args.trace_dir,
-        max_stage_seconds=args.max_stage_seconds,
         memory_budget_mb=args.memory_budget_mb,
         detect_mode=args.detect_mode,
     )
@@ -294,7 +293,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     result = detect_races_streaming(
         wal_dir=args.wal_dir,
         window=args.window,
-        max_seconds=args.max_stage_seconds,
         sampler=build_sampler(args.sampling, args.sampling_seed),
     )
     print(
@@ -313,8 +311,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"RSS high-water {result.rss_high_water_mb:.0f} MB"
     )
     print(f"  confidence: {result.confidence}")
-    if result.stopped_early:
-        print("  stopped early (budget); candidate list is a prefix")
     if result.damage:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(result.damage.items()))
         print(f"  damage:     {parts}")
@@ -494,17 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         "write-ahead log under DIR (salvage it with 'salvage')",
     )
     run.add_argument(
-        "--max-stage-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="max_stage_seconds",
-        help="wall-clock deadline per stage (trace, analysis, trigger); "
-        "detection polls it per access, triggering per report, and an "
-        "overrunning stage stops early, keeps what it has and is marked "
-        "degraded",
-    )
-    run.add_argument(
         "--memory-budget-mb",
         type=int,
         default=None,
@@ -678,14 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8192,
         metavar="RECORDS",
         help="records between HB-frontier compaction passes",
-    )
-    stream.add_argument(
-        "--max-stage-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="max_stage_seconds",
-        help="stop the pass early after this much wall-clock time",
     )
     stream.add_argument(
         "--report-out",

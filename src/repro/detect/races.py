@@ -15,7 +15,7 @@ import time
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.hb.graph import DEFAULT_MEMORY_BUDGET, HBGraph
@@ -96,10 +96,6 @@ class DetectionResult:
     candidates: List[Candidate]
     analysis_seconds: float
     pairs_examined: int
-    #: True when enumeration stopped early (wall-clock deadline): pairs
-    #: after the stop point — the rest of that location and every later
-    #: one — were never examined.
-    stopped_early: bool = False
     #: ``"full"`` when the trace was complete; ``"partial"`` when the HB
     #: graph was built from a damaged/salvaged trace — candidates are
     #: still sound for the records that survived, but pairs involving
@@ -141,20 +137,16 @@ class DetectionResult:
 
 
 def _conflicting_pairs_at(
-    accesses: List[OpEvent],
-    graph: HBGraph,
-    should_stop: Optional[Callable[[], bool]],
-) -> Tuple[List[Tuple[OpEvent, OpEvent]], int, bool]:
+    accesses: List[OpEvent], graph: HBGraph
+) -> Tuple[List[Tuple[OpEvent, OpEvent]], int]:
     """Enumerate one location's conflicting concurrent pairs.
 
     Pairs are visited in ``(i, j)`` index order (ascending ``seq``),
     exactly like the original nested loop, but the inner loop only ever
     touches *eligible* partners: accesses in other segments, writes
     only when ``a`` is a read.  Hot single-segment loops therefore cost
-    nothing per skipped pair.  ``should_stop`` is polled once per
-    outer access, so a deadline cuts *inside* a hot location.  Returns
-    ``(found, pairs, stopped)`` where ``pairs`` counts the eligible
-    pairs examined.
+    nothing per skipped pair.  Returns ``(found, pairs)`` where
+    ``pairs`` counts the eligible pairs examined.
     """
     by_segment_all: Dict[int, List[int]] = defaultdict(list)
     by_segment_writes: Dict[int, List[int]] = defaultdict(list)
@@ -166,8 +158,6 @@ def _conflicting_pairs_at(
     found: List[Tuple[OpEvent, OpEvent]] = []
     pairs = 0
     for i, a in enumerate(accesses):
-        if should_stop is not None and should_stop():
-            return found, pairs, True
         groups = (
             by_segment_writes
             if a.kind is OpKind.MEM_READ
@@ -185,7 +175,7 @@ def _conflicting_pairs_at(
             b = accesses[j]
             if graph.concurrent(a, b):
                 found.append((a, b))
-    return found, pairs, False
+    return found, pairs
 
 
 def detect_races(
@@ -193,15 +183,8 @@ def detect_races(
     model: HBModel = FULL_MODEL,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
     graph: Optional[HBGraph] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
 ) -> DetectionResult:
-    """Run trace analysis: build the HB graph, enumerate candidates.
-
-    ``should_stop`` is polled once per access of every write-bearing
-    location — returning true stops enumeration early (``stopped_early``
-    on the result, pairs found so far kept), which is how a stage
-    deadline cuts detection short.
-    """
+    """Run trace analysis: build the HB graph, enumerate candidates."""
     started = time.perf_counter()
     if graph is None:
         graph = HBGraph(trace, model=model, memory_budget=memory_budget)
@@ -213,29 +196,19 @@ def detect_races(
 
     candidates: List[Candidate] = []
     examined = 0
-    stopped_early = False
     with obs.span("detect.enumerate", locations=len(by_location)):
         for accesses in by_location.values():
             # Only locations with at least one write can produce candidates.
             if not any(a.kind is OpKind.MEM_WRITE for a in accesses):
                 continue
-            found, pairs, stopped_early = _conflicting_pairs_at(
-                accesses, graph, should_stop
-            )
+            found, pairs = _conflicting_pairs_at(accesses, graph)
             examined += pairs
             candidates.extend(Candidate(a, b) for a, b in found)
-            if stopped_early:
-                break
 
     obs.counter("detect_pairs_examined_total", "access pairs HB-checked").inc(
         examined
     )
     candidates_metric().inc(len(candidates))
-    if stopped_early:
-        obs.counter(
-            "detect_stopped_early_total",
-            "detections cut short by a deadline",
-        ).inc()
     elapsed = time.perf_counter() - started
     return DetectionResult(
         trace=trace,
@@ -243,6 +216,5 @@ def detect_races(
         candidates=candidates,
         analysis_seconds=elapsed,
         pairs_examined=examined,
-        stopped_early=stopped_early,
         confidence=weaken_confidence("full", graph.partial),
     )

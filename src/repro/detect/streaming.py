@@ -50,7 +50,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.analysis.governor import StageBudget, process_rss_mb
+from repro.analysis.governor import process_rss_mb
 from repro.detect.races import (
     Candidate,
     DetectionResult,
@@ -128,7 +128,6 @@ class StreamResult:
     streams_seen: int
     #: Both measured by the offline driver, not the session.
     rss_high_water_mb: float = 0.0
-    stopped_early: bool = False
     damage: Dict[str, int] = field(default_factory=dict)
     #: Records dropped by the sampling filter, by record kind;
     #: ``records_consumed`` plus these is every record merged.
@@ -162,7 +161,6 @@ class StreamResult:
             candidates=list(map(Candidate, self.firsts, self.seconds)),
             analysis_seconds=self.analysis_seconds,
             pairs_examined=self.pairs_examined,
-            stopped_early=self.stopped_early,
             confidence=weaken_confidence(self.confidence, trace.partial),
         )
 
@@ -522,8 +520,6 @@ def detect_races_streaming(
     model: HBModel = FULL_MODEL,
     window: int = DEFAULT_WINDOW,
     expected_streams: Optional[Iterable[int]] = None,
-    max_seconds: Optional[float] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
     sampler: Optional[object] = None,
 ) -> StreamResult:
     """One single-pass streaming detection run.
@@ -531,11 +527,9 @@ def detect_races_streaming(
     Exactly one of ``records`` (an in-memory seq-ordered iterable) or
     ``wal_dir`` (a WAL directory, parsed incrementally; a saved trace's
     ``meta.json`` adds the loss it was saved with) must be given.  Every
-    ``window`` raw records the pass probes:
-    ``max_seconds``/``should_stop`` stop it early
-    (``stopped_early=True``, candidates found so far are kept), and
-    process RSS is sampled for ``rss_high_water_mb``.  ``sampler``
-    (a ``repro.trace.sampling.Sampler``) thins the memory accesses; the
+    ``window`` raw records the pass samples process RSS for
+    ``rss_high_water_mb``.  ``sampler`` (a
+    ``repro.trace.sampling.Sampler``) thins the memory accesses; the
     result reads ``confidence="sampled"`` once anything was dropped.
     """
     if (records is None) == (wal_dir is None):
@@ -552,19 +546,13 @@ def detect_races_streaming(
         session.open(expected_streams)
         stream = iter(records)
 
-    budget = StageBudget("stream", time.perf_counter(), max_seconds)
     rss_gauge = obs.gauge("stream_rss_high_water_mb", "Streaming detector RSS high water")
     rss_high = process_rss_mb()
-    stopped_early = False
     while session.pump(stream, limit=window) == window:
         rss_high = max(rss_high, process_rss_mb())
-        if budget.exceeded() or (should_stop is not None and should_stop()):
-            stopped_early = True
-            break
     result = session.finish()
     if meta:
         result.confidence = weaken_confidence(result.confidence, meta["partial"])
-    result.stopped_early = stopped_early
     result.rss_high_water_mb = round(max(rss_high, process_rss_mb()), 1)
     rss_gauge.set(result.rss_high_water_mb)
     return result

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro.analysis.astutil import SourceIndex
-from repro.analysis.governor import StageBudget
 from repro.analysis.pruner import PruneResult, StaticPruner, rank_reports
 from repro.detect.races import DetectionResult, detect_races
 from repro.detect.report import SOUNDNESS_TIERS, ReportSet, Verdict
@@ -77,11 +76,6 @@ class PipelineConfig:
     #: so a node crashed mid-run leaves a salvageable prefix on disk.
     #: None (default) keeps tracing purely in memory — zero overhead.
     trace_dir: Optional[str] = None
-    #: Wall-clock deadline per stage (seconds).  Cooperative: detection
-    #: polls it once per access of a write-bearing location, triggering
-    #: between reports; an overrunning stage stops early, keeps what it
-    #: found and is marked degraded.
-    max_stage_seconds: Optional[float] = None
     #: The run's one memory budget (MB).  Batch mode: each reachability
     #: closure's byte budget (None = ``DEFAULT_MEMORY_BUDGET``); an HB
     #: closure that does not fit is ``result.oom``, an SP one
@@ -111,8 +105,7 @@ class PipelineResult:
     #: the pipeline returns what it has instead of raising.
     errors: List[str] = field(default_factory=list)
     #: The outcome of each stage that ran, keyed by its :data:`STAGES`
-    #: name: ``"ok"``, ``"degraded"`` (cut short by, or finished past,
-    #: the stage deadline), or ``"failed"``.
+    #: name: ``"ok"`` or ``"failed"``.
     stage_status: Dict[str, str] = field(default_factory=dict)
     #: Metrics snapshot of the run (``MetricsRegistry.snapshot()``).
     #: Benchmarks and tests assert on this instead of re-deriving
@@ -123,10 +116,8 @@ class PipelineResult:
 
     @property
     def degraded(self) -> bool:
-        """True when some stage failed or was cut short by a deadline."""
-        return self.oom is not None or bool(
-            {"failed", "degraded"} & set(self.stage_status.values())
-        )
+        """True when some stage failed or the HB closure did not fit."""
+        return self.oom is not None or "failed" in self.stage_status.values()
 
     # -- Table 4-style counts ------------------------------------------------
 
@@ -281,7 +272,7 @@ class DCatch:
         result.profile = tracer
         return result
 
-    def _run_streaming_analysis(self, trace: Trace, budget) -> DetectionResult:
+    def _run_streaming_analysis(self, trace: Trace) -> DetectionResult:
         """Streaming-mode analysis: skip the whole-trace HB graph and
         reachability closure entirely; one bounded-memory pass over the
         records (``repro.detect.streaming``).  ``detection.graph`` is
@@ -292,26 +283,19 @@ class DCatch:
         stream = detect_races_streaming(
             records=trace.records,
             expected_streams=trace.per_thread.keys(),
-            should_stop=budget.exceeded,
         )
         return stream.to_detection(trace)
 
     def _run_stages(self) -> PipelineResult:
-        """Trace, analyse, prune and trigger.  A stage that fails or
-        overruns its deadline is recorded in ``stage_status`` instead of
-        raising."""
+        """Trace, analyse, prune and trigger.  A stage that fails is
+        recorded in ``stage_status`` instead of raising."""
         config = self.config
         timings: Dict[str, float] = {}
         stage_status: Dict[str, str] = {}
-        #: One per stage that ran; each is polled a last time as its
-        #: stage ends, so ``deadline_hit`` says which ones overran.
-        budgets: List[StageBudget] = []
         obs.counter("pipeline_runs_total", "DCatch pipeline executions").inc()
 
         # -- run-time tracing: the one monitored run --------------------------
         started = time.perf_counter()
-        budget = StageBudget("trace", started, config.max_stage_seconds)
-        budgets.append(budget)
         with obs.span("pipeline.tracing", scope=config.scope):
             monitored_result, trace = self.run_traced()
             if obs.enabled():
@@ -319,7 +303,6 @@ class DCatch:
 
                 publish_stats(compute_stats(trace))
         timings["tracing_seconds"] = time.perf_counter() - started
-        budget.exceeded()
         stage_status["trace"] = "ok"
 
         detection = None
@@ -335,7 +318,7 @@ class DCatch:
             stage_status[stage] = "failed"
             errors.append(f"{stage}: {type(exc).__name__}: {exc}")
             obs.counter(
-                "pipeline_stage_failures_total", "degraded pipeline stages"
+                "pipeline_stage_failures_total", "failed pipeline stages"
             ).labels(stage=stage).inc()
 
         # -- trace analysis: HB graph, reachability, detection ----------------
@@ -347,12 +330,10 @@ class DCatch:
             else config.memory_budget_mb * 1024 * 1024
         )
         started = time.perf_counter()
-        budget = StageBudget("analysis", started, config.max_stage_seconds)
-        budgets.append(budget)
         try:
             with obs.span("pipeline.analysis"):
                 if config.detect_mode == "streaming":
-                    detection = self._run_streaming_analysis(trace, budget)
+                    detection = self._run_streaming_analysis(trace)
                 else:
                     graph = HBGraph(trace, memory_budget=reach_budget)
                     graph.reach_stats()
@@ -360,7 +341,6 @@ class DCatch:
                         trace,
                         memory_budget=reach_budget,
                         graph=graph,
-                        should_stop=budget.exceeded,
                     )
                     try:
                         # no lock sections: the SP order is the HB order
@@ -371,9 +351,7 @@ class DCatch:
                         )
                     except TraceAnalysisOOM as exc:
                         sp_oom = exc  # skip the tier, not the analysis
-                stage_status["analysis"] = (
-                    "degraded" if detection.stopped_early else "ok"
-                )
+                stage_status["analysis"] = "ok"
                 reports_pre = ReportSet.from_detection(detection)
             reports = reports_pre
             timings["analysis_seconds"] = time.perf_counter() - started
@@ -384,7 +362,6 @@ class DCatch:
             stage_failed("analysis", exc)
         except Exception as exc:  # noqa: BLE001 - degrade, don't die
             stage_failed("analysis", exc)
-        budget.exceeded()
 
         # -- static pruning ---------------------------------------------------
         if reports is not None:
@@ -412,8 +389,6 @@ class DCatch:
         # -- triggering -------------------------------------------------------
         if reports is not None and detection is not None and config.trigger:
             started = time.perf_counter()
-            budget = StageBudget("trigger", started, config.max_stage_seconds)
-            budgets.append(budget)
             with obs.span("pipeline.trigger", reports=len(reports)):
                 try:
                     from repro.trigger import PlacementAnalyzer, TriggerModule
@@ -425,15 +400,8 @@ class DCatch:
                 except Exception as exc:  # noqa: BLE001
                     stage_failed("trigger", exc)
                 else:
-                    stage_status.setdefault("trigger", "ok")
-                    # ``reports`` is in trigger-queue order
-                    # (``rank_reports``): under a deadline the reports
-                    # left UNKNOWN are the weakest tier.
+                    stage_status["trigger"] = "ok"
                     for report in reports:
-                        if budget.exceeded():
-                            # Deadline: remaining reports stay UNKNOWN.
-                            stage_status["trigger"] = "degraded"
-                            break
                         # Each report's re-runs are isolated: one
                         # hung or crashed trigger execution is that
                         # report's outcome, not the pipeline's.
@@ -447,16 +415,6 @@ class DCatch:
                         if outcome is not None:
                             outcomes.append(outcome)
             timings["trigger_seconds"] = time.perf_counter() - started
-            budget.exceeded()
-
-        for budget in budgets:
-            # A deadline overrun degrades the stage even when its loop
-            # happened to finish; "failed" stays the stronger signal.
-            if budget.deadline_hit and stage_status.get(budget.name) in (
-                None,
-                "ok",
-            ):
-                stage_status[budget.name] = "degraded"
 
         return PipelineResult(
             workload=self.workload,

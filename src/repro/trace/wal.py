@@ -43,8 +43,9 @@ from repro.trace.records import (
 )
 
 #: Fires after a segment seals: ``(node, tid, segment_index, path)``.
-#: This is the hook the detection-service client rides to ship sealed
-#: segments as the run executes.
+#: Its one user is ``Trace.save``, which fsyncs each sealed segment.
+#: The detection-service client does not ride it: ``ship_wal_dir`` ships
+#: a finished directory, listed by ``list_stream_segments``.
 SealCallback = Callable[[str, int, int, str], None]
 
 WAL_FORMAT = "repro-wal"

@@ -98,7 +98,6 @@ def test_streaming_matches_batch_any_window(recipe, window):
         expected_streams={r.tid for r in trace.records},
     )
     assert _pair_set(stream.candidates) == _pair_set(batch.candidates)
-    assert not stream.stopped_early
     assert stream.confidence == "full"
 
 

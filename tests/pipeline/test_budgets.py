@@ -1,5 +1,4 @@
-"""Resource-governed degradation, end to end: the stage deadline and the
-closure memory budget."""
+"""Resource-governed degradation, end to end: the closure memory budget."""
 
 from repro.detect.export import dump_reports
 from repro.pipeline import DCatch, PipelineConfig
@@ -46,23 +45,3 @@ def test_small_memory_budget_that_fits_changes_nothing():
     assert set(result.stage_status.values()) == {"ok"}
     assert not result.degraded
     assert _reports_json(result) == _reports_json(default)
-
-
-def test_stage_deadline_marks_trigger_degraded():
-    """A zero deadline lets no trigger report run; outcomes stay empty
-    and the stage is degraded, not wedged."""
-    config = PipelineConfig(max_stage_seconds=0.0)
-    result = DCatch(workload_by_id("ZK-1144"), config).run()
-    assert result.stage_status.get("trigger") == "degraded"
-    assert result.outcomes == []
-    series = result.metrics["governor_deadline_exceeded_total"]["series"]
-    assert "stage=trigger" in series
-
-
-def test_deadline_detect_stops_early():
-    config = PipelineConfig(max_stage_seconds=0.0, trigger=False)
-    result = DCatch(workload_by_id("ZK-1144"), config).run()
-    assert result.detection is not None
-    assert result.detection.stopped_early
-    assert result.stage_status.get("analysis") == "degraded"
-    assert result.degraded

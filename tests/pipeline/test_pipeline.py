@@ -100,7 +100,7 @@ def test_docs_quick_reference_matches_pipeline_config():
         for kw in call.keywords
     }
     fields = dataclasses.fields(PipelineConfig)
-    assert len(fields) == 8
+    assert len(fields) == 7
     assert list(documented) == [f.name for f in fields]
     assert documented == {f.name: f.default for f in fields}
 
@@ -146,11 +146,9 @@ def test_prune_failure_is_reported_under_its_stage_name(monkeypatch):
 
 
 def test_stage_status_keys_are_the_stage_names():
-    result = DCatch(
-        workload_by_id("ZK-1144"), PipelineConfig(max_stage_seconds=0.0)
-    ).run()
-    assert set(result.stage_status) <= set(STAGES)
-    assert result.stage_status["analysis"] == "degraded"
+    result = DCatch(workload_by_id("ZK-1144"), PipelineConfig()).run()
+    assert set(result.stage_status) == set(STAGES)
+    assert set(result.stage_status.values()) <= {"ok", "failed"}
 
 
 @pytest.mark.parametrize("mode", ["psychic", "sync-preserving"])

@@ -167,15 +167,17 @@ def test_profile_command(tmp_path, capsys):
 
     out = tmp_path / "profile.json"
     chrome = tmp_path / "trace.json"
+    prom = tmp_path / "metrics.prom"
     assert main(
         [
             "profile",
             "ZK-1270",
-            "--no-trigger",
             "--out",
             str(out),
             "--chrome",
             str(chrome),
+            "--prom",
+            str(prom),
         ]
     ) == 0
     stdout = capsys.readouterr().out
@@ -185,11 +187,19 @@ def test_profile_command(tmp_path, capsys):
     profile = json.loads(out.read_text())
     assert profile["format"] == "repro-profile"
     span_names = {s["name"] for s in profile["profile"]["spans"]}
-    assert "pipeline.analysis" in span_names
+    # the trigger is on, so the span table covers every stage
+    for stage in (
+        "pipeline.tracing",
+        "pipeline.analysis",
+        "pipeline.pruning",
+        "pipeline.trigger",
+    ):
+        assert stage in span_names, stage
     assert "pipeline_runs_total" in profile["metrics"]
 
     trace = json.loads(chrome.read_text())
     assert any(e["ph"] == "X" for e in trace["traceEvents"])
+    assert "# TYPE pipeline_runs_total counter" in prom.read_text().splitlines()
 
 
 def test_profile_prom_writes_the_metrics_registry(tmp_path, capsys):
@@ -381,21 +391,23 @@ def test_salvage_missing_directory_exits_2(tmp_path, capsys):
 
 def test_run_budget_flags_parse():
     parser = build_parser()
-    args = parser.parse_args(
-        [
-            "run",
-            "ZK-1144",
-            "--max-stage-seconds",
-            "1.5",
-            "--memory-budget-mb",
-            "64",
-        ]
-    )
-    assert args.max_stage_seconds == 1.5
+    args = parser.parse_args(["run", "ZK-1144", "--memory-budget-mb", "64"])
     assert args.memory_budget_mb == 64
     args = parser.parse_args(["run", "ZK-1144"])
-    assert args.max_stage_seconds is None
     assert args.memory_budget_mb is None
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "ZK-1144"], ["stream", "wal"]]
+)
+def test_stage_deadline_flag_is_unknown(command, capsys):
+    """A run is bounded by its step and closure budgets, not a clock:
+    neither verb takes a wall-clock stage deadline."""
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--max-stage-seconds", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --max-stage-seconds 1" in err
 
 
 def test_workers_flag_is_unknown(capsys):

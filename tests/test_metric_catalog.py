@@ -1,5 +1,6 @@
-"""Every metric the code declares is in ``docs/observability.md``, and
-each is declared by one module.
+"""Every metric the code declares is in ``docs/observability.md``, each
+is declared by one module, and every metric that document's table names
+is one the code declares.
 
 A static walk over ``src/repro`` (outside ``systems/``) with ``ast``;
 nothing here imports the sources.  A declaration is a call to
@@ -17,6 +18,11 @@ PACKAGE = os.path.join(ROOT, "src", "repro")
 CATALOG = os.path.join(ROOT, "docs", "observability.md")
 SKIPPED = ("systems", "obs")
 DECLARERS = {"counter", "gauge", "histogram"}
+
+
+#: A backquoted snake_case name, optionally followed by its labels
+#: (``hb_edges_total{rule=}``): the table's spelling of a metric.
+TABLE_METRIC = re.compile(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\{[^`]*\})?`")
 
 
 def _declarations():
@@ -62,3 +68,23 @@ def test_every_metric_is_declared_by_one_module_and_documented():
         if not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", catalog)
     )
     assert not missing, f"missing from docs/observability.md: {missing}"
+
+
+def _table_metrics(catalog):
+    """Every metric name in the rows of the "What the pipeline records"
+    table."""
+    section = catalog.split("### What the pipeline records", 1)[1]
+    section = section.split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return {name for row in rows for name in TABLE_METRIC.findall(row)}
+
+
+def test_every_documented_metric_is_declared():
+    declared, _ = _declarations()
+    with open(CATALOG, encoding="utf-8") as fh:
+        documented = _table_metrics(fh.read())
+    assert len(documented) > 50  # the table was found and read
+    stale = sorted(documented - set(declared))
+    assert not stale, (
+        f"in docs/observability.md but declared by no module: {stale}"
+    )
